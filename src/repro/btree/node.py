@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 _HEADER = struct.Struct("<BHq")  # type, count, next_leaf
 
@@ -44,12 +44,30 @@ class NodeEntry(NamedTuple):
 
 @dataclass
 class Node:
-    """An in-memory image of one B+-tree page."""
+    """An in-memory image of one B+-tree page.
+
+    ``entries`` is a list while a node is being built or mutated and a
+    tuple once it is a decoded page image: those are shared between every
+    reader of the page (:meth:`BPlusTree.read_node` memoises them) and must
+    never change.
+    """
 
     is_leaf: bool
-    entries: list = field(default_factory=list)
+    entries: Sequence = field(default_factory=list)
     next_leaf: int = -1
     page_id: int = -1
+    #: Grid arrays of the entries, cached by the tree on read-only nodes.
+    arrays: Any = field(default=None, compare=False, repr=False)
+
+    @property
+    def read_only(self) -> bool:
+        return isinstance(self.entries, tuple)
+
+    def mutable_copy(self) -> "Node":
+        return Node(self.is_leaf, list(self.entries), self.next_leaf, self.page_id)
+
+    def frozen_copy(self) -> "Node":
+        return Node(self.is_leaf, tuple(self.entries), self.next_leaf, self.page_id)
 
     @property
     def count(self) -> int:
@@ -78,6 +96,7 @@ class NodeCodec:
     # -------------------------------------------------------------- encode
 
     def encode(self, node: Node) -> bytes:
+        """The node's page image, zero-padded to exactly one page."""
         capacity = self.leaf_capacity if node.is_leaf else self.node_capacity
         if node.count > capacity:
             raise ValueError(
@@ -95,11 +114,14 @@ class NodeCodec:
                 parts.append(child.to_bytes(8, "little"))
                 parts.append(min_sfc.to_bytes(kb, "big"))
                 parts.append(max_sfc.to_bytes(kb, "big"))
+        entry_size = self.leaf_entry_size if node.is_leaf else self.node_entry_size
+        parts.append(bytes(self.page_size - _HEADER.size - node.count * entry_size))
         return b"".join(parts)
 
     # -------------------------------------------------------------- decode
 
     def decode(self, data: bytes, page_id: int) -> Node:
+        """The read-only node a page image holds."""
         node_type, count, next_leaf = _HEADER.unpack_from(data, 0)
         kb = self.key_bytes
         offset = _HEADER.size
@@ -111,7 +133,7 @@ class NodeCodec:
                 ptr = int.from_bytes(data[offset : offset + 8], "little")
                 offset += 8
                 entries.append(LeafEntry(key, ptr))
-            return Node(True, entries, next_leaf, page_id)
+            return Node(True, tuple(entries), next_leaf, page_id)
         entries = []
         for _ in range(count):
             key = int.from_bytes(data[offset : offset + kb], "big")
@@ -123,4 +145,4 @@ class NodeCodec:
             max_sfc = int.from_bytes(data[offset : offset + kb], "big")
             offset += kb
             entries.append(NodeEntry(key, child, min_sfc, max_sfc))
-        return Node(False, entries, -1, page_id)
+        return Node(False, tuple(entries), -1, page_id)

@@ -9,12 +9,25 @@ query algorithms decode back into pivot-space boxes for pruning.
 Duplicate keys are allowed: distinct objects may collide on one SFC value
 (always possible under δ-approximation), so deletion matches on
 ``(key, ptr)`` pairs.
+
+A node visit costs one page access and no per-entry interpretation:
+``read_node`` always fetches the page — PA, checksum verification and
+injected faults are charged on every visit — and then hands back the node
+it decoded from *that very page image* last time, if it still holds one.
+The test is object identity of the page's ``bytes``: every way a page can
+change (``write_page``, raw damage through ``_store_raw``, a reload)
+installs a new object, so a stale memo entry can only miss.  Memoised nodes
+are read-only and shared; mutators work on private copies.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
+from collections import OrderedDict
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.btree.node import LeafEntry, Node, NodeCodec, NodeEntry
 from repro.sfc.base import SpaceFillingCurve
@@ -22,12 +35,42 @@ from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
 
+#: Decoded nodes kept per tree, least recently read evicted first.  A 4 KB
+#: page decodes to a few hundred entry tuples plus their grid arrays — about
+#: 50 KB — so the memo is bounded near 50 MB per tree at the default page
+#: size, and covers every node of an index of ~300 000 objects.
+NODE_MEMO_CAPACITY = 1 << 10
 
-def _union_boxes(boxes: Sequence[Box]) -> Box:
-    los, his = zip(*boxes)
-    lo = tuple(min(vals) for vals in zip(*los))
-    hi = tuple(max(vals) for vals in zip(*his))
-    return lo, hi
+
+class NodeMemo:
+    """LRU map from page id to ``(page image, node decoded from it)``."""
+
+    def __init__(self) -> None:
+        self.capacity = NODE_MEMO_CAPACITY
+        self._nodes: OrderedDict[int, tuple[bytes, Node]] = OrderedDict()
+        # Readers share the tree under the epoch lock's read side, and an
+        # LRU touch is a compound update of the ordered dict.
+        self._lock = threading.Lock()
+
+    def get(self, page_id: int, image: bytes) -> Optional[Node]:
+        """The node decoded from ``image`` — the same object, not an equal
+        one — or None."""
+        with self._lock:
+            held = self._nodes.get(page_id)
+            if held is None or held[0] is not image:
+                return None
+            self._nodes.move_to_end(page_id)
+            return held[1]
+
+    def put(self, page_id: int, image: bytes, node: Node) -> None:
+        with self._lock:
+            self._nodes[page_id] = (image, node)
+            self._nodes.move_to_end(page_id)
+            while len(self._nodes) > self.capacity:
+                self._nodes.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
 
 
 class BPlusTree:
@@ -43,9 +86,15 @@ class BPlusTree:
     ) -> None:
         if not 0.1 <= fill_factor <= 1.0:
             raise ValueError("fill_factor must be in [0.1, 1.0]")
+        if curve.bits > 62:
+            raise ValueError(
+                f"{curve.bits}-bit grid coordinates do not fit the 64-bit "
+                "integer arrays nodes hold their cells in"
+            )
         self.curve = curve
         key_bytes = max(1, (curve.ndims * curve.bits + 7) // 8)
         self.codec = NodeCodec(key_bytes, page_size)
+        self.memo = NodeMemo()
         self.pagefile = PageFile(page_size=page_size, path=path, checksums=checksums)
         self.fill_factor = fill_factor
         self.root_page = -1
@@ -56,13 +105,22 @@ class BPlusTree:
     # ------------------------------------------------------------------ io
 
     def read_node(self, page_id: int) -> Node:
-        """Fetch a node; one page access."""
-        return self.codec.decode(self.pagefile.read_page(page_id), page_id)
+        """Fetch a node; one page access.  The node is read-only."""
+        image = self.pagefile.read_page(page_id)
+        node = self.memo.get(page_id, image)
+        if node is None:
+            node = self.codec.decode(image, page_id)
+            self.memo.put(page_id, image, node)
+        return node
 
     def _write_node(self, node: Node) -> None:
         if node.page_id < 0:
             node.page_id = self.pagefile.allocate()
-        self.pagefile.write_page(node.page_id, self.codec.encode(node))
+        image = self.codec.encode(node)
+        self.pagefile.write_page(node.page_id, image)
+        # The page file stores a full-page image as the object it is given,
+        # so the next read of this page finds the node without decoding.
+        self.memo.put(node.page_id, image, node.frozen_copy())
 
     @property
     def page_accesses(self) -> int:
@@ -82,16 +140,46 @@ class BPlusTree:
         """The MBB a non-leaf entry stores for its child subtree."""
         return self.curve.decode(entry.min_sfc), self.curve.decode(entry.max_sfc)
 
+    def leaf_cells(self, node: Node) -> np.ndarray:
+        """A leaf's decoded grid cells, one row per entry: ``(n, |P|)`` int64.
+
+        Decoded once per read-only node and kept on it.  Cells always fit an
+        integer array even when the interleaved SFC keys do not.
+        """
+        if node.arrays is not None:
+            return node.arrays
+        cells = self._grid_array([self.curve.decode(e.key) for e in node.entries])
+        if node.read_only:
+            node.arrays = cells
+        return cells
+
+    def child_boxes(self, node: Node) -> tuple[np.ndarray, np.ndarray]:
+        """A non-leaf node's child MBB corners as two ``(n, |P|)`` arrays."""
+        if node.arrays is not None:
+            return node.arrays
+        decode = self.curve.decode
+        corners = (
+            self._grid_array([decode(e.min_sfc) for e in node.entries]),
+            self._grid_array([decode(e.max_sfc) for e in node.entries]),
+        )
+        if node.read_only:
+            node.arrays = corners
+        return corners
+
+    def _grid_array(self, points: list) -> np.ndarray:
+        array = np.array(points, dtype=np.int64).reshape(len(points), self.curve.ndims)
+        array.setflags(write=False)
+        return array
+
     def node_box(self, node: Node) -> Optional[Box]:
         """Compute a node's MBB from its contents (None when empty)."""
         if node.count == 0:
             return None
         if node.is_leaf:
-            coords = [self.curve.decode(entry.key) for entry in node.entries]
-            lo = tuple(min(vals) for vals in zip(*coords))
-            hi = tuple(max(vals) for vals in zip(*coords))
-            return lo, hi
-        return _union_boxes([self.decode_box(entry) for entry in node.entries])
+            lo = hi = self.leaf_cells(node)
+        else:
+            lo, hi = self.child_boxes(node)
+        return tuple(lo.min(axis=0).tolist()), tuple(hi.max(axis=0).tolist())
 
     def _entry_for_child(self, child: Node) -> NodeEntry:
         box = self.node_box(child)
@@ -173,7 +261,7 @@ class BPlusTree:
         self, page_id: int, key: int, ptr: int
     ) -> Optional[NodeEntry]:
         """Insert below ``page_id``; returns a new sibling entry on split."""
-        node = self.read_node(page_id)
+        node = self.read_node(page_id).mutable_copy()
         if node.is_leaf:
             keys = [entry.key for entry in node.entries]
             idx = bisect.bisect_right(keys, key)
@@ -241,7 +329,7 @@ class BPlusTree:
         return found
 
     def _delete_from(self, page_id: int, key: int, ptr: int) -> bool:
-        node = self.read_node(page_id)
+        node = self.read_node(page_id).mutable_copy()
         if node.is_leaf:
             for i, entry in enumerate(node.entries):
                 if entry.key == key and entry.ptr == ptr:

@@ -11,12 +11,23 @@ can map it to one integer.  For discrete metrics (edit distance, Hamming) the
 grid is exact (δ = 1); for continuous metrics a cell ``c`` only tells us
 d ∈ [cδ, (c+1)δ), and all bounds here round conservatively so pruning never
 produces false drops.
+
+The three pruning tests exist twice.  The scalar forms (``mind_to_cell``,
+``mind_to_box``, ``upper_bound_to_pivot`` and ``sfc.region.point_in_box``)
+are the tested reference and serve the joins, the cluster router and the
+benchmark probes; the array forms below them evaluate a whole B+-tree node
+in one call and are what the query algorithms run.  Each array form does the
+scalar form's IEEE-754 operations in the scalar form's order per element
+(an integer cell converts to the same double either way; ``max`` is exact),
+so the two agree bit for bit, not just to a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from repro.distance.base import CountingDistance, Metric
 
@@ -135,6 +146,51 @@ class PivotSpace:
     def upper_bound_to_pivot(self, coord: int) -> float:
         """Upper bound of d(o, pᵢ) from a grid coordinate (Lemma 2)."""
         return self.cell_interval(coord)[1]
+
+    # -------------------------------------------------- whole-node forms
+
+    def _interval_arrays(
+        self, lo_cells: np.ndarray, hi_cells: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``cell_interval`` lower ends of one array, upper ends of another."""
+        if self.exact:
+            return lo_cells.astype(np.float64), hi_cells.astype(np.float64)
+        return lo_cells * self.delta, (hi_cells + 1) * self.delta
+
+    def cells_in_region(self, cells: np.ndarray, region: GridBox) -> np.ndarray:
+        """Lemma 1 over a leaf: which rows of ``cells`` lie inside RR."""
+        lo, hi = region
+        return ((cells >= lo) & (cells <= hi)).all(axis=1)
+
+    def boxes_meet_region(
+        self, lo_cells: np.ndarray, hi_cells: np.ndarray, region: GridBox
+    ) -> np.ndarray:
+        """Lemma 1 over a non-leaf node: which child MBBs intersect RR."""
+        lo, hi = region
+        return ((lo_cells <= hi) & (hi_cells >= lo)).all(axis=1)
+
+    def lemma2_accepts(
+        self, cells: np.ndarray, phi_q: Sequence[float], radius: float
+    ) -> np.ndarray:
+        """Lemma 2 over a leaf: rows some pivot proves to be within
+        ``radius`` of q, ``upper_bound_to_pivot(c) <= radius - d(q, pᵢ)``."""
+        _, upper = self._interval_arrays(cells, cells)
+        slack = np.array([radius - dq for dq in phi_q], dtype=np.float64)
+        return (upper <= slack).any(axis=1)
+
+    def mind_to_cells(self, phi_q: Sequence[float], cells: np.ndarray) -> np.ndarray:
+        """``mind_to_cell`` for every row of ``cells`` (kNN ordering)."""
+        return self.mind_to_boxes(phi_q, cells, cells)
+
+    def mind_to_boxes(
+        self, phi_q: Sequence[float], lo_cells: np.ndarray, hi_cells: np.ndarray
+    ) -> np.ndarray:
+        """``mind_to_box`` for every child MBB of a node (Lemma 3)."""
+        lo_d, hi_d = self._interval_arrays(lo_cells, hi_cells)
+        dq = np.asarray(phi_q, dtype=np.float64)
+        # fmax, like the scalar form's ``gap > worst``, lets a NaN lose.
+        gaps = np.fmax(lo_d - dq, dq - hi_d)
+        return np.fmax(np.fmax.reduce(gaps, axis=1), 0.0)
 
 
 def linf(phi_a: Sequence[float], phi_b: Sequence[float]) -> float:

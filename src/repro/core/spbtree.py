@@ -11,10 +11,8 @@ An SPB-tree has three parts (Fig. 4 of the paper):
 Query processing implements the paper's algorithms verbatim:
 
 * :meth:`SPBTree.range_query` — Algorithm 1 (RQA) with Lemma 1 (mapped
-  range region pruning), Lemma 2 (distance-free inclusion), and the
-  ``computeSFC`` fast path that enumerates the SFC values of
-  ``RR(q,r) ∩ MBB(N)`` when that region holds fewer cells than the leaf
-  has entries;
+  range region pruning) and Lemma 2 (distance-free inclusion), each
+  evaluated once per node over the node's decoded grid arrays;
 * :meth:`SPBTree.knn_query` — Algorithm 2 (NNA), best-first over MIND
   lower bounds (Lemma 3), optimal in distance computations (Lemma 4),
   with both the *incremental* and the *greedy* traversal paradigms of
@@ -29,6 +27,8 @@ import os
 import time
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from repro.btree.node import LeafEntry, Node
 from repro.btree.tree import BPlusTree
 from repro.obs import instruments as _instruments
@@ -38,14 +38,6 @@ from repro.core.pivots import select_pivots
 from repro.distance.base import CountingDistance, Metric
 from repro.sfc.base import SpaceFillingCurve
 from repro.sfc.hilbert import HilbertCurve
-from repro.sfc.region import (
-    box_cell_count,
-    box_contains,
-    box_intersection,
-    boxes_intersect,
-    point_in_box,
-    sfc_values_in_box,
-)
 from repro.service.context import (
     EpochLock,
     KnnCollector,
@@ -122,11 +114,10 @@ class SPBTree:
         self.ndk_corrections: dict[int, float] = {}
         self._sampled_from = 0
         self._sample_rng_state = 12345
-        #: Ablation switches (§4.2): Lemma 2's distance-free inclusion and
-        #: Algorithm 1's computeSFC fast path.  On by default; the ablation
-        #: experiment turns them off to measure their contribution.
+        #: Ablation switch (§4.2): Lemma 2's distance-free inclusion.  On by
+        #: default; the ablation experiment turns it off to measure its
+        #: contribution.
         self.use_lemma2 = True
-        self.use_sfc_enumeration = True
 
     # --------------------------------------------------------- construction
 
@@ -627,31 +618,26 @@ class SPBTree:
         if ctx is not None:
             ctx.checkpoint()
         rr = self.space.range_region(phi_q, radius)
-        # Depth-first over (page, parent MBB, level); the root carries no
-        # parent entry, so its box is None and leaf roots self-derive one.
-        stack: list[tuple[int, Optional[tuple], int]] = [
-            (self.btree.root_page, None, 0)
-        ]
+        stack: list[tuple[int, int]] = [(self.btree.root_page, 0)]  # (page, level)
         while stack:
             if ctx is not None:
                 ctx.checkpoint()
-            page_id, box, depth = stack.pop()
+            page_id, depth = stack.pop()
             if tr is not None:
                 with tr.region(tr.level(depth), ctx):
                     self._range_visit(
-                        page_id, box, depth, query, radius, phi_q, rr,
-                        results, stack, ctx, tr,
+                        page_id, depth, query, radius, phi_q, rr, results,
+                        stack, ctx, tr,
                     )
             else:
                 self._range_visit(
-                    page_id, box, depth, query, radius, phi_q, rr,
-                    results, stack, ctx, None,
+                    page_id, depth, query, radius, phi_q, rr, results,
+                    stack, ctx, None,
                 )
 
     def _range_visit(
         self,
         page_id: int,
-        box: Optional[tuple],
         depth: int,
         query: Any,
         radius: float,
@@ -664,111 +650,84 @@ class SPBTree:
     ) -> None:
         """Process one node of Algorithm 1's descent (all costs belong to
         the caller-entered span of this node's level)."""
-        rr_lo, rr_hi = rr
         node = self.btree.read_node(page_id)
         if tr is not None:
             tr.bump("nodes_visited")
         if node.is_leaf:
-            if box is None:  # leaf root: derive the MBB a parent would hold
-                box = self.btree.node_box(node)
-                if box is None or not boxes_intersect(rr_lo, rr_hi, *box):
-                    return
-            self._range_leaf(
-                node, box, query, radius, phi_q, rr, results, ctx, tr
-            )
+            for ptr, accepted in self._range_leaf(node, phi_q, radius, rr, tr):
+                self._verify_range(ptr, accepted, query, radius, results, ctx, tr)
             return
-        for entry in node.entries:
-            child_box = self.btree.decode_box(entry)
-            if boxes_intersect(rr_lo, rr_hi, *child_box):  # Lemma 1
-                stack.append((entry.child, child_box, depth + 1))
-            elif tr is not None:
-                tr.bump("children_pruned_lemma1")
+        self._push_children_meeting(node, rr, depth, stack, tr)
+
+    def _push_children_meeting(
+        self, node: Node, rr: tuple, depth: int, stack: list, tr: Optional[Any]
+    ) -> None:
+        """Lemma 1 over a non-leaf node: stack the children whose MBB
+        intersects RR, in entry order."""
+        meets = np.flatnonzero(
+            self.space.boxes_meet_region(*self.btree.child_boxes(node), rr)
+        )
+        entries = node.entries
+        for i in meets.tolist():
+            stack.append((entries[i].child, depth + 1))
+        if tr is not None and len(meets) < node.count:
+            tr.bump("children_pruned_lemma1", node.count - len(meets))
 
     def _range_leaf(
         self,
         node: Node,
-        box: tuple,
-        query: Any,
-        radius: float,
         phi_q: tuple[float, ...],
+        radius: float,
         rr: tuple,
-        results: list[Any],
-        ctx: Optional[QueryContext] = None,
         tr: Optional[Any] = None,
-    ) -> None:
-        """Leaf handling of Algorithm 1, lines 11–23."""
-        rr_lo, rr_hi = rr
-        if box_contains(rr_lo, rr_hi, *box):
-            # MBB(N) ⊆ RR: every entry is inside the range region.
-            for entry in node.entries:
-                self._verify_range(
-                    entry, query, radius, phi_q, rr, False, results, ctx, tr
-                )
-            return
-        inter = box_intersection(rr_lo, rr_hi, *box)
-        if inter is None:
-            return
-        if self.use_sfc_enumeration and box_cell_count(*inter) < node.count:
-            # computeSFC fast path: enumerate the (few) SFC values in the
-            # intersected region and merge against the sorted leaf keys.
-            if tr is not None:
-                tr.bump("sfc_fast_path")
-            values = sfc_values_in_box(self.curve, *inter)
-            vi, ei = 0, 0
-            entries = node.entries
-            while vi < len(values) and ei < len(entries):
-                key = entries[ei].key
-                if key == values[vi]:
-                    self._verify_range(
-                        entries[ei], query, radius, phi_q, rr, False, results,
-                        ctx, tr,
-                    )
-                    ei += 1
-                elif key > values[vi]:
-                    vi += 1
-                else:
-                    ei += 1
-            return
-        for entry in node.entries:
-            self._verify_range(
-                entry, query, radius, phi_q, rr, True, results, ctx, tr
-            )
+    ) -> Iterator[tuple[int, bool]]:
+        """Leaf handling of Algorithm 1, lines 11–23, as two masks over the
+        leaf's decoded cells: ``(ptr, Lemma 2 accepts it)`` for every entry
+        inside RR (Lemma 1), in entry order.
+
+        One path stands for the paper's three (MBB ⊆ RR, computeSFC
+        enumeration, per-entry check): for a leaf entry,
+        ``key ∈ SFC(RR ∩ MBB(N)) ⇔ cell ∈ RR``, and enumerating the region's
+        SFC values only ever served to avoid decoding the keys — which the
+        node now holds decoded.
+        """
+        cells = self.btree.leaf_cells(node)
+        inside = np.flatnonzero(self.space.cells_in_region(cells, rr))  # Lemma 1
+        if tr is not None and len(inside) < node.count:
+            tr.bump("entries_pruned_lemma1", node.count - len(inside))
+        # Lemma 2: if some pivot places o within r - d(q, pᵢ) of pᵢ, the
+        # object is certainly a result, without computing d(q, o).
+        if self.use_lemma2:
+            accepted = self.space.lemma2_accepts(cells[inside], phi_q, radius)
+        else:
+            accepted = np.zeros(len(inside), dtype=bool)
+        entries = node.entries
+        return zip([entries[i].ptr for i in inside.tolist()], accepted.tolist())
 
     def _verify_range(
         self,
-        entry: LeafEntry,
+        ptr: int,
+        accepted: bool,
         query: Any,
         radius: float,
-        phi_q: tuple[float, ...],
-        rr: tuple,
-        check_rr: bool,
         results: list[Any],
         ctx: Optional[QueryContext] = None,
         tr: Optional[Any] = None,
     ) -> None:
-        """VerifyRQ of Algorithm 1 (lines 25–29)."""
+        """VerifyRQ of Algorithm 1 (lines 25–29) for an entry inside RR."""
         assert self.raf is not None
         if ctx is not None:
             ctx.checkpoint()
-        cell = self.curve.decode(entry.key)
-        if check_rr and not point_in_box(cell, *rr):  # Lemma 1
+        if self.raf.is_deleted(ptr):
+            return
+        if accepted:
             if tr is not None:
-                tr.bump("entries_pruned_lemma1")
+                tr.bump("lemma2_accepts")
+            results.append(self.raf.read_object(ptr))
             return
-        if self.raf.is_deleted(entry.ptr):
-            return
-        # Lemma 2: if some pivot places o within r - d(q, pᵢ) of pᵢ, the
-        # object is certainly a result; fetch it without computing d(q, o).
-        if self.use_lemma2:
-            for coord, dq in zip(cell, phi_q):
-                if self.space.upper_bound_to_pivot(coord) <= radius - dq:
-                    if tr is not None:
-                        tr.bump("lemma2_accepts")
-                    results.append(self.raf.read_object(entry.ptr))
-                    return
         if tr is not None:
             tr.bump("entries_verified")
-        obj = self.raf.read_object(entry.ptr)
+        obj = self.raf.read_object(ptr)
         if self.distance(query, obj) <= radius:
             results.append(obj)
 
@@ -983,28 +942,30 @@ class SPBTree:
         depth: int,
         tr: Optional[Any] = None,
     ) -> None:
+        """Lemma 3 over a whole node: push the entries whose MIND beats the
+        current k-th distance, in entry order."""
         if node.is_leaf:
             if traversal == "greedy":
                 # Greedy paradigm: evaluate the whole leaf immediately.
                 for entry in node.entries:
                     verify(entry)
                 return
-            for entry in node.entries:
-                mind = self.space.mind_to_cell(phi_q, self.curve.decode(entry.key))
-                if mind < cur_ndk():  # Lemma 3
-                    heapq.heappush(heap, (mind, next(counter), 0, entry, depth))
-                elif tr is not None:
-                    tr.bump("entries_pruned_lemma3")
-            return
-        for entry in node.entries:
-            lo, hi = self.btree.decode_box(entry)
-            mind = self.space.mind_to_box(phi_q, lo, hi)
-            if mind < cur_ndk():  # Lemma 3
-                heapq.heappush(
-                    heap, (mind, next(counter), 1, entry.child, depth + 1)
-                )
-            elif tr is not None:
-                tr.bump("children_pruned_lemma3")
+            minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
+        else:
+            minds = self.space.mind_to_boxes(phi_q, *self.btree.child_boxes(node))
+        keep = np.flatnonzero(minds < cur_ndk())  # Lemma 3
+        entries = node.entries
+        for i, mind in zip(keep.tolist(), minds[keep].tolist()):
+            if node.is_leaf:
+                item = (mind, next(counter), 0, entries[i], depth)
+            else:
+                item = (mind, next(counter), 1, entries[i].child, depth + 1)
+            heapq.heappush(heap, item)
+        if tr is not None and len(keep) < node.count:
+            tr.bump(
+                "entries_pruned_lemma3" if node.is_leaf else "children_pruned_lemma3",
+                node.count - len(keep),
+            )
 
     # ----------------------------------------------------------- maintenance
 
@@ -1076,7 +1037,7 @@ class SPBTree:
                 phi_q = self.space.phi(query)
         if ctx is not None:
             ctx.checkpoint()
-        rr_lo, rr_hi = self.space.range_region(phi_q, radius)
+        rr = self.space.range_region(phi_q, radius)
         stack = [(self.btree.root_page, 0)]
         while stack:
             if ctx is not None:
@@ -1088,34 +1049,21 @@ class SPBTree:
                 if tr is not None:
                     tr.bump("nodes_visited")
                 if not node.is_leaf:
-                    for entry in node.entries:
-                        child_box = self.btree.decode_box(entry)
-                        if boxes_intersect(rr_lo, rr_hi, *child_box):  # Lemma 1
-                            stack.append((entry.child, depth + 1))
-                        elif tr is not None:
-                            tr.bump("children_pruned_lemma1")
+                    self._push_children_meeting(node, rr, depth, stack, tr)
                     continue
-                for entry in node.entries:
-                    if ctx is not None:
-                        ctx.checkpoint()
-                    cell = self.curve.decode(entry.key)
-                    if not point_in_box(cell, rr_lo, rr_hi):  # Lemma 1
-                        if tr is not None:
-                            tr.bump("entries_pruned_lemma1")
+                for ptr, accepted in self._range_leaf(node, phi_q, radius, rr, tr):
+                    if self.raf.is_deleted(ptr):
                         continue
-                    if self.raf.is_deleted(entry.ptr):
-                        continue
-                    if self.use_lemma2 and any(
-                        self.space.upper_bound_to_pivot(c) <= radius - dq
-                        for c, dq in zip(cell, phi_q)
-                    ):
+                    if accepted:
                         if tr is not None:
                             tr.bump("lemma2_accepts")
                         tally[0] += 1  # Lemma 2: within r, no I/O at all
                         continue
+                    if ctx is not None:
+                        ctx.checkpoint()
                     if tr is not None:
                         tr.bump("entries_verified")
-                    obj = self.raf.read_object(entry.ptr)
+                    obj = self.raf.read_object(ptr)
                     if self.distance(query, obj) <= radius:
                         tally[0] += 1
             finally:

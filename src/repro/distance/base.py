@@ -45,16 +45,19 @@ class Metric(ABC):
         if n < 2:
             return 1.0
         best = 0.0
-        step = max(1, (n * (n - 1) // 2) // max(1, pairs))
-        count = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                count += 1
-                if count % step:
-                    continue
-                d = self(sample[i], sample[j])
-                if d > best:
-                    best = d
+        total = n * (n - 1) // 2
+        step = max(1, total // max(1, pairs))
+        # Every step-th pair of the row-major enumeration of i < j, located
+        # directly: row i holds the n - 1 - i pairs (i, i+1) .. (i, n-1).
+        i, row_start, row_len = 0, 0, n - 1
+        for t in range(step - 1, total, step):
+            while t - row_start >= row_len:
+                row_start += row_len
+                row_len -= 1
+                i += 1
+            d = self(sample[i], sample[i + 1 + t - row_start])
+            if d > best:
+                best = d
         if best == 0.0:
             best = 1.0
         if not self.is_discrete:

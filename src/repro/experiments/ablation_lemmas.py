@@ -1,14 +1,11 @@
 """Ablation study (beyond the paper): what each design choice contributes.
 
-DESIGN.md calls out four load-bearing choices in the SPB-tree's query path;
+DESIGN.md calls out three load-bearing choices in the SPB-tree's query path;
 this experiment turns each off in isolation and measures the cost of range
 queries at the default radius:
 
 * **Lemma 2** — distance-free inclusion of objects provably inside the
   range ball (saves distance computations on large radii);
-* **computeSFC fast path** — enumerating the SFC values of RR ∩ MBB when
-  the intersection holds fewer cells than the leaf holds entries (saves
-  per-entry decode work);
 * **pivot quality** — HFI pivots vs. random pivots (the core of Fig. 9);
 * **curve clustering** — Hilbert vs. Z-order RAF layout (Table 4's angle,
   here for range queries).
@@ -64,12 +61,6 @@ def run(size: int | None = None, queries: int = 20, seed: int = 42):
         )
         no_lemma2.use_lemma2 = False
         measure(no_lemma2, "without Lemma 2")
-
-        no_enum = SPBTree.build(
-            dataset.objects, dataset.metric, d_plus=dataset.d_plus, seed=7
-        )
-        no_enum.use_sfc_enumeration = False
-        measure(no_enum, "without computeSFC fast path")
 
         random_pivots = select_pivots(
             dataset.objects, 5, dataset.metric, method="random", seed=7

@@ -4,8 +4,9 @@ A mapped range region RR(q, r) (Lemma 1) and a node MBB are both axis-aligned
 boxes on the SFC grid, represented as a pair of inclusive corner tuples
 ``(lo, hi)``.  These helpers implement the box algebra the query algorithms
 need: intersection tests, cell counting and enumeration (Algorithm 1's
-``computeSFC`` fast path), and the L-infinity point-to-box minimum distance
-used to order the kNN heap (Lemma 3).
+``computeSFC``, line 15 — the reference the SPB-tree's whole-leaf Lemma 1
+mask is tested against, no longer on the query path), and the L-infinity
+point-to-box minimum distance used to order the kNN heap (Lemma 3).
 """
 
 from __future__ import annotations

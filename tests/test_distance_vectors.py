@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.distance import (
     ChebyshevDistance,
     EuclideanDistance,
@@ -12,6 +13,7 @@ from repro.distance import (
     ManhattanDistance,
     MinkowskiDistance,
 )
+from repro.distance.base import Metric
 
 
 class TestMinkowski:
@@ -97,3 +99,50 @@ class TestMaxDistance:
         metric = EuclideanDistance()
         assert metric.max_distance([np.zeros(2)]) == 1.0
         assert metric.max_distance([]) == 1.0
+
+    @pytest.mark.parametrize("pairs", [1, 3, 7, 2000])
+    def test_evaluates_the_pairs_of_the_double_loop_in_order(self, pairs):
+        """d+ fixes δ and every SFC key, so the sampled pairs may not move."""
+        for n in range(41):
+            recorder = _PairRecorder()
+            d_plus = recorder.max_distance(list(range(n)), pairs)
+            expected = _double_loop_pairs(n, pairs)
+            assert recorder.seen == expected, (n, pairs)
+            if n >= 2:
+                assert d_plus == max(j - i for i, j in expected) * 1.05
+
+    @pytest.mark.parametrize("name", ["words", "color"])
+    def test_same_d_plus_as_the_double_loop_on_the_corpora(self, name):
+        dataset = load_dataset(name, size=700, seed=42)
+        metric, objects = dataset.metric, dataset.objects
+        best = max(
+            metric(objects[i], objects[j])
+            for i, j in _double_loop_pairs(len(objects), 2000)
+        )
+        if not metric.is_discrete:
+            best *= 1.05
+        assert metric.max_distance(objects) == best
+
+
+class _PairRecorder(Metric):
+    """Metric over indices that records which pairs it was asked for."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, a, b):
+        self.seen.append((a, b))
+        return abs(a - b)
+
+
+def _double_loop_pairs(n, pairs):
+    """The systematic sample as first written: every step-th (i, j), i < j,
+    of the row-major walk over all n(n-1)/2 index pairs."""
+    step = max(1, (n * (n - 1) // 2) // max(1, pairs))
+    out, count = [], 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            count += 1
+            if count % step == 0:
+                out.append((i, j))
+    return out
