@@ -66,7 +66,7 @@ def test_sharded_range_query_scaling(benchmark, shards):
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-@pytest.mark.parametrize("strategy", ["best-first", "broadcast"])
+@pytest.mark.parametrize("strategy", ["best-first"])
 def test_sharded_knn_query_scaling(benchmark, shards, strategy):
     from repro.cluster import ShardedIndex
 
@@ -79,7 +79,7 @@ def test_sharded_knn_query_scaling(benchmark, shards, strategy):
     expected = [d for d, _ in single.knn_query(q, 8)]
     single.reset_counters()
     single.knn_query(q, 8)
-    result = benchmark(lambda: cluster.knn_query(q, 8, strategy=strategy))
+    result = benchmark(lambda: cluster.knn_query(q, 8))
     assert [d for d, _ in result] == pytest.approx(expected)
     benchmark.extra_info["shards"] = cluster.num_shards
     benchmark.extra_info["strategy"] = strategy
@@ -87,7 +87,7 @@ def test_sharded_knn_query_scaling(benchmark, shards, strategy):
         single.distance_computations
     )
     cluster.reset_counters()
-    cluster.knn_query(q, 8, strategy=strategy)
+    cluster.knn_query(q, 8)
     benchmark.extra_info["cluster_compdists"] = (
         cluster.distance_computations
     )

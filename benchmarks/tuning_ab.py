@@ -1,12 +1,12 @@
-"""Tuning A/B smoke: the self-tuner must beat every fixed strategy.
+"""Tuning A/B smoke: the self-tuner must beat every fixed traversal.
 
 Runs one mixed workload (kNN, range queries, then a burst of
 distribution-shifting inserts, then the query mix again — now probing
 the drifted region) over identical cold-started copies of an on-disk
 sharded index:
 
-* four **fixed** passes — one per (traversal, strategy) arm, pinned for
-  every kNN query, nothing adapted;
+* two **fixed** passes — one per kNN traversal arm, pinned for every kNN
+  query, nothing adapted;
 * one **tuned** pass — kNN routed through the
   :class:`~repro.tuning.TraversalAdvisor`, with a
   :class:`~repro.tuning.Tuner` ticking every few operations so it can
@@ -57,12 +57,7 @@ from repro.service import QueryEngine
 from repro.service.context import QueryContext
 from repro.tuning import Tuner
 
-ARMS = [
-    ("incremental", "best-first"),
-    ("greedy", "best-first"),
-    ("incremental", "broadcast"),
-    ("greedy", "broadcast"),
-]
+ARMS = ["incremental", "greedy"]
 
 KS = (4, 8)
 
@@ -154,14 +149,11 @@ def summarize(counters, latencies):
 
 
 class _FixedPass:
-    """One pinned-(traversal, strategy) replica of the workload."""
+    """One pinned-traversal replica of the workload."""
 
     def __init__(self, base_directory, tmp, arm):
-        self.traversal, self.strategy = arm
-        self.name = "/".join(arm)
-        directory = fresh_copy(
-            base_directory, tmp, f"fixed-{self.traversal}-{self.strategy}"
-        )
+        self.traversal = self.name = arm
+        directory = fresh_copy(base_directory, tmp, f"fixed-{arm}")
         self.idx = ShardedIndex.open(directory, EditDistance(), wal_fsync=False)
         self.counters, self.latencies = [], []
 
@@ -174,8 +166,7 @@ class _FixedPass:
         t0 = time.process_time()
         if op[0] == "knn":
             self.idx.knn_query(
-                op[1], op[2], traversal=self.traversal, context=ctx,
-                strategy=self.strategy,
+                op[1], op[2], traversal=self.traversal, context=ctx
             )
         else:
             self.idx.range_query(op[1], op[2], context=ctx)

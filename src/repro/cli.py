@@ -566,7 +566,6 @@ def _serve_epilogue(
         st = tuner.status()
         policy = ", ".join(
             f"{bucket}={p['traversal']}"
-            + (f"/{p['strategy']}" if p["strategy"] else "")
             for bucket, p in sorted(st["policy"].items())
         )
         print(
@@ -1328,9 +1327,7 @@ def cmd_shard_query(args: argparse.Namespace) -> None:
             for obj in result[:10]:
                 print(f"  {obj!r}"[:100])
         elif args.mode == "knn":
-            result = cluster.knn_query(
-                query, args.k, context=ctx, strategy=args.strategy
-            )
+            result = cluster.knn_query(query, args.k, context=ctx)
             print(f"kNN(q, {args.k}) -> {len(result)} neighbours")
             for dist, obj in result:
                 print(f"  d={dist:.4g}  {obj!r}"[:100])
@@ -1564,10 +1561,7 @@ def cmd_tune(args: argparse.Namespace) -> None:
             f"{cluster.num_shards} shards; {st['ticks']} ticks"
         )
         for bucket, p in sorted(st["policy"].items()):
-            arm = p["traversal"] + (
-                f"/{p['strategy']}" if p["strategy"] else ""
-            )
-            print(f"policy    : {bucket} -> {arm}")
+            print(f"policy    : {bucket} -> {p['traversal']}")
         print(
             f"calibrated: edc_scale {cal['edc_scale']} "
             f"epa_scale {cal['epa_scale']} "
@@ -1651,10 +1645,7 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
                     if "bucket" in detail:
                         policy[detail["bucket"]] = detail
             for bucket, p in sorted(policy.items()):
-                arm = str(p.get("traversal")) + (
-                    f"/{p['strategy']}" if p.get("strategy") else ""
-                )
-                print(f"tuning policy: {bucket} -> {arm}")
+                print(f"tuning policy: {bucket} -> {p.get('traversal')}")
             print(f"tuning events (last {len(tuning_events)}):")
             for evt in tuning_events:
                 parts = [f"[{evt.get('ts')}] {evt.get('event')}"]
@@ -1917,10 +1908,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     p_squery.add_argument("--k", type=int, default=8)
     p_squery.add_argument("--radius", type=float, default=None)
     p_squery.add_argument("--radius-percent", type=float, default=8.0)
-    p_squery.add_argument(
-        "--strategy", choices=["best-first", "broadcast"], default="best-first",
-        help="cluster kNN strategy (default: best-first)",
-    )
     _add_limits(p_squery)
     p_squery.add_argument(
         "--strict", action="store_true",

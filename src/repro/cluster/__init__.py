@@ -13,9 +13,17 @@ WALs, budgeted queries, observability — into a multi-shard system::
     cluster.rebalance()                            # crash-safe split/merge
     assert cluster.verify().ok
 
-Replication (``repro.replication``) builds on the catalog's replica rows
-(:class:`ReplicaMeta`), the recorded read policy (:data:`READ_POLICIES`),
-and the deterministic :class:`ReplicaSelector` exported here.
+Range, count and kNN are one sequential scatter loop; kNN visits shards
+best-first by Lemma 3's MIND under one shared bound.
+
+A :class:`Shard` owns its members: ``shard.members`` is None or a replica
+set the cluster reaches through six duck-typed methods (``reader``,
+``require_writable``, ``after_write``, ``degraded``, ``rows``,
+``close``).  Replication (``repro.replication``) supplies that set and
+builds on the catalog's replica rows (:class:`ReplicaMeta`), the recorded
+read policy (:data:`READ_POLICIES`), and the deterministic
+:class:`ReplicaSelector` exported here; this package imports nothing
+from it.
 """
 
 from repro.cluster.catalog import (

@@ -139,14 +139,6 @@ class Router:
             raise ValueError(f"SFC key {key} outside every shard range")
         return shard
 
-    def note_insert(self, shard: "Shard") -> None:
-        """Invalidate ``shard``'s cached MBB after an insert."""
-        self.invalidate(shard.shard_id)
-
-    def note_delete(self, shard: "Shard") -> None:
-        """Invalidate ``shard``'s cached MBB after a delete."""
-        self.invalidate(shard.shard_id)
-
     # ------------------------------------------------------------ pruning
 
     def mbb(self, shard: "Shard") -> Optional[GridBox]:

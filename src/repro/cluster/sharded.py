@@ -10,10 +10,25 @@ generation; the cluster adds
 
 * a :class:`Router` (shard-level Lemma 1/2/3 pruning over per-shard MBBs),
 * an atomically-committed catalog (:mod:`repro.cluster.catalog`),
-* scatter-gather queries that split one :class:`QueryContext` budget into
-  per-shard sub-contexts and merge degraded partials honestly, and
+* one scatter loop (:meth:`ShardedIndex._scatter`) behind range, count and
+  kNN — map the query once, plan, visit the planned shards one after the
+  other, fold — that splits a :class:`QueryContext` budget into per-shard
+  sub-contexts and merges degraded partials honestly; a context-free call
+  runs the same loop with no context, and
 * crash-safe online rebalancing (split a hot shard at an SFC midpoint,
   merge cold neighbours) committed by one catalog rename.
+
+A :class:`Shard` owns its members.  Unreplicated, its tree is the only
+one; replicated, ``shard.members`` is a replica set and the cluster asks
+the shard six things — ``reader(ctx)``, ``require_writable()``,
+``after_write()``, ``degraded()``, ``rows()``, ``close()`` — without ever
+importing :mod:`repro.replication`.
+
+Shards are visited sequentially, in plan order.  kNN is best-first by
+Lemma 3's MIND with one shared :class:`KnnCollector`, so the k-th-distance
+bound found in early shards prunes later ones outright; a scatter that
+ran shards side by side would forfeit exactly that, and in one process
+the GIL gives nothing back for it.
 
 Consistency model: mutations take the cluster's read side (they touch one
 shard, whose own EpochLock serialises them) while structural changes
@@ -25,6 +40,7 @@ consistency, not a cluster-wide snapshot.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import shutil
 import time
@@ -53,7 +69,6 @@ from repro.service.context import (
     EpochLock,
     ExhaustionReason,
     KnnCollector,
-    Overloaded,
     QueryContext,
     QueryResult,
     _Exhausted,
@@ -87,9 +102,21 @@ def _name_shard(reason: ExhaustionReason, shard_id: int) -> ShardExhaustion:
 
 
 class Shard:
-    """One member of the cluster: a full SPB-tree plus its key range."""
+    """One key range of the cluster: its (primary) tree and its members.
 
-    __slots__ = ("shard_id", "key_lo", "key_hi", "tree", "dirname")
+    ``members`` is None while ``tree`` is the shard's only member, else the
+    shard's replica set: any object with ``reader(ctx)``,
+    ``require_writable(tree)``, ``after_write()``, ``degraded()``,
+    ``rows()`` and ``close()`` (:class:`repro.replication.ReplicaSet`
+    today).  The cluster asks the shard and never looks inside.
+    ``replicas`` holds the catalog's replica rows of a shard opened without
+    its members, so a plain :class:`ShardedIndex` carries them through
+    save/load untouched.
+    """
+
+    __slots__ = (
+        "shard_id", "key_lo", "key_hi", "tree", "dirname", "members", "replicas",
+    )
 
     def __init__(
         self,
@@ -104,12 +131,71 @@ class Shard:
         self.key_hi = key_hi
         self.tree = tree
         self.dirname = dirname if dirname is not None else f"shard-{shard_id}"
+        self.members: Optional[Any] = None
+        self.replicas: list[ReplicaMeta] = []
+
+    def reader(self, ctx: Optional[QueryContext] = None) -> SPBTree:
+        """The tree that serves one read: a member picked under the read
+        policy (and named on ``ctx``'s trace), or the shard's own."""
+        return self.tree if self.members is None else self.members.reader(ctx)
+
+    def require_writable(self) -> None:
+        """Refuse a write the shard's primary must not take (fenced, down)."""
+        if self.members is not None:
+            self.members.require_writable(self.tree)
+
+    def after_write(self) -> None:
+        """A write committed on the primary: carry it to the other members."""
+        if self.members is not None:
+            self.members.after_write()
+
+    def degraded(self) -> Optional[ShardExhaustion]:
+        """The quorum reason when the shard's members cannot honour the
+        read/write contract right now, else None."""
+        return None if self.members is None else self.members.degraded()
+
+    def rows(self) -> list[ReplicaMeta]:
+        """The shard's replica membership as catalog rows."""
+        return self.replicas if self.members is None else self.members.rows()
+
+    def close(self) -> None:
+        """Release the WAL handle, and the members with theirs."""
+        if self.tree.wal is not None:
+            self.tree.wal.close()
+            self.tree.wal = None
+        if self.members is not None:
+            self.members.close()
 
     def __repr__(self) -> str:
         return (
             f"Shard({self.shard_id}, [{self.key_lo}, {self.key_hi}), "
             f"{self.tree.object_count} objects)"
         )
+
+
+def _stream_all(tree: SPBTree, sub: Optional[QueryContext]) -> "list | QueryResult":
+    """Lemma 2 at shard scale: the whole RAF, zero distance computations."""
+    if sub is None:
+        with tree._epoch_lock.read():
+            return list(tree.objects())
+    t0 = time.perf_counter()
+    items: list[Any] = []
+    complete, reason = True, None
+    with sub.activate():
+        try:
+            with tree._epoch_lock.read() as epoch:
+                sub.epoch = epoch
+                for obj in tree.objects():
+                    sub.checkpoint()
+                    items.append(obj)
+        except _Exhausted as exc:
+            complete, reason = False, exc.reason
+    return QueryResult(
+        items,
+        complete=complete,
+        reason=reason,
+        stats=sub.stats(time.perf_counter() - t0, len(items)),
+    )
 
 
 class ClusterResult(QueryResult):
@@ -212,12 +298,9 @@ class ShardedIndex:
         self._logging = False
         self._faults: Optional[FaultInjector] = None
         self.next_shard_id = 0
-        #: Replica membership carried through from the catalog (shard id →
-        #: rows) and the recorded read-routing policy.  The base class only
-        #: preserves them across save/load; ``repro.replication`` attaches
-        #: live replica sets and overrides :meth:`_read_tree` to fan reads
-        #: across them.
-        self._replica_meta: dict[int, list[ReplicaMeta]] = {}
+        #: The catalog's recorded read-routing policy.  The base class only
+        #: preserves it (and each shard's replica rows) across save/load;
+        #: ``repro.replication`` attaches the live members that use it.
         self._read_policy = "primary-only"
 
     # --------------------------------------------------------- construction
@@ -264,29 +347,40 @@ class ShardedIndex:
             serializer=serializer_for(objects[0]),
             checksums=checksums,
         )
+        self.shards = self._cut_into_shards(objects, shards)
+        self.router.reset(self.shards)
+        self._gauge_all()
+        return self
+
+    def _cut_into_shards(self, objects: Sequence[Any], count: int) -> list[Shard]:
+        """Key ``objects`` under the current pivot space and curve (one
+        |O| × |P| mapping pass), sort, and cut the run into at most
+        ``count`` fresh shards at population quantiles."""
         keyed = sorted(
             ((self.curve.encode(self.space.grid(obj)), obj) for obj in objects),
             key=lambda pair: pair[0],
         )
-        bounds = self._split_bounds(keyed, shards)
+        bounds = self._split_bounds(keyed, count)
         # A small throwaway build carries the sampled cost-model statistics
-        # (pair distances, exponent, ND_k corrections); the keyed shard
-        # builds inherit them so every shard prices visits the same way.
+        # (pair distances, exponent, ND_k corrections, all pivot-dependent);
+        # the keyed shard builds inherit them so every shard prices visits
+        # the same way.
         step = max(1, len(keyed) // 256)
         sample = [obj for _, obj in keyed[::step]][:256]
         donor = None
         if len(sample) >= 2:
             donor = SPBTree.build(
                 sample,
-                metric,
-                pivots=pivots,
+                self.distance.metric,
+                pivots=self.space.pivots,
                 delta=self.space.delta,
-                d_plus=d_plus,
-                curve=curve,
-                page_size=page_size,
-                cache_pages=cache_pages,
-                checksums=checksums,
+                d_plus=self.space.d_plus,
+                curve=self._curve_name,
+                page_size=self._page_size,
+                cache_pages=self._cache_pages,
+                checksums=self._checksums,
             )
+        shards: list[Shard] = []
         start = 0
         for i, lo in enumerate(bounds):
             hi = bounds[i + 1] if i + 1 < len(bounds) else self.curve.max_value
@@ -294,12 +388,10 @@ class ShardedIndex:
             while end < len(keyed) and keyed[end][0] < hi:
                 end += 1
             tree = self._tree_from_items(keyed[start:end], stats_from=donor)
-            self.shards.append(Shard(self.next_shard_id, lo, hi, tree))
+            shards.append(Shard(self.next_shard_id, lo, hi, tree))
             self.next_shard_id += 1
             start = end
-        self.router.reset(self.shards)
-        self._gauge_all()
-        return self
+        return shards
 
     @staticmethod
     def _split_bounds(
@@ -344,6 +436,12 @@ class ShardedIndex:
             stats_from=stats_from,
         )
 
+    def _empty_tree(self) -> SPBTree:
+        """A fresh empty stack with the cluster's parameters: a shard (or
+        a follower of one) that has never been checkpointed has no page
+        files to load."""
+        return self._tree_from_items([])
+
     # ---------------------------------------------------------- persistence
 
     @classmethod
@@ -374,29 +472,14 @@ class ShardedIndex:
             if os.path.exists(os.path.join(sdir, "spbtree.json")):
                 tree = load_tree(sdir, metric, replay_wal=replay_wal)
             else:
-                # A shard that was empty at save time has no page files;
-                # rebuild it as a fresh empty stack.
-                tree = SPBTree(
-                    metric,
-                    cat.pivots,
-                    cat.d_plus,
-                    curve=cat.curve,
-                    delta=cat.delta,
-                    page_size=cat.page_size,
-                    cache_pages=cat.cache_pages,
-                    serializer=self._serializer,
-                    checksums=cat.checksums,
-                )
-            self.shards.append(
-                Shard(meta.shard_id, meta.key_lo, meta.key_hi, tree, meta.directory)
+                tree = self._empty_tree()  # empty at save time
+            shard = Shard(
+                meta.shard_id, meta.key_lo, meta.key_hi, tree, meta.directory
             )
+            shard.replicas = list(meta.replicas)
+            self.shards.append(shard)
         self.router.reset(self.shards)
         self.directory = directory
-        self._replica_meta = {
-            meta.shard_id: list(meta.replicas)
-            for meta in cat.shards
-            if meta.replicas
-        }
         self._read_policy = cat.read_policy
         self._cleanup_unreferenced()
         self._gauge_all()
@@ -426,14 +509,18 @@ class ShardedIndex:
         os.makedirs(directory, exist_ok=True)
         with self._lock.write():
             for shard in self.shards:
-                if shard.tree.raf is None:
-                    continue  # never-written shard: catalog row only
-                gen = save_tree(
-                    shard.tree, os.path.join(directory, shard.dirname), faults
-                )
-                shard.tree._generation = gen
+                self._save_shard(shard, directory, faults)
             self.directory = directory
             self._write_catalog(faults)
+
+    @staticmethod
+    def _save_shard(
+        shard: Shard, directory: str, faults: Optional[FaultInjector]
+    ) -> None:
+        if shard.tree.raf is not None:  # never written: catalog row only
+            shard.tree._generation = save_tree(
+                shard.tree, os.path.join(directory, shard.dirname), faults
+            )
 
     def checkpoint(self, faults: Optional[FaultInjector] = None) -> None:
         """Fold every shard's WAL into a new generation, then refresh the
@@ -451,11 +538,9 @@ class ShardedIndex:
             self._write_catalog(faults)
 
     def close(self) -> None:
-        """Release every shard's WAL file handle."""
+        """Release every shard's WAL file handles."""
         for shard in self.shards:
-            if shard.tree.wal is not None:
-                shard.tree.wal.close()
-                shard.tree.wal = None
+            shard.close()
         self._logging = False
 
     def _attach_wal(self, shard: Shard) -> None:
@@ -473,10 +558,12 @@ class ShardedIndex:
         assert self.directory is not None
         save_catalog(self.directory, self._catalog(), faults)
 
-    def _catalog(self) -> ClusterCatalog:
+    def _catalog(self, shards: Optional[list[Shard]] = None) -> ClusterCatalog:
+        """The catalog of ``shards`` (default: the current shard map)."""
+        shards = self.shards if shards is None else shards
         serializer = self._serializer
         if serializer is None:
-            for shard in self.shards:
+            for shard in shards:
                 if shard.tree.raf is not None:
                     serializer = shard.tree.raf.serializer
                     break
@@ -502,9 +589,9 @@ class ShardedIndex:
                     key_hi=s.key_hi,
                     generation=s.tree._generation,
                     object_count=s.tree.object_count,
-                    replicas=list(self._replica_meta.get(s.shard_id, [])),
+                    replicas=list(s.rows()),
                 )
-                for s in self.shards
+                for s in shards
             ],
             read_policy=self._read_policy,
         )
@@ -516,8 +603,8 @@ class ShardedIndex:
         if self.directory is None:
             return
         referenced = {s.dirname for s in self.shards}
-        for rows in self._replica_meta.values():
-            referenced.update(r.directory for r in rows)
+        for shard in self.shards:
+            referenced.update(r.directory for r in shard.rows())
         try:
             names = os.listdir(self.directory)
         except OSError:
@@ -532,48 +619,38 @@ class ShardedIndex:
     # -------------------------------------------------------------- writes
 
     def insert(self, obj: Any) -> None:
-        """Map once at cluster level, then route to the owning shard's WAL."""
+        """Map once at cluster level, then route to the owning shard's
+        primary; a replicated shard ships the record to every healthy
+        follower *before* this returns, so the acknowledged write is
+        durable on each of them."""
         with self._lock.read():
             grid = self.space.grid(obj)
-            key = self.curve.encode(grid)
-            shard = self.router.shard_for_key(key)
+            shard = self.router.shard_for_key(self.curve.encode(grid))
+            shard.require_writable()
             shard.tree.insert(obj, grid=grid)
-            self.router.note_insert(shard)
+            self.router.invalidate(shard.shard_id)
             self._gauge_shard(shard)
+            shard.after_write()
 
     def delete(self, obj: Any) -> bool:
         with self._lock.read():
             grid = self.space.grid(obj)
-            key = self.curve.encode(grid)
-            shard = self.router.shard_for_key(key)
+            shard = self.router.shard_for_key(self.curve.encode(grid))
+            shard.require_writable()
             removed = shard.tree.delete(obj, grid=grid)
             if removed:
-                self.router.note_delete(shard)
+                self.router.invalidate(shard.shard_id)
                 self._gauge_shard(shard)
+                shard.after_write()
             return removed
 
     # ------------------------------------------------------------- queries
-
-    def _read_tree(
-        self, shard: Shard, ctx: Optional[QueryContext] = None
-    ) -> SPBTree:
-        """The tree that serves one read for ``shard``.
-
-        The base cluster always reads the shard's own (primary) tree; the
-        replicated cluster overrides this to fan reads across the shard's
-        healthy replicas under the catalog's read-routing policy (and,
-        when ``ctx`` carries a trace, records which replica served the
-        read).  Each scatter closure resolves its tree through this hook
-        at execution time, so one query's sub-reads route independently.
-        """
-        return shard.tree
 
     def range_query(
         self,
         query: Any,
         radius: float,
         context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
     ) -> "list[Any] | ClusterResult":
         """Scatter to Lemma-1-intersecting shards, gather, merge.
 
@@ -585,80 +662,25 @@ class ShardedIndex:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        with self._lock.read():
-            if context is None:
-                phi_q = self.space.phi(query)
-                visit, pruned = self.router.range_plan(phi_q, radius)
-                self._count_scatter("range", len(visit), pruned)
-                results: list[Any] = []
-                for shard, accept_all in visit:
-                    tree = self._read_tree(shard)
-                    if accept_all:
-                        with tree._epoch_lock.read():
-                            results.extend(tree.objects())
-                    else:
-                        results.extend(
-                            tree.range_query(query, radius, phi_q=phi_q)
-                        )
-                return results
-            return self._scatter_range(query, radius, context, engine)
+        results: list[Any] = []
 
-    def _scatter_range(
-        self,
-        query: Any,
-        radius: float,
-        ctx: QueryContext,
-        engine: Optional[Any],
-    ) -> ClusterResult:
-        t0 = time.perf_counter()
-        with ctx.activate():
-            phi_q, early = self._map_or_degrade(query, ctx, t0)
-            if early is not None:
-                return early
-            with self._plan_region(ctx):
-                visit, pruned = self.router.range_plan(
-                    phi_q, radius, trace=ctx.trace
-                )
-            self._count_scatter("range", len(visit), pruned)
-            jobs = []
-            parts = max(1, len(visit))
-            for shard, accept_all in visit:
-                sub = self._sub_context(ctx, parts)
-                fn = (
-                    self._accept_all_fn(shard)
-                    if accept_all
-                    else self._range_fn(shard, query, radius, phi_q)
-                )
-                jobs.append((shard, sub, fn))
-            outs = self._run_jobs(jobs, engine)
-            merge_t0 = time.perf_counter()
-            results: list[Any] = []
-            complete, reason = True, None
-            per_shard: dict[int, dict] = {}
-            for (shard, sub, _), out in zip(jobs, outs):
-                self._absorb(ctx, shard, sub, out, "range")
-                per_shard[shard.shard_id] = self._outcome(sub, out)
-                results.extend(out.items)
-                if not out.complete and complete:
-                    complete = False
-                    reason = _name_shard(out.reason, shard.shard_id)
-            if ctx.trace is not None:
-                ctx.trace.span("merge").elapsed += (
-                    time.perf_counter() - merge_t0
-                )
-            if not complete and ctx.strict:
-                raise ctx.raise_for(reason)
-            if ctx.trace is not None:
-                ctx.trace.finish(ctx, complete, reason)
-            return ClusterResult(
-                results,
-                complete=complete,
-                reason=reason,
-                stats=ctx.stats(time.perf_counter() - t0, len(results)),
-                per_shard=per_shard,
-                shards_visited=len(visit),
-                shards_pruned=pruned,
-            )
+        def read(tree, accept_all, sub, phi_q):
+            if accept_all:
+                out = _stream_all(tree, sub)
+            else:
+                out = tree.range_query(query, radius, context=sub, phi_q=phi_q)
+            results.extend(out)
+            return out
+
+        reply = self._scatter(
+            "range",
+            query,
+            context,
+            lambda phi_q, tr: self.router.range_plan(phi_q, radius, trace=tr),
+            read,
+            lambda: (results, None),
+        )
+        return reply if context is not None else reply.items
 
     def knn_query(
         self,
@@ -666,301 +688,235 @@ class ShardedIndex:
         k: int,
         traversal: str = "incremental",
         context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
-        strategy: str = "best-first",
     ) -> "list[tuple[float, Any]] | ClusterResult":
-        """Cluster-scale NNA with the paper's two strategies lifted to shards.
+        """Cluster-scale NNA: Algorithm 2's best-first order lifted to shards.
 
-        ``"best-first"`` visits shards in ascending MIND order (Lemma 3,
-        ties by the cost model's leaf-count proxy), sharing one
-        :class:`KnnCollector` so the k-th-distance bound from early shards
-        prunes later ones outright.  ``"broadcast"`` scatters to every
-        non-empty shard at once — on ``engine``'s pool when given — into a
-        thread-safe shared collector.  Partial answers merge to a confirmed
-        prefix: the cut is the smallest frontier or unvisited-shard MIND,
-        so every reported neighbour is a true kNN member.
+        Shards are visited in ascending MIND order (Lemma 3, ties by the
+        cost model's leaf-count proxy), sharing one :class:`KnnCollector`
+        so the k-th-distance bound from early shards prunes later ones
+        outright.  A partial answer is cut to a confirmed prefix: the cut
+        is the tripped shard's frontier or the smallest unvisited-shard
+        MIND, so every reported neighbour is a true kNN member.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         if traversal not in ("incremental", "greedy"):
             raise ValueError("traversal must be 'incremental' or 'greedy'")
-        if strategy not in ("best-first", "broadcast"):
-            raise ValueError("strategy must be 'best-first' or 'broadcast'")
-        with self._lock.read():
-            if context is None:
-                return self._knn_plain(query, k, traversal, strategy, engine)
-            return self._scatter_knn(
-                query, k, traversal, context, engine, strategy
+        collector = KnnCollector(k)
+
+        def plan(phi_q, tr):
+            order = self.router.knn_order(phi_q, trace=tr)
+            return [(shard, mind) for mind, shard in order], 0
+
+        def read(tree, mind, sub, phi_q):
+            return tree.knn_into(
+                query, k, collector, sub, traversal=traversal, phi_q=phi_q
             )
 
-    def _knn_plain(
-        self,
-        query: Any,
-        k: int,
-        traversal: str,
-        strategy: str,
-        engine: Optional[Any],
-    ) -> list[tuple[float, Any]]:
-        phi_q = self.space.phi(query)
-        order = self.router.knn_order(phi_q)
-        if strategy == "best-first":
-            collector = KnnCollector(k)
-            visited = 0
-            for i, (mind, shard) in enumerate(order):
-                if len(collector) >= k and mind >= collector.bound():
-                    self._count_scatter("knn", visited, len(order) - i)
-                    return collector.items()
-                self._read_tree(shard).knn_into(
-                    query, k, collector, traversal=traversal, phi_q=phi_q
-                )
-                visited += 1
-            self._count_scatter("knn", visited, 0)
-            return collector.items()
-        collector = KnnCollector(k, thread_safe=engine is not None)
-        jobs = []
-        for _, shard in order:
-            jobs.append(
-                (shard, QueryContext(), self._knn_fn(shard, query, k, collector, traversal, phi_q))
-            )
-        self._run_jobs(jobs, engine)
-        self._count_scatter("knn", len(order), 0)
-        return collector.items()
-
-    def _scatter_knn(
-        self,
-        query: Any,
-        k: int,
-        traversal: str,
-        ctx: QueryContext,
-        engine: Optional[Any],
-        strategy: str,
-    ) -> ClusterResult:
-        t0 = time.perf_counter()
-        with ctx.activate():
-            phi_q, early = self._map_or_degrade(query, ctx, t0)
-            if early is not None:
-                return early
-            with self._plan_region(ctx):
-                order = self.router.knn_order(phi_q, trace=ctx.trace)
-            complete, reason = True, None
-            frontiers: list[float] = []
-            per_shard: dict[int, dict] = {}
-            visited = pruned = 0
-            if strategy == "best-first":
-                collector = KnnCollector(k)
-                i = 0
-                while i < len(order):
-                    mind, shard = order[i]
-                    if len(collector) >= k and mind >= collector.bound():
-                        # Ascending MINDs: every later shard is pruned too,
-                        # and (bound monotonicity) constrains nothing.
-                        pruned += len(order) - i
-                        break
-                    sub = self._sub_context(ctx, 1)
-                    out = self._read_tree(shard, sub).knn_into(
-                        query, k, collector, sub, traversal=traversal, phi_q=phi_q
-                    )
-                    visited += 1
-                    i += 1
-                    self._absorb(ctx, shard, sub, out, "knn")
-                    per_shard[shard.shard_id] = self._outcome(sub, out)
-                    if not out.complete:
-                        complete = False
-                        reason = _name_shard(out.reason, shard.shard_id)
-                        frontier = (
-                            out.frontier
-                            if out.frontier is not None
-                            else float("inf")
-                        )
-                        # Unvisited shards bound unseen objects by their MIND.
-                        frontiers.append(frontier)
-                        frontiers.extend(m for m, _ in order[i:])
-                        break
-            else:
-                collector = KnnCollector(k, thread_safe=True)
-                parts = max(1, len(order))
-                jobs = [
-                    (
-                        shard,
-                        self._sub_context(ctx, parts),
-                        None,
-                    )
-                    for _, shard in order
-                ]
-                jobs = [
-                    (shard, sub, self._knn_into_fn(shard, query, k, collector, traversal, phi_q))
-                    for shard, sub, _ in jobs
-                ]
-                outs = self._run_jobs(jobs, engine)
-                for (shard, sub, _), out in zip(jobs, outs):
-                    visited += 1
-                    self._absorb(ctx, shard, sub, out, "knn")
-                    per_shard[shard.shard_id] = self._outcome(sub, out)
-                    if not out.complete:
-                        complete = False
-                        if reason is None:
-                            reason = _name_shard(out.reason, shard.shard_id)
-                        frontiers.append(
-                            out.frontier
-                            if out.frontier is not None
-                            else float("inf")
-                        )
-            self._count_scatter("knn", visited, pruned)
-            merge_t0 = time.perf_counter()
-            items = collector.items()
-            cut = None
-            if not complete:
-                cut = min(frontiers) if frontiers else float("inf")
-                items = [(d, obj) for d, obj in items if d <= cut]
-            if ctx.trace is not None:
-                ctx.trace.span("merge").elapsed += (
-                    time.perf_counter() - merge_t0
-                )
-            if not complete and ctx.strict:
-                raise ctx.raise_for(reason)
-            if ctx.trace is not None:
-                ctx.trace.finish(ctx, complete, reason)
-            return ClusterResult(
-                items,
-                complete=complete,
-                reason=reason,
-                stats=ctx.stats(time.perf_counter() - t0, len(items)),
-                frontier=cut,
-                per_shard=per_shard,
-                shards_visited=visited,
-                shards_pruned=pruned,
-            )
+        reply = self._scatter(
+            "knn", query, context, plan, read,
+            lambda: (collector.items(), None), collector,
+        )
+        return reply if context is not None else reply.items
 
     def range_count(
         self,
         query: Any,
         radius: float,
         context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
     ) -> "int | ClusterResult":
         """|RQ(q, O, r)| across shards.  Lemma-2-accepted shards contribute
         their live object count with zero page accesses."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        with self._lock.read():
-            if context is None:
-                phi_q = self.space.phi(query)
-                visit, pruned = self.router.range_plan(phi_q, radius)
-                self._count_scatter("count", len(visit), pruned)
-                total = 0
-                for shard, accept_all in visit:
-                    tree = self._read_tree(shard)
-                    if accept_all:
-                        total += tree.object_count
-                    else:
-                        total += tree.range_count(query, radius, phi_q=phi_q)
-                return total
-            return self._scatter_count(query, radius, context, engine)
+        tally: list[int] = []
 
-    def _scatter_count(
+        def read(tree, accept_all, sub, phi_q):
+            if accept_all:
+                out = QueryResult([], count=tree.object_count)
+            else:
+                out = tree.range_count(query, radius, context=sub, phi_q=phi_q)
+                if sub is None:
+                    out = QueryResult([], count=out)
+            tally.append(out.count)
+            return out
+
+        reply = self._scatter(
+            "count",
+            query,
+            context,
+            lambda phi_q, tr: self.router.range_plan(phi_q, radius, trace=tr),
+            read,
+            lambda: ([], sum(tally)),
+        )
+        return reply if context is not None else reply.count
+
+    # ---------------------------------------------------------- the scatter
+
+    def _scatter(
         self,
+        kind: str,
         query: Any,
-        radius: float,
-        ctx: QueryContext,
-        engine: Optional[Any],
+        ctx: Optional[QueryContext],
+        plan: Callable,
+        read: Callable,
+        gather: Callable,
+        collector: Optional[KnnCollector] = None,
     ) -> ClusterResult:
+        """The cluster's one read path: map → plan → visit → fold.
+
+        ``plan(phi_q, trace)`` returns ``(visit, pruned)``, ``visit`` a list
+        of ``(shard, arg)`` in visit order; ``read(tree, arg, sub, phi_q)``
+        runs one shard's sub-query on the tree its shard picked and keeps
+        the answer; ``gather()`` returns the folded ``(items, count)``.
+        With a ``collector`` the visit is best-first (kNN): ``arg`` is the
+        shard's MIND, the walk stops at the first MIND the shared bound
+        beats, every sub-query may spend the whole remaining budget, and
+        the first shard that trips ends the walk.  Without one (range,
+        count) every planned shard is visited on an even share of the
+        budget.  ``ctx=None`` is the context-free call: same loop, no
+        sub-contexts, nothing to absorb.
+        """
         t0 = time.perf_counter()
-        with ctx.activate():
-            phi_q, early = self._map_or_degrade(query, ctx, t0, counting=True)
-            if early is not None:
-                return early
-            with self._plan_region(ctx):
-                visit, pruned = self.router.range_plan(
-                    phi_q, radius, trace=ctx.trace
-                )
-            self._count_scatter("count", len(visit), pruned)
-            jobs = []
-            parts = max(1, len(visit))
-            for shard, accept_all in visit:
-                sub = self._sub_context(ctx, parts)
-                fn = (
-                    self._count_all_fn(shard)
-                    if accept_all
-                    else self._count_fn(shard, query, radius, phi_q)
-                )
-                jobs.append((shard, sub, fn))
-            outs = self._run_jobs(jobs, engine)
-            merge_t0 = time.perf_counter()
-            total = 0
-            complete, reason = True, None
+        tr = ctx.trace if ctx is not None else None
+        activated = ctx.activate() if ctx is not None else contextlib.nullcontext()
+        with self._lock.read(), activated:
+            try:
+                phi_q = self._map(query, ctx)
+            except _Exhausted as exc:  # the budget cannot even cover φ(q)
+                if ctx.strict:
+                    raise ctx.raise_for(exc.reason) from None
+                return self._reply(ctx, t0, [], 0, False, exc.reason)
+            if tr is None:
+                visit, pruned = plan(phi_q, None)
+            else:
+                # The router reads each shard's root page lazily to learn
+                # its MBB, so the first plan after a cold open costs real
+                # page accesses — they must land on the ``plan`` span or
+                # the trace would not reconcile with the context totals.
+                with tr.region(tr.span("plan"), ctx):
+                    visit, pruned = plan(phi_q, tr)
+            subs = self._sub_contexts(ctx, len(visit), collector is not None)
+            complete, reason, cut = True, None, None
             per_shard: dict[int, dict] = {}
-            for (shard, sub, _), out in zip(jobs, outs):
-                self._absorb(ctx, shard, sub, out, "count")
+            visited = 0
+            for i, (shard, arg) in enumerate(visit):
+                if (
+                    collector is not None
+                    and len(collector) >= collector.k
+                    and arg >= collector.bound()
+                ):
+                    # Ascending MINDs: every later shard is pruned too,
+                    # and (bound monotonicity) constrains nothing.
+                    pruned += len(visit) - i
+                    break
+                sub = next(subs)
+                out = read(shard.reader(sub), arg, sub, phi_q)
+                visited += 1
+                if sub is None:
+                    continue
+                self._absorb(ctx, shard, sub, out, kind)
                 per_shard[shard.shard_id] = self._outcome(sub, out)
-                total += out.count
                 if not out.complete and complete:
                     complete = False
                     reason = _name_shard(out.reason, shard.shard_id)
-            if ctx.trace is not None:
-                ctx.trace.span("merge").elapsed += (
-                    time.perf_counter() - merge_t0
-                )
-            if not complete and ctx.strict:
+                    if collector is not None:
+                        # Unseen objects are bounded below by this shard's
+                        # frontier and by each unvisited shard's MIND.
+                        cut = min(
+                            [float("inf") if out.frontier is None else out.frontier]
+                            + [mind for _, mind in visit[i + 1 :]]
+                        )
+                        break
+            self._count_scatter(kind, visited, pruned)
+            merge_t0 = time.perf_counter()
+            items, count = gather()
+            if cut is not None:
+                items = [(d, obj) for d, obj in items if d <= cut]
+            if tr is not None:
+                tr.span("merge").elapsed += time.perf_counter() - merge_t0
+            if ctx is not None and not complete and ctx.strict:
                 raise ctx.raise_for(reason)
+            return self._reply(
+                ctx, t0, items, count, complete, reason, cut, per_shard,
+                visited, pruned,
+            )
+
+    def _reply(
+        self,
+        ctx: Optional[QueryContext],
+        t0: float,
+        items: list,
+        count: Optional[int],
+        complete: bool,
+        reason: Optional[ExhaustionReason],
+        cut: Optional[float] = None,
+        per_shard: Optional[dict] = None,
+        visited: int = 0,
+        pruned: int = 0,
+    ) -> ClusterResult:
+        """Assemble a scatter's answer.  A shard whose members lost their
+        quorum still answered from the survivors (availability), but the
+        caller is told, per shard — the honesty contract budget exhaustion
+        follows.  The stamp comes after the strict-mode raise: strict mode
+        raises for a spent budget, never for quorum."""
+        stats = None
+        if ctx is not None:
+            per_shard = per_shard if per_shard is not None else {}
+            for shard in self.shards:
+                lost = shard.degraded()
+                if lost is None:
+                    continue
+                entry = per_shard.setdefault(
+                    shard.shard_id, {"compdists": 0, "page_accesses": 0}
+                )
+                entry["complete"] = False
+                entry["reason"] = str(lost)
+                if complete:
+                    complete, reason = False, lost
             if ctx.trace is not None:
                 ctx.trace.finish(ctx, complete, reason)
-            return ClusterResult(
-                [],
-                complete=complete,
-                reason=reason,
-                count=total,
-                stats=ctx.stats(time.perf_counter() - t0, 0),
-                per_shard=per_shard,
-                shards_visited=len(visit),
-                shards_pruned=pruned,
-            )
+            stats = ctx.stats(time.perf_counter() - t0, len(items))
+        return ClusterResult(
+            items,
+            complete=complete,
+            reason=reason,
+            count=count,
+            stats=stats,
+            frontier=cut,
+            per_shard=per_shard,
+            shards_visited=visited,
+            shards_pruned=pruned,
+        )
 
-    # ----------------------------------------------------- scatter plumbing
-
-    def _map_or_degrade(
-        self,
-        query: Any,
-        ctx: QueryContext,
-        t0: float,
-        counting: bool = False,
-    ) -> tuple[Optional[tuple[float, ...]], Optional[ClusterResult]]:
-        """Map the query (once, on the cluster's counter, under the parent
-        trace's ``map`` span).  Returns ``(phi_q, None)``, or
-        ``(None, degraded empty result)`` if the budget cannot even cover
-        the mapping."""
-        tr = ctx.trace
-        try:
-            ctx.checkpoint()
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)
-            else:
+    def _map(self, query: Any, ctx: Optional[QueryContext]) -> tuple[float, ...]:
+        """φ(q): once per query, on the cluster's counter, under the parent
+        trace's ``map`` span, the budget checked on either side."""
+        if ctx is None:
+            return self.space.phi(query)
+        ctx.checkpoint()
+        if ctx.trace is not None:
+            with ctx.trace.region(ctx.trace.span("map"), ctx):
                 phi_q = self.space.phi(query)
-            ctx.checkpoint()
-        except _Exhausted as exc:
-            if ctx.strict:
-                raise ctx.raise_for(exc.reason) from None
-            if tr is not None:
-                tr.finish(ctx, False, exc.reason)
-            return None, ClusterResult(
-                [],
-                complete=False,
-                reason=exc.reason,
-                count=0 if counting else None,
-                stats=ctx.stats(time.perf_counter() - t0, 0),
-            )
-        return phi_q, None
+        else:
+            phi_q = self.space.phi(query)
+        ctx.checkpoint()
+        return phi_q
 
-    def _plan_region(self, ctx: QueryContext):
-        """Accounting region for the routing plan.  The router reads each
-        shard's root page lazily to learn its MBB, so the first plan after
-        a cold open costs real page accesses — they must land on the
-        ``plan`` span or the trace would not reconcile with the context
-        totals."""
-        tr = ctx.trace
-        if tr is None:
-            return contextlib.nullcontext()
-        return tr.region(tr.span("plan"), ctx)
+    def _sub_contexts(
+        self, ctx: Optional[QueryContext], shards: int, best_first: bool
+    ) -> Iterator[Optional[QueryContext]]:
+        """One sub-context per visited shard, in visit order.  Range and
+        count split what is left *before any shard runs* evenly over the
+        planned shards; a best-first walk hands each shard all that is
+        left when its turn comes."""
+        if ctx is None:
+            yield from itertools.repeat(None)
+        elif best_first:
+            while True:
+                yield self._sub_context(ctx, 1)
+        else:
+            yield from [self._sub_context(ctx, shards) for _ in range(shards)]
 
     def _sub_context(self, ctx: QueryContext, parts: int) -> QueryContext:
         """A per-shard slice of the remaining budget.  The deadline and
@@ -985,26 +941,6 @@ class ShardedIndex:
         if ctx.trace is not None:
             sub.trace = QueryTrace("shard")
         return sub
-
-    def _run_jobs(
-        self,
-        jobs: list[tuple[Shard, QueryContext, Callable]],
-        engine: Optional[Any],
-    ) -> list[Any]:
-        """Run ``fn(sub_context)`` for every job, on ``engine``'s pool when
-        given (falling back inline on backpressure), else sequentially."""
-        if engine is None or len(jobs) <= 1:
-            return [fn(sub) for _, sub, fn in jobs]
-        pendings: list[Optional[Any]] = []
-        for _, sub, fn in jobs:
-            try:
-                pendings.append(engine.submit_task(fn, sub))
-            except Overloaded:
-                pendings.append(None)
-        outs = []
-        for (_, sub, fn), pending in zip(jobs, pendings):
-            outs.append(fn(sub) if pending is None else pending.result())
-        return outs
 
     def _absorb(
         self,
@@ -1048,76 +984,6 @@ class ShardedIndex:
             "compdists": sub.compdists,
             "page_accesses": sub.page_accesses,
         }
-
-    # Per-shard sub-query closures.  Each receives the sub-context the job
-    # runner hands it, so the same closure works inline and on the pool.
-
-    def _range_fn(self, shard, query, radius, phi_q):
-        def fn(sub: QueryContext) -> QueryResult:
-            return self._read_tree(shard, sub).range_query(
-                query, radius, context=sub, phi_q=phi_q
-            )
-
-        return fn
-
-    def _count_fn(self, shard, query, radius, phi_q):
-        def fn(sub: QueryContext) -> QueryResult:
-            return self._read_tree(shard, sub).range_count(
-                query, radius, context=sub, phi_q=phi_q
-            )
-
-        return fn
-
-    def _knn_into_fn(self, shard, query, k, collector, traversal, phi_q):
-        def fn(sub: QueryContext) -> QueryResult:
-            return self._read_tree(shard, sub).knn_into(
-                query, k, collector, sub, traversal=traversal, phi_q=phi_q
-            )
-
-        return fn
-
-    def _knn_fn(self, shard, query, k, collector, traversal, phi_q):
-        def fn(sub: QueryContext) -> bool:
-            self._read_tree(shard, sub).knn_into(
-                query, k, collector, traversal=traversal, phi_q=phi_q
-            )
-            return True
-
-        return fn
-
-    def _accept_all_fn(self, shard):
-        """Lemma 2 at shard scale: stream the whole RAF, zero compdists."""
-
-        def fn(sub: QueryContext) -> QueryResult:
-            t0 = time.perf_counter()
-            tree = self._read_tree(shard, sub)
-            items: list[Any] = []
-            complete, reason = True, None
-            with sub.activate():
-                try:
-                    with tree._epoch_lock.read() as epoch:
-                        sub.epoch = epoch
-                        for obj in tree.objects():
-                            sub.checkpoint()
-                            items.append(obj)
-                except _Exhausted as exc:
-                    complete, reason = False, exc.reason
-            return QueryResult(
-                items,
-                complete=complete,
-                reason=reason,
-                stats=sub.stats(time.perf_counter() - t0, len(items)),
-            )
-
-        return fn
-
-    def _count_all_fn(self, shard):
-        def fn(sub: QueryContext) -> QueryResult:
-            with sub.activate():
-                n = self._read_tree(shard, sub).object_count
-            return QueryResult([], count=n, stats=sub.stats(0.0, 0))
-
-        return fn
 
     def _count_scatter(self, kind: str, visited: int, pruned: int) -> None:
         if _obsreg.ENABLED:
@@ -1229,9 +1095,7 @@ class ShardedIndex:
             self._tree_from_items(right_items, stats_from=shard.tree),
         )
         self.next_shard_id += 2
-        self._commit_swap([shard], [left, right], faults)
-        if _obsreg.ENABLED:
-            _instruments.cluster().rebalances.labels(op="split").inc()
+        self._commit_swap("split", [shard], [left, right], faults)
         return {
             "action": "split",
             "source": shard.shard_id,
@@ -1260,9 +1124,7 @@ class ShardedIndex:
             self._tree_from_items(items, stats_from=donor),
         )
         self.next_shard_id += 1
-        self._commit_swap([a, b], [merged], faults)
-        if _obsreg.ENABLED:
-            _instruments.cluster().rebalances.labels(op="merge").inc()
+        self._commit_swap("merge", [a, b], [merged], faults)
         return {
             "action": "merge",
             "sources": [a.shard_id, b.shard_id],
@@ -1272,44 +1134,31 @@ class ShardedIndex:
 
     def _commit_swap(
         self,
+        op: str,
         old: list[Shard],
         new: list[Shard],
         faults: Optional[FaultInjector],
     ) -> None:
-        """Replace ``old`` shards with ``new`` ones; the cluster catalog
-        rename is the only commit point (caller holds the write lock)."""
+        """Replace ``old`` shards with ``new`` ones (``op`` names the change
+        on the rebalance counter); the cluster catalog rename is the only
+        commit point (caller holds the write lock)."""
         if self.directory is not None:
             for shard in new:
-                if shard.tree.raf is None:
-                    continue
-                gen = save_tree(
-                    shard.tree,
-                    os.path.join(self.directory, shard.dirname),
-                    faults,
-                )
-                shard.tree._generation = gen
+                self._save_shard(shard, self.directory, faults)
         retired = {s.shard_id for s in old}
         shards = [s for s in self.shards if s.shard_id not in retired]
         shards.extend(new)
         shards.sort(key=lambda s: s.key_lo)
         if self.directory is not None:
-            save_catalog(
-                self.directory,
-                self._catalog_for(shards),
-                faults,
-            )
+            save_catalog(self.directory, self._catalog(shards), faults)
         # Committed (or memory-only): adopt the new shard map.  Retired
-        # shards take their replica rows with them (a rebalanced shard is
-        # re-replicated explicitly; its old replica dirs are swept as
-        # unreferenced on the next load).
+        # shards take their members and replica rows with them (a
+        # rebalanced shard is re-replicated explicitly; its old replica
+        # dirs are swept as unreferenced on the next load).
         self.shards = shards
-        for sid in retired:
-            self._replica_meta.pop(sid, None)
         self.router.reset(self.shards)
         for shard in old:
-            if shard.tree.wal is not None:
-                shard.tree.wal.close()
-                shard.tree.wal = None
+            shard.close()
         if self._logging:
             for shard in new:
                 self._attach_wal(shard)
@@ -1325,14 +1174,7 @@ class ShardedIndex:
                 _instruments.cluster().shard_objects.labels(
                     shard=str(shard.shard_id)
                 ).set(0)
-
-    def _catalog_for(self, shards: list[Shard]) -> ClusterCatalog:
-        current = self.shards
-        try:
-            self.shards = shards
-            return self._catalog()
-        finally:
-            self.shards = current
+            _instruments.cluster().rebalances.labels(op=op).inc()
 
     def rebuild_with_pivots(
         self,
@@ -1370,49 +1212,11 @@ class ShardedIndex:
             self.curve = _CURVES[self._curve_name](
                 self.space.num_pivots, self.space.bits
             )
-            keyed = sorted(
-                ((self.curve.encode(self.space.grid(o)), o) for o in objects),
-                key=lambda pair: pair[0],
-            )
-            bounds = self._split_bounds(keyed, max(1, len(old_shards)))
-            # Fresh donor build: ND_k corrections and the grid sample are
-            # pivot-dependent, so the old shards' statistics do not carry.
-            step = max(1, len(keyed) // 256)
-            sample = [obj for _, obj in keyed[::step]][:256]
-            donor = None
-            if len(sample) >= 2:
-                donor = SPBTree.build(
-                    sample,
-                    self.distance.metric,
-                    pivots=list(pivots),
-                    delta=self.space.delta,
-                    d_plus=self.space.d_plus,
-                    curve=self._curve_name,
-                    page_size=self._page_size,
-                    cache_pages=self._cache_pages,
-                    checksums=self._checksums,
-                )
-            new_shards: list[Shard] = []
-            start = 0
-            for i, lo in enumerate(bounds):
-                hi = (
-                    bounds[i + 1]
-                    if i + 1 < len(bounds)
-                    else self.curve.max_value
-                )
-                end = start
-                while end < len(keyed) and keyed[end][0] < hi:
-                    end += 1
-                tree = self._tree_from_items(keyed[start:end], stats_from=donor)
-                new_shards.append(Shard(self.next_shard_id, lo, hi, tree))
-                self.next_shard_id += 1
-                start = end
+            new_shards = self._cut_into_shards(objects, max(1, len(old_shards)))
             # The router prunes against the *new* pivot space; rebuild it
             # before the swap installs the new shard list.
             self.router = Router(self.space, self.curve)
-            self._commit_swap(old_shards, new_shards, faults)
-            if _obsreg.ENABLED:
-                _instruments.cluster().rebalances.labels(op="re-pivot").inc()
+            self._commit_swap("re-pivot", old_shards, new_shards, faults)
             return {
                 "action": "re-pivot",
                 "pivots": len(self.space.pivots),

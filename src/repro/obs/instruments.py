@@ -482,7 +482,7 @@ class TuningInstruments:
             "repro_tuning_arm_cost",
             "Learned EWMA cost (compdists + weighted page accesses) per "
             "kNN traversal arm.",
-            labelnames=("traversal", "strategy"),
+            labelnames=("traversal",),
         )
         self.buffer_capacity = reg.gauge(
             "repro_tuning_buffer_capacity",

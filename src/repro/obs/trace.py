@@ -145,10 +145,10 @@ class QueryTrace:
     def span(self, name: str) -> Span:
         """Get or create a named child of the root (e.g. ``"map"``).
 
-        O(1): looked up in a name→span dict (like :meth:`level`), because a
-        broadcast kNN re-enters its ``shard-<id>`` span on every node visit
-        of every shard — a linear scan over the children list made this
-        quadratic in the scatter width.
+        O(1): looked up in a name→span dict (like :meth:`level`): a
+        scatter looks up its ``shard-<id>`` span once per shard visit, and
+        a linear scan over the children list would make that quadratic in
+        the scatter width.
         """
         span = self._spans.get(name)
         if span is None:

@@ -6,10 +6,13 @@ Public surface:
 * :func:`replicate` — bootstrap follower directories + catalog rows for
   a saved cluster.
 * :class:`ReplicatedIndex` — a :class:`~repro.cluster.ShardedIndex`
-  whose shards are replica sets (synchronous shipping, read routing,
-  honest degradation, fenced promotion).
+  whose shards hold replica sets.  It adds replication *administration*
+  (open, failover, ship, health, status, checkpoint); reads and writes
+  are the base class's, which asks each shard's set.
 * :class:`ReplicaSet` / :class:`Replica` — one shard's membership and
-  the shipping pump.
+  the shipping pump; the set is what a :class:`~repro.cluster.Shard`
+  holds as ``members`` (read routing, fencing, synchronous shipping,
+  the quorum reason).
 * :class:`Monitor` — heartbeat liveness with an injectable clock.
 * Errors: :class:`ReplicationError`, :class:`PrimaryDownError`,
   :class:`NoPromotableFollowerError` (plus the storage layer's

@@ -1,64 +1,59 @@
 """A sharded SPB-tree where every shard is a replica set.
 
-:class:`ReplicatedIndex` keeps the whole :class:`ShardedIndex` contract
-(routing, scatter-gather, rebalancing, crash-safe catalogs) and adds:
+The cluster's read and write path is :class:`ShardedIndex`'s, unchanged:
+a :class:`~repro.cluster.Shard` owns its members, and the base class asks
+the shard who serves a read, whether a write may proceed, where a
+committed write goes next and whether the shard is degraded.  Opening a
+cluster as a :class:`ReplicatedIndex` attaches a
+:class:`~repro.replication.ReplicaSet` to every shard that has replica
+rows, which is what turns those questions into:
 
 * **Synchronous WAL shipping** — every write commits to the primary's
   log, applies, and is shipped to every healthy follower *before* the
   call returns, so a client-acknowledged write survives losing the
-  primary outright.
-* **Replica read-routing** — :meth:`_read_tree` resolves each scatter
-  sub-read through a deterministic :class:`ReplicaSelector` policy
-  (``primary-only`` / ``round-robin`` / ``fastest-mind``), so a
-  replication factor of N multiplies read capacity.
+  primary outright (``after_write``).
+* **Replica read-routing** — each scatter sub-read is resolved through a
+  deterministic :class:`ReplicaSelector` policy (``primary-only`` /
+  ``round-robin`` / ``fastest-mind``), so a replication factor of N
+  multiplies read capacity (``reader``).
 * **Honest degradation** — when a shard's primary is down or its
   replica-set majority is lost, context-carrying queries still answer
   from the surviving members but report ``complete=False`` with a
-  reason naming the shard.
-* **Crash-proven promotion** — :meth:`failover` picks the healthy
-  follower with the longest valid WAL prefix, folds its log into a new
-  generation (the *fence*: the generation bump outdates the
-  ex-primary's log), and commits the role swap with the one atomic
-  catalog rename every other structural change already uses.  A zombie
-  ex-primary is refused at its own WAL
+  reason naming the shard (``degraded``).
+* **Fencing** — a zombie ex-primary is refused at its own WAL
   (:class:`~repro.storage.wal.StaleWalError`) the moment it next sees
-  the promoted catalog.
+  the promoted catalog (``require_writable``).
+
+What this class itself adds is replication *administration*: opening the
+sets, pumping and probing them, and **crash-proven promotion** —
+:meth:`failover` picks the healthy follower with the longest valid WAL
+prefix, folds its log into a new generation (the *fence*: the generation
+bump outdates the ex-primary's log), and commits the role swap with the
+one atomic catalog rename every other structural change already uses.
+
+``reader`` and ``after_write`` are also the two places a member shows it
+is alive.  Today only ``after_write`` beats (and ship acknowledgements),
+so a read-only index with no supervisor ages out after
+``heartbeat_timeout``; a remote member will feed beats from both.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from typing import Any, Optional
 
 from repro.cluster.catalog import (
-    CLUSTER_FILE,
     READ_POLICIES,
     ReplicaMeta,
     load_catalog,
     save_catalog,
 )
 from repro.cluster.router import ReplicaSelector
-from repro.cluster.sharded import (
-    ClusterResult,
-    Shard,
-    ShardExhaustion,
-    ShardedIndex,
-)
-from repro.core.spbtree import SPBTree
+from repro.cluster.sharded import ShardExhaustion, ShardedIndex
 from repro.distance.base import Metric
-from repro.obs import instruments as _instruments
-from repro.obs import registry as _obsreg
 from repro.replication.monitor import DEFAULT_TIMEOUT, Monitor
-from repro.replication.replicaset import (
-    NoPromotableFollowerError,
-    PrimaryDownError,
-    Replica,
-    ReplicaSet,
-    ReplicationError,
-)
-from repro.service.context import QueryContext
+from repro.replication.replicaset import Replica, ReplicaSet, ReplicationError
 from repro.storage.faults import FaultInjector
 from repro.storage.wal import WAL_FILE, scan_wal
 
@@ -123,14 +118,18 @@ class ReplicatedIndex(ShardedIndex):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        #: ``shard_id -> ReplicaSet`` for every replicated shard.
-        self._sets: dict[int, ReplicaSet] = {}
         self.monitor: Monitor = Monitor()
         self._selector = ReplicaSelector("primary-only")
-        self._fence_stamp: Optional[tuple[int, int]] = None
-        self._fence_gens: dict[int, int] = {}
         #: Attached self-healing loop, if any (set by ``Supervisor``).
         self.supervisor: Optional[Any] = None
+
+    @property
+    def _sets(self) -> dict[int, ReplicaSet]:
+        """``shard_id -> members`` of every replicated shard: a view
+        derived from the shards, which own their sets."""
+        return {
+            s.shard_id: s.members for s in self.shards if s.members is not None
+        }
 
     # --------------------------------------------------------------- opening
 
@@ -154,7 +153,7 @@ class ReplicatedIndex(ShardedIndex):
         self.monitor = Monitor(timeout=heartbeat_timeout, clock=clock)
         self._selector = ReplicaSelector(self._read_policy)
         for shard in self.shards:
-            rows = self._replica_meta.get(shard.shard_id)
+            rows = shard.rows()
             if not rows:
                 continue
             primary_row = next(r for r in rows if r.role == "primary")
@@ -172,6 +171,7 @@ class ReplicatedIndex(ShardedIndex):
                 wal_fsync=wal_fsync,
                 faults=faults,
             )
+            rset.selector = self._selector
             for row in rows:
                 if row.role == "follower":
                     rset.add_follower(row.replica_id, row.directory)
@@ -179,228 +179,19 @@ class ReplicatedIndex(ShardedIndex):
             # own yet (``save`` folds the WAL into the snapshot), so one
             # ship brings every member to lag zero before the first write.
             rset.ship()
-            self._sets[shard.shard_id] = rset
+            shard.members = rset
         return self
-
-    def _empty_tree(self) -> SPBTree:
-        """A fresh empty stack matching the cluster's parameters (the
-        follower counterpart of a never-checkpointed shard)."""
-        return SPBTree(
-            self.distance.metric,
-            list(self.space.pivots),
-            self.space.d_plus,
-            curve=self._curve_name,
-            delta=self.space.delta,
-            page_size=self._page_size,
-            cache_pages=self._cache_pages,
-            serializer=self._serializer,
-            checksums=self._checksums,
-        )
-
-    def close(self) -> None:
-        super().close()
-        for rset in self._sets.values():
-            rset.close()
-
-    # ---------------------------------------------------------------- writes
-
-    def insert(self, obj: Any) -> None:
-        """Route to the primary, commit, then ship to every healthy
-        follower *before* returning — the acknowledged write is durable
-        on every healthy member of the set."""
-        with self._lock.read():
-            grid = self.space.grid(obj)
-            key = self.curve.encode(grid)
-            shard = self.router.shard_for_key(key)
-            rset = self._require_writable(shard)
-            shard.tree.insert(obj, grid=grid)
-            self.router.note_insert(shard)
-            self._gauge_shard(shard)
-            if rset is not None:
-                self.monitor.beat(shard.shard_id, rset.primary.replica_id)
-                rset.ship()
-
-    def delete(self, obj: Any) -> bool:
-        with self._lock.read():
-            grid = self.space.grid(obj)
-            key = self.curve.encode(grid)
-            shard = self.router.shard_for_key(key)
-            rset = self._require_writable(shard)
-            removed = shard.tree.delete(obj, grid=grid)
-            if removed:
-                self.router.note_delete(shard)
-                self._gauge_shard(shard)
-                if rset is not None:
-                    self.monitor.beat(shard.shard_id, rset.primary.replica_id)
-                    rset.ship()
-            return removed
-
-    def _require_writable(self, shard: Shard) -> Optional[ReplicaSet]:
-        """Writes always route to the primary: fence a stale one, refuse
-        a down one.  Returns the shard's replica set (None if the shard
-        is unreplicated)."""
-        rset = self._sets.get(shard.shard_id)
-        if rset is None:
-            return None
-        self._fence(shard)
-        if not rset.healthy(rset.primary.replica_id):
-            raise PrimaryDownError(
-                f"shard {shard.shard_id} primary {rset.primary.replica_id} "
-                "is down; writes require a promotion (shard-failover)"
-            )
-        return rset
-
-    def _fence(self, shard: Shard) -> None:
-        """Generation fencing: refuse a primary whose WAL predates the
-        catalog's recorded shard generation.
-
-        A promotion folds the new primary's log into generation ``g+1``
-        and commits it via the catalog rename; an ex-primary that missed
-        the promotion still holds a tree and log at ``g`` and must never
-        take another write.  The catalog is re-read only when its
-        stat signature changes, so the steady-state cost is one
-        ``os.stat`` per write.
-        """
-        wal = shard.tree.wal
-        if wal is None or self.directory is None:
-            return
-        gen = self._catalog_generation(shard.shard_id)
-        if gen is None or shard.tree._generation >= gen:
-            # In-memory tree is at (or ahead of) the committed catalog:
-            # this instance performed or observed the latest commit.
-            return
-        wal.require_base_generation(gen)
-
-    def _catalog_generation(self, shard_id: int) -> Optional[int]:
-        assert self.directory is not None
-        path = os.path.join(self.directory, CLUSTER_FILE)
-        try:
-            st = os.stat(path)
-        except OSError:
-            return None
-        stamp = (st.st_mtime_ns, st.st_size)
-        if stamp != self._fence_stamp:
-            try:
-                with open(path, "rb") as fh:
-                    payload = json.loads(fh.read().decode("utf-8"))
-                self._fence_gens = {
-                    int(row["id"]): int(row.get("generation", 0))
-                    for row in payload.get("shards", [])
-                }
-            except (OSError, ValueError, KeyError):
-                return None
-            self._fence_stamp = stamp
-        return self._fence_gens.get(shard_id)
-
-    # ----------------------------------------------------------------- reads
-
-    def _read_tree(
-        self, shard: Shard, ctx: Optional[QueryContext] = None
-    ) -> SPBTree:
-        rset = self._sets.get(shard.shard_id)
-        if rset is None:
-            return shard.tree
-        rid = self._selector.choose(
-            shard.shard_id, rset.member_ids(), rset.healthy, rset.lag
-        )
-        if ctx is not None and ctx.trace is not None:
-            # Replica identity on the sub-read's trace: which member served
-            # this read and how far behind the primary it was at choice
-            # time.  The scatter folds these root counts into the parent's
-            # ``shard-<id>`` span (last visit wins for identity).
-            counts = ctx.trace.root.counts
-            counts["replica"] = f"r{rid}"
-            counts["replica_lag_bytes"] = int(rset.lag(rid))
-        return rset.tree_for(rid)
-
-    def range_query(
-        self,
-        query: Any,
-        radius: float,
-        context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
-    ) -> "list[Any] | ClusterResult":
-        out = super().range_query(query, radius, context=context, engine=engine)
-        return self._mark_degraded(out, context)
-
-    def knn_query(
-        self,
-        query: Any,
-        k: int,
-        traversal: str = "incremental",
-        context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
-        strategy: str = "best-first",
-    ) -> "list[tuple[float, Any]] | ClusterResult":
-        out = super().knn_query(
-            query,
-            k,
-            traversal=traversal,
-            context=context,
-            engine=engine,
-            strategy=strategy,
-        )
-        return self._mark_degraded(out, context)
-
-    def range_count(
-        self,
-        query: Any,
-        radius: float,
-        context: Optional[QueryContext] = None,
-        engine: Optional[Any] = None,
-    ) -> "int | ClusterResult":
-        out = super().range_count(query, radius, context=context, engine=engine)
-        return self._mark_degraded(out, context)
 
     def degraded_shards(self) -> dict[int, ShardExhaustion]:
         """Shards whose replica set cannot currently honour the write/read
         contract: primary down (no writes, reads possibly stale) or
         majority lost.  Keyed by shard id, valued by the reason a
         degraded result carries."""
-        out: dict[int, ShardExhaustion] = {}
-        for sid, rset in self._sets.items():
-            members = rset.member_ids()
-            alive = sum(1 for m in members if rset.healthy(m))
-            need = len(members) // 2 + 1
-            if not rset.healthy(rset.primary.replica_id) or alive < need:
-                out[sid] = ShardExhaustion(
-                    kind="quorum", limit=float(need), spent=float(alive),
-                    shard=sid,
-                )
-        return out
-
-    def _mark_degraded(
-        self, out: Any, context: Optional[QueryContext] = None
-    ) -> Any:
-        """Stamp quorum-lost shards onto a context-carrying result.
-
-        The surviving members still answered (availability), but the
-        caller is told, per shard, that the set is degraded — the same
-        honesty contract budget exhaustion already follows.  Plain
-        (context-less) results are lists/ints and pass through.  The
-        trace (already finished by the scatter layer) is re-finished so
-        its outcome agrees with the downgraded reply.
-        """
-        if not isinstance(out, ClusterResult):
-            return out
-        degraded = self.degraded_shards()
-        if not degraded:
-            return out
-        for sid, reason in degraded.items():
-            entry = out.per_shard.setdefault(
-                sid, {"compdists": 0, "page_accesses": 0}
-            )
-            entry["complete"] = False
-            entry["reason"] = str(reason)
-            if out.complete:
-                out.complete = False
-                out.reason = reason
-        if (
-            context is not None
-            and context.trace is not None
-            and not out.complete
-        ):
-            context.trace.finish(context, out.complete, out.reason)
+        out = {}
+        for shard in self.shards:
+            lost = shard.degraded()
+            if lost is not None:
+                out[shard.shard_id] = lost
         return out
 
     # -------------------------------------------------------------- shipping
@@ -497,7 +288,7 @@ class ReplicatedIndex(ShardedIndex):
             old = rset.promote(candidate)
             shard.tree = candidate.tree
             shard.dirname = candidate.directory
-            self.router.note_insert(shard)  # new tree: drop the cached MBB
+            self.router.invalidate(shard_id)  # new tree: drop the cached MBB
             self._write_catalog(faults)  # the commit point
             self._gauge_shard(shard)
             out = {
@@ -524,39 +315,15 @@ class ReplicatedIndex(ShardedIndex):
         (generation-mismatched) acked rows, which load ignores — the
         followers simply re-sync on their next ship.
         """
+        sets = list(self._sets.values())  # a checkpoint swaps no shard
         with self._lock.read():
-            for rset in self._sets.values():
+            for rset in sets:
                 if rset.healthy(rset.primary.replica_id):
                     rset.ship()
         super().checkpoint(faults)
-        if not self._sets:
+        if not sets:
             return
         with self._lock.write():
-            for rset in self._sets.values():
+            for rset in sets:
                 rset.resync_all()
             self._write_catalog(faults if faults is not None else self._faults)
-
-    def rebalance(
-        self,
-        split: Optional[int] = None,
-        merge: Optional[tuple[int, int]] = None,
-        faults: Optional[FaultInjector] = None,
-    ) -> Optional[dict]:
-        """Rebalance, then drop replica sets of retired shards (a
-        rebalanced shard is re-replicated explicitly)."""
-        out = super().rebalance(split=split, merge=merge, faults=faults)
-        live = {s.shard_id for s in self.shards}
-        for sid in list(self._sets):
-            if sid not in live:
-                rset = self._sets.pop(sid)
-                for rid in rset.member_ids():
-                    self.monitor.forget(sid, rid)
-                rset.close()
-        return out
-
-    def _catalog(self):
-        # Refresh replica rows (roles + acked positions) from the live
-        # sets so every catalog write records current membership.
-        for sid, rset in self._sets.items():
-            self._replica_meta[sid] = rset.rows()
-        return super()._catalog()

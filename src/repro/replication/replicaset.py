@@ -22,18 +22,23 @@ follows, applied across directories.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
+from repro.cluster.catalog import CLUSTER_FILE, ReplicaMeta
+from repro.cluster.router import ReplicaSelector
+from repro.cluster.sharded import ShardExhaustion
 from repro.core.persist import load_tree
 from repro.core.spbtree import SPBTree
 from repro.distance.base import Metric
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 from repro.replication.monitor import Monitor
+from repro.service.context import QueryContext
 from repro.storage.faults import FaultInjector
 from repro.storage.wal import (
     WAL_FILE,
@@ -84,6 +89,11 @@ class ReplicaSet:
     assume the cluster-level locking discipline: shipping runs under the
     cluster's read side (it extends one shard's replicas), promotion and
     re-sync under the write side.
+
+    A set is what a :class:`~repro.cluster.Shard` holds as ``members``;
+    the cluster's read and write path reaches it through six methods and
+    nothing else: :meth:`reader`, :meth:`require_writable`,
+    :meth:`after_write`, :meth:`degraded`, :meth:`rows`, :meth:`close`.
     """
 
     def __init__(
@@ -117,6 +127,13 @@ class ReplicaSet:
         #: without this, interleaved pumps ship overlapping frame ranges
         #: and trip the splice check in :meth:`_acknowledge`.
         self._ship_lock = threading.Lock()
+        #: Read-routing policy; the cluster shares one selector across
+        #: its sets so an operator can ask it directly.
+        self.selector = ReplicaSelector("primary-only")
+        #: ``cluster.json``'s stat signature and this shard's generation
+        #: in it, as last read by :meth:`_catalog_generation`.
+        self._fence_stamp: Optional[tuple[int, int]] = None
+        self._fence_generation: Optional[int] = None
         monitor.register(shard_id, primary.replica_id)
         for rep in self.followers:
             monitor.register(shard_id, rep.replica_id)
@@ -159,11 +176,19 @@ class ReplicaSet:
     def healthy(self, replica_id: int) -> bool:
         return self.monitor.healthy(self.shard_id, replica_id)
 
-    def quorum(self) -> bool:
-        """True when a majority of members (primary included) is healthy."""
-        members = self.member_ids()
-        alive = sum(1 for m in members if self.healthy(m))
-        return alive >= len(members) // 2 + 1
+    def degraded(self) -> Optional[ShardExhaustion]:
+        """The reason a degraded reply carries while the set cannot honour
+        the write/read contract — primary down (no writes, reads possibly
+        stale) or majority lost — else None."""
+        members = self.member_ids()  # primary first
+        alive = [m for m in members if self.healthy(m)]
+        need = len(members) // 2 + 1
+        if members[0] in alive and len(alive) >= need:
+            return None
+        return ShardExhaustion(
+            kind="quorum", limit=float(need), spent=float(len(alive)),
+            shard=self.shard_id,
+        )
 
     def lag(self, replica_id: int) -> int:
         """WAL bytes committed on the primary but not acked by ``replica_id``.
@@ -180,6 +205,84 @@ class ReplicaSet:
         if pos is None or pos.base_generation != pwal.position.base_generation:
             return pwal.size_in_bytes
         return max(0, pwal.size_in_bytes - pos.wal_offset)
+
+    # ---------------------------------------------------------------- reads
+
+    def reader(self, ctx: Optional[QueryContext] = None) -> SPBTree:
+        """The member tree that serves one read, chosen by the selector.
+
+        With a traced ``ctx`` the sub-read's trace records which member
+        served it and how far behind the primary it was at choice time;
+        the scatter folds these root counts into the parent's
+        ``shard-<id>`` span (last visit wins for identity).
+        """
+        rid = self.selector.choose(
+            self.shard_id, self.member_ids(), self.healthy, self.lag
+        )
+        if ctx is not None and ctx.trace is not None:
+            counts = ctx.trace.root.counts
+            counts["replica"] = f"r{rid}"
+            counts["replica_lag_bytes"] = int(self.lag(rid))
+        return self.tree_for(rid)
+
+    # --------------------------------------------------------------- writes
+
+    def require_writable(self, tree: SPBTree) -> None:
+        """Writes always route to the primary: fence a stale one, refuse a
+        down one.  ``tree`` is the tree about to take the write."""
+        self._fence(tree)
+        if not self.healthy(self.primary.replica_id):
+            raise PrimaryDownError(
+                f"shard {self.shard_id} primary {self.primary.replica_id} "
+                "is down; writes require a promotion (shard-failover)"
+            )
+
+    def after_write(self) -> None:
+        """The primary committed a write: it is alive, and the record goes
+        to every healthy follower before the caller is acknowledged."""
+        self.monitor.beat(self.shard_id, self.primary.replica_id)
+        self.ship()
+
+    def _fence(self, tree: SPBTree) -> None:
+        """Generation fencing: refuse a primary whose WAL predates the
+        catalog's recorded shard generation.
+
+        A promotion folds the new primary's log into generation ``g+1``
+        and commits it via the catalog rename; an ex-primary that missed
+        the promotion still holds a tree and log at ``g`` and must never
+        take another write.  The catalog is re-read only when its
+        stat signature changes, so the steady-state cost is one
+        ``os.stat`` per write.
+        """
+        if tree.wal is None:
+            return
+        gen = self._catalog_generation()
+        if gen is None or tree._generation >= gen:
+            # In-memory tree is at (or ahead of) the committed catalog:
+            # this instance performed or observed the latest commit.
+            return
+        tree.wal.require_base_generation(gen)
+
+    def _catalog_generation(self) -> Optional[int]:
+        path = os.path.join(self.cluster_dir, CLUSTER_FILE)
+        try:
+            st = os.stat(path)
+        except OSError:
+            return None
+        stamp = (st.st_mtime_ns, st.st_size)
+        if stamp != self._fence_stamp:
+            try:
+                with open(path, "rb") as fh:
+                    payload = json.loads(fh.read().decode("utf-8"))
+                generations = {
+                    int(row["id"]): int(row.get("generation", 0))
+                    for row in payload.get("shards", [])
+                }
+            except (OSError, ValueError, KeyError):
+                return None
+            self._fence_generation = generations.get(self.shard_id)
+            self._fence_stamp = stamp
+        return self._fence_generation
 
     # ------------------------------------------------------------- shipping
 
@@ -209,17 +312,7 @@ class ReplicaSet:
         if pwal is None or pwal.header is None:
             return 0
         t0 = time.perf_counter()
-        if rep.wal.header is not None:
-            stale = rep.wal.header.base_generation != pwal.header.base_generation
-        else:
-            # A follower with no log yet (seeded as a bare snapshot copy)
-            # can bootstrap from byte offset 0 — but only if its snapshot
-            # matches the primary's log base; otherwise the shipped
-            # records would replay against the wrong tree state.
-            stale = rep.tree._generation != pwal.header.base_generation
-        if stale or rep.wal.size_in_bytes > pwal.size_in_bytes:
-            # New log generation (checkpoint/promotion) or a demoted
-            # ex-primary with an unshipped tail: positions don't splice.
+        if self.is_stale(rep):
             self.resync(rep)
             return 0
         shipment = pwal.ship(rep.wal.size_in_bytes)
@@ -234,6 +327,25 @@ class ReplicaSet:
             )
         self._acknowledge(rep, time.perf_counter() - t0, len(shipment.frames))
         return len(shipment.frames)
+
+    def is_stale(self, rep: Replica) -> bool:
+        """True when ``rep``'s position does not splice onto the primary's
+        log, so only a full re-sync can bring it back."""
+        pwal = self.primary.tree.wal
+        if pwal is None or pwal.header is None:
+            return False
+        if rep.wal.header is None:
+            # A follower with no log yet (seeded as a bare snapshot copy)
+            # can bootstrap from byte offset 0 — but only if its snapshot
+            # matches the primary's log base; otherwise the shipped
+            # records would replay against the wrong tree state.
+            return rep.tree._generation != pwal.header.base_generation
+        # New log generation (checkpoint/promotion), or a demoted
+        # ex-primary with an unshipped tail.
+        return (
+            rep.wal.header.base_generation != pwal.header.base_generation
+            or rep.wal.size_in_bytes > pwal.size_in_bytes
+        )
 
     def _acknowledge(self, rep: Replica, elapsed: float, nbytes: int) -> None:
         self.acked[rep.replica_id] = rep.wal.position
@@ -355,10 +467,9 @@ class ReplicaSet:
 
     # -------------------------------------------------------------- catalog
 
-    def rows(self) -> "list[Any]":
-        """Current membership as catalog :class:`ReplicaMeta` rows."""
-        from repro.cluster.catalog import ReplicaMeta
-
+    def rows(self) -> "list[ReplicaMeta]":
+        """Current membership (roles + acked positions) as catalog rows,
+        so every catalog write records it."""
         out = [
             ReplicaMeta(
                 replica_id=self.primary.replica_id,
@@ -383,5 +494,10 @@ class ReplicaSet:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
+        """Release the followers' WAL handles and stop tracking the
+        members: a closed set (index closed, shard retired by a
+        rebalance or re-pivot) must not age into a degraded one."""
         for rep in self.followers:
             rep.wal.close()
+        for rid in self.member_ids():
+            self.monitor.forget(self.shard_id, rid)

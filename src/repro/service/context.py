@@ -377,60 +377,37 @@ class KnnCollector:
     the current :meth:`bound` — the k-th best distance so far, the value
     Lemma 3 prunes against.  A single tree search owns a private
     collector; a sharded scatter passes *one* collector through every
-    shard's search so the bound tightens globally (best-shard-first) or
-    concurrently (broadcast).  ``thread_safe=True`` adds a lock for the
-    concurrent case; the single-threaded default costs nothing extra.
+    shard's search, one shard after the other, so the bound tightens
+    globally (best-shard-first).  Not thread-safe: one search at a time.
     """
 
-    __slots__ = ("k", "_heap", "_counter", "_lock")
+    __slots__ = ("k", "_heap", "_counter")
 
-    def __init__(self, k: int, thread_safe: bool = False) -> None:
+    def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self._heap: list[tuple[float, int, Any]] = []
         self._counter = itertools.count()
-        self._lock = threading.Lock() if thread_safe else None
-
-    def _bound(self) -> float:
-        return -self._heap[0][0] if len(self._heap) >= self.k else float("inf")
 
     def bound(self) -> float:
         """The current k-th nearest distance (inf until ``k`` candidates)."""
-        if self._lock is None:
-            return self._bound()
-        with self._lock:
-            return self._bound()
+        return -self._heap[0][0] if len(self._heap) >= self.k else float("inf")
 
     def offer(self, d: float, obj: Any) -> None:
         """Consider one verified ``(distance, object)`` candidate."""
-        if self._lock is None:
-            self._offer(d, obj)
-            return
-        with self._lock:
-            self._offer(d, obj)
-
-    def _offer(self, d: float, obj: Any) -> None:
-        if d < self._bound() or len(self._heap) < self.k:
+        if d < self.bound() or len(self._heap) < self.k:
             heapq.heappush(self._heap, (-d, next(self._counter), obj))
             if len(self._heap) > self.k:
                 heapq.heappop(self._heap)
 
     def __len__(self) -> int:
-        if self._lock is None:
-            return len(self._heap)
-        with self._lock:
-            return len(self._heap)
+        return len(self._heap)
 
     def items(self) -> list[tuple[float, Any]]:
         """The collected neighbours, ascending by distance (ties by
         insertion order)."""
-        if self._lock is None:
-            snapshot = list(self._heap)
-        else:
-            with self._lock:
-                snapshot = list(self._heap)
-        ordered = sorted((-negd, tb, obj) for negd, tb, obj in snapshot)
+        ordered = sorted((-negd, tb, obj) for negd, tb, obj in self._heap)
         return [(d, obj) for d, _, obj in ordered]
 
 

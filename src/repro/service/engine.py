@@ -377,31 +377,6 @@ class QueryEngine:
             _instruments.engine().queue_depth.set(self._queue.qsize())
         return pending
 
-    def submit_task(self, fn: Any, context: QueryContext) -> PendingQuery:
-        """Enqueue an arbitrary callable ``fn(context)`` on the worker pool.
-
-        The cluster layer uses this to scatter per-shard sub-queries: each
-        task carries its own pre-built :class:`QueryContext` (sub-deadline,
-        sub-budget, shared cancel token) and runs exactly once — no
-        transient-I/O retry, because a retried sub-query would offer its
-        candidates into a shared collector twice.  Raises
-        :class:`Overloaded` like :meth:`submit` when the queue is full;
-        the caller is expected to fall back to running the task inline.
-        """
-        if not callable(fn):
-            raise TypeError("submit_task needs a callable taking the context")
-        if not self._started or self._stopped:
-            raise RuntimeError("engine is not running (use start() or a with block)")
-        pending = PendingQuery("task", (fn,), context)
-        pending.enqueued_at = time.perf_counter()
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            raise self._reject() from None
-        if _obsreg.ENABLED:
-            _instruments.engine().queue_depth.set(self._queue.qsize())
-        return pending
-
     # Blocking conveniences ------------------------------------------------
 
     def range(self, query: Any, radius: float, **limits: Any) -> Any:
@@ -473,17 +448,13 @@ class QueryEngine:
                         _instruments.trace().queue_wait_seconds.observe(
                             queue_wait
                         )
-                if (
-                    self.slow_log is not None
-                    and item.kind not in _MUTATIONS
-                    and item.kind != "task"
-                ):
+                if self.slow_log is not None and item.kind not in _MUTATIONS:
                     self.slow_log.maybe_record(
                         item.kind, elapsed, item.context, result,
                         source=item.source,
                     )
                 if self.flight is not None:
-                    if item.kind not in _MUTATIONS and item.kind != "task":
+                    if item.kind not in _MUTATIONS:
                         self.flight.observe(
                             item.kind, item.context, result,
                             elapsed=elapsed, source=item.source,
@@ -520,13 +491,7 @@ class QueryEngine:
 
         # Mutations get exactly one attempt: an insert is not idempotent,
         # and a failed attempt may already have committed to the WAL.
-        # Tasks too: a cluster sub-query retried would offer its candidates
-        # into a shared collector a second time.
-        attempts = (
-            1
-            if pending.kind in _MUTATIONS or pending.kind == "task"
-            else self.retry_attempts
-        )
+        attempts = 1 if pending.kind in _MUTATIONS else self.retry_attempts
         base_depth = shard_depth()
         try:
             return retry_io(
@@ -543,8 +508,6 @@ class QueryEngine:
             trim_stat_shards(base_depth)
 
     def _run(self, kind: str, args: tuple, ctx: QueryContext) -> Any:
-        if kind == "task":
-            return args[0](ctx)
         if kind == "range":
             return self.tree.range_query(*args, context=ctx)
         if kind == "knn":

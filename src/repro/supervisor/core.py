@@ -165,8 +165,7 @@ class Supervisor:
                 "suppressed": [],
                 "scrubbed": None,
             }
-            for sid in sorted(self.index._sets):
-                rset = self.index._sets[sid]
+            for sid, rset in sorted(self.index._sets.items()):
                 self.monitor.check(sid, rset.member_ids())
                 st = self._state(sid)
                 if rset.healthy(rset.primary.replica_id):
@@ -291,7 +290,7 @@ class Supervisor:
             in_quarantine = rid in quarantined
             if not in_quarantine and not rset.healthy(rid):
                 continue
-            if not in_quarantine and not self._is_stale(rset, rep):
+            if not in_quarantine and not rset.is_stale(rep):
                 continue
             try:
                 with self.index._lock.write():
@@ -327,19 +326,6 @@ class Supervisor:
                     rset.ship()
         except PrimaryDownError:
             pass
-
-    @staticmethod
-    def _is_stale(rset: Any, rep: Any) -> bool:
-        """Mirror of the shipping stale rule: positions don't splice."""
-        pwal = rset.primary.tree.wal
-        if pwal is None or pwal.header is None:
-            return False
-        if rep.wal.header is None:
-            return rep.tree._generation != pwal.header.base_generation
-        return (
-            rep.wal.header.base_generation != pwal.header.base_generation
-            or rep.wal.size_in_bytes > pwal.size_in_bytes
-        )
 
     # ---------------------------------------------------------------- scrub
 
@@ -418,7 +404,7 @@ class Supervisor:
                 rid = rep.replica_id
                 if rid in quarantined or not rset.healthy(rid):
                     continue
-                if self._is_stale(rset, rep):
+                if rset.is_stale(rep):
                     continue  # the rejoin path owns stale members
                 finding = self._scrub_follower(sid, rset, rep, pages, deep, report)
                 if finding is not None:

@@ -7,7 +7,7 @@ serving stack never consumed them.  This package does:
 * :class:`OnlineCalibrator` — fits the models' per-deployment constants
   from observed (prediction, outcome) pairs and tracks prediction error;
 * :class:`TraversalAdvisor` — an epsilon-greedy per-query choice of kNN
-  traversal (incremental / greedy × best-first / broadcast), hooked into
+  traversal (incremental / greedy), hooked into
   :class:`repro.service.QueryEngine`;
 * :class:`Tuner` — the background control loop (supervisor-style tick +
   journal) that recalibrates, adapts buffer-pool and admission-queue

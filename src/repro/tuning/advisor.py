@@ -1,16 +1,16 @@
 """Per-query kNN traversal choice, learned online.
 
-The SPB-tree offers two kNN traversals (``incremental`` — optimal
-compdists, Lemma 4 — and ``greedy`` — optimal RAF page accesses), and the
-cluster adds a scatter axis (``best-first`` serial visits vs ``broadcast``
-fan-out).  Which combination is cheapest depends on the workload: k, the
-dataset's distance distribution, the shard layout, and how much the
+The SPB-tree offers two kNN traversals: ``incremental`` — optimal
+compdists, Lemma 4 — and ``greedy`` — optimal RAF page accesses (the
+paper's Table 5 choice).  Which is cheapest depends on the workload: k,
+the dataset's distance distribution, the shard layout, and how much the
 buffer pool absorbs.  The paper's cost models predict the *range-query*
 part of that cost well but cannot separate the traversal variants — so
-the advisor treats them as bandit arms.
+the advisor treats them as bandit arms.  A cluster has the same two arms
+as a single tree: its scatter visits shards best-first, always.
 
-``TraversalAdvisor`` is an epsilon-greedy contextual bandit over
-(traversal, strategy) arms, bucketed by k.  Every advised query feeds
+``TraversalAdvisor`` is an epsilon-greedy contextual bandit over the two
+traversal arms, bucketed by k.  Every advised query feeds
 back its observed compdists/page-accesses (and thread-CPU time) into
 per-arm EWMAs; the greedy choice minimises the counter cost, with
 counter-ties broken by a fixed dominance order rather than by timing
@@ -38,15 +38,8 @@ from typing import Any, Optional
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 
-#: Arm axes.  A cluster (anything with a ``router``) exposes both axes;
-#: a single tree only the traversal axis (strategy ``None``).
-_TREE_ARMS = (("incremental", None), ("greedy", None))
-_CLUSTER_ARMS = (
-    ("incremental", "best-first"),
-    ("greedy", "best-first"),
-    ("incremental", "broadcast"),
-    ("greedy", "broadcast"),
-)
+#: The arms: ``knn_query``'s two traversals, on a tree and a cluster alike.
+_ARMS = ("incremental", "greedy")
 
 #: k-bucket upper bounds: queries in the same bucket share arm statistics.
 _BUCKETS = (2, 8, 32)
@@ -62,11 +55,10 @@ def _bucket(k: int) -> str:
 class _Choice:
     """One advised decision, carried from :meth:`advise` to :meth:`observe`."""
 
-    __slots__ = ("traversal", "strategy", "bucket", "k", "explored", "query")
+    __slots__ = ("traversal", "bucket", "k", "explored", "query")
 
-    def __init__(self, traversal, strategy, bucket, k, explored, query):
+    def __init__(self, traversal, bucket, k, explored, query):
         self.traversal = traversal
-        self.strategy = strategy
         self.bucket = bucket
         self.k = k
         self.explored = explored
@@ -97,9 +89,7 @@ class TraversalAdvisor:
         #: Arms whose counter cost is within this fraction of the best
         #: are counter-ties; the lower observed wall time wins among
         #: them.  Counters are the primary objective (the paper's cost
-        #: currency), but they cannot see constant-factor differences —
-        #: e.g. broadcast's scatter overhead when every shard ends up
-        #: visited anyway.
+        #: currency), but they cannot see constant-factor differences.
         self.tie_margin = tie_margin
         #: Optional EventJournal (attached by the Tuner); decisions are
         #: journalled when present.  Entries are buffered in memory on
@@ -112,28 +102,22 @@ class TraversalAdvisor:
         self.rng = random.Random(seed)
         self._lock = threading.Lock()
         #: bucket -> {arm -> {"cost": EWMA or None, "n": count}}
-        self._stats: dict[str, dict[tuple, dict]] = {}
-        self._best: dict[str, tuple] = {}
+        self._stats: dict[str, dict[str, dict]] = {}
+        self._best: dict[str, str] = {}
         self.decisions = 0
         self.explorations = 0
 
     # ------------------------------------------------------------- choosing
 
-    @staticmethod
-    def arms_for(tree: Any) -> tuple:
-        return _CLUSTER_ARMS if hasattr(tree, "router") else _TREE_ARMS
-
-    def _select(self, stats: dict) -> tuple:
+    def _select(self, stats: dict) -> str:
         """Greedy arm: lowest counter cost, dominance breaking ties.
 
         Arms whose costs are within ``tie_margin`` of the best are
         counter-ties — the counters cannot separate them, and any timing
         signal at that margin is machine noise.  Ties fall back to the
         arm declaration order, which encodes a dominance argument rather
-        than a measurement: best-first's shard visits are a subset of
-        broadcast's (it may stop early, never do more), and incremental
-        is compdist-optimal (Lemma 4), so on equal counters the earlier
-        arm cannot be doing more work than the later one.
+        than a measurement: incremental is compdist-optimal (Lemma 4), so
+        on equal counters it cannot be doing more work than greedy.
 
         Caller holds the lock; every arm in ``stats`` has been visited
         (insertion order of ``stats`` is the declaration order).
@@ -145,21 +129,22 @@ class TraversalAdvisor:
         return min(near, key=order.index)
 
     def advise(self, tree: Any, query: Any, k: int, trace=None) -> _Choice:
-        """Pick an arm for one kNN query (no side effects on counters)."""
-        arms = self.arms_for(tree)
+        """Pick an arm for one kNN query (no side effects on counters).
+        ``tree`` is the index it will run on; a single tree and a cluster
+        have the same arms, so it does not enter the choice."""
         bucket = _bucket(k)
         with self._lock:
             stats = self._stats.setdefault(
                 bucket,
-                {arm: {"cost": None, "ms": None, "n": 0} for arm in arms},
+                {arm: {"cost": None, "ms": None, "n": 0} for arm in _ARMS},
             )
-            unvisited = [arm for arm in arms if stats[arm]["n"] == 0]
+            unvisited = [arm for arm in _ARMS if stats[arm]["n"] == 0]
             if unvisited:
                 # Deterministic coverage: visit every arm once before
                 # trusting any comparison between them.
                 arm, explored = unvisited[0], True
             elif self.rng.random() < self.epsilon:
-                arm, explored = arms[self.rng.randrange(len(arms))], True
+                arm, explored = _ARMS[self.rng.randrange(len(_ARMS))], True
             else:
                 arm = self._select(stats)
                 explored = False
@@ -172,9 +157,8 @@ class TraversalAdvisor:
             if explored:
                 bundle.explorations.inc()
         if trace is not None:
-            name = f"advise:{arm[0]}" + (f":{arm[1]}" if arm[1] else "")
-            trace.span(name).bump("explored", 1 if explored else 0)
-        return _Choice(arm[0], arm[1], bucket, k, explored, query)
+            trace.span(f"advise:{arm}").bump("explored", 1 if explored else 0)
+        return _Choice(arm, bucket, k, explored, query)
 
     # ------------------------------------------------------------- feedback
 
@@ -188,7 +172,7 @@ class TraversalAdvisor:
     ) -> None:
         """Feed one advised query's observed cost back into the policy."""
         cost = compdists + self.pa_weight * page_accesses
-        arm = (choice.traversal, choice.strategy)
+        arm = choice.traversal
         policy_changed = None
         with self._lock:
             stats = self._stats.get(choice.bucket)
@@ -213,7 +197,7 @@ class TraversalAdvisor:
             ewma = entry["cost"]
         if _obsreg.ENABLED:
             _instruments.tuning().arm_cost.labels(
-                traversal=choice.traversal, strategy=str(choice.strategy)
+                traversal=choice.traversal
             ).set(ewma)
         if self.calibrator is not None:
             try:
@@ -225,7 +209,6 @@ class TraversalAdvisor:
         if self.journal is not None:
             detail = {
                 "traversal": choice.traversal,
-                "strategy": choice.strategy,
                 "k": choice.k,
                 "bucket": choice.bucket,
                 "explored": choice.explored,
@@ -241,11 +224,7 @@ class TraversalAdvisor:
                     self._journal_buffer.append(
                         (
                             "policy",
-                            {
-                                "bucket": choice.bucket,
-                                "traversal": policy_changed[0],
-                                "strategy": policy_changed[1],
-                            },
+                            {"bucket": choice.bucket, "traversal": policy_changed},
                             None,
                         )
                     )
@@ -279,18 +258,7 @@ class TraversalAdvisor:
         # preemption and (virtualised) steal time that would otherwise
         # randomise the tie-break.
         started = time.thread_time()
-        if choice.strategy is not None:
-            result = tree.knn_query(
-                query,
-                k,
-                traversal=choice.traversal,
-                context=ctx,
-                strategy=choice.strategy,
-            )
-        else:
-            result = tree.knn_query(
-                query, k, traversal=choice.traversal, context=ctx
-            )
+        result = tree.knn_query(query, k, traversal=choice.traversal, context=ctx)
         elapsed = time.thread_time() - started
         self.observe(
             choice,
@@ -308,14 +276,14 @@ class TraversalAdvisor:
         with self._lock:
             out = {}
             for bucket, arm in sorted(self._best.items()):
-                out[bucket] = {"traversal": arm[0], "strategy": arm[1]}
+                out[bucket] = {"traversal": arm}
             return out
 
     def status(self) -> dict:
         with self._lock:
             arms = {
                 bucket: {
-                    f"{arm[0]}" + (f"/{arm[1]}" if arm[1] else ""): {
+                    arm: {
                         "n": entry["n"],
                         "cost": (
                             round(entry["cost"], 2)
@@ -337,7 +305,7 @@ class TraversalAdvisor:
                 "decisions": self.decisions,
                 "explorations": self.explorations,
                 "policy": {
-                    bucket: {"traversal": arm[0], "strategy": arm[1]}
+                    bucket: {"traversal": arm}
                     for bucket, arm in sorted(self._best.items())
                 },
                 "arms": arms,

@@ -175,48 +175,40 @@ class TestExactness:
                 out = word_cluster.range_count(q, r, context=ctx)
                 assert out.count == expected
 
-    @pytest.mark.parametrize("strategy", ["best-first", "broadcast"])
+    @pytest.mark.parametrize("strategy", ["best-first"])
     def test_knn_distances_equal(
         self, strategy, word_tree, word_cluster, small_words
     ):
         for q in small_words[::41]:
             for k in self.KS:
                 single = [d for d, _ in word_tree.knn_query(q, k)]
-                sharded = [
-                    d
-                    for d, _ in word_cluster.knn_query(q, k, strategy=strategy)
-                ]
+                sharded = [d for d, _ in word_cluster.knn_query(q, k)]
                 assert sharded == single, (q, k, strategy)
 
-    @pytest.mark.parametrize("strategy", ["best-first", "broadcast"])
+    @pytest.mark.parametrize("strategy", ["best-first"])
     def test_knn_distances_equal_blobs(
         self, strategy, blob_tree, blob_cluster, blob_vectors
     ):
         for q in blob_vectors[::97]:
             single = [d for d, _ in blob_tree.knn_query(q, 10)]
-            sharded = [
-                d for d, _ in blob_cluster.knn_query(q, 10, strategy=strategy)
-            ]
-            assert sharded == pytest.approx(single)
+            sharded = [d for d, _ in blob_cluster.knn_query(q, 10)]
+            assert sharded == pytest.approx(single), strategy
 
     def test_exactness_under_engine_scatter(
         self, word_tree, word_cluster, small_words
     ):
-        """Scatter through the QueryEngine's pool changes nothing."""
+        """Serving through the QueryEngine — the path that actually
+        scatters in production — changes nothing."""
         with QueryEngine(word_cluster, workers=3) as engine:
             for q in small_words[::83]:
-                ctx = QueryContext()
-                got = word_cluster.range_query(
-                    q, 2, context=ctx, engine=engine
-                )
+                got = engine.range(q, 2)
+                assert got.complete
                 assert set(got) == set(word_tree.range_query(q, 2))
-                ctx2 = QueryContext()
-                knn = word_cluster.knn_query(
-                    q, 8, context=ctx2, engine=engine, strategy="broadcast"
-                )
+                knn = engine.knn(q, 8)
                 assert [d for d, _ in knn] == [
                     d for d, _ in word_tree.knn_query(q, 8)
                 ]
+                assert engine.count(q, 2).count == len(got)
 
 
 class TestPruningEfficiency:

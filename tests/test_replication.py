@@ -481,6 +481,58 @@ class TestFailover:
             idx2.close()
 
 
+# -------------------------------------------------------------- structural
+
+
+class TestStructuralChanges:
+    def test_replication_is_administration_not_a_second_read_path(self):
+        """The read and write path exists once, on ``ShardedIndex``; the
+        replicated cluster overrides none of it."""
+        own = vars(ReplicatedIndex)
+        for name in (
+            "range_query", "knn_query", "range_count", "insert", "delete",
+            "rebalance", "close", "_catalog", "_read_tree",
+        ):
+            assert name not in own, name
+
+    def test_re_pivot_retires_the_old_shards_members(
+        self, base_dir, tmp_path, edit, small_words
+    ):
+        """Every structural path that retires a shard retires its replica
+        set with it: once the orphans' heartbeats lapse, a complete answer
+        from the live shards must not be called degraded in the name of a
+        shard that is no longer in the cluster."""
+        directory = str(tmp_path / "cluster")
+        shutil.copytree(base_dir, directory)
+        replicate(directory, edit, replicas=1)
+        clock = FakeClock()
+        idx = ReplicatedIndex.open(directory, edit, clock=clock)
+        try:
+            retired = {
+                (sid, rid)
+                for sid, rset in idx._sets.items()
+                for rid in rset.member_ids()
+            }
+            followers = [
+                rep for rset in idx._sets.values() for rep in rset.followers
+            ]
+            assert retired and followers
+            idx.rebuild_with_pivots(list(idx.space.pivots)[::-1])
+            live = {s.shard_id for s in idx.shards}
+            assert not live & {sid for sid, _ in retired}
+            assert set(idx._sets) <= live
+            assert set(idx.replication_status()) <= live
+            assert all(rep.wal._file.closed for rep in followers)
+            clock.now += 60.0  # far past every heartbeat timeout
+            assert not any(idx.monitor.healthy(*key) for key in retired)
+            out = idx.range_query(small_words[0], 2.0, context=QueryContext())
+            assert out.complete, out.reason
+            assert set(out.per_shard) <= live
+            assert idx.degraded_shards() == {}
+        finally:
+            idx.close()
+
+
 # ------------------------------------------------------------------ engine
 
 

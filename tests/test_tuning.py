@@ -44,12 +44,7 @@ class _FakeTree:
     """A bare tree: no ``router`` attribute, so only the traversal axis."""
 
 
-_COSTS = {
-    ("incremental", "best-first"): 120,
-    ("greedy", "best-first"): 40,
-    ("incremental", "broadcast"): 200,
-    ("greedy", "broadcast"): 90,
-}
+_COSTS = {"incremental": 120, "greedy": 40}
 
 
 def _drive(advisor, n, k=4):
@@ -57,10 +52,8 @@ def _drive(advisor, n, k=4):
     choices = []
     for _ in range(n):
         choice = advisor.advise(_FakeCluster(), "q", k)
-        advisor.observe(
-            choice, _COSTS[(choice.traversal, choice.strategy)], 0, 0.001
-        )
-        choices.append((choice.traversal, choice.strategy, choice.explored))
+        advisor.observe(choice, _COSTS[choice.traversal], 0, 0.001)
+        choices.append((choice.traversal, choice.explored))
     return choices
 
 
@@ -108,26 +101,23 @@ def reference_tree(small_words, edit):
 class TestAdvisorBandit:
     def test_covers_every_arm_before_exploiting(self):
         advisor = TraversalAdvisor(epsilon=0.0, seed=1)
-        choices = _drive(advisor, 4)
-        assert {(t, s) for t, s, _ in choices} == set(_COSTS)
-        assert all(explored for _, _, explored in choices)
+        choices = _drive(advisor, len(_COSTS))
+        assert {t for t, _ in choices} == set(_COSTS)
+        assert all(explored for _, explored in choices)
 
     def test_converges_to_cheapest_arm(self):
         advisor = TraversalAdvisor(epsilon=0.0, seed=1)
         choices = _drive(advisor, 30)
         # After coverage, epsilon=0 always exploits the cheapest arm.
-        for traversal, strategy, explored in choices[4:]:
-            assert (traversal, strategy) == ("greedy", "best-first")
+        for traversal, explored in choices[len(_COSTS) :]:
+            assert traversal == "greedy"
             assert not explored
-        assert advisor.policy()["k<=8"] == {
-            "traversal": "greedy",
-            "strategy": "best-first",
-        }
+        assert advisor.policy()["k<=8"] == {"traversal": "greedy"}
 
     def test_exploration_floor(self):
         advisor = TraversalAdvisor(epsilon=1.0, seed=1)
         choices = _drive(advisor, 20)
-        assert all(explored for _, _, explored in choices)
+        assert all(explored for _, explored in choices)
         assert advisor.explorations == advisor.decisions == 20
 
     def test_seed_replay_is_deterministic(self):
@@ -141,7 +131,6 @@ class TestAdvisorBandit:
         for _ in range(4):
             choice = advisor.advise(_FakeTree(), "q", 4)
             advisor.observe(choice, 10, 0, 0.001)
-            assert choice.strategy is None
             seen.add(choice.traversal)
         assert seen == {"incremental", "greedy"}
 
@@ -179,8 +168,8 @@ class TestAdvisorBandit:
         status = advisor.status()
         assert status["decisions"] == 8
         arms = status["arms"]["k<=8"]
-        assert arms["greedy/best-first"]["n"] >= 1
-        assert arms["greedy/best-first"]["cost"] == pytest.approx(40, abs=1)
+        assert arms["greedy"]["n"] >= 1
+        assert arms["greedy"]["cost"] == pytest.approx(40, abs=1)
 
 
 class TestBufferAdaptation:
@@ -242,7 +231,12 @@ class TestBufferAdaptation:
 
 class TestQueueAdaptation:
     def test_rejections_grow_queue_then_idle_shrinks_it(self):
-        engine = QueryEngine(object(), workers=1, max_queue=1).start()
+        gate = threading.Event()
+        # A stub tree whose range query blocks its worker on the gate.
+        blocker = types.SimpleNamespace(
+            range_query=lambda q, r, context=None: gate.wait(30)
+        )
+        engine = QueryEngine(blocker, workers=1, max_queue=1).start()
         try:
             tuner = Tuner(
                 types.SimpleNamespace(),
@@ -250,17 +244,14 @@ class TestQueueAdaptation:
                 queue_bounds=(1, 8),
                 pivot_check_every=0,
             )
-            gate = threading.Event()
-            held = [engine.submit_task(lambda ctx: gate.wait(30), QueryContext())]
+            held = [engine.submit("range", "q", 1)]
             deadline = time.monotonic() + 5
             # Wait for the worker to take the blocker off the queue.
             while engine.queue_depth > 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
-            held.append(
-                engine.submit_task(lambda ctx: gate.wait(30), QueryContext())
-            )
+            held.append(engine.submit("range", "q", 1))
             with pytest.raises(Overloaded):
-                engine.submit_task(lambda ctx: None, QueryContext())
+                engine.submit("range", "q", 1)
             tuner.tick()
             assert engine._queue.maxsize == 2
             assert tuner.queue_resizes == 1
@@ -302,7 +293,7 @@ class TestJournalContract:
             assert isinstance(event["ts"], float)
             detail = event["detail"]
             assert detail["traversal"] in ("incremental", "greedy")
-            assert detail["strategy"] in ("best-first", "broadcast")
+            assert "strategy" not in detail
             assert detail["compdists"] > 0
         tuner.close()
         # On-disk form: one JSON object per line, torn tail tolerated.
