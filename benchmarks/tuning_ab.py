@@ -10,10 +10,9 @@ sharded index:
 * one **tuned** pass — kNN routed through the
   :class:`~repro.tuning.TraversalAdvisor`, with a
   :class:`~repro.tuning.Tuner` ticking every few operations so it can
-  recalibrate the cost models, adapt the buffer pools, and — when the
-  insert burst drags HFI's objective (Definition 1 precision) past the
-  drift threshold — re-select pivots and rebuild through a checkpoint
-  mid-workload.  The fixed arms keep serving on the stale pivots; that
+  recalibrate the cost models and — when the insert burst drags HFI's
+  objective (Definition 1 precision) past the drift threshold —
+  re-select pivots and rebuild through a checkpoint mid-workload.  The fixed arms keep serving on the stale pivots; that
   maintenance gap is exactly what self-tuning buys.
 
 Claims enforced (exit nonzero on any failure):
@@ -194,7 +193,6 @@ class _TunedPass:
             self.idx,
             epsilon=0.02,
             seed=5,
-            buffer_bounds=(4, 128),
             pivot_check_every=2,
             pivot_drift_threshold=0.1,
             auto_pivot_rebuild=True,
@@ -233,9 +231,7 @@ class _TunedPass:
         out.update(
             {
                 "policy": status["policy"],
-                "rebalances": status["rebalances"],
                 "pivot_rebuilds": status["pivot_rebuilds"],
-                "buffer_resizes": status["buffer_resizes"],
                 "decisions": status["advisor"]["decisions"],
                 "explorations": status["advisor"]["explorations"],
                 "calibrations": status["calibration"]["calibrations"],
@@ -251,7 +247,7 @@ class _TunedPass:
 def run_passes(base_directory, tmp, sections, tick_every):
     """Replay the workload on every pass *interleaved* op by op.
 
-    Each operation runs on all five index copies back-to-back, in
+    Each operation runs on all three index copies back-to-back, in
     ``REPEATS`` rounds — round-robin over the passes *within* each round
     — so a machine-load burst lands on every pass in the round it hits,
     and the per-pass min-over-rounds discards it for all of them at
@@ -378,8 +374,7 @@ def run(args: argparse.Namespace) -> int:
     print(
         f"tuned   {'(advisor+tuner)':<24} compdists {tuned['compdists']:>8} "
         f"pa {tuned['page_accesses']:>6} p95 {tuned['p95_ms']:>8.3f}ms  "
-        f"pivot_rebuilds {tuned['pivot_rebuilds']} buffer_resizes "
-        f"{tuned['buffer_resizes']} err_edc {error_edc}"
+        f"pivot_rebuilds {tuned['pivot_rebuilds']} err_edc {error_edc}"
     )
     print(
         f"tuned beats all arms: {tuned_beats_all}; "

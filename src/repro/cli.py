@@ -573,8 +573,6 @@ def _serve_epilogue(
             f"{st['advisor']['decisions']} advised "
             f"({st['advisor']['explorations']} explored), "
             f"{st['calibration']['calibrations']} calibrations, "
-            f"{st['buffer_resizes']} buffer resizes, "
-            f"{st['rebalances']} rebalances, "
             f"{st['pivot_rebuilds']} pivot rebuilds; "
             f"policy {policy if policy else '(none yet)'}"
         )
@@ -1570,16 +1568,23 @@ def cmd_tune(args: argparse.Namespace) -> None:
             f"epa={cal['error']['epa']}"
         )
         print(
-            f"actions   : {st['buffer_resizes']} buffer resizes, "
-            f"{st['rebalances']} rebalances, {st['pivot_checks']} pivot "
-            f"checks, {st['pivot_rebuilds']} pivot rebuilds"
+            f"actions   : {st['pivot_checks']} pivot checks, "
+            f"{st['pivot_rebuilds']} pivot rebuilds"
         )
         for evt in tuner.events(args.events):
-            detail = evt.get("detail")
-            print(f"  [{evt.get('ts')}] {evt.get('event')} {detail}")
+            print(_format_event(evt))
         tuner.close()
     finally:
         cluster.close()
+
+
+def _format_event(evt: dict) -> str:
+    """One journal entry (supervisor's or tuner's) as an indented line."""
+    parts = [f"  [{evt.get('ts')}] {evt.get('event')}"]
+    for key in ("shard", "replica", "detail", "request_id"):
+        if evt.get(key) is not None:
+            parts.append(f"{key}={evt[key]}")
+    return " ".join(parts)
 
 
 def cmd_shard_status(args: argparse.Namespace) -> None:
@@ -1621,39 +1626,24 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
         if events:
             print(f"supervisor events (last {len(events)}):")
             for evt in events:
-                parts = [f"[{evt.get('ts')}] {evt.get('event')}"]
-                if "shard" in evt:
-                    parts.append(f"shard={evt['shard']}")
-                if "replica" in evt:
-                    parts.append(f"replica={evt['replica']}")
-                if "detail" in evt:
-                    parts.append(f"detail={evt['detail']}")
-                print("  " + " ".join(str(p) for p in parts))
-        tuning_events = read_journal(
-            os.path.join(args.dir, TUNING_JOURNAL), limit=args.events
-        )
+                print(_format_event(evt))
+        # The same journal format the supervisor uses; the latest
+        # per-bucket "policy" events ARE the traversal policy in force,
+        # so surface them before the raw tail.
+        tuning_journal = os.path.join(args.dir, TUNING_JOURNAL)
+        policy: dict = {}
+        for evt in read_journal(tuning_journal):
+            if evt.get("event") == "policy":
+                detail = evt.get("detail") or {}
+                if "bucket" in detail:
+                    policy[detail["bucket"]] = detail
+        for bucket, p in sorted(policy.items()):
+            print(f"tuning policy: {bucket} -> {p.get('traversal')}")
+        tuning_events = read_journal(tuning_journal, limit=args.events)
         if tuning_events:
-            # The same journal format the supervisor uses; the latest
-            # per-bucket "policy" events ARE the traversal policy in
-            # force, so surface them before the raw tail.
-            policy: dict = {}
-            for evt in read_journal(
-                os.path.join(args.dir, TUNING_JOURNAL)
-            ):
-                if evt.get("event") == "policy":
-                    detail = evt.get("detail") or {}
-                    if "bucket" in detail:
-                        policy[detail["bucket"]] = detail
-            for bucket, p in sorted(policy.items()):
-                print(f"tuning policy: {bucket} -> {p.get('traversal')}")
             print(f"tuning events (last {len(tuning_events)}):")
             for evt in tuning_events:
-                parts = [f"[{evt.get('ts')}] {evt.get('event')}"]
-                if "detail" in evt:
-                    parts.append(f"detail={evt['detail']}")
-                if evt.get("request_id"):
-                    parts.append(f"request_id={evt['request_id']}")
-                print("  " + " ".join(str(p) for p in parts))
+                print(_format_event(evt))
         if bad:
             print(
                 f"shard-status: FAILED — {args.dir}: shard(s) "
@@ -1799,8 +1789,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "--autotune", action="store_true",
         help="run the self-tuning control loop during the workload "
              "(traversal advisor on the kNN path, online cost-model "
-             "calibration, buffer/queue adaptation, drift-triggered "
-             "maintenance)",
+             "calibration, drift-triggered pivot re-selection)",
     )
     p_serve.add_argument(
         "--tune-interval", type=float, default=1.0,

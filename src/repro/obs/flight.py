@@ -224,7 +224,9 @@ class FlightRecorder:
         """The newest ``n`` ring entries (all of them when ``n`` is None)."""
         with self._lock:
             entries = list(self._ring)
-        return entries if n is None else entries[-n:]
+        if n is None:
+            return entries
+        return entries[-n:] if n > 0 else []  # [-0:] would be the whole ring
 
     def find(self, request_id: str) -> list[dict]:
         """Every ring entry recorded for ``request_id`` (oldest first)."""

@@ -437,8 +437,8 @@ class TuningInstruments:
     |log(predicted/actual)| over the sliding observation window — the
     gauge an operator watches to decide whether the advisor's choices can
     be trusted.  Decision counters are labelled by kind (``traversal``,
-    ``buffer-resize``, ``queue-resize``, ``rebalance``, ``pivot-rebuild``)
-    so dashboards separate steady-state steering from rare maintenance.
+    ``pivot-rebuild``) so dashboards separate steady-state steering from
+    rare maintenance.
     """
 
     __slots__ = (
@@ -448,8 +448,6 @@ class TuningInstruments:
         "calibrations",
         "prediction_error",
         "arm_cost",
-        "buffer_capacity",
-        "queue_limit",
     )
 
     def __init__(self) -> None:
@@ -480,18 +478,9 @@ class TuningInstruments:
         )
         self.arm_cost = reg.gauge(
             "repro_tuning_arm_cost",
-            "Learned EWMA cost (compdists + weighted page accesses) per "
-            "kNN traversal arm.",
+            "Learned EWMA cost (compdists + page accesses) per kNN "
+            "traversal arm.",
             labelnames=("traversal",),
-        )
-        self.buffer_capacity = reg.gauge(
-            "repro_tuning_buffer_capacity",
-            "Buffer-pool capacity currently set by the tuner, per shard.",
-            labelnames=("shard",),
-        )
-        self.queue_limit = reg.gauge(
-            "repro_tuning_queue_limit",
-            "Admission-queue depth bound currently set by the tuner.",
         )
 
 

@@ -266,22 +266,6 @@ class QueryEngine:
         """Operations currently waiting in the admission queue."""
         return self._queue.qsize()
 
-    def resize_queue(self, max_queue: int) -> None:
-        """Change the admission-queue depth bound online.
-
-        Queued work is never dropped: shrinking below the current depth
-        only stops *new* admissions until the backlog drains under the
-        new bound.  The mutation happens under the queue's own mutex, and
-        waiters blocked on a full queue are re-woken so a grow takes
-        effect immediately.
-        """
-        if max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        q = self._queue
-        with q.mutex:
-            q.maxsize = max_queue
-            q.not_full.notify_all()
-
     def retry_after_hint_ms(self) -> float:
         """Suggested backoff for a rejected caller: roughly the time the
         full queue needs to drain at the recent per-op latency (floor of

@@ -76,22 +76,6 @@ class BufferPool:
                 if len(self._cache) > self.capacity:
                     self._cache.popitem(last=False)
 
-    def resize(self, capacity: int) -> None:
-        """Grow or shrink the pool online.
-
-        Shrinking evicts least-recently-used pages down to the new bound
-        under the pool lock, so concurrent readers never observe a cache
-        larger than ``capacity``.  Growing is free: the cache simply stops
-        evicting until it reaches the new bound.  A capacity of 0 disables
-        caching (and drops every cached page immediately).
-        """
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        with self._lock:
-            self.capacity = capacity
-            while len(self._cache) > capacity:
-                self._cache.popitem(last=False)
-
     def flush(self, reset_stats: bool = False) -> None:
         """Empty the pool (called before each query in Fig. 10's protocol).
 

@@ -27,16 +27,16 @@ trusts:
   shard fast-tracked through the failover path, after which the repair
   pass rebuilds it as a follower.
 
-The clock is injectable (defaulting to the monitor's), so every test
-drives time deterministically; ``start()`` runs the same ``tick()`` on
-a daemon thread for production use.
+The lifecycle is :class:`repro.control.ControlLoop`'s; the clock is
+injectable (defaulting to the monitor's), so every test drives time
+deterministically.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Optional
 
+from repro.control import ControlLoop
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 from repro.obs.flight import FlightRecorder
@@ -46,13 +46,15 @@ from repro.replication.replicaset import (
     ReplicationError,
 )
 from repro.storage.wal import scan_wal
-from repro.supervisor.events import EventJournal
 from repro.supervisor.scrub import (
     ScrubFinding,
     ScrubReport,
     compare_wal_prefix,
     spot_check_pages,
 )
+
+#: Journal filename inside a supervised cluster directory.
+SUPERVISOR_JOURNAL = "supervisor-events.jsonl"
 
 #: Shard liveness states (the supervisor's view, not the monitor's).
 HEALTHY = "healthy"
@@ -82,8 +84,11 @@ class _ShardState:
         self.promotions = 0
 
 
-class Supervisor:
+class Supervisor(ControlLoop):
     """Background repair loop over a :class:`ReplicatedIndex`."""
+
+    name = "supervisor"
+    _bundle = staticmethod(_instruments.supervisor)
 
     def __init__(
         self,
@@ -95,16 +100,13 @@ class Supervisor:
         tick_interval: Optional[float] = None,
         clock: Optional[Any] = None,
         journal_path: Optional[str] = None,
-        journal_limit: int = 256,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
-        self.index = index
         #: Optional anomaly flight recorder: failovers, quarantines and
         #: scrub divergences trigger a dump of the recent-trace ring so
         #: the requests degraded *by* the anomaly are captured with it.
         self.flight = flight
         self.monitor = index.monitor
-        self.clock = clock if clock is not None else self.monitor.clock
         timeout = self.monitor.timeout
         #: How long a primary stays merely *suspected* before promotion.
         #: grace + one heartbeat timeout bounds detect-to-promote, so the
@@ -116,20 +118,13 @@ class Supervisor:
         self.scrub_interval = scrub_interval
         #: Pages spot-verified per member per background pass.
         self.scrub_pages = scrub_pages
-        self.tick_interval = (
-            max(0.05, timeout / 4.0) if tick_interval is None else tick_interval
-        )
-        if self.grace < 0 or self.cooldown < 0 or self.tick_interval <= 0:
+        if tick_interval is None:
+            tick_interval = max(0.05, timeout / 4.0)
+        if self.grace < 0 or self.cooldown < 0 or tick_interval <= 0:
             raise ValueError("grace/cooldown must be >= 0, tick_interval > 0")
-        self.journal = EventJournal(
-            path=journal_path, limit=journal_limit, clock=self.clock
-        )
         self._states: dict[int, _ShardState] = {}
         self._quarantined: dict[int, set[int]] = {}
         self._page_cursors: dict[tuple[int, int], int] = {}
-        self._lock = threading.RLock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop_evt = threading.Event()
         self._last_scrub: Optional[float] = None
         self._scrub_cursor = 0
         # Correlation id for the scrub currently running under the lock;
@@ -137,53 +132,46 @@ class Supervisor:
         self._request_id: Optional[str] = None
         # Plain tallies mirror the obs counters so status() works with
         # observability disabled.
-        self.ticks = 0
         self.promotions = 0
         self.rejoins = 0
         self.repairs = 0
         self.quarantines = 0
         self.scrub_passes = 0
-        index.supervisor = self
+        # Last: this publishes ``index.supervisor``, which the net health
+        # op reads from another thread.
+        clock = clock or self.monitor.clock
+        super().__init__(index, tick_interval, clock, journal_path)
 
-    # -------------------------------------------------------------- the loop
+    # -------------------------------------------------------------- the pass
 
-    def tick(self) -> dict:
-        """One pass of the control loop; returns the actions taken.
-
-        Safe to call directly (tests drive a fake clock through it) and
-        from the background thread — a re-entrant lock serialises both.
-        """
-        with self._lock:
-            now = self.clock()
-            self.ticks += 1
-            if _obsreg.ENABLED:
-                _instruments.supervisor().ticks.inc()
-            actions: dict = {
-                "promoted": [],
-                "rejoined": [],
-                "repaired": [],
-                "suppressed": [],
-                "scrubbed": None,
-            }
-            for sid, rset in sorted(self.index._sets.items()):
-                self.monitor.check(sid, rset.member_ids())
-                st = self._state(sid)
-                if rset.healthy(rset.primary.replica_id):
-                    if st.state == SUSPECTED:
-                        st.state = HEALTHY
-                        st.suspected_at = None
-                        st.fast_track = False
-                        st.suppressed_logged = False
-                        self.journal.record(
-                            "primary-recovered",
-                            shard=sid,
-                            replica=rset.primary.replica_id,
-                        )
-                    self._repair_pass(sid, rset, actions)
-                else:
-                    self._liveness_pass(sid, rset, st, now, actions)
-            self._maybe_scrub(now, actions)
-            return actions
+    def _pass(self, now: float) -> dict:
+        """One ``tick()``: per shard, liveness or repair; then maybe scrub."""
+        actions: dict = {
+            "promoted": [],
+            "rejoined": [],
+            "repaired": [],
+            "suppressed": [],
+            "scrubbed": None,
+        }
+        for sid, rset in sorted(self.index._sets.items()):
+            self.monitor.check(sid, rset.member_ids())
+            st = self._state(sid)
+            if rset.healthy(rset.primary.replica_id):
+                if st.state == SUSPECTED:
+                    st.state = HEALTHY
+                    st.suspected_at = None
+                    st.fast_track = False
+                    st.suppressed_logged = False
+                    self.journal.record(
+                        "primary-recovered",
+                        shard=sid,
+                        replica=rset.primary.replica_id,
+                    )
+                self._repair_pass(sid, rset, actions)
+            else:
+                self._liveness_pass(sid, rset, st, now, actions)
+        self._maybe_scrub(now, actions)
+        return actions
 
     def _state(self, sid: int) -> _ShardState:
         st = self._states.get(sid)
@@ -664,46 +652,3 @@ class Supervisor:
                     for sid in sorted(self.index._sets)
                 },
             }
-
-    def events(self, n: int = 20) -> "list[dict]":
-        return self.journal.tail(n)
-
-    # ------------------------------------------------------------- lifecycle
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> None:
-        """Run :meth:`tick` on a daemon thread every ``tick_interval``."""
-        if self.running:
-            return
-        self._stop_evt = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-supervisor", daemon=True
-        )
-        self._thread.start()
-        self.journal.record(
-            "started", detail={"tick_interval": self.tick_interval}
-        )
-
-    def _run(self) -> None:
-        while not self._stop_evt.wait(self.tick_interval):
-            try:
-                self.tick()
-            except Exception as exc:  # the loop must outlive any one failure
-                self.journal.record("tick-error", detail=repr(exc))
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop_evt.set()
-        self._thread.join(timeout=30.0)
-        self._thread = None
-        self.journal.record("stopped")
-
-    def close(self) -> None:
-        self.stop()
-        if getattr(self.index, "supervisor", None) is self:
-            self.index.supervisor = None
-        self.journal.close()

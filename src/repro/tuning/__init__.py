@@ -9,11 +9,12 @@ serving stack never consumed them.  This package does:
 * :class:`TraversalAdvisor` — an epsilon-greedy per-query choice of kNN
   traversal (incremental / greedy), hooked into
   :class:`repro.service.QueryEngine`;
-* :class:`Tuner` — the background control loop (supervisor-style tick +
-  journal) that recalibrates, adapts buffer-pool and admission-queue
-  sizes within bounds, splits hot shards when skew crosses the payoff
-  threshold, and schedules pivot re-selection when HFI's objective
-  drifts.
+* :class:`Tuner` — the background :class:`repro.control.ControlLoop`
+  that flushes the advisor's decisions to the journal, recalibrates,
+  and schedules (optionally runs) a guarded pivot re-selection when
+  HFI's objective drifts.  Those three — traversal, cost models, pivot
+  set — are what the paper models; buffer, queue and shard layout stay
+  the operator's.
 
 Nothing here runs unless explicitly constructed: with tuning disabled
 the query path and its counters are bit-identical to the untuned build.

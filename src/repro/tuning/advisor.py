@@ -10,12 +10,11 @@ the advisor treats them as bandit arms.  A cluster has the same two arms
 as a single tree: its scatter visits shards best-first, always.
 
 ``TraversalAdvisor`` is an epsilon-greedy contextual bandit over the two
-traversal arms, bucketed by k.  Every advised query feeds
-back its observed compdists/page-accesses (and thread-CPU time) into
-per-arm EWMAs; the greedy choice minimises the counter cost, with
-counter-ties broken by a fixed dominance order rather than by timing
-(two arms can report identical counters yet differ in constant factors,
-and timing differences at tie margin are machine noise — see
+traversal arms, bucketed by k.  Every advised query feeds back its
+observed compdists + page accesses — the paper's two cost currencies,
+weighted equally — into a per-arm EWMA; the greedy choice minimises that
+counter cost, with counter-ties broken by a fixed dominance order, never
+by timing (timing differences at tie margin are machine noise — see
 :meth:`TraversalAdvisor._select`).  With probability ``epsilon`` (the
 exploration floor) a non-greedy arm is replayed so the policy keeps
 learning as the workload drifts.  All randomness comes from one seeded
@@ -43,6 +42,12 @@ _ARMS = ("incremental", "greedy")
 
 #: k-bucket upper bounds: queries in the same bucket share arm statistics.
 _BUCKETS = (2, 8, 32)
+
+#: Weight of the newest observation in an arm's cost EWMA.
+_EWMA_ALPHA = 0.3
+
+#: Arms within this fraction of the best cost are counter-ties (``_select``).
+_TIE_MARGIN = 0.05
 
 
 def _bucket(k: int) -> str:
@@ -75,22 +80,12 @@ class TraversalAdvisor:
         calibrator: Any = None,
         epsilon: float = 0.05,
         seed: int = 17,
-        pa_weight: float = 1.0,
-        ewma_alpha: float = 0.3,
-        tie_margin: float = 0.05,
         journal: Any = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         self.calibrator = calibrator
         self.epsilon = epsilon
-        self.pa_weight = pa_weight
-        self.ewma_alpha = ewma_alpha
-        #: Arms whose counter cost is within this fraction of the best
-        #: are counter-ties; the lower observed wall time wins among
-        #: them.  Counters are the primary objective (the paper's cost
-        #: currency), but they cannot see constant-factor differences.
-        self.tie_margin = tie_margin
         #: Optional EventJournal (attached by the Tuner); decisions are
         #: journalled when present.  Entries are buffered in memory on
         #: the query path and written by :meth:`flush_journal` (the
@@ -112,7 +107,7 @@ class TraversalAdvisor:
     def _select(self, stats: dict) -> str:
         """Greedy arm: lowest counter cost, dominance breaking ties.
 
-        Arms whose costs are within ``tie_margin`` of the best are
+        Arms whose costs are within ``_TIE_MARGIN`` of the best are
         counter-ties — the counters cannot separate them, and any timing
         signal at that margin is machine noise.  Ties fall back to the
         arm declaration order, which encodes a dominance argument rather
@@ -124,7 +119,7 @@ class TraversalAdvisor:
         """
         order = list(stats)
         best_cost = min(s["cost"] for s in stats.values())
-        threshold = best_cost * (1.0 + self.tie_margin)
+        threshold = best_cost * (1.0 + _TIE_MARGIN)
         near = [a for a, s in stats.items() if s["cost"] <= threshold]
         return min(near, key=order.index)
 
@@ -136,7 +131,7 @@ class TraversalAdvisor:
         with self._lock:
             stats = self._stats.setdefault(
                 bucket,
-                {arm: {"cost": None, "ms": None, "n": 0} for arm in _ARMS},
+                {arm: {"cost": None, "n": 0} for arm in _ARMS},
             )
             unvisited = [arm for arm in _ARMS if stats[arm]["n"] == 0]
             if unvisited:
@@ -171,7 +166,7 @@ class TraversalAdvisor:
         request_id: Optional[str] = None,
     ) -> None:
         """Feed one advised query's observed cost back into the policy."""
-        cost = compdists + self.pa_weight * page_accesses
+        cost = compdists + page_accesses
         arm = choice.traversal
         policy_changed = None
         with self._lock:
@@ -180,14 +175,11 @@ class TraversalAdvisor:
                 return
             entry = stats[arm]
             entry["n"] += 1
-            ms = elapsed * 1000.0
             if entry["cost"] is None:
                 entry["cost"] = float(cost)
-                entry["ms"] = ms
             else:
-                a = self.ewma_alpha
+                a = _EWMA_ALPHA
                 entry["cost"] = (1 - a) * entry["cost"] + a * cost
-                entry["ms"] = (1 - a) * entry["ms"] + a * ms
             visited = {a: s for a, s in stats.items() if s["cost"] is not None}
             if len(visited) == len(stats):
                 best = self._select(stats)
@@ -253,10 +245,9 @@ class TraversalAdvisor:
         choice = self.advise(
             tree, query, k, trace=getattr(ctx, "trace", None)
         )
-        # Thread CPU time, not wall: the executing thread's own cost is
-        # what separates counter-tied arms, and it is immune to scheduler
-        # preemption and (virtualised) steal time that would otherwise
-        # randomise the tie-break.
+        # Thread CPU time, not wall: the journal and the calibrator want
+        # the executing thread's own cost, immune to scheduler preemption
+        # and (virtualised) steal time.  It never enters the arm choice.
         started = time.thread_time()
         result = tree.knn_query(query, k, traversal=choice.traversal, context=ctx)
         elapsed = time.thread_time() - started
@@ -288,11 +279,6 @@ class TraversalAdvisor:
                         "cost": (
                             round(entry["cost"], 2)
                             if entry["cost"] is not None
-                            else None
-                        ),
-                        "ms": (
-                            round(entry["ms"], 3)
-                            if entry["ms"] is not None
                             else None
                         ),
                     }

@@ -1,46 +1,41 @@
 """The self-tuning control loop: close the EDC/EPA loop online.
 
-The :class:`Tuner` mirrors the ``repro.supervisor`` architecture — an
-injectable clock, a periodic ``tick()`` under one re-entrant lock, a
-versioned JSONL event journal with a torn-tail-tolerant reader, and a
-daemon thread that survives tick errors by journalling them.  Where the
-supervisor keeps the cluster *alive*, the tuner keeps it *cheap*.  One
-tick does, in order:
+Where the supervisor keeps the cluster *alive*, the :class:`Tuner` keeps
+it *cheap* — by steering the three things the paper itself models, in
+its own currency (compdists, page accesses), and nothing else.  It is a
+:class:`repro.control.ControlLoop` whose pass does, in order:
 
-1. **Calibrate** — refit the online cost-model scales from the advised
-   queries' (predicted, actual) window and publish the prediction-error
-   gauges (:mod:`repro.tuning.calibrate`).
-2. **Adapt resources** — nudge each shard's buffer-pool capacity from
-   its delta hit-ratio and occupancy, and the engine's admission-queue
-   bound from rejection deltas, both within operator-set bounds.  All
-   moves are factor-of-two with hysteresis, so a noisy tick cannot slam
-   a resource across its range.
-3. **Maintain** — when per-shard population skew crosses the payoff
-   threshold (EDC is linear in per-shard n, eq. 3, so skew is a direct
-   cost proxy), drive ``rebalance(split=hot)`` under a cooldown; and
-   periodically re-measure HFI's objective (Definition 1 precision) on a
-   fresh sample — drift past the threshold schedules pivot re-selection
-   and a rebuild through a checkpoint, announced in the supervisor's
-   journal when one is attached.
+1. **Flush** the traversal advisor's buffered decisions (§4.3 / Table 5,
+   chosen per query by :mod:`repro.tuning.advisor`) into the journal.
+2. **Calibrate** — refit the online EDC/EPA scales (§4.4, eqs. 1–8) from
+   the advised queries' (predicted, actual) window and publish the
+   prediction-error gauges (:mod:`repro.tuning.calibrate`).
+3. **Check pivots**, every ``pivot_check_every`` ticks — re-measure
+   HFI's objective (§3.2, Definition 1 precision) on a fresh sample;
+   drift past the threshold schedules pivot re-selection and a guarded
+   rebuild through a checkpoint, announced in the supervisor's journal
+   when one is attached.
 
-Everything the tuner does resolves to one journal event (with a request
-id on the decisions that mutate the cluster), and nothing here runs
-unless a ``Tuner`` is constructed: the untuned path stays bit-identical.
+Buffer size is a fixed experimental parameter in the paper (Fig. 10),
+and shard layout and admission depth are the operator's: the tuner
+adapts none of them (``docs/architecture.md`` §16.3 has the numbers).
+Every decision resolves to one journal event (with a request id on the
+ones that mutate the cluster), and nothing here runs unless a ``Tuner``
+is constructed: the untuned path stays bit-identical.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import threading
 import time
 from typing import Any, Optional
 
+from repro.control import ControlLoop
 from repro.core.pivots import pivot_set_precision, select_pivots
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 from repro.obs.ids import new_trace_id
-from repro.supervisor.events import EventJournal
 from repro.tuning.advisor import TraversalAdvisor
 from repro.tuning.calibrate import OnlineCalibrator
 
@@ -48,9 +43,16 @@ from repro.tuning.calibrate import OnlineCalibrator
 #: torn-tail contract as ``supervisor-events.jsonl``).
 TUNING_JOURNAL = "tuning-events.jsonl"
 
+#: A candidate pivot set must beat the current one's Definition 1
+#: precision by this fraction, or the rebuild is journalled as skipped.
+_MIN_REBUILD_GAIN = 0.02
 
-class Tuner:
+
+class Tuner(ControlLoop):
     """Background self-tuning loop over one index (tree or cluster)."""
+
+    name = "tuner"
+    _bundle = staticmethod(_instruments.tuning)
 
     def __init__(
         self,
@@ -58,277 +60,68 @@ class Tuner:
         engine: Any = None,
         tick_interval: float = 1.0,
         journal_path: Optional[str] = None,
-        journal_limit: int = 256,
         clock: Any = None,
         epsilon: float = 0.05,
         seed: int = 17,
-        buffer_bounds: tuple = (8, 256),
-        min_buffer_samples: int = 16,
-        queue_bounds: Optional[tuple] = None,
-        rebalance_payoff: float = 1.8,
-        rebalance_cooldown: float = 5.0,
-        min_rebalance_queries: int = 8,
         pivot_check_every: int = 8,
         pivot_drift_threshold: float = 0.15,
-        pivot_min_gain: float = 0.02,
         auto_pivot_rebuild: bool = False,
         pivot_sample: int = 64,
         pivot_pairs: int = 128,
         advisor: Optional[TraversalAdvisor] = None,
         calibrator: Optional[OnlineCalibrator] = None,
     ) -> None:
-        if buffer_bounds[0] < 0 or buffer_bounds[1] < buffer_bounds[0]:
-            raise ValueError("buffer_bounds must be (lo, hi) with 0 <= lo <= hi")
-        self.index = index
-        self.engine = engine
-        self.tick_interval = tick_interval
-        self.clock = clock if clock is not None else time.monotonic
         if journal_path is None and getattr(index, "directory", None):
             journal_path = os.path.join(index.directory, TUNING_JOURNAL)
-        self.journal = EventJournal(
-            path=journal_path, limit=journal_limit, clock=self.clock
+        super().__init__(
+            index, tick_interval, clock or time.monotonic, journal_path
         )
-        self.calibrator = (
-            calibrator if calibrator is not None else OnlineCalibrator(index)
-        )
-        self.advisor = (
-            advisor
-            if advisor is not None
-            else TraversalAdvisor(
-                calibrator=self.calibrator, epsilon=epsilon, seed=seed
-            )
-        )
-        self.advisor.journal = self.journal
+        #: Kept only to hook the advisor into the kNN path (and unhook it).
+        self.engine = engine
+        if calibrator is None:
+            calibrator = OnlineCalibrator(index)
+        if advisor is None:
+            advisor = TraversalAdvisor(calibrator, epsilon=epsilon, seed=seed)
+        self.calibrator = calibrator
+        self.advisor = advisor
+        advisor.journal = self.journal
         if engine is not None and getattr(engine, "advisor", None) is None:
-            engine.advisor = self.advisor
-        self.buffer_bounds = buffer_bounds
-        self.min_buffer_samples = min_buffer_samples
-        if queue_bounds is None and engine is not None:
-            base = engine._queue.maxsize
-            queue_bounds = (base, max(base * 8, base))
-        self.queue_bounds = queue_bounds
-        self.rebalance_payoff = rebalance_payoff
-        self.rebalance_cooldown = rebalance_cooldown
-        self.min_rebalance_queries = min_rebalance_queries
+            engine.advisor = advisor
         self.pivot_check_every = pivot_check_every
         self.pivot_drift_threshold = pivot_drift_threshold
-        self.pivot_min_gain = pivot_min_gain
         self.auto_pivot_rebuild = auto_pivot_rebuild
         self.pivot_sample = pivot_sample
         self.pivot_pairs = pivot_pairs
         self._pair_rng = random.Random(seed + 1)
-        self._lock = threading.RLock()
-        self._stop_evt = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         #: Plain tallies (mirror the obs counters; always available).
-        self.ticks = 0
-        self.buffer_resizes = 0
-        self.queue_resizes = 0
-        self.rebalances = 0
         self.pivot_checks = 0
         self.pivot_rebuilds = 0
         self.pivot_rebuild_due = False
         self._pivot_baseline: Optional[float] = None
-        self._buffer_last: dict[str, tuple] = {}
-        self._rejected_last = engine.rejected if engine is not None else 0
-        self._idle_queue_ticks = 0
-        self._last_rebalance: Optional[float] = None
-        self._queries_at_rebalance = 0
-        index.tuner = self
 
-    # ----------------------------------------------------------------- tick
+    # ------------------------------------------------------------- the pass
 
-    def tick(self) -> dict:
-        """One pass of the control loop; returns what it did."""
-        with self._lock:
-            now = self.clock()
-            self.ticks += 1
-            if _obsreg.ENABLED:
-                _instruments.tuning().ticks.inc()
-            actions: dict = {
-                "calibrated": None,
-                "buffers": [],
-                "queue": None,
-                "rebalance": None,
-                "pivots": None,
-            }
-            self.advisor.flush_journal()
-            fit = self.calibrator.recalibrate()
-            if fit is not None:
-                self.journal.record("calibrated", detail=fit)
-                if _obsreg.ENABLED:
-                    bundle = _instruments.tuning()
-                    bundle.calibrations.inc()
-                    bundle.prediction_error.labels(model="edc").set(
-                        fit["error_edc"]
-                    )
-                    if fit["error_epa"] is not None:
-                        bundle.prediction_error.labels(model="epa").set(
-                            fit["error_epa"]
-                        )
-                actions["calibrated"] = fit
-            actions["buffers"] = self._tune_buffers()
-            if self.engine is not None and self.queue_bounds is not None:
-                actions["queue"] = self._tune_queue()
-            actions["rebalance"] = self._maybe_rebalance(now)
-            if (
-                self.pivot_check_every
-                and self.ticks % self.pivot_check_every == 0
-            ):
-                actions["pivots"] = self._check_pivots()
-            return actions
-
-    # -------------------------------------------------------------- buffers
-
-    def _pools(self) -> list:
-        shards = getattr(self.index, "shards", None)
-        if shards is None:
-            raf = getattr(self.index, "raf", None)
-            pool = getattr(raf, "buffer_pool", None)
-            return [("0", pool)] if pool is not None else []
-        out = []
-        for shard in shards:
-            raf = shard.tree.raf
-            if raf is not None and raf.buffer_pool is not None:
-                out.append((str(shard.shard_id), raf.buffer_pool))
-        return out
-
-    def _tune_buffers(self) -> list:
-        """Grow miss-heavy full pools, shrink half-empty ones, within
-        bounds.  Factor-of-two moves; one decision per pool per tick."""
-        lo, hi = self.buffer_bounds
-        moves = []
-        for label, pool in self._pools():
-            hits, misses = pool.hits, pool.misses
-            prev = self._buffer_last.get(label, (hits, misses))
-            self._buffer_last[label] = (hits, misses)
-            delta_hits = hits - prev[0]
-            delta_misses = misses - prev[1]
-            total = delta_hits + delta_misses
-            if total < self.min_buffer_samples:
-                continue
-            ratio = delta_hits / total
-            capacity = pool.capacity
-            occupancy = len(pool._cache)
-            new = None
-            if ratio < 0.5 and capacity < hi and occupancy >= capacity:
-                new = min(hi, max(capacity * 2, lo))
-            elif capacity > lo and occupancy <= capacity // 2:
-                new = max(lo, capacity // 2)
-            if new is None or new == capacity:
-                continue
-            pool.resize(new)
-            self.buffer_resizes += 1
-            detail = {
-                "from": capacity,
-                "to": new,
-                "hit_ratio": round(ratio, 3),
-                "occupancy": occupancy,
-            }
-            self.journal.record("buffer-resize", shard=int(label), detail=detail)
+    def _pass(self, now: float) -> dict:
+        """One ``tick()``: flush the advisor's journal, recalibrate, and
+        every ``pivot_check_every`` ticks check the pivots for drift."""
+        self.advisor.flush_journal()
+        fit = self.calibrator.recalibrate()
+        if fit is not None:
+            self.journal.record("calibrated", detail=fit)
             if _obsreg.ENABLED:
                 bundle = _instruments.tuning()
-                bundle.decisions.labels(kind="buffer-resize").inc()
-                bundle.buffer_capacity.labels(shard=label).set(new)
-            moves.append({"shard": int(label), **detail})
-        return moves
-
-    # ---------------------------------------------------------------- queue
-
-    def _tune_queue(self) -> Optional[dict]:
-        """Grow the admission queue on rejections; shrink it back toward
-        the configured floor after a sustained quiet period."""
-        engine = self.engine
-        rejected = engine.rejected
-        delta = rejected - self._rejected_last
-        self._rejected_last = rejected
-        lo, hi = self.queue_bounds
-        current = engine._queue.maxsize
-        new = None
-        if delta > 0:
-            self._idle_queue_ticks = 0
-            if current < hi:
-                new = min(hi, current * 2)
-        elif engine.queue_depth == 0:
-            self._idle_queue_ticks += 1
-            if self._idle_queue_ticks >= 8 and current > lo:
-                new = max(lo, current // 2)
-                self._idle_queue_ticks = 0
-        else:
-            self._idle_queue_ticks = 0
-        if new is None or new == current:
-            return None
-        engine.resize_queue(new)
-        self.queue_resizes += 1
-        detail = {"from": current, "to": new, "rejected_delta": delta}
-        self.journal.record("queue-resize", detail=detail)
-        if _obsreg.ENABLED:
-            bundle = _instruments.tuning()
-            bundle.decisions.labels(kind="queue-resize").inc()
-            bundle.queue_limit.set(new)
-        return detail
-
-    # ------------------------------------------------------------ rebalance
-
-    def _maybe_rebalance(self, now: float) -> Optional[dict]:
-        """Split the hot shard when skew crosses the payoff threshold.
-
-        EDC's data term is linear in per-shard population (eq. 3:
-        n · Pr(φ(o) ∈ RR)), so the hot shard's excess over the average is
-        a direct estimate of the per-visit compdists a split would halve;
-        the journal carries that estimate so the decision is auditable.
-        """
-        shards = getattr(self.index, "shards", None)
-        if shards is None or len(shards) < 2:
-            return None
-        counts = {s.shard_id: s.tree.object_count for s in shards}
-        total = sum(counts.values())
-        if total == 0:
-            return None
-        average = total / len(shards)
-        hot_id = max(counts, key=lambda sid: counts[sid])
-        hot = counts[hot_id]
-        if hot < 2 or hot < self.rebalance_payoff * average:
-            return None
-        if (
-            self._last_rebalance is not None
-            and now - self._last_rebalance < self.rebalance_cooldown
-        ):
-            return None
-        if (
-            self.advisor.decisions - self._queries_at_rebalance
-            < self.min_rebalance_queries
-        ):
-            return None
-        request_id = new_trace_id()
-        detail = {
-            "shard": hot_id,
-            "count": hot,
-            "average": round(average, 1),
-            "skew": round(hot / average, 2),
-            # Fraction of the cluster's linear EDC term a split removes.
-            "est_edc_saving_frac": round(hot / (2.0 * total), 3),
-            "edc_scale": round(self.calibrator.edc_scale, 4),
-        }
-        self.journal.record("rebalance", detail=detail, request_id=request_id)
-        self._last_rebalance = now
-        self._queries_at_rebalance = self.advisor.decisions
-        try:
-            result = self.index.rebalance(split=hot_id)
-        except Exception as exc:
-            self.journal.record(
-                "rebalance-failed", detail=repr(exc), request_id=request_id
-            )
-            return None
-        self.rebalances += 1
-        self.calibrator.refresh()
-        self._buffer_last = {}
-        self.journal.record(
-            "rebalanced", detail=result, request_id=request_id
-        )
-        if _obsreg.ENABLED:
-            _instruments.tuning().decisions.labels(kind="rebalance").inc()
-        return result
+                bundle.calibrations.inc()
+                bundle.prediction_error.labels(model="edc").set(
+                    fit["error_edc"]
+                )
+                if fit["error_epa"] is not None:
+                    bundle.prediction_error.labels(model="epa").set(
+                        fit["error_epa"]
+                    )
+        pivots = None
+        if self.pivot_check_every and self.ticks % self.pivot_check_every == 0:
+            pivots = self._check_pivots()
+        return {"calibrated": fit, "pivots": pivots}
 
     # --------------------------------------------------------------- pivots
 
@@ -390,14 +183,12 @@ class Tuner:
                 detail={"kind": "pivot-rebuild", **detail},
                 request_id=request_id,
             )
-        if self.auto_pivot_rebuild and not self._replicated():
+        replicated = getattr(self.index, "_sets", None)
+        if self.auto_pivot_rebuild and not replicated:
             rebuilt = self.rebuild_pivots(request_id=request_id)
             if rebuilt is not None:
                 detail = {**detail, "rebuilt": rebuilt}
         return detail
-
-    def _replicated(self) -> bool:
-        return bool(getattr(self.index, "_sets", None))
 
     def rebuild_pivots(self, request_id: Optional[str] = None) -> Optional[dict]:
         """Re-select pivots (HFI) and rebuild the cluster onto them.
@@ -425,7 +216,7 @@ class Tuner:
                 sample, len(index.space.pivots), metric, method="hfi"
             )
             proposed = pivot_set_precision(candidate, pairs, metric)
-            if proposed < current * (1.0 + self.pivot_min_gain):
+            if proposed < current * (1.0 + _MIN_REBUILD_GAIN):
                 self.journal.record(
                     "pivot-rebuild-skipped",
                     detail={
@@ -451,7 +242,6 @@ class Tuner:
             self.pivot_rebuilds += 1
             self.pivot_rebuild_due = False
             self._pivot_baseline = None
-            self._buffer_last = {}
             self.calibrator.refresh()
             detail = {
                 **result,
@@ -472,57 +262,19 @@ class Tuner:
                 ).inc()
             return detail
 
-    # ------------------------------------------------------------ lifecycle
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop_evt = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-tuner", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop_evt.wait(self.tick_interval):
-            try:
-                self.tick()
-            except Exception as exc:  # keep the loop alive, journalled
-                try:
-                    self.journal.record("tick-error", detail=repr(exc))
-                except Exception:
-                    pass
-
-    def stop(self) -> None:
-        self._stop_evt.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
+    # -------------------------------------------------------------- surface
 
     def close(self) -> None:
         self.stop()
         self.advisor.flush_journal()
         if self.engine is not None and self.engine.advisor is self.advisor:
             self.engine.advisor = None
-        if getattr(self.index, "tuner", None) is self:
-            self.index.tuner = None
-        self.journal.close()
-
-    def __enter__(self) -> "Tuner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -------------------------------------------------------------- surface
-
-    def events(self, n: int = 20) -> list:
-        return self.journal.tail(n)
+        super().close()
 
     def status(self) -> dict:
         with self._lock:
             return {
-                "running": self._thread is not None,
+                "running": self.running,
                 "ticks": self.ticks,
                 "tick_interval": self.tick_interval,
                 "policy": self.advisor.policy(),
@@ -532,16 +284,7 @@ class Tuner:
                     "explorations": self.advisor.explorations,
                 },
                 "calibration": self.calibrator.calibration(),
-                "buffer_resizes": self.buffer_resizes,
-                "queue_resizes": self.queue_resizes,
-                "rebalances": self.rebalances,
                 "pivot_checks": self.pivot_checks,
                 "pivot_rebuilds": self.pivot_rebuilds,
                 "pivot_rebuild_due": self.pivot_rebuild_due,
-                "buffer_bounds": list(self.buffer_bounds),
-                "queue_bounds": (
-                    list(self.queue_bounds)
-                    if self.queue_bounds is not None
-                    else None
-                ),
             }

@@ -200,3 +200,45 @@ class TestCliIncrementalWrites:
         result = run_cli("log-stats", "--dir", d)
         assert result.returncode == 0, result.stderr
         assert "no write-ahead log" in result.stdout
+
+
+@pytest.mark.slow
+class TestCliTuning:
+    """The two tuner surfaces: ``tune`` over a saved cluster (and what
+    ``shard-status`` then shows), and ``serve --autotune``."""
+
+    def test_tune_then_shard_status(self, tmp_path):
+        d = str(tmp_path / "cluster")
+        assert run_cli(
+            "shard-build", "--dataset", "words", "--size", "300",
+            "--shards", "2", "--out", d,
+        ).returncode == 0
+        result = run_cli("tune", "--dir", d, "--queries", "16", "--events", "3")
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert any(line.startswith("policy    : k<=8 -> ") for line in lines)
+        assert any(line.startswith("calibrated: edc_scale ") for line in lines)
+        assert len([line for line in lines if line.startswith("  [")]) == 3
+
+        status = run_cli("shard-status", "--dir", d, "--events", "0")
+        assert status.returncode == 0, status.stderr
+        assert "tuning policy: k<=8 -> " in status.stdout
+        # --events 0 means no event tail, not the whole journal.
+        assert "tuning events" not in status.stdout
+        assert "  [" not in status.stdout
+
+    def test_serve_autotune(self):
+        result = run_cli(
+            "serve", "--dataset", "words", "--size", "300", "--shards", "2",
+            "--autotune", "--tune-interval", "0.1", "--num-queries", "40",
+        )
+        assert result.returncode == 0, result.stderr
+        assert "served 40 operations" in result.stdout
+        assert "failures  : 0" in result.stdout
+        tuner = [
+            line for line in result.stdout.splitlines()
+            if line.startswith("tuner     :")
+        ]
+        assert len(tuner) == 1
+        assert "advised" in tuner[0] and "pivot rebuilds" in tuner[0]
+        assert "buffer" not in tuner[0] and "rebalance" not in tuner[0]

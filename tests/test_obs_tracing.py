@@ -21,6 +21,7 @@ import pytest
 
 from repro import obs
 from repro.cluster import ShardedIndex
+from repro.control import JOURNAL_VERSION, EventJournal, read_journal
 from repro.core.spbtree import SPBTree
 from repro.distance import EditDistance, EuclideanDistance
 from repro.net import (
@@ -39,11 +40,6 @@ from repro.replication import ReplicatedIndex, replicate
 from repro.service import QueryContext, QueryEngine
 from repro.storage.faults import TransientIOError
 from repro.supervisor import Supervisor
-from repro.supervisor.events import (
-    JOURNAL_VERSION,
-    EventJournal,
-    read_journal,
-)
 
 
 class FakeClock:

@@ -190,54 +190,3 @@ class TestSerializers:
         assert isinstance(serializer_for(np.zeros(3)), VectorSerializer)
         assert isinstance(serializer_for([1.0, 2.0]), VectorSerializer)
         assert isinstance(serializer_for({"any": 1}), PickleSerializer)
-
-
-class TestBufferPoolResize:
-    def _pool(self, capacity):
-        pf = PageFile(page_size=64)
-        pool = BufferPool(pf, capacity=capacity)
-        pids = [pf.allocate() for _ in range(6)]
-        for pid in pids:
-            pf.write_page(pid, bytes([pid]))
-        return pf, pool, pids
-
-    def test_shrink_evicts_lru_down_to_bound(self):
-        pf, pool, pids = self._pool(6)
-        for pid in pids:
-            pool.read_page(pid)
-        pool.resize(2)
-        assert pool.capacity == 2
-        assert len(pool._cache) == 2
-        before = pf.counter.reads
-        # The two most-recently-used pages survived the shrink…
-        pool.read_page(pids[-1])
-        pool.read_page(pids[-2])
-        assert pf.counter.reads == before
-        # …and the least-recently-used ones did not.
-        pool.read_page(pids[0])
-        assert pf.counter.reads == before + 1
-
-    def test_grow_stops_evicting(self):
-        pf, pool, pids = self._pool(2)
-        pool.resize(6)
-        for pid in pids:
-            pool.read_page(pid)
-        before = pf.counter.reads
-        for pid in pids:
-            pool.read_page(pid)
-        assert pf.counter.reads == before  # all six now fit
-
-    def test_resize_to_zero_disables_caching(self):
-        pf, pool, pids = self._pool(4)
-        pool.read_page(pids[0])
-        pool.resize(0)
-        assert len(pool._cache) == 0
-        before = pf.counter.reads
-        pool.read_page(pids[0])
-        pool.read_page(pids[0])
-        assert pf.counter.reads == before + 2
-
-    def test_resize_rejects_negative(self):
-        _, pool, _ = self._pool(4)
-        with pytest.raises(ValueError):
-            pool.resize(-1)

@@ -7,7 +7,8 @@ suppressing a promotion storm on a flapping shard, single-flight
 promotion, and the zombie ex-primary re-admitted with a byte-identical
 WAL prefix.  The thread-safety of :class:`Monitor` (beats from worker
 threads racing ``check`` from the supervisor thread) gets its own
-hammer, and the event journal its torn-tail round-trip.
+hammer.  The loop lifecycle and the event journal are shared with the
+tuner and pinned once, in ``tests/test_control_loop.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.obs import instruments
 from repro.replication import ReplicatedIndex, replicate
 from repro.replication.monitor import Monitor
 from repro.service import QueryEngine
-from repro.supervisor import EventJournal, Supervisor, read_journal
+from repro.supervisor import Supervisor
 
 
 class FakeClock:
@@ -382,43 +383,6 @@ class TestMonitorThreadSafety:
         assert mon.healthy(0, 2)  # the last flip was mark_up
 
 
-class TestEventJournal:
-    def test_file_round_trip_and_tail(self, tmp_path):
-        clock = FakeClock(100.0)
-        path = str(tmp_path / "events.jsonl")
-        journal = EventJournal(path=path, limit=3, clock=clock)
-        for i in range(5):
-            clock.now += 1.0
-            journal.record("tick", shard=i, detail={"n": i})
-        journal.close()
-        # The deque is bounded; the file holds everything.
-        assert len(journal) == 3
-        assert [e["shard"] for e in journal.tail(2)] == [3, 4]
-        events = read_journal(path)
-        assert len(events) == 5
-        assert events[0]["ts"] == pytest.approx(101.0)
-        assert events[-1]["detail"] == {"n": 4}
-        assert read_journal(path, limit=2) == events[-2:]
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        journal = EventJournal(path=path, clock=FakeClock())
-        journal.record("a")
-        journal.record("b")
-        journal.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"event": "torn", "ts"')  # crash mid-append
-        events = read_journal(path)
-        assert [e["event"] for e in events] == ["a", "b"]
-        assert read_journal(str(tmp_path / "missing.jsonl")) == []
-
-    def test_memory_only_journal(self):
-        journal = EventJournal(clock=FakeClock())
-        journal.record("x", replica=7)
-        assert journal.tail()[0]["replica"] == 7
-        journal.close()
-
-
 class TestSurfaces:
     def test_status_and_health_summary_shapes(
         self, tmp_path, small_words, edit
@@ -464,27 +428,5 @@ class TestSurfaces:
         finally:
             handle.stop(2.0)
             engine.stop()
-            sup.close()
-            idx.close()
-
-    def test_background_thread_lifecycle(self, tmp_path, small_words, edit):
-        import time as _time
-
-        clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None, tick_interval=0.01)
-        try:
-            sup.start()
-            assert sup.running
-            sup.start()  # idempotent
-            deadline = _time.monotonic() + 10.0
-            while sup.ticks == 0 and _time.monotonic() < deadline:
-                _time.sleep(0.01)
-            assert sup.ticks >= 1
-            sup.stop()
-            assert not sup.running
-            events = [e["event"] for e in sup.events(50)]
-            assert "started" in events and "stopped" in events
-        finally:
             sup.close()
             idx.close()

@@ -5,8 +5,8 @@ Covers the three layers separately and together:
 * :class:`TraversalAdvisor` — deterministic coverage, convergence to the
   cheapest arm, the exploration floor, and seed-replay determinism;
 * :class:`Tuner` — journal contract (versioned JSONL, torn-tail-tolerant),
-  buffer/queue adaptation within bounds, skew-triggered rebalance with
-  request-id correlation, pivot-drift scheduling and rebuild;
+  pivot-drift scheduling and rebuild (its lifecycle is the shared loop
+  contract's, ``tests/test_control_loop.py``);
 * the :class:`~repro.service.QueryEngine` hook — advised queries return
   the same answers, and the *untuned* path stays bit-identical (per-query
   compdists/page-accesses) to calling the index directly.
@@ -15,18 +15,16 @@ Covers the three layers separately and together:
 from __future__ import annotations
 
 import json
-import threading
-import time
 import types
 
 import pytest
 
 from repro.cluster import ShardedIndex
+from repro.control import EventJournal, read_journal
 from repro.core.pivots import select_pivots
 from repro.core.spbtree import SPBTree
 from repro.service import QueryEngine
-from repro.service.context import Overloaded, QueryContext
-from repro.supervisor.events import EventJournal, read_journal
+from repro.service.context import QueryContext
 from repro.tuning import TUNING_JOURNAL, OnlineCalibrator, TraversalAdvisor, Tuner
 
 
@@ -55,31 +53,6 @@ def _drive(advisor, n, k=4):
         advisor.observe(choice, _COSTS[choice.traversal], 0, 0.001)
         choices.append((choice.traversal, choice.explored))
     return choices
-
-
-class _FakePool:
-    """Mirror of BufferPool's tuning-relevant surface."""
-
-    def __init__(self, capacity, occupancy=0):
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._cache = {i: b"" for i in range(occupancy)}
-
-    def resize(self, capacity):
-        self.capacity = capacity
-        while len(self._cache) > capacity:
-            self._cache.pop(next(iter(self._cache)))
-
-
-def _fake_index(pools):
-    """An index whose shards wrap the given pools (ids 0, 1, ...)."""
-    shards = []
-    for i, pool in enumerate(pools):
-        raf = types.SimpleNamespace(buffer_pool=pool)
-        tree = types.SimpleNamespace(raf=raf, object_count=0)
-        shards.append(types.SimpleNamespace(shard_id=i, tree=tree))
-    return types.SimpleNamespace(shards=shards)
 
 
 # --------------------------------------------------------------------------
@@ -172,109 +145,6 @@ class TestAdvisorBandit:
         assert arms["greedy"]["cost"] == pytest.approx(40, abs=1)
 
 
-class TestBufferAdaptation:
-    def test_miss_heavy_full_pool_doubles(self):
-        pool = _FakePool(capacity=4, occupancy=4)
-        tuner = Tuner(
-            _fake_index([pool]), buffer_bounds=(4, 32), pivot_check_every=0
-        )
-        tuner.tick()  # baseline deltas
-        pool.misses += 20
-        actions = tuner.tick()
-        assert pool.capacity == 8
-        assert actions["buffers"][0]["to"] == 8
-        assert tuner.buffer_resizes == 1
-        events = [e for e in tuner.events() if e["event"] == "buffer-resize"]
-        assert events and events[-1]["detail"]["from"] == 4
-        tuner.close()
-
-    def test_half_empty_pool_halves_but_not_below_floor(self):
-        pool = _FakePool(capacity=16, occupancy=2)
-        tuner = Tuner(
-            _fake_index([pool]), buffer_bounds=(8, 32), pivot_check_every=0
-        )
-        tuner.tick()
-        pool.hits += 20
-        tuner.tick()
-        assert pool.capacity == 8
-        pool.hits += 20
-        tuner.tick()
-        assert pool.capacity == 8  # clamped at the operator floor
-        tuner.close()
-
-    def test_grow_respects_ceiling(self):
-        pool = _FakePool(capacity=32, occupancy=32)
-        tuner = Tuner(
-            _fake_index([pool]), buffer_bounds=(4, 32), pivot_check_every=0
-        )
-        tuner.tick()
-        pool.misses += 50
-        tuner.tick()
-        assert pool.capacity == 32
-        assert tuner.buffer_resizes == 0
-        tuner.close()
-
-    def test_too_few_samples_is_a_no_op(self):
-        pool = _FakePool(capacity=4, occupancy=4)
-        tuner = Tuner(
-            _fake_index([pool]),
-            buffer_bounds=(4, 32),
-            min_buffer_samples=16,
-            pivot_check_every=0,
-        )
-        tuner.tick()
-        pool.misses += 5  # below the sample floor
-        tuner.tick()
-        assert pool.capacity == 4
-        tuner.close()
-
-
-class TestQueueAdaptation:
-    def test_rejections_grow_queue_then_idle_shrinks_it(self):
-        gate = threading.Event()
-        # A stub tree whose range query blocks its worker on the gate.
-        blocker = types.SimpleNamespace(
-            range_query=lambda q, r, context=None: gate.wait(30)
-        )
-        engine = QueryEngine(blocker, workers=1, max_queue=1).start()
-        try:
-            tuner = Tuner(
-                types.SimpleNamespace(),
-                engine=engine,
-                queue_bounds=(1, 8),
-                pivot_check_every=0,
-            )
-            held = [engine.submit("range", "q", 1)]
-            deadline = time.monotonic() + 5
-            # Wait for the worker to take the blocker off the queue.
-            while engine.queue_depth > 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            held.append(engine.submit("range", "q", 1))
-            with pytest.raises(Overloaded):
-                engine.submit("range", "q", 1)
-            tuner.tick()
-            assert engine._queue.maxsize == 2
-            assert tuner.queue_resizes == 1
-            events = [
-                e for e in tuner.events() if e["event"] == "queue-resize"
-            ]
-            assert events[-1]["detail"] == {
-                "from": 1,
-                "to": 2,
-                "rejected_delta": 1,
-            }
-            gate.set()
-            for pending in held:
-                pending.result(timeout=10)
-            # Sustained idle ticks walk the bound back to the floor.
-            for _ in range(8):
-                tuner.tick()
-            assert engine._queue.maxsize == 1
-            tuner.close()
-        finally:
-            engine.stop()
-
-
 class TestJournalContract:
     def test_advised_queries_journal_versioned_events(
         self, tuned_cluster, small_words, tmp_path
@@ -305,50 +175,6 @@ class TestJournalContract:
         recovered = read_journal(path)
         assert len(recovered) == len(lines)
         assert all(e["v"] == 1 for e in recovered)
-
-
-class TestSkewRebalance:
-    def test_hot_shard_split_with_request_id(self, small_words, edit):
-        cluster = ShardedIndex.build(
-            small_words, edit, shards=3, num_pivots=3, seed=1
-        )
-        tuner = Tuner(
-            cluster,
-            rebalance_payoff=1.4,
-            rebalance_cooldown=0.0,
-            min_rebalance_queries=0,
-            pivot_check_every=0,
-        )
-        hot = max(cluster.shards, key=lambda s: s.tree.object_count)
-        for suffix in ("x", "y", "z", "xx"):
-            for w in small_words:
-                key = cluster.curve.encode(cluster.space.grid(w + suffix))
-                if hot.key_lo <= key < hot.key_hi:
-                    cluster.insert(w + suffix)
-            average = cluster.object_count / cluster.num_shards
-            if hot.tree.object_count >= 1.5 * average:
-                break
-        assert hot.tree.object_count >= 1.4 * (
-            cluster.object_count / cluster.num_shards
-        ), "could not manufacture skew; adjust the workload"
-        before = cluster.num_shards
-        actions = tuner.tick()
-        assert actions["rebalance"] is not None
-        assert actions["rebalance"]["action"] == "split"
-        assert cluster.num_shards == before + 1
-        assert cluster.verify().ok
-        assert tuner.rebalances == 1
-        events = {e["event"]: e for e in tuner.events(20)}
-        assert "rebalance" in events and "rebalanced" in events
-        rid = events["rebalance"]["request_id"]
-        assert rid and events["rebalanced"]["request_id"] == rid
-        detail = events["rebalance"]["detail"]
-        assert detail["skew"] >= 1.4
-        assert 0 < detail["est_edc_saving_frac"] < 1
-        # Cooldown: an immediate second tick must not rebalance again.
-        tuner.rebalance_cooldown = 60.0
-        assert tuner.tick()["rebalance"] is None
-        tuner.close()
 
 
 class TestPivotMaintenance:
@@ -501,55 +327,10 @@ class TestEngineHook:
         assert status["calibration"]["calibrations"] == 1
         assert status["policy"]  # every arm visited at least once
         assert status["ticks"] == 1
-        assert status["buffer_bounds"] == [8, 256]
         tuner.close()
 
 
 class TestLifecycle:
-    def test_background_loop_ticks_and_stops(self, tuned_cluster):
-        tuner = Tuner(
-            tuned_cluster, tick_interval=0.02, pivot_check_every=0
-        )
-        tuner.start()
-        deadline = time.monotonic() + 5
-        while tuner.ticks < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert tuner.ticks >= 3
-        assert tuner.status()["running"]
-        tuner.stop()
-        assert not tuner.status()["running"]
-        ticked = tuner.ticks
-        time.sleep(0.06)
-        assert tuner.ticks == ticked
-        tuner.close()
-
-    def test_tick_errors_are_journalled_not_fatal(self, tuned_cluster):
-        tuner = Tuner(
-            tuned_cluster, tick_interval=0.01, pivot_check_every=0
-        )
-        boom = RuntimeError("boom")
-        calls = {"n": 0}
-        real_tick = tuner.tick
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise boom
-            return real_tick()
-
-        tuner.tick = flaky
-        tuner.start()
-        deadline = time.monotonic() + 5
-        while calls["n"] < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        tuner.stop()
-        assert calls["n"] >= 3  # the loop survived the failing tick
-        errors = [
-            e for e in tuner.events(50) if e["event"] == "tick-error"
-        ]
-        assert errors and "boom" in errors[0]["detail"]
-        tuner.close()
-
     def test_calibrator_window_and_refresh(self, tuned_cluster, small_words):
         calibrator = OnlineCalibrator(tuned_cluster, window=4)
         predicted = calibrator.predict_knn(small_words[0], 4)
