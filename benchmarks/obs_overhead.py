@@ -40,12 +40,12 @@ from repro import obs
 from repro.cluster import ShardedIndex
 from repro.datasets import generate_words
 from repro.distance import EditDistance
-from repro.net.bench import append_series
 from repro.obs.flight import FlightRecorder
 from repro.obs.ids import new_trace_id
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import QueryTrace
 from repro.service.context import QueryContext
+from series import append_series  # benchmarks/series.py
 
 
 def run_pass(directory, metric, queries, radius, instrumented, tmp):

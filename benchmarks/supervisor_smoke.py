@@ -33,10 +33,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.cluster import ShardedIndex
 from repro.datasets import generate_words
 from repro.distance import EditDistance
-from repro.net.bench import append_series
 from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
 from repro.service.context import QueryContext
 from repro.supervisor import Supervisor
+from series import append_series  # benchmarks/series.py
 
 
 def run(args: argparse.Namespace) -> int:

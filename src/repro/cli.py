@@ -22,6 +22,9 @@ index directory; ``verify`` audits a saved index for corruption (exit code
 1 when damage is found); ``salvage`` rebuilds a consistent index from
 whatever records survive in a damaged directory.
 
+Every subcommand answers bad input with exit code 1 and one
+``<subcommand>: <message>`` line on stderr, never a traceback.
+
 Incremental writes: ``insert``/``delete`` open a saved index with its
 write-ahead log and apply one durable mutation; ``log-stats`` inspects the
 log without loading the index; ``checkpoint`` folds the log into a fresh
@@ -95,13 +98,11 @@ Network: ``serve --listen HOST:PORT`` exposes the engine over the
 length-prefixed JSON wire protocol until SIGTERM/SIGINT (graceful drain,
 bounded by ``--drain-deadline``) or ``--duration`` elapses; ``net-query``
 runs one query against such a server with client-side deadline and retry
-handling; ``bench-load`` drives N client threads at a target QPS — against
-a running server (``--connect``) or a self-served replicated 2-shard
-cluster — and appends latency percentiles to ``results/BENCH_net.json``.
+handling.  (Load-testing the front end is the benchmark's job:
+``python3 bench/run.py --workload cluster-net``.)
 
     python -m repro.cli serve      --dataset words --listen 127.0.0.1:7207
     python -m repro.cli net-query  --connect 127.0.0.1:7207 --query defoliate
-    python -m repro.cli bench-load --clients 4 --qps 50 --duration 10
 """
 
 from __future__ import annotations
@@ -112,10 +113,12 @@ import json
 import os
 import random
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 import time
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro import obs
 
@@ -143,37 +146,204 @@ from repro.distance import (
 )
 from repro.recovery import salvage_tree
 from repro.service import BudgetExceeded, Overloaded, QueryContext, QueryEngine
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import OP_INSERT, WAL_FILE, WriteAheadLog, scan_wal
 from repro.supervisor import SUPERVISOR_JOURNAL, Supervisor, read_journal
 from repro.tuning import TUNING_JOURNAL, Tuner
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset", choices=sorted(DATASETS), default="words"
-    )
-    parser.add_argument("--size", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--pivots", type=int, default=5)
+class CommandFailed(Exception):
+    """A subcommand's own verdict — damage found, nothing to show — which
+    :func:`main` reports the way it reports bad input."""
 
 
-def _build(args: argparse.Namespace):
+def _build(args: argparse.Namespace, shards: int = 0):
+    """Load ``--dataset`` and build over it, timed: one SPB-tree, or an
+    in-memory cluster of ``shards`` of them (serve --shards, shard-build)."""
     dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
+    build = dict(num_pivots=args.pivots, d_plus=dataset.d_plus, seed=7)
     t0 = time.perf_counter()
-    tree = SPBTree.build(
-        dataset.objects,
-        dataset.metric,
-        num_pivots=args.pivots,
-        d_plus=dataset.d_plus,
-        seed=7,
-    )
+    if shards > 0:
+        index = ShardedIndex.build(
+            dataset.objects, dataset.metric, shards=shards,
+            checksums=getattr(args, "checksums", False), **build,
+        )
+        what = f"{index.num_shards}-shard SPB-tree cluster"
+    else:
+        index = SPBTree.build(dataset.objects, dataset.metric, **build)
+        what = "SPB-tree"
     elapsed = time.perf_counter() - t0
     print(
-        f"built SPB-tree over {len(tree):,} {args.dataset} objects in "
-        f"{elapsed:.2f}s ({tree.size_in_bytes / 1024:.0f} KB, "
-        f"{tree.distance_computations:,} compdists)"
+        f"built {what} over {len(index):,} {args.dataset} objects in "
+        f"{elapsed:.2f}s ({index.size_in_bytes / 1024:.0f} KB, "
+        f"{index.distance_computations:,} compdists)"
     )
-    return dataset, tree
+    return dataset, index
+
+
+def _metric_from_name(name: str) -> Metric:
+    """Reconstruct a metric from its stored fingerprint name."""
+    fixed = {
+        "edit": EditDistance,
+        "hamming": HammingDistance,
+        "jaccard": JaccardDistance,
+        "trigram-angular": TriGramAngularDistance,
+        "Linf": ChebyshevDistance,
+    }
+    if name in fixed:
+        return fixed[name]()
+    if name.startswith("L"):
+        try:
+            return MinkowskiDistance(float(name[1:]))
+        except ValueError:
+            pass
+    raise ValueError(
+        f"cannot reconstruct metric {name!r} from its name; "
+        f"use the library API (repro.load_tree / repro.recovery.salvage_tree) "
+        f"with the metric object instead"
+    )
+
+
+def _catalog_field(directory: str, key: str):
+    """A field from the directory's catalog — single-tree or cluster."""
+    for name in ("spbtree.json", "cluster.json"):
+        try:
+            with open(os.path.join(directory, name)) as fh:
+                return json.load(fh).get(key)
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+def _directory_metric(args: argparse.Namespace) -> Metric:
+    """The metric for a saved index: --metric wins, else the catalog's name."""
+    if args.metric is not None:
+        return _metric_from_name(args.metric)
+    name = _catalog_field(args.dir, "metric_name")
+    if name is None:
+        raise ValueError(
+            f"cannot read the metric name from a catalog in "
+            f"{args.dir}; pass --metric explicitly"
+        )
+    return _metric_from_name(name)
+
+
+def _parse_object(serializer: Optional[str], value: str):
+    """A command-line object literal, per the index's serializer name."""
+    if serializer in (None, "string"):
+        return value
+    if serializer in ("vector-f64", "vector-u8"):
+        cast = float if serializer == "vector-f64" else int
+        try:
+            return tuple(cast(part) for part in value.split(","))
+        except ValueError:
+            raise ValueError(
+                f"cannot parse {value!r} as a {serializer} vector "
+                f"(expected comma-separated numbers)"
+            ) from None
+    if serializer == "bytes":
+        return value.encode("utf-8")
+    raise ValueError(
+        f"objects stored with serializer {serializer!r} cannot be expressed "
+        f"on the command line; use the library API (repro.open_tree)"
+    )
+
+
+def _query_object(
+    args: argparse.Namespace, serializer: Optional[str], fallback: Iterable
+):
+    """The object a one-query command asks about: ``--query`` parsed by the
+    index's serializer, else the first of ``fallback`` (the dataset's
+    queries, the cluster's objects)."""
+    if args.query is not None:
+        return _parse_object(serializer, args.query)
+    for obj in fallback:
+        return obj
+    raise ValueError("the index holds no object to query by; pass --query")
+
+
+def _radius(percent: float, d_plus: float, metric: Metric) -> float:
+    """``percent`` of d+ as a radius; a discrete metric takes whole steps."""
+    radius = d_plus * percent / 100.0
+    if metric.is_discrete:
+        radius = max(1.0, round(radius))
+    return radius
+
+
+def _query_radius(args: argparse.Namespace, d_plus: float, metric: Metric) -> float:
+    """``--radius`` wins, else ``--radius-percent`` of d+."""
+    if args.radius is not None:
+        return args.radius
+    return _radius(args.radius_percent, d_plus, metric)
+
+
+def _run_query(target, mode: str, query, k: int, radius: float, **kw):
+    """One query in ``mode`` against anything that answers the three calls —
+    an ``SPBTree``, a ``ShardedIndex``, a ``NetClient``; ``kw`` is whatever
+    that target's calls take (``context=``, ``traversal=``, wire limits)."""
+    if mode == "range":
+        return target.range_query(query, radius, **kw)
+    if mode == "knn":
+        return target.knn_query(query, k, **kw)
+    return target.range_count(query, radius, **kw)
+
+
+def _print_answer(mode: str, result, k: int, radius: float, note: str = "") -> None:
+    """The headline of one answer (plus ``note``), then what it holds."""
+    if mode == "knn":
+        print(f"kNN(q, {k}) -> {len(result)} neighbours{note}")
+        for dist, obj in result:
+            print(f"  d={dist:.4g}  {obj!r}"[:100])
+    elif mode == "range":
+        print(f"RQ(q, O, {radius:g}) -> {len(result)} results{note}")
+        for obj in result[:10]:
+            print(f"  {obj!r}"[:100])
+        if len(result) > 10:
+            print(f"  ... and {len(result) - 10} more")
+    else:
+        print(f"|RQ(q, O, {radius:g})| >= {result.count}{note}")
+
+
+def _state(complete: bool, reason) -> str:
+    return "complete" if complete else f"PARTIAL — {reason}"
+
+
+def _limits(args: argparse.Namespace) -> dict:
+    return {
+        "deadline_ms": args.deadline_ms,
+        "max_compdists": args.max_compdists,
+        "max_page_accesses": args.max_pa,
+    }
+
+
+def _print_hit_rate(prog: str, tree, engine: QueryEngine) -> None:
+    """The one-line buffer-pool summary serve/metrics end with on stderr;
+    the engine's admission-rejection tally rides along, so backpressure
+    shows up in the same line operators already scrape."""
+    if isinstance(tree, ShardedIndex):
+        pools = [
+            s.tree.raf.buffer_pool
+            for s in tree.shards
+            if s.tree.raf is not None
+        ]
+    else:
+        pools = [tree.raf.buffer_pool] if tree.raf is not None else []
+    hits = sum(p.hits for p in pools)
+    misses = sum(p.misses for p in pools)
+    total = hits + misses
+    rate = 100.0 * hits / total if total else 0.0
+    print(
+        f"{prog}: buffer hit-rate {rate:.1f}% "
+        f"({hits} hits / {misses} misses), {engine.rejected} rejected",
+        file=sys.stderr,
+    )
+
+
+def _parse_hostport(value: str) -> tuple[str, int]:
+    host, sep, port = value.rpartition(":")
+    if not sep or not port.isdigit():
+        raise ValueError(f"--listen/--connect needs HOST:PORT, got {value!r}")
+    return (host or "127.0.0.1", int(port))
+
 
 
 def cmd_info(args: argparse.Namespace) -> None:
@@ -195,63 +365,50 @@ def cmd_info(args: argparse.Namespace) -> None:
     print(f"precision({args.pivots} pivots): {precision:.3f}")
 
 
-def cmd_range(args: argparse.Namespace) -> None:
-    dataset, tree = _build(args)
-    query = args.query if args.query is not None else dataset.queries[0]
-    radius = args.radius
-    if radius is None:
-        radius = dataset.d_plus * args.radius_percent / 100.0
-        if dataset.metric.is_discrete:
-            radius = max(1.0, round(radius))
-    model = CostModel(tree)
-    estimate = model.estimate_range(query, radius)
+def _measured_query(tree, mode: str, query, k, radius, note="", **kw) -> None:
+    """One unbudgeted query on a cold tree, answered with its wall time and
+    its actual compdists / PA (``range`` and ``knn`` add the estimate)."""
     tree.reset_counters()
     tree.flush_cache()
     t0 = time.perf_counter()
-    results = tree.range_query(query, radius)
+    results = _run_query(tree, mode, query, k, radius, **kw)
     elapsed = time.perf_counter() - t0
-    print(f"\nRQ(q, O, {radius:g}) -> {len(results)} results in {elapsed * 1000:.1f} ms")
+    print()
+    _print_answer(mode, results, k, radius, f" in {elapsed * 1000:.1f} ms{note}")
     print(
         f"actual    : {tree.distance_computations} compdists, "
         f"{tree.page_accesses} page accesses"
     )
+
+
+def cmd_range(args: argparse.Namespace) -> None:
+    dataset, tree = _build(args)
+    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
+    radius = _query_radius(args, dataset.d_plus, dataset.metric)
+    estimate = CostModel(tree).estimate_range(query, radius)
+    _measured_query(tree, "range", query, None, radius)
     print(f"estimated : {estimate.edc:.0f} compdists, {estimate.epa:.0f} page accesses")
-    for obj in results[:10]:
-        print(f"  {obj!r}"[:100])
-    if len(results) > 10:
-        print(f"  ... and {len(results) - 10} more")
 
 
 def cmd_knn(args: argparse.Namespace) -> None:
     dataset, tree = _build(args)
-    query = args.query if args.query is not None else dataset.queries[0]
-    model = CostModel(tree)
-    estimate = model.estimate_knn(query, args.k)
-    tree.reset_counters()
-    tree.flush_cache()
-    t0 = time.perf_counter()
-    results = tree.knn_query(query, args.k, traversal=args.traversal)
-    elapsed = time.perf_counter() - t0
-    print(f"\nkNN(q, {args.k}) in {elapsed * 1000:.1f} ms ({args.traversal}):")
-    print(
-        f"actual    : {tree.distance_computations} compdists, "
-        f"{tree.page_accesses} page accesses"
+    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
+    estimate = CostModel(tree).estimate_knn(query, args.k)
+    _measured_query(
+        tree, "knn", query, args.k, None, f" ({args.traversal})",
+        traversal=args.traversal,
     )
     print(
         f"estimated : {estimate.edc:.0f} compdists, "
         f"{estimate.epa:.0f} page accesses (eND_k={estimate.radius:.4g})"
     )
-    for dist, obj in results:
-        print(f"  d={dist:.4g}  {obj!r}"[:100])
 
 
 def cmd_join(args: argparse.Namespace) -> None:
     dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
     half = len(dataset.objects) // 2
     set_q, set_o = dataset.objects[:half], dataset.objects[half:]
-    epsilon = dataset.d_plus * args.epsilon_percent / 100.0
-    if dataset.metric.is_discrete:
-        epsilon = max(1.0, round(epsilon))
+    epsilon = _radius(args.epsilon_percent, dataset.d_plus, dataset.metric)
     pivots = select_pivots(set_o, args.pivots, dataset.metric, seed=7)
     tree_q = SPBTree.build(
         set_q, dataset.metric, pivots=pivots, d_plus=dataset.d_plus, curve="z"
@@ -309,145 +466,47 @@ def cmd_compare(args: argparse.Namespace) -> None:
         )
 
 
-def _metric_from_name(name: str) -> Metric:
-    """Reconstruct a metric from its stored fingerprint name."""
-    fixed = {
-        "edit": EditDistance,
-        "hamming": HammingDistance,
-        "jaccard": JaccardDistance,
-        "trigram-angular": TriGramAngularDistance,
-        "Linf": ChebyshevDistance,
-    }
-    if name in fixed:
-        return fixed[name]()
-    if name.startswith("L"):
-        try:
-            return MinkowskiDistance(float(name[1:]))
-        except ValueError:
-            pass
-    raise SystemExit(
-        f"error: cannot reconstruct metric {name!r} from its name; "
-        f"use the library API (repro.load_tree / repro.recovery.salvage_tree) "
-        f"with the metric object instead"
-    )
-
-
-def _catalog_field(directory: str, key: str):
-    """A field from the directory's catalog — single-tree or cluster."""
-    for name in ("spbtree.json", "cluster.json"):
-        try:
-            with open(os.path.join(directory, name)) as fh:
-                return json.load(fh).get(key)
-        except (OSError, ValueError):
-            continue
-    return None
-
-
-def _directory_metric(directory: str, override: Optional[str]) -> Metric:
-    """The metric for a saved index: --metric wins, else the catalog's name."""
-    if override is not None:
-        return _metric_from_name(override)
-    name = _catalog_field(directory, "metric_name")
-    if name is None:
-        raise SystemExit(
-            f"error: cannot read the metric name from a catalog in "
-            f"{directory}; pass --metric explicitly"
+def _budgeted_query(args: argparse.Namespace, target, query, radius: float):
+    """``query`` / ``shard-query``: one query under the ``--deadline-ms`` /
+    ``--max-*`` limits with the graceful-degradation contract; answered,
+    then returned with its context for the caller's own summary."""
+    ctx = QueryContext.with_limits(strict=args.strict, **_limits(args))
+    try:
+        result = _run_query(
+            target, args.mode, query, args.k, radius, context=ctx
         )
-    return _metric_from_name(name)
-
-
-def _add_limits(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-query deadline in milliseconds",
-    )
-    parser.add_argument(
-        "--max-compdists", type=int, default=None,
-        help="per-query distance-computation budget",
-    )
-    parser.add_argument(
-        "--max-pa", type=int, default=None,
-        help="per-query page-access budget",
-    )
-
-
-def _limits(args: argparse.Namespace) -> dict:
-    return {
-        "deadline_ms": args.deadline_ms,
-        "max_compdists": args.max_compdists,
-        "max_page_accesses": args.max_pa,
-    }
+    except BudgetExceeded as exc:
+        raise CommandFailed(f"query aborted (strict): {exc}") from exc
+    _print_answer(args.mode, result, args.k, radius)
+    return result, ctx
 
 
 def cmd_query(args: argparse.Namespace) -> None:
     """One budgeted query with the graceful-degradation contract."""
     dataset, tree = _build(args)
-    query = args.query if args.query is not None else dataset.queries[0]
-    radius = args.radius
-    if radius is None:
-        radius = dataset.d_plus * args.radius_percent / 100.0
-        if dataset.metric.is_discrete:
-            radius = max(1.0, round(radius))
-    ctx = QueryContext.with_limits(strict=args.strict, **_limits(args))
+    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
+    radius = _query_radius(args, dataset.d_plus, dataset.metric)
     tree.flush_cache(reset_stats=True)
-    try:
-        if args.mode == "range":
-            result = tree.range_query(query, radius, context=ctx)
-            print(f"\nRQ(q, O, {radius:g}) -> {len(result)} results")
-            for obj in result[:10]:
-                print(f"  {obj!r}"[:100])
-        elif args.mode == "knn":
-            result = tree.knn_query(query, args.k, context=ctx)
-            print(f"\nkNN(q, {args.k}) -> {len(result)} neighbours")
-            for dist, obj in result:
-                print(f"  d={dist:.4g}  {obj!r}"[:100])
-        else:
-            result = tree.range_count(query, radius, context=ctx)
-            print(f"\n|RQ(q, O, {radius:g})| >= {result.count}")
-    except BudgetExceeded as exc:
-        print(f"query aborted (strict): {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
-    state = "complete" if result.complete else f"PARTIAL — {result.reason}"
+    print()
+    result, ctx = _budgeted_query(args, tree, query, radius)
     print(
-        f"status    : {state}\n"
+        f"status    : {_state(result.complete, result.reason)}\n"
         f"spent     : {ctx.compdists} compdists, {ctx.page_accesses} page accesses"
     )
 
 
-def _hit_rate_line(prog: str, tree, rejected: Optional[int] = None) -> str:
-    """The one-line buffer-pool summary verify/serve print on stderr.
+def cmd_build(args: argparse.Namespace) -> None:
+    _, tree = _build(args)
+    save_tree(tree, args.out)
+    print(f"saved index to {args.out}")
 
-    ``rejected`` (an engine's admission-rejection tally) rides along when
-    a serving command has one, so backpressure shows up in the same line
-    operators already scrape."""
-    if isinstance(tree, ShardedIndex):
-        pools = [
-            s.tree.raf.buffer_pool
-            for s in tree.shards
-            if s.tree.raf is not None
-        ]
-    else:
-        pools = [tree.raf.buffer_pool] if tree.raf is not None else []
-    hits = sum(p.hits for p in pools)
-    misses = sum(p.misses for p in pools)
-    total = hits + misses
-    rate = 100.0 * hits / total if total else 0.0
-    line = (
-        f"{prog}: buffer hit-rate {rate:.1f}% "
-        f"({hits} hits / {misses} misses)"
-    )
-    if rejected is not None:
-        line += f", {rejected} rejected"
-    return line
 
 
 def _mixed_ops(args: argparse.Namespace, dataset) -> list:
     """The serve/metrics workload: shuffled queries plus optional writers."""
     n = args.num_queries
     queries = [dataset.queries[i % len(dataset.queries)] for i in range(n)]
-    radius = dataset.d_plus * args.radius_percent / 100.0
-    if dataset.metric.is_discrete:
-        radius = max(1.0, round(radius))
+    radius = _radius(args.radius_percent, dataset.d_plus, dataset.metric)
     kinds = ["range", "knn", "count"]
     ops = []
     for i, q in enumerate(queries):
@@ -462,102 +521,97 @@ def _mixed_ops(args: argparse.Namespace, dataset) -> list:
     return ops
 
 
-def _parse_hostport(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise SystemExit(
-            f"error: --listen/--connect needs HOST:PORT, got {value!r}"
-        )
-    return (host or "127.0.0.1", int(port))
+def _submit_all(engine: QueryEngine, ops: list, snapshots=None) -> list:
+    """Submit every op and wait for all of them; returns the results."""
+    pending = []
+    for kind, op_args in ops:
+        while True:
+            try:
+                pending.append(engine.submit(kind, *op_args))
+                break
+            except Overloaded:
+                # Backpressure: wait for the queue to drain a little.
+                time.sleep(0.005)
+        if snapshots is not None:
+            snapshots.maybe_write()
+    return [p.result() for p in pending]
 
 
-def _serve_network(args: argparse.Namespace, tree, slow_log, snapshots, flight):
+def _serve_network(args: argparse.Namespace, engine: QueryEngine, snapshots) -> None:
     """The ``serve --listen`` path: expose the engine on a TCP socket
     until SIGTERM/SIGINT (graceful drain) or ``--duration`` elapses."""
-    import signal as _signal
-    import threading
-
-    from repro.net import serve_in_thread
+    from repro.net import serve_in_thread  # asyncio: only this path pays for it
 
     host, port = _parse_hostport(args.listen)
-    engine = QueryEngine(
-        tree,
-        workers=args.workers,
-        max_queue=args.queue_size,
-        trace_queries=args.metrics,
-        slow_log=slow_log,
-        flight=flight,
-        **{f"default_{k}": v for k, v in _limits(args).items()},
-    )
-    with engine:
-        _maybe_autotune(args, tree, engine)
-        handle = serve_in_thread(engine, host, port)
-        print(
-            f"serving on {host}:{handle.port} with {args.workers} workers "
-            f"(queue {args.queue_size}); SIGTERM drains within "
-            f"{args.drain_deadline:g}s",
-            flush=True,
-        )
-        stop = threading.Event()
-
-        def _on_signal(signum: int, _frame) -> None:
-            print(f"signal {signum}: draining", file=sys.stderr, flush=True)
-            stop.set()
-
-        old_term = _signal.signal(_signal.SIGTERM, _on_signal)
-        old_int = _signal.signal(_signal.SIGINT, _on_signal)
-        try:
-            deadline = (
-                time.monotonic() + args.duration if args.duration > 0 else None
-            )
-            while not stop.is_set():
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                stop.wait(0.2)
-                if snapshots is not None:
-                    snapshots.maybe_write()
-        finally:
-            _signal.signal(_signal.SIGTERM, old_term)
-            _signal.signal(_signal.SIGINT, old_int)
-        summary = handle.stop(args.drain_deadline)
-        server = handle.server
-        print(
-            f"\nserved {server.requests} wire requests over "
-            f"{server.connections} connections "
-            f"({server.rejected} backpressure rejections, "
-            f"{server.protocol_errors} protocol errors)"
-        )
-        print(
-            f"drain     : {summary['finished']} finished in-flight, "
-            f"{summary['aborted']} aborted partial "
-            f"(allowance {server.network_allowance_ms():.1f} ms)"
-        )
-    return engine
-
-
-def _maybe_autotune(args: argparse.Namespace, tree, engine):
-    """The ``serve --autotune`` path: hook the traversal advisor into the
-    engine and start the background control loop."""
-    if not getattr(args, "autotune", False):
-        return None
-    tuner = Tuner(
-        tree,
-        engine=engine,
-        tick_interval=args.tune_interval,
-        auto_pivot_rebuild=True,
-    )
-    tuner.start()
+    handle = serve_in_thread(engine, host, port)
     print(
-        f"autotuning: tick {tuner.tick_interval:g}s, "
-        f"epsilon {tuner.advisor.epsilon:g}, journal "
-        f"{tuner.journal.path if tuner.journal.path else '(in-memory)'}"
+        f"serving on {host}:{handle.port} with {args.workers} workers "
+        f"(queue {args.queue_size}); SIGTERM drains within "
+        f"{args.drain_deadline:g}s",
+        flush=True,
     )
-    return tuner
+    stop = threading.Event()
+
+    def _on_signal(signum: int, _frame) -> None:
+        print(f"signal {signum}: draining", file=sys.stderr, flush=True)
+        stop.set()
+
+    old_term = signal.signal(signal.SIGTERM, _on_signal)
+    old_int = signal.signal(signal.SIGINT, _on_signal)
+    try:
+        deadline = (
+            time.monotonic() + args.duration if args.duration > 0 else None
+        )
+        while not stop.is_set():
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            stop.wait(0.2)
+            if snapshots is not None:
+                snapshots.maybe_write()
+    finally:
+        signal.signal(signal.SIGTERM, old_term)
+        signal.signal(signal.SIGINT, old_int)
+    summary = handle.stop(args.drain_deadline)
+    server = handle.server
+    print(
+        f"\nserved {server.requests} wire requests over "
+        f"{server.connections} connections "
+        f"({server.rejected} backpressure rejections, "
+        f"{server.protocol_errors} protocol errors)"
+    )
+    print(
+        f"drain     : {summary['finished']} finished in-flight, "
+        f"{summary['aborted']} aborted partial "
+        f"(allowance {server.network_allowance_ms():.1f} ms)"
+    )
+
+
+def _serve_workload(
+    args: argparse.Namespace, dataset, tree, engine: QueryEngine, snapshots
+) -> None:
+    """The local ``serve`` path: the mixed workload through the engine."""
+    ops = _mixed_ops(args, dataset)
+    t0 = time.perf_counter()
+    results = _submit_all(engine, ops, snapshots)
+    partial = sum(1 for r in results if not getattr(r, "complete", True))
+    elapsed = time.perf_counter() - t0
+    print(
+        f"\nserved {engine.served} operations ({len(ops)} submitted) "
+        f"with {args.workers} workers in {elapsed:.2f}s "
+        f"({len(ops) / elapsed:.0f} ops/s)"
+    )
+    print(
+        f"complete  : {engine.served - partial - engine.mutated}\n"
+        f"partial   : {partial}\n"
+        f"mutations : {engine.mutated} "
+        f"(tree now holds {tree.object_count:,} objects)\n"
+        f"rejections: {engine.rejected} (resubmitted after backpressure)\n"
+        f"failures  : {engine.failed}"
+    )
 
 
 def _serve_epilogue(
-    args: argparse.Namespace, tree, engine, snapshots, slow_log, rep_dir,
-    flight=None,
+    args: argparse.Namespace, tree, engine, snapshots, slow_log, rep_dir, flight
 ) -> None:
     """Shared tail of ``serve``: summaries, exposition, cleanup."""
     tuner = getattr(tree, "tuner", None)
@@ -613,10 +667,7 @@ def _serve_epilogue(
             f"replication: {len(status)} replica sets, max lag {worst} bytes, "
             f"degraded shards {degraded if degraded else 'none'}"
         )
-    print(
-        _hit_rate_line("serve", tree, rejected=engine.rejected),
-        file=sys.stderr,
-    )
+    _print_hit_rate("serve", tree, engine)
     if rep_dir is not None:
         tree.close()
         shutil.rmtree(rep_dir, ignore_errors=True)
@@ -632,19 +683,17 @@ def _serve_epilogue(
 
 def cmd_serve(args: argparse.Namespace) -> None:
     """Drive a concurrent mixed workload through the QueryEngine."""
+    if args.supervise and args.replicas <= 0:
+        raise ValueError("--supervise requires --replicas >= 1")
     flight = None
-    if getattr(args, "flight_dir", None):
+    if args.flight_dir:
         os.makedirs(args.flight_dir, exist_ok=True)
         flight = obs.FlightRecorder(directory=args.flight_dir)
-    replicas = getattr(args, "replicas", 0)
-    if replicas > 0 and getattr(args, "shards", 0) <= 0:
+    if args.replicas > 0 and args.shards <= 0:
         args.shards = 2  # replication implies a cluster
-    if getattr(args, "shards", 0) > 0:
-        dataset, tree = _build_cluster(args)
-    else:
-        dataset, tree = _build(args)
+    dataset, tree = _build(args, args.shards)
     rep_dir = None
-    if replicas > 0:
+    if args.replicas > 0:
         # Replica sets need durable shard directories to ship between:
         # save the built cluster, replicate it, reopen with shipping on.
         rep_dir = tempfile.mkdtemp(prefix="repro-serve-repl-")
@@ -652,32 +701,30 @@ def cmd_serve(args: argparse.Namespace) -> None:
         tree.close()
         replication.replicate(
             rep_dir, dataset.metric,
-            replicas=replicas, read_policy=args.read_policy,
+            replicas=args.replicas, read_policy=args.read_policy,
         )
         tree = replication.ReplicatedIndex.open(
             rep_dir, dataset.metric, wal_fsync=False,
             heartbeat_timeout=args.heartbeat_timeout,
         )
         print(
-            f"replicated {tree.num_shards} shards x {replicas} followers "
+            f"replicated {tree.num_shards} shards x {args.replicas} followers "
             f"(read policy {args.read_policy})"
         )
-        if args.supervise:
-            supervisor = Supervisor(
-                tree,
-                scrub_interval=args.scrub_interval,
-                journal_path=os.path.join(rep_dir, SUPERVISOR_JOURNAL),
-                flight=flight,
-            )
-            supervisor.start()
-            print(
-                f"supervising: tick {supervisor.tick_interval:g}s, "
-                f"grace {supervisor.grace:g}s, "
-                f"cooldown {supervisor.cooldown:g}s, "
-                f"scrub every {args.scrub_interval:g}s"
-            )
-    elif args.supervise:
-        raise SystemExit("error: --supervise requires --replicas >= 1")
+    if args.supervise:
+        supervisor = Supervisor(
+            tree,
+            scrub_interval=args.scrub_interval,
+            journal_path=os.path.join(rep_dir, SUPERVISOR_JOURNAL),
+            flight=flight,
+        )
+        supervisor.start()
+        print(
+            f"supervising: tick {supervisor.tick_interval:g}s, "
+            f"grace {supervisor.grace:g}s, "
+            f"cooldown {supervisor.cooldown:g}s, "
+            f"scrub every {args.scrub_interval:g}s"
+        )
     slow_log = None
     if args.slow_log is not None:
         slow_log = obs.SlowQueryLog(
@@ -690,15 +737,11 @@ def cmd_serve(args: argparse.Namespace) -> None:
         )
     if args.metrics:
         obs.enable()
-    if getattr(args, "listen", None):
-        engine = _serve_network(args, tree, slow_log, snapshots, flight)
-        _serve_epilogue(
-            args, tree, engine, snapshots, slow_log, rep_dir, flight
-        )
-        return
-    ops = _mixed_ops(args, dataset)
     wal_dir = None
-    if args.metrics and args.mutations > 0 and rep_dir is None:
+    if (
+        args.metrics and args.mutations > 0
+        and rep_dir is None and not args.listen
+    ):
         # Give the in-memory index a throwaway WAL so the write side of the
         # workload populates the WAL metric families too.
         wal_dir = tempfile.mkdtemp(prefix="repro-serve-wal-")
@@ -707,48 +750,36 @@ def cmd_serve(args: argparse.Namespace) -> None:
             tree = ShardedIndex.open(wal_dir, dataset.metric)
         else:
             tree.begin_logging(WriteAheadLog(os.path.join(wal_dir, "wal.log")))
-    t0 = time.perf_counter()
-    partial = 0
+    engine = QueryEngine(
+        tree,
+        workers=args.workers,
+        max_queue=args.queue_size,
+        trace_queries=args.metrics,
+        slow_log=slow_log,
+        flight=flight,
+        **{f"default_{k}": v for k, v in _limits(args).items()},
+    )
     try:
-        with QueryEngine(
-            tree,
-            workers=args.workers,
-            max_queue=args.queue_size,
-            trace_queries=args.metrics,
-            slow_log=slow_log,
-            flight=flight,
-            **{f"default_{k}": v for k, v in _limits(args).items()},
-        ) as engine:
-            _maybe_autotune(args, tree, engine)
-            pending = []
-            for kind, op_args in ops:
-                while True:
-                    try:
-                        pending.append(engine.submit(kind, *op_args))
-                        break
-                    except Overloaded:
-                        # Backpressure: wait for the queue to drain a little.
-                        time.sleep(0.005)
-                if snapshots is not None:
-                    snapshots.maybe_write()
-            for p in pending:
-                result = p.result()
-                if not getattr(result, "complete", True):
-                    partial += 1
-            elapsed = time.perf_counter() - t0
-            print(
-                f"\nserved {engine.served} operations ({len(ops)} submitted) "
-                f"with {args.workers} workers in {elapsed:.2f}s "
-                f"({len(ops) / elapsed:.0f} ops/s)"
-            )
-            print(
-                f"complete  : {engine.served - partial - engine.mutated}\n"
-                f"partial   : {partial}\n"
-                f"mutations : {engine.mutated} "
-                f"(tree now holds {tree.object_count:,} objects)\n"
-                f"rejections: {engine.rejected} (resubmitted after backpressure)\n"
-                f"failures  : {engine.failed}"
-            )
+        with engine:
+            if args.autotune:
+                # Hook the traversal advisor into the engine and start the
+                # background control loop; the epilogue finds it on the tree.
+                tuner = Tuner(
+                    tree,
+                    engine=engine,
+                    tick_interval=args.tune_interval,
+                    auto_pivot_rebuild=True,
+                )
+                tuner.start()
+                print(
+                    f"autotuning: tick {tuner.tick_interval:g}s, "
+                    f"epsilon {tuner.advisor.epsilon:g}, journal "
+                    f"{tuner.journal.path if tuner.journal.path else '(in-memory)'}"
+                )
+            if args.listen:
+                _serve_network(args, engine, snapshots)
+            else:
+                _serve_workload(args, dataset, tree, engine, snapshots)
     finally:
         if wal_dir is not None:
             if isinstance(tree, ShardedIndex):
@@ -757,138 +788,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
                 tree.wal.close()
             shutil.rmtree(wal_dir, ignore_errors=True)
     _serve_epilogue(args, tree, engine, snapshots, slow_log, rep_dir, flight)
-
-
-def cmd_net_query(args: argparse.Namespace) -> None:
-    """One query over the wire against a running ``serve --listen``."""
-    from repro.net import NetClient, RemoteError, RetryPolicy
-
-    host, port = _parse_hostport(args.connect)
-    client = NetClient(
-        host, port,
-        deadline_ms=args.deadline_ms,
-        retry=RetryPolicy(seed=args.seed),
-    )
-    try:
-        limits = {
-            "max_compdists": args.max_compdists,
-            "max_pa": args.max_pa,
-        }
-        if args.mode == "knn":
-            result = client.knn_query(args.query, args.k, **limits)
-            print(f"kNN(q, {args.k}) -> {len(result)} neighbours")
-            for dist, obj in result:
-                print(f"  d={dist:.4g}  {obj!r}"[:100])
-        elif args.mode == "range":
-            result = client.range_query(args.query, args.radius, **limits)
-            print(f"RQ(q, O, {args.radius:g}) -> {len(result)} results")
-            for obj in result[:10]:
-                print(f"  {obj!r}"[:100])
-        else:
-            result = client.range_count(args.query, args.radius, **limits)
-            print(f"|RQ(q, O, {args.radius:g})| >= {result.count}")
-        state = (
-            "complete" if result.complete else f"PARTIAL — {result.reason}"
-        )
-        print(f"status    : {state}")
-        if client.retries:
-            print(f"retries   : {client.retries}", file=sys.stderr)
-    except RemoteError as exc:
-        print(f"net-query: server error {exc.code}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
-    except ConnectionError as exc:
-        print(f"net-query: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
-    finally:
-        client.close()
-
-
-def cmd_bench_load(args: argparse.Namespace) -> None:
-    """Load-test the network front end; append one record to the series.
-
-    With ``--connect HOST:PORT`` the target is an already-running server;
-    without it, a replicated 2-shard cluster is built, served on an
-    ephemeral port, benchmarked, and drained — one self-contained,
-    reproducible command.
-    """
-    from repro.net import serve_in_thread
-    from repro.net.bench import append_series, run_load
-
-    dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
-    queries = list(dataset.queries)
-    radius = dataset.d_plus * args.radius_percent / 100.0
-    if dataset.metric.is_discrete:
-        radius = max(1.0, round(radius))
-
-    handle = engine = tree = None
-    rep_dir = None
-    target: tuple[str, int]
-    mode = "connect"
-    if args.connect is not None:
-        target = _parse_hostport(args.connect)
-    else:
-        mode = "self-serve"
-        args.shards = 2
-        _, tree = _build_cluster(args)
-        if args.replicas > 0:
-            rep_dir = tempfile.mkdtemp(prefix="repro-bench-repl-")
-            tree.save(rep_dir)
-            tree.close()
-            replication.replicate(
-                rep_dir, dataset.metric,
-                replicas=args.replicas, read_policy="primary-only",
-            )
-            tree = replication.ReplicatedIndex.open(
-                rep_dir, dataset.metric, wal_fsync=False
-            )
-            mode = f"self-serve 2x{args.replicas} replicated"
-        engine = QueryEngine(
-            tree, workers=args.workers, max_queue=args.queue_size
-        )
-        engine.start()
-        handle = serve_in_thread(engine, "127.0.0.1", 0)
-        target = ("127.0.0.1", handle.port)
-        print(
-            f"bench-load: self-serving {mode} cluster on port {handle.port}",
-            file=sys.stderr,
-        )
-    try:
-        record = run_load(
-            target[0], target[1], queries,
-            clients=args.clients,
-            qps=args.qps,
-            duration_s=args.duration,
-            deadline_ms=args.deadline_ms,
-            k=args.k,
-            radius=radius,
-            seed=args.seed,
-        )
-    finally:
-        if handle is not None:
-            handle.stop(5.0)
-        if engine is not None:
-            engine.stop()
-        if rep_dir is not None:
-            tree.close()
-            shutil.rmtree(rep_dir, ignore_errors=True)
-    meta = {
-        "dataset": args.dataset,
-        "mode": mode,
-        "workers": args.workers if args.connect is None else None,
-    }
-    doc = append_series(args.out, record, meta)
-    lat = record["latency_ms"]
-    print(
-        f"bench-load: {record['completed']} completed "
-        f"({record['degraded']} degraded, {record['rejected']} rejected, "
-        f"{record['errors']} errors, {record['client_retries']} retries) "
-        f"at {record['qps_achieved']:.1f}/{record['qps_target']:g} qps"
-    )
-    print(
-        f"latency ms: p50={lat['p50']:g} p90={lat['p90']:g} "
-        f"p95={lat['p95']:g} p99={lat['p99']:g} max={lat['max']:g}"
-    )
-    print(f"series    : {len(doc['series'])} records in {args.out}")
 
 
 def cmd_metrics(args: argparse.Namespace) -> None:
@@ -909,16 +808,7 @@ def cmd_metrics(args: argparse.Namespace) -> None:
         with QueryEngine(
             tree, workers=args.workers, trace_queries=True
         ) as engine:
-            pending = []
-            for kind, op_args in ops:
-                while True:
-                    try:
-                        pending.append(engine.submit(kind, *op_args))
-                        break
-                    except Overloaded:
-                        time.sleep(0.005)
-            for p in pending:
-                p.result()
+            _submit_all(engine, ops)
         if args.mutations > 0:
             tree.checkpoint(os.path.join(wal_dir, "checkpoint"))
         print(
@@ -926,15 +816,36 @@ def cmd_metrics(args: argparse.Namespace) -> None:
             f"{args.dataset}; exposition follows on stdout",
             file=sys.stderr,
         )
-        print(
-            _hit_rate_line("metrics", tree, rejected=engine.rejected),
-            file=sys.stderr,
-        )
+        _print_hit_rate("metrics", tree, engine)
     finally:
         if tree.wal is not None:
             tree.wal.close()
         shutil.rmtree(wal_dir, ignore_errors=True)
     sys.stdout.write(obs.render_text())
+
+
+
+def cmd_net_query(args: argparse.Namespace) -> None:
+    """One query over the wire against a running ``serve --listen``."""
+    from repro.net import NetClient, RemoteError, RetryPolicy
+
+    host, port = _parse_hostport(args.connect)
+    with NetClient(
+        host, port,
+        deadline_ms=args.deadline_ms,
+        retry=RetryPolicy(seed=args.seed),
+    ) as client:
+        try:
+            result = _run_query(
+                client, args.mode, args.query, args.k, args.radius,
+                max_compdists=args.max_compdists, max_pa=args.max_pa,
+            )
+        except RemoteError as exc:
+            raise CommandFailed(f"server error {exc.code}: {exc}") from exc
+        _print_answer(args.mode, result, args.k, args.radius)
+        print(f"status    : {_state(result.complete, result.reason)}")
+        if client.retries:
+            print(f"retries   : {client.retries}", file=sys.stderr)
 
 
 def _format_span(span: dict, depth: int, lines: list) -> None:
@@ -957,11 +868,7 @@ def _format_span(span: dict, depth: int, lines: list) -> None:
 
 def _print_trace(trace_data: dict, request_id: Optional[str] = None) -> None:
     """Render one serialised span tree (the as_dict / JSONL form)."""
-    state = (
-        "complete"
-        if trace_data.get("complete", True)
-        else f"PARTIAL — {trace_data.get('reason')}"
-    )
+    state = _state(trace_data.get("complete", True), trace_data.get("reason"))
     header = f"trace {trace_data.get('kind', 'query')} ({state})"
     if request_id:
         header += f"  request_id={request_id}"
@@ -1000,78 +907,53 @@ def cmd_trace(args: argparse.Namespace) -> None:
             wanted = (
                 f" for request {args.request_id}" if args.request_id else ""
             )
-            print(f"trace: no traces{wanted} in {args.file}", file=sys.stderr)
-            raise SystemExit(1)
+            raise CommandFailed(f"no traces{wanted} in {args.file}")
         for rid, trace_data in pairs:
             _print_trace(trace_data, rid)
         return
     if args.connect is not None:
+        if args.query is None:
+            raise ValueError("--connect needs --query")
         from repro.net import NetClient, RetryPolicy
 
         host, port = _parse_hostport(args.connect)
-        if args.query is None:
-            raise SystemExit("error: --connect needs --query")
-        client = NetClient(
+        with NetClient(
             host, port, retry=RetryPolicy(seed=args.seed), trace=True
-        )
-        try:
-            if args.mode == "knn":
-                client.knn_query(args.query, args.k)
-            elif args.mode == "range":
-                client.range_query(args.query, args.radius or 1.0)
-            else:
-                client.range_count(args.query, args.radius or 1.0)
+        ) as client:
+            radius = 1.0 if args.radius is None else args.radius
+            _run_query(client, args.mode, args.query, args.k, radius)
             if client.last_trace is None:
-                print(
-                    "trace: the server returned no span tree (is it tracing? "
-                    "start it with serve --metrics or --slow-log)",
-                    file=sys.stderr,
+                raise CommandFailed(
+                    "the server returned no span tree (is it tracing? "
+                    "start it with serve --metrics or --slow-log)"
                 )
-                raise SystemExit(1)
             _print_trace(client.last_trace.as_dict(), client.last_request_id)
-        finally:
-            client.close()
         return
     # Live in-process mode: build, run one traced query, render.
     with contextlib.redirect_stdout(sys.stderr):
         dataset, tree = _build(args)
-    query = args.query if args.query is not None else dataset.queries[0]
-    radius = args.radius
-    if radius is None:
-        radius = dataset.d_plus * args.radius_percent / 100.0
-        if dataset.metric.is_discrete:
-            radius = max(1.0, round(radius))
+    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
+    radius = _query_radius(args, dataset.d_plus, dataset.metric)
     ctx = QueryContext.with_limits(
         request_id=obs.new_trace_id(), **_limits(args)
     )
     ctx.trace = obs.QueryTrace(args.mode)
     tree.flush_cache(reset_stats=True)
-    if args.mode == "range":
-        tree.range_query(query, radius, context=ctx)
-    elif args.mode == "knn":
-        tree.knn_query(query, args.k, context=ctx)
-    else:
-        tree.range_count(query, radius, context=ctx)
+    _run_query(tree, args.mode, query, args.k, radius, context=ctx)
     _print_trace(ctx.trace.as_dict(), ctx.request_id)
     acd, apa = ctx.trace.attributed_totals()
     if (acd, apa) != (ctx.compdists, ctx.page_accesses):
-        print(
-            f"trace: WARNING — span sums ({acd}, {apa}) != context totals "
-            f"({ctx.compdists}, {ctx.page_accesses})",
-            file=sys.stderr,
+        raise CommandFailed(
+            f"WARNING — span sums ({acd}, {apa}) != context totals "
+            f"({ctx.compdists}, {ctx.page_accesses})"
         )
-        raise SystemExit(1)
 
 
 def cmd_metrics_diff(args: argparse.Namespace) -> None:
     """What happened between two metric snapshots (see --snapshot-dir)."""
-    try:
-        before = obs.load_snapshot(args.before)
-        after = obs.load_snapshot(args.after)
-    except (OSError, ValueError) as exc:
-        print(f"metrics-diff: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
-    delta = obs.diff_snapshots(before, after)
+    delta = obs.diff_snapshots(
+        obs.load_snapshot(args.before), obs.load_snapshot(args.after)
+    )
     if args.json:
         json.dump(delta, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -1109,31 +991,23 @@ def cmd_metrics_diff(args: argparse.Namespace) -> None:
         print("metrics-diff: no changes between the two snapshots")
 
 
-def cmd_build(args: argparse.Namespace) -> None:
-    _, tree = _build(args)
-    save_tree(tree, args.out)
-    print(f"saved index to {args.out}")
-
 
 def cmd_verify(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
+    metric = _directory_metric(args)
     try:
         tree = load_tree(args.dir, metric)
     except ValueError as exc:
         print(f"index does not load: {exc}")
         print("hint: `repro salvage` may still recover the records")
-        print(f"verify: FAILED — {args.dir}: index does not load", file=sys.stderr)
-        raise SystemExit(1) from exc
+        raise CommandFailed(f"FAILED — {args.dir}: index does not load") from exc
     report = tree.verify(check_objects=not args.fast)
     print(report.summary())
     rate = report.buffer_hit_rate * 100.0
     if not report.ok:
-        print(
-            f"verify: FAILED — {args.dir}: {len(report.errors)} error(s) found "
-            f"(buffer hit-rate {rate:.1f}%)",
-            file=sys.stderr,
+        raise CommandFailed(
+            f"FAILED — {args.dir}: {len(report.errors)} error(s) found "
+            f"(buffer hit-rate {rate:.1f}%)"
         )
-        raise SystemExit(1)
     print(
         f"verify: OK — {args.dir}: buffer hit-rate {rate:.1f}% "
         f"({report.buffer_hits} hits / {report.buffer_misses} misses)",
@@ -1141,75 +1015,51 @@ def cmd_verify(args: argparse.Namespace) -> None:
     )
 
 
-def _parse_object(directory: str, value: str):
-    """Parse a command-line object literal per the catalog's serializer."""
-    name = _catalog_field(directory, "serializer")
-    if name in (None, "string"):
-        return value
-    if name in ("vector-f64", "vector-u8"):
-        cast = float if name == "vector-f64" else int
-        try:
-            return tuple(cast(part) for part in value.split(","))
-        except ValueError as exc:
-            raise SystemExit(
-                f"error: cannot parse {value!r} as a {name} vector "
-                f"(expected comma-separated numbers)"
-            ) from exc
-    if name == "bytes":
-        return value.encode("utf-8")
-    raise SystemExit(
-        f"error: objects stored with serializer {name!r} cannot be expressed "
-        f"on the command line; use the library API (repro.open_tree)"
-    )
+@contextlib.contextmanager
+def _logged_tree(args: argparse.Namespace):
+    """The saved index opened with its write-ahead log; the log is closed
+    on the way out, whatever the mutation did."""
+    tree = open_tree(args.dir, _directory_metric(args))
+    try:
+        yield tree
+    finally:
+        tree.wal.close()
 
 
 def cmd_insert(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
-    obj = _parse_object(args.dir, args.object)
-    tree = open_tree(args.dir, metric)
-    try:
+    obj = _parse_object(_catalog_field(args.dir, "serializer"), args.object)
+    with _logged_tree(args) as tree:
         tree.insert(obj)
         print(
             f"inserted {obj!r} (index now holds {tree.object_count:,} objects; "
             f"WAL holds {tree.wal.record_count} records)"
         )
-    finally:
-        tree.wal.close()
 
 
 def cmd_delete(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
-    obj = _parse_object(args.dir, args.object)
-    tree = open_tree(args.dir, metric)
-    try:
+    obj = _parse_object(_catalog_field(args.dir, "serializer"), args.object)
+    with _logged_tree(args) as tree:
         if not tree.delete(obj):
-            print(f"not found: {obj!r}", file=sys.stderr)
-            raise SystemExit(1)
+            raise CommandFailed(f"not found: {obj!r}")
         print(
             f"deleted {obj!r} (index now holds {tree.object_count:,} objects; "
             f"WAL holds {tree.wal.record_count} records)"
         )
-    finally:
-        tree.wal.close()
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
-    tree = open_tree(args.dir, metric)
-    try:
+    with _logged_tree(args) as tree:
         folded = tree.wal.record_count
         generation = tree.checkpoint()
         print(
             f"checkpoint: folded {folded} WAL records into generation "
             f"{generation} ({tree.object_count:,} objects)"
         )
-    finally:
-        tree.wal.close()
 
 
 def cmd_log_stats(args: argparse.Namespace) -> None:
-    from repro.storage.wal import OP_INSERT, WAL_FILE, scan_wal
-
+    if not os.path.isdir(args.dir):
+        raise FileNotFoundError(f"no index directory at {args.dir}")
     path = os.path.join(args.dir, WAL_FILE)
     if not os.path.exists(path):
         print("no write-ahead log (index is checkpoint-only)")
@@ -1237,46 +1087,20 @@ def cmd_log_stats(args: argparse.Namespace) -> None:
 
 
 def cmd_salvage(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
+    metric = _directory_metric(args)
     try:
         tree, report = salvage_tree(args.dir, metric)
     except ValueError as exc:
         print(f"salvage failed: {exc}")
-        print(f"salvage: FAILED — {args.dir}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
+        raise CommandFailed(f"FAILED — {args.dir}: {exc}") from exc
     print(report.summary())
     out = args.out or args.dir.rstrip("/\\") + ".salvaged"
     if tree.raf is None:
         print("no records recovered; nothing to save")
-        print(
-            f"salvage: FAILED — {args.dir}: no records recovered",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
+        raise CommandFailed(f"FAILED — {args.dir}: no records recovered")
     save_tree(tree, out)
     print(f"salvaged index ({len(tree):,} objects) saved to {out}")
 
-
-def _build_cluster(args: argparse.Namespace):
-    """Build an in-memory sharded cluster from a dataset (serve --shards)."""
-    dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
-    t0 = time.perf_counter()
-    cluster = ShardedIndex.build(
-        dataset.objects,
-        dataset.metric,
-        shards=args.shards,
-        num_pivots=args.pivots,
-        d_plus=dataset.d_plus,
-        seed=7,
-        checksums=getattr(args, "checksums", False),
-    )
-    elapsed = time.perf_counter() - t0
-    print(
-        f"built {cluster.num_shards}-shard SPB-tree cluster over "
-        f"{len(cluster):,} {args.dataset} objects in {elapsed:.2f}s "
-        f"({cluster.distance_computations:,} compdists)"
-    )
-    return dataset, cluster
 
 
 def _shard_table(cluster: ShardedIndex) -> str:
@@ -1290,54 +1114,24 @@ def _shard_table(cluster: ShardedIndex) -> str:
 
 
 def cmd_shard_build(args: argparse.Namespace) -> None:
-    _, cluster = _build_cluster(args)
+    _, cluster = _build(args, args.shards)
     cluster.save(args.out)
     print(f"saved cluster to {args.out}")
     print(_shard_table(cluster))
 
 
-def _load_cluster(directory: str, metric, opener=ShardedIndex.load):
-    try:
-        return opener(directory, metric)
-    except ValueError as exc:
-        raise SystemExit(f"error: cannot load cluster: {exc}") from exc
-
-
 def cmd_shard_query(args: argparse.Namespace) -> None:
     """One budgeted scatter-gather query against a saved cluster."""
-    metric = _directory_metric(args.dir, args.metric)
-    cluster = _load_cluster(args.dir, metric)
-    if args.query is not None:
-        query = _parse_object(args.dir, args.query)
-    else:
-        query = next(iter(cluster.objects()))
-    radius = args.radius
-    if radius is None:
-        radius = cluster.space.d_plus * args.radius_percent / 100.0
-        if metric.is_discrete:
-            radius = max(1.0, round(radius))
-    ctx = QueryContext.with_limits(strict=args.strict, **_limits(args))
+    metric = _directory_metric(args)
+    cluster = ShardedIndex.load(args.dir, metric)
+    query = _query_object(
+        args, _catalog_field(args.dir, "serializer"), cluster.objects()
+    )
+    radius = _query_radius(args, cluster.space.d_plus, metric)
     cluster.reset_counters()
-    try:
-        if args.mode == "range":
-            result = cluster.range_query(query, radius, context=ctx)
-            print(f"RQ(q, O, {radius:g}) -> {len(result)} results")
-            for obj in result[:10]:
-                print(f"  {obj!r}"[:100])
-        elif args.mode == "knn":
-            result = cluster.knn_query(query, args.k, context=ctx)
-            print(f"kNN(q, {args.k}) -> {len(result)} neighbours")
-            for dist, obj in result:
-                print(f"  d={dist:.4g}  {obj!r}"[:100])
-        else:
-            result = cluster.range_count(query, radius, context=ctx)
-            print(f"|RQ(q, O, {radius:g})| >= {result.count}")
-    except BudgetExceeded as exc:
-        print(f"query aborted (strict): {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
-    state = "complete" if result.complete else f"PARTIAL — {result.reason}"
+    result, ctx = _budgeted_query(args, cluster, query, radius)
     print(
-        f"status    : {state}\n"
+        f"status    : {_state(result.complete, result.reason)}\n"
         f"shards    : {result.shards_visited} visited, "
         f"{result.shards_pruned} pruned of {cluster.num_shards}\n"
         f"spent     : {ctx.compdists} compdists, {ctx.page_accesses} page accesses"
@@ -1352,15 +1146,10 @@ def cmd_shard_query(args: argparse.Namespace) -> None:
 
 
 def cmd_shard_rebalance(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
-    cluster = _load_cluster(args.dir, metric, opener=ShardedIndex.open)
-    try:
+    cluster = ShardedIndex.open(args.dir, _directory_metric(args))
+    with contextlib.closing(cluster):
         merge = tuple(args.merge) if args.merge is not None else None
-        try:
-            action = cluster.rebalance(split=args.split, merge=merge)
-        except ValueError as exc:
-            print(f"rebalance failed: {exc}", file=sys.stderr)
-            raise SystemExit(1) from exc
+        action = cluster.rebalance(split=args.split, merge=merge)
         if action is None:
             print("cluster is balanced; nothing to do")
         elif action["action"] == "split":
@@ -1376,30 +1165,23 @@ def cmd_shard_rebalance(args: argparse.Namespace) -> None:
                 f"({action['count']:,} objects)"
             )
         print(_shard_table(cluster))
-    finally:
-        cluster.close()
 
 
 def cmd_shard_verify(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
+    metric = _directory_metric(args)
     try:
         cluster = ShardedIndex.load(args.dir, metric)
     except ValueError as exc:
         print(f"cluster does not load: {exc}")
-        print(
-            f"shard-verify: FAILED — {args.dir}: cluster does not load",
-            file=sys.stderr,
-        )
-        raise SystemExit(1) from exc
+        raise CommandFailed(
+            f"FAILED — {args.dir}: cluster does not load"
+        ) from exc
     report = cluster.verify(check_objects=not args.fast)
     print(report.summary())
     if not report.ok:
-        print(
-            f"shard-verify: FAILED — {args.dir}: "
-            f"{len(report.errors)} error(s) found",
-            file=sys.stderr,
+        raise CommandFailed(
+            f"FAILED — {args.dir}: {len(report.errors)} error(s) found"
         )
-        raise SystemExit(1)
     print(
         f"shard-verify: OK — {args.dir}: {report.shards_checked} shards, "
         f"{report.objects_checked:,} objects checked",
@@ -1419,40 +1201,26 @@ def _replication_table(idx) -> str:
 
 
 def cmd_replicate(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
-    try:
-        done = replication.replicate(
-            args.dir, metric,
-            replicas=args.replicas, read_policy=args.read_policy,
-        )
-    except (ValueError, replication.ReplicationError) as exc:
-        print(f"replicate failed: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
+    metric = _directory_metric(args)
+    done = replication.replicate(
+        args.dir, metric,
+        replicas=args.replicas, read_policy=args.read_policy,
+    )
     print(
         f"replicated shards {done}: {args.replicas} follower(s) each, "
         f"read policy {args.read_policy}"
     )
-    idx = _load_cluster(
-        args.dir, metric, opener=replication.ReplicatedIndex.open
-    )
-    try:
+    with contextlib.closing(
+        replication.ReplicatedIndex.open(args.dir, metric)
+    ) as idx:
         idx.ship_all()  # seed every follower to lag zero
         print(_replication_table(idx))
-    finally:
-        idx.close()
 
 
 def cmd_shard_failover(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args.dir, args.metric)
-    idx = _load_cluster(
-        args.dir, metric, opener=replication.ReplicatedIndex.open
-    )
-    try:
-        try:
-            info = idx.failover(args.shard)
-        except replication.ReplicationError as exc:
-            print(f"shard-failover failed: {exc}", file=sys.stderr)
-            raise SystemExit(1) from exc
+    idx = replication.ReplicatedIndex.open(args.dir, _directory_metric(args))
+    with contextlib.closing(idx):
+        info = idx.failover(args.shard)
         idx.ship_all()  # re-sync the demoted ex-primary right away
         print(
             f"shard {info['shard']}: promoted replica {info['promoted']} to "
@@ -1460,22 +1228,16 @@ def cmd_shard_failover(args: argparse.Namespace) -> None:
             f"{info['demoted']} demoted to follower"
         )
         print(_replication_table(idx))
-    finally:
-        idx.close()
 
 
 def cmd_scrub(args: argparse.Namespace) -> None:
     """One anti-entropy pass over a saved replicated cluster."""
-    metric = _directory_metric(args.dir, args.metric)
-    idx = _load_cluster(
-        args.dir, metric, opener=replication.ReplicatedIndex.open
-    )
-    supervisor = Supervisor(
+    idx = replication.ReplicatedIndex.open(args.dir, _directory_metric(args))
+    with contextlib.closing(idx), Supervisor(
         idx,
         journal_path=os.path.join(args.dir, SUPERVISOR_JOURNAL),
         scrub_interval=None,
-    )
-    try:
+    ) as supervisor:
         report = supervisor.scrub(
             shard_id=args.shard, pages=args.pages, deep=args.deep
         )
@@ -1503,12 +1265,9 @@ def cmd_scrub(args: argparse.Namespace) -> None:
             print(f"  {finding}")
         unrepaired = report.unrepaired()
         if unrepaired:
-            print(
-                f"scrub: FAILED — {args.dir}: "
-                f"{len(unrepaired)} unrepaired finding(s)",
-                file=sys.stderr,
+            raise CommandFailed(
+                f"FAILED — {args.dir}: {len(unrepaired)} unrepaired finding(s)"
             )
-            raise SystemExit(1)
         print(
             f"scrub: OK — {args.dir}: "
             f"{len(report.findings)} finding(s), all repaired"
@@ -1516,9 +1275,6 @@ def cmd_scrub(args: argparse.Namespace) -> None:
             else f"scrub: OK — {args.dir}: clean",
             file=sys.stderr,
         )
-    finally:
-        supervisor.close()
-        idx.close()
 
 
 def cmd_tune(args: argparse.Namespace) -> None:
@@ -1531,31 +1287,26 @@ def cmd_tune(args: argparse.Namespace) -> None:
     pivot re-selection to run.  Every decision lands in the directory's
     ``tuning-events.jsonl``; ``shard-status`` shows the tail.
     """
-    metric = _directory_metric(args.dir, args.metric)
-    cluster = _load_cluster(args.dir, metric, opener=ShardedIndex.open)
-    try:
-        tuner = Tuner(
-            cluster,
-            epsilon=args.epsilon,
-            auto_pivot_rebuild=args.auto_rebuild,
-        )
+    cluster = ShardedIndex.open(args.dir, _directory_metric(args))
+    with contextlib.closing(cluster), Tuner(
+        cluster,
+        epsilon=args.epsilon,
+        auto_pivot_rebuild=args.auto_rebuild,
+    ) as tuner:
         objects = list(cluster.objects())
         if not objects:
-            print("tune: cluster is empty; nothing to do", file=sys.stderr)
-            raise SystemExit(1)
+            raise CommandFailed("cluster is empty; nothing to do")
         step = max(1, len(objects) // max(1, args.queries))
         sample = objects[::step][: args.queries]
-        advised = 0
         for i, query in enumerate(sample):
             tuner.advisor.run_knn(cluster, query, args.k, QueryContext())
-            advised += 1
             if (i + 1) % args.tick_every == 0:
                 tuner.tick()
         tuner.tick()
         st = tuner.status()
         cal = st["calibration"]
         print(
-            f"advised {advised} kNN queries (k={args.k}) over "
+            f"advised {len(sample)} kNN queries (k={args.k}) over "
             f"{cluster.num_shards} shards; {st['ticks']} ticks"
         )
         for bucket, p in sorted(st["policy"].items()):
@@ -1573,9 +1324,6 @@ def cmd_tune(args: argparse.Namespace) -> None:
         )
         for evt in tuner.events(args.events):
             print(_format_event(evt))
-        tuner.close()
-    finally:
-        cluster.close()
 
 
 def _format_event(evt: dict) -> str:
@@ -1587,15 +1335,22 @@ def _format_event(evt: dict) -> str:
     return " ".join(parts)
 
 
+def _print_journal_tail(whose: str, args: argparse.Namespace, name: str) -> None:
+    events = read_journal(os.path.join(args.dir, name), limit=args.events)
+    if events:
+        print(f"{whose} events (last {len(events)}):")
+        for evt in events:
+            print(_format_event(evt))
+
+
 def cmd_shard_status(args: argparse.Namespace) -> None:
     """Replication status plus supervisor event tail, one line per shard."""
-    metric = _directory_metric(args.dir, args.metric)
+    metric = _directory_metric(args)
     try:
         idx = replication.ReplicatedIndex.open(args.dir, metric)
     except (ValueError, replication.ReplicationError, OSError) as exc:
-        print(f"shard-status: FAILED — {args.dir}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
-    try:
+        raise CommandFailed(f"FAILED — {args.dir}: {exc}") from exc
+    with contextlib.closing(idx):
         status = idx.replication_status()
         bad = []
         if not status:
@@ -1621,12 +1376,7 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
                 f"{healthy}/{len(members)} members healthy, "
                 f"max lag {worst} bytes, {state}"
             )
-        journal = os.path.join(args.dir, SUPERVISOR_JOURNAL)
-        events = read_journal(journal, limit=args.events)
-        if events:
-            print(f"supervisor events (last {len(events)}):")
-            for evt in events:
-                print(_format_event(evt))
+        _print_journal_tail("supervisor", args, SUPERVISOR_JOURNAL)
         # The same journal format the supervisor uses; the latest
         # per-bucket "policy" events ARE the traversal policy in force,
         # so surface them before the raw tail.
@@ -1639,542 +1389,405 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
                     policy[detail["bucket"]] = detail
         for bucket, p in sorted(policy.items()):
             print(f"tuning policy: {bucket} -> {p.get('traversal')}")
-        tuning_events = read_journal(tuning_journal, limit=args.events)
-        if tuning_events:
-            print(f"tuning events (last {len(tuning_events)}):")
-            for evt in tuning_events:
-                print(_format_event(evt))
+        _print_journal_tail("tuning", args, TUNING_JOURNAL)
         if bad:
-            print(
-                f"shard-status: FAILED — {args.dir}: shard(s) "
-                f"{bad} lack a healthy primary",
-                file=sys.stderr,
+            raise CommandFailed(
+                f"FAILED — {args.dir}: shard(s) {bad} lack a healthy primary"
             )
-            raise SystemExit(1)
         print(
             f"shard-status: OK — {args.dir}: every shard has a healthy "
             "primary",
             file=sys.stderr,
         )
-    finally:
-        idx.close()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
+#: Every flag, declared once: flag -> ``add_argument`` keywords.  A row of
+#: :data:`COMMANDS` names the flags its subcommand takes and states what it
+#: changes about them (``metrics`` runs 2 workers; ``net-query`` has no d+ to
+#: take a percentage of, so its ``--radius`` defaults to 1).
+FLAGS: dict[str, dict[str, Any]] = {
+    # which dataset to build over
+    "--dataset": dict(choices=sorted(DATASETS), default="words"),
+    "--size": dict(type=int, default=None),
+    "--seed": dict(type=int, default=42),
+    "--pivots": dict(type=int, default=5),
+    # which saved index or cluster to open
+    "--dir": dict(required=True, help="saved index / cluster directory"),
+    "--metric": dict(
+        default=None,
+        help="metric name override (default: the catalog's metric_name)",
+    ),
+    # one query
+    "--mode": dict(choices=["range", "knn", "count"], default="knn"),
+    "--query": dict(
+        default=None,
+        help="query object, parsed by the index's serializer: a string, or "
+             "comma-separated numbers for vectors (default: the dataset's "
+             "first query / the cluster's first object)",
+    ),
+    "--k": dict(type=int, default=8),
+    "--radius": dict(type=float, default=None),
+    "--radius-percent": dict(
+        type=float, default=8.0,
+        help="radius as a percentage of d+ when --radius is not given",
+    ),
+    "--traversal": dict(choices=["incremental", "greedy"], default="incremental"),
+    "--epsilon-percent": dict(type=float, default=4.0),
+    "--strict": dict(
+        action="store_true",
+        help="raise instead of returning a partial result on budget exhaustion",
+    ),
+    # per-query limits
+    "--deadline-ms": dict(
+        type=float, default=None, help="per-query deadline in milliseconds"
+    ),
+    "--max-compdists": dict(
+        type=int, default=None, help="per-query distance-computation budget"
+    ),
+    "--max-pa": dict(type=int, default=None, help="per-query page-access budget"),
+    # the serve / metrics workload
+    "--num-queries": dict(type=int, default=30),
+    "--workers": dict(type=int, default=4),
+    "--queue-size": dict(type=int, default=16),
+    "--mutations": dict(
+        type=int, default=0,
+        help="insert/delete operations to mix into the workload (with "
+             "metrics on they exercise the WAL families)",
+    ),
+    "--metrics": dict(
+        action="store_true",
+        help="instrument the workload and emit a Prometheus text exposition",
+    ),
+    "--metrics-out": dict(
+        default=None, metavar="FILE",
+        help="write the exposition to FILE instead of stdout",
+    ),
+    "--slow-log": dict(
+        default=None, metavar="FILE",
+        help="append JSON entries for queries slower than --slow-ms",
+    ),
+    "--slow-ms": dict(
+        type=float, default=100.0,
+        help="slow-query threshold in milliseconds (default: 100)",
+    ),
+    "--snapshot-dir": dict(
+        default=None, metavar="DIR",
+        help="write periodic diffable metric snapshots into DIR",
+    ),
+    "--snapshot-interval": dict(
+        type=float, default=10.0,
+        help="seconds between periodic snapshots (default: 10)",
+    ),
+    "--flight-dir": dict(
+        default=None, metavar="DIR",
+        help="record recent query traces in a bounded ring and dump them "
+             "into DIR as JSONL on anomalies (degraded results, failover, "
+             "quarantine, scrub divergence, rejection bursts)",
+    ),
+    "--shards": dict(
+        type=int, default=4,
+        help="number of shards (serve: 0 serves a single tree)",
+    ),
+    "--replicas": dict(type=int, default=2, help="WAL-shipping followers per shard"),
+    "--read-policy": dict(
+        choices=list(READ_POLICIES), default="primary-only",
+        help="replica read-routing policy (default: primary-only)",
+    ),
+    "--supervise": dict(
+        action="store_true",
+        help="with --replicas: run the self-healing supervisor (automatic "
+             "failover, zombie rejoin, anti-entropy scrub) during the "
+             "workload",
+    ),
+    "--heartbeat-timeout": dict(
+        type=float, default=5.0,
+        help="replica heartbeat timeout in seconds (default: 5)",
+    ),
+    "--scrub-interval": dict(
+        type=float, default=5.0,
+        help="with --supervise: seconds between background anti-entropy "
+             "scrub passes (default: 5)",
+    ),
+    "--autotune": dict(
+        action="store_true",
+        help="run the self-tuning control loop during the workload "
+             "(traversal advisor on the kNN path, online cost-model "
+             "calibration, drift-triggered pivot re-selection)",
+    ),
+    "--tune-interval": dict(
+        type=float, default=1.0,
+        help="with --autotune: seconds between control-loop ticks (default: 1)",
+    ),
+    "--listen": dict(
+        default=None, metavar="HOST:PORT",
+        help="serve the wire protocol instead of a local workload "
+             "(SIGTERM/SIGINT drains gracefully)",
+    ),
+    "--duration": dict(
+        type=float, default=0.0,
+        help="with --listen: stop after this many seconds (0 = until signal)",
+    ),
+    "--drain-deadline": dict(
+        type=float, default=5.0,
+        help="with --listen: seconds in-flight queries get to finish on "
+             "shutdown before being aborted to honest partials (default: 5)",
+    ),
+    # the wire
+    "--connect": dict(
+        default=None, metavar="HOST:PORT",
+        help="a serve --listen server to run the query against; the client "
+             "cannot know the server's serializer, so --query goes as a string",
+    ),
+    # traces and snapshots
+    "--file": dict(
+        default=None, metavar="JSONL",
+        help="render traces recorded in a flight dump or slow-query log",
+    ),
+    "--request-id": dict(
+        default=None, help="with --file: only the trace(s) of this request id"
+    ),
+    "before": dict(metavar="BEFORE.json"),
+    "after": dict(metavar="AFTER.json"),
+    "--json": dict(
+        action="store_true",
+        help="emit the structured diff as JSON instead of text",
+    ),
+    "--changed-only": dict(
+        action="store_true", help="hide samples with a zero delta"
+    ),
+    # a saved index
+    "--out": dict(required=True, help="index / cluster directory to write"),
+    "--object": dict(
+        required=True,
+        help="the object (string, or comma-separated numbers for vectors)",
+    ),
+    "--fast": dict(
+        action="store_true", help="skip per-object SFC key re-verification"
+    ),
+    # a saved cluster
+    "--checksums": dict(
+        action="store_true",
+        help="CRC32-checksum every page (lets scrub detect bit rot at rest)",
+    ),
+    "--split": dict(
+        type=int, default=None, metavar="SHARD",
+        help="split this shard at its SFC key midpoint",
+    ),
+    "--merge": dict(
+        type=int, nargs=2, default=None, metavar=("A", "B"),
+        help="merge these two range-adjacent shards",
+    ),
+    "--shard": dict(
+        type=int, default=None, help="one shard only (default: every shard)"
+    ),
+    "--pages": dict(
+        type=int, default=None,
+        help="page spot-check budget per member (default: all pages)",
+    ),
+    "--deep": dict(
+        action="store_true",
+        help="additionally run the full structural verify on every member",
+    ),
+    "--events": dict(
+        type=int, default=10, help="journal events to tail (default: 10)"
+    ),
+    "--queries": dict(
+        type=int, default=48, help="advised sample queries to run (default: 48)"
+    ),
+    "--epsilon": dict(
+        type=float, default=0.05, help="advisor exploration floor (default: 0.05)"
+    ),
+    "--tick-every": dict(
+        type=int, default=8, help="control-loop tick every N queries (default: 8)"
+    ),
+    "--auto-rebuild": dict(
+        action="store_true",
+        help="allow a drift-triggered pivot re-selection and rebuild through "
+             "a checkpoint",
+    ),
+}
+
+_DATASET = ("--dataset", "--size", "--seed", "--pivots")
+_SAVED = ("--dir", "--metric")
+_QUERY = ("--mode", "--query", "--k", "--radius", "--radius-percent")
+_LIMITS = ("--deadline-ms", "--max-compdists", "--max-pa")
+_WORKLOAD = ("--num-queries", "--workers", "--k", "--radius-percent", "--mutations")
+
+#: subcommand -> (function, help, the flags it takes, what it changes about
+#: them: flag -> keywords laid over the flag's row in :data:`FLAGS`).
+COMMANDS: dict[str, tuple] = {
+    "info": (cmd_info, "dataset statistics", _DATASET, {}),
+    "range": (
+        cmd_range, "run one range query",
+        (*_DATASET, "--query", "--radius", "--radius-percent"), {},
+    ),
+    "knn": (
+        cmd_knn, "run one kNN query",
+        (*_DATASET, "--query", "--k", "--traversal"), {},
+    ),
+    "join": (
+        cmd_join, "self-split similarity join",
+        (*_DATASET, "--epsilon-percent"), {},
+    ),
+    "compare": (
+        cmd_compare, "all four MAMs on one kNN query", (*_DATASET, "--k"), {},
+    ),
+    "query": (
+        cmd_query, "one budgeted query with graceful degradation",
+        (*_DATASET, *_QUERY, *_LIMITS, "--strict"), {},
+    ),
+    "serve": (
+        cmd_serve, "run a concurrent mixed workload through the QueryEngine",
+        (
+            *_DATASET, *_WORKLOAD, "--queue-size", *_LIMITS, "--metrics",
+            "--metrics-out", "--slow-log", "--slow-ms", "--snapshot-dir",
+            "--snapshot-interval", "--flight-dir", "--shards", "--replicas",
+            "--read-policy", "--supervise", "--heartbeat-timeout",
+            "--scrub-interval", "--autotune", "--tune-interval", "--listen",
+            "--duration", "--drain-deadline",
+        ),
+        {"--shards": dict(default=0), "--replicas": dict(default=0)},
+    ),
+    "net-query": (
+        cmd_net_query,
+        "run one query over the wire against a serve --listen server",
+        ("--connect", "--mode", "--query", "--k", "--radius", "--seed", *_LIMITS),
+        {
+            "--connect": dict(required=True),
+            "--query": dict(required=True, help="query object (a string)"),
+            "--radius": dict(default=1.0),
+        },
+    ),
+    "shard-build": (
+        cmd_shard_build, "build and save an N-shard SPB-tree cluster",
+        (*_DATASET, "--shards", "--out", "--checksums"), {},
+    ),
+    "shard-query": (
+        cmd_shard_query,
+        "one budgeted scatter-gather query against a saved cluster",
+        (*_SAVED, *_QUERY, *_LIMITS, "--strict"), {},
+    ),
+    "shard-rebalance": (
+        cmd_shard_rebalance,
+        "split a hot shard or merge cold neighbours (crash-safe)",
+        (*_SAVED, "--split", "--merge"), {},
+    ),
+    "shard-verify": (
+        cmd_shard_verify, "audit a saved cluster for corruption",
+        (*_SAVED, "--fast"), {},
+    ),
+    "replicate": (
+        cmd_replicate, "convert a saved cluster into per-shard replica sets",
+        (*_SAVED, "--replicas", "--read-policy"), {},
+    ),
+    "shard-failover": (
+        cmd_shard_failover, "promote the best follower of a shard to primary",
+        (*_SAVED, "--shard"),
+        {"--shard": dict(required=True, help="shard id to fail over")},
+    ),
+    "scrub": (
+        cmd_scrub,
+        "anti-entropy pass: WAL prefixes, page checksums, auto-repair",
+        (*_SAVED, "--shard", "--pages", "--deep"), {},
+    ),
+    "shard-status": (
+        cmd_shard_status,
+        "one line of replication health per shard + supervisor events",
+        (*_SAVED, "--events"), {},
+    ),
+    "tune": (
+        cmd_tune,
+        "offline self-tuning pass over a saved cluster "
+        "(advisor policy, cost-model calibration, maintenance)",
+        (
+            *_SAVED, "--queries", "--k", "--epsilon", "--tick-every",
+            "--auto-rebuild", "--events",
+        ),
+        {},
+    ),
+    "metrics": (
+        cmd_metrics,
+        "run a short instrumented workload; Prometheus text on stdout",
+        (*_DATASET, *_WORKLOAD),
+        {
+            "--num-queries": dict(default=12),
+            "--workers": dict(default=2),
+            "--mutations": dict(default=4),
+        },
+    ),
+    "trace": (
+        cmd_trace,
+        "render one query's span tree — live, over the wire, or from a "
+        "recorded flight dump / slow log",
+        (*_DATASET, "--file", "--request-id", "--connect", *_QUERY, *_LIMITS),
+        {},
+    ),
+    "metrics-diff": (
+        cmd_metrics_diff,
+        "diff two metric snapshots (see serve --snapshot-dir)",
+        ("before", "after", "--json", "--changed-only"), {},
+    ),
+    "build": (
+        cmd_build, "build and save an index directory", (*_DATASET, "--out"), {},
+    ),
+    "verify": (
+        cmd_verify, "audit a saved index for corruption", (*_SAVED, "--fast"), {},
+    ),
+    "insert": (
+        cmd_insert, "durably insert one object into a saved index",
+        (*_SAVED, "--object"), {},
+    ),
+    "delete": (
+        cmd_delete, "durably delete one object from a saved index",
+        (*_SAVED, "--object"), {},
+    ),
+    "checkpoint": (
+        cmd_checkpoint,
+        "fold the write-ahead log into a new on-disk generation", _SAVED, {},
+    ),
+    "log-stats": (
+        cmd_log_stats, "inspect an index's write-ahead log", ("--dir",), {},
+    ),
+    "salvage": (
+        cmd_salvage, "rebuild a consistent index from a damaged directory",
+        (*_SAVED, "--out"),
+        {
+            "--out": dict(
+                required=False, default=None,
+                help="where to save the salvaged index (default: <dir>.salvaged)",
+            ),
+        },
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SPB-tree demo CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_text, flags, changes) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(fn=fn)
+        for flag in flags:
+            command.add_argument(flag, **{**FLAGS[flag], **changes.get(flag, {})})
+    return parser
 
-    p_info = sub.add_parser("info", help="dataset statistics")
-    _add_common(p_info)
-    p_info.set_defaults(fn=cmd_info)
 
-    p_range = sub.add_parser("range", help="run one range query")
-    _add_common(p_range)
-    p_range.add_argument("--query", default=None)
-    p_range.add_argument("--radius", type=float, default=None)
-    p_range.add_argument("--radius-percent", type=float, default=8.0)
-    p_range.set_defaults(fn=cmd_range)
-
-    p_knn = sub.add_parser("knn", help="run one kNN query")
-    _add_common(p_knn)
-    p_knn.add_argument("--query", default=None)
-    p_knn.add_argument("--k", type=int, default=8)
-    p_knn.add_argument(
-        "--traversal", choices=["incremental", "greedy"], default="incremental"
-    )
-    p_knn.set_defaults(fn=cmd_knn)
-
-    p_join = sub.add_parser("join", help="self-split similarity join")
-    _add_common(p_join)
-    p_join.add_argument("--epsilon-percent", type=float, default=4.0)
-    p_join.set_defaults(fn=cmd_join)
-
-    p_cmp = sub.add_parser("compare", help="all four MAMs on one kNN query")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--k", type=int, default=8)
-    p_cmp.set_defaults(fn=cmd_compare)
-
-    p_query = sub.add_parser(
-        "query", help="one budgeted query with graceful degradation"
-    )
-    _add_common(p_query)
-    p_query.add_argument(
-        "--mode", choices=["range", "knn", "count"], default="knn"
-    )
-    p_query.add_argument("--query", default=None)
-    p_query.add_argument("--k", type=int, default=8)
-    p_query.add_argument("--radius", type=float, default=None)
-    p_query.add_argument("--radius-percent", type=float, default=8.0)
-    _add_limits(p_query)
-    p_query.add_argument(
-        "--strict", action="store_true",
-        help="raise instead of returning a partial result on budget exhaustion",
-    )
-    p_query.set_defaults(fn=cmd_query)
-
-    p_serve = sub.add_parser(
-        "serve", help="run a concurrent mixed workload through the QueryEngine"
-    )
-    _add_common(p_serve)
-    p_serve.add_argument("--num-queries", type=int, default=30)
-    p_serve.add_argument("--workers", type=int, default=4)
-    p_serve.add_argument("--queue-size", type=int, default=16)
-    p_serve.add_argument("--k", type=int, default=8)
-    p_serve.add_argument("--radius-percent", type=float, default=8.0)
-    p_serve.add_argument(
-        "--mutations", type=int, default=0,
-        help="number of concurrent insert/delete operations to mix in",
-    )
-    _add_limits(p_serve)
-    p_serve.add_argument(
-        "--metrics", action="store_true",
-        help="instrument the workload and emit a Prometheus text exposition",
-    )
-    p_serve.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the exposition to FILE instead of stdout",
-    )
-    p_serve.add_argument(
-        "--slow-log", default=None, metavar="FILE",
-        help="append JSON entries for queries slower than --slow-ms",
-    )
-    p_serve.add_argument(
-        "--slow-ms", type=float, default=100.0,
-        help="slow-query threshold in milliseconds (default: 100)",
-    )
-    p_serve.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="write periodic diffable metric snapshots into DIR",
-    )
-    p_serve.add_argument(
-        "--snapshot-interval", type=float, default=10.0,
-        help="seconds between periodic snapshots (default: 10)",
-    )
-    p_serve.add_argument(
-        "--flight-dir", default=None, metavar="DIR",
-        help="record recent query traces in a bounded ring and dump them "
-             "into DIR as JSONL on anomalies (degraded results, failover, "
-             "quarantine, scrub divergence, rejection bursts)",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=0,
-        help="serve from an N-shard cluster instead of a single tree",
-    )
-    p_serve.add_argument(
-        "--replicas", type=int, default=0,
-        help="replicate each shard with N WAL-shipping followers",
-    )
-    p_serve.add_argument(
-        "--read-policy", choices=list(READ_POLICIES), default="primary-only",
-        help="replica read-routing policy for --replicas (default: primary-only)",
-    )
-    p_serve.add_argument(
-        "--supervise", action="store_true",
-        help="with --replicas: run the self-healing supervisor (automatic "
-             "failover, zombie rejoin, anti-entropy scrub) during the "
-             "workload",
-    )
-    p_serve.add_argument(
-        "--heartbeat-timeout", type=float, default=5.0,
-        help="replica heartbeat timeout in seconds (default: 5)",
-    )
-    p_serve.add_argument(
-        "--scrub-interval", type=float, default=5.0,
-        help="with --supervise: seconds between background anti-entropy "
-             "scrub passes (default: 5)",
-    )
-    p_serve.add_argument(
-        "--autotune", action="store_true",
-        help="run the self-tuning control loop during the workload "
-             "(traversal advisor on the kNN path, online cost-model "
-             "calibration, drift-triggered pivot re-selection)",
-    )
-    p_serve.add_argument(
-        "--tune-interval", type=float, default=1.0,
-        help="with --autotune: seconds between control-loop ticks "
-             "(default: 1)",
-    )
-    p_serve.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="serve the wire protocol instead of a local workload "
-             "(SIGTERM/SIGINT drains gracefully)",
-    )
-    p_serve.add_argument(
-        "--duration", type=float, default=0.0,
-        help="with --listen: stop after this many seconds (0 = until signal)",
-    )
-    p_serve.add_argument(
-        "--drain-deadline", type=float, default=5.0,
-        help="with --listen: seconds in-flight queries get to finish on "
-             "shutdown before being aborted to honest partials (default: 5)",
-    )
-    p_serve.set_defaults(fn=cmd_serve)
-
-    p_netq = sub.add_parser(
-        "net-query",
-        help="run one query over the wire against a serve --listen server",
-    )
-    p_netq.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="server address (see serve --listen)",
-    )
-    p_netq.add_argument(
-        "--mode", choices=["range", "knn", "count"], default="knn"
-    )
-    p_netq.add_argument("--query", required=True, help="query object")
-    p_netq.add_argument("--k", type=int, default=8)
-    p_netq.add_argument("--radius", type=float, default=1.0)
-    p_netq.add_argument("--seed", type=int, default=42)
-    _add_limits(p_netq)
-    p_netq.set_defaults(fn=cmd_net_query)
-
-    p_bench = sub.add_parser(
-        "bench-load",
-        help="load-test the network front end; append to results/BENCH_net.json",
-    )
-    _add_common(p_bench)
-    p_bench.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="benchmark a running server (default: self-serve a replicated "
-             "2-shard cluster on an ephemeral port)",
-    )
-    p_bench.add_argument("--clients", type=int, default=4)
-    p_bench.add_argument(
-        "--qps", type=float, default=50.0,
-        help="aggregate target queries per second (default: 50)",
-    )
-    p_bench.add_argument(
-        "--duration", type=float, default=10.0,
-        help="seconds of load (default: 10)",
-    )
-    p_bench.add_argument("--deadline-ms", type=float, default=250.0)
-    p_bench.add_argument("--k", type=int, default=8)
-    p_bench.add_argument("--radius-percent", type=float, default=8.0)
-    p_bench.add_argument(
-        "--workers", type=int, default=4,
-        help="self-serve engine workers (default: 4)",
-    )
-    p_bench.add_argument("--queue-size", type=int, default=16)
-    p_bench.add_argument(
-        "--replicas", type=int, default=1,
-        help="self-serve followers per shard (default: 1; 0 = unreplicated)",
-    )
-    p_bench.add_argument(
-        "--out", default="results/BENCH_net.json",
-        help="JSON series file to append to (default: results/BENCH_net.json)",
-    )
-    p_bench.set_defaults(fn=cmd_bench_load)
-
-    p_sbuild = sub.add_parser(
-        "shard-build", help="build and save an N-shard SPB-tree cluster"
-    )
-    _add_common(p_sbuild)
-    p_sbuild.add_argument("--shards", type=int, default=4)
-    p_sbuild.add_argument(
-        "--out", required=True, help="cluster directory to write"
-    )
-    p_sbuild.add_argument(
-        "--checksums", action="store_true",
-        help="CRC32-checksum every page (lets scrub detect bit rot at rest)",
-    )
-    p_sbuild.set_defaults(fn=cmd_shard_build)
-
-    p_squery = sub.add_parser(
-        "shard-query",
-        help="one budgeted scatter-gather query against a saved cluster",
-    )
-    p_squery.add_argument("--dir", required=True, help="cluster directory")
-    p_squery.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_squery.add_argument(
-        "--mode", choices=["range", "knn", "count"], default="knn"
-    )
-    p_squery.add_argument("--query", default=None)
-    p_squery.add_argument("--k", type=int, default=8)
-    p_squery.add_argument("--radius", type=float, default=None)
-    p_squery.add_argument("--radius-percent", type=float, default=8.0)
-    _add_limits(p_squery)
-    p_squery.add_argument(
-        "--strict", action="store_true",
-        help="raise instead of returning a partial result on budget exhaustion",
-    )
-    p_squery.set_defaults(fn=cmd_shard_query)
-
-    p_srebal = sub.add_parser(
-        "shard-rebalance",
-        help="split a hot shard or merge cold neighbours (crash-safe)",
-    )
-    p_srebal.add_argument("--dir", required=True, help="cluster directory")
-    p_srebal.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_srebal.add_argument(
-        "--split", type=int, default=None, metavar="SHARD",
-        help="split this shard at its SFC key midpoint",
-    )
-    p_srebal.add_argument(
-        "--merge", type=int, nargs=2, default=None, metavar=("A", "B"),
-        help="merge these two range-adjacent shards",
-    )
-    p_srebal.set_defaults(fn=cmd_shard_rebalance)
-
-    p_sverify = sub.add_parser(
-        "shard-verify", help="audit a saved cluster for corruption"
-    )
-    p_sverify.add_argument("--dir", required=True, help="cluster directory")
-    p_sverify.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_sverify.add_argument(
-        "--fast", action="store_true",
-        help="skip per-object re-verification",
-    )
-    p_sverify.set_defaults(fn=cmd_shard_verify)
-
-    p_repl = sub.add_parser(
-        "replicate",
-        help="convert a saved cluster into per-shard replica sets",
-    )
-    p_repl.add_argument("--dir", required=True, help="cluster directory")
-    p_repl.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_repl.add_argument(
-        "--replicas", type=int, default=2,
-        help="WAL-shipping followers per shard (default: 2)",
-    )
-    p_repl.add_argument(
-        "--read-policy", choices=list(READ_POLICIES), default="primary-only",
-        help="replica read-routing policy (default: primary-only)",
-    )
-    p_repl.set_defaults(fn=cmd_replicate)
-
-    p_failover = sub.add_parser(
-        "shard-failover",
-        help="promote the best follower of a shard to primary",
-    )
-    p_failover.add_argument("--dir", required=True, help="cluster directory")
-    p_failover.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_failover.add_argument(
-        "--shard", type=int, required=True, help="shard id to fail over"
-    )
-    p_failover.set_defaults(fn=cmd_shard_failover)
-
-    p_scrub = sub.add_parser(
-        "scrub",
-        help="anti-entropy pass: WAL prefixes, page checksums, auto-repair",
-    )
-    p_scrub.add_argument("--dir", required=True, help="cluster directory")
-    p_scrub.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_scrub.add_argument(
-        "--shard", type=int, default=None,
-        help="scrub one shard only (default: every shard)",
-    )
-    p_scrub.add_argument(
-        "--pages", type=int, default=None,
-        help="page spot-check budget per member (default: all pages)",
-    )
-    p_scrub.add_argument(
-        "--deep", action="store_true",
-        help="additionally run the full structural verify on every member",
-    )
-    p_scrub.set_defaults(fn=cmd_scrub)
-
-    p_status = sub.add_parser(
-        "shard-status",
-        help="one line of replication health per shard + supervisor events",
-    )
-    p_status.add_argument("--dir", required=True, help="cluster directory")
-    p_status.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_status.add_argument(
-        "--events", type=int, default=10,
-        help="supervisor journal events to tail (default: 10)",
-    )
-    p_status.set_defaults(fn=cmd_shard_status)
-
-    p_tune = sub.add_parser(
-        "tune",
-        help="offline self-tuning pass over a saved cluster "
-             "(advisor policy, cost-model calibration, maintenance)",
-    )
-    p_tune.add_argument("--dir", required=True, help="cluster directory")
-    p_tune.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_tune.add_argument(
-        "--queries", type=int, default=48,
-        help="advised sample queries to run (default: 48)",
-    )
-    p_tune.add_argument("--k", type=int, default=8)
-    p_tune.add_argument(
-        "--epsilon", type=float, default=0.05,
-        help="advisor exploration floor (default: 0.05)",
-    )
-    p_tune.add_argument(
-        "--tick-every", type=int, default=8,
-        help="control-loop tick every N queries (default: 8)",
-    )
-    p_tune.add_argument(
-        "--auto-rebuild", action="store_true",
-        help="allow a drift-triggered pivot re-selection and rebuild "
-             "through a checkpoint",
-    )
-    p_tune.add_argument(
-        "--events", type=int, default=10,
-        help="tuning journal events to print (default: 10)",
-    )
-    p_tune.set_defaults(fn=cmd_tune)
-
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="run a short instrumented workload; Prometheus text on stdout",
-    )
-    _add_common(p_metrics)
-    p_metrics.add_argument("--num-queries", type=int, default=12)
-    p_metrics.add_argument("--workers", type=int, default=2)
-    p_metrics.add_argument("--k", type=int, default=8)
-    p_metrics.add_argument("--radius-percent", type=float, default=8.0)
-    p_metrics.add_argument(
-        "--mutations", type=int, default=4,
-        help="insert/delete operations mixed in (exercises the WAL families)",
-    )
-    p_metrics.set_defaults(fn=cmd_metrics)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="render one query's span tree — live, over the wire, or from "
-             "a recorded flight dump / slow log",
-    )
-    _add_common(p_trace)
-    p_trace.add_argument(
-        "--file", default=None, metavar="JSONL",
-        help="render traces recorded in a flight dump or slow-query log",
-    )
-    p_trace.add_argument(
-        "--request-id", default=None,
-        help="with --file: only the trace(s) of this request id",
-    )
-    p_trace.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="run the query against a serve --listen server and render "
-             "the stitched cross-process tree",
-    )
-    p_trace.add_argument(
-        "--mode", choices=["range", "knn", "count"], default="knn"
-    )
-    p_trace.add_argument("--query", default=None)
-    p_trace.add_argument("--k", type=int, default=8)
-    p_trace.add_argument("--radius", type=float, default=None)
-    p_trace.add_argument("--radius-percent", type=float, default=8.0)
-    _add_limits(p_trace)
-    p_trace.set_defaults(fn=cmd_trace)
-
-    p_mdiff = sub.add_parser(
-        "metrics-diff",
-        help="diff two metric snapshots (see serve --snapshot-dir)",
-    )
-    p_mdiff.add_argument("before", metavar="BEFORE.json")
-    p_mdiff.add_argument("after", metavar="AFTER.json")
-    p_mdiff.add_argument(
-        "--json", action="store_true",
-        help="emit the structured diff as JSON instead of text",
-    )
-    p_mdiff.add_argument(
-        "--changed-only", action="store_true",
-        help="hide samples with a zero delta",
-    )
-    p_mdiff.set_defaults(fn=cmd_metrics_diff)
-
-    p_build = sub.add_parser("build", help="build and save an index directory")
-    _add_common(p_build)
-    p_build.add_argument("--out", required=True, help="index directory to write")
-    p_build.set_defaults(fn=cmd_build)
-
-    p_verify = sub.add_parser(
-        "verify", help="audit a saved index for corruption"
-    )
-    p_verify.add_argument("--dir", required=True, help="index directory")
-    p_verify.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_verify.add_argument(
-        "--fast", action="store_true",
-        help="skip per-object SFC key re-verification",
-    )
-    p_verify.set_defaults(fn=cmd_verify)
-
-    def _index_dir_parser(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dir", required=True, help="index directory")
-        p.add_argument(
-            "--metric", default=None,
-            help="metric name override (default: the catalog's metric_name)",
-        )
-        return p
-
-    p_insert = _index_dir_parser(
-        "insert", "durably insert one object into a saved index"
-    )
-    p_insert.add_argument(
-        "--object", required=True,
-        help="the object (string, or comma-separated numbers for vectors)",
-    )
-    p_insert.set_defaults(fn=cmd_insert)
-
-    p_delete = _index_dir_parser(
-        "delete", "durably delete one object from a saved index"
-    )
-    p_delete.add_argument(
-        "--object", required=True,
-        help="the object (string, or comma-separated numbers for vectors)",
-    )
-    p_delete.set_defaults(fn=cmd_delete)
-
-    p_ckpt = _index_dir_parser(
-        "checkpoint", "fold the write-ahead log into a new on-disk generation"
-    )
-    p_ckpt.set_defaults(fn=cmd_checkpoint)
-
-    p_log = sub.add_parser(
-        "log-stats", help="inspect an index's write-ahead log"
-    )
-    p_log.add_argument("--dir", required=True, help="index directory")
-    p_log.set_defaults(fn=cmd_log_stats)
-
-    p_salvage = sub.add_parser(
-        "salvage", help="rebuild a consistent index from a damaged directory"
-    )
-    p_salvage.add_argument("--dir", required=True, help="damaged index directory")
-    p_salvage.add_argument(
-        "--metric", default=None,
-        help="metric name override (default: the catalog's metric_name)",
-    )
-    p_salvage.add_argument(
-        "--out", default=None,
-        help="where to save the salvaged index (default: <dir>.salvaged)",
-    )
-    p_salvage.set_defaults(fn=cmd_salvage)
-
-    args = parser.parse_args(argv)
-    args.fn(args)
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    """Run one subcommand.  This is the error boundary: a command's own
+    verdict (:class:`CommandFailed`) and bad input escaping it as a
+    ``ValueError`` (hence ``CatalogError``), an ``OSError`` (hence
+    ``NetError``) or a ``ReplicationError`` all end as one
+    ``<subcommand>: <message>`` line on stderr and exit code 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        args.fn(args)
+    except (
+        CommandFailed, ValueError, OSError, replication.ReplicationError
+    ) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from exc
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@
   mutations) and honours the server's ``retry_after_ms`` hint;
 * :mod:`repro.net.faults` — a wire-level fault-injection proxy (delay,
   drop, truncate-mid-frame, corrupt-length-prefix, reset) for chaos
-  testing;
-* :mod:`repro.net.bench` — a load generator recording latency
-  percentiles (the ``bench-load`` CLI).
+  testing.
+
+Load on the front end comes from the repo's benchmark (``bench/``, the
+``cluster-net`` workload), not from this package.
 """
 
 from repro.net import protocol

@@ -278,8 +278,9 @@ def read_flight(path: str) -> tuple[dict, list[dict]]:
 def find_request(directory: str, request_id: str) -> list[tuple[str, dict]]:
     """Search every dump in ``directory`` for a request id.
 
-    Returns ``(dump_path, entry)`` pairs — the ``trace`` CLI uses this to
-    answer "show me what happened to request X" from disk alone.
+    Returns ``(dump_path, entry)`` pairs — "show me what happened to
+    request X" from disk alone, across dumps (the ``trace`` CLI reads one
+    ``--file`` at a time and filters it with ``--request-id``).
     """
     hits: list[tuple[str, dict]] = []
     try:

@@ -34,26 +34,20 @@ SLOWLOG_VERSION = 1
 class SlowQueryLog:
     """Threshold-filtered, newline-delimited JSON query log.
 
-    Give it a ``path`` (opened in append mode) or any writable text
-    ``stream``; with neither, entries accumulate in memory only (useful
-    for tests and for the engine's in-process ring of recent offenders).
+    Give it a ``path`` (opened in append mode); without one, entries are
+    only counted (``recorded``).
 
-    ``max_bytes`` bounds on-disk growth for path-backed logs: when an
-    append would push the file past the limit, the current file rotates
-    to ``<path>.1`` (older generations shifting to ``.2`` … up to
-    ``max_generations``, the oldest falling off) and a fresh file starts,
-    so a long ``serve`` run holds at most
-    ~``(max_generations + 1) × max_bytes`` of slow-log data.  Rotation
-    only applies to path-backed logs — caller streams are not the log's
-    to rename.
+    ``max_bytes`` bounds on-disk growth: when an append would push the
+    file past the limit, the current file rotates to ``<path>.1`` (older
+    generations shifting to ``.2`` … up to ``max_generations``, the oldest
+    falling off) and a fresh file starts, so a long ``serve`` run holds at
+    most ~``(max_generations + 1) × max_bytes`` of slow-log data.
     """
 
     def __init__(
         self,
         path: Optional[str] = None,
-        stream: Optional[io.TextIOBase] = None,
         threshold_ms: float = 100.0,
-        keep_recent: int = 32,
         max_bytes: Optional[int] = None,
         max_generations: int = 1,
     ) -> None:
@@ -69,21 +63,15 @@ class SlowQueryLog:
         self.path = path
         self.max_bytes = max_bytes
         self.max_generations = max_generations
-        self._stream = stream
-        self._owns_stream = False
+        self._stream: Optional[io.TextIOBase] = None
         self._written = 0
         if path is not None:
-            if stream is not None:
-                raise ValueError("pass either path or stream, not both")
             self._stream = open(path, "a", encoding="utf-8")
-            self._owns_stream = True
             try:
                 self._written = os.path.getsize(path)
             except OSError:
                 self._written = 0
         self._lock = threading.Lock()
-        self._recent: list[dict] = []
-        self._keep_recent = keep_recent
         #: Total entries recorded (cheap health signal).
         self.recorded = 0
         #: Completed rotations (cheap health signal).
@@ -146,9 +134,6 @@ class SlowQueryLog:
         line = json.dumps(entry, sort_keys=True)
         with self._lock:
             self.recorded += 1
-            self._recent.append(entry)
-            if len(self._recent) > self._keep_recent:
-                del self._recent[0]
             if self._stream is None:
                 return
             payload = line + "\n"
@@ -181,16 +166,9 @@ class SlowQueryLog:
         self._written = 0
         self.rotations += 1
 
-    # ---------------------------------------------------------------- reading
-
-    def recent(self) -> list[dict]:
-        """The most recent entries (newest last), bounded by ``keep_recent``."""
-        with self._lock:
-            return list(self._recent)
-
     def close(self) -> None:
         with self._lock:
-            if self._owns_stream and self._stream is not None:
+            if self._stream is not None:
                 self._stream.close()
                 self._stream = None
 
@@ -201,17 +179,15 @@ class SlowQueryLog:
         self.close()
 
 
-def read_slow_log(path: str, strict: bool = False) -> list[dict]:
+def read_slow_log(path: str) -> list[dict]:
     """Parse a slow-query log file back into entries (newest last).
 
-    Forward- and crash-tolerant by default, like the WAL and supervisor
-    journal readers: entries from newer writers may carry fields this
-    reader predates (they pass through untouched, whatever their schema
-    ``v``), and a torn final line — the process died mid-append — ends the
-    parse with the complete prefix kept.  A malformed line *followed by*
-    well-formed ones is corruption rather than a torn tail and raises
-    either way; ``strict=True`` restores the old raise-on-any-bad-line
-    behaviour.
+    Forward- and crash-tolerant, like the WAL and supervisor journal
+    readers: entries from newer writers may carry fields this reader
+    predates (they pass through untouched, whatever their schema ``v``),
+    and a torn final line — the process died mid-append — ends the parse
+    with the complete prefix kept.  A malformed line *followed by*
+    well-formed ones is corruption rather than a torn tail and raises.
     """
     entries = []
     pending_error: Optional[str] = None
@@ -229,6 +205,4 @@ def read_slow_log(path: str, strict: bool = False) -> list[dict]:
                 entries.append(entry)
             except json.JSONDecodeError:
                 pending_error = f"{path}:{lineno}: malformed slow-log entry"
-                if strict:
-                    raise ValueError(pending_error) from None
     return entries

@@ -128,14 +128,12 @@ class SnapshotWriter:
         directory: str,
         interval_seconds: float = 10.0,
         registry: Optional[MetricsRegistry] = None,
-        prefix: str = "metrics",
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError("interval_seconds must be positive")
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.interval_seconds = interval_seconds
-        self.prefix = prefix
         self._registry = registry
         self._sequence = 0
         self._last_write = 0.0
@@ -151,7 +149,7 @@ class SnapshotWriter:
     def write(self, meta: Optional[dict] = None) -> str:
         self._sequence += 1
         path = os.path.join(
-            self.directory, f"{self.prefix}-{self._sequence:04d}.json"
+            self.directory, f"metrics-{self._sequence:04d}.json"
         )
         write_snapshot(path, registry=self._registry, meta=meta)
         return path

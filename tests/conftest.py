@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 
 # Allow running the tests without installing the package.
@@ -40,3 +41,13 @@ def l2() -> EuclideanDistance:
 @pytest.fixture(scope="session")
 def edit() -> EditDistance:
     return EditDistance()
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro.cli <args>`` in a fresh process, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )

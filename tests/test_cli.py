@@ -1,18 +1,8 @@
 """Smoke tests for the demo CLI (python -m repro.cli)."""
 
-import subprocess
-import sys
-
 import pytest
 
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=240,
-    )
+from tests.conftest import run_cli
 
 
 @pytest.mark.slow

@@ -313,40 +313,3 @@ class TestSeededChaosRun:
         assert engine.failed == 0
         with NetClient("127.0.0.1", handle.port) as direct:
             assert direct.health()["status"] == "ok"
-
-
-class TestBenchSmoke:
-    def test_run_load_produces_a_coherent_record(self, served):
-        from repro.net.bench import percentile, run_load
-
-        handle, _, _, words = served
-        record = run_load(
-            "127.0.0.1", handle.port, words[:10],
-            clients=2, qps=40.0, duration_s=1.0,
-            deadline_ms=500.0, k=3, radius=2.0, seed=0,
-        )
-        assert record["completed"] > 0
-        assert record["errors"] == 0
-        lat = record["latency_ms"]
-        assert 0 < lat["p50"] <= lat["p90"] <= lat["p95"] <= lat["p99"]
-        assert record["qps_achieved"] > 0
-
-    def test_percentile_interpolates(self):
-        from repro.net.bench import percentile
-
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 1.0) == 4.0
-        assert percentile(values, 0.5) == 2.5
-        assert percentile([], 0.5) == 0.0
-        assert percentile([7.0], 0.9) == 7.0
-
-    def test_append_series_accumulates(self, tmp_path):
-        from repro.net.bench import append_series
-
-        path = str(tmp_path / "BENCH_net.json")
-        append_series(path, {"completed": 1}, meta={"mode": "test"})
-        doc = append_series(path, {"completed": 2})
-        assert len(doc["series"]) == 2
-        assert doc["series"][0]["mode"] == "test"
-        assert all("ts" in entry for entry in doc["series"])

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -40,6 +38,7 @@ from repro.replication import ReplicatedIndex, replicate
 from repro.service import QueryContext, QueryEngine
 from repro.storage.faults import TransientIOError
 from repro.supervisor import Supervisor
+from tests.conftest import run_cli
 
 
 class FakeClock:
@@ -731,15 +730,6 @@ class TestChaosCorrelation:
 
 
 # ------------------------------------------------------------ CLI surfaces
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=240,
-    )
 
 
 @pytest.mark.slow

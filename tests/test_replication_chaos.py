@@ -16,8 +16,6 @@ rides along under the ``slow`` marker, matching the CI chaos job.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -27,6 +25,7 @@ from repro.cluster import ShardedIndex
 from repro.obs import instruments
 from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
 from repro.service.context import QueryContext
+from tests.conftest import run_cli
 
 
 @pytest.fixture()
@@ -188,15 +187,6 @@ def test_heartbeat_timeout_degrades_then_recovers(
         assert idx.verify().ok
     finally:
         idx.close()
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=240,
-    )
 
 
 @pytest.mark.slow

@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -28,6 +26,7 @@ from repro.obs import instruments
 from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
 from repro.service.context import QueryContext
 from repro.supervisor import SUPERVISOR_JOURNAL, Supervisor, read_journal
+from tests.conftest import run_cli
 
 
 class FakeClock:
@@ -194,15 +193,6 @@ def test_kill_primary_under_load_converges(
         assert reopened.verify().ok
     finally:
         reopened.close()
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=240,
-    )
 
 
 @pytest.mark.slow
