@@ -81,7 +81,6 @@ class BPlusTree:
         curve: SpaceFillingCurve,
         page_size: int = DEFAULT_PAGE_SIZE,
         fill_factor: float = 1.0,
-        path: Optional[str] = None,
         checksums: bool = False,
     ) -> None:
         if not 0.1 <= fill_factor <= 1.0:
@@ -95,7 +94,7 @@ class BPlusTree:
         key_bytes = max(1, (curve.ndims * curve.bits + 7) // 8)
         self.codec = NodeCodec(key_bytes, page_size)
         self.memo = NodeMemo()
-        self.pagefile = PageFile(page_size=page_size, path=path, checksums=checksums)
+        self.pagefile = PageFile(page_size=page_size, checksums=checksums)
         self.fill_factor = fill_factor
         self.root_page = -1
         self.height = 0

@@ -175,26 +175,22 @@ class Shard:
 
 def _stream_all(tree: SPBTree, sub: Optional[QueryContext]) -> "list | QueryResult":
     """Lemma 2 at shard scale: the whole RAF, zero distance computations."""
-    if sub is None:
-        with tree._epoch_lock.read():
-            return list(tree.objects())
-    t0 = time.perf_counter()
     items: list[Any] = []
-    complete, reason = True, None
-    with sub.activate():
-        try:
-            with tree._epoch_lock.read() as epoch:
-                sub.epoch = epoch
-                for obj in tree.objects():
-                    sub.checkpoint()
-                    items.append(obj)
-        except _Exhausted as exc:
-            complete, reason = False, exc.reason
+
+    def stream() -> None:
+        for obj in tree.objects():
+            if sub is not None:
+                sub.checkpoint()
+            items.append(obj)
+
+    complete, reason, elapsed = tree.read_frame(sub, stream)
+    if sub is None:
+        return items
     return QueryResult(
         items,
         complete=complete,
         reason=reason,
-        stats=sub.stats(time.perf_counter() - t0, len(items)),
+        stats=sub.stats(elapsed, len(items)),
     )
 
 
@@ -1276,17 +1272,9 @@ class ShardedIndex:
         self, shard: Shard, report: ClusterVerifyReport
     ) -> None:
         """Every live leaf key must fall inside the shard's half-open
-        range.  Counter state is restored — verification is an audit, not
-        a workload."""
+        range.  Verification is an audit, not a workload: no counter moves."""
         tree = shard.tree
-        b_counter = tree.btree.pagefile.counter
-        r_counter = tree.raf.pagefile.counter if tree.raf is not None else None
-        saved = (
-            b_counter.reads,
-            b_counter.writes,
-            (r_counter.reads, r_counter.writes) if r_counter else None,
-        )
-        try:
+        with tree.unobserved():
             for entry in tree.btree.leaf_entries():
                 if tree.raf is not None and tree.raf.is_deleted(entry.ptr):
                     continue
@@ -1295,10 +1283,6 @@ class ShardedIndex:
                         f"shard {shard.shard_id}: key {entry.key} outside "
                         f"range [{shard.key_lo}, {shard.key_hi})"
                     )
-        finally:
-            b_counter.reads, b_counter.writes = saved[0], saved[1]
-            if r_counter is not None and saved[2] is not None:
-                r_counter.reads, r_counter.writes = saved[2]
 
     # ----------------------------------------------------------- inventory
 

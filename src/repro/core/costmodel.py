@@ -146,68 +146,53 @@ class CostModel:
     def _calibrate_probes(self, count: int) -> None:
         """Probe the tree with a few real queries and fit the model to them.
 
-        Counter state is snapshotted and restored, so probing never shows up
-        in reported PA/compdists.
+        The probes run under :meth:`SPBTree.unobserved`, so probing never shows up
+        in reported PA/compdists or the buffer pool's hit rate.
         """
         tree = self.tree
         if tree.raf is None or tree.object_count < 30:
             return
-        btree_counter = tree.btree.pagefile.counter
-        raf_counter = tree.raf.pagefile.counter
-        snapshot = (
-            tree.distance.count,
-            btree_counter.reads,
-            btree_counter.writes,
-            raf_counter.reads,
-            raf_counter.writes,
-        )
         try:
-            probes = self._probe_objects(count)
-            lb_err, hom_err = [], []
-            observations = []
-            for q in probes:
-                tree.flush_cache()
-                pa0 = tree.page_accesses
-                result = tree.knn_query(q, self._PROBE_K)
-                actual_pa = tree.page_accesses - pa0
-                true_ndk = result[-1][0] if result else 0.0
-                if true_ndk <= 0:
-                    continue
-                phi_q = self._phi(q)
-                r_lb = self._ndk_lower_bound(phi_q, self._PROBE_K)
-                r_hom = self._ndk_homogeneous(self._PROBE_K)
-                if r_lb > 0:
-                    lb_err.append(abs(math.log(r_lb / true_ndk)))
-                if r_hom > 0:
-                    hom_err.append(abs(math.log(r_hom / true_ndk)))
-                    observations.append((q, phi_q, true_ndk, actual_pa, r_hom))
-            if not observations:
-                return
-            if lb_err and (not hom_err or _median(lb_err) <= _median(hom_err)):
-                self._ndk_kind = "lb"
-            else:
-                self._ndk_kind = "hom"
-                ratios = [t / r for _, _, t, _, r in observations if r > 0]
-                if ratios:
-                    self._hom_scale = _median(ratios)
-            # Fit the page-access scale at the true radii, where the EDC
-            # part of the model is known to be accurate.
-            pa_ratios = []
-            for _, phi_q, true_ndk, actual_pa, _ in observations:
-                raw = self._epa_raw(phi_q, true_ndk)
-                if raw > 0 and actual_pa > 0:
-                    pa_ratios.append(actual_pa / raw)
-            if pa_ratios:
-                self._epa_scale = _median(pa_ratios)
+            with tree.unobserved():
+                probes = self._probe_objects(count)
+                lb_err, hom_err = [], []
+                observations = []
+                for q in probes:
+                    tree.flush_cache()
+                    pa0 = tree.page_accesses
+                    result = tree.knn_query(q, self._PROBE_K)
+                    actual_pa = tree.page_accesses - pa0
+                    true_ndk = result[-1][0] if result else 0.0
+                    if true_ndk <= 0:
+                        continue
+                    phi_q = self._phi(q)
+                    r_lb = self._ndk_lower_bound(phi_q, self._PROBE_K)
+                    r_hom = self._ndk_homogeneous(self._PROBE_K)
+                    if r_lb > 0:
+                        lb_err.append(abs(math.log(r_lb / true_ndk)))
+                    if r_hom > 0:
+                        hom_err.append(abs(math.log(r_hom / true_ndk)))
+                        observations.append((q, phi_q, true_ndk, actual_pa, r_hom))
         finally:
-            (
-                tree.distance.count,
-                btree_counter.reads,
-                btree_counter.writes,
-                raf_counter.reads,
-                raf_counter.writes,
-            ) = snapshot
             tree.flush_cache()
+        if not observations:
+            return
+        if lb_err and (not hom_err or _median(lb_err) <= _median(hom_err)):
+            self._ndk_kind = "lb"
+        else:
+            self._ndk_kind = "hom"
+            ratios = [t / r for _, _, t, _, r in observations if r > 0]
+            if ratios:
+                self._hom_scale = _median(ratios)
+        # Fit the page-access scale at the true radii, where the EDC
+        # part of the model is known to be accurate.
+        pa_ratios = []
+        for _, phi_q, true_ndk, actual_pa, _ in observations:
+            raw = self._epa_raw(phi_q, true_ndk)
+            if raw > 0 and actual_pa > 0:
+                pa_ratios.append(actual_pa / raw)
+        if pa_ratios:
+            self._epa_scale = _median(pa_ratios)
 
     def _probe_objects(self, count: int) -> list[Any]:
         """A spread of stored objects to probe with."""

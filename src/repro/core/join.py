@@ -15,17 +15,22 @@ them:
 Both trees' leaf entries are visited in ascending SFC order exactly once
 (Lemma 7 — no missed and no duplicated pairs), with each side's visited
 objects kept in a list that Lemma 6 continuously shrinks.
+
+A join is a read of its trees: it runs under :meth:`SPBTree.read_frame` of
+each (the second tree's nested inside the first's), so no writer changes a
+leaf under the merge, ``context.epoch`` is pinned, and a tripped limit
+degrades the way it does for a query.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+from repro.btree.node import LeafEntry
 from repro.core.spbtree import SPBTree
 from repro.distance.base import CountingDistance
-from repro.service.context import ExhaustionReason, QueryContext, _Exhausted
+from repro.service.context import ExhaustionReason, QueryContext
 from repro.stats import QueryStats
 
 
@@ -89,38 +94,41 @@ def similarity_join(
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     _check_compatible(tree_q, tree_o)
-    result = JoinResult()
-    if tree_q.raf is None or tree_o.raf is None:
-        return result
-    if context is not None:
-        with context.activate():
-            try:
-                _merge_join(tree_q, tree_o, epsilon, result, context)
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                result.complete = False
-                result.reason = exc.reason
-        return result
-    _merge_join(tree_q, tree_o, epsilon, result, None)
-    return result
+
+    def merge(visit: Callable) -> None:
+        list_q: list[_ListItem] = []
+        list_o: list[_ListItem] = []
+        iter_q = iter(tree_q.btree.leaf_entries())
+        iter_o = iter(tree_o.btree.leaf_entries())
+        entry_q = next(iter_q, None)
+        entry_o = next(iter_o, None)
+        while entry_q is not None or entry_o is not None:
+            if entry_o is None or (entry_q is not None and entry_q.key <= entry_o.key):
+                visit(tree_q, entry_q, list_o, list_q, True)
+                entry_q = next(iter_q, None)
+            else:
+                visit(tree_o, entry_o, list_q, list_o, False)
+                entry_o = next(iter_o, None)
+
+    return _sweep((tree_q, tree_o), epsilon, context, merge)
 
 
-def _merge_join(
-    tree_q: SPBTree,
-    tree_o: SPBTree,
+def _sweep(
+    trees: tuple[SPBTree, ...],
     epsilon: float,
-    result: JoinResult,
-    ctx: Optional[QueryContext],
-) -> None:
-    t0 = time.perf_counter()
-    pa0 = tree_q.page_accesses + tree_o.page_accesses
+    context: Optional[QueryContext],
+    outer: Callable[[Callable], None],
+) -> JoinResult:
+    """Algorithm 3 under the read frame.  ``outer`` walks the leaf entries
+    of ``trees`` in ascending SFC order and hands each to ``visit``, the
+    per-entry body (lines 13–21) — written once, here, for the two-tree
+    merge and the self-join, which keep only their outer loops."""
+    result = JoinResult()
+    pa0 = sum(tree.page_accesses for tree in trees)
     # Join-level distance counter: verification distances are charged here,
     # not to either tree, so per-tree counters stay meaningful.
-    dist = CountingDistance(tree_o.distance.metric)
-
-    space = tree_q.space
-    curve = tree_q.curve
+    dist = CountingDistance(trees[-1].distance.metric)
+    space, curve = trees[0].space, trees[0].curve
     top = space.cells - 1
     if space.exact:
         # Discrete metric: |d(o,pᵢ) - d(q,pᵢ)| ≤ ε bounds the grid gap by ⌊ε⌋.
@@ -129,27 +137,21 @@ def _merge_join(
         # δ-approximation: one extra cell of slack per side, conservatively.
         reach = int(epsilon // space.delta) + 1
 
-    def expand(grid: tuple[int, ...]) -> tuple[int, int]:
-        lo = tuple(max(0, g - reach) for g in grid)
-        hi = tuple(min(top, g + reach) for g in grid)
-        return curve.encode(lo), curve.encode(hi)
-
-    def in_rr(grid_a: tuple[int, ...], grid_b: tuple[int, ...]) -> bool:
-        # Lemma 5 on the grid: every coordinate gap within reach.
-        return all(abs(a - b) <= reach for a, b in zip(grid_a, grid_b))
-
-    def make_item(tree: SPBTree, key: int, ptr: int) -> _ListItem | None:
+    def visit(
+        tree: SPBTree, entry: LeafEntry, others: list, own: list, q_side: bool
+    ) -> None:
+        """Verify the object ``entry`` points at against the other side's
+        list, pruning expired items via Lemma 6, then add it to its own."""
+        if context is not None:
+            context.checkpoint()
         assert tree.raf is not None
-        if tree.raf.is_deleted(ptr):
-            return None
-        grid = curve.decode(key)
-        _, max_rr = expand(grid)
-        return _ListItem(key, grid, tree.raf.read_object(ptr), max_rr)
-
-    def verify(item: _ListItem, others: list[_ListItem], q_side: bool) -> None:
-        """Verify ``item`` against the other side's list (Algorithm 3,
-        lines 13-21), pruning expired entries via Lemma 6."""
-        min_rr, _ = expand(item.grid)
+        if tree.raf.is_deleted(entry.ptr):
+            return
+        grid = curve.decode(entry.key)
+        # minRR / maxRR of Lemma 6: the keys of RR(o, ε)'s two corners.
+        min_rr = curve.encode(tuple(max(0, g - reach) for g in grid))
+        max_rr = curve.encode(tuple(min(top, g + reach) for g in grid))
+        item = _ListItem(entry.key, grid, tree.raf.read_object(entry.ptr), max_rr)
         i = len(others) - 1
         while i >= 0:
             other = others[i]
@@ -157,54 +159,42 @@ def _merge_join(
                 del others[i]
                 i -= 1
                 continue
-            if other.key >= min_rr and in_rr(item.grid, other.grid):  # Lemmas 6, 5
-                if q_side:
-                    q_obj, o_obj = item.obj, other.obj
-                else:
-                    q_obj, o_obj = other.obj, item.obj
-                if dist(q_obj, o_obj) <= epsilon:
-                    result.pairs.append((q_obj, o_obj))
+            # Lemma 6, then Lemma 5 on the grid: every coordinate gap
+            # within reach.
+            if other.key >= min_rr and all(
+                abs(a - b) <= reach for a, b in zip(grid, other.grid)
+            ):
+                pair = (item.obj, other.obj) if q_side else (other.obj, item.obj)
+                if dist(*pair) <= epsilon:
+                    result.pairs.append(pair)
             i -= 1
+        own.append(item)
 
-    list_q: list[_ListItem] = []
-    list_o: list[_ListItem] = []
-    try:
-        iter_q = iter(tree_q.btree.leaf_entries())
-        iter_o = iter(tree_o.btree.leaf_entries())
-        entry_q = next(iter_q, None)
-        entry_o = next(iter_o, None)
-        while entry_q is not None or entry_o is not None:
-            if ctx is not None:
-                ctx.checkpoint()
-            take_q = entry_o is None or (
-                entry_q is not None and entry_q.key <= entry_o.key
-            )
-            if take_q:
-                assert entry_q is not None
-                item = make_item(tree_q, entry_q.key, entry_q.ptr)
-                if item is not None:
-                    verify(item, list_o, q_side=True)
-                    list_q.append(item)
-                entry_q = next(iter_q, None)
-            else:
-                assert entry_o is not None
-                item = make_item(tree_o, entry_o.key, entry_o.ptr)
-                if item is not None:
-                    verify(item, list_q, q_side=False)
-                    list_o.append(item)
-                entry_o = next(iter_o, None)
-    finally:
-        # Fill the cost metrics even when a checkpoint aborts the merge,
-        # so a degraded join still reports what it spent.
-        result.stats.elapsed_seconds = time.perf_counter() - t0
-        if ctx is not None:
-            result.stats.page_accesses = ctx.page_accesses
-        else:
-            result.stats.page_accesses = (
-                tree_q.page_accesses + tree_o.page_accesses - pa0
-            )
-        result.stats.distance_computations = dist.count
-        result.stats.result_size = len(result.pairs)
+    def body() -> None:
+        # One span holds the whole sweep, so a traced join reconciles; the
+        # second tree's view nests inside the first's (re-entrantly on the
+        # same tree for a self-join).
+        tr = context.trace if context is not None else None
+        record = tr.enter(tr.span("sweep"), context) if tr is not None else None
+        try:
+            trees[-1].read_frame(None, lambda: outer(visit))
+        finally:
+            if record is not None:
+                tr.exit(record)
+
+    result.complete, result.reason, elapsed = trees[0].read_frame(context, body)
+    # A degraded join still reports what it spent.
+    result.stats = QueryStats(
+        page_accesses=(
+            context.page_accesses
+            if context is not None
+            else sum(tree.page_accesses for tree in trees) - pa0
+        ),
+        distance_computations=dist.count,
+        elapsed_seconds=elapsed,
+        result_size=len(result.pairs),
+    )
+    return result
 
 
 def similarity_join_stats(
@@ -235,81 +225,13 @@ def similarity_self_join(
             "self-join requires a Z-order SPB-tree (Lemma 6); "
             "build with curve='z'"
         )
-    result = JoinResult()
-    if tree.raf is None:
-        return result
-    if context is not None:
-        with context.activate():
-            try:
-                _merge_self_join(tree, epsilon, result, context)
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                result.complete = False
-                result.reason = exc.reason
-        return result
-    _merge_self_join(tree, epsilon, result, None)
-    return result
 
-
-def _merge_self_join(
-    tree: SPBTree,
-    epsilon: float,
-    result: JoinResult,
-    ctx: Optional[QueryContext],
-) -> None:
-    assert tree.raf is not None
-    t0 = time.perf_counter()
-    pa0 = tree.page_accesses
-    dist = CountingDistance(tree.distance.metric)
-    space = tree.space
-    curve = tree.curve
-    top = space.cells - 1
-    if space.exact:
-        reach = int(epsilon // space.delta)
-    else:
-        reach = int(epsilon // space.delta) + 1
-
-    def expand(grid: tuple[int, ...]) -> tuple[int, int]:
-        lo = tuple(max(0, g - reach) for g in grid)
-        hi = tuple(min(top, g + reach) for g in grid)
-        return curve.encode(lo), curve.encode(hi)
-
-    def in_rr(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return all(abs(x - y) <= reach for x, y in zip(a, b))
-
-    window: list[_ListItem] = []
-    try:
+    def scan(visit: Callable) -> None:
+        window: list[_ListItem] = []
         for entry in tree.btree.leaf_entries():
-            if ctx is not None:
-                ctx.checkpoint()
-            if tree.raf.is_deleted(entry.ptr):
-                continue
-            grid = curve.decode(entry.key)
-            min_rr, max_rr = expand(grid)
-            item = _ListItem(
-                entry.key, grid, tree.raf.read_object(entry.ptr), max_rr
-            )
-            i = len(window) - 1
-            while i >= 0:
-                other = window[i]
-                if other.max_rr < item.key:  # Lemma 6: expired forever
-                    del window[i]
-                    i -= 1
-                    continue
-                if other.key >= min_rr and in_rr(item.grid, other.grid):
-                    if dist(item.obj, other.obj) <= epsilon:
-                        result.pairs.append((other.obj, item.obj))
-                i -= 1
-            window.append(item)
-    finally:
-        result.stats.elapsed_seconds = time.perf_counter() - t0
-        if ctx is not None:
-            result.stats.page_accesses = ctx.page_accesses
-        else:
-            result.stats.page_accesses = tree.page_accesses - pa0
-        result.stats.distance_computations = dist.count
-        result.stats.result_size = len(result.pairs)
+            visit(tree, entry, window, window, False)
+
+    return _sweep((tree,), epsilon, context, scan)
 
 
 def knn_join(
@@ -318,24 +240,28 @@ def knn_join(
     """kNN join: for every object q in Q, its k nearest neighbours in O.
 
     An extension beyond the paper's ε-joins, built on the same machinery:
-    each Q object (scanned once from Q's RAF) runs a best-first kNN search
-    on O's SPB-tree.  Returns ``{q object id: [(distance, o), ...]}`` plus
-    the aggregate cost.
+    each Q object (scanned once from Q's RAF, under Q's read frame) runs a
+    best-first kNN search on O's SPB-tree.  Returns
+    ``{q object id: [(distance, o), ...]}`` plus the aggregate cost.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tree_q.raf is None or tree_o.raf is None:
+    if tree_o.raf is None:
         return {}, QueryStats()
-    t0 = time.perf_counter()
     pa0 = tree_q.page_accesses + tree_o.page_accesses
     dc0 = tree_o.distance_computations
     results: dict[int, list[tuple[float, Any]]] = {}
-    for _, obj_id, obj in tree_q.raf.scan():
-        results[obj_id] = tree_o.knn_query(obj, k)
+
+    def scan() -> None:
+        assert tree_q.raf is not None
+        for _, obj_id, obj in tree_q.raf.scan():
+            results[obj_id] = tree_o.knn_query(obj, k)
+
+    _, _, elapsed = tree_q.read_frame(None, scan)
     stats = QueryStats(
         page_accesses=tree_q.page_accesses + tree_o.page_accesses - pa0,
         distance_computations=tree_o.distance_computations - dc0,
-        elapsed_seconds=time.perf_counter() - t0,
+        elapsed_seconds=elapsed,
         result_size=sum(len(v) for v in results.values()),
     )
     return results, stats

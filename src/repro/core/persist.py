@@ -27,8 +27,8 @@ the process dies between any two writes.  ``save_tree`` therefore:
 3. fsyncs the directory and only then deletes the previous generation.
 
 ``load_tree`` verifies the recorded digests before trusting the page files
-(raising :class:`CatalogError` on mismatch) and still reads format v1
-directories (fixed file names, no digests).  A ``FaultInjector`` may be
+(raising :class:`CatalogError` on mismatch, as it does for a catalog of any
+other ``format_version``).  A ``FaultInjector`` may be
 passed to ``save_tree`` to place a simulated crash at any page-write or
 rename boundary; the crash-consistency tests exercise every one.
 
@@ -69,9 +69,6 @@ from repro.storage.wal import WAL_FILE, WriteAheadLog, scan_wal
 FORMAT_VERSION = 2
 
 _META_FILE = "spbtree.json"
-# Format v1 used fixed page-file names (no generations, no digests).
-_BTREE_FILE_V1 = "btree.pages"
-_RAF_FILE_V1 = "raf.pages"
 _GEN_FILE_RE = re.compile(r"^(btree|raf)\.(\d+)\.pages$")
 
 _SERIALIZERS: dict[str, type[Serializer]] = {
@@ -173,8 +170,8 @@ def load_tree(
 
     ``metric`` must be the same distance function the tree was built with;
     its name is checked against the stored fingerprint.  Page-file digests
-    (format v2) are verified before any page is trusted; a stale or damaged
-    catalog raises :class:`CatalogError`.
+    are verified before any page is trusted; a stale or damaged catalog, or
+    one of another format version, raises :class:`CatalogError`.
 
     When the directory holds a live WAL — header bound to the loaded
     generation — its records are replayed on top of the loaded state
@@ -184,7 +181,7 @@ def load_tree(
     """
     meta = _read_catalog(directory)
     version = meta.get("format_version")
-    if version not in (1, 2):
+    if version != FORMAT_VERSION:
         raise CatalogError(f"unsupported format version {version}")
     if meta["metric_name"] != metric.name:
         raise ValueError(
@@ -200,14 +197,10 @@ def load_tree(
     ]
     curve = meta["curve"]
     checksums = bool(meta.get("checksums", False))
-    if version == 1:
-        btree_path = os.path.join(directory, _BTREE_FILE_V1)
-        raf_path = os.path.join(directory, _RAF_FILE_V1)
-    else:
-        btree_path = os.path.join(directory, meta["files"]["btree"])
-        raf_path = os.path.join(directory, meta["files"]["raf"])
-        _check_digest(btree_path, meta["digests"]["btree"])
-        _check_digest(raf_path, meta["digests"]["raf"])
+    btree_path = os.path.join(directory, meta["files"]["btree"])
+    raf_path = os.path.join(directory, meta["files"]["raf"])
+    _check_digest(btree_path, meta["digests"]["btree"])
+    _check_digest(raf_path, meta["digests"]["raf"])
     # SPBTree validates the curve name itself, raising ValueError on an
     # unrecognized one — no silent fallback to a different curve.
     tree = SPBTree(
@@ -455,13 +448,10 @@ def _cleanup_old_generations(
     """Best-effort removal of page files the new catalog no longer references.
 
     Runs after the commit point, so a crash mid-cleanup only leaves extra
-    files behind; the v1 fixed-name files count as generation 0.
+    files behind.
     """
     for name in os.listdir(directory):
-        obsolete = (
-            _GEN_FILE_RE.match(name) or name in (_BTREE_FILE_V1, _RAF_FILE_V1)
-        )
-        if obsolete and name not in keep:
+        if _GEN_FILE_RE.match(name) and name not in keep:
             if faults is not None:
                 faults.checkpoint(f"unlink {name}")
             try:

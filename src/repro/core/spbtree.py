@@ -17,10 +17,14 @@ Query processing implements the paper's algorithms verbatim:
   lower bounds (Lemma 3), optimal in distance computations (Lemma 4),
   with both the *incremental* and the *greedy* traversal paradigms of
   §4.3.
+
+Every read — these queries, the joins of :mod:`repro.core.join`, a cluster's
+whole-shard stream — runs under :meth:`SPBTree.read_frame`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import os
@@ -40,6 +44,7 @@ from repro.sfc.base import SpaceFillingCurve
 from repro.sfc.hilbert import HilbertCurve
 from repro.service.context import (
     EpochLock,
+    ExhaustionReason,
     KnnCollector,
     QueryContext,
     QueryResult,
@@ -62,6 +67,9 @@ _CURVES: dict[str, type[SpaceFillingCurve]] = {
 
 #: Reservoir size for the cost-model sample of mapped vectors (eq. 2).
 _SAMPLE_CAPACITY = 2000
+
+#: What :meth:`SPBTree._fetch` answers for a tombstoned record.
+_DELETED = object()
 
 
 class SPBTree:
@@ -425,10 +433,7 @@ class SPBTree:
                 return False
             if self.wal is not None:
                 self.wal.append_delete(key, target)
-            self.btree.delete(key, entry.ptr)
-            self.raf.mark_deleted(entry.ptr)
-            self.object_count -= 1
-            self._unobserve(grid)
+            self._apply_delete(entry, grid)
             return True
 
     def _find_live_entry(self, key: int, target: bytes):
@@ -455,6 +460,14 @@ class SPBTree:
         self.object_count += 1
         self._observe(grid)
 
+    def _apply_delete(self, entry: LeafEntry, grid: tuple[int, ...]) -> None:
+        """The in-memory half of a delete (live path and WAL replay)."""
+        assert self.raf is not None
+        self.btree.delete(entry.key, entry.ptr)
+        self.raf.mark_deleted(entry.ptr)
+        self.object_count -= 1
+        self._unobserve(grid)
+
     def _apply_wal_record(self, record: WalRecord) -> None:
         """Re-apply one logged mutation during recovery.
 
@@ -472,13 +485,9 @@ class SPBTree:
             obj = serializer.deserialize(record.payload)
             self._apply_insert(obj, record.obj_id, record.key, grid, flush=False)
             return
-        assert self.raf is not None
         entry = self._find_live_entry(record.key, record.payload)
         if entry is not None:
-            self.btree.delete(record.key, entry.ptr)
-            self.raf.mark_deleted(entry.ptr)
-            self.object_count -= 1
-            self._unobserve(grid)
+            self._apply_delete(entry, grid)
 
     # ----------------------------------------------------- WAL & checkpoint
 
@@ -549,6 +558,84 @@ class SPBTree:
         except ValueError:
             pass
 
+    # ------------------------------------------------------- the read frame
+
+    def read_frame(
+        self, context: Optional[QueryContext], body: Callable[[], None]
+    ) -> tuple[bool, Optional[ExhaustionReason], float]:
+        """Run ``body`` as one read of this tree; returns ``(complete,
+        reason, elapsed seconds)``.
+
+        The only place a read takes the epoch read view (pinning
+        ``context.epoch``), skips an empty tree, activates the context as
+        the thread's stat shard, and turns a tripped limit — the internal
+        ``_Exhausted`` a checkpoint inside ``body`` raises — into
+        ``complete=False`` plus the reason, or into the context's strict-mode
+        exception; an attached trace is finished with that outcome.  What
+        ``body`` gathered before the limit tripped is the caller's honest
+        partial answer.  A context-free call is the same frame with nothing
+        to account: a join nests one around its second tree to hold that
+        tree's view, and a limit tripped inside it is the outer frame's.
+        """
+        t0 = time.perf_counter()
+        complete, reason = True, None
+        active = context.activate() if context is not None else contextlib.nullcontext()
+        with active:
+            try:
+                with self._epoch_lock.read() as epoch:
+                    if context is not None:
+                        context.epoch = epoch
+                    if self.raf is not None and self.object_count:
+                        body()
+            except _Exhausted as exc:
+                if context is None:
+                    raise
+                if context.strict:
+                    raise context.raise_for(exc.reason) from None
+                complete, reason = False, exc.reason
+            if context is not None and context.trace is not None:
+                context.trace.finish(context, complete, reason)
+        return complete, reason, time.perf_counter() - t0
+
+    def _map_query(
+        self,
+        query: Any,
+        ctx: Optional[QueryContext],
+        phi_q: Optional[tuple[float, ...]],
+    ) -> tuple[Optional[Any], tuple[float, ...]]:
+        """The prologue of every query: ``(trace, φ(q))``.  The |P| mapping
+        distances land on the trace's ``map`` span — unless the caller (a
+        cluster scatter) paid them already and passed ``phi_q`` — and the
+        budget is checked once they are spent."""
+        tr = ctx.trace if ctx is not None else None
+        if phi_q is None:
+            record = tr.enter(tr.span("map"), ctx) if tr is not None else None
+            try:
+                phi_q = self.space.phi(query)  # |P| compdists
+            finally:
+                if record is not None:
+                    tr.exit(record)
+        if ctx is not None:
+            ctx.checkpoint()
+        return tr, phi_q
+
+    def _fetch(
+        self, ptr: int, ctx: Optional[QueryContext], tr: Optional[Any], tally: str
+    ) -> Any:
+        """The record a surviving leaf entry points at — the one RAF read
+        of the query path.  A tombstone is skipped (``_DELETED``), the
+        budget is checked before every read, and the trace ``tally``
+        follows the check, so a traced count is a count of reads."""
+        raf = self.raf
+        assert raf is not None
+        if raf.is_deleted(ptr):
+            return _DELETED
+        if ctx is not None:
+            ctx.checkpoint()
+        if tr is not None:
+            tr.bump(tally)
+        return raf.read_object(ptr)
+
     # ---------------------------------------------------------- range query
 
     def range_query(
@@ -571,107 +658,77 @@ class SPBTree:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
+        results: list[Any] = []
+        complete, reason, elapsed = self.read_frame(
+            context,
+            lambda: self._range_search(
+                query, radius, context, phi_q, results.append, free_accepts=False
+            ),
+        )
         if context is None:
-            results: list[Any] = []
-            with self._epoch_lock.read():
-                if self.raf is None or self.object_count == 0:
-                    return results
-                self._range_search(query, radius, results, None, phi_q)
             return results
-        with context.activate():
-            t0 = time.perf_counter()
-            results = []
-            complete, reason = True, None
-            try:
-                with self._epoch_lock.read() as epoch:
-                    context.epoch = epoch
-                    if self.raf is not None and self.object_count:
-                        self._range_search(query, radius, results, context, phi_q)
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                complete, reason = False, exc.reason
-            if context.trace is not None:
-                context.trace.finish(context, complete, reason)
-            return QueryResult(
-                results,
-                complete=complete,
-                reason=reason,
-                stats=context.stats(time.perf_counter() - t0, len(results)),
-            )
+        return QueryResult(
+            results,
+            complete=complete,
+            reason=reason,
+            stats=context.stats(elapsed, len(results)),
+        )
 
     def _range_search(
         self,
         query: Any,
         radius: float,
-        results: list[Any],
         ctx: Optional[QueryContext],
-        phi_q: Optional[tuple[float, ...]] = None,
+        phi_q: Optional[tuple[float, ...]],
+        hit: Callable[[Any], None],
+        free_accepts: bool,
     ) -> None:
-        tr = ctx.trace if ctx is not None else None
-        if phi_q is None:
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)  # |P| compdists
-            else:
-                phi_q = self.space.phi(query)
-        if ctx is not None:
-            ctx.checkpoint()
+        """Algorithm 1's descent, for the range query and the count alike:
+        ``hit(obj)`` is called once per live object within ``radius``.
+        With ``free_accepts`` (the count) an entry Lemma 2 accepts is a hit
+        with no I/O at all — ``hit(None)`` — instead of a RAF read."""
+        assert self.raf is not None
+        tr, phi_q = self._map_query(query, ctx, phi_q)
         rr = self.space.range_region(phi_q, radius)
         stack: list[tuple[int, int]] = [(self.btree.root_page, 0)]  # (page, level)
         while stack:
             if ctx is not None:
                 ctx.checkpoint()
             page_id, depth = stack.pop()
-            if tr is not None:
-                with tr.region(tr.level(depth), ctx):
-                    self._range_visit(
-                        page_id, depth, query, radius, phi_q, rr, results,
-                        stack, ctx, tr,
+            # All costs of a node belong to the span of the node's level.
+            record = tr.enter(tr.level(depth), ctx) if tr is not None else None
+            try:
+                node = self.btree.read_node(page_id)
+                if tr is not None:
+                    tr.bump("nodes_visited")
+                if not node.is_leaf:
+                    # Lemma 1 over a non-leaf node: stack the children whose
+                    # MBB intersects RR, in entry order.
+                    meets = np.flatnonzero(
+                        self.space.boxes_meet_region(*self.btree.child_boxes(node), rr)
                     )
-            else:
-                self._range_visit(
-                    page_id, depth, query, radius, phi_q, rr, results,
-                    stack, ctx, None,
-                )
-
-    def _range_visit(
-        self,
-        page_id: int,
-        depth: int,
-        query: Any,
-        radius: float,
-        phi_q: tuple[float, ...],
-        rr: tuple,
-        results: list[Any],
-        stack: list,
-        ctx: Optional[QueryContext],
-        tr: Optional[Any],
-    ) -> None:
-        """Process one node of Algorithm 1's descent (all costs belong to
-        the caller-entered span of this node's level)."""
-        node = self.btree.read_node(page_id)
-        if tr is not None:
-            tr.bump("nodes_visited")
-        if node.is_leaf:
-            for ptr, accepted in self._range_leaf(node, phi_q, radius, rr, tr):
-                self._verify_range(ptr, accepted, query, radius, results, ctx, tr)
-            return
-        self._push_children_meeting(node, rr, depth, stack, tr)
-
-    def _push_children_meeting(
-        self, node: Node, rr: tuple, depth: int, stack: list, tr: Optional[Any]
-    ) -> None:
-        """Lemma 1 over a non-leaf node: stack the children whose MBB
-        intersects RR, in entry order."""
-        meets = np.flatnonzero(
-            self.space.boxes_meet_region(*self.btree.child_boxes(node), rr)
-        )
-        entries = node.entries
-        for i in meets.tolist():
-            stack.append((entries[i].child, depth + 1))
-        if tr is not None and len(meets) < node.count:
-            tr.bump("children_pruned_lemma1", node.count - len(meets))
+                    entries = node.entries
+                    for i in meets.tolist():
+                        stack.append((entries[i].child, depth + 1))
+                    if tr is not None and len(meets) < node.count:
+                        tr.bump("children_pruned_lemma1", node.count - len(meets))
+                    continue
+                # VerifyRQ of Algorithm 1 (lines 25–29) for each entry in RR.
+                for ptr, accepted in self._range_leaf(node, phi_q, radius, rr, tr):
+                    if not (accepted and free_accepts):
+                        tally = "lemma2_accepts" if accepted else "entries_verified"
+                        obj = self._fetch(ptr, ctx, tr, tally)
+                        if obj is not _DELETED and (
+                            accepted or self.distance(query, obj) <= radius
+                        ):
+                            hit(obj)
+                    elif not self.raf.is_deleted(ptr):
+                        if tr is not None:
+                            tr.bump("lemma2_accepts")
+                        hit(None)  # Lemma 2: within r, no I/O at all
+            finally:
+                if record is not None:
+                    tr.exit(record)
 
     def _range_leaf(
         self,
@@ -704,33 +761,6 @@ class SPBTree:
         entries = node.entries
         return zip([entries[i].ptr for i in inside.tolist()], accepted.tolist())
 
-    def _verify_range(
-        self,
-        ptr: int,
-        accepted: bool,
-        query: Any,
-        radius: float,
-        results: list[Any],
-        ctx: Optional[QueryContext] = None,
-        tr: Optional[Any] = None,
-    ) -> None:
-        """VerifyRQ of Algorithm 1 (lines 25–29) for an entry inside RR."""
-        assert self.raf is not None
-        if ctx is not None:
-            ctx.checkpoint()
-        if self.raf.is_deleted(ptr):
-            return
-        if accepted:
-            if tr is not None:
-                tr.bump("lemma2_accepts")
-            results.append(self.raf.read_object(ptr))
-            return
-        if tr is not None:
-            tr.bump("entries_verified")
-        obj = self.raf.read_object(ptr)
-        if self.distance(query, obj) <= radius:
-            results.append(obj)
-
     # ------------------------------------------------------------ kNN query
 
     def knn_query(
@@ -758,29 +788,19 @@ class SPBTree:
         their distances are a prefix of the true kNN distances.  Strict
         mode raises :class:`~repro.service.BudgetExceeded` instead.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if traversal not in ("incremental", "greedy"):
-            raise ValueError("traversal must be 'incremental' or 'greedy'")
         collector = KnnCollector(k)
-        if context is None:
-            with self._epoch_lock.read():
-                if self.raf is None or self.object_count == 0:
-                    return []
-                heap: list[tuple[float, int, int, object, int]] = []
-                self._knn_search(query, k, traversal, collector, heap, None, phi_q)
-            return collector.items()
         out = self.knn_into(
             query, k, collector, context, traversal=traversal, phi_q=phi_q
         )
         items = collector.items()
+        if context is None:
+            return items
         if not out.complete:
             # Keep only the confirmed prefix: every unvisited object is
             # at distance >= the smallest remaining lower bound, and
             # everything evicted from the result heap was >= its max, so
             # neighbours at or below the frontier are true kNN members.
-            frontier = out.frontier if out.frontier is not None else float("inf")
-            items = [(d, obj) for d, obj in items if d <= frontier]
+            items = [(d, obj) for d, obj in items if d <= out.frontier]
         out.items = items
         out.count = len(items)
         out.stats.result_size = len(items)
@@ -808,46 +828,26 @@ class SPBTree:
             raise ValueError("k must be >= 1")
         if traversal not in ("incremental", "greedy"):
             raise ValueError("traversal must be 'incremental' or 'greedy'")
+        heap: list[tuple[float, int, int, object, int]] = []
+        complete, reason, elapsed = self.read_frame(
+            context,
+            lambda: self._knn_search(
+                query, traversal, collector, heap, context, phi_q
+            ),
+        )
         if context is None:
-            with self._epoch_lock.read():
-                if self.raf is not None and self.object_count:
-                    heap: list = []
-                    self._knn_search(
-                        query, k, traversal, collector, heap, None, phi_q
-                    )
             return QueryResult([])
-        with context.activate():
-            t0 = time.perf_counter()
-            heap = []
-            complete, reason = True, None
-            try:
-                with self._epoch_lock.read() as epoch:
-                    context.epoch = epoch
-                    if self.raf is not None and self.object_count:
-                        self._knn_search(
-                            query, k, traversal, collector, heap, context, phi_q
-                        )
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                complete, reason = False, exc.reason
-            frontier = None
-            if not complete:
-                frontier = heap[0][0] if heap else float("inf")
-            if context.trace is not None:
-                context.trace.finish(context, complete, reason)
-            return QueryResult(
-                [],
-                complete=complete,
-                reason=reason,
-                stats=context.stats(time.perf_counter() - t0, 0),
-                frontier=frontier,
-            )
+        return QueryResult(
+            [],
+            complete=complete,
+            reason=reason,
+            stats=context.stats(elapsed, 0),
+            frontier=None if complete else heap[0][0],
+        )
 
     def _knn_search(
         self,
         query: Any,
-        k: int,
         traversal: str,
         collector: KnnCollector,
         heap: list[tuple[float, int, int, object, int]],
@@ -863,46 +863,18 @@ class SPBTree:
         land on the right per-level span.  The unique tiebreak guarantees
         comparisons never reach payload or depth.
         """
-        tr = ctx.trace if ctx is not None else None
-        if phi_q is None:
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)  # |P| compdists
-            else:
-                phi_q = self.space.phi(query)
-        if ctx is not None:
-            ctx.checkpoint()
         counter = itertools.count()
+        # Algorithm 2 starts from the root node, whose lower bound is zero —
+        # pushed before anything can trip, so ``heap`` always bounds the unseen.
+        heap.append((0.0, next(counter), 1, self.btree.root_page, 0))
+        tr, phi_q = self._map_query(query, ctx, phi_q)
         cur_ndk = collector.bound
 
-        def verify(entry: LeafEntry) -> None:
-            assert self.raf is not None
-            if ctx is not None:
-                ctx.checkpoint()
-            if self.raf.is_deleted(entry.ptr):
-                return
-            if tr is not None:
-                tr.bump("entries_verified")
-            obj = self.raf.read_object(entry.ptr)
-            d = self.distance(query, obj)
-            collector.offer(d, obj)
+        def verify(ptr: int) -> None:
+            obj = self._fetch(ptr, ctx, tr, "entries_verified")
+            if obj is not _DELETED:
+                collector.offer(self.distance(query, obj), obj)
 
-        record = tr.enter(tr.level(0), ctx) if tr is not None else None
-        try:
-            root = self.btree.read_node(self.btree.root_page)
-            if tr is not None:
-                tr.bump("nodes_visited")
-            self._knn_push_node(
-                root, phi_q, heap, counter, cur_ndk, verify, traversal, 0, tr
-            )
-        except _Exhausted:
-            # Entries of the root may be lost mid-push; a zero lower bound
-            # keeps the confirmation frontier conservative.
-            heapq.heappush(heap, (0.0, next(counter), -1, None, 0))
-            raise
-        finally:
-            if record is not None:
-                tr.exit(record)
         while heap:
             if ctx is not None:
                 ctx.checkpoint()
@@ -911,61 +883,49 @@ class SPBTree:
                 break
             record = tr.enter(tr.level(depth), ctx) if tr is not None else None
             try:
-                if kind == 0:  # an object (leaf entry)
+                if kind == 0:  # an object (a leaf entry's RAF pointer)
                     verify(payload)  # type: ignore[arg-type]
                     continue
                 node = self.btree.read_node(payload)  # type: ignore[arg-type]
                 if tr is not None:
                     tr.bump("nodes_visited")
-                self._knn_push_node(
-                    node, phi_q, heap, counter, cur_ndk, verify, traversal,
-                    depth, tr,
-                )
+                if not node.is_leaf:
+                    minds = self.space.mind_to_boxes(
+                        phi_q, *self.btree.child_boxes(node)
+                    )
+                elif traversal == "greedy":
+                    # Greedy paradigm: evaluate the whole leaf immediately.
+                    for entry in node.entries:
+                        verify(entry.ptr)
+                    continue
+                else:
+                    minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
+                # Lemma 3 over the whole node: push the entries whose MIND
+                # beats the current k-th distance, in entry order.
+                keep = np.flatnonzero(minds < cur_ndk())
+                entries = node.entries
+                for i, mind in zip(keep.tolist(), minds[keep].tolist()):
+                    if node.is_leaf:
+                        item = (mind, next(counter), 0, entries[i].ptr, depth)
+                    else:
+                        item = (mind, next(counter), 1, entries[i].child, depth + 1)
+                    heapq.heappush(heap, item)
+                if tr is not None and len(keep) < node.count:
+                    tr.bump(
+                        "entries_pruned_lemma3"
+                        if node.is_leaf
+                        else "children_pruned_lemma3",
+                        node.count - len(keep),
+                    )
             except _Exhausted:
-                # The popped item was not fully processed: restore its lower
-                # bound so the partial-result frontier stays sound.
+                # The popped item was not fully processed (entries of a node
+                # may be lost mid-push): restore its lower bound — zero for
+                # the root — so the partial-result frontier stays sound.
                 heapq.heappush(heap, (mind, tb, kind, payload, depth))
                 raise
             finally:
                 if record is not None:
                     tr.exit(record)
-
-    def _knn_push_node(
-        self,
-        node: Node,
-        phi_q: tuple[float, ...],
-        heap: list,
-        counter: Iterator[int],
-        cur_ndk: Callable[[], float],
-        verify: Callable[[LeafEntry], None],
-        traversal: str,
-        depth: int,
-        tr: Optional[Any] = None,
-    ) -> None:
-        """Lemma 3 over a whole node: push the entries whose MIND beats the
-        current k-th distance, in entry order."""
-        if node.is_leaf:
-            if traversal == "greedy":
-                # Greedy paradigm: evaluate the whole leaf immediately.
-                for entry in node.entries:
-                    verify(entry)
-                return
-            minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
-        else:
-            minds = self.space.mind_to_boxes(phi_q, *self.btree.child_boxes(node))
-        keep = np.flatnonzero(minds < cur_ndk())  # Lemma 3
-        entries = node.entries
-        for i, mind in zip(keep.tolist(), minds[keep].tolist()):
-            if node.is_leaf:
-                item = (mind, next(counter), 0, entries[i], depth)
-            else:
-                item = (mind, next(counter), 1, entries[i].child, depth + 1)
-            heapq.heappush(heap, item)
-        if tr is not None and len(keep) < node.count:
-            tr.bump(
-                "entries_pruned_lemma3" if node.is_leaf else "children_pruned_lemma3",
-                node.count - len(keep),
-            )
 
     # ----------------------------------------------------------- maintenance
 
@@ -989,86 +949,23 @@ class SPBTree:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
+        hits: list[Any] = []
+        complete, reason, elapsed = self.read_frame(
+            context,
+            lambda: self._range_search(
+                query, radius, context, phi_q, hits.append, free_accepts=True
+            ),
+        )
+        count = len(hits)
         if context is None:
-            with self._epoch_lock.read():
-                if self.raf is None or self.object_count == 0:
-                    return 0
-                tally = [0]
-                self._count_search(query, radius, tally, None, phi_q)
-            return tally[0]
-        with context.activate():
-            t0 = time.perf_counter()
-            tally = [0]
-            complete, reason = True, None
-            try:
-                with self._epoch_lock.read() as epoch:
-                    context.epoch = epoch
-                    if self.raf is not None and self.object_count:
-                        self._count_search(query, radius, tally, context, phi_q)
-            except _Exhausted as exc:
-                if context.strict:
-                    raise context.raise_for(exc.reason) from None
-                complete, reason = False, exc.reason
-            if context.trace is not None:
-                context.trace.finish(context, complete, reason)
-            return QueryResult(
-                [],
-                complete=complete,
-                reason=reason,
-                count=tally[0],
-                stats=context.stats(time.perf_counter() - t0, tally[0]),
-            )
-
-    def _count_search(
-        self,
-        query: Any,
-        radius: float,
-        tally: list[int],
-        ctx: Optional[QueryContext],
-        phi_q: Optional[tuple[float, ...]] = None,
-    ) -> None:
-        assert self.raf is not None
-        tr = ctx.trace if ctx is not None else None
-        if phi_q is None:
-            if tr is not None:
-                with tr.region(tr.span("map"), ctx):
-                    phi_q = self.space.phi(query)  # |P| compdists
-            else:
-                phi_q = self.space.phi(query)
-        if ctx is not None:
-            ctx.checkpoint()
-        rr = self.space.range_region(phi_q, radius)
-        stack = [(self.btree.root_page, 0)]
-        while stack:
-            if ctx is not None:
-                ctx.checkpoint()
-            page_id, depth = stack.pop()
-            record = tr.enter(tr.level(depth), ctx) if tr is not None else None
-            try:
-                node = self.btree.read_node(page_id)
-                if tr is not None:
-                    tr.bump("nodes_visited")
-                if not node.is_leaf:
-                    self._push_children_meeting(node, rr, depth, stack, tr)
-                    continue
-                for ptr, accepted in self._range_leaf(node, phi_q, radius, rr, tr):
-                    if self.raf.is_deleted(ptr):
-                        continue
-                    if accepted:
-                        if tr is not None:
-                            tr.bump("lemma2_accepts")
-                        tally[0] += 1  # Lemma 2: within r, no I/O at all
-                        continue
-                    if ctx is not None:
-                        ctx.checkpoint()
-                    if tr is not None:
-                        tr.bump("entries_verified")
-                    obj = self.raf.read_object(ptr)
-                    if self.distance(query, obj) <= radius:
-                        tally[0] += 1
-            finally:
-                if record is not None:
-                    tr.exit(record)
+            return count
+        return QueryResult(
+            [],
+            complete=complete,
+            reason=reason,
+            count=count,
+            stats=context.stats(elapsed, count),
+        )
 
     def rebuild(self) -> "SPBTree":
         """Compact the index: rebuild from the live objects.
@@ -1116,6 +1013,25 @@ class SPBTree:
         from repro.core.verify import verify_tree
 
         return verify_tree(self, check_objects=check_objects)
+
+    @contextlib.contextmanager
+    def unobserved(self) -> Iterator[None]:
+        """Run an audit or a probe that no counter will show: both page
+        files' reads and writes, the buffer pool's hits and misses and
+        ``distance.count`` are put back when the block ends, also when it
+        raises."""
+        nodes = self.btree.pagefile.counter
+        watched = [(self.distance, "count"), (nodes, "reads"), (nodes, "writes")]
+        if self.raf is not None:
+            records, pool = self.raf.pagefile.counter, self.raf.buffer_pool
+            watched += [(records, "reads"), (records, "writes")]
+            watched += [(pool, "hits"), (pool, "misses")]
+        saved = [getattr(holder, name) for holder, name in watched]
+        try:
+            yield
+        finally:
+            for (holder, name), value in zip(watched, saved):
+                setattr(holder, name, value)
 
     # ------------------------------------------------------------ accessors
 

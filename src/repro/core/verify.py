@@ -107,33 +107,15 @@ def verify_tree(tree: "SPBTree", check_objects: bool = True) -> VerifyReport:
                 f"tree reports {tree.object_count} objects but has no storage",
             )
         return report
-    raf = tree.raf
-    saved = (
-        btree.pagefile.counter.reads,
-        btree.pagefile.counter.writes,
-        raf.pagefile.counter.reads,
-        raf.pagefile.counter.writes,
-        raf.buffer_pool.hits,
-        raf.buffer_pool.misses,
-        tree.distance.count,
-    )
-    try:
+    pool = tree.raf.buffer_pool
+    hits0, misses0 = pool.hits, pool.misses
+    with tree.unobserved():
         leaf_entries = _verify_btree(tree, report)
         _verify_raf(tree, report, leaf_entries, check_objects)
         if tree.wal is not None:
             _verify_wal(tree, report, leaf_entries)
-    finally:
-        report.buffer_hits = raf.buffer_pool.hits - saved[4]
-        report.buffer_misses = raf.buffer_pool.misses - saved[5]
-        (
-            btree.pagefile.counter.reads,
-            btree.pagefile.counter.writes,
-            raf.pagefile.counter.reads,
-            raf.pagefile.counter.writes,
-            raf.buffer_pool.hits,
-            raf.buffer_pool.misses,
-            tree.distance.count,
-        ) = saved
+        report.buffer_hits = pool.hits - hits0
+        report.buffer_misses = pool.misses - misses0
     return report
 
 

@@ -47,8 +47,6 @@ from repro.storage.serializers import Serializer
 
 from repro.core.persist import _GEN_FILE_RE, _META_FILE, _SERIALIZERS
 
-_V1_NAMES = {"btree": "btree.pages", "raf": "raf.pages"}
-
 
 @dataclass
 class SalvageReport:
@@ -256,7 +254,7 @@ def _recover_tail(meta: dict, report: SalvageReport) -> bytes:
 def _find_page_file(
     directory: str, kind: str, meta: dict, report: SalvageReport
 ) -> Optional[str]:
-    """Locate a page file: catalog reference, then newest generation, then v1."""
+    """Locate a page file: catalog reference, then newest generation."""
     candidates: list[str] = []
     name = (meta.get("files") or {}).get(kind)
     if name:
@@ -274,7 +272,6 @@ def _find_page_file(
         reverse=True,
     )
     candidates.extend(n for _, n in generations)
-    candidates.append(_V1_NAMES[kind])
     for candidate in candidates:
         path = os.path.join(directory, candidate)
         if os.path.exists(path):

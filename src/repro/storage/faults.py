@@ -184,8 +184,8 @@ class FaultInjector:
             self.flip_bit(page_id)
 
     def __getattr__(self, name: str) -> Any:
-        # Everything else (allocate, num_pages, counter, flush, close,
-        # raw_slot, …) behaves exactly like the wrapped page file.
+        # Everything else (allocate, num_pages, counter, raw_slot, …)
+        # behaves exactly like the wrapped page file.
         if self.inner is None:
             raise AttributeError(name)
         return getattr(self.inner, name)

@@ -5,10 +5,11 @@ reports the number of page accesses (*PA*) as the I/O-cost metric.  This
 module provides that abstraction: a flat array of fixed-size pages, where
 every read and write of a page increments a counter.
 
-The backing store is an in-memory list of ``bytes`` by default — the paper's
-PA metric is a *logical* count, independent of the physical medium — but a
-file-system path may be supplied to persist pages, which the integration
-tests use to prove indexes survive a round trip to real disk.
+The backing store is an in-memory list of ``bytes`` — the paper's PA metric
+is a *logical* count, independent of the physical medium.  Pages reach disk
+one way only: :func:`repro.core.persist.save_tree` dumps every page's raw
+slot into a generation file, and the write-ahead log covers what changed
+since.
 
 With ``checksums=True`` every page carries a CRC32 trailer that is verified
 on each read; a mismatch raises :class:`PageCorruptionError` identifying the
@@ -20,10 +21,8 @@ PA metric, and the Table 6 storage numbers are unaffected.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
-from typing import Optional
 
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
@@ -38,61 +37,34 @@ CHECKSUM_SIZE = 4
 class PageCorruptionError(Exception):
     """A page's contents do not match its stored CRC32 checksum.
 
-    Carries the damaged ``page_id`` (and the backing ``path``, if any) so
-    callers — the buffer pool, the RAF, ``SPBTree.verify`` — can report or
-    salvage around the specific page instead of failing opaquely.
+    Carries the damaged ``page_id`` so callers — the buffer pool, the RAF,
+    ``SPBTree.verify`` — can report or salvage around the specific page
+    instead of failing opaquely.
     """
 
-    def __init__(self, page_id: int, path: Optional[str] = None) -> None:
+    def __init__(self, page_id: int) -> None:
         self.page_id = page_id
-        self.path = path
-        where = f" in {path!r}" if path else ""
-        super().__init__(f"checksum mismatch on page {page_id}{where}")
+        super().__init__(f"checksum mismatch on page {page_id}")
 
 
 class PageFile:
     """A flat collection of fixed-size pages addressed by page id."""
 
     def __init__(
-        self,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        path: Optional[str] = None,
-        checksums: bool = False,
+        self, page_size: int = DEFAULT_PAGE_SIZE, checksums: bool = False
     ) -> None:
         if page_size <= 0:
             raise ValueError("page_size must be positive")
         self.page_size = page_size
-        self.path = path
         self.checksums = checksums
         self.counter = PageAccessCounter()
         self._pages: list[bytes] = []
         self._crcs: list[int] = []  # parallel to _pages when checksums on
-        self._file = None
-        if path is not None:
-            # "r+b" honours seeks (append mode would force writes to the
-            # end); create the file first if it does not exist yet.
-            mode = "r+b" if os.path.exists(path) else "w+b"
-            self._file = open(path, mode)
-            self._file.seek(0, os.SEEK_END)
-            size = self._file.tell()
-            slot = self.slot_size
-            if size % slot:
-                raise ValueError(
-                    f"existing file {path!r} is not page aligned "
-                    f"({size} bytes, slot size {slot})"
-                )
-            self._load_existing(size // slot)
 
     @property
     def slot_size(self) -> int:
         """On-disk bytes per page: the payload plus the optional trailer."""
         return self.page_size + (CHECKSUM_SIZE if self.checksums else 0)
-
-    def _load_existing(self, num_pages: int) -> None:
-        assert self._file is not None
-        self._file.seek(0)
-        for _ in range(num_pages):
-            self.append_raw_slot(self._file.read(self.slot_size), _write=False)
 
     # ------------------------------------------------------------------ API
 
@@ -114,9 +86,6 @@ class PageFile:
         self._pages.append(page)
         if self.checksums:
             self._crcs.append(zlib.crc32(page))
-        if self._file is not None:
-            self._file.seek(0, os.SEEK_END)
-            self._file.write(bytes(self.slot_size))
         return len(self._pages) - 1
 
     def read_page(self, page_id: int) -> bytes:
@@ -130,7 +99,7 @@ class PageFile:
             self.counter.count_read()
             data = self._pages[page_id]
             if self.checksums and zlib.crc32(data) != self._crcs[page_id]:
-                raise PageCorruptionError(page_id, self.path)
+                raise PageCorruptionError(page_id)
             return data
         t0 = time.perf_counter()
         try:
@@ -138,7 +107,7 @@ class PageFile:
             self.counter.count_read()
             data = self._pages[page_id]
             if self.checksums and zlib.crc32(data) != self._crcs[page_id]:
-                raise PageCorruptionError(page_id, self.path)
+                raise PageCorruptionError(page_id)
             return data
         finally:
             _instruments.pagefile().read_seconds.observe(
@@ -171,9 +140,6 @@ class PageFile:
         self._pages[page_id] = padded
         if self.checksums:
             self._crcs[page_id] = zlib.crc32(padded)
-        if self._file is not None:
-            self._file.seek(page_id * self.slot_size)
-            self._file.write(self._raw_slot_bytes(page_id))
 
     # --------------------------------------------------------- verification
 
@@ -192,31 +158,6 @@ class PageFile:
         """Page ids of every page failing checksum verification."""
         return [pid for pid in range(self.num_pages) if not self.verify_page(pid)]
 
-    def verify_page_at_rest(self, page_id: int) -> bool:
-        """True when both the in-memory page and its on-disk slot are sound.
-
-        :meth:`verify_page` only sees the in-memory copy; a scrubber also
-        cares about bytes that rotted *on disk* while the page stayed
-        cached.  The disk slot must match the in-memory representation
-        byte for byte (payload plus CRC trailer).  Memory-only files fall
-        back to the in-memory check.  The caller must exclude concurrent
-        writers (hold the owning tree's epoch read lock).
-        """
-        self._check(page_id)
-        if not self.verify_page(page_id):
-            return False
-        if self._file is None or self.path is None:
-            return True
-        self._file.flush()
-        slot = self.slot_size
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(page_id * slot)
-                disk = fh.read(slot)
-        except OSError:
-            return False
-        return disk == self._raw_slot_bytes(page_id)
-
     # -------------------------------------------------------- raw slot view
 
     def raw_slot(self, page_id: int) -> bytes:
@@ -227,15 +168,12 @@ class PageFile:
         still detected on the next read.
         """
         self._check(page_id)
-        return self._raw_slot_bytes(page_id)
-
-    def _raw_slot_bytes(self, page_id: int) -> bytes:
         data = self._pages[page_id]
         if not self.checksums:
             return data
         return data + self._crcs[page_id].to_bytes(CHECKSUM_SIZE, "little")
 
-    def append_raw_slot(self, slot: bytes, _write: bool = True) -> int:
+    def append_raw_slot(self, slot: bytes) -> int:
         """Append a page from its on-disk slot bytes; returns the page id.
 
         The stored CRC is taken from the slot verbatim (not recomputed), so
@@ -253,9 +191,6 @@ class PageFile:
             )
         else:
             self._pages.append(slot)
-        if _write and self._file is not None:
-            self._file.seek(0, os.SEEK_END)
-            self._file.write(slot)
         return len(self._pages) - 1
 
     def _store_raw(self, page_id: int, payload: bytes) -> None:
@@ -269,29 +204,6 @@ class PageFile:
         if len(payload) != self.page_size:
             raise ValueError("raw payload must be exactly one page")
         self._pages[page_id] = payload
-        if self._file is not None:
-            self._file.seek(page_id * self.slot_size)
-            self._file.write(payload)
-
-    # ------------------------------------------------------------ lifecycle
-
-    def flush(self) -> None:
-        """Flush buffered writes to the backing file and fsync it."""
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "PageFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def _check(self, page_id: int) -> None:
         if not 0 <= page_id < len(self._pages):

@@ -54,11 +54,10 @@ class RandomAccessFile:
         serializer: Serializer,
         page_size: int = DEFAULT_PAGE_SIZE,
         cache_pages: int = 32,
-        path: Optional[str] = None,
         checksums: bool = False,
     ) -> None:
         self.serializer = serializer
-        self.pagefile = PageFile(page_size=page_size, path=path, checksums=checksums)
+        self.pagefile = PageFile(page_size=page_size, checksums=checksums)
         self.buffer_pool = BufferPool(self.pagefile, capacity=cache_pages)
         self._tail = bytearray()  # bytes of the (partial) last page
         self._tail_page_id: Optional[int] = None  # where the tail lives on disk
@@ -205,20 +204,6 @@ class RandomAccessFile:
     def flush_cache(self, reset_stats: bool = False) -> None:
         self.buffer_pool.flush(reset_stats=reset_stats)
 
-    # ------------------------------------------------------------ lifecycle
-
     def flush(self) -> None:
-        """Write through the partial tail page and fsync the backing file."""
+        """Write through the partial tail page."""
         self._flush_partial()
-        self.pagefile.flush()
-
-    def close(self) -> None:
-        """Flush and release the backing file handle (if any)."""
-        self._flush_partial()
-        self.pagefile.close()
-
-    def __enter__(self) -> "RandomAccessFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

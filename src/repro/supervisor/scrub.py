@@ -11,7 +11,7 @@ without locks of their own:
   Generation mismatches are not divergence (the rejoin path owns
   those); a short or differing prefix is.
 * :func:`spot_check_pages` verifies a budgeted window of pages *at
-  rest* (in-memory checksum plus on-disk slot comparison) through a
+  rest* (each page's stored CRC32 against its bytes) through a
   rotating cursor, so successive passes sweep the whole store without
   ever paying a full scan at once.  Verification never counts page
   accesses — it inspects the store, it does not execute a query.
@@ -165,7 +165,7 @@ def spot_check_pages(
         idx = (cursor + step) % total
         for name, pf in pagefiles:
             if idx < pf.num_pages:
-                if not pf.verify_page_at_rest(idx):
+                if not pf.verify_page(idx):
                     bad.append(f"{name} page {idx}")
                 break
             idx -= pf.num_pages

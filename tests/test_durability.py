@@ -1,8 +1,8 @@
 """Persistence error paths and crash consistency (format v2).
 
 Covers the durability layer's contract: corrupt/truncated catalogs are
-rejected with clear errors, digests catch damaged page files, format v1
-directories still load, and — the core guarantee — a crash at *any*
+rejected with clear errors, digests catch damaged page files, any other
+format version is refused, and — the core guarantee — a crash at *any*
 page-write or rename boundary during ``save_tree`` leaves either the old
 or the new index fully loadable.
 """
@@ -22,7 +22,7 @@ from repro import (
     load_tree,
     save_tree,
 )
-from repro.core.persist import CatalogError
+from repro.core.persist import CatalogError, _file_digest
 from repro.datasets import generate_words
 
 PAGE = 512
@@ -75,10 +75,13 @@ class TestCatalogErrors:
         d = str(tmp_path / "idx")
         save_tree(tree, d)
         meta = _catalog(d)
-        meta["format_version"] = 99
-        _rewrite_catalog(d, meta)
-        with pytest.raises(ValueError, match="format version"):
-            load_tree(d, EditDistance())
+        # 1 is the fixed-file-name layout no writer has produced since the
+        # generation protocol: refused like a version from the future.
+        for version in (99, 1):
+            meta["format_version"] = version
+            _rewrite_catalog(d, meta)
+            with pytest.raises(CatalogError, match=f"format version {version}"):
+                load_tree(d, EditDistance())
 
     def test_metric_mismatch(self, tree, tmp_path):
         d = str(tmp_path / "idx")
@@ -106,6 +109,15 @@ class TestCatalogErrors:
             fh.write(b"\xff\xff\xff")
         with pytest.raises(CatalogError, match="digest mismatch"):
             load_tree(d, EditDistance())
+        # A file whose digest the catalog vouches for must still be whole
+        # page slots.
+        with open(raf_file, "ab") as fh:
+            fh.write(b"tail garbage")
+        meta = _catalog(d)
+        meta["digests"]["raf"] = _file_digest(raf_file)
+        _rewrite_catalog(d, meta)
+        with pytest.raises(CatalogError, match="not page aligned"):
+            load_tree(d, EditDistance())
 
     def test_missing_page_file(self, tree, tmp_path):
         d = str(tmp_path / "idx")
@@ -113,89 +125,6 @@ class TestCatalogErrors:
         os.unlink(os.path.join(d, _catalog(d)["files"]["btree"]))
         with pytest.raises(CatalogError, match="cannot read page file"):
             load_tree(d, EditDistance())
-
-
-class TestFormatV1Compatibility:
-    def _save_v1(self, tree, directory):
-        """Write the legacy v1 layout: fixed names, no digests."""
-        import base64
-
-        os.makedirs(directory, exist_ok=True)
-        for pagefile, name in (
-            (tree.btree.pagefile, "btree.pages"),
-            (tree.raf.pagefile, "raf.pages"),
-        ):
-            with open(os.path.join(directory, name), "wb") as fh:
-                for pid in range(pagefile.num_pages):
-                    fh.write(pagefile._pages[pid])
-        serializer = tree.raf.serializer
-        meta = {
-            "format_version": 1,
-            "metric_name": tree.distance.metric.name,
-            "serializer": serializer.name,
-            "curve": tree.curve.name,
-            "page_size": tree.btree.pagefile.page_size,
-            "cache_pages": tree._cache_pages,
-            "d_plus": tree.space.d_plus,
-            "delta": tree.space.delta,
-            "pivots": [
-                base64.b64encode(serializer.serialize(p)).decode("ascii")
-                for p in tree.space.pivots
-            ],
-            "object_count": tree.object_count,
-            "next_id": tree._next_id,
-            "btree": {
-                "root_page": tree.btree.root_page,
-                "height": tree.btree.height,
-                "entry_count": tree.btree.entry_count,
-                "leaf_page_count": tree.btree.leaf_page_count,
-            },
-            "raf": {
-                "end_offset": tree.raf._end_offset,
-                "tail_page_id": tree.raf._tail_page_id,
-                "tail": base64.b64encode(bytes(tree.raf._tail)).decode("ascii"),
-                "object_count": tree.raf.object_count,
-                "deleted": sorted(tree.raf._deleted),
-            },
-            "statistics": {
-                "grid_sample": [list(g) for g in tree.grid_sample],
-                "sampled_from": tree._sampled_from,
-                "pair_distances": tree.pair_distances,
-                "distance_exponent": tree.distance_exponent,
-                "precision_hint": tree.precision_hint,
-                "ndk_corrections": {
-                    str(k): v for k, v in tree.ndk_corrections.items()
-                },
-            },
-        }
-        _rewrite_catalog(directory, meta)
-
-    def test_v1_round_trip(self, words, tree, tmp_path):
-        d = str(tmp_path / "v1")
-        self._save_v1(tree, d)
-        reopened = load_tree(d, EditDistance())
-        q = words[7]
-        assert sorted(reopened.range_query(q, 2)) == sorted(tree.range_query(q, 2))
-        assert reopened.verify().ok
-
-    def test_v1_unaligned_page_file(self, tree, tmp_path):
-        # v1 has no digests, so misalignment is the first thing caught.
-        d = str(tmp_path / "v1")
-        self._save_v1(tree, d)
-        with open(os.path.join(d, "raf.pages"), "ab") as fh:
-            fh.write(b"tail garbage")
-        with pytest.raises(CatalogError, match="not page aligned"):
-            load_tree(d, EditDistance())
-
-    def test_resave_upgrades_and_cleans_v1_files(self, tree, tmp_path):
-        d = str(tmp_path / "v1")
-        self._save_v1(tree, d)
-        upgraded = load_tree(d, EditDistance())
-        save_tree(upgraded, d)
-        names = set(os.listdir(d))
-        assert "btree.pages" not in names and "raf.pages" not in names
-        assert _catalog(d)["format_version"] == 2
-        assert load_tree(d, EditDistance()).verify().ok
 
 
 class TestAtomicSave:

@@ -55,18 +55,6 @@ class TestChecksummedPageFile:
         data = pf.read_page(2)  # no detection possible
         assert data[:10] == b"\x03" * 10 and data[10:] == bytes(54)
 
-    def test_disk_backed_corruption_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "pages.bin")
-        pf = PageFile(page_size=64, path=path, checksums=True)
-        pid = pf.allocate()
-        pf.write_page(pid, b"durable")
-        FaultInjector(pf, seed=1).tear_page(pid, keep=3)
-        pf.close()
-        reopened = PageFile(page_size=64, path=path, checksums=True)
-        with pytest.raises(PageCorruptionError):
-            reopened.read_page(0)
-        reopened.close()
-
     def test_buffer_pool_surfaces_and_never_caches_corruption(self):
         pf = _filled_pagefile()
         pool = BufferPool(pf, capacity=4)

@@ -63,25 +63,6 @@ class TestDataIntegrationScenario:
         assert len(result.pairs) == expected
 
 
-class TestPersistenceScenario:
-    def test_pagefile_survives_reopen(self, tmp_path):
-        """The page abstraction round-trips through a real file."""
-        from repro.storage import PageFile
-
-        path = str(tmp_path / "index.db")
-        pf = PageFile(page_size=256, path=path)
-        pages = []
-        for i in range(10):
-            pid = pf.allocate()
-            pf.write_page(pid, f"page-{i}".encode())
-            pages.append(pid)
-        pf.close()
-        reopened = PageFile(page_size=256, path=path)
-        for i, pid in enumerate(pages):
-            assert reopened.read_page(pid).rstrip(b"\x00") == f"page-{i}".encode()
-        reopened.close()
-
-
 class TestHeterogeneousObjects:
     def test_variable_length_strings(self):
         words = ["a", "ab" * 30, "xyz", "m" * 100, "qq"] + [

@@ -1,13 +1,16 @@
 """Tests for the SJA similarity join (Algorithm 3)."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core.join import similarity_join
+from repro.core.join import knn_join, similarity_join, similarity_self_join
 from repro.core.pivots import select_pivots
 from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words
 from repro.distance import EditDistance, EuclideanDistance
+from repro.service import QueryContext
 
 
 def build_pair(set_q, set_o, metric, num_pivots=3, delta=None):
@@ -140,3 +143,63 @@ class TestDeletedObjects:
             assert tq.delete(victim)
             reduced = len(similarity_join(tq, to, 2).pairs)
             assert reduced < full
+
+
+class _ProbingMetric(EditDistance):
+    """Once armed, its ``at``-th call starts a thread that asks for the
+    write side of ``lock`` and gives it every chance to get in before the
+    distance is returned; later calls note whether it has."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = None
+        self.calls = 0
+        self.entered = threading.Event()
+        self.entered_mid_join = False
+
+    def arm(self, lock, at=5):
+        self.lock, self.at = lock, at
+
+    def _write(self):
+        with self.lock.write():
+            self.entered.set()
+
+    def __call__(self, a, b):
+        if self.lock is not None:
+            self.calls += 1
+            if self.calls == self.at:
+                self.writer = threading.Thread(target=self._write, daemon=True)
+                self.writer.start()
+                self.entered_mid_join = self.entered.wait(timeout=0.2)
+            elif self.entered.is_set():
+                self.entered_mid_join = True
+        return super().__call__(a, b)
+
+
+class TestJoinsHoldAReadView:
+    """A join is a read: a writer on any tree it walks waits until the
+    join has returned (it used to get in mid-merge and could split a leaf
+    under the sweep)."""
+
+    @pytest.mark.parametrize(
+        "join, writes_on",
+        [("join", "q"), ("join", "o"), ("self-join", "o"), ("knn-join", "q")],
+    )
+    def test_writer_waits_for_the_join(self, join, writes_on):
+        words = generate_words(240, seed=5)
+        metric = _ProbingMetric()
+        tree_q, tree_o = build_pair(words[120:], words[:120], metric)
+        metric.arm((tree_q if writes_on == "q" else tree_o)._epoch_lock)
+        ctx = QueryContext()
+        if join == "join":
+            similarity_join(tree_q, tree_o, 2, context=ctx)
+        elif join == "self-join":
+            similarity_self_join(tree_o, 2, context=ctx)
+        else:
+            knn_join(tree_q, tree_o, 2)
+        assert metric.calls > metric.at
+        assert not metric.entered_mid_join
+        metric.writer.join(timeout=10)
+        assert not metric.writer.is_alive() and metric.entered.is_set()
+        if join != "knn-join":
+            assert ctx.epoch is not None

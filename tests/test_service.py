@@ -7,12 +7,14 @@ import time
 
 import pytest
 
-from repro.core.join import similarity_join
+from repro.core.join import similarity_join, similarity_self_join
 from repro.core.spbtree import SPBTree
 from repro.distance import EditDistance, EuclideanDistance
+from repro.obs.trace import QueryTrace
 from repro.service import (
     BudgetExceeded,
     CancelToken,
+    KnnCollector,
     Overloaded,
     QueryCancelled,
     QueryContext,
@@ -82,30 +84,6 @@ class TestQueryResultContract:
         assert isinstance(out, list)
         assert isinstance(tree.range_count(words[0], 1), int)
 
-    def test_unlimited_context_matches_plain(self, word_tree):
-        tree, words = word_tree
-        q = words[1]
-        plain_range = tree.range_query(q, 2)
-        plain_knn = tree.knn_query(q, 5)
-        plain_count = tree.range_count(q, 2)
-        ctx = QueryContext()
-        r = tree.range_query(q, 2, context=ctx)
-        assert isinstance(r, QueryResult) and r.complete and r.reason is None
-        assert list(r) == plain_range
-        k = tree.knn_query(q, 5, context=QueryContext())
-        assert k.complete and list(k) == plain_knn
-        c = tree.range_count(q, 2, context=QueryContext())
-        assert c.complete and c.count == plain_count
-
-    def test_context_counters_match_global_deltas(self, word_tree):
-        tree, words = word_tree
-        q = words[2]
-        ctx = QueryContext()
-        pa0, dc0 = tree.page_accesses, tree.distance_computations
-        tree.knn_query(q, 4, context=ctx)
-        assert ctx.compdists == tree.distance_computations - dc0
-        assert ctx.page_accesses == tree.page_accesses - pa0
-
     def test_sequence_protocol(self):
         r = QueryResult([("a", 1), ("b", 2)])
         assert len(r) == 2
@@ -143,39 +121,6 @@ class TestGracefulDegradation:
         got = [d for d, _ in result]
         assert got == true_d[: len(got)]
 
-    def test_range_partial_hits_are_verified_subset(self, word_tree):
-        tree, words = word_tree
-        q = words[5]
-        full = tree.range_query(q, 3)
-        ctx = QueryContext(max_compdists=15)
-        result = tree.range_query(q, 3, context=ctx)
-        assert not result.complete
-        assert result.reason.kind == "compdists"
-        metric = EditDistance()
-        for obj in result:
-            assert metric(q, obj) <= 3
-            assert obj in full
-
-    def test_count_partial_is_lower_bound(self, word_tree):
-        tree, words = word_tree
-        q = words[6]
-        full = tree.range_count(q, 3)
-        ctx = QueryContext(max_compdists=10)
-        result = tree.range_count(q, 3, context=ctx)
-        assert not result.complete
-        assert 0 <= result.count <= full
-
-    def test_strict_mode_raises(self, word_tree):
-        tree, words = word_tree
-        ctx = QueryContext(max_compdists=5, strict=True)
-        with pytest.raises(BudgetExceeded) as exc_info:
-            tree.knn_query(words[0], 5, context=ctx)
-        assert exc_info.value.reason.kind == "compdists"
-        with pytest.raises(BudgetExceeded):
-            tree.range_query(
-                words[0], 2, context=QueryContext(max_compdists=5, strict=True)
-            )
-
     def test_cancellation_mid_query(self, word_tree):
         tree, words = word_tree
         token = CancelToken()
@@ -186,14 +131,6 @@ class TestGracefulDegradation:
         assert result.reason.kind == "cancelled"
         assert len(result) == 0
 
-    def test_cancellation_strict_raises(self, word_tree):
-        tree, words = word_tree
-        token = CancelToken()
-        token.cancel()
-        ctx = QueryContext(cancel_token=token, strict=True)
-        with pytest.raises(QueryCancelled):
-            tree.range_query(words[0], 2, context=ctx)
-
     def test_deadline_degrades_not_raises(self, word_tree):
         tree, words = word_tree
         ctx = QueryContext.with_limits(deadline_ms=0.0)
@@ -201,51 +138,131 @@ class TestGracefulDegradation:
         assert not result.complete
         assert result.reason.kind == "deadline"
 
-
-class TestJoinDegradation:
-    @pytest.fixture(scope="class")
-    def join_trees(self, small_words):
-        half = len(small_words) // 2
-        set_q, set_o = small_words[:half], small_words[half:]
-        metric = EditDistance()
-        tree_o = SPBTree.build(set_o, metric, curve="z", seed=7)
-        tree_q = SPBTree.build(
-            set_q,
-            metric,
-            curve="z",
-            pivots=tree_o.space.pivots,
-            d_plus=tree_o.space.d_plus,
-            delta=tree_o.space.delta,
-            seed=7,
+    def test_limit_tripped_before_the_root_confirms_nothing(self, word_tree):
+        # A scatter hands every shard the collector the earlier shards
+        # filled; a shard that trips before it reads its root has seen
+        # none of its objects, so its frontier must bound them all by 0.
+        tree, words = word_tree
+        token = CancelToken()
+        token.cancel()
+        collector = KnnCollector(1)
+        collector.offer(3.0, "found in an earlier shard")
+        out = tree.knn_into(
+            words[0], 1, collector, QueryContext(cancel_token=token)
         )
-        return tree_q, tree_o
+        assert not out.complete and out.frontier == 0.0
 
-    def test_unlimited_context_matches_plain(self, join_trees):
-        tree_q, tree_o = join_trees
-        plain = similarity_join(tree_q, tree_o, 2.0)
+
+READS = ("range", "knn-incremental", "knn-greedy", "count", "join", "self-join")
+
+
+@pytest.fixture(scope="module")
+def read_trees(small_words):
+    """Two Z-order trees over one pivot table: every read runs on them."""
+    half = len(small_words) // 2
+    metric = EditDistance()
+    tree_o = SPBTree.build(small_words[half:], metric, curve="z", seed=7)
+    tree_q = SPBTree.build(
+        small_words[:half],
+        metric,
+        curve="z",
+        pivots=tree_o.space.pivots,
+        d_plus=tree_o.space.d_plus,
+        delta=tree_o.space.delta,
+        seed=7,
+    )
+    return tree_q, tree_o, small_words[1]
+
+
+def _read(kind, trees, ctx=None):
+    """Run one read; returns ``(raw result, canonical answer)``."""
+    tree_q, tree_o, q = trees
+    if kind == "range":
+        out = tree_o.range_query(q, 3, context=ctx)
+        return out, sorted(out)
+    if kind.startswith("knn"):
+        out = tree_o.knn_query(q, 10, traversal=kind[4:], context=ctx)
+        return out, list(out)
+    if kind == "count":
+        out = tree_o.range_count(q, 3, context=ctx)
+        return out, out if ctx is None else out.count
+    if kind == "join":
+        out = similarity_join(tree_q, tree_o, 2.0, context=ctx)
+    else:
+        out = similarity_self_join(tree_o, 2.0, context=ctx)
+    return out, sorted(map(repr, out.pairs))
+
+
+def _sound(kind, partial, full):
+    """A partial answer only ever lacks items: a subset of the hits or
+    pairs, a confirmed prefix of the neighbours, a lower bound of the count."""
+    if kind == "count":
+        return 0 <= partial <= full
+    if kind.startswith("knn"):
+        return [d for d, _ in partial] == [d for d, _ in full][: len(partial)]
+    return set(partial) <= set(full)
+
+
+@pytest.mark.parametrize("kind", READS)
+class TestReadFrameContract:
+    """What ``SPBTree.read_frame`` promises, checked once over every read
+    that runs under it."""
+
+    def test_context_free_equals_unlimited_context(self, read_trees, kind):
+        plain, expected = _read(kind, read_trees)
+        assert not isinstance(plain, QueryResult)
         ctx = QueryContext()
-        with_ctx = similarity_join(tree_q, tree_o, 2.0, context=ctx)
-        assert with_ctx.complete
-        assert sorted(map(repr, with_ctx.pairs)) == sorted(map(repr, plain.pairs))
-        assert ctx.compdists > 0
+        out, got = _read(kind, read_trees, ctx)
+        assert out.complete and out.reason is None
+        assert got == expected
+        assert ctx.epoch is not None  # the read view it ran under
 
-    def test_budget_partial_pairs_are_correct_subset(self, join_trees):
-        tree_q, tree_o = join_trees
-        plain = similarity_join(tree_q, tree_o, 2.0)
-        ctx = QueryContext(max_compdists=plain.stats.distance_computations // 3)
-        partial = similarity_join(tree_q, tree_o, 2.0, context=ctx)
-        assert not partial.complete
-        assert partial.reason.kind == "compdists"
-        assert len(partial.pairs) <= len(plain.pairs)
-        all_pairs = {(repr(a), repr(b)) for a, b in plain.pairs}
-        for a, b in partial.pairs:
-            assert (repr(a), repr(b)) in all_pairs
+    def test_context_counters_equal_global_deltas(self, read_trees, kind):
+        tree_q, tree_o, _ = read_trees
+        ctx = QueryContext()
+        pa0 = tree_q.page_accesses + tree_o.page_accesses
+        dc0 = tree_o.distance_computations
+        out, _ = _read(kind, read_trees, ctx)
+        assert ctx.page_accesses == tree_q.page_accesses + tree_o.page_accesses - pa0
+        if "join" in kind:  # verification distances go to the join's own counter
+            assert ctx.compdists == out.stats.distance_computations > 0
+        else:
+            assert ctx.compdists == tree_o.distance_computations - dc0 > 0
 
-    def test_strict_mode_raises(self, join_trees):
-        tree_q, tree_o = join_trees
+    def test_compdist_budget_yields_sound_partial(self, read_trees, kind):
+        unlimited = QueryContext()
+        _, full = _read(kind, read_trees, unlimited)
+        for share in (8, 3, 2):
+            ctx = QueryContext(max_compdists=unlimited.compdists // share)
+            out, partial = _read(kind, read_trees, ctx)
+            assert not out.complete
+            assert out.reason.kind == "compdists"
+            assert _sound(kind, partial, full)
+
+    def test_strict_budget_raises(self, read_trees, kind):
         ctx = QueryContext(max_compdists=1, strict=True)
-        with pytest.raises(BudgetExceeded):
-            similarity_join(tree_q, tree_o, 2.0, context=ctx)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            _read(kind, read_trees, ctx)
+        assert exc_info.value.reason.kind == "compdists"
+
+    def test_pre_cancelled_strict_raises(self, read_trees, kind):
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(QueryCancelled):
+            _read(kind, read_trees, QueryContext(cancel_token=token, strict=True))
+
+    def test_traced_run_finishes_and_reconciles(self, read_trees, kind):
+        for budget in (None, 20):
+            ctx = QueryContext(max_compdists=budget)
+            ctx.trace = QueryTrace(kind)
+            out, _ = _read(kind, read_trees, ctx)
+            assert out.complete == (budget is None)
+            assert ctx.trace.complete == out.complete
+            assert ctx.trace.reason == (None if out.complete else str(out.reason))
+            assert ctx.trace.attributed_totals() == (
+                ctx.compdists,
+                ctx.page_accesses,
+            )
 
 
 def _same_pairs(got, expected):

@@ -54,22 +54,6 @@ class TestPageFile:
         with pytest.raises(IndexError):
             pf.read_page(-1)
 
-    def test_persistence(self, tmp_path):
-        path = str(tmp_path / "pages.bin")
-        pf = PageFile(page_size=64, path=path)
-        pid = pf.allocate()
-        pf.write_page(pid, b"durable")
-        pf.close()
-        reopened = PageFile(page_size=64, path=path)
-        assert reopened.read_page(0)[:7] == b"durable"
-        reopened.close()
-
-    def test_rejects_unaligned_file(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"x" * 100)
-        with pytest.raises(ValueError):
-            PageFile(page_size=64, path=str(path))
-
 
 class TestBufferPool:
     def test_hit_costs_no_page_access(self):

@@ -16,6 +16,8 @@ from repro import (
     save_tree,
 )
 from repro import cli
+from repro.cluster import ShardedIndex
+from repro.core.costmodel import CostModel
 from repro.datasets import generate_synthetic, generate_words
 from repro.storage.raf import _HEADER as RAF_HEADER
 from repro.storage.serializers import StringSerializer
@@ -89,23 +91,39 @@ class TestVerify:
         assert tree.verify().ok
 
     def test_observation_free(self, words):
+        """An audit or a probe leaves every counter the tree has where it
+        was: verify(), a cost-model probe pass, a cluster verify(), and a
+        block that raises."""
+
+        def tallies(tree):
+            nodes, records = tree.btree.pagefile.counter, tree.raf.pagefile.counter
+            pool = tree.raf.buffer_pool
+            return (
+                nodes.reads, nodes.writes, records.reads, records.writes,
+                pool.hits, pool.misses, tree.distance.count,
+            )  # fmt: skip
+
+        def raising(tree):
+            with pytest.raises(RuntimeError), tree.unobserved():
+                tree.knn_query(words[1], 3)
+                raise RuntimeError("mid-audit")
+
         tree = _checked_tree(words)
-        tree.range_query(words[0], 1)
-        pool = tree.raf.buffer_pool
-        before = (
-            tree.page_accesses,
-            tree.distance_computations,
-            pool.hits,
-            pool.misses,
-        )
-        tree.verify()
-        after = (
-            tree.page_accesses,
-            tree.distance_computations,
-            pool.hits,
-            pool.misses,
-        )
-        assert after == before
+        model = CostModel(tree, calibrate=False)
+        for observe in (
+            lambda t: t.verify(),
+            lambda t: model._calibrate_probes(5),
+            raising,
+        ):
+            tree.range_query(words[0], 1)
+            before = tallies(tree)
+            observe(tree)
+            assert tallies(tree) == before
+        index = ShardedIndex.build(words, EditDistance(), shards=2, num_pivots=3)
+        index.range_query(words[0], 1)
+        before = [tallies(shard.tree) for shard in index.shards]
+        assert index.verify().ok
+        assert [tallies(shard.tree) for shard in index.shards] == before
 
     def test_detects_raf_corruption(self, words):
         tree = _checked_tree(words)
