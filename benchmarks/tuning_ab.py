@@ -1,24 +1,24 @@
-"""Tuning A/B smoke: the self-tuner must beat every fixed traversal.
+"""Tuning A/B smoke: the self-tuner must beat the same index left alone.
 
 Runs one mixed workload (kNN, range queries, then a burst of
 distribution-shifting inserts, then the query mix again — now probing
-the drifted region) over identical cold-started copies of an on-disk
-sharded index:
+the drifted region) over two identical cold-started copies of an on-disk
+sharded index, both on the default kNN traversal:
 
-* two **fixed** passes — one per kNN traversal arm, pinned for every kNN
-  query, nothing adapted;
-* one **tuned** pass — kNN routed through the
-  :class:`~repro.tuning.TraversalAdvisor`, with a
-  :class:`~repro.tuning.Tuner` ticking every few operations so it can
-  recalibrate the cost models and — when the insert burst drags HFI's
-  objective (Definition 1 precision) past the drift threshold —
-  re-select pivots and rebuild through a checkpoint mid-workload.  The fixed arms keep serving on the stale pivots; that
-  maintenance gap is exactly what self-tuning buys.
+* the **untuned** pass — nothing adapted;
+* the **tuned** pass — every kNN outcome fed to the
+  :class:`~repro.tuning.OnlineCalibrator` exactly as the engine feeds it,
+  with a :class:`~repro.tuning.Tuner` ticking every few operations so it
+  can recalibrate the cost models and — when the insert burst drags
+  HFI's objective (Definition 1 precision) past the drift threshold —
+  re-select pivots and rebuild through a checkpoint mid-workload.  The
+  untuned pass keeps serving on the stale pivots; that maintenance gap
+  is exactly what self-tuning buys.
 
 Claims enforced (exit nonzero on any failure):
 
 * the tuned pass spends fewer total compdists AND has a lower p95 query
-  latency than *every* fixed arm (the acceptance bar for closing the
+  latency than the untuned one (the acceptance bar for closing the
   EDC/EPA loop online);
 * the calibrated EDC prediction error (median ``|log(pred/actual)|``)
   is reported and below ``--error-bound``;
@@ -55,8 +55,6 @@ from repro.service import QueryEngine
 from repro.service.context import QueryContext
 from repro.tuning import Tuner
 from series import append_series  # benchmarks/series.py
-
-ARMS = ["incremental", "greedy"]
 
 KS = (4, 8)
 
@@ -147,58 +145,25 @@ def summarize(counters, latencies):
     }
 
 
-class _FixedPass:
-    """One pinned-traversal replica of the workload."""
+class _Pass:
+    """One replica of the workload: left alone, or with a tuner ticking."""
 
-    def __init__(self, base_directory, tmp, arm):
-        self.traversal = self.name = arm
-        directory = fresh_copy(base_directory, tmp, f"fixed-{arm}")
+    def __init__(self, base_directory, tmp, tuned):
+        directory = fresh_copy(
+            base_directory, tmp, "tuned" if tuned else "untuned"
+        )
         self.idx = ShardedIndex.open(directory, EditDistance(), wal_fsync=False)
-        self.counters, self.latencies = [], []
-
-    def run(self, op, attempt, slot=None):
-        if op[0] == "insert":
-            if attempt == 0 and slot is None:
-                self.idx.insert(op[1])
-            return
-        ctx = QueryContext()
-        t0 = time.process_time()
-        if op[0] == "knn":
-            self.idx.knn_query(
-                op[1], op[2], traversal=self.traversal, context=ctx
+        self.tuner = None
+        if tuned:
+            self.tuner = Tuner(
+                self.idx,
+                seed=5,
+                pivot_check_every=2,
+                pivot_drift_threshold=0.1,
+                auto_pivot_rebuild=True,
+                pivot_sample=192,
+                pivot_pairs=320,
             )
-        else:
-            self.idx.range_query(op[1], op[2], context=ctx)
-        elapsed = time.process_time() - t0
-        if slot is not None:
-            self.latencies[slot] = min(self.latencies[slot], elapsed)
-        elif attempt == 0:
-            self.counters.append((ctx.compdists, ctx.page_accesses))
-            self.latencies.append(elapsed)
-        else:
-            self.latencies[-1] = min(self.latencies[-1], elapsed)
-
-    def finish(self):
-        self.idx.close()
-        return summarize(self.counters, self.latencies)
-
-
-class _TunedPass:
-    """The advised replica: advisor on the kNN path, tuner ticking."""
-
-    def __init__(self, base_directory, tmp):
-        directory = fresh_copy(base_directory, tmp, "tuned")
-        self.idx = ShardedIndex.open(directory, EditDistance(), wal_fsync=False)
-        self.tuner = Tuner(
-            self.idx,
-            epsilon=0.02,
-            seed=5,
-            pivot_check_every=2,
-            pivot_drift_threshold=0.1,
-            auto_pivot_rebuild=True,
-            pivot_sample=192,
-            pivot_pairs=320,
-        )
         self.counters, self.latencies = [], []
 
     def run(self, op, attempt, slot=None):
@@ -209,7 +174,11 @@ class _TunedPass:
         ctx = QueryContext()
         t0 = time.process_time()
         if op[0] == "knn":
-            self.tuner.advisor.run_knn(self.idx, op[1], op[2], ctx)
+            self.idx.knn_query(op[1], op[2], context=ctx)
+            if self.tuner is not None:  # what QueryEngine._run does
+                self.tuner.calibrator.observe_query(
+                    op[1], op[2], ctx.compdists, ctx.page_accesses
+                )
         else:
             self.idx.range_query(op[1], op[2], context=ctx)
         elapsed = time.process_time() - t0
@@ -221,33 +190,28 @@ class _TunedPass:
         else:
             self.latencies[-1] = min(self.latencies[-1], elapsed)
 
-    def tick(self):
-        self.tuner.tick()
-
     def finish(self):
-        self.tuner.tick()
-        status = self.tuner.status()
         out = summarize(self.counters, self.latencies)
-        out.update(
-            {
-                "policy": status["policy"],
-                "pivot_rebuilds": status["pivot_rebuilds"],
-                "decisions": status["advisor"]["decisions"],
-                "explorations": status["advisor"]["explorations"],
-                "calibrations": status["calibration"]["calibrations"],
-                "error_edc": status["calibration"]["error"]["edc"],
-                "error_epa": status["calibration"]["error"]["epa"],
-            }
-        )
-        self.tuner.close()
+        if self.tuner is not None:
+            self.tuner.tick()
+            status = self.tuner.status()
+            out.update(
+                {
+                    "pivot_rebuilds": status["pivot_rebuilds"],
+                    "calibrations": status["calibration"]["calibrations"],
+                    "error_edc": status["calibration"]["error"]["edc"],
+                    "error_epa": status["calibration"]["error"]["epa"],
+                }
+            )
+            self.tuner.close()
         self.idx.close()
         return out
 
 
 def run_passes(base_directory, tmp, sections, tick_every):
-    """Replay the workload on every pass *interleaved* op by op.
+    """Replay the workload on both passes *interleaved* op by op.
 
-    Each operation runs on all three index copies back-to-back, in
+    Each operation runs on both index copies back-to-back, in
     ``REPEATS`` rounds — round-robin over the passes *within* each round
     — so a machine-load burst lands on every pass in the round it hits,
     and the per-pass min-over-rounds discards it for all of them at
@@ -264,15 +228,15 @@ def run_passes(base_directory, tmp, sections, tick_every):
     every pass alike.
     """
     phase1, burst, phase3 = sections
-    fixed = [_FixedPass(base_directory, tmp, arm) for arm in ARMS]
-    tuned = _TunedPass(base_directory, tmp)
-    passes = fixed + [tuned]
+    untuned = _Pass(base_directory, tmp, tuned=False)
+    tuned = _Pass(base_directory, tmp, tuned=True)
+    passes = [untuned, tuned]
 
     def settle(ops, rounds=1):
-        # Untimed warmup, identical on every copy (direct calls, no
-        # advisor, throwaway contexts): cold-CPU start and post-insert
-        # cold structures otherwise land 20-30% slow at the measured
-        # tail for reasons that have nothing to do with index policy.
+        # Untimed warmup, identical on every copy (direct calls the
+        # calibrator never sees, throwaway contexts): cold-CPU start and
+        # post-insert cold structures otherwise land 20-30% slow at the
+        # measured tail for reasons that have nothing to do with the index.
         warm = [op for op in ops if op[0] == "knn"][:12]
         for _ in range(rounds):
             for p in passes:
@@ -289,7 +253,7 @@ def run_passes(base_directory, tmp, sections, tick_every):
                 p.run(op, attempt, slot)
         opn += 1
         if opn % tick_every == 0:
-            tuned.tick()
+            tuned.tuner.tick()
 
     settle(phase1, rounds=2)
     gc_was_enabled = gc.isenabled()
@@ -308,7 +272,7 @@ def run_passes(base_directory, tmp, sections, tick_every):
     finally:
         if gc_was_enabled:
             gc.enable()
-    return {p.name: p.finish() for p in fixed}, tuned.finish()
+    return untuned.finish(), tuned.finish()
 
 
 def run_disabled_check(base_directory, tmp, sections):
@@ -349,35 +313,30 @@ def run_disabled_check(base_directory, tmp, sections):
 def run(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="tuning-ab-") as tmp:
         base_directory, sections = build_workload(args, tmp)
-        arms, tuned = run_passes(
+        untuned, tuned = run_passes(
             base_directory, tmp, sections, args.tick_every
         )
         identical = run_disabled_check(base_directory, tmp, sections)
         ops_total = sum(len(s) for s in sections)
 
-    beats = {
-        name: (
-            tuned["compdists"] < fixed["compdists"]
-            and tuned["p95_ms"] < fixed["p95_ms"]
-        )
-        for name, fixed in arms.items()
-    }
-    tuned_beats_all = all(beats.values())
+    tuned_beats_untuned = (
+        tuned["compdists"] < untuned["compdists"]
+        and tuned["p95_ms"] < untuned["p95_ms"]
+    )
     error_edc = tuned["error_edc"]
     error_ok = error_edc is not None and error_edc <= args.error_bound
 
-    for name, fixed in sorted(arms.items()):
+    for name, row in (("untuned", untuned), ("tuned", tuned)):
         print(
-            f"fixed   {name:<24} compdists {fixed['compdists']:>8} "
-            f"pa {fixed['page_accesses']:>6} p95 {fixed['p95_ms']:>8.3f}ms"
+            f"{name:<8} compdists {row['compdists']:>8} "
+            f"pa {row['page_accesses']:>6} p95 {row['p95_ms']:>8.3f}ms"
         )
     print(
-        f"tuned   {'(advisor+tuner)':<24} compdists {tuned['compdists']:>8} "
-        f"pa {tuned['page_accesses']:>6} p95 {tuned['p95_ms']:>8.3f}ms  "
-        f"pivot_rebuilds {tuned['pivot_rebuilds']} err_edc {error_edc}"
+        f"pivot_rebuilds {tuned['pivot_rebuilds']} "
+        f"calibrations {tuned['calibrations']} err_edc {error_edc}"
     )
     print(
-        f"tuned beats all arms: {tuned_beats_all}; "
+        f"tuned beats untuned: {tuned_beats_untuned}; "
         f"counters identical when disabled: {identical}; "
         f"prediction error ok: {error_ok}"
     )
@@ -386,10 +345,9 @@ def run(args: argparse.Namespace) -> int:
         "size": args.size,
         "inserts": args.inserts,
         "ops": ops_total,
-        "arms": arms,
+        "untuned": untuned,
         "tuned": tuned,
-        "beats": beats,
-        "tuned_beats_all": tuned_beats_all,
+        "tuned_beats_untuned": tuned_beats_untuned,
         "counters_identical": identical,
         "error_bound": args.error_bound,
         "prediction_error_ok": error_ok,
@@ -398,8 +356,8 @@ def run(args: argparse.Namespace) -> int:
     append_series(args.out, record)
     print(f"appended to {args.out}")
 
-    if not tuned_beats_all:
-        print("FAIL: a fixed arm beat the tuner", file=sys.stderr)
+    if not tuned_beats_untuned:
+        print("FAIL: the untuned pass beat the tuner", file=sys.stderr)
         return 1
     if not identical:
         print("FAIL: disabled tuning changed the counters", file=sys.stderr)

@@ -618,17 +618,11 @@ def _serve_epilogue(
     if tuner is not None:
         tuner.stop()
         st = tuner.status()
-        policy = ", ".join(
-            f"{bucket}={p['traversal']}"
-            for bucket, p in sorted(st["policy"].items())
-        )
         print(
             f"tuner     : {st['ticks']} ticks, "
-            f"{st['advisor']['decisions']} advised "
-            f"({st['advisor']['explorations']} explored), "
             f"{st['calibration']['calibrations']} calibrations, "
-            f"{st['pivot_rebuilds']} pivot rebuilds; "
-            f"policy {policy if policy else '(none yet)'}"
+            f"{st['pivot_checks']} pivot checks, "
+            f"{st['pivot_rebuilds']} pivot rebuilds"
         )
         tuner.close()
     if snapshots is not None:
@@ -762,7 +756,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     try:
         with engine:
             if args.autotune:
-                # Hook the traversal advisor into the engine and start the
+                # Feed the calibrator from the engine and start the
                 # background control loop; the epilogue finds it on the tree.
                 tuner = Tuner(
                     tree,
@@ -772,8 +766,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
                 )
                 tuner.start()
                 print(
-                    f"autotuning: tick {tuner.tick_interval:g}s, "
-                    f"epsilon {tuner.advisor.epsilon:g}, journal "
+                    f"autotuning: tick {tuner.tick_interval:g}s, journal "
                     f"{tuner.journal.path if tuner.journal.path else '(in-memory)'}"
                 )
             if args.listen:
@@ -1280,18 +1273,16 @@ def cmd_scrub(args: argparse.Namespace) -> None:
 def cmd_tune(args: argparse.Namespace) -> None:
     """Offline self-tuning pass over a saved cluster directory.
 
-    Replays a sample of the cluster's own objects as advised kNN
-    queries with the control loop ticking between batches — enough
-    traffic for the advisor to converge a policy, the calibrator to fit
-    the cost-model scales, and (with ``--auto-rebuild``) drift-triggered
-    pivot re-selection to run.  Every decision lands in the directory's
-    ``tuning-events.jsonl``; ``shard-status`` shows the tail.
+    Replays a sample of the cluster's own objects as kNN queries with
+    the control loop ticking between batches — enough traffic for the
+    calibrator to fit the cost-model scales and (with ``--auto-rebuild``)
+    drift-triggered pivot re-selection to run.  Every decision lands in
+    the directory's ``tuning-events.jsonl``; ``shard-status`` shows the
+    tail.
     """
     cluster = ShardedIndex.open(args.dir, _directory_metric(args))
     with contextlib.closing(cluster), Tuner(
-        cluster,
-        epsilon=args.epsilon,
-        auto_pivot_rebuild=args.auto_rebuild,
+        cluster, auto_pivot_rebuild=args.auto_rebuild
     ) as tuner:
         objects = list(cluster.objects())
         if not objects:
@@ -1299,18 +1290,20 @@ def cmd_tune(args: argparse.Namespace) -> None:
         step = max(1, len(objects) // max(1, args.queries))
         sample = objects[::step][: args.queries]
         for i, query in enumerate(sample):
-            tuner.advisor.run_knn(cluster, query, args.k, QueryContext())
+            ctx = QueryContext()
+            cluster.knn_query(query, args.k, context=ctx)
+            tuner.calibrator.observe_query(
+                query, args.k, ctx.compdists, ctx.page_accesses
+            )
             if (i + 1) % args.tick_every == 0:
                 tuner.tick()
         tuner.tick()
         st = tuner.status()
         cal = st["calibration"]
         print(
-            f"advised {len(sample)} kNN queries (k={args.k}) over "
+            f"replayed {len(sample)} kNN queries (k={args.k}) over "
             f"{cluster.num_shards} shards; {st['ticks']} ticks"
         )
-        for bucket, p in sorted(st["policy"].items()):
-            print(f"policy    : {bucket} -> {p['traversal']}")
         print(
             f"calibrated: edc_scale {cal['edc_scale']} "
             f"epa_scale {cal['epa_scale']} "
@@ -1377,18 +1370,6 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
                 f"max lag {worst} bytes, {state}"
             )
         _print_journal_tail("supervisor", args, SUPERVISOR_JOURNAL)
-        # The same journal format the supervisor uses; the latest
-        # per-bucket "policy" events ARE the traversal policy in force,
-        # so surface them before the raw tail.
-        tuning_journal = os.path.join(args.dir, TUNING_JOURNAL)
-        policy: dict = {}
-        for evt in read_journal(tuning_journal):
-            if evt.get("event") == "policy":
-                detail = evt.get("detail") or {}
-                if "bucket" in detail:
-                    policy[detail["bucket"]] = detail
-        for bucket, p in sorted(policy.items()):
-            print(f"tuning policy: {bucket} -> {p.get('traversal')}")
         _print_journal_tail("tuning", args, TUNING_JOURNAL)
         if bad:
             raise CommandFailed(
@@ -1511,8 +1492,8 @@ FLAGS: dict[str, dict[str, Any]] = {
     "--autotune": dict(
         action="store_true",
         help="run the self-tuning control loop during the workload "
-             "(traversal advisor on the kNN path, online cost-model "
-             "calibration, drift-triggered pivot re-selection)",
+             "(online cost-model calibration, drift-triggered pivot "
+             "re-selection)",
     ),
     "--tune-interval": dict(
         type=float, default=1.0,
@@ -1592,10 +1573,7 @@ FLAGS: dict[str, dict[str, Any]] = {
         type=int, default=10, help="journal events to tail (default: 10)"
     ),
     "--queries": dict(
-        type=int, default=48, help="advised sample queries to run (default: 48)"
-    ),
-    "--epsilon": dict(
-        type=float, default=0.05, help="advisor exploration floor (default: 0.05)"
+        type=int, default=48, help="sample kNN queries to replay (default: 48)"
     ),
     "--tick-every": dict(
         type=int, default=8, help="control-loop tick every N queries (default: 8)"
@@ -1698,11 +1676,8 @@ COMMANDS: dict[str, tuple] = {
     "tune": (
         cmd_tune,
         "offline self-tuning pass over a saved cluster "
-        "(advisor policy, cost-model calibration, maintenance)",
-        (
-            *_SAVED, "--queries", "--k", "--epsilon", "--tick-every",
-            "--auto-rebuild", "--events",
-        ),
+        "(cost-model calibration, pivot maintenance)",
+        (*_SAVED, "--queries", "--k", "--tick-every", "--auto-rebuild", "--events"),
         {},
     ),
     "metrics": (

@@ -19,6 +19,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.obs import registry as _obsreg
+from repro.obs.jsonl import read_jsonl
 
 #: Schema version stamped on every journal entry (``"v"``).  Readers are
 #: tolerant: unknown fields are ignored and entries missing ``"v"``
@@ -93,25 +94,10 @@ class EventJournal:
 
 
 def read_journal(path: str, limit: Optional[int] = None) -> "list[dict]":
-    """Parse a JSONL journal file, tolerating a torn final line.
-
-    A crash mid-append leaves at most one partial line at the end; the
-    parser keeps every complete event before it, mirroring the WAL's
-    torn-tail rule.
-    """
-    events: list[dict] = []
+    """The events of a JSONL journal file (the last ``limit`` when given),
+    torn final line dropped; a missing file is an empty journal."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    evt = json.loads(line)
-                except ValueError:
-                    break  # torn tail: keep the valid prefix
-                if isinstance(evt, dict):
-                    events.append(evt)
+        events, _ = read_jsonl(path)
     except OSError:
         return []
     if limit is not None:

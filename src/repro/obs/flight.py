@@ -33,6 +33,7 @@ import time
 from typing import Any, Callable, Optional
 
 from repro.obs import registry as _obsreg
+from repro.obs.jsonl import read_jsonl
 
 #: Flight-dump schema version (the header line's ``v`` field).
 FLIGHT_VERSION = 1
@@ -245,34 +246,13 @@ def read_flight(path: str) -> tuple[dict, list[dict]]:
     an unreadable *header* raises — a dump whose first line is garbage
     identifies nothing.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty flight dump")
-    try:
-        header = json.loads(lines[0])
-        # "entries" + "reason" distinguishes a dump header from other
-        # JSONL records (slow-log entries also carry "reason").
-        if (
-            not isinstance(header, dict)
-            or "reason" not in header
-            or "entries" not in header
-        ):
-            raise ValueError("not a flight header")
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed flight header: {exc}") from None
-    entries: list[dict] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            break  # torn tail: keep the complete prefix
-        if not isinstance(entry, dict):
-            break
-        entries.append(entry)
-    return header, entries
+    objects, _ = read_jsonl(path)
+    header = objects[0] if objects else {}
+    # "entries" + "reason" distinguishes a dump header from other JSONL
+    # records (slow-log entries also carry "reason").
+    if "reason" not in header or "entries" not in header:
+        raise ValueError(f"{path}: missing or malformed flight header")
+    return header, objects[1:]
 
 
 def find_request(directory: str, request_id: str) -> list[tuple[str, dict]]:

@@ -322,10 +322,8 @@ FAMILIES: dict[str, dict[str, tuple]] = {
             ("reason",),
         ),
     },
-    # Self-tuning loop: decisions taken, exploration, calibration error.
-    # Decision counters are labelled by kind (``traversal``,
-    # ``pivot-rebuild``) so dashboards separate steady-state steering from
-    # rare maintenance.
+    # Self-tuning loop: ticks, decisions by kind (``pivot-rebuild``),
+    # calibration refits and the prediction error they leave.
     "tuning": {
         "ticks": (
             "counter", "repro_tuning_ticks_total",
@@ -336,29 +334,18 @@ FAMILIES: dict[str, dict[str, tuple]] = {
             "Tuning decisions taken, by kind.",
             ("kind",),
         ),
-        "explorations": (
-            "counter", "repro_tuning_explorations_total",
-            "Per-query traversal choices made by the epsilon-greedy "
-            "exploration floor rather than the learned policy.",
-        ),
         "calibrations": (
             "counter", "repro_tuning_calibrations_total",
             "Cost-model recalibrations (EDC/EPA scale refits) committed.",
         ),
         # The calibrated cost models' median |log(predicted/actual)| over the
         # sliding observation window — the gauge an operator watches to
-        # decide whether the advisor's choices can be trusted.
+        # decide whether the model's EDC/EPA predictions can be trusted.
         "prediction_error": (
             "gauge", "repro_tuning_prediction_error",
             "Median |log(predicted/actual)| of the calibrated cost model "
             "over the sliding window, per model (edc / epa).",
             ("model",),
-        ),
-        "arm_cost": (
-            "gauge", "repro_tuning_arm_cost",
-            "Learned EWMA cost (compdists + page accesses) per kNN "
-            "traversal arm.",
-            ("traversal",),
         ),
     },
 }

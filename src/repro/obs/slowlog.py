@@ -25,6 +25,8 @@ import threading
 import time
 from typing import Any, Optional
 
+from repro.obs.jsonl import read_jsonl
+
 #: Slow-log entry schema version.  Readers must tolerate entries without
 #: it (pre-versioning logs) and entries carrying unknown fields — new
 #: fields such as ``request_id`` are additions, never breaking changes.
@@ -189,20 +191,7 @@ def read_slow_log(path: str) -> list[dict]:
     with the complete prefix kept.  A malformed line *followed by*
     well-formed ones is corruption rather than a torn tail and raises.
     """
-    entries = []
-    pending_error: Optional[str] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending_error is not None:
-                raise ValueError(pending_error)
-            try:
-                entry = json.loads(line)
-                if not isinstance(entry, dict):
-                    raise json.JSONDecodeError("not an object", line, 0)
-                entries.append(entry)
-            except json.JSONDecodeError:
-                pending_error = f"{path}:{lineno}: malformed slow-log entry"
+    entries, corrupt_line = read_jsonl(path)
+    if corrupt_line is not None:
+        raise ValueError(f"{path}:{corrupt_line}: malformed slow-log entry")
     return entries

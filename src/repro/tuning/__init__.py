@@ -6,27 +6,22 @@ serving stack never consumed them.  This package does:
 
 * :class:`OnlineCalibrator` — fits the models' per-deployment constants
   from observed (prediction, outcome) pairs and tracks prediction error;
-* :class:`TraversalAdvisor` — an epsilon-greedy per-query choice of kNN
-  traversal (incremental / greedy), hooked into
-  :class:`repro.service.QueryEngine`;
 * :class:`Tuner` — the background :class:`repro.control.ControlLoop`
-  that flushes the advisor's decisions to the journal, recalibrates,
-  and schedules (optionally runs) a guarded pivot re-selection when
-  HFI's objective drifts.  Those three — traversal, cost models, pivot
-  set — are what the paper models; buffer, queue and shard layout stay
-  the operator's.
+  that recalibrates and schedules (optionally runs) a guarded pivot
+  re-selection when HFI's objective drifts.  Those two — cost models,
+  pivot set — are what it maintains; the kNN traversal is the caller's
+  ``traversal=`` argument, and buffer, queue and shard layout stay the
+  operator's.
 
 Nothing here runs unless explicitly constructed: with tuning disabled
 the query path and its counters are bit-identical to the untuned build.
 """
 
-from repro.tuning.advisor import TraversalAdvisor
 from repro.tuning.calibrate import OnlineCalibrator
 from repro.tuning.core import TUNING_JOURNAL, Tuner
 
 __all__ = [
     "TUNING_JOURNAL",
     "OnlineCalibrator",
-    "TraversalAdvisor",
     "Tuner",
 ]

@@ -9,8 +9,10 @@ The ``OnlineCalibrator`` closes that loop from *real* traffic:
   (built lazily, probe-free, rebuilt when the shard's population moves
   by more than a quarter), summed across shards, times two online scale
   constants;
-* observations — every advised kNN query's (query, k, actual-cost)
-  triple enters a sliding window via :meth:`observe_query`; the matching
+* observations — every default-traversal kNN query the engine serves
+  enters a sliding window as a (query, k, actual-cost) triple via
+  :meth:`observe_query` (the models predict the default traversal, so a
+  pinned one is never observed); the matching
   prediction is computed *later*, inside :meth:`recalibrate` on the
   tuner's tick thread, so the query path never pays the estimator's
   grid-sample walk (storing the triple is O(1));
@@ -58,8 +60,8 @@ class OnlineCalibrator:
         #: Median |log(predicted/actual)| per model after the last refit.
         self.error: dict[str, Optional[float]] = {"edc": None, "epa": None}
         self._observations: deque = deque(maxlen=window)
-        #: (query, k, compdists, page_accesses, elapsed) awaiting their
-        #: prediction, resolved on the next :meth:`recalibrate`.
+        #: (query, k, compdists, page_accesses) awaiting their prediction,
+        #: resolved on the next :meth:`recalibrate`.
         self._pending: deque = deque(maxlen=window)
         self._since_fit = 0
         #: shard id (or None for a single tree) -> (model, object_count at
@@ -126,14 +128,9 @@ class OnlineCalibrator:
     # ---------------------------------------------------------- observation
 
     def observe_query(
-        self,
-        query: Any,
-        k: int,
-        compdists: int,
-        page_accesses: int,
-        elapsed: float,
+        self, query: Any, k: int, compdists: int, page_accesses: int
     ) -> None:
-        """Record one advised query's outcome; prediction deferred.
+        """Record one default-traversal kNN outcome; prediction deferred.
 
         This is the query-path entry point, so it only appends — the
         cost-model walk happens on the tick thread in
@@ -141,16 +138,11 @@ class OnlineCalibrator:
         """
         with self._lock:
             self._pending.append(
-                (query, int(k), int(compdists), int(page_accesses),
-                 float(elapsed))
+                (query, int(k), int(compdists), int(page_accesses))
             )
 
     def observe(
-        self,
-        predicted: tuple,
-        compdists: int,
-        page_accesses: int,
-        elapsed: float,
+        self, predicted: tuple, compdists: int, page_accesses: int
     ) -> None:
         if predicted is None:
             return
@@ -161,7 +153,6 @@ class OnlineCalibrator:
                     float(predicted[1]),
                     int(compdists),
                     int(page_accesses),
-                    float(elapsed),
                 )
             )
             self._since_fit += 1
@@ -174,18 +165,18 @@ class OnlineCalibrator:
         with self._lock:
             pending = list(self._pending)
             self._pending.clear()
-        for query, k, compdists, page_accesses, elapsed in pending:
+        for query, k, compdists, page_accesses in pending:
             try:
                 predicted = self.predict_knn(query, k)
             except Exception:
                 continue
-            self.observe(predicted, compdists, page_accesses, elapsed)
+            self.observe(predicted, compdists, page_accesses)
         with self._lock:
             if self._since_fit == 0:
                 return None
             edc_obs = [
                 (raw_edc, cd)
-                for raw_edc, _, cd, _, _ in self._observations
+                for raw_edc, _, cd, _ in self._observations
                 if raw_edc > 0 and cd > 0
             ]
             if len(edc_obs) < self.min_observations:
@@ -193,7 +184,7 @@ class OnlineCalibrator:
             self.edc_scale = _median([cd / raw for raw, cd in edc_obs])
             epa_obs = [
                 (raw_epa, pa)
-                for _, raw_epa, _, pa, _ in self._observations
+                for _, raw_epa, _, pa in self._observations
                 if raw_epa > 0 and pa > 0
             ]
             if len(epa_obs) >= self.min_observations:

@@ -1,27 +1,29 @@
 """The self-tuning control loop: close the EDC/EPA loop online.
 
 Where the supervisor keeps the cluster *alive*, the :class:`Tuner` keeps
-it *cheap* — by steering the three things the paper itself models, in
+it *cheap* — by maintaining the two things the paper itself models, in
 its own currency (compdists, page accesses), and nothing else.  It is a
 :class:`repro.control.ControlLoop` whose pass does, in order:
 
-1. **Flush** the traversal advisor's buffered decisions (§4.3 / Table 5,
-   chosen per query by :mod:`repro.tuning.advisor`) into the journal.
-2. **Calibrate** — refit the online EDC/EPA scales (§4.4, eqs. 1–8) from
-   the advised queries' (predicted, actual) window and publish the
-   prediction-error gauges (:mod:`repro.tuning.calibrate`).
-3. **Check pivots**, every ``pivot_check_every`` ticks — re-measure
+1. **Calibrate** — refit the online EDC/EPA scales (§4.4, eqs. 1–8) from
+   the (predicted, actual) window the engine's default-traversal kNN
+   queries fill, and publish the prediction-error gauges
+   (:mod:`repro.tuning.calibrate`).
+2. **Check pivots**, every ``pivot_check_every`` ticks — re-measure
    HFI's objective (§3.2, Definition 1 precision) on a fresh sample;
    drift past the threshold schedules pivot re-selection and a guarded
    rebuild through a checkpoint, announced in the supervisor's journal
    when one is attached.
 
-Buffer size is a fixed experimental parameter in the paper (Fig. 10),
-and shard layout and admission depth are the operator's: the tuner
-adapts none of them (``docs/architecture.md`` §16.3 has the numbers).
-Every decision resolves to one journal event (with a request id on the
-ones that mutate the cluster), and nothing here runs unless a ``Tuner``
-is constructed: the untuned path stays bit-identical.
+Nothing runs per query: the kNN traversal (§4.3 / Table 5) is the
+caller's ``traversal=`` argument, default ``incremental`` — Lemma 4 makes
+it compdist-optimal and every measured row has compdists ≫ PA, so there
+is nothing for a selector to learn.  Buffer size is a fixed experimental
+parameter in the paper (Fig. 10), and shard layout and admission depth
+are the operator's: the tuner adapts none of them (``docs/architecture.md``
+§16 has the numbers).  Every decision resolves to one journal event (with
+a request id on the ones that mutate the cluster), and nothing here runs
+unless a ``Tuner`` is constructed: the untuned path stays bit-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.core.pivots import pivot_set_precision, select_pivots
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 from repro.obs.ids import new_trace_id
-from repro.tuning.advisor import TraversalAdvisor
 from repro.tuning.calibrate import OnlineCalibrator
 
 #: Journal filename inside a tuned cluster directory (same format and
@@ -61,37 +62,29 @@ class Tuner(ControlLoop):
         tick_interval: float = 1.0,
         journal_path: Optional[str] = None,
         clock: Any = None,
-        epsilon: float = 0.05,
         seed: int = 17,
         pivot_check_every: int = 8,
         pivot_drift_threshold: float = 0.15,
         auto_pivot_rebuild: bool = False,
         pivot_sample: int = 64,
         pivot_pairs: int = 128,
-        advisor: Optional[TraversalAdvisor] = None,
-        calibrator: Optional[OnlineCalibrator] = None,
     ) -> None:
         if journal_path is None and getattr(index, "directory", None):
             journal_path = os.path.join(index.directory, TUNING_JOURNAL)
         super().__init__(
             index, tick_interval, clock or time.monotonic, journal_path
         )
-        #: Kept only to hook the advisor into the kNN path (and unhook it).
+        self.calibrator = OnlineCalibrator(index)
+        #: Kept only to feed the calibrator from the kNN path until close().
         self.engine = engine
-        if calibrator is None:
-            calibrator = OnlineCalibrator(index)
-        if advisor is None:
-            advisor = TraversalAdvisor(calibrator, epsilon=epsilon, seed=seed)
-        self.calibrator = calibrator
-        self.advisor = advisor
-        advisor.journal = self.journal
-        if engine is not None and getattr(engine, "advisor", None) is None:
-            engine.advisor = advisor
+        if engine is not None and engine.calibrator is None:
+            engine.calibrator = self.calibrator
         self.pivot_check_every = pivot_check_every
         self.pivot_drift_threshold = pivot_drift_threshold
         self.auto_pivot_rebuild = auto_pivot_rebuild
         self.pivot_sample = pivot_sample
         self.pivot_pairs = pivot_pairs
+        # + 1: the pair sequence every recorded A/B row was measured on.
         self._pair_rng = random.Random(seed + 1)
         #: Plain tallies (mirror the obs counters; always available).
         self.pivot_checks = 0
@@ -102,9 +95,8 @@ class Tuner(ControlLoop):
     # ------------------------------------------------------------- the pass
 
     def _pass(self, now: float) -> dict:
-        """One ``tick()``: flush the advisor's journal, recalibrate, and
-        every ``pivot_check_every`` ticks check the pivots for drift."""
-        self.advisor.flush_journal()
+        """One ``tick()``: recalibrate, and every ``pivot_check_every``
+        ticks check the pivots for drift."""
         fit = self.calibrator.recalibrate()
         if fit is not None:
             self.journal.record("calibrated", detail=fit)
@@ -126,7 +118,23 @@ class Tuner(ControlLoop):
     # --------------------------------------------------------------- pivots
 
     def _sample_objects(self, limit: int) -> list:
-        objects = list(self.index.objects())
+        """Every ``len // limit``-th live object, in global SFC order.  The
+        scan is maintenance, not a workload: each tree is read under its
+        epoch view (no writer appends mid-scan) and no counter moves."""
+        shards = getattr(self.index, "shards", None)
+        trees = (
+            [self.index]
+            if shards is None
+            else [s.tree for s in sorted(shards, key=lambda s: s.key_lo)]
+        )
+        objects: list = []
+
+        def scan(tree: Any) -> None:
+            with tree.unobserved():
+                objects.extend(tree.objects())
+
+        for tree in trees:
+            tree.read_frame(None, lambda: scan(tree))
         if len(objects) <= limit:
             return objects
         step = max(1, len(objects) // limit)
@@ -265,10 +273,8 @@ class Tuner(ControlLoop):
     # -------------------------------------------------------------- surface
 
     def close(self) -> None:
-        self.stop()
-        self.advisor.flush_journal()
-        if self.engine is not None and self.engine.advisor is self.advisor:
-            self.engine.advisor = None
+        if self.engine is not None and self.engine.calibrator is self.calibrator:
+            self.engine.calibrator = None
         super().close()
 
     def status(self) -> dict:
@@ -277,12 +283,6 @@ class Tuner(ControlLoop):
                 "running": self.running,
                 "ticks": self.ticks,
                 "tick_interval": self.tick_interval,
-                "policy": self.advisor.policy(),
-                "advisor": {
-                    "epsilon": self.advisor.epsilon,
-                    "decisions": self.advisor.decisions,
-                    "explorations": self.advisor.explorations,
-                },
                 "calibration": self.calibrator.calibration(),
                 "pivot_checks": self.pivot_checks,
                 "pivot_rebuilds": self.pivot_rebuilds,

@@ -1,5 +1,7 @@
 """Smoke tests for the demo CLI (python -m repro.cli)."""
 
+import os
+
 import pytest
 
 from tests.conftest import run_cli
@@ -203,19 +205,38 @@ class TestCliTuning:
             "shard-build", "--dataset", "words", "--size", "300",
             "--shards", "2", "--out", d,
         ).returncode == 0
-        result = run_cli("tune", "--dir", d, "--queries", "16", "--events", "3")
+        result = run_cli("tune", "--dir", d, "--queries", "16", "--events", "1")
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
-        assert any(line.startswith("policy    : k<=8 -> ") for line in lines)
         assert any(line.startswith("calibrated: edc_scale ") for line in lines)
-        assert len([line for line in lines if line.startswith("  [")]) == 3
+        assert any(line.startswith("actions   : ") for line in lines)
+        assert "policy" not in result.stdout and "advised" not in result.stdout
+        # Two refits were journalled (a tick every 8 queries); one is asked for.
+        assert len([line for line in lines if line.startswith("  [")]) == 1
 
         status = run_cli("shard-status", "--dir", d, "--events", "0")
         assert status.returncode == 0, status.stderr
-        assert "tuning policy: k<=8 -> " in status.stdout
+        assert "policy" not in status.stdout
         # --events 0 means no event tail, not the whole journal.
         assert "tuning events" not in status.stdout
         assert "  [" not in status.stdout
+
+        # A journal an older build wrote, with the per-query kinds this
+        # one no longer emits, still reads and prints.
+        with open(os.path.join(d, "tuning-events.jsonl"), "a") as fh:
+            fh.write(
+                '{"v": 1, "ts": 7.5, "event": "traversal", "detail": '
+                '{"traversal": "greedy", "k": 4, "bucket": "k<=8", '
+                '"explored": true, "compdists": 31, "page_accesses": 6, '
+                '"elapsed_ms": 0.4}}\n'
+                '{"v": 1, "ts": 7.6, "event": "policy", "detail": '
+                '{"bucket": "k<=8", "traversal": "incremental"}}\n'
+            )
+        status = run_cli("shard-status", "--dir", d, "--events", "2")
+        assert status.returncode == 0, status.stderr
+        assert "tuning events (last 2):" in status.stdout
+        assert "[7.5] traversal detail={'traversal': 'greedy'" in status.stdout
+        assert "[7.6] policy detail={'bucket': 'k<=8'" in status.stdout
 
     def test_serve_autotune(self):
         result = run_cli(
@@ -230,5 +251,6 @@ class TestCliTuning:
             if line.startswith("tuner     :")
         ]
         assert len(tuner) == 1
-        assert "advised" in tuner[0] and "pivot rebuilds" in tuner[0]
+        assert "calibrations" in tuner[0] and "pivot rebuilds" in tuner[0]
+        assert "advised" not in tuner[0] and "policy" not in tuner[0]
         assert "buffer" not in tuner[0] and "rebalance" not in tuner[0]

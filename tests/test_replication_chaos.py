@@ -53,7 +53,11 @@ def test_kill_primary_mid_load_loses_no_acked_write(
         small_words[:200], edit, shards=2, num_pivots=3, seed=11
     ).save(directory)
     replicate(directory, edit, replicas=2, read_policy="round-robin")
-    idx = ReplicatedIndex.open(directory, edit, wal_fsync=False)
+    # An injected clock: liveness here is mark_down's, never a heartbeat
+    # that timed out because the suite ran slowly.
+    idx = ReplicatedIndex.open(
+        directory, edit, wal_fsync=False, clock=FakeClock()
+    )
     baseline = sorted(str(o) for o in idx.objects())
 
     batch = small_words[200:260]
@@ -62,11 +66,13 @@ def test_kill_primary_mid_load_loses_no_acked_write(
     writer_errors: list[BaseException] = []
     reader_errors: list[BaseException] = []
     primary_killed = threading.Event()
-    stop_readers = threading.Event()
+    stop_load = threading.Event()
 
     def writer():
         try:
             for i, word in enumerate(batch):
+                if stop_load.is_set():
+                    break
                 if i == len(batch) // 3:
                     # Kill shard 0's primary mid-stream: the workload is
                     # live on both sides of this line.
@@ -83,7 +89,7 @@ def test_kill_primary_mid_load_loses_no_acked_write(
     def reader():
         try:
             i = 0
-            while not stop_readers.is_set():
+            while not stop_load.is_set():
                 out = idx.range_query(
                     small_words[i % 50], 2.0, context=QueryContext()
                 )
@@ -96,12 +102,17 @@ def test_kill_primary_mid_load_loses_no_acked_write(
     threads = [threading.Thread(target=writer)] + [
         threading.Thread(target=reader) for _ in range(2)
     ]
-    for t in threads:
-        t.start()
-    threads[0].join()
-    stop_readers.set()
-    for t in threads[1:]:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+        threads[0].join()
+    finally:
+        # However this ends, no load thread outlives the test.
+        stop_load.set()
+        for t in threads:
+            if t.is_alive():
+                t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
 
     assert not writer_errors, writer_errors
     assert not reader_errors, reader_errors

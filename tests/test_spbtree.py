@@ -18,6 +18,7 @@ from repro.distance import (
     MinkowskiDistance,
     TriGramAngularDistance,
 )
+from repro.service.context import QueryContext
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,26 @@ class TestAllDatasets:
             assert [d for d, _ in got] == pytest.approx(
                 [d for d, _ in expected]
             )
+
+    def test_incremental_never_computes_more_distances_than_greedy(
+        self, generator, metric_cls, radii
+    ):
+        """Lemma 4, as data: incremental is compdist-optimal, so greedy can
+        only ever pay in page accesses.  This is why nothing selects a
+        traversal per query; a change that makes greedy win here (a priced
+        page, a batched kernel) reopens that question."""
+        data = list(generator(250, seed=13))
+        tree = SPBTree.build(data, metric_cls(), num_pivots=3, seed=1)
+        for q in data[:90]:
+            for k in (1, 8):
+                spent, dists = {}, {}
+                for traversal in ("incremental", "greedy"):
+                    ctx = QueryContext()
+                    got = tree.knn_query(q, k, traversal=traversal, context=ctx)
+                    spent[traversal] = ctx.compdists
+                    dists[traversal] = [d for d, _ in got]
+                assert spent["incremental"] <= spent["greedy"]
+                assert dists["incremental"] == dists["greedy"]
 
 
 class TestAccounting:

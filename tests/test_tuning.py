@@ -1,62 +1,27 @@
 """Tests for ``repro.tuning`` — the cost-model-driven self-tuning loop.
 
-Covers the three layers separately and together:
-
-* :class:`TraversalAdvisor` — deterministic coverage, convergence to the
-  cheapest arm, the exploration floor, and seed-replay determinism;
-* :class:`Tuner` — journal contract (versioned JSONL, torn-tail-tolerant),
-  pivot-drift scheduling and rebuild (its lifecycle is the shared loop
-  contract's, ``tests/test_control_loop.py``);
-* the :class:`~repro.service.QueryEngine` hook — advised queries return
-  the same answers, and the *untuned* path stays bit-identical (per-query
-  compdists/page-accesses) to calling the index directly.
+* :class:`Tuner` — pivot-drift scheduling and rebuild (its lifecycle and
+  journal are the shared loop contract's, ``tests/test_control_loop.py``);
+* the :class:`~repro.service.QueryEngine` hook — with a tuner attached
+  answers are unchanged and only default-traversal kNN feeds the
+  calibrator, and the *untuned* path stays bit-identical (per-query
+  compdists/page-accesses) to calling the index directly;
+* :class:`OnlineCalibrator` — the sliding window and model refresh.
 """
 
 from __future__ import annotations
 
-import json
 import types
 
 import pytest
 
 from repro.cluster import ShardedIndex
-from repro.control import EventJournal, read_journal
+from repro.control import EventJournal
 from repro.core.pivots import select_pivots
 from repro.core.spbtree import SPBTree
 from repro.service import QueryEngine
 from repro.service.context import QueryContext
-from repro.tuning import TUNING_JOURNAL, OnlineCalibrator, TraversalAdvisor, Tuner
-
-
-# --------------------------------------------------------------------------
-# Fakes for unit-level advisor / tuner tests (no I/O, fully deterministic).
-
-
-class _FakeCluster:
-    """Just enough surface to count as a cluster for arm selection."""
-
-    router = None
-
-
-class _FakeTree:
-    """A bare tree: no ``router`` attribute, so only the traversal axis."""
-
-
-_COSTS = {"incremental": 120, "greedy": 40}
-
-
-def _drive(advisor, n, k=4):
-    """Advise/observe ``n`` queries against the fixed cost table."""
-    choices = []
-    for _ in range(n):
-        choice = advisor.advise(_FakeCluster(), "q", k)
-        advisor.observe(choice, _COSTS[choice.traversal], 0, 0.001)
-        choices.append((choice.traversal, choice.explored))
-    return choices
-
-
-# --------------------------------------------------------------------------
-# Real-cluster fixtures.
+from repro.tuning import OnlineCalibrator, Tuner
 
 
 @pytest.fixture(scope="module")
@@ -69,112 +34,6 @@ def tuned_cluster(small_words, edit):
 @pytest.fixture(scope="module")
 def reference_tree(small_words, edit):
     return SPBTree.build(small_words[:200], edit, num_pivots=3, seed=5)
-
-
-class TestAdvisorBandit:
-    def test_covers_every_arm_before_exploiting(self):
-        advisor = TraversalAdvisor(epsilon=0.0, seed=1)
-        choices = _drive(advisor, len(_COSTS))
-        assert {t for t, _ in choices} == set(_COSTS)
-        assert all(explored for _, explored in choices)
-
-    def test_converges_to_cheapest_arm(self):
-        advisor = TraversalAdvisor(epsilon=0.0, seed=1)
-        choices = _drive(advisor, 30)
-        # After coverage, epsilon=0 always exploits the cheapest arm.
-        for traversal, explored in choices[len(_COSTS) :]:
-            assert traversal == "greedy"
-            assert not explored
-        assert advisor.policy()["k<=8"] == {"traversal": "greedy"}
-
-    def test_exploration_floor(self):
-        advisor = TraversalAdvisor(epsilon=1.0, seed=1)
-        choices = _drive(advisor, 20)
-        assert all(explored for _, explored in choices)
-        assert advisor.explorations == advisor.decisions == 20
-
-    def test_seed_replay_is_deterministic(self):
-        a = TraversalAdvisor(epsilon=0.3, seed=42)
-        b = TraversalAdvisor(epsilon=0.3, seed=42)
-        assert _drive(a, 50) == _drive(b, 50)
-
-    def test_single_tree_gets_no_strategy_axis(self):
-        advisor = TraversalAdvisor(epsilon=0.0, seed=1)
-        seen = set()
-        for _ in range(4):
-            choice = advisor.advise(_FakeTree(), "q", 4)
-            advisor.observe(choice, 10, 0, 0.001)
-            seen.add(choice.traversal)
-        assert seen == {"incremental", "greedy"}
-
-    def test_buckets_learn_independently(self):
-        advisor = TraversalAdvisor(epsilon=0.0, seed=1)
-        _drive(advisor, 10, k=2)
-        assert "k<=2" in advisor.policy()
-        assert "k>32" not in advisor.policy()
-        _drive(advisor, 10, k=64)
-        assert "k>32" in advisor.policy()
-
-    def test_feedback_defers_prediction_off_the_query_path(self):
-        recorded = []
-
-        class _Calibrator:
-            def observe_query(self, query, k, compdists, page_accesses,
-                              elapsed):
-                recorded.append((query, k, compdists, page_accesses))
-
-            def predict_knn(self, query, k):  # pragma: no cover
-                raise AssertionError(
-                    "the advisor must never predict on the query path"
-                )
-
-        advisor = TraversalAdvisor(calibrator=_Calibrator(), epsilon=0.0,
-                                   seed=1)
-        for i in range(6):
-            choice = advisor.advise(_FakeCluster(), f"q{i}", 4)
-            advisor.observe(choice, 10 + i, 3, 0.001)
-        assert recorded == [(f"q{i}", 4, 10 + i, 3) for i in range(6)]
-
-    def test_status_surfaces_arm_stats(self):
-        advisor = TraversalAdvisor(epsilon=0.0, seed=1)
-        _drive(advisor, 8)
-        status = advisor.status()
-        assert status["decisions"] == 8
-        arms = status["arms"]["k<=8"]
-        assert arms["greedy"]["n"] >= 1
-        assert arms["greedy"]["cost"] == pytest.approx(40, abs=1)
-
-
-class TestJournalContract:
-    def test_advised_queries_journal_versioned_events(
-        self, tuned_cluster, small_words, tmp_path
-    ):
-        path = str(tmp_path / TUNING_JOURNAL)
-        tuner = Tuner(tuned_cluster, journal_path=path, pivot_check_every=0)
-        for q in small_words[:6]:
-            ctx = QueryContext()
-            tuner.advisor.run_knn(tuned_cluster, q, 4, ctx)
-        # Decisions buffer off the query path; the tick writes them out.
-        tuner.tick()
-        events = [e for e in tuner.events(50) if e["event"] == "traversal"]
-        assert len(events) == 6
-        for event in events:
-            assert event["v"] == 1
-            assert isinstance(event["ts"], float)
-            detail = event["detail"]
-            assert detail["traversal"] in ("incremental", "greedy")
-            assert "strategy" not in detail
-            assert detail["compdists"] > 0
-        tuner.close()
-        # On-disk form: one JSON object per line, torn tail tolerated.
-        with open(path) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        assert len(lines) >= 6
-        with open(path, "a") as fh:
-            fh.write('{"v": 1, "event": "torn')  # no newline, no close
-        recovered = read_journal(path)
-        assert len(recovered) == len(lines)
-        assert all(e["v"] == 1 for e in recovered)
 
 
 class TestPivotMaintenance:
@@ -255,37 +114,46 @@ class TestPivotMaintenance:
 
 
 class TestEngineHook:
-    def test_advised_engine_returns_same_answers(
+    def test_tuned_engine_returns_same_answers(
         self, tuned_cluster, small_words
     ):
         queries = small_words[:8]
         expected = [list(tuned_cluster.knn_query(q, 4)) for q in queries]
         with QueryEngine(tuned_cluster, workers=1) as engine:
             tuner = Tuner(tuned_cluster, engine=engine, pivot_check_every=0)
-            assert engine.advisor is tuner.advisor
+            assert engine.calibrator is tuner.calibrator
             got = [list(engine.knn(q, 4)) for q in queries]
             assert got == expected
-            assert tuner.advisor.decisions == len(queries)
+            assert len(tuner.calibrator._pending) == len(queries)
             tuner.close()
             # close() detaches the hook and the index back-pointer.
-            assert engine.advisor is None
+            assert engine.calibrator is None
             assert tuned_cluster.tuner is None
 
-    def test_pinned_traversal_bypasses_the_advisor(
+    def test_pinned_traversal_is_not_observed(
         self, tuned_cluster, small_words
     ):
         with QueryEngine(tuned_cluster, workers=1) as engine:
             tuner = Tuner(tuned_cluster, engine=engine, pivot_check_every=0)
-            engine.submit(
-                "knn", small_words[0], 4, **{}
-            ).result()  # plain: advised
-            advised = tuner.advisor.decisions
-            engine.submit("knn", small_words[1], 4).result()
-            assert tuner.advisor.decisions == advised + 1
-            # An operator-pinned traversal is never overridden.
-            pinned = engine.submit("knn", small_words[2], 4, "greedy")
-            pinned.result()
-            assert tuner.advisor.decisions == advised + 1
+            pending = tuner.calibrator._pending
+            plain = engine.submit("knn", small_words[0], 4)
+            plain.result()
+            assert list(pending) == [
+                (
+                    small_words[0], 4,
+                    plain.context.compdists, plain.context.page_accesses,
+                )
+            ]  # fmt: skip
+            # The models predict the default traversal run to the end: a
+            # pinned traversal, a truncated answer and the other query
+            # kinds never enter the fit.
+            engine.submit("knn", small_words[2], 4, "greedy").result()
+            engine.submit("knn", small_words[3], 4, "incremental").result()
+            cut = engine.knn(small_words[4], 4, max_compdists=5)
+            assert not cut.complete
+            engine.range(small_words[5], 2.0)
+            engine.count(small_words[5], 2.0)
+            assert len(pending) == 1
             tuner.close()
 
     def test_untuned_engine_counters_bit_identical(
@@ -299,7 +167,7 @@ class TestEngineHook:
             direct.append((ctx.compdists, ctx.page_accesses))
         engine_counts = []
         with QueryEngine(tuned_cluster, workers=1) as engine:
-            assert engine.advisor is None
+            assert engine.calibrator is None
             for q in queries:
                 pending = engine.submit("knn", q, 4)
                 pending.result()
@@ -311,23 +179,24 @@ class TestEngineHook:
                 )
         assert engine_counts == direct
 
-    def test_calibration_converges_from_advised_traffic(
+    def test_calibration_converges_from_engine_traffic(
         self, tuned_cluster, small_words
     ):
-        tuner = Tuner(tuned_cluster, pivot_check_every=0)
-        for q in small_words[:30]:
-            ctx = QueryContext()
-            tuner.advisor.run_knn(tuned_cluster, q, 8, ctx)
-        actions = tuner.tick()
-        fit = actions["calibrated"]
-        assert fit is not None
-        assert fit["edc_scale"] > 0
-        assert fit["error_edc"] >= 0
-        status = tuner.status()
-        assert status["calibration"]["calibrations"] == 1
-        assert status["policy"]  # every arm visited at least once
-        assert status["ticks"] == 1
-        tuner.close()
+        with QueryEngine(tuned_cluster, workers=1) as engine:
+            tuner = Tuner(tuned_cluster, engine=engine, pivot_check_every=0)
+            for q in small_words[:30]:
+                engine.knn(q, 8)
+            actions = tuner.tick()
+            fit = actions["calibrated"]
+            assert fit is not None
+            assert fit["edc_scale"] > 0
+            assert fit["error_edc"] >= 0
+            assert fit["observations"] == 30
+            status = tuner.status()
+            assert status["calibration"]["calibrations"] == 1
+            assert status["ticks"] == 1
+            assert "policy" not in status and "advisor" not in status
+            tuner.close()
 
 
 class TestLifecycle:
@@ -336,7 +205,7 @@ class TestLifecycle:
         predicted = calibrator.predict_knn(small_words[0], 4)
         assert predicted is not None and predicted[0] > 0
         for i in range(6):
-            calibrator.observe(predicted, 10 + i, 5, 0.001)
+            calibrator.observe(predicted, 10 + i, 5)
         assert len(calibrator._observations) == 4  # sliding window
         calibrator.refresh()
         assert calibrator._models == {}

@@ -21,6 +21,7 @@ from repro.core.costmodel import CostModel
 from repro.datasets import generate_synthetic, generate_words
 from repro.storage.raf import _HEADER as RAF_HEADER
 from repro.storage.serializers import StringSerializer
+from repro.tuning import Tuner
 
 PAGE = 512
 
@@ -92,8 +93,8 @@ class TestVerify:
 
     def test_observation_free(self, words):
         """An audit or a probe leaves every counter the tree has where it
-        was: verify(), a cost-model probe pass, a cluster verify(), and a
-        block that raises."""
+        was: verify(), a cost-model probe pass, the tuner's pivot check, a
+        block that raises — and a cluster's verify() and pivot check."""
 
         def tallies(tree):
             nodes, records = tree.btree.pagefile.counter, tree.raf.pagefile.counter
@@ -108,11 +109,20 @@ class TestVerify:
                 tree.knn_query(words[1], 3)
                 raise RuntimeError("mid-audit")
 
+        def pivot_checks(index):
+            with Tuner(index, pivot_check_every=1) as tuner:
+                tuner.tick()
+                assert "drift" in tuner.tick()["pivots"]
+
+        def verified(index):
+            assert index.verify().ok
+
         tree = _checked_tree(words)
         model = CostModel(tree, calibrate=False)
         for observe in (
             lambda t: t.verify(),
             lambda t: model._calibrate_probes(5),
+            pivot_checks,
             raising,
         ):
             tree.range_query(words[0], 1)
@@ -120,10 +130,11 @@ class TestVerify:
             observe(tree)
             assert tallies(tree) == before
         index = ShardedIndex.build(words, EditDistance(), shards=2, num_pivots=3)
-        index.range_query(words[0], 1)
-        before = [tallies(shard.tree) for shard in index.shards]
-        assert index.verify().ok
-        assert [tallies(shard.tree) for shard in index.shards] == before
+        for observe in (verified, pivot_checks):
+            index.range_query(words[0], 1)
+            before = [tallies(shard.tree) for shard in index.shards]
+            observe(index)
+            assert [tallies(shard.tree) for shard in index.shards] == before
 
     def test_detects_raf_corruption(self, words):
         tree = _checked_tree(words)
