@@ -76,6 +76,12 @@ class PivotSpace:
         """φ(obj): distances to every pivot (costs |P| compdists)."""
         return tuple(self.metric(obj, p) for p in self.pivots)
 
+    def phi_many(self, objects: Sequence[Any]) -> list[tuple[float, ...]]:
+        """φ of every object, a pivot at a time: one ``metric.batch(p,
+        objects)`` per pivot — ``len(objects)`` × |P| compdists, as the loop
+        of :meth:`phi`, and the same values (d is symmetric)."""
+        return list(zip(*(self.metric.batch(p, objects) for p in self.pivots)))
+
     def grid_from_phi(self, phi: Sequence[float]) -> GridPoint:
         """δ-approximate a φ vector to grid coordinates."""
         top = self.cells - 1

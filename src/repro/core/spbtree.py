@@ -29,7 +29,7 @@ import heapq
 import itertools
 import os
 import time
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +67,6 @@ _CURVES: dict[str, type[SpaceFillingCurve]] = {
 
 #: Reservoir size for the cost-model sample of mapped vectors (eq. 2).
 _SAMPLE_CAPACITY = 2000
-
-#: What :meth:`SPBTree._fetch` answers for a tombstoned record.
-_DELETED = object()
 
 
 class SPBTree:
@@ -244,12 +241,10 @@ class SPBTree:
     def _bulk_load(self, objects: Sequence[Any]) -> None:
         raf = self._ensure_raf(objects[0])
         keyed = []
-        phis = []
-        for obj in objects:
-            phi = self.space.phi(obj)  # |P| distance computations
+        phis = self.space.phi_many(objects)  # |O| × |P| distance computations
+        for obj, phi in zip(objects, phis):
             grid = self.space.grid_from_phi(phi)
             keyed.append((self.curve.encode(grid), obj))
-            phis.append(phi)
             self._observe(grid)
         self._calibrate(objects, phis)
         keyed.sort(key=lambda pair: pair[0])
@@ -619,22 +614,82 @@ class SPBTree:
             ctx.checkpoint()
         return tr, phi_q
 
-    def _fetch(
-        self, ptr: int, ctx: Optional[QueryContext], tr: Optional[Any], tally: str
-    ) -> Any:
-        """The record a surviving leaf entry points at — the one RAF read
-        of the query path.  A tombstone is skipped (``_DELETED``), the
-        budget is checked before every read, and the trace ``tally``
-        follows the check, so a traced count is a count of reads."""
+    def _fetch_many(
+        self,
+        entries: Iterable[tuple[int, bool]],
+        query: Any,
+        ctx: Optional[QueryContext],
+        tr: Optional[Any],
+        free_accepts: bool = False,
+    ) -> Iterator[tuple[Any, Optional[float]]]:
+        """Verify one leaf's surviving entries — the one RAF read of the
+        query path, a leaf at a time.  ``entries`` are ``(ptr, accepted)``
+        pairs (``accepted``: Lemma 2 proved the object a result); for each
+        live one, in entry order, this yields ``(object, d(query, object))``
+        with ``None`` for the distance of an accepted entry — and, with
+        ``free_accepts`` (the count), ``(None, None)`` for it without any
+        read at all.  Tombstones are dropped; the records come from one
+        ``raf.read_many`` and the distances from one ``distance.batch``.
+
+        Compdist and page-access budgets trip at the record they would trip
+        at if every read were preceded by a checkpoint: the entries before
+        it are yielded, then ``_Exhausted`` is raised.  The deadline and
+        cancellation are the caller's to observe, once per node.
+        """
         raf = self.raf
         assert raf is not None
-        if raf.is_deleted(ptr):
-            return _DELETED
+        is_deleted = raf.is_deleted
+        live = [entry for entry in entries if not is_deleted(entry[0])]
+        # Every live entry costs a read, but for the count's Lemma 2 accepts.
+        reads = [entry for entry in live if not entry[1]] if free_accepts else live
+        allowed, stop = len(reads), None
         if ctx is not None:
-            ctx.checkpoint()
+            if ctx.max_compdists is not None:
+                # The checkpoint before a read trips once the distances spent
+                # on the entries ahead of it exceed what the budget has left.
+                left = ctx.max_compdists - ctx.compdists
+                for k, (_, accepted) in enumerate(reads):
+                    if left < 0:
+                        allowed = k
+                        break
+                    if not accepted:
+                        left -= 1
+            if ctx.max_page_accesses is not None:
+                stop = lambda: ctx.page_accesses > ctx.max_page_accesses  # noqa: E731
+        objs = raf.read_many([ptr for ptr, _ in reads[:allowed]], stop)
+        verify = [k for k, (_, accepted) in enumerate(reads[: len(objs)]) if not accepted]
+        if len(verify) == len(objs):
+            chosen = objs
+        elif isinstance(objs, np.ndarray):
+            chosen = objs[verify]
+        else:
+            chosen = [objs[k] for k in verify]
+        dists: list[Optional[float]] = [None] * len(objs)
+        for k, d in zip(verify, self.distance.batch(query, chosen)):
+            dists[k] = d
+        fetched = zip(objs, dists)
+        accepts = len(objs) - len(verify)
+        if not free_accepts:
+            yield from fetched
+        else:
+            # Lemma 2's accepts up to the read a budget refused, if one did.
+            for _, accepted in live:
+                if accepted:
+                    accepts += 1
+                    yield None, None
+                else:
+                    pair = next(fetched, None)
+                    if pair is None:
+                        break
+                    yield pair
         if tr is not None:
-            tr.bump(tally)
-        return raf.read_object(ptr)
+            if verify:
+                tr.bump("entries_verified", len(verify))
+            if accepts:
+                tr.bump("lemma2_accepts", accepts)
+        if len(objs) < len(reads):
+            assert ctx is not None
+            ctx.checkpoint()
 
     # ---------------------------------------------------------- range query
 
@@ -649,10 +704,11 @@ class SPBTree:
 
         Algorithm 1 (RQA) of the paper.  Without a ``context`` this returns
         a plain list, exactly as before.  With a :class:`QueryContext` the
-        traversal observes its deadline/budget/cancellation at every node
-        and entry, and the answer comes back as a :class:`QueryResult`: on
-        exhaustion the hits verified so far, flagged ``complete=False``
-        (or, in strict mode, :class:`~repro.service.BudgetExceeded`).
+        traversal observes its deadline and cancellation at every node and
+        its budgets at every record, and the answer comes back as a
+        :class:`QueryResult`: on exhaustion the hits verified so far,
+        flagged ``complete=False`` (or, in strict mode,
+        :class:`~repro.service.BudgetExceeded`).
         ``phi_q`` passes a precomputed pivot mapping of the query so a
         cluster scatter pays the |P| mapping distances once, not per shard.
         """
@@ -713,19 +769,12 @@ class SPBTree:
                     if tr is not None and len(meets) < node.count:
                         tr.bump("children_pruned_lemma1", node.count - len(meets))
                     continue
-                # VerifyRQ of Algorithm 1 (lines 25–29) for each entry in RR.
-                for ptr, accepted in self._range_leaf(node, phi_q, radius, rr, tr):
-                    if not (accepted and free_accepts):
-                        tally = "lemma2_accepts" if accepted else "entries_verified"
-                        obj = self._fetch(ptr, ctx, tr, tally)
-                        if obj is not _DELETED and (
-                            accepted or self.distance(query, obj) <= radius
-                        ):
-                            hit(obj)
-                    elif not self.raf.is_deleted(ptr):
-                        if tr is not None:
-                            tr.bump("lemma2_accepts")
-                        hit(None)  # Lemma 2: within r, no I/O at all
+                # VerifyRQ of Algorithm 1 (lines 25–29) for the entries in RR,
+                # the leaf at a time.
+                survivors = self._range_leaf(node, phi_q, radius, rr, tr)
+                for obj, d in self._fetch_many(survivors, query, ctx, tr, free_accepts):
+                    if d is None or d <= radius:  # None: Lemma 2, within r
+                        hit(obj)
             finally:
                 if record is not None:
                     tr.exit(record)
@@ -869,11 +918,8 @@ class SPBTree:
         heap.append((0.0, next(counter), 1, self.btree.root_page, 0))
         tr, phi_q = self._map_query(query, ctx, phi_q)
         cur_ndk = collector.bound
-
-        def verify(ptr: int) -> None:
-            obj = self._fetch(ptr, ctx, tr, "entries_verified")
-            if obj is not _DELETED:
-                collector.offer(self.distance(query, obj), obj)
+        raf = self.raf
+        assert raf is not None
 
         while heap:
             if ctx is not None:
@@ -883,8 +929,15 @@ class SPBTree:
                 break
             record = tr.enter(tr.level(depth), ctx) if tr is not None else None
             try:
-                if kind == 0:  # an object (a leaf entry's RAF pointer)
-                    verify(payload)  # type: ignore[arg-type]
+                if kind == 0:
+                    # One popped leaf entry, verified alone: a batch of pops
+                    # would compute distances the shrinking k-th bound prunes
+                    # (Lemma 4).  The loop's checkpoint just ran.
+                    if not raf.is_deleted(payload):  # type: ignore[arg-type]
+                        if tr is not None:
+                            tr.bump("entries_verified")
+                        obj = raf.read_object(payload)  # type: ignore[arg-type]
+                        collector.offer(self.distance(query, obj), obj)
                     continue
                 node = self.btree.read_node(payload)  # type: ignore[arg-type]
                 if tr is not None:
@@ -895,8 +948,9 @@ class SPBTree:
                     )
                 elif traversal == "greedy":
                     # Greedy paradigm: evaluate the whole leaf immediately.
-                    for entry in node.entries:
-                        verify(entry.ptr)
+                    leaf = [(entry.ptr, False) for entry in node.entries]
+                    for obj, d in self._fetch_many(leaf, query, ctx, tr):
+                        collector.offer(d, obj)
                     continue
                 else:
                     minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))

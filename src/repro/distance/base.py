@@ -33,6 +33,11 @@ class Metric(ABC):
     def __call__(self, a: Any, b: Any) -> float:
         """Return d(a, b)."""
 
+    def batch(self, q: Any, objs: Sequence[Any]) -> list[float]:
+        """``[d(q, o) for o in objs]`` — the loop, unless a subclass has a
+        kernel that answers the whole batch bit-identically to it."""
+        return [self(q, o) for o in objs]
+
     def max_distance(self, sample: Sequence[Any], pairs: int = 2000) -> float:
         """Estimate d+ — the maximum pairwise distance — from ``sample``.
 
@@ -89,6 +94,12 @@ class CountingDistance:
         self.count += 1
         record_compdist()
         return self.metric(a, b)
+
+    def batch(self, q: Any, objs: Sequence[Any]) -> list[float]:
+        """:meth:`Metric.batch`, counted per object."""
+        self.count += len(objs)
+        record_compdist(len(objs))
+        return self.metric.batch(q, objs)
 
     def reset(self) -> None:
         self.count = 0

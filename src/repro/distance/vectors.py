@@ -3,11 +3,29 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.distance.base import Metric
+
+
+def _rows(
+    q: Any, objs: Sequence[Any], dtype: Optional[type] = None
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``q`` as a 1-D array and ``objs`` as an ``(m, len(q))`` matrix, or
+    None when they are not that (ragged, nested, not numeric, no rows) and
+    the scalar loop has to answer — and raise what it raises."""
+    try:
+        qv = np.asarray(q, dtype=dtype)
+        rows = np.ascontiguousarray(objs, dtype=dtype)
+    except (ValueError, TypeError):
+        return None
+    if qv.ndim != 1 or rows.ndim != 2 or rows.shape[1] != qv.shape[0]:
+        return None
+    if rows.dtype == object or qv.dtype == object:
+        return None
+    return qv, rows
 
 
 class MinkowskiDistance(Metric):
@@ -37,6 +55,26 @@ class MinkowskiDistance(Metric):
         if self.p == 2.0:
             return float(math.sqrt(float((diff * diff).sum())))
         return float((diff**self.p).sum() ** (1.0 / self.p))
+
+    def batch(self, q: Sequence[float], objs: Sequence[Sequence[float]]) -> list[float]:
+        """One pass over an ``(m, dim)`` matrix, bit-identical to the scalar
+        form: the same element-wise operations, numpy's same pairwise sum
+        along each contiguous row, and the final root of a general ``p``
+        taken per element as the scalar form takes it (an array ``**``
+        rounds differently)."""
+        matrix = _rows(q, objs, np.float64)
+        if matrix is None:
+            return super().batch(q, objs)
+        qv, rows = matrix
+        diff = np.abs(qv - rows)
+        if math.isinf(self.p):
+            return diff.max(axis=1, initial=0.0).tolist()
+        if self.p == 1.0:
+            return diff.sum(axis=1).tolist()
+        if self.p == 2.0:
+            return np.sqrt((diff * diff).sum(axis=1)).tolist()
+        root = 1.0 / self.p
+        return [float(total**root) for total in (diff**self.p).sum(axis=1)]
 
 
 class ManhattanDistance(MinkowskiDistance):
@@ -76,3 +114,11 @@ class HammingDistance(Metric):
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
             return float(np.count_nonzero(a != b))
         return float(sum(1 for x, y in zip(a, b) if x != y))
+
+    def batch(self, q: Sequence[int], objs: Sequence[Sequence[int]]) -> list[float]:
+        """One ``!=`` over an ``(m, dim)`` matrix and a count per row."""
+        matrix = _rows(q, objs)
+        if matrix is None:
+            return super().batch(q, objs)
+        qv, rows = matrix
+        return np.count_nonzero(rows != qv, axis=1).astype(np.float64).tolist()

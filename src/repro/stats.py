@@ -74,11 +74,11 @@ def record_page_access() -> None:
         stack[-1].page_accesses += 1
 
 
-def record_compdist() -> None:
-    """Credit one distance computation to the current thread's shard."""
+def record_compdist(count: int = 1) -> None:
+    """Credit ``count`` distance computations to the current thread's shard."""
     stack = getattr(_local, "shards", None)
     if stack:
-        stack[-1].compdists += 1
+        stack[-1].compdists += count
 
 
 @dataclass

@@ -63,6 +63,15 @@ class BufferPool:
                     self._cache.popitem(last=False)
             return data
 
+    def tally_hits(self, count: int) -> None:
+        """Count ``count`` more touches of the page read last — hits a
+        caller that still holds the page's bytes has no need to look up
+        (they would find it where it already is: most recently used)."""
+        with self._lock:
+            self.hits += count
+            if _obsreg.ENABLED:
+                _instruments.buffer_pool().hits.inc(count)
+
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write-through: the page file is updated and the cache refreshed."""
         with self._lock:

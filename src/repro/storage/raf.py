@@ -36,8 +36,9 @@ instead of silently deserializing garbage.
 
 from __future__ import annotations
 
+import itertools
 import struct
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.storage.buffer import BufferPool
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
@@ -125,13 +126,96 @@ class RandomAccessFile:
         Every page the record overlaps is fetched through the buffer pool,
         so the page-access count reflects both record size and cache state.
         """
-        header = self._read_bytes(offset, _HEADER.size)
-        obj_id, length = _HEADER.unpack(header)
-        payload = self._read_bytes(offset + _HEADER.size, length)
+        (obj_id,), (payload,) = self._read_frames((offset,))
         return obj_id, self.serializer.deserialize(payload)
 
     def read_object(self, offset: int) -> Any:
         return self.read(offset)[1]
+
+    def read_many(
+        self, offsets: Sequence[int], stop: Optional[Callable[[], bool]] = None
+    ) -> Sequence[Any]:
+        """The objects at ``offsets``, in the order given — what a loop of
+        :meth:`read_object` returns, for the counters too (page-file reads,
+        pool hits and misses, LRU order), at a fraction of the work.
+
+        ``stop`` is asked before each record; a true answer ends the read
+        there, so the result may be shorter than ``offsets`` (how a
+        page-access budget trips at the record it always tripped at).  The
+        result is whatever the serializer's ``deserialize_many`` builds: a
+        list, or for vector records the rows of one ``(m, dim)`` array.
+        """
+        return self.serializer.deserialize_many(self._read_frames(offsets, stop)[1])
+
+    def _read_frames(
+        self, offsets: Iterable[int], stop: Optional[Callable[[], bool]] = None
+    ) -> tuple[list[int], list[bytes]]:
+        """``(object ids, payloads)`` of the records at ``offsets`` — the one
+        place a record is sliced out of its pages.
+
+        A record touches the pool once for its header and once for its
+        payload.  When both lie inside one wholly flushed page, the header
+        is unpacked from the pooled page and the payload is a slice of it;
+        a touch of the page touched just before (the payload after its
+        header, the next record of a leaf) is the hit it would have been —
+        tallied, not looked up again.  A record that crosses a page or
+        reaches the tail page goes through :meth:`_read_bytes`, and so does
+        every record of a pool that caches nothing: there each touch is a
+        page access, and none can be saved.
+        """
+        if stop is not None:
+            offsets = itertools.takewhile(lambda _: not stop(), offsets)
+        pool = self.buffer_pool
+        read_page = pool.read_page
+        page_size = self.pagefile.page_size
+        header_size = _HEADER.size
+        unpack_from = _HEADER.unpack_from
+        flushed_pages = self._mem_start() // page_size if pool.capacity else 0
+        ids: list[int] = []
+        payloads: list[bytes] = []
+        held = -1  # the page ``page`` holds: the pool's most recent touch
+        page = b""
+        repeats = 0  # touches of the held page not yet tallied as hits
+        try:
+            for offset in offsets:
+                page_id, start = divmod(offset, page_size)
+                body = start + header_size
+                if page_id < flushed_pages and body <= page_size:
+                    if page_id == held:
+                        repeats += 1
+                    else:
+                        page = read_page(page_id)
+                        held = page_id
+                    obj_id, length = unpack_from(page, start)
+                    end = body + length
+                    if end <= page_size:
+                        if length:
+                            repeats += 1
+                        payload = page[body:end]
+                    else:
+                        payload = self._read_bytes(offset + header_size, length)
+                        held = -1
+                else:
+                    obj_id, length = _HEADER.unpack(
+                        self._read_bytes(offset, header_size)
+                    )
+                    payload = self._read_bytes(offset + header_size, length)
+                    held = -1
+                ids.append(obj_id)
+                payloads.append(payload)
+        finally:
+            if repeats:
+                pool.tally_hits(repeats)
+        return ids, payloads
+
+    def _mem_start(self) -> int:
+        """Bytes at or beyond this offset are only in the in-memory tail;
+        everything below it is on a page.  The first ``_tail_flushed`` tail
+        bytes are on the disk tail page too (mixed batch/write-through
+        appends leave the tail partially flushed), so the disk serves them."""
+        if self._tail:
+            return self._end_offset - len(self._tail) + self._tail_flushed
+        return self._end_offset
 
     def _read_bytes(self, offset: int, length: int) -> bytes:
         if length == 0:
@@ -142,14 +226,7 @@ class RandomAccessFile:
                 f"read of [{offset}, {end}) beyond end {self._end_offset}"
             )
         page_size = self.pagefile.page_size
-        # Bytes at or beyond ``mem_start`` are only in the in-memory tail;
-        # everything below it is on a page.  The first ``_tail_flushed``
-        # tail bytes are on the disk tail page too (mixed batch/write-through
-        # appends leave the tail partially flushed), so the disk serves them.
-        if self._tail:
-            mem_start = self._end_offset - len(self._tail) + self._tail_flushed
-        else:
-            mem_start = self._end_offset
+        mem_start = self._mem_start()
         parts: list[bytes] = []
         disk_end = min(end, mem_start)
         if offset < disk_end:
@@ -194,10 +271,11 @@ class RandomAccessFile:
         """Yield ``(offset, object id, object)`` for all live records."""
         offset = 0
         while offset < self._end_offset:
-            header = self._read_bytes(offset, _HEADER.size)
-            obj_id, length = _HEADER.unpack(header)
-            if offset not in self._deleted:
-                payload = self._read_bytes(offset + _HEADER.size, length)
+            if offset in self._deleted:  # only the header, to step over it
+                _, length = _HEADER.unpack(self._read_bytes(offset, _HEADER.size))
+            else:
+                (obj_id,), (payload,) = self._read_frames((offset,))
+                length = len(payload)
                 yield offset, obj_id, self.serializer.deserialize(payload)
             offset += _HEADER.size + length
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pickle
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -28,6 +28,10 @@ class Serializer(ABC):
     @abstractmethod
     def deserialize(self, data: bytes) -> Any:
         """Decode bytes produced by :meth:`serialize`."""
+
+    def deserialize_many(self, payloads: Sequence[bytes]) -> Sequence[Any]:
+        """Decode a batch; element ``i`` equals ``deserialize(payloads[i])``."""
+        return [self.deserialize(data) for data in payloads]
 
 
 class StringSerializer(Serializer):
@@ -46,24 +50,32 @@ class VectorSerializer(Serializer):
     """Fixed-precision float64 vectors (color histograms, synthetic data)."""
 
     name = "vector-f64"
+    dtype: type = np.float64
 
     def serialize(self, obj: Any) -> bytes:
-        return np.asarray(obj, dtype=np.float64).tobytes()
+        return np.asarray(obj, dtype=self.dtype).tobytes()
 
     def deserialize(self, data: bytes) -> np.ndarray:
-        return np.frombuffer(data, dtype=np.float64).copy()
+        return np.frombuffer(data, dtype=self.dtype).copy()
+
+    def deserialize_many(self, payloads: Sequence[bytes]) -> Sequence[np.ndarray]:
+        """Equal-length payloads become the rows of one writable ``(m, dim)``
+        array built by one ``np.frombuffer`` — each row equal in value, dtype
+        and writability to what :meth:`deserialize` returns, but a view: a
+        row that is kept keeps the whole batch's array alive (for a query,
+        one leaf's records — about a page group).  Ragged payloads take the
+        loop."""
+        if len(set(map(len, payloads))) != 1 or not payloads[0]:
+            return super().deserialize_many(payloads)
+        flat = np.frombuffer(b"".join(payloads), dtype=self.dtype)
+        return flat.reshape(len(payloads), -1).copy()
 
 
-class UInt8VectorSerializer(Serializer):
+class UInt8VectorSerializer(VectorSerializer):
     """Small-integer vectors (bit signatures); one byte per dimension."""
 
     name = "vector-u8"
-
-    def serialize(self, obj: Any) -> bytes:
-        return np.asarray(obj, dtype=np.uint8).tobytes()
-
-    def deserialize(self, data: bytes) -> np.ndarray:
-        return np.frombuffer(data, dtype=np.uint8).copy()
+    dtype = np.uint8
 
 
 class BytesSerializer(Serializer):
