@@ -124,10 +124,12 @@ from repro import obs
 
 from repro import replication
 from repro.baselines import MIndex, MTree, OmniRTree
-from repro.cluster import READ_POLICIES, ShardedIndex
+from repro.cluster import CLUSTER_FILE, READ_POLICIES, ShardedIndex
 from repro.core.costmodel import CostModel
 from repro.core.join import similarity_join
-from repro.core.persist import load_tree, open_tree, save_tree
+from repro.core.persist import (
+    _META_FILE, CatalogError, _read_catalog, load_tree, open_tree, save_tree,
+)  # fmt: skip
 from repro.core.pivots import (
     intrinsic_dimensionality,
     pivot_set_precision,
@@ -205,11 +207,10 @@ def _metric_from_name(name: str) -> Metric:
 
 def _catalog_field(directory: str, key: str):
     """A field from the directory's catalog — single-tree or cluster."""
-    for name in ("spbtree.json", "cluster.json"):
+    for name in (_META_FILE, CLUSTER_FILE):
         try:
-            with open(os.path.join(directory, name)) as fh:
-                return json.load(fh).get(key)
-        except (OSError, ValueError):
+            return _read_catalog(directory, name).get(key)
+        except CatalogError:
             continue
     return None
 

@@ -55,6 +55,7 @@ from typing import Any, Optional
 from repro.core.spbtree import SPBTree
 from repro.distance.base import Metric
 from repro.storage.faults import FaultInjector
+from repro.storage.pagefile import PageFile
 from repro.storage.raf import RandomAccessFile
 from repro.storage.serializers import (
     BytesSerializer,
@@ -214,7 +215,7 @@ def load_tree(
         serializer=serializer,
         checksums=checksums,
     )
-    _load_pages(tree.btree.pagefile, btree_path)
+    _load_aligned(tree.btree.pagefile, btree_path)
     tree.btree.root_page = meta["btree"]["root_page"]
     tree.btree.height = meta["btree"]["height"]
     tree.btree.entry_count = meta["btree"]["entry_count"]
@@ -226,18 +227,8 @@ def load_tree(
         cache_pages=meta["cache_pages"],
         checksums=checksums,
     )
-    _load_pages(raf.pagefile, raf_path)
-    raf._end_offset = meta["raf"]["end_offset"]
-    raf._tail_page_id = meta["raf"]["tail_page_id"]
-    raf._tail = bytearray(base64.b64decode(meta["raf"]["tail"]))
-    # Catalogs predating tail_flushed never mixed flush modes: the tail is
-    # fully on its disk page when it has one, wholly in memory otherwise.
-    raf._tail_flushed = meta["raf"].get(
-        "tail_flushed",
-        len(raf._tail) if raf._tail_page_id is not None else 0,
-    )
-    raf.object_count = meta["raf"]["object_count"]
-    raf._deleted = set(meta["raf"]["deleted"])
+    _load_aligned(raf.pagefile, raf_path)
+    _restore_raf(raf, meta["raf"])
     tree.raf = raf
 
     tree.object_count = meta["object_count"]
@@ -258,18 +249,36 @@ def load_tree(
     return tree
 
 
-def _replay_wal(tree: SPBTree, directory: str) -> None:
-    """Apply a live WAL's records to a freshly loaded tree.
+def _restore_raf(raf: RandomAccessFile, state: dict) -> None:
+    """Put a RAF whose pages are loaded back into the state the catalog's
+    ``raf`` section records: end of data, the tail, tombstones."""
+    raf._end_offset = state["end_offset"]
+    raf._tail_page_id = state["tail_page_id"]
+    raf._tail = bytearray(base64.b64decode(state["tail"]))
+    # Catalogs predating tail_flushed never mixed flush modes: the tail is
+    # fully on its disk page when it has one, wholly in memory otherwise.
+    raf._tail_flushed = state.get(
+        "tail_flushed",
+        len(raf._tail) if raf._tail_page_id is not None else 0,
+    )
+    raf.object_count = state["object_count"]
+    raf._deleted = set(state["deleted"])
 
-    A header bound to a different generation means the log is stale (an
-    interrupted checkpoint already folded its records into the generation
-    just loaded) — replaying it would double-apply, so it is skipped.
-    """
+
+def _wal_extends(header: Any, generation: Optional[int]) -> bool:
+    """A WAL extends the generation its header names and no other (one
+    bound elsewhere is stale: a checkpoint already folded it in, replaying
+    would double-apply); an unknowable ``generation=None`` accepts any."""
+    return generation is None or header.base_generation == generation
+
+
+def _replay_wal(tree: SPBTree, directory: str) -> None:
+    """Apply a live WAL's records to a freshly loaded tree."""
     wal_path = os.path.join(directory, WAL_FILE)
     if not os.path.exists(wal_path):
         return
     header, records, _, _ = scan_wal(wal_path)
-    if header is None or header.base_generation != tree._generation:
+    if header is None or not _wal_extends(header, tree._generation):
         return
     for record in records:
         tree._apply_wal_record(record)
@@ -299,8 +308,11 @@ def open_tree(
 # ------------------------------------------------------------ catalog I/O
 
 
-def _read_catalog(directory: str) -> dict:
-    path = os.path.join(directory, _META_FILE)
+def _read_catalog(directory: str, name: str = _META_FILE) -> dict:
+    """The JSON object in ``directory/name`` (the index catalog unless
+    ``name`` says otherwise); :class:`CatalogError` when it is unreadable,
+    not JSON, or not an object."""
+    path = os.path.join(directory, name)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -315,6 +327,16 @@ def _read_catalog(directory: str) -> dict:
     return meta
 
 
+def _generation_files(directory: str) -> list[tuple[int, str, str]]:
+    """``(generation, kind, file name)`` of every page file in ``directory``
+    (``kind`` is ``"btree"`` or ``"raf"``), newest generation first."""
+    try:
+        matches = filter(None, map(_GEN_FILE_RE.match, os.listdir(directory)))
+    except OSError:
+        return []
+    return sorted(((int(m[2]), m[1], m[0]) for m in matches), reverse=True)
+
+
 def _next_generation(directory: str) -> int:
     """One past the newest generation present (catalog first, files second)."""
     latest = 0
@@ -322,15 +344,8 @@ def _next_generation(directory: str) -> int:
         latest = int(_read_catalog(directory).get("generation", 0))
     except CatalogError:
         pass  # corrupt or absent catalog: fall back to scanning file names
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        names = []
-    for name in names:
-        match = _GEN_FILE_RE.match(name)
-        if match:
-            latest = max(latest, int(match.group(2)))
-    return latest + 1
+    newest = max((gen for gen, _, _ in _generation_files(directory)), default=0)
+    return max(latest, newest) + 1
 
 
 def _check_digest(path: str, expected: str) -> None:
@@ -398,19 +413,22 @@ def _dump_pages(
     return digest.hexdigest()
 
 
-def _load_pages(pagefile: Any, path: str) -> None:
-    slot_size = pagefile.slot_size
+def _load_pages(pagefile: PageFile, path: str) -> int:
+    """Append every whole on-disk slot of ``path`` to ``pagefile`` (stored
+    CRCs verbatim: a damaged page stays detectably damaged); returns the
+    count of trailing bytes that make no whole slot."""
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(slot_size)
-            if not chunk:
-                break
-            if len(chunk) != slot_size:
-                raise CatalogError(
-                    f"{path} is not page aligned "
-                    f"(trailing {len(chunk)} of {slot_size} bytes)"
-                )
+        while len(chunk := fh.read(pagefile.slot_size)) == pagefile.slot_size:
             pagefile.append_raw_slot(chunk)
+    return len(chunk)
+
+
+def _load_aligned(pagefile: PageFile, path: str) -> None:
+    if trailing := _load_pages(pagefile, path):
+        raise CatalogError(
+            f"{path} is not page aligned "
+            f"(trailing {trailing} of {pagefile.slot_size} bytes)"
+        )
 
 
 def _fsync_dir(directory: str) -> None:
@@ -450,8 +468,8 @@ def _cleanup_old_generations(
     Runs after the commit point, so a crash mid-cleanup only leaves extra
     files behind.
     """
-    for name in os.listdir(directory):
-        if _GEN_FILE_RE.match(name) and name not in keep:
+    for _, _, name in _generation_files(directory):
+        if name not in keep:
             if faults is not None:
                 faults.checkpoint(f"unlink {name}")
             try:

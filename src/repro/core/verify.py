@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.storage.raf import _HEADER as _RAF_HEADER
+from repro.storage.raf import FramingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.spbtree import SPBTree
@@ -296,40 +296,6 @@ def _verify_leaf_chain(btree, dfs_leaves, report: VerifyReport, read) -> None:
 # -------------------------------------------------------------------- RAF
 
 
-def _raw_range(raf, start: int, length: int, bad: set[int]) -> Optional[bytes]:
-    """Read RAF bytes without exceptions; None when the range overlaps a
-    corrupt page or exceeds the file.  Clean pages are read through the
-    buffer pool, so the verification walk shows up in the pool's hit/miss
-    tallies (the CLI surfaces the rate); ``verify_tree`` restores all
-    counters before returning."""
-    end = start + length
-    if start < 0 or end > raf._end_offset:
-        return None
-    page_size = raf.pagefile.page_size
-    # Mirror RandomAccessFile._read_bytes: the first _tail_flushed tail
-    # bytes are on the disk tail page; the rest exist only in memory.
-    if raf._tail:
-        mem_start = raf._end_offset - len(raf._tail) + raf._tail_flushed
-    else:
-        mem_start = raf._end_offset
-    parts: list[bytes] = []
-    disk_end = min(end, mem_start)
-    if start < disk_end:
-        first = start // page_size
-        last = (disk_end - 1) // page_size
-        if any(pid in bad for pid in range(first, last + 1)):
-            return None
-        data = b"".join(
-            raf.buffer_pool.read_page(pid) for pid in range(first, last + 1)
-        )
-        lo = start - first * page_size
-        parts.append(data[lo : lo + (disk_end - start)])
-    if end > mem_start:
-        origin = raf._end_offset - len(raf._tail)
-        parts.append(bytes(raf._tail[max(start, mem_start) - origin : end - origin]))
-    return b"".join(parts)
-
-
 def _verify_raf(
     tree: "SPBTree",
     report: VerifyReport,
@@ -338,57 +304,46 @@ def _verify_raf(
 ) -> None:
     raf = tree.raf
     assert raf is not None
-    bad = set(raf.pagefile.verify_all())
     page_size = raf.pagefile.page_size
-    data_pages = (
-        (raf._end_offset + page_size - 1) // page_size if raf._end_offset else 0
-    )
-    for page_id in sorted(bad):
-        if page_id < data_pages:
+    for page_id in raf.pagefile.verify_all():
+        if page_id * page_size < raf._end_offset:
             _note(report.errors, f"RAF page {page_id} fails checksum")
 
-    # Record framing walk.
+    # Record framing walk, through the buffer pool: the walk shows up in
+    # the pool's hit/miss tallies (the CLI surfaces the rate).
     offsets: list[int] = []
     objects: dict[int, Any] = {}
-    unreadable: set[int] = set()
-    offset = 0
-    header_size = _RAF_HEADER.size
-    while offset < raf._end_offset:
-        header = _raw_range(raf, offset, header_size, bad)
-        if header is None:
-            _note(
-                report.errors,
-                f"record header at offset {offset} overlaps a corrupt page; "
-                f"remaining records cannot be framed",
-            )
-            break
-        _, length = _RAF_HEADER.unpack(header)
-        if offset + header_size + length > raf._end_offset:
-            _note(
-                report.errors,
-                f"record at offset {offset} claims {length} payload bytes, "
-                f"beyond end of file",
-            )
-            break
-        offsets.append(offset)
-        payload = _raw_range(raf, offset + header_size, length, bad)
-        if payload is None:
-            unreadable.add(offset)
-            _note(
-                report.errors,
-                f"record at offset {offset} overlaps a corrupt page",
-            )
-        else:
+    try:
+        for offset, _, payload in raf.walk():
+            offsets.append(offset)
+            if payload is None:
+                if not raf.is_deleted(offset):
+                    _note(
+                        report.errors,
+                        f"record at offset {offset} overlaps a corrupt page",
+                    )
+                continue
             try:
                 objects[offset] = raf.serializer.deserialize(payload)
             except Exception as exc:
-                unreadable.add(offset)
                 _note(
                     report.errors,
                     f"record at offset {offset} fails to deserialize: "
                     f"{type(exc).__name__}",
                 )
-        offset += header_size + length
+    except FramingError as exc:
+        if exc.claimed is None:
+            _note(
+                report.errors,
+                f"record header at offset {exc.offset} overlaps a corrupt page; "
+                f"remaining records cannot be framed",
+            )
+        else:
+            _note(
+                report.errors,
+                f"record at offset {exc.offset} claims {exc.claimed} payload "
+                f"bytes, beyond end of file",
+            )
     report.raf_records = len(offsets)
 
     all_offsets = set(offsets)

@@ -7,12 +7,15 @@ records survive, instead of leaving the operator with a stack trace and no
 data.  The RAF is the source of truth (it holds the actual objects; the
 B+-tree and catalog are derived structures), so salvage:
 
-1. reads the catalog *tolerantly* — any recoverable field (serializer,
+1. reads the catalog with the strict loader's reader and keeps every field
+   of the JSON type it should have — any recoverable field (serializer,
    page size, pivot table, curve, tombstones) improves recovery, but none
    is required except a way to deserialize objects (pass ``serializer=``
-   when the catalog is gone);
-2. scans the RAF sequentially, skipping records that overlap pages failing
-   checksum verification;
+   when the catalog is gone); a field of the wrong type counts as absent;
+2. loads the page files the way ``load_tree`` does, restores the RAF with
+   the catalog's tail authoritative, and walks its records with
+   :meth:`RandomAccessFile.walk` — the walk ``scan`` and ``verify`` share —
+   losing the records whose pages fail their checksums;
 3. if a corrupt page destroys record *framing* (a header is unreadable, so
    later record boundaries are unknown), mines surviving B+-tree leaf
    pages for their RAF pointers — each leaf entry frames one record
@@ -32,20 +35,35 @@ what was provably lost, and which fallbacks were taken.
 from __future__ import annotations
 
 import base64
-import json
 import os
-import re
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.core.persist import (
+    _SERIALIZERS,
+    CatalogError,
+    _generation_files,
+    _load_pages,
+    _read_catalog,
+    _restore_raf,
+    _wal_extends,
+)
 from repro.core.spbtree import SPBTree, _CURVES
 from repro.distance.base import Metric
-from repro.storage.pagefile import CHECKSUM_SIZE, DEFAULT_PAGE_SIZE
-from repro.storage.raf import _HEADER as _RAF_HEADER
+from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
+from repro.storage.raf import FramingError, RandomAccessFile
 from repro.storage.serializers import Serializer
 
-from repro.core.persist import _GEN_FILE_RE, _META_FILE, _SERIALIZERS
+#: The catalog fields salvage reads and the JSON types each may have; a
+#: nested table is an object whose own fields are checked the same way.
+_FIELDS: dict = {
+    **dict.fromkeys(("metric_name", "serializer", "curve"), (str,)),
+    **dict.fromkeys(("page_size", "cache_pages", "generation"), (int,)),
+    **dict.fromkeys(("d_plus", "delta"), (int, float)),
+    "checksums": (bool,), "pivots": (list,),
+    "files": {"btree": (str,), "raf": (str,)},
+    "raf": {"end_offset": (int,), "tail": (str,), "deleted": (list,)},
+}  # fmt: skip
 
 
 @dataclass
@@ -92,47 +110,25 @@ def salvage_tree(
     tree), never for mere partial damage.
     """
     report = SalvageReport()
-    meta = _tolerant_catalog(directory, report)
-    if meta.get("metric_name") is not None and meta["metric_name"] != metric.name:
+    try:
+        meta = _typed(_read_catalog(directory), _FIELDS, report)
+        report.used_catalog = True
+    except CatalogError as exc:
+        report.notes.append(f"catalog unusable: {exc}")
+        meta = {}
+    if meta.get("metric_name", metric.name) != metric.name:
         raise ValueError(
             f"index was built with metric {meta['metric_name']!r}, "
             f"got {metric.name!r}"
         )
     serializer = _pick_serializer(meta, serializer, report)
-    page_size = int(meta.get("page_size") or page_size or DEFAULT_PAGE_SIZE)
+    page_size = meta.get("page_size") or page_size or DEFAULT_PAGE_SIZE
     if checksums is None:
-        checksums = bool(meta.get("checksums", False))
+        checksums = meta.get("checksums", False)
     pivots = _recover_pivots(meta, serializer, report)
-
-    raf_path = _find_page_file(directory, "raf", meta, report)
-    if raf_path is None:
-        data, bad_pages = b"", set()
-        report.notes.append("no RAF page file found")
-    else:
-        data, bad_pages = _read_page_file(raf_path, page_size, checksums, report)
-    report.bad_raf_pages = len(bad_pages)
-    end_offset = _plausible_end(meta, len(data), report)
-    deleted = set(meta.get("raf", {}).get("deleted") or [])
-    tail = _recover_tail(meta, report)
-    if tail:
-        # The catalog's copy of the in-memory tail occupies
-        # [end_offset - len(tail), end_offset) and is authoritative for its
-        # generation: the disk tail page may be partial (batch-mode appends
-        # flush it lazily) or stale (a post-checkpoint write reused it), so
-        # overlay the whole region rather than just grafting missing bytes.
-        tail_origin = end_offset - len(tail)
-        if 0 <= tail_origin <= len(data):
-            data = data[:tail_origin] + tail
-    if end_offset > len(data):
-        report.notes.append(
-            f"{end_offset - len(data)} trailing bytes unrecoverable; "
-            f"scanning what is present"
-        )
-        end_offset = len(data)
-
-    objects, lost, framing_broken = _sequential_scan(
-        data, end_offset, page_size, bad_pages, serializer, report
-    )
+    raf = RandomAccessFile(serializer, page_size=page_size, checksums=checksums)
+    padded = _restore_damaged_raf(raf, directory, meta, report)
+    objects, lost, framing_broken = _sequential_pass(raf, padded, report)
 
     template: Optional[SPBTree] = None
     if pivots and meta.get("d_plus"):
@@ -149,29 +145,26 @@ def salvage_tree(
             curve=curve,
             delta=meta.get("delta"),
             page_size=page_size,
-            cache_pages=int(meta.get("cache_pages") or 32),
+            cache_pages=meta.get("cache_pages") or 32,
             serializer=serializer,
             checksums=checksums,
         )
         report.used_pivots = True
 
     if framing_broken and template is not None:
-        failed = _mine_btree_pointers(
-            directory, meta, template, data, end_offset, page_size,
-            bad_pages, serializer, objects, report,
-        )
+        failed = _mine_btree_pointers(directory, meta, template, raf, objects, report)
         if failed is not None:
             # leaf entries enumerate every live record, so pointers that
             # could not be recovered are a tighter loss count than what the
-            # broken sequential scan managed to attribute
-            lost = max(lost, len(failed - deleted))
+            # broken sequential pass managed to attribute
+            lost = max(lost, sum(not raf.is_deleted(ptr) for ptr in failed))
     elif framing_broken:
         report.notes.append(
             "record framing broken and no pivot table recovered; "
             "B+-tree mining skipped"
         )
 
-    live = [obj for offset, obj in sorted(objects.items()) if offset not in deleted]
+    live = [obj for off, obj in sorted(objects.items()) if not raf.is_deleted(off)]
     live = _apply_wal(directory, meta, serializer, live, report)
     report.records_recovered = len(live)
     report.records_lost = lost
@@ -195,21 +188,28 @@ def salvage_tree(
     return tree, report
 
 
-# ------------------------------------------------------- tolerant readers
+# ------------------------------------------------------------ the catalog
 
 
-def _tolerant_catalog(directory: str, report: SalvageReport) -> dict:
-    path = os.path.join(directory, _META_FILE)
-    try:
-        with open(path, "rb") as fh:
-            meta = json.loads(fh.read())
-        if not isinstance(meta, dict):
-            raise ValueError("catalog is not a JSON object")
-    except (OSError, ValueError) as exc:
-        report.notes.append(f"catalog unusable: {exc}")
-        return {}
-    report.used_catalog = True
-    return meta
+def _typed(meta: dict, fields: dict, report: SalvageReport, prefix: str = "") -> dict:
+    """The ``fields`` of ``meta`` that have the JSON type salvage expects;
+    one of another type is treated as absent, with a note."""
+    usable: dict = {}
+    for key, kinds in fields.items():
+        if key not in meta:
+            continue
+        value = meta[key]
+        nested = isinstance(kinds, dict)
+        if type(value) in ((dict,) if nested else kinds):
+            usable[key] = (
+                _typed(value, kinds, report, f"{prefix}{key}.") if nested else value
+            )
+        else:
+            report.notes.append(
+                f"catalog field {prefix + key!r} is a {type(value).__name__}; "
+                f"treated as absent"
+            )
+    return usable
 
 
 def _pick_serializer(
@@ -240,38 +240,16 @@ def _recover_pivots(
         return None
 
 
-def _recover_tail(meta: dict, report: SalvageReport) -> bytes:
-    blob = meta.get("raf", {}).get("tail")
-    if not blob:
-        return b""
-    try:
-        return base64.b64decode(blob)
-    except Exception:
-        report.notes.append("catalog tail bytes undecodable")
-        return b""
+# ------------------------------------------------------------- page files
 
 
 def _find_page_file(
     directory: str, kind: str, meta: dict, report: SalvageReport
 ) -> Optional[str]:
     """Locate a page file: catalog reference, then newest generation."""
-    candidates: list[str] = []
-    name = (meta.get("files") or {}).get(kind)
-    if name:
-        candidates.append(name)
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        names = []
-    generations = sorted(
-        (
-            (int(match.group(2)), match.group(0))
-            for match in (_GEN_FILE_RE.match(n) for n in names)
-            if match and match.group(1) == kind
-        ),
-        reverse=True,
-    )
-    candidates.extend(n for _, n in generations)
+    name = meta.get("files", {}).get(kind)
+    candidates = [name] if name else []
+    candidates += [n for _, k, n in _generation_files(directory) if k == kind]
     for candidate in candidates:
         path = os.path.join(directory, candidate)
         if os.path.exists(path):
@@ -283,39 +261,57 @@ def _find_page_file(
     return None
 
 
-def _read_page_file(
-    path: str, page_size: int, checksums: bool, report: SalvageReport
-) -> tuple[bytes, set[int]]:
-    """Read payload bytes and the set of checksum-failing page ids."""
-    slot = page_size + (CHECKSUM_SIZE if checksums else 0)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) % slot:
+def _load_noting(pagefile: PageFile, path: str, report: SalvageReport) -> None:
+    if trailing := _load_pages(pagefile, path):
         report.notes.append(
-            f"{os.path.basename(path)} has {len(raw) % slot} trailing bytes "
+            f"{os.path.basename(path)} has {trailing} trailing bytes "
             f"(truncated write); ignored"
         )
-        raw = raw[: len(raw) - (len(raw) % slot)]
-    pages: list[bytes] = []
-    bad: set[int] = set()
-    for pid in range(len(raw) // slot):
-        chunk = raw[pid * slot : (pid + 1) * slot]
-        payload = chunk[:page_size]
-        if checksums:
-            stored = int.from_bytes(chunk[page_size:], "little")
-            if zlib.crc32(payload) != stored:
-                bad.add(pid)
-        pages.append(payload)
-    return b"".join(pages), bad
 
 
-def _plausible_end(meta: dict, data_len: int, report: SalvageReport) -> int:
-    end = meta.get("raf", {}).get("end_offset")
-    if isinstance(end, int) and end >= 0:
-        return end  # may exceed data_len; the caller grafts the tail back
-    if end is not None:
+def _restore_damaged_raf(
+    raf: RandomAccessFile, directory: str, meta: dict, report: SalvageReport
+) -> bool:
+    """Load the RAF's page file and restore its state from the catalog with
+    the helper ``load_tree`` uses, but ``tail_flushed = 0``: the catalog's
+    tail is authoritative for its generation — the disk tail page may be
+    partial (batch-mode appends flush it lazily) or stale (a post-checkpoint
+    write reused it).  Returns whether the end is a guess: with no recorded
+    end offset the walk runs to the end of the last page, and the catalog's
+    tail, which ends at that offset, has no known place."""
+    path = _find_page_file(directory, "raf", meta, report)
+    if path is None:
+        report.notes.append("no RAF page file found")
+    else:
+        _load_noting(raf.pagefile, path, report)
+    report.bad_raf_pages = len(raf.pagefile.verify_all())
+    state = meta.get("raf", {})
+    data_len = raf.pagefile.size_in_bytes
+    end = state.get("end_offset")
+    if end is not None and end < 0:
         report.notes.append(f"implausible end_offset {end!r} in catalog; ignored")
-    return data_len
+    padded = end is None or end < 0
+    end = data_len if padded else end
+    tail = b""
+    if not padded and state.get("tail"):
+        try:
+            tail = base64.b64decode(state["tail"])
+        except ValueError:
+            report.notes.append("catalog tail bytes undecodable")
+    if not 0 <= end - len(tail) <= data_len:
+        tail = b""  # the catalog's tail cannot sit where it says it ends
+    if end > data_len + len(tail):
+        report.notes.append(
+            f"{end - data_len} trailing bytes unrecoverable; "
+            f"scanning what is present"
+        )
+        end = data_len
+    deleted = [offset for offset in state.get("deleted", []) if type(offset) is int]
+    _restore_raf(raf, {
+        "end_offset": end, "tail": state["tail"] if tail else "", "tail_flushed": 0,
+        "tail_page_id": None, "object_count": 0, "deleted": deleted,
+    })  # fmt: skip
+    return padded
 
 
 # -------------------------------------------------------------- WAL replay
@@ -330,11 +326,12 @@ def _apply_wal(
 ) -> list:
     """Replay a surviving write-ahead log on top of the recovered base state.
 
-    The catalog (and therefore the scanned RAF state) reflects the last
+    The catalog (and therefore the walked RAF state) reflects the last
     checkpoint; mutations logged after it exist only in the WAL.  Inserts
     append their payload objects; deletes remove the first byte-identical
-    recovered object.  A WAL whose base generation provably differs from
-    the recovered catalog is ignored (it describes a different snapshot).
+    recovered object — a list, not the tree's keyed replay, because salvage
+    may re-select pivots and then the logged keys mean nothing.  A WAL
+    that does not extend the recovered generation is ignored.
     """
     from repro.storage.wal import OP_INSERT, WAL_FILE, scan_wal
 
@@ -346,7 +343,7 @@ def _apply_wal(
         report.notes.append("WAL present but has no readable header; ignored")
         return live
     generation = meta.get("generation")
-    if generation is not None and header.base_generation != int(generation):
+    if not _wal_extends(header, generation):
         report.notes.append(
             f"WAL base generation {header.base_generation} does not match "
             f"catalog generation {generation}; WAL ignored"
@@ -396,136 +393,92 @@ def _apply_wal(
     return live
 
 
-# ------------------------------------------------------------ record scan
+# ------------------------------------------------------------ record walk
 
 
-def _range_ok(start: int, end: int, page_size: int, bad: set[int]) -> bool:
-    if start >= end:
-        return True
-    return not any(
-        pid in bad for pid in range(start // page_size, (end - 1) // page_size + 1)
-    )
-
-
-def _try_record(
-    data: bytes,
-    offset: int,
-    end_offset: int,
-    page_size: int,
-    bad: set[int],
-    serializer: Serializer,
-) -> tuple[Optional[Any], Optional[int]]:
-    """Parse one record; returns (object or None, record length or None).
-
-    ``(None, length)`` means the record frames but its payload is damaged;
-    ``(None, None)`` means even the frame is unusable.
-    """
-    header_size = _RAF_HEADER.size
-    if offset < 0 or offset + header_size > end_offset:
-        return None, None
-    if not _range_ok(offset, offset + header_size, page_size, bad):
-        return None, None
-    _, length = _RAF_HEADER.unpack(data[offset : offset + header_size])
-    if offset + header_size + length > end_offset:
-        return None, None
-    if not _range_ok(offset + header_size, offset + header_size + length,
-                     page_size, bad):
-        return None, header_size + length
-    try:
-        obj = serializer.deserialize(data[offset + header_size :
-                                          offset + header_size + length])
-    except Exception:
-        return None, header_size + length
-    return obj, header_size + length
-
-
-def _sequential_scan(
-    data: bytes,
-    end_offset: int,
-    page_size: int,
-    bad: set[int],
-    serializer: Serializer,
-    report: SalvageReport,
+def _sequential_pass(
+    raf: RandomAccessFile, padded: bool, report: SalvageReport
 ) -> tuple[dict[int, Any], int, bool]:
-    """Walk records front to back; returns (objects by offset, lost, broken)."""
+    """Decode every record the walk frames; returns (objects by offset,
+    records lost, whether framing broke).  A header the end of data cuts
+    off ends the pass without breaking it: nothing follows.
+
+    ``padded``: the catalog recorded no end, so the walk ran to the end of
+    the last page, whose zero padding frames as empty id-0 records.
+    """
+    walked: list[tuple[int, int, Optional[bytes]]] = []
+    broken: Optional[FramingError] = None
+    try:
+        walked.extend(raf.walk())
+    except FramingError as exc:
+        if exc.page is not None or exc.claimed is not None:
+            broken = exc
+    while padded and walked and walked[-1][1:] == (0, b""):
+        walked.pop()
     objects: dict[int, Any] = {}
     lost = 0
-    offset = 0
-    header_size = _RAF_HEADER.size
-    while offset + header_size <= end_offset:
-        if not _range_ok(offset, offset + header_size, page_size, bad):
-            report.notes.append(
-                f"record framing lost at offset {offset} (corrupt header page)"
-            )
-            return objects, lost, True
-        obj_id, length = _RAF_HEADER.unpack(data[offset : offset + header_size])
-        if obj_id == 0 and length == 0 and not any(data[offset:end_offset]):
-            break  # zero padding at the tail, not a record
-        if offset + header_size + length > end_offset:
-            report.notes.append(
-                f"record at offset {offset} claims {length} bytes beyond "
-                f"end of data; framing lost"
-            )
-            return objects, lost, True
-        obj, _ = _try_record(data, offset, end_offset, page_size, bad, serializer)
-        if obj is None:
-            lost += 1
-        else:
-            objects[offset] = obj
-        offset += header_size + length
-    return objects, lost, False
+    for offset, _, payload in walked:
+        if raf.is_deleted(offset):
+            continue
+        try:
+            if payload is not None:  # None: the record is on a corrupt page
+                objects[offset] = raf.serializer.deserialize(payload)
+                continue
+        except Exception:  # a serializer rejects damaged bytes its own way
+            pass
+        lost += 1
+    if broken is not None:
+        report.notes.append(
+            f"record framing lost at offset {broken.offset} (corrupt header page)"
+            if broken.claimed is None
+            else f"record at offset {broken.offset} claims {broken.claimed} "
+            f"bytes beyond end of data; framing lost"
+        )
+    return objects, lost, broken is not None
 
 
 def _mine_btree_pointers(
     directory: str,
     meta: dict,
     template: SPBTree,
-    data: bytes,
-    end_offset: int,
-    page_size: int,
-    bad: set[int],
-    serializer: Serializer,
+    raf: RandomAccessFile,
     objects: dict[int, Any],
     report: SalvageReport,
 ) -> Optional[set[int]]:
     """Recover record offsets from surviving B+-tree leaf pages.
 
     Each leaf entry's ptr frames one record independently, so leaves rescue
-    records beyond the point where sequential framing broke.  Returns the
-    set of leaf pointers whose records could not be recovered, or ``None``
-    when no B+-tree pages were available to mine.
+    records beyond the point where sequential framing broke.  Only pages
+    that pass their checksum are decoded; each pointer's record is read
+    with :meth:`RandomAccessFile.read_object`.  Returns the set of leaf
+    pointers whose records could not be recovered, or ``None`` when no
+    B+-tree pages were available to mine.
     """
     btree_path = _find_page_file(directory, "btree", meta, report)
     if btree_path is None:
         report.notes.append("no B+-tree page file found; mining skipped")
         return None
-    checksums = template.btree.pagefile.checksums
-    pages_blob, bad_btree = _read_page_file(
-        btree_path, page_size, checksums, report
-    )
+    pages = PageFile(raf.pagefile.page_size, template.btree.pagefile.checksums)
+    _load_noting(pages, btree_path, report)
     codec = template.btree.codec
-    num_pages = len(pages_blob) // page_size
     mined = 0
     failed: set[int] = set()
-    for pid in range(num_pages):
-        if pid in bad_btree:
+    for pid in range(pages.num_pages):
+        if not pages.verify_page(pid):
             continue
         try:
-            node = codec.decode(pages_blob[pid * page_size : (pid + 1) * page_size], pid)
+            node = codec.decode(pages.read_page(pid), pid)
         except Exception:
             continue
-        if not node.is_leaf or not (-1 <= node.next_leaf < num_pages):
+        if not node.is_leaf or not -1 <= node.next_leaf < pages.num_pages:
             continue
         for entry in node.entries:
             if entry.ptr in objects:
                 continue
-            obj, _ = _try_record(
-                data, entry.ptr, end_offset, page_size, bad, serializer
-            )
-            if obj is not None:
-                objects[entry.ptr] = obj
+            try:
+                objects[entry.ptr] = raf.read_object(entry.ptr)
                 mined += 1
-            else:
+            except Exception:
                 failed.add(entry.ptr)
     failed -= objects.keys()
     if mined:

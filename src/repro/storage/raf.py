@@ -32,6 +32,10 @@ With ``checksums=True`` the underlying page file verifies a CRC32 trailer
 on every read, so a record overlapping a damaged page surfaces a
 :class:`~repro.storage.pagefile.PageCorruptionError` (naming the bad page)
 instead of silently deserializing garbage.
+
+The record frame is parsed here and nowhere else: queries read by offset
+(:meth:`~RandomAccessFile.read_many`); ``scan``, ``SPBTree.verify`` and
+salvage read front to back with :meth:`~RandomAccessFile.walk`.
 """
 
 from __future__ import annotations
@@ -41,10 +45,23 @@ import struct
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.storage.buffer import BufferPool
-from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
+from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageCorruptionError, PageFile
 from repro.storage.serializers import Serializer
 
 _HEADER = struct.Struct("<qI")  # (object id: int64, payload length: uint32)
+
+
+class FramingError(Exception):
+    """The record walk lost the record boundaries at ``offset``: the header
+    there lies on ``page``, which fails its checksum, or claims ``claimed``
+    payload bytes that run past the end (both None: the end of the file
+    cuts the header itself off)."""
+
+    def __init__(
+        self, offset: int, claimed: Optional[int] = None, page: Optional[int] = None
+    ) -> None:
+        super().__init__(f"record framing lost at offset {offset}")
+        self.offset, self.claimed, self.page = offset, claimed, page
 
 
 class RandomAccessFile:
@@ -267,17 +284,47 @@ class RandomAccessFile:
             return 1.0
         return max(1.0, self.object_count / self.num_pages)
 
-    def scan(self) -> Iterator[tuple[int, int, Any]]:
-        """Yield ``(offset, object id, object)`` for all live records."""
+    def walk(self) -> Iterator[tuple[int, int, Optional[bytes]]]:
+        """Every record front to back, as ``(offset, object id, payload)``,
+        read through the buffer pool header first.
+
+        ``payload`` is None for a tombstone (only its header is read) and
+        for a record on a page that fails its checksum (the page file's
+        :class:`PageCorruptionError`).  Where the next record boundary
+        cannot be found the walk stops by raising :class:`FramingError`.
+        """
+        end = self._end_offset
         offset = 0
-        while offset < self._end_offset:
-            if offset in self._deleted:  # only the header, to step over it
-                _, length = _HEADER.unpack(self._read_bytes(offset, _HEADER.size))
-            else:
-                (obj_id,), (payload,) = self._read_frames((offset,))
-                length = len(payload)
+        while offset < end:
+            try:
+                obj_id, length = _HEADER.unpack(self._read_bytes(offset, _HEADER.size))
+            except PageCorruptionError as exc:
+                raise FramingError(offset, page=exc.page_id) from exc
+            except IndexError as exc:
+                raise FramingError(offset) from exc
+            body = offset + _HEADER.size
+            if body + length > end:
+                raise FramingError(offset, claimed=length)
+            payload = None
+            if offset not in self._deleted:
+                try:
+                    payload = self._read_bytes(body, length)
+                except PageCorruptionError:
+                    pass
+            yield offset, obj_id, payload
+            offset = body + length
+
+    def scan(self) -> Iterator[tuple[int, int, Any]]:
+        """Yield ``(offset, object id, object)`` for all live records.
+
+        A live record the walk could not read raises what :meth:`read`
+        raises for it (the :class:`PageCorruptionError` naming its page).
+        """
+        for offset, obj_id, payload in self.walk():
+            if payload is not None:
                 yield offset, obj_id, self.serializer.deserialize(payload)
-            offset += _HEADER.size + length
+            elif offset not in self._deleted:
+                self.read(offset)
 
     def flush_cache(self, reset_stats: bool = False) -> None:
         self.buffer_pool.flush(reset_stats=reset_stats)

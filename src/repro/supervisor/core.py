@@ -122,6 +122,8 @@ class Supervisor(ControlLoop):
             tick_interval = max(0.05, timeout / 4.0)
         if self.grace < 0 or self.cooldown < 0 or tick_interval <= 0:
             raise ValueError("grace/cooldown must be >= 0, tick_interval > 0")
+        if scrub_pages is not None and scrub_pages < 0:
+            raise ValueError(f"scrub_pages must be >= 0, got {scrub_pages}")
         self._states: dict[int, _ShardState] = {}
         self._quarantined: dict[int, set[int]] = {}
         self._page_cursors: dict[tuple[int, int], int] = {}

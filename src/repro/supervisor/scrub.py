@@ -151,8 +151,11 @@ def spot_check_pages(
     concatenated page space starting at ``cursor``, wrapping around.
     ``budget=None`` checks every page.  Returns
     ``(bad_page_labels, pages_checked, next_cursor)``; the caller feeds
-    ``next_cursor`` back on the next pass so the window rotates.
+    ``next_cursor`` back on the next pass so the window rotates.  A
+    negative budget is a ``ValueError``.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"page budget must be >= 0, got {budget}")
     pagefiles = [("btree", tree.btree.pagefile)]
     if tree.raf is not None:
         pagefiles.append(("raf", tree.raf.pagefile))

@@ -300,3 +300,33 @@ class TestRateLimitingAndRotation:
         report = sup.scrub(shard_id=0, pages=2)
         members = 3  # primary + two followers
         assert report.pages_checked <= 2 * members
+
+
+class TestNegativeBudget:
+    """A negative page budget is bad input, not a clean pass of -n pages."""
+
+    def test_rejected_by_spot_check_scrub_and_supervisor(self, cluster):
+        idx, sup, _ = cluster
+        tree = idx._sets[0].followers[0].tree
+        with pytest.raises(ValueError, match="budget"):
+            spot_check_pages(tree, -3, 5)
+        with pytest.raises(ValueError, match="budget"):
+            sup.scrub(pages=-1)
+        assert sup.scrub_passes == 0
+        with pytest.raises(ValueError, match="scrub_pages"):
+            Supervisor(idx, scrub_interval=None, scrub_pages=-1)
+
+    def test_cli_scrub_exits_one_with_one_line(self, tmp_path, small_words, edit, capsys):
+        from repro import cli
+
+        directory = str(tmp_path / "cl")
+        ShardedIndex.build(
+            small_words[:120], edit, shards=2, num_pivots=3, seed=11,
+            checksums=True,
+        ).save(directory)
+        replicate(directory, edit, replicas=2)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["scrub", "--dir", directory, "--pages", "-1"])
+        assert exc_info.value.code == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert err == ["scrub: page budget must be >= 0, got -1"]

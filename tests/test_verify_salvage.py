@@ -2,7 +2,9 @@
 
 import json
 import os
-import struct
+import re
+import shutil
+from collections import Counter
 
 import pytest
 
@@ -19,7 +21,6 @@ from repro import cli
 from repro.cluster import ShardedIndex
 from repro.core.costmodel import CostModel
 from repro.datasets import generate_synthetic, generate_words
-from repro.storage.raf import _HEADER as RAF_HEADER
 from repro.storage.serializers import StringSerializer
 from repro.tuning import Tuner
 
@@ -40,24 +41,10 @@ def _checked_tree(words, **kwargs):
 
 
 def _record_extents(tree):
-    """Byte range [start, end) of every record in the RAF, by direct scan."""
-    raf = tree.raf
-    pf = raf.pagefile
-    data = bytearray()
-    for pid in range(pf.num_pages):
-        data += pf._pages[pid][: pf.page_size]
-    data += bytes(raf._tail)
-    data = bytes(data[: raf._end_offset])
-    extents = []
-    offset = 0
-    while offset + RAF_HEADER.size <= len(data):
-        _, length = RAF_HEADER.unpack_from(data, offset)
-        end = offset + RAF_HEADER.size + length
-        if length == 0 or end > len(data):
-            break
-        extents.append((offset, end))
-        offset = end
-    return extents
+    """Byte range [start, end) of every record in the RAF, from the walk:
+    each record ends where the next begins, the last at the end of data."""
+    starts = [offset for offset, _, _ in tree.raf.walk()]
+    return list(zip(starts, starts[1:] + [tree.raf._end_offset]))
 
 
 class TestVerify:
@@ -369,3 +356,102 @@ class TestSalvageWal:
         assert not report.used_wal
         assert any("ignored" in note for note in report.notes)
         assert sorted(salv.objects()) == expected
+
+
+class TestVerifySalvageAgree:
+    """verify() and salvage read the RAF with the same walk, so one damaged
+    page costs both the same records."""
+
+    def test_each_damaged_page_costs_both_the_same_records(self, words, tmp_path):
+        tree = _checked_tree(words)
+        clean = str(tmp_path / "clean")
+        save_tree(tree, clean)
+        with open(os.path.join(clean, "spbtree.json")) as fh:
+            files = json.load(fh)["files"]
+        stored = {offset: obj for offset, _, obj in tree.raf.scan()}
+        starts = sorted(stored)
+        tail_page = (tree.raf._end_offset - len(tree.raf._tail)) // PAGE
+        assert tree.raf._tail and tail_page == tree.raf.num_pages - 1
+        for page in range(tree.raf.num_pages):
+            d = str(tmp_path / f"page{page}")
+            shutil.copytree(clean, d)
+            # the same damage in memory (a tree with a cold pool) and on disk
+            victim = load_tree(d, EditDistance())
+            FaultInjector(victim.raf.pagefile).flip_bit(page, bit=PAGE * 4)
+            with open(os.path.join(d, files["raf"]), "r+b") as fh:
+                fh.seek(page * (PAGE + 4))
+                fh.write(victim.raf.pagefile.raw_slot(page))
+            # no B+-tree to mine: salvage keeps what its sequential pass read
+            os.unlink(os.path.join(d, files["btree"]))
+
+            unreadable = set()
+            for error in victim.verify().errors:
+                match = re.match(r"record (header )?at offset (\d+)", error)
+                if match and match.group(1):  # unframeable from here on
+                    offset = int(match.group(2))
+                    unreadable.update(s for s in starts if s >= offset)
+                elif match:
+                    unreadable.add(int(match.group(2)))
+            salvaged, _ = salvage_tree(d, EditDistance())
+            lost = Counter(words) - Counter(salvaged.objects())
+            assert unreadable, page
+            if page == tail_page:  # salvage reads the catalog's copy instead
+                assert not lost
+                continue
+            assert Counter(stored[offset] for offset in unreadable) == lost, page
+
+
+#: Every catalog field salvage reads, with the JSON type it must have.
+_CATALOG_TYPES = {
+    "metric_name": str, "serializer": str, "curve": str, "page_size": int,
+    "cache_pages": int, "generation": int, "checksums": bool,
+    "d_plus": float, "delta": float, "pivots": list, "files": dict,
+    "files.btree": str, "files.raf": str, "raf": dict, "raf.end_offset": int,
+    "raf.tail": str, "raf.deleted": list,
+}  # fmt: skip
+
+
+class TestSalvageMistypedCatalog:
+    """Salvage is the tolerant reader: a catalog field of the wrong JSON
+    type is treated as absent and noted, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name, kind in _CATALOG_TYPES.items()
+            for value in (None, [], "x")
+            if not isinstance(value, kind)
+        ],
+    )
+    def test_mistyped_field_counts_as_absent(self, words, tmp_path, name, value):
+        d = str(tmp_path / "idx")
+        save_tree(_checked_tree(words), d)
+        path = os.path.join(d, "spbtree.json")
+        with open(path) as fh:
+            meta = json.load(fh)
+        *section, key = name.split(".")
+        (meta[section[0]] if section else meta)[key] = value
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+        salvaged, report = salvage_tree(
+            d, EditDistance(), serializer=StringSerializer(),
+            page_size=PAGE, checksums=True,
+        )
+        assert f"catalog field {name!r}" in " ".join(report.notes)
+        assert report.records_recovered == len(words)
+        assert sorted(salvaged.objects()) == sorted(words)
+
+    def test_cli_salvage_of_a_null_raf_section(self, words, tmp_path, capsys):
+        d = str(tmp_path / "idx")
+        save_tree(_checked_tree(words), d)
+        path = os.path.join(d, "spbtree.json")
+        with open(path) as fh:
+            meta = json.load(fh)
+        meta["raf"] = None
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+        cli.main(["salvage", "--dir", d, "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert f"{len(words)} records recovered" in out
+        assert "catalog field 'raf' is a NoneType" in out
