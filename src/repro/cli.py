@@ -1,108 +1,33 @@
 """Command-line interface for quick, interactive use of the library.
 
-    python -m repro.cli info      --dataset words --size 2000
-    python -m repro.cli range     --dataset words --query defoliate --radius 1
-    python -m repro.cli knn       --dataset color --k 8
-    python -m repro.cli join      --dataset words --epsilon-percent 4
-    python -m repro.cli compare   --dataset color --k 8
-    python -m repro.cli build     --dataset words --out ./index
-    python -m repro.cli verify    --dir ./index
-    python -m repro.cli salvage   --dir ./index --out ./recovered
-    python -m repro.cli insert    --dir ./index --object defoliate
-    python -m repro.cli delete    --dir ./index --object defoliate
-    python -m repro.cli log-stats --dir ./index
-    python -m repro.cli checkpoint --dir ./index
-    python -m repro.cli metrics   --dataset words --size 2000
+``query``, ``build`` and ``verify`` find their index one way: ``--dir D``
+opens the saved tree or cluster D's catalog names, ``--connect HOST:PORT``
+talks to a ``serve --listen`` server, and with neither the dataset flags
+build one in memory (a cluster with ``--shards N``).
 
-``info`` prints dataset statistics (intrinsic dimensionality, d+, pivot-set
-precision); ``range``/``knn`` build an SPB-tree and run one query with cost
-reporting; ``join`` splits the dataset in half and runs SJA; ``compare``
-runs the same kNN query on all four access methods; ``build`` saves an
-index directory; ``verify`` audits a saved index for corruption (exit code
-1 when damage is found); ``salvage`` rebuilds a consistent index from
-whatever records survive in a damaged directory.
+    info            dataset statistics: d+, intrinsic dimension, pivot precision
+    query           one budgeted range / kNN / count query; --trace shows its spans
+    join            self-split similarity join (SJA) with its cost estimate
+    compare         one kNN query on all four access methods
+    build           build and save a tree, or an N-shard cluster (--shards)
+    verify          audit a saved tree or cluster for corruption (exit 1 on damage)
+    salvage         rebuild a consistent index from a damaged directory
+    insert          durably insert one object into a saved index (WAL)
+    delete          durably delete one object from a saved index (WAL)
+    checkpoint      fold the write-ahead log into a new on-disk generation
+    log-stats       inspect an index's write-ahead log without loading it
+    serve           a concurrent mixed workload through the QueryEngine, or --listen
+    shard-rebalance split a hot shard or merge cold neighbours (crash-safe)
+    replicate       turn a saved cluster into per-shard WAL-shipping replica sets
+    shard-failover  promote a shard's best follower to primary
+    scrub           one anti-entropy pass over a replicated cluster, repairing it
+    shard-status    replication health per shard plus the journal tails
+    tune            offline cost-model calibration and pivot maintenance
+    trace           render span trees recorded in a flight dump or slow log
+    metrics-diff    what happened between two metric snapshots
 
 Every subcommand answers bad input with exit code 1 and one
 ``<subcommand>: <message>`` line on stderr, never a traceback.
-
-Incremental writes: ``insert``/``delete`` open a saved index with its
-write-ahead log and apply one durable mutation; ``log-stats`` inspects the
-log without loading the index; ``checkpoint`` folds the log into a fresh
-on-disk generation.  ``serve --mutations N`` mixes concurrent writes into
-the query workload.
-
-Sharding: ``shard-build`` partitions a dataset into an N-shard cluster and
-saves it; ``shard-query`` runs one budgeted scatter-gather query against a
-saved cluster; ``shard-rebalance`` splits a hot shard or merges cold
-neighbours (crash-safe catalog swap); ``shard-verify`` audits the cluster —
-ranges disjoint and covering, every object's key inside its shard's range —
-plus each shard's own integrity checks.  ``serve --shards N`` drives the
-mixed workload against a sharded cluster instead of a single tree.
-
-    python -m repro.cli shard-build     --dataset words --shards 4 --out ./cluster
-    python -m repro.cli shard-query     --dir ./cluster --mode knn --k 8
-    python -m repro.cli shard-rebalance --dir ./cluster
-    python -m repro.cli shard-verify    --dir ./cluster
-
-Replication: ``replicate`` converts a saved cluster into per-shard replica
-sets (one primary plus N WAL-shipping followers) with a read-routing
-policy; ``shard-failover`` promotes the best follower of a shard to
-primary (crash-safe catalog swap, generation fence); ``serve --replicas N
---read-policy P`` drives the mixed workload against a replicated cluster,
-fanning reads across the replicas.
-
-    python -m repro.cli replicate      --dir ./cluster --replicas 2 --read-policy round-robin
-    python -m repro.cli shard-failover --dir ./cluster --shard 0
-
-Self-healing: ``serve --replicas N --supervise`` runs the background
-supervisor during the workload — automatic failover past a grace period
-(with cooldown/single-flight guards against promotion storms), zombie
-rejoin of demoted ex-primaries via snapshot resync, and rate-limited
-anti-entropy scrubbing (``--scrub-interval``).  ``scrub`` runs one full
-anti-entropy pass over a saved cluster (WAL byte-prefix comparison plus
-page-checksum spot checks; divergent followers are quarantined and
-rebuilt; exit 1 when anything stays unrepaired).  ``shard-status`` prints
-one line of replication health per shard plus the supervisor's event
-journal tail, exiting 1 when any shard lacks a healthy primary.
-
-    python -m repro.cli serve        --dataset words --replicas 2 --supervise
-    python -m repro.cli scrub        --dir ./cluster --deep
-    python -m repro.cli shard-status --dir ./cluster
-
-Observability: ``metrics`` runs a short instrumented workload and prints a
-Prometheus text exposition on stdout (everything else goes to stderr, so it
-pipes cleanly into a scraper); ``serve --metrics`` instruments the workload
-and emits the same exposition (``--metrics-out FILE`` to write it to a
-file), ``--slow-log FILE --slow-ms T`` appends JSON entries for queries over
-the threshold, and ``--snapshot-dir DIR`` writes periodic diffable counter
-snapshots.  ``verify`` and ``serve`` always end with a one-line buffer-pool
-hit-rate summary on stderr (including the admission-rejection count when an
-engine served the workload).
-
-Tracing: every engine-traced query carries a ``request_id`` through its
-slow-log entry, flight-recorder trace, and (over the wire) the server's
-reply.  ``trace`` renders a span tree — from one live query, from a
-``serve --listen`` server (``--connect``; the reply's stitched tree), or
-from a recorded flight dump / slow log (``--file``, filter with
-``--request-id``).  ``serve --flight-dir DIR`` keeps a bounded in-memory
-ring of recent traces and dumps it to JSONL on anomalies (degraded
-results, failover, quarantine, scrub divergence, rejection bursts).
-``metrics-diff BEFORE.json AFTER.json`` prints what happened between two
-snapshots.
-
-    python -m repro.cli trace        --dataset words --mode knn
-    python -m repro.cli trace        --file flights/flight-0001-failover.jsonl
-    python -m repro.cli metrics-diff snaps/metrics-0001.json snaps/metrics-0002.json
-
-Network: ``serve --listen HOST:PORT`` exposes the engine over the
-length-prefixed JSON wire protocol until SIGTERM/SIGINT (graceful drain,
-bounded by ``--drain-deadline``) or ``--duration`` elapses; ``net-query``
-runs one query against such a server with client-side deadline and retry
-handling.  (Load-testing the front end is the benchmark's job:
-``python3 bench/run.py --workload cluster-net``.)
-
-    python -m repro.cli serve      --dataset words --listen 127.0.0.1:7207
-    python -m repro.cli net-query  --connect 127.0.0.1:7207 --query defoliate
 """
 
 from __future__ import annotations
@@ -128,7 +53,7 @@ from repro.cluster import CLUSTER_FILE, READ_POLICIES, ShardedIndex
 from repro.core.costmodel import CostModel
 from repro.core.join import similarity_join
 from repro.core.persist import (
-    _META_FILE, CatalogError, _read_catalog, load_tree, open_tree, save_tree,
+    _META_FILE, _read_catalog, load_tree, open_tree, save_tree,
 )  # fmt: skip
 from repro.core.pivots import (
     intrinsic_dimensionality,
@@ -147,7 +72,8 @@ from repro.distance import (
     TriGramAngularDistance,
 )
 from repro.recovery import salvage_tree
-from repro.service import BudgetExceeded, Overloaded, QueryContext, QueryEngine
+from repro.service import Overloaded, QueryContext, QueryEngine
+from repro.storage.serializers import serializer_for
 from repro.storage.wal import OP_INSERT, WAL_FILE, WriteAheadLog, scan_wal
 from repro.supervisor import SUPERVISOR_JOURNAL, Supervisor, read_journal
 from repro.tuning import TUNING_JOURNAL, Tuner
@@ -160,14 +86,16 @@ class CommandFailed(Exception):
 
 def _build(args: argparse.Namespace, shards: int = 0):
     """Load ``--dataset`` and build over it, timed: one SPB-tree, or an
-    in-memory cluster of ``shards`` of them (serve --shards, shard-build)."""
+    in-memory cluster of ``shards`` of them (``--shards``)."""
     dataset = load_dataset(args.dataset, size=args.size, seed=args.seed)
-    build = dict(num_pivots=args.pivots, d_plus=dataset.d_plus, seed=7)
+    build = dict(
+        num_pivots=args.pivots, d_plus=dataset.d_plus, seed=7,
+        checksums=getattr(args, "checksums", False),
+    )
     t0 = time.perf_counter()
     if shards > 0:
         index = ShardedIndex.build(
-            dataset.objects, dataset.metric, shards=shards,
-            checksums=getattr(args, "checksums", False), **build,
+            dataset.objects, dataset.metric, shards=shards, **build
         )
         what = f"{index.num_shards}-shard SPB-tree cluster"
     else:
@@ -205,25 +133,25 @@ def _metric_from_name(name: str) -> Metric:
     )
 
 
-def _catalog_field(directory: str, key: str):
-    """A field from the directory's catalog — single-tree or cluster."""
-    for name in (_META_FILE, CLUSTER_FILE):
-        try:
-            return _read_catalog(directory, name).get(key)
-        except CatalogError:
-            continue
-    return None
+def _directory_catalog(directory: str) -> tuple[dict, bool]:
+    """``directory``'s catalog, and whether it is a cluster's: a
+    ``cluster.json`` there makes it one, else ``spbtree.json`` is read."""
+    cluster = os.path.exists(os.path.join(directory, CLUSTER_FILE))
+    return _read_catalog(directory, CLUSTER_FILE if cluster else _META_FILE), cluster
 
 
-def _directory_metric(args: argparse.Namespace) -> Metric:
+def _directory_metric(
+    args: argparse.Namespace, catalog: Optional[dict] = None
+) -> Metric:
     """The metric for a saved index: --metric wins, else the catalog's name."""
     if args.metric is not None:
         return _metric_from_name(args.metric)
-    name = _catalog_field(args.dir, "metric_name")
-    if name is None:
+    if catalog is None:
+        catalog, _ = _directory_catalog(args.dir)
+    name = catalog.get("metric_name")
+    if not isinstance(name, str):
         raise ValueError(
-            f"cannot read the metric name from a catalog in "
-            f"{args.dir}; pass --metric explicitly"
+            f"the catalog in {args.dir} names no metric; pass --metric explicitly"
         )
     return _metric_from_name(name)
 
@@ -270,11 +198,20 @@ def _radius(percent: float, d_plus: float, metric: Metric) -> float:
     return radius
 
 
-def _query_radius(args: argparse.Namespace, d_plus: float, metric: Metric) -> float:
-    """``--radius`` wins, else ``--radius-percent`` of d+."""
+def _query_radius(args: argparse.Namespace, index) -> Optional[float]:
+    """``--radius`` wins, else ``--radius-percent`` of the index's d+.  A
+    server's d+ is not known here, so over the wire range and count need
+    ``--radius`` (kNN takes none)."""
     if args.radius is not None:
         return args.radius
-    return _radius(args.radius_percent, d_plus, metric)
+    if args.connect is None:
+        return _radius(args.radius_percent, index.space.d_plus, index.distance)
+    if args.mode != "knn":
+        raise ValueError(
+            f"--connect needs --radius for a {args.mode} query: the client "
+            f"has no d+ to take --radius-percent of"
+        )
+    return None
 
 
 def _run_query(target, mode: str, query, k: int, radius: float, **kw):
@@ -288,20 +225,20 @@ def _run_query(target, mode: str, query, k: int, radius: float, **kw):
     return target.range_count(query, radius, **kw)
 
 
-def _print_answer(mode: str, result, k: int, radius: float, note: str = "") -> None:
-    """The headline of one answer (plus ``note``), then what it holds."""
+def _print_answer(mode: str, result, k: int, radius: float) -> None:
+    """The headline of one answer, then what it holds."""
     if mode == "knn":
-        print(f"kNN(q, {k}) -> {len(result)} neighbours{note}")
+        print(f"kNN(q, {k}) -> {len(result)} neighbours")
         for dist, obj in result:
             print(f"  d={dist:.4g}  {obj!r}"[:100])
     elif mode == "range":
-        print(f"RQ(q, O, {radius:g}) -> {len(result)} results{note}")
+        print(f"RQ(q, O, {radius:g}) -> {len(result)} results")
         for obj in result[:10]:
             print(f"  {obj!r}"[:100])
         if len(result) > 10:
             print(f"  ... and {len(result) - 10} more")
     else:
-        print(f"|RQ(q, O, {radius:g})| >= {result.count}{note}")
+        print(f"|RQ(q, O, {radius:g})| >= {result.count}")
 
 
 def _state(complete: bool, reason) -> str:
@@ -316,27 +253,21 @@ def _limits(args: argparse.Namespace) -> dict:
     }
 
 
-def _print_hit_rate(prog: str, tree, engine: QueryEngine) -> None:
-    """The one-line buffer-pool summary serve/metrics end with on stderr;
-    the engine's admission-rejection tally rides along, so backpressure
-    shows up in the same line operators already scrape."""
-    if isinstance(tree, ShardedIndex):
-        pools = [
-            s.tree.raf.buffer_pool
-            for s in tree.shards
-            if s.tree.raf is not None
-        ]
-    else:
-        pools = [tree.raf.buffer_pool] if tree.raf is not None else []
-    hits = sum(p.hits for p in pools)
-    misses = sum(p.misses for p in pools)
-    total = hits + misses
-    rate = 100.0 * hits / total if total else 0.0
-    print(
-        f"{prog}: buffer hit-rate {rate:.1f}% "
-        f"({hits} hits / {misses} misses), {engine.rejected} rejected",
-        file=sys.stderr,
+def _hit_rate(hits: int, misses: int) -> str:
+    rate = 100.0 * hits / (hits + misses) if hits + misses else 0.0
+    return f"buffer hit-rate {rate:.1f}% ({hits} hits / {misses} misses)"
+
+
+def _print_hit_rate(tree, engine: QueryEngine) -> None:
+    """The one-line buffer-pool summary ``serve`` ends with on stderr; the
+    engine's admission-rejection tally rides along, so backpressure shows
+    up in the same line operators already scrape."""
+    trees = (
+        [s.tree for s in tree.shards] if isinstance(tree, ShardedIndex) else [tree]
     )
+    pools = [t.raf.buffer_pool for t in trees if t.raf is not None]
+    hit_rate = _hit_rate(sum(p.hits for p in pools), sum(p.misses for p in pools))
+    print(f"serve: {hit_rate}, {engine.rejected} rejected", file=sys.stderr)
 
 
 def _parse_hostport(value: str) -> tuple[str, int]:
@@ -345,6 +276,38 @@ def _parse_hostport(value: str) -> tuple[str, int]:
         raise ValueError(f"--listen/--connect needs HOST:PORT, got {value!r}")
     return (host or "127.0.0.1", int(port))
 
+
+def _open_index(args: argparse.Namespace):
+    """What ``query``, ``build`` and ``verify`` talk to, as ``(index,
+    serializer name, objects to query by when --query is absent)``:
+    ``--connect`` gives a :class:`NetClient`, ``--dir`` the saved cluster or
+    tree its catalog names, and neither builds over the dataset flags."""
+    connect, directory = getattr(args, "connect", None), getattr(args, "dir", None)
+    if connect is not None:
+        if directory is not None:
+            raise ValueError("--dir and --connect each name an index; pass one")
+        from repro.net import NetClient, RetryPolicy  # asyncio: only the wire pays
+
+        host, port = _parse_hostport(connect)
+        client = NetClient(
+            host, port, deadline_ms=args.deadline_ms,
+            retry=RetryPolicy(seed=args.seed), trace=args.trace,
+        )
+        return client, None, ()
+    if directory is not None:
+        catalog, cluster = _directory_catalog(directory)
+        metric = _directory_metric(args, catalog)
+        try:
+            index = (ShardedIndex.load if cluster else load_tree)(directory, metric)
+        except ValueError as exc:
+            print(f"index does not load: {exc}")
+            print("hint: `repro salvage` may still recover the records")
+            raise CommandFailed(
+                f"FAILED — {directory}: index does not load"
+            ) from exc
+        return index, catalog.get("serializer"), index.objects()
+    dataset, index = _build(args, args.shards)
+    return index, serializer_for(dataset.objects[0]).name, dataset.queries
 
 
 def cmd_info(args: argparse.Namespace) -> None:
@@ -364,45 +327,6 @@ def cmd_info(args: argparse.Namespace) -> None:
     print(f"d+ (estimated)     : {dataset.d_plus:.4g}")
     print(f"intrinsic dim. ρ   : {rho:.2f}")
     print(f"precision({args.pivots} pivots): {precision:.3f}")
-
-
-def _measured_query(tree, mode: str, query, k, radius, note="", **kw) -> None:
-    """One unbudgeted query on a cold tree, answered with its wall time and
-    its actual compdists / PA (``range`` and ``knn`` add the estimate)."""
-    tree.reset_counters()
-    tree.flush_cache()
-    t0 = time.perf_counter()
-    results = _run_query(tree, mode, query, k, radius, **kw)
-    elapsed = time.perf_counter() - t0
-    print()
-    _print_answer(mode, results, k, radius, f" in {elapsed * 1000:.1f} ms{note}")
-    print(
-        f"actual    : {tree.distance_computations} compdists, "
-        f"{tree.page_accesses} page accesses"
-    )
-
-
-def cmd_range(args: argparse.Namespace) -> None:
-    dataset, tree = _build(args)
-    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
-    radius = _query_radius(args, dataset.d_plus, dataset.metric)
-    estimate = CostModel(tree).estimate_range(query, radius)
-    _measured_query(tree, "range", query, None, radius)
-    print(f"estimated : {estimate.edc:.0f} compdists, {estimate.epa:.0f} page accesses")
-
-
-def cmd_knn(args: argparse.Namespace) -> None:
-    dataset, tree = _build(args)
-    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
-    estimate = CostModel(tree).estimate_knn(query, args.k)
-    _measured_query(
-        tree, "knn", query, args.k, None, f" ({args.traversal})",
-        traversal=args.traversal,
-    )
-    print(
-        f"estimated : {estimate.edc:.0f} compdists, "
-        f"{estimate.epa:.0f} page accesses (eND_k={estimate.radius:.4g})"
-    )
 
 
 def cmd_join(args: argparse.Namespace) -> None:
@@ -467,44 +391,107 @@ def cmd_compare(args: argparse.Namespace) -> None:
         )
 
 
-def _budgeted_query(args: argparse.Namespace, target, query, radius: float):
-    """``query`` / ``shard-query``: one query under the ``--deadline-ms`` /
-    ``--max-*`` limits with the graceful-degradation contract; answered,
-    then returned with its context for the caller's own summary."""
-    ctx = QueryContext.with_limits(strict=args.strict, **_limits(args))
-    try:
-        result = _run_query(
-            target, args.mode, query, args.k, radius, context=ctx
-        )
-    except BudgetExceeded as exc:
-        raise CommandFailed(f"query aborted (strict): {exc}") from exc
-    _print_answer(args.mode, result, args.k, radius)
-    return result, ctx
+def _estimate(tree: SPBTree, mode: str, query, k: int, radius: float) -> str:
+    """The cost model's forecast for the query a single tree just ran."""
+    model = CostModel(tree)
+    if mode == "knn":
+        est = model.estimate_knn(query, k)
+        note = f" (eND_k={est.radius:.4g})"
+    else:
+        est = model.estimate_range(query, radius)
+        note = ""
+    return f"estimated : {est.edc:.0f} compdists, {est.epa:.0f} page accesses{note}"
 
 
 def cmd_query(args: argparse.Namespace) -> None:
-    """One budgeted query with the graceful-degradation contract."""
-    dataset, tree = _build(args)
-    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
-    radius = _query_radius(args, dataset.d_plus, dataset.metric)
-    tree.flush_cache(reset_stats=True)
-    print()
-    result, ctx = _budgeted_query(args, tree, query, radius)
-    print(
-        f"status    : {_state(result.complete, result.reason)}\n"
-        f"spent     : {ctx.compdists} compdists, {ctx.page_accesses} page accesses"
-    )
+    """One budgeted query with the graceful-degradation contract, against
+    whatever :func:`_open_index` finds; each source adds what it can say
+    about the cost (in-process the spend, plus a tree's estimate or a
+    cluster's shards; over the wire the retries)."""
+    index, serializer, fallback = _open_index(args)
+    ctx = None  # over the wire the spend is the server's to report
+    try:
+        query = _query_object(args, serializer, fallback)
+        radius = _query_radius(args, index)
+        if args.connect is not None:
+            kw = dict(max_compdists=args.max_compdists, max_pa=args.max_pa)
+        else:
+            ctx = QueryContext.with_limits(
+                request_id=obs.new_trace_id() if args.trace else None,
+                **_limits(args),
+            )
+            if args.trace:
+                ctx.trace = obs.QueryTrace(args.mode)
+            kw = {"context": ctx}
+            if args.mode == "knn":
+                kw["traversal"] = args.traversal
+            index.flush_cache(reset_stats=True)
+        result = _run_query(index, args.mode, query, args.k, radius, **kw)
+        if args.strict and not result.complete:
+            raise CommandFailed(f"query aborted (strict): {result.reason}")
+        _print_answer(args.mode, result, args.k, radius)
+        print(f"status    : {_state(result.complete, result.reason)}")
+        if ctx is not None:
+            print(
+                f"spent     : {ctx.compdists} compdists, "
+                f"{ctx.page_accesses} page accesses"
+            )
+        if isinstance(index, SPBTree):
+            print(_estimate(index, args.mode, query, args.k, radius))
+        elif isinstance(index, ShardedIndex):
+            print(
+                f"shards    : {result.shards_visited} visited, "
+                f"{result.shards_pruned} pruned of {index.num_shards}"
+            )
+            for shard_id, out in sorted(result.per_shard.items()):
+                state = "complete" if out["complete"] else f"partial ({out['reason']})"
+                print(
+                    f"  shard {shard_id}: {state}, {out['compdists']} compdists, "
+                    f"{out['page_accesses']} page accesses"
+                )
+        elif index.retries:
+            print(f"retries   : {index.retries}", file=sys.stderr)
+        if args.trace:
+            _print_query_trace(index, ctx)
+    finally:
+        if args.connect is not None:
+            index.close()
+
+
+def _print_query_trace(index, ctx: Optional[QueryContext]) -> None:
+    """``query --trace``: the span tree of the query just run — the
+    context's own, whose sums must reconcile with its totals, or without
+    one the tree the server stitched into its reply."""
+    if ctx is None:
+        if index.last_trace is None:
+            raise CommandFailed(
+                "the server returned no span tree (is it tracing? "
+                "start it with serve --metrics or --slow-log)"
+            )
+        _print_trace(index.last_trace.as_dict(), index.last_request_id)
+        return
+    _print_trace(ctx.trace.as_dict(), ctx.request_id)
+    acd, apa = ctx.trace.attributed_totals()
+    if (acd, apa) != (ctx.compdists, ctx.page_accesses):
+        raise CommandFailed(
+            f"WARNING — span sums ({acd}, {apa}) != context totals "
+            f"({ctx.compdists}, {ctx.page_accesses})"
+        )
 
 
 def cmd_build(args: argparse.Namespace) -> None:
-    _, tree = _build(args)
-    save_tree(tree, args.out)
-    print(f"saved index to {args.out}")
-
+    index, _, _ = _open_index(args)
+    if isinstance(index, ShardedIndex):
+        index.save(args.out)
+        print(f"saved cluster to {args.out}")
+        print(_shard_table(index))
+    else:
+        save_tree(index, args.out)
+        print(f"saved index to {args.out}")
 
 
 def _mixed_ops(args: argparse.Namespace, dataset) -> list:
-    """The serve/metrics workload: shuffled queries plus optional writers."""
+    """The serve workload: shuffled queries plus optional writers."""
     n = args.num_queries
     queries = [dataset.queries[i % len(dataset.queries)] for i in range(n)]
     radius = _radius(args.radius_percent, dataset.d_plus, dataset.metric)
@@ -520,22 +507,6 @@ def _mixed_ops(args: argparse.Namespace, dataset) -> list:
         ops.append(("insert" if j % 2 == 0 else "delete", (obj,)))
     rng.shuffle(ops)
     return ops
-
-
-def _submit_all(engine: QueryEngine, ops: list, snapshots=None) -> list:
-    """Submit every op and wait for all of them; returns the results."""
-    pending = []
-    for kind, op_args in ops:
-        while True:
-            try:
-                pending.append(engine.submit(kind, *op_args))
-                break
-            except Overloaded:
-                # Backpressure: wait for the queue to drain a little.
-                time.sleep(0.005)
-        if snapshots is not None:
-            snapshots.maybe_write()
-    return [p.result() for p in pending]
 
 
 def _serve_network(args: argparse.Namespace, engine: QueryEngine, snapshots) -> None:
@@ -593,7 +564,18 @@ def _serve_workload(
     """The local ``serve`` path: the mixed workload through the engine."""
     ops = _mixed_ops(args, dataset)
     t0 = time.perf_counter()
-    results = _submit_all(engine, ops, snapshots)
+    pending = []
+    for kind, op_args in ops:
+        while True:
+            try:
+                pending.append(engine.submit(kind, *op_args))
+                break
+            except Overloaded:
+                # Backpressure: wait for the queue to drain a little.
+                time.sleep(0.005)
+        if snapshots is not None:
+            snapshots.maybe_write()
+    results = [p.result() for p in pending]
     partial = sum(1 for r in results if not getattr(r, "complete", True))
     elapsed = time.perf_counter() - t0
     print(
@@ -662,22 +644,29 @@ def _serve_epilogue(
             f"replication: {len(status)} replica sets, max lag {worst} bytes, "
             f"degraded shards {degraded if degraded else 'none'}"
         )
-    _print_hit_rate("serve", tree, engine)
+    _print_hit_rate(tree, engine)
     if rep_dir is not None:
         tree.close()
         shutil.rmtree(rep_dir, ignore_errors=True)
-    if args.metrics:
-        text = obs.render_text()
-        if args.metrics_out is not None:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"metrics   : Prometheus text written to {args.metrics_out}")
-        else:
-            print(text, end="")
+    if args.metrics and args.metrics_out is not None:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(obs.render_text())
+        print(f"metrics   : Prometheus text written to {args.metrics_out}")
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
-    """Drive a concurrent mixed workload through the QueryEngine."""
+    """Drive a concurrent mixed workload through the QueryEngine.  With
+    ``--metrics`` and no ``--metrics-out`` the exposition is all stdout
+    holds (every other line goes to stderr), so it pipes into a scraper."""
+    if not args.metrics or args.metrics_out is not None:
+        _serve(args)
+        return
+    with contextlib.redirect_stdout(sys.stderr):
+        _serve(args)
+    sys.stdout.write(obs.render_text())
+
+
+def _serve(args: argparse.Namespace) -> None:
     if args.supervise and args.replicas <= 0:
         raise ValueError("--supervise requires --replicas >= 1")
     flight = None
@@ -722,9 +711,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
         )
     slow_log = None
     if args.slow_log is not None:
-        slow_log = obs.SlowQueryLog(
-            path=args.slow_log, threshold_ms=args.slow_ms
-        )
+        slow_log = obs.SlowQueryLog(path=args.slow_log, threshold_ms=args.slow_ms)
     snapshots = None
     if args.snapshot_dir is not None:
         snapshots = obs.SnapshotWriter(
@@ -733,12 +720,10 @@ def cmd_serve(args: argparse.Namespace) -> None:
     if args.metrics:
         obs.enable()
     wal_dir = None
-    if (
-        args.metrics and args.mutations > 0
-        and rep_dir is None and not args.listen
-    ):
-        # Give the in-memory index a throwaway WAL so the write side of the
-        # workload populates the WAL metric families too.
+    if args.metrics and rep_dir is None and not args.listen:
+        # Give the in-memory index a throwaway WAL so the WAL metric families
+        # are populated too: its header commit alone exercises fsync and
+        # appended bytes, the workload's writes and one checkpoint the rest.
         wal_dir = tempfile.mkdtemp(prefix="repro-serve-wal-")
         if isinstance(tree, ShardedIndex):
             tree.save(wal_dir)
@@ -774,6 +759,11 @@ def cmd_serve(args: argparse.Namespace) -> None:
                 _serve_network(args, engine, snapshots)
             else:
                 _serve_workload(args, dataset, tree, engine, snapshots)
+        if wal_dir is not None and args.mutations > 0:
+            if isinstance(tree, ShardedIndex):
+                tree.checkpoint()
+            else:
+                tree.checkpoint(os.path.join(wal_dir, "checkpoint"))
     finally:
         if wal_dir is not None:
             if isinstance(tree, ShardedIndex):
@@ -782,64 +772,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
                 tree.wal.close()
             shutil.rmtree(wal_dir, ignore_errors=True)
     _serve_epilogue(args, tree, engine, snapshots, slow_log, rep_dir, flight)
-
-
-def cmd_metrics(args: argparse.Namespace) -> None:
-    """Run a short instrumented workload; print Prometheus text on stdout.
-
-    Build progress and summaries go to stderr so stdout is *only* the
-    exposition — ``python -m repro.cli metrics | your-scraper`` just works.
-    """
-    obs.enable()
-    with contextlib.redirect_stdout(sys.stderr):
-        dataset, tree = _build(args)
-    ops = _mixed_ops(args, dataset)
-    wal_dir = tempfile.mkdtemp(prefix="repro-metrics-wal-")
-    try:
-        # A throwaway WAL: its header commit alone exercises the fsync and
-        # appended-bytes families even when --mutations is 0.
-        tree.begin_logging(WriteAheadLog(os.path.join(wal_dir, "wal.log")))
-        with QueryEngine(
-            tree, workers=args.workers, trace_queries=True
-        ) as engine:
-            _submit_all(engine, ops)
-        if args.mutations > 0:
-            tree.checkpoint(os.path.join(wal_dir, "checkpoint"))
-        print(
-            f"metrics: instrumented {len(ops)} operations over "
-            f"{args.dataset}; exposition follows on stdout",
-            file=sys.stderr,
-        )
-        _print_hit_rate("metrics", tree, engine)
-    finally:
-        if tree.wal is not None:
-            tree.wal.close()
-        shutil.rmtree(wal_dir, ignore_errors=True)
-    sys.stdout.write(obs.render_text())
-
-
-
-def cmd_net_query(args: argparse.Namespace) -> None:
-    """One query over the wire against a running ``serve --listen``."""
-    from repro.net import NetClient, RemoteError, RetryPolicy
-
-    host, port = _parse_hostport(args.connect)
-    with NetClient(
-        host, port,
-        deadline_ms=args.deadline_ms,
-        retry=RetryPolicy(seed=args.seed),
-    ) as client:
-        try:
-            result = _run_query(
-                client, args.mode, args.query, args.k, args.radius,
-                max_compdists=args.max_compdists, max_pa=args.max_pa,
-            )
-        except RemoteError as exc:
-            raise CommandFailed(f"server error {exc.code}: {exc}") from exc
-        _print_answer(args.mode, result, args.k, args.radius)
-        print(f"status    : {_state(result.complete, result.reason)}")
-        if client.retries:
-            print(f"retries   : {client.retries}", file=sys.stderr)
 
 
 def _format_span(span: dict, depth: int, lines: list) -> None:
@@ -876,71 +808,24 @@ def _print_trace(trace_data: dict, request_id: Optional[str] = None) -> None:
         print(f"  attributed: {cd} compdists, {pa} page accesses")
 
 
-def _trace_entries_from_file(path: str) -> "list[tuple[Optional[str], dict]]":
-    """``(request_id, trace_dict)`` pairs from a flight dump or slow log."""
-    pairs: list = []
-    try:
-        _, entries = obs.read_flight(path)
-    except ValueError:
-        entries = obs.read_slow_log(path)
-    for entry in entries:
-        trace_data = entry.get("trace")
-        if isinstance(trace_data, dict):
-            pairs.append((entry.get("request_id"), trace_data))
-    return pairs
-
-
 def cmd_trace(args: argparse.Namespace) -> None:
-    """Render span trees: recorded (--file), over the wire (--connect),
-    or from one live in-process query."""
-    if args.file is not None:
-        pairs = _trace_entries_from_file(args.file)
-        if args.request_id is not None:
-            pairs = [p for p in pairs if p[0] == args.request_id]
-        if not pairs:
-            wanted = (
-                f" for request {args.request_id}" if args.request_id else ""
-            )
-            raise CommandFailed(f"no traces{wanted} in {args.file}")
-        for rid, trace_data in pairs:
-            _print_trace(trace_data, rid)
-        return
-    if args.connect is not None:
-        if args.query is None:
-            raise ValueError("--connect needs --query")
-        from repro.net import NetClient, RetryPolicy
-
-        host, port = _parse_hostport(args.connect)
-        with NetClient(
-            host, port, retry=RetryPolicy(seed=args.seed), trace=True
-        ) as client:
-            radius = 1.0 if args.radius is None else args.radius
-            _run_query(client, args.mode, args.query, args.k, radius)
-            if client.last_trace is None:
-                raise CommandFailed(
-                    "the server returned no span tree (is it tracing? "
-                    "start it with serve --metrics or --slow-log)"
-                )
-            _print_trace(client.last_trace.as_dict(), client.last_request_id)
-        return
-    # Live in-process mode: build, run one traced query, render.
-    with contextlib.redirect_stdout(sys.stderr):
-        dataset, tree = _build(args)
-    query = _query_object(args, tree.raf.serializer.name, dataset.queries)
-    radius = _query_radius(args, dataset.d_plus, dataset.metric)
-    ctx = QueryContext.with_limits(
-        request_id=obs.new_trace_id(), **_limits(args)
-    )
-    ctx.trace = obs.QueryTrace(args.mode)
-    tree.flush_cache(reset_stats=True)
-    _run_query(tree, args.mode, query, args.k, radius, context=ctx)
-    _print_trace(ctx.trace.as_dict(), ctx.request_id)
-    acd, apa = ctx.trace.attributed_totals()
-    if (acd, apa) != (ctx.compdists, ctx.page_accesses):
-        raise CommandFailed(
-            f"WARNING — span sums ({acd}, {apa}) != context totals "
-            f"({ctx.compdists}, {ctx.page_accesses})"
-        )
+    """Render the span trees recorded in a flight dump or slow log (a live
+    query's tree is ``query --trace``)."""
+    try:
+        _, entries = obs.read_flight(args.file)
+    except ValueError:
+        entries = obs.read_slow_log(args.file)
+    pairs = [
+        (entry.get("request_id"), entry["trace"])
+        for entry in entries
+        if isinstance(entry.get("trace"), dict)
+        and args.request_id in (None, entry.get("request_id"))
+    ]
+    if not pairs:
+        wanted = f" for request {args.request_id}" if args.request_id else ""
+        raise CommandFailed(f"no traces{wanted} in {args.file}")
+    for rid, trace_data in pairs:
+        _print_trace(trace_data, rid)
 
 
 def cmd_metrics_diff(args: argparse.Namespace) -> None:
@@ -985,28 +870,23 @@ def cmd_metrics_diff(args: argparse.Namespace) -> None:
         print("metrics-diff: no changes between the two snapshots")
 
 
-
 def cmd_verify(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args)
-    try:
-        tree = load_tree(args.dir, metric)
-    except ValueError as exc:
-        print(f"index does not load: {exc}")
-        print("hint: `repro salvage` may still recover the records")
-        raise CommandFailed(f"FAILED — {args.dir}: index does not load") from exc
-    report = tree.verify(check_objects=not args.fast)
+    index, _, _ = _open_index(args)
+    report = index.verify(check_objects=not args.fast)
     print(report.summary())
-    rate = report.buffer_hit_rate * 100.0
+    # A cluster's verification reads are its shards'.
+    parts = (
+        report.shard_reports.values()
+        if isinstance(index, ShardedIndex) else [report]
+    )
+    hit_rate = _hit_rate(
+        sum(p.buffer_hits for p in parts), sum(p.buffer_misses for p in parts)
+    )
     if not report.ok:
         raise CommandFailed(
-            f"FAILED — {args.dir}: {len(report.errors)} error(s) found "
-            f"(buffer hit-rate {rate:.1f}%)"
+            f"FAILED — {args.dir}: {len(report.errors)} error(s) found; {hit_rate}"
         )
-    print(
-        f"verify: OK — {args.dir}: buffer hit-rate {rate:.1f}% "
-        f"({report.buffer_hits} hits / {report.buffer_misses} misses)",
-        file=sys.stderr,
-    )
+    print(f"verify: OK — {args.dir}: {hit_rate}", file=sys.stderr)
 
 
 @contextlib.contextmanager
@@ -1021,7 +901,7 @@ def _logged_tree(args: argparse.Namespace):
 
 
 def cmd_insert(args: argparse.Namespace) -> None:
-    obj = _parse_object(_catalog_field(args.dir, "serializer"), args.object)
+    obj = _parse_object(_read_catalog(args.dir).get("serializer"), args.object)
     with _logged_tree(args) as tree:
         tree.insert(obj)
         print(
@@ -1031,7 +911,7 @@ def cmd_insert(args: argparse.Namespace) -> None:
 
 
 def cmd_delete(args: argparse.Namespace) -> None:
-    obj = _parse_object(_catalog_field(args.dir, "serializer"), args.object)
+    obj = _parse_object(_read_catalog(args.dir).get("serializer"), args.object)
     with _logged_tree(args) as tree:
         if not tree.delete(obj):
             raise CommandFailed(f"not found: {obj!r}")
@@ -1096,7 +976,6 @@ def cmd_salvage(args: argparse.Namespace) -> None:
     print(f"salvaged index ({len(tree):,} objects) saved to {out}")
 
 
-
 def _shard_table(cluster: ShardedIndex) -> str:
     lines = ["shard  key range                                object count"]
     for shard in cluster.shards:
@@ -1105,38 +984,6 @@ def _shard_table(cluster: ShardedIndex) -> str:
             + f"{shard.tree.object_count:,}"
         )
     return "\n".join(lines)
-
-
-def cmd_shard_build(args: argparse.Namespace) -> None:
-    _, cluster = _build(args, args.shards)
-    cluster.save(args.out)
-    print(f"saved cluster to {args.out}")
-    print(_shard_table(cluster))
-
-
-def cmd_shard_query(args: argparse.Namespace) -> None:
-    """One budgeted scatter-gather query against a saved cluster."""
-    metric = _directory_metric(args)
-    cluster = ShardedIndex.load(args.dir, metric)
-    query = _query_object(
-        args, _catalog_field(args.dir, "serializer"), cluster.objects()
-    )
-    radius = _query_radius(args, cluster.space.d_plus, metric)
-    cluster.reset_counters()
-    result, ctx = _budgeted_query(args, cluster, query, radius)
-    print(
-        f"status    : {_state(result.complete, result.reason)}\n"
-        f"shards    : {result.shards_visited} visited, "
-        f"{result.shards_pruned} pruned of {cluster.num_shards}\n"
-        f"spent     : {ctx.compdists} compdists, {ctx.page_accesses} page accesses"
-    )
-    for shard_id in sorted(result.per_shard):
-        out = result.per_shard[shard_id]
-        status = "complete" if out["complete"] else f"partial ({out['reason']})"
-        print(
-            f"  shard {shard_id}: {status}, {out['compdists']} compdists, "
-            f"{out['page_accesses']} page accesses"
-        )
 
 
 def cmd_shard_rebalance(args: argparse.Namespace) -> None:
@@ -1159,28 +1006,6 @@ def cmd_shard_rebalance(args: argparse.Namespace) -> None:
                 f"({action['count']:,} objects)"
             )
         print(_shard_table(cluster))
-
-
-def cmd_shard_verify(args: argparse.Namespace) -> None:
-    metric = _directory_metric(args)
-    try:
-        cluster = ShardedIndex.load(args.dir, metric)
-    except ValueError as exc:
-        print(f"cluster does not load: {exc}")
-        raise CommandFailed(
-            f"FAILED — {args.dir}: cluster does not load"
-        ) from exc
-    report = cluster.verify(check_objects=not args.fast)
-    print(report.summary())
-    if not report.ok:
-        raise CommandFailed(
-            f"FAILED — {args.dir}: {len(report.errors)} error(s) found"
-        )
-    print(
-        f"shard-verify: OK — {args.dir}: {report.shards_checked} shards, "
-        f"{report.objects_checked:,} objects checked",
-        file=sys.stderr,
-    )
 
 
 def _replication_table(idx) -> str:
@@ -1385,8 +1210,8 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
 
 #: Every flag, declared once: flag -> ``add_argument`` keywords.  A row of
 #: :data:`COMMANDS` names the flags its subcommand takes and states what it
-#: changes about them (``metrics`` runs 2 workers; ``net-query`` has no d+ to
-#: take a percentage of, so its ``--radius`` defaults to 1).
+#: changes about them (``query`` can name its index another way, so its
+#: ``--dir`` is optional).
 FLAGS: dict[str, dict[str, Any]] = {
     # which dataset to build over
     "--dataset": dict(choices=sorted(DATASETS), default="words"),
@@ -1405,19 +1230,30 @@ FLAGS: dict[str, dict[str, Any]] = {
         default=None,
         help="query object, parsed by the index's serializer: a string, or "
              "comma-separated numbers for vectors (default: the dataset's "
-             "first query / the cluster's first object)",
+             "first query / the saved index's first object)",
     ),
     "--k": dict(type=int, default=8),
-    "--radius": dict(type=float, default=None),
+    "--radius": dict(
+        type=float, default=None,
+        help="query radius (with --connect, needed for range and count)",
+    ),
     "--radius-percent": dict(
         type=float, default=8.0,
         help="radius as a percentage of d+ when --radius is not given",
     ),
-    "--traversal": dict(choices=["incremental", "greedy"], default="incremental"),
+    "--traversal": dict(
+        choices=["incremental", "greedy"], default="incremental",
+        help="kNN traversal of an in-process index",
+    ),
     "--epsilon-percent": dict(type=float, default=4.0),
     "--strict": dict(
         action="store_true",
-        help="raise instead of returning a partial result on budget exhaustion",
+        help="exit 1 instead of answering with a partial result",
+    ),
+    "--trace": dict(
+        action="store_true",
+        help="print the query's span tree (exit 1 when its sums do not "
+             "reconcile with the query's totals)",
     ),
     # per-query limits
     "--deadline-ms": dict(
@@ -1427,7 +1263,7 @@ FLAGS: dict[str, dict[str, Any]] = {
         type=int, default=None, help="per-query distance-computation budget"
     ),
     "--max-pa": dict(type=int, default=None, help="per-query page-access budget"),
-    # the serve / metrics workload
+    # the serve workload
     "--num-queries": dict(type=int, default=30),
     "--workers": dict(type=int, default=4),
     "--queue-size": dict(type=int, default=16),
@@ -1467,8 +1303,7 @@ FLAGS: dict[str, dict[str, Any]] = {
              "quarantine, scrub divergence, rejection bursts)",
     ),
     "--shards": dict(
-        type=int, default=4,
-        help="number of shards (serve: 0 serves a single tree)",
+        type=int, default=0, help="number of shards (0: one SPB-tree)"
     ),
     "--replicas": dict(type=int, default=2, help="WAL-shipping followers per shard"),
     "--read-policy": dict(
@@ -1522,7 +1357,7 @@ FLAGS: dict[str, dict[str, Any]] = {
     ),
     # traces and snapshots
     "--file": dict(
-        default=None, metavar="JSONL",
+        required=True, metavar="JSONL",
         help="render traces recorded in a flight dump or slow-query log",
     ),
     "--request-id": dict(
@@ -1596,14 +1431,6 @@ _WORKLOAD = ("--num-queries", "--workers", "--k", "--radius-percent", "--mutatio
 #: them: flag -> keywords laid over the flag's row in :data:`FLAGS`).
 COMMANDS: dict[str, tuple] = {
     "info": (cmd_info, "dataset statistics", _DATASET, {}),
-    "range": (
-        cmd_range, "run one range query",
-        (*_DATASET, "--query", "--radius", "--radius-percent"), {},
-    ),
-    "knn": (
-        cmd_knn, "run one kNN query",
-        (*_DATASET, "--query", "--k", "--traversal"), {},
-    ),
     "join": (
         cmd_join, "self-split similarity join",
         (*_DATASET, "--epsilon-percent"), {},
@@ -1612,8 +1439,14 @@ COMMANDS: dict[str, tuple] = {
         cmd_compare, "all four MAMs on one kNN query", (*_DATASET, "--k"), {},
     ),
     "query": (
-        cmd_query, "one budgeted query with graceful degradation",
-        (*_DATASET, *_QUERY, *_LIMITS, "--strict"), {},
+        cmd_query,
+        "one budgeted query against a saved index (--dir), a server "
+        "(--connect) or one built in memory",
+        (
+            *_DATASET, "--shards", *_SAVED, "--connect", *_QUERY,
+            "--traversal", *_LIMITS, "--strict", "--trace",
+        ),
+        {"--dir": dict(required=False)},
     ),
     "serve": (
         cmd_serve, "run a concurrent mixed workload through the QueryEngine",
@@ -1625,35 +1458,12 @@ COMMANDS: dict[str, tuple] = {
             "--scrub-interval", "--autotune", "--tune-interval", "--listen",
             "--duration", "--drain-deadline",
         ),
-        {"--shards": dict(default=0), "--replicas": dict(default=0)},
-    ),
-    "net-query": (
-        cmd_net_query,
-        "run one query over the wire against a serve --listen server",
-        ("--connect", "--mode", "--query", "--k", "--radius", "--seed", *_LIMITS),
-        {
-            "--connect": dict(required=True),
-            "--query": dict(required=True, help="query object (a string)"),
-            "--radius": dict(default=1.0),
-        },
-    ),
-    "shard-build": (
-        cmd_shard_build, "build and save an N-shard SPB-tree cluster",
-        (*_DATASET, "--shards", "--out", "--checksums"), {},
-    ),
-    "shard-query": (
-        cmd_shard_query,
-        "one budgeted scatter-gather query against a saved cluster",
-        (*_SAVED, *_QUERY, *_LIMITS, "--strict"), {},
+        {"--replicas": dict(default=0)},
     ),
     "shard-rebalance": (
         cmd_shard_rebalance,
         "split a hot shard or merge cold neighbours (crash-safe)",
         (*_SAVED, "--split", "--merge"), {},
-    ),
-    "shard-verify": (
-        cmd_shard_verify, "audit a saved cluster for corruption",
-        (*_SAVED, "--fast"), {},
     ),
     "replicate": (
         cmd_replicate, "convert a saved cluster into per-shard replica sets",
@@ -1681,22 +1491,10 @@ COMMANDS: dict[str, tuple] = {
         (*_SAVED, "--queries", "--k", "--tick-every", "--auto-rebuild", "--events"),
         {},
     ),
-    "metrics": (
-        cmd_metrics,
-        "run a short instrumented workload; Prometheus text on stdout",
-        (*_DATASET, *_WORKLOAD),
-        {
-            "--num-queries": dict(default=12),
-            "--workers": dict(default=2),
-            "--mutations": dict(default=4),
-        },
-    ),
     "trace": (
         cmd_trace,
-        "render one query's span tree — live, over the wire, or from a "
-        "recorded flight dump / slow log",
-        (*_DATASET, "--file", "--request-id", "--connect", *_QUERY, *_LIMITS),
-        {},
+        "render the span trees recorded in a flight dump / slow log",
+        ("--file", "--request-id"), {},
     ),
     "metrics-diff": (
         cmd_metrics_diff,
@@ -1704,10 +1502,12 @@ COMMANDS: dict[str, tuple] = {
         ("before", "after", "--json", "--changed-only"), {},
     ),
     "build": (
-        cmd_build, "build and save an index directory", (*_DATASET, "--out"), {},
+        cmd_build, "build and save an index directory, or an N-shard cluster",
+        (*_DATASET, "--shards", "--checksums", "--out"), {},
     ),
     "verify": (
-        cmd_verify, "audit a saved index for corruption", (*_SAVED, "--fast"), {},
+        cmd_verify, "audit a saved index or cluster for corruption",
+        (*_SAVED, "--fast"), {},
     ),
     "insert": (
         cmd_insert, "durably insert one object into a saved index",

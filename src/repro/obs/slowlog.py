@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import threading
 import time
 from typing import Any, Optional
@@ -38,46 +37,21 @@ class SlowQueryLog:
 
     Give it a ``path`` (opened in append mode); without one, entries are
     only counted (``recorded``).
-
-    ``max_bytes`` bounds on-disk growth: when an append would push the
-    file past the limit, the current file rotates to ``<path>.1`` (older
-    generations shifting to ``.2`` … up to ``max_generations``, the oldest
-    falling off) and a fresh file starts, so a long ``serve`` run holds at
-    most ~``(max_generations + 1) × max_bytes`` of slow-log data.
     """
 
     def __init__(
-        self,
-        path: Optional[str] = None,
-        threshold_ms: float = 100.0,
-        max_bytes: Optional[int] = None,
-        max_generations: int = 1,
+        self, path: Optional[str] = None, threshold_ms: float = 100.0
     ) -> None:
         if threshold_ms < 0:
             raise ValueError("threshold_ms must be non-negative")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        if max_bytes is not None and path is None:
-            raise ValueError("max_bytes requires a path-backed log")
-        if max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
         self.threshold_ms = threshold_ms
         self.path = path
-        self.max_bytes = max_bytes
-        self.max_generations = max_generations
         self._stream: Optional[io.TextIOBase] = None
-        self._written = 0
         if path is not None:
             self._stream = open(path, "a", encoding="utf-8")
-            try:
-                self._written = os.path.getsize(path)
-            except OSError:
-                self._written = 0
         self._lock = threading.Lock()
         #: Total entries recorded (cheap health signal).
         self.recorded = 0
-        #: Completed rotations (cheap health signal).
-        self.rotations = 0
 
     # -------------------------------------------------------------- recording
 
@@ -138,35 +112,8 @@ class SlowQueryLog:
             self.recorded += 1
             if self._stream is None:
                 return
-            payload = line + "\n"
-            if (
-                self.max_bytes is not None
-                and self._written
-                and self._written + len(payload.encode("utf-8"))
-                > self.max_bytes
-            ):
-                self._rotate()
-            self._stream.write(payload)
+            self._stream.write(line + "\n")
             self._stream.flush()
-            self._written += len(payload.encode("utf-8"))
-
-    def _rotate(self) -> None:
-        """Shift rotated generations up one (``.1`` → ``.2`` …, the oldest
-        dropping off at ``max_generations``), move the current file to
-        ``<path>.1``, and start fresh (caller holds the lock)."""
-        assert self.path is not None and self._stream is not None
-        self._stream.close()
-        try:
-            for gen in range(self.max_generations - 1, 0, -1):
-                older = f"{self.path}.{gen}"
-                if os.path.exists(older):
-                    os.replace(older, f"{self.path}.{gen + 1}")
-            os.replace(self.path, self.path + ".1")
-        except OSError:
-            pass  # rotation is best-effort; keep appending to the old file
-        self._stream = open(self.path, "a", encoding="utf-8")
-        self._written = 0
-        self.rotations += 1
 
     def close(self) -> None:
         with self._lock:

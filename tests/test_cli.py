@@ -1,9 +1,14 @@
 """Smoke tests for the demo CLI (python -m repro.cli)."""
 
 import os
+import re
 
 import pytest
 
+from repro.core.persist import load_tree
+from repro.distance import EditDistance
+from repro.net import serve_in_thread
+from repro.service import QueryEngine
 from tests.conftest import run_cli
 
 
@@ -16,16 +21,17 @@ class TestCli:
 
     def test_range(self):
         result = run_cli(
-            "range", "--dataset", "words", "--size", "300",
+            "query", "--dataset", "words", "--size", "300", "--mode", "range",
             "--query", "defoliate", "--radius", "2",
         )
         assert result.returncode == 0, result.stderr
         assert "RQ(q, O, 2)" in result.stdout
-        assert "actual" in result.stdout
+        assert "spent" in result.stdout
 
     def test_knn(self):
         result = run_cli(
-            "knn", "--dataset", "color", "--size", "300", "--k", "4"
+            "query", "--dataset", "color", "--size", "300", "--mode", "knn",
+            "--k", "4",
         )
         assert result.returncode == 0, result.stderr
         assert "kNN(q, 4)" in result.stdout
@@ -95,21 +101,31 @@ class TestCli:
         assert "failures  : 0" in result.stdout
 
 
+#: Where ``build`` puts an index's RAF page file: a tree directory's own,
+#: or (``--shards 2``) the first shard's.
+LAYOUTS = {
+    "tree": ((), "raf.1.pages"),
+    "cluster": (("--shards", "2"), "shard-0/raf.1.pages"),
+}
+
+
 @pytest.mark.slow
 class TestCliVerifySalvage:
     """Satellite: verify/salvage must exit non-zero with a one-line
-    stderr summary when the index is damaged."""
+    stderr summary when the index — a tree or a cluster — is damaged."""
 
-    def _build_index(self, tmp_path):
+    def _build_index(self, tmp_path, layout):
         out = str(tmp_path / "idx")
         result = run_cli(
-            "build", "--dataset", "words", "--size", "300", "--out", out
+            "build", "--dataset", "words", "--size", "300", "--out", out,
+            *LAYOUTS[layout][0],
         )
         assert result.returncode == 0, result.stderr
         return out
 
-    def test_verify_ok(self, tmp_path):
-        out = self._build_index(tmp_path)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_verify_ok(self, tmp_path, layout):
+        out = self._build_index(tmp_path, layout)
         result = run_cli("verify", "--dir", out)
         assert result.returncode == 0, result.stderr
         summary = [line for line in result.stderr.splitlines() if line]
@@ -117,9 +133,10 @@ class TestCliVerifySalvage:
         assert summary[0].startswith("verify: OK — ")
         assert "buffer hit-rate" in summary[0]
 
-    def test_verify_detects_corruption(self, tmp_path):
-        out = self._build_index(tmp_path)
-        raf = tmp_path / "idx" / "raf.1.pages"
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_verify_detects_corruption(self, tmp_path, layout):
+        out = self._build_index(tmp_path, layout)
+        raf = tmp_path / "idx" / LAYOUTS[layout][1]
         data = bytearray(raf.read_bytes())
         data[600] ^= 0xFF  # one flipped byte in a stored object page
         raf.write_bytes(bytes(data))
@@ -202,7 +219,7 @@ class TestCliTuning:
     def test_tune_then_shard_status(self, tmp_path):
         d = str(tmp_path / "cluster")
         assert run_cli(
-            "shard-build", "--dataset", "words", "--size", "300",
+            "build", "--dataset", "words", "--size", "300",
             "--shards", "2", "--out", d,
         ).returncode == 0
         result = run_cli("tune", "--dir", d, "--queries", "16", "--events", "1")
@@ -254,3 +271,46 @@ class TestCliTuning:
         assert "calibrations" in tuner[0] and "pivot rebuilds" in tuner[0]
         assert "advised" not in tuner[0] and "policy" not in tuner[0]
         assert "buffer" not in tuner[0] and "rebalance" not in tuner[0]
+
+
+@pytest.mark.slow
+class TestCliWire:
+    """``query --connect`` against a live server answers what ``query
+    --dir`` answers on the directory the server was opened from."""
+
+    def test_wire_answers_equal_the_directory_answers(self, tmp_path):
+        d = str(tmp_path / "idx")
+        built = run_cli(
+            "build", "--dataset", "words", "--size", "300", "--out", d
+        )
+        assert built.returncode == 0, built.stderr
+        engine = QueryEngine(
+            load_tree(d, EditDistance()), workers=2, trace_queries=True
+        ).start()
+        handle = serve_in_thread(engine, "127.0.0.1", 0)
+        try:
+            wire = ["--connect", f"127.0.0.1:{handle.port}"]
+            ask = ["--query", "slocheeated", "--radius", "2", "--k", "4"]
+            for mode in ("range", "knn", "count"):
+                local = run_cli("query", "--dir", d, "--mode", mode, *ask)
+                remote = run_cli("query", *wire, "--mode", mode, *ask)
+                assert local.returncode == remote.returncode == 0, remote.stderr
+                # The answer is everything before the status line.
+                answer = local.stdout.split("status    :")[0]
+                assert answer and remote.stdout.split("status    :")[0] == answer
+                assert "status    : complete" in remote.stdout
+
+            traced = run_cli("query", *wire, "--mode", "knn", *ask, "--trace")
+            assert traced.returncode == 0, traced.stderr
+            assert "trace knn (complete)" in traced.stdout
+            # Reconciled: the spans' sums are the root span's own totals.
+            lines = traced.stdout.splitlines()
+            (root,) = [line for line in lines if line.startswith("  knn ")]
+            (attributed,) = [
+                line for line in lines if line.startswith("  attributed:")
+            ]
+            cd, pa = re.findall(r"\d+", attributed)
+            assert f"compdists={cd} " in root and f"pa={pa} " in root
+        finally:
+            handle.stop(2.0)
+            engine.stop()

@@ -58,23 +58,30 @@ def test_every_flag_of_every_subcommand_is_the_recorded_one():
 
 
 #: Bad input -> (argv after the subcommand).  Every subcommand that takes
-#: ``--dir`` gets a directory that does not exist.
+#: ``--dir`` gets a directory that does not exist.  A case named after a
+#: subcommand that ``query`` / ``verify`` replaced runs the replacement.
 _MISSING = ["--dir", "/nonexistent/index", "--metric", "edit"]
 _SMALL = ["--dataset", "words", "--size", "60"]
+_WIRE = ["query", "--connect", "127.0.0.1:1", "--query", "x"]
 BAD_INPUT = {
-    "range-negative-radius": ["range", *_SMALL, "--radius", "-1"],
-    "knn-k-zero": ["knn", *_SMALL, "--k", "0"],
+    "range-negative-radius": [
+        "query", *_SMALL, "--shards", "2", "--mode", "range", "--radius", "-1"
+    ],
+    "knn-k-zero": ["query", *_SMALL, "--shards", "2", "--k", "0"],
     "query-negative-radius": [
         "query", *_SMALL, "--mode", "range", "--radius", "-1"
     ],
     "query-k-zero": ["query", *_SMALL, "--k", "0"],
-    "net-query-dead-port": [
-        "net-query", "--connect", "127.0.0.1:1", "--query", "x"
+    "net-query-dead-port": _WIRE,
+    "trace-dead-port": [*_WIRE, "--trace"],
+    "net-query-bad-hostport": ["query", "--connect", "nowhere", "--query", "x"],
+    "query": ["query", "--dir", "/nonexistent/index"],
+    "query-dead-port": [*_WIRE, "--mode", "count", "--radius", "1"],
+    "query-bad-hostport": ["query", "--connect", "nowhere"],
+    "query-dir-and-connect": [
+        "query", "--dir", "/nonexistent/index", "--connect", "127.0.0.1:1"
     ],
-    "trace-dead-port": ["trace", "--connect", "127.0.0.1:1", "--query", "x"],
-    "net-query-bad-hostport": [
-        "net-query", "--connect", "nowhere", "--query", "x"
-    ],
+    "query-connect-without-radius": [*_WIRE, "--mode", "range"],
     "verify-unknown-metric": [
         "verify", "--dir", "/nonexistent/index", "--metric", "wavelet"
     ],
@@ -84,9 +91,9 @@ BAD_INPUT = {
     "log-stats": ["log-stats", "--dir", "/nonexistent/index"],
     "verify": ["verify", *_MISSING],
     "salvage": ["salvage", *_MISSING],
-    "shard-query": ["shard-query", *_MISSING],
+    "shard-query": ["query", *_MISSING],
     "shard-rebalance": ["shard-rebalance", *_MISSING],
-    "shard-verify": ["shard-verify", *_MISSING],
+    "shard-verify": ["verify", "--dir", "/nonexistent/index"],
     "replicate": ["replicate", *_MISSING],
     "shard-failover": ["shard-failover", *_MISSING, "--shard", "0"],
     "scrub": ["scrub", *_MISSING],
@@ -119,19 +126,19 @@ def test_every_dir_subcommand_has_a_bad_input_case():
 @pytest.mark.slow
 class TestVectorQuery:
     """``--query`` is parsed by the index's serializer, so a vector dataset
-    takes comma-separated numbers on every command that builds or loads
-    the index itself."""
+    takes comma-separated numbers whether ``query`` builds the index or
+    loads it."""
 
     QUERY = ",".join(["0.0625"] * 16)
     COLOR = ["--dataset", "color", "--size", "150", "--query", QUERY]
 
     def test_range(self):
-        out = run_cli("range", *self.COLOR, "--radius", "0.1")
+        out = run_cli("query", *self.COLOR, "--mode", "range", "--radius", "0.1")
         assert out.returncode == 0, out.stderr
         assert "RQ(q, O, 0.1)" in out.stdout
 
     def test_knn(self):
-        out = run_cli("knn", *self.COLOR, "--k", "3")
+        out = run_cli("query", *self.COLOR, "--mode", "knn", "--k", "3")
         assert out.returncode == 0, out.stderr
         assert "kNN(q, 3)" in out.stdout
 
@@ -141,27 +148,28 @@ class TestVectorQuery:
         assert "|RQ(q, O, 0.1)| >= " in out.stdout
 
     def test_trace(self):
-        out = run_cli("trace", *self.COLOR, "--mode", "knn", "--k", "3")
+        out = run_cli("query", *self.COLOR, "--mode", "knn", "--k", "3", "--trace")
         assert out.returncode == 0, out.stderr
         assert "trace knn (complete)" in out.stdout
 
     def test_shard_query(self, tmp_path):
         d = str(tmp_path / "cluster")
         built = run_cli(
-            "shard-build", "--dataset", "color", "--size", "150",
+            "build", "--dataset", "color", "--size", "150",
             "--shards", "2", "--out", d,
         )
         assert built.returncode == 0, built.stderr
-        out = run_cli("shard-query", "--dir", d, "--query", self.QUERY, "--k", "3")
+        out = run_cli("query", "--dir", d, "--query", self.QUERY, "--k", "3")
         assert out.returncode == 0, out.stderr
         assert "kNN(q, 3) -> 3 neighbours" in out.stdout
 
     def test_a_literal_the_serializer_rejects_is_a_clean_error(self):
         out = run_cli(
-            "range", "--dataset", "color", "--size", "150", "--query", "red"
+            "query", "--dataset", "color", "--size", "150", "--mode", "range",
+            "--query", "red",
         )
         assert out.returncode == 1
-        assert out.stderr.startswith("range: cannot parse 'red'")
+        assert out.stderr.startswith("query: cannot parse 'red'")
         assert "Traceback" not in out.stderr
 
 

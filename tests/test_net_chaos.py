@@ -176,14 +176,20 @@ class TestMutationSafety:
 class TestDegradationHonesty:
     def test_degraded_knn_over_chaos_is_confirmed_prefix(self, small_words):
         class SlowEdit(EditDistance):
+            stall_s = 0.0
+
             def __call__(self, a, b):
-                time.sleep(0.001)
+                time.sleep(self.stall_s)
                 return super().__call__(a, b)
 
-        tree = SPBTree.build(small_words, SlowEdit(), seed=7)
+        # The build's ~66k distances run unstalled; only the served
+        # queries pay the stall the deadlines have to cut short.
+        metric = SlowEdit()
+        tree = SPBTree.build(small_words, metric, seed=7)
+        true_d = [d for d, _ in tree.knn_query(small_words[3], 10)]
+        metric.stall_s = 0.001
         engine = QueryEngine(tree, workers=2).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
-        true_d = [d for d, _ in tree.knn_query(small_words[3], 10)]
         plan = FaultPlan(delay_rate=0.2, delay_s=0.02)
         saw_partial = False
         try:

@@ -9,8 +9,6 @@ accesses, so any test that compares two runs of the same query calls
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import obs
@@ -324,89 +322,13 @@ class TestSlowQueryLog:
         assert "compdists budget" in entry["reason"]
         assert entry["trace"]["spans"]["children"]  # the per-level span tree
 
-    def test_size_based_rotation_keeps_one_generation(self, tmp_path):
-        path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0, max_bytes=400)
-        for i in range(40):
-            assert log.maybe_record(f"knn-{i}", 0.1)
-        log.close()
-        assert log.rotations >= 1
-        assert log.recorded == 40
-        assert os.path.exists(path + ".1")
-        # Neither file exceeds the cap (each rotation starts fresh).
-        assert os.path.getsize(path) <= 400
-        assert os.path.getsize(path + ".1") <= 400
-        # Both generations parse; together they hold the newest entries
-        # (older generations were rotated away).
-        kept = read_slow_log(path + ".1") + read_slow_log(path)
-        kinds = [e["kind"] for e in kept]
-        assert kinds == [f"knn-{i}" for i in range(40 - len(kinds), 40)]
-
-    def test_rotation_resumes_from_existing_file_size(self, tmp_path):
-        path = str(tmp_path / "slow.jsonl")
-        first = SlowQueryLog(path=path, threshold_ms=0.0, max_bytes=300)
-        first.maybe_record("warm", 0.1)
-        first.close()
-        reopened = SlowQueryLog(path=path, threshold_ms=0.0, max_bytes=300)
-        for i in range(20):
-            reopened.maybe_record(f"q{i}", 0.1)
-        reopened.close()
-        assert reopened.rotations >= 1  # the pre-existing bytes counted
-
     def test_no_rotation_without_max_bytes(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
         log = SlowQueryLog(path=path, threshold_ms=0.0)
         for i in range(50):
             log.maybe_record("knn", 0.1)
         log.close()
-        assert log.rotations == 0
-        assert not os.path.exists(path + ".1")
         assert len(read_slow_log(path)) == 50
-
-    def test_max_bytes_requires_path(self):
-        with pytest.raises(ValueError, match="path"):
-            SlowQueryLog(threshold_ms=0.0, max_bytes=100)
-        with pytest.raises(ValueError, match="positive"):
-            SlowQueryLog(path="x", max_bytes=0)
-
-    def test_rotation_keeps_max_generations(self, tmp_path):
-        path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(
-            path=path, threshold_ms=0.0, max_bytes=200, max_generations=3
-        )
-        for i in range(60):
-            assert log.maybe_record(f"knn-{i}", 0.1)
-        log.close()
-        assert log.rotations >= 4  # enough churn to exercise the cascade
-        for gen in (1, 2, 3):
-            assert os.path.exists(f"{path}.{gen}"), f"generation {gen} missing"
-            assert os.path.getsize(f"{path}.{gen}") <= 200
-        # Nothing beyond the cap survives.
-        assert not os.path.exists(f"{path}.4")
-        # Generations chain oldest-to-newest with no gaps: .3 .2 .1 then
-        # the live file hold one contiguous, ordered suffix of the stream.
-        kept = []
-        for gen in (3, 2, 1):
-            kept.extend(read_slow_log(f"{path}.{gen}"))
-        kept.extend(read_slow_log(path))
-        kinds = [e["kind"] for e in kept]
-        assert kinds == [f"knn-{i}" for i in range(60 - len(kinds), 60)]
-
-    def test_default_rotation_still_keeps_exactly_one_generation(
-        self, tmp_path
-    ):
-        path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0, max_bytes=200)
-        for i in range(60):
-            log.maybe_record(f"knn-{i}", 0.1)
-        log.close()
-        assert log.rotations >= 2
-        assert os.path.exists(path + ".1")
-        assert not os.path.exists(path + ".2")
-
-    def test_max_generations_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_generations"):
-            SlowQueryLog(threshold_ms=0.0, max_generations=0)
 
 
 # ------------------------------------------------------------- snapshots

@@ -736,8 +736,8 @@ class TestChaosCorrelation:
 class TestCliSurfaces:
     def test_trace_live_renders_and_reconciles(self):
         out = run_cli(
-            "trace", "--dataset", "words", "--size", "200",
-            "--mode", "knn", "--k", "4",
+            "query", "--dataset", "words", "--size", "200",
+            "--mode", "knn", "--k", "4", "--trace",
         )
         assert out.returncode == 0, out.stderr
         assert "trace knn (complete)" in out.stdout
@@ -757,7 +757,8 @@ class TestCliSurfaces:
             "--max-compdists", "40",
         )
         assert out.returncode == 0, out.stderr
-        assert "flight" in out.stdout
+        # --metrics without --metrics-out: stdout is the exposition alone.
+        assert "flight" in out.stderr
 
         # Every slow-log entry carries an id; pick one and resolve it.
         entries = obs.read_slow_log(slow_path)

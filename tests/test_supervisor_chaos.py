@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -102,34 +103,43 @@ def test_kill_primary_under_load_converges(
                     small_words[i % 50], 2.0, context=QueryContext()
                 )
                 i += 1
+                # Hand the interpreter lock over between queries: two
+                # readers that never release it can starve the writer (its
+                # WAL I/O drops the lock at every call) for seconds on a
+                # loaded machine, and it never reaches the kill.
+                time.sleep(0)
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
 
     threads = [threading.Thread(target=writer)] + [
         threading.Thread(target=reader) for _ in range(2)
     ]
-    for t in threads:
-        t.start()
-    assert killed.wait(60.0)
+    try:
+        for t in threads:
+            t.start()
+        assert killed.wait(60.0)
 
-    # Drive the control loop against the live workload.  The clock only
-    # moves here, so the promotion bound is exact.
-    kill_t = clock.now
-    promoted_at = None
-    for _ in range(30):
-        beat_all(idx, skip={(0, p0)})
-        if sup.tick()["promoted"]:
-            promoted_at = clock.now
-            break
-        clock.now += 0.5
-    assert promoted_at is not None, "no automatic promotion"
-    assert promoted_at - kill_t <= 2 * timeout
-    assert rset.primary.replica_id != p0
+        # Drive the control loop against the live workload.  The clock
+        # only moves here, so the promotion bound is exact.
+        kill_t = clock.now
+        promoted_at = None
+        for _ in range(30):
+            beat_all(idx, skip={(0, p0)})
+            if sup.tick()["promoted"]:
+                promoted_at = clock.now
+                break
+            clock.now += 0.5
+        assert promoted_at is not None, "no automatic promotion"
+        assert promoted_at - kill_t <= 2 * timeout
+        assert rset.primary.replica_id != p0
 
-    threads[0].join(60.0)
-    stop_readers.set()
-    for t in threads[1:]:
-        t.join(60.0)
+        threads[0].join(60.0)
+    finally:
+        # However this ends, no reader outlives the test.
+        stop_readers.set()
+        for t in threads:
+            if t.is_alive():
+                t.join(60.0)
     assert not errors, errors
     assert len(acked) + len(refused) == len(batch)
     assert refused, "no write hit the killed shard"
@@ -222,7 +232,7 @@ class TestCliRoundTrips:
     ):
         directory = str(tmp_path / "cluster")
         out = run_cli(
-            "shard-build", "--dataset", "words", "--size", "300",
+            "build", "--dataset", "words", "--size", "300",
             "--shards", "2", "--checksums", "--out", directory,
         )
         assert out.returncode == 0, out.stderr
@@ -263,7 +273,7 @@ class TestCliRoundTrips:
         out = run_cli("scrub", "--dir", directory)
         assert out.returncode == 0
         assert "clean" in out.stdout
-        out = run_cli("shard-verify", "--dir", directory)
+        out = run_cli("verify", "--dir", directory)
         assert out.returncode == 0, out.stderr
 
         # shard-status: one line per shard plus the event journal tail
