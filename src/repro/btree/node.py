@@ -56,7 +56,8 @@ class Node:
     entries: Sequence = field(default_factory=list)
     next_leaf: int = -1
     page_id: int = -1
-    #: Grid arrays of the entries, cached by the tree on read-only nodes.
+    #: Grid arrays of the entries, cached by the tree on read-only nodes
+    #: and given by a bulk load to the leaves it builds.
     arrays: Any = field(default=None, compare=False, repr=False)
 
     @property

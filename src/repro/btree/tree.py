@@ -214,10 +214,16 @@ class BPlusTree:
             self.leaf_page_count = 1
             return
         leaf_fill = max(2, int(self.codec.leaf_capacity * self.fill_factor))
+        # Every key decoded in one pass, each leaf handed its rows: the
+        # parents' MBBs come from them without a per-key decode.
+        cells = self.curve.decode_many([key for key, _ in items])
+        cells.setflags(write=False)
         leaves: list[Node] = []
         for start in range(0, len(items), leaf_fill):
             chunk = items[start : start + leaf_fill]
-            leaves.append(Node(True, [LeafEntry(k, p) for k, p in chunk]))
+            leaf = Node(True, [LeafEntry(k, p) for k, p in chunk])
+            leaf.arrays = cells[start : start + leaf_fill]
+            leaves.append(leaf)
         for leaf in leaves:
             leaf.page_id = self.pagefile.allocate()
         for i, leaf in enumerate(leaves):

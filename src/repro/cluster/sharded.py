@@ -322,7 +322,7 @@ class ShardedIndex:
         then the sorted keyed objects cut at object-count quantiles of the
         SFC order (so shards start balanced by population, not key span).
         """
-        if not objects:
+        if len(objects) == 0:
             raise ValueError("cannot build an index over an empty dataset")
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -352,10 +352,9 @@ class ShardedIndex:
         """Key ``objects`` under the current pivot space and curve (one
         |O| × |P| mapping pass), sort, and cut the run into at most
         ``count`` fresh shards at population quantiles."""
-        keyed = sorted(
-            ((self.curve.encode(self.space.grid(obj)), obj) for obj in objects),
-            key=lambda pair: pair[0],
-        )
+        phis = self.space.phi_many(objects)
+        keys = self.curve.encode_many(self.space.grid_from_phi_many(phis))
+        keyed = sorted(zip(keys, objects), key=lambda pair: pair[0])
         bounds = self._split_bounds(keyed, count)
         # A small throwaway build carries the sampled cost-model statistics
         # (pair distances, exponent, ND_k corrections, all pivot-dependent);

@@ -87,6 +87,21 @@ class PivotSpace:
         top = self.cells - 1
         return tuple(min(top, max(0, int(d // self.delta))) for d in phi)
 
+    def grid_from_phi_many(self, phis: Sequence[Sequence[float]]) -> np.ndarray:
+        """:meth:`grid_from_phi` of every row of ``phis`` (a :meth:`phi_many`
+        result), as an ``(n, |P|)`` int64 array.  ``np.floor_divide`` on
+        doubles is Python's float ``//`` — the same fmod-based rounding — so
+        a distance exactly on a cell edge gets the scalar form's cell."""
+        phi = np.asarray(phis, dtype=np.float64).reshape(-1, self.num_pivots)
+        with np.errstate(invalid="ignore"):
+            cells = np.floor_divide(phi, self.delta)
+        if not np.isfinite(cells).all():
+            raise ValueError("a NaN or infinite distance has no grid cell")
+        # Clamped as doubles first: an integral double up to 2**62 converts
+        # to int64 exactly, and the top cell is an int.
+        clamped = np.clip(cells, 0.0, 2.0**62).astype(np.int64)
+        return np.minimum(clamped, self.cells - 1)
+
     def grid(self, obj: Any) -> GridPoint:
         return self.grid_from_phi(self.phi(obj))
 

@@ -163,20 +163,20 @@ def select_hf(
     if len(candidates) <= k:
         return list(candidates)
     s = rng.choice(candidates)
-    f1 = max(candidates, key=lambda o: metric(s, o))
-    f2 = max(candidates, key=lambda o: metric(f1, o))
+    f1 = _farthest(candidates, metric.batch(s, candidates))
+    f2 = _farthest(candidates, metric.batch(f1, candidates))
     edge = metric(f1, f2)
     if edge == 0:
         return candidates[:k]
     pivots = [f1, f2]
     chosen = {id(f1), id(f2)}
     # Incremental error sums: err[o] = Σ_p |edge - d(o, p)| over chosen
-    # pivots, extended by one term per new focus (keeps HF at O(k·|sample|)
-    # distance computations instead of O(k²·|sample|)).
+    # pivots, extended by one distance column per new focus (keeps HF at
+    # O(k·|sample|) distance computations instead of O(k²·|sample|)).
+    rest = [o for o in candidates if id(o) not in chosen]
     err = {
-        id(o): abs(edge - metric(o, f1)) + abs(edge - metric(o, f2))
-        for o in candidates
-        if id(o) not in chosen
+        id(o): abs(edge - d1) + abs(edge - d2)
+        for o, d1, d2 in zip(rest, metric.batch(f1, rest), metric.batch(f2, rest))
     }
     while len(pivots) < k:
         best, best_err = None, math.inf
@@ -189,10 +189,15 @@ def select_hf(
             break
         pivots.append(best)
         chosen.add(id(best))
-        for o in candidates:
-            if id(o) not in chosen:
-                err[id(o)] += abs(edge - metric(o, best))
+        rest = [o for o in candidates if id(o) not in chosen]
+        for o, d in zip(rest, metric.batch(best, rest)):
+            err[id(o)] += abs(edge - d)
     return pivots[:k]
+
+
+def _farthest(candidates: Sequence[Any], dists: Sequence[float]) -> Any:
+    """The first candidate at the largest distance, as ``max`` picks it."""
+    return candidates[max(range(len(candidates)), key=dists.__getitem__)]
 
 
 def select_sss(
@@ -331,9 +336,12 @@ def select_hfi(
        precision(P) (Definition 1), evaluated on a fixed sample of object
        pairs, until |P| = k.
 
-    Distances from sample objects to candidates are computed once and
-    cached, so step 2 costs O(|P|·|CP|) distance-table lookups, matching
-    the paper's O(|O| + |P||CP|) complexity claim.
+    Distances from sample objects to candidates are computed once, two
+    ``metric.batch`` columns per candidate, so step 2 costs O(|P|·|CP|)
+    passes over the table, matching the paper's O(|O| + |P||CP|) complexity
+    claim.  A candidate's score sums its pairs' terms left to right
+    (``np.add.accumulate``, not numpy's pairwise ``sum``), as the loop did,
+    so the same candidate wins.
     """
     rng = random.Random(seed)
     candidates = select_hf(
@@ -345,32 +353,24 @@ def select_hfi(
     pairs = [(a, b, d) for a, b, d in pairs if d > 0]
     if not pairs:
         return candidates[:k]
-    # Distance table: candidate -> distances to every pair endpoint.
-    table: list[list[tuple[float, float]]] = []
-    for c in candidates:
-        table.append([(metric(a, c), metric(b, c)) for a, b, _ in pairs])
+    # lbs[c, j] = |d(a_j, c) - d(b_j, c)|: candidate c's bound on pair j.
+    lefts = [a for a, _, _ in pairs]
+    rights = [b for _, b, _ in pairs]
+    lbs = np.abs(
+        np.array([metric.batch(c, lefts) for c in candidates])
+        - np.array([metric.batch(c, rights) for c in candidates])
+    )
+    dists = np.array([d for _, _, d in pairs])
 
     chosen: list[int] = []
     # best_lb[j]: current max_i |d(a,p_i) - d(b,p_i)| for pair j.
-    best_lb = [0.0] * len(pairs)
+    best_lb = np.zeros(len(pairs))
     while len(chosen) < min(k, len(candidates)):
-        best_idx, best_score = None, -1.0
-        for ci in range(len(candidates)):
-            if ci in chosen:
-                continue
-            score = 0.0
-            for j, (_, _, d) in enumerate(pairs):
-                lb = abs(table[ci][j][0] - table[ci][j][1])
-                score += max(best_lb[j], lb) / d
-            if score > best_score:
-                best_idx, best_score = ci, score
-        if best_idx is None:
-            break
+        scores = np.add.accumulate(np.maximum(best_lb, lbs) / dists, axis=1)[:, -1]
+        scores[chosen] = -np.inf
+        best_idx = int(np.argmax(scores))  # the first of equal scores
         chosen.append(best_idx)
-        for j in range(len(pairs)):
-            lb = abs(table[best_idx][j][0] - table[best_idx][j][1])
-            if lb > best_lb[j]:
-                best_lb[j] = lb
+        best_lb = np.maximum(best_lb, lbs[best_idx])
     return [candidates[i] for i in chosen]
 
 

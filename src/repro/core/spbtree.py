@@ -149,7 +149,7 @@ class SPBTree:
         mapping distances; pass ``pivots``/``d_plus`` explicitly to reuse a
         pivot table across indexes (required for similarity joins).
         """
-        if not objects:
+        if len(objects) == 0:
             raise ValueError("cannot build an index over an empty dataset")
         if pivots is None:
             pivots = select_pivots(
@@ -221,7 +221,8 @@ class SPBTree:
             offset = raf.append(tree._next_id, obj, flush=False)
             tree._next_id += 1
             entries.append((key, offset))
-            tree._observe(tuple(tree.curve.decode(key)))
+        for grid in tree.curve.decode_many([key for key, _ in ordered]).tolist():
+            tree._observe(tuple(grid))
         raf.finalize()
         tree.btree.bulk_load(entries)
         tree.object_count = len(ordered)
@@ -240,19 +241,18 @@ class SPBTree:
 
     def _bulk_load(self, objects: Sequence[Any]) -> None:
         raf = self._ensure_raf(objects[0])
-        keyed = []
+        # One key per object from array passes, then one (stable) sort.
         phis = self.space.phi_many(objects)  # |O| × |P| distance computations
-        for obj, phi in zip(objects, phis):
-            grid = self.space.grid_from_phi(phi)
-            keyed.append((self.curve.encode(grid), obj))
-            self._observe(grid)
+        cells = self.space.grid_from_phi_many(phis)
+        keys = self.curve.encode_many(cells)
+        for grid in cells.tolist():
+            self._observe(tuple(grid))
         self._calibrate(objects, phis)
-        keyed.sort(key=lambda pair: pair[0])
         items = []
-        for key, obj in keyed:
-            offset = raf.append(self._next_id, obj, flush=False)
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            offset = raf.append(self._next_id, objects[i], flush=False)
             self._next_id += 1
-            items.append((key, offset))
+            items.append((keys[i], offset))
         raf.finalize()
         self.btree.bulk_load(items)
         self.object_count = len(objects)
@@ -339,7 +339,17 @@ class SPBTree:
         pq_idx = [next_index() for _ in range(pseudo_queries)]
         sub_idx = [next_index() for _ in range(min(subsample, n))]
         sub_objects = [objects[i] for i in sub_idx]
-        sample = self.grid_sample
+        # (c + shift)·δ of every sampled cell: an integer cell converts to the
+        # same double either way, so the lower bounds below take the scalar
+        # expression's IEEE steps, |(c + shift)·δ − φ_q(i)| then the row max.
+        centres = (np.asarray(self.grid_sample, dtype=np.float64) + shift) * space.delta
+        # What does not depend on k, once per pseudo-query: its sorted lower
+        # bounds over the sample and its sorted true distances.
+        sorted_per_query = []
+        for qi in pq_idx:
+            lbs = np.abs(centres - np.asarray(phis[qi], dtype=np.float64)).max(axis=1)
+            dists = metric.batch(objects[qi], sub_objects)
+            sorted_per_query.append((np.sort(lbs).tolist(), sorted(dists)))
 
         def interpolated(values: list, position: float) -> float:
             position = min(len(values) - 1, max(0.0, position))
@@ -350,19 +360,10 @@ class SPBTree:
 
         for k in (1, 2, 4, 8, 16, 32, 64):
             ratios_k = []
-            for qi in pq_idx:
-                phi_q = phis[qi]
-                lbs = sorted(
-                    max(
-                        abs((c + shift) * space.delta - dq)
-                        for c, dq in zip(g, phi_q)
-                    )
-                    for g in sample
-                )
+            for lbs, dists in sorted_per_query:
                 lbq = interpolated(lbs, k * len(lbs) / n)
                 if lbq <= 0:
                     continue
-                dists = sorted(metric(objects[qi], o) for o in sub_objects)
                 true_ndk = interpolated(dists, k * len(dists) / n)
                 if true_ndk > 0:
                     ratios_k.append(true_ndk / lbq)

@@ -5,9 +5,21 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from typing import Sequence
 
+import numpy as np
 
 from repro.distance.base import Metric
+
+#: Rows below which :meth:`EditDistance.batch` runs the loop.  The array
+#: kernel costs about twenty numpy calls per text column whatever the row
+#: count, so it needs rows to share them: on the words dataset (13
+#: characters on average) it ties the loop at 64 rows, 5.5 µs a pair, and
+#: takes 3.9 µs at 96, 2.4 at 300, 1.2 at 6 000.
+BATCH_MIN_ROWS = 72
+
+_ONE = np.uint64(1)
+_ZERO = np.uint64(0)
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -75,6 +87,58 @@ class EditDistance(Metric):
             pv = mh | (~(xv | ph) & mask)
             mv = ph & xv
         return float(score)
+
+    def batch(self, q: str, objs: Sequence[str]) -> list[float]:
+        """``[d(q, o) for o in objs]``, with Myers' recurrence run across the
+        batch: the query is the pattern, one ``uint64`` word per row, and
+        step j reads column j of the texts' code-point matrix; a row whose
+        text has ended keeps its score.  Distances are integers, so this is
+        the loop's answer exactly.  Fewer than :data:`BATCH_MIN_ROWS` rows, an
+        empty query, one longer than 64 characters, or rows that are not all
+        ``str`` take the loop."""
+        n = len(objs)
+        if (
+            n < BATCH_MIN_ROWS
+            or not isinstance(q, str)
+            or not 0 < len(q) <= 64
+            or not all(type(o) is str for o in objs)
+        ):
+            return super().batch(q, objs)
+        m = len(q)
+        # numpy's str dtype drops trailing NULs, so lengths come from len():
+        # a dropped NUL reads back as the zero padding.
+        lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
+        order = np.argsort(-lengths, kind="stable")
+        codes = np.array(objs, dtype=str).view(np.uint32).reshape(n, -1)[order]
+        peq = _pattern_bits(q)
+        chars = sorted(peq)
+        points = np.array([ord(c) for c in chars], dtype=np.uint32)
+        masks = np.array([peq[c] for c in chars], dtype=np.uint64)
+        slot = np.minimum(np.searchsorted(points, codes), len(points) - 1)
+        eqs = np.where(points[slot] == codes, masks[slot], _ZERO).T.copy()
+        # Longest text first, so the rows still reading column j are a prefix.
+        live = n - np.cumsum(np.bincount(lengths))
+        # No masks: bits above m - 1 only ever carry or shift upward, so they
+        # never reach the m bits the score is read from (bit m - 1).
+        top = np.uint64(m - 1)
+        pv = np.full(n, np.uint64((1 << m) - 1))
+        mv = np.zeros(n, dtype=np.uint64)
+        score = np.full(n, m, dtype=np.uint64)
+        for j in range(int(lengths.max())):
+            k = live[j]
+            eq, p, v = eqs[j, :k], pv[:k], mv[:k]
+            xv = eq | v
+            xh = (((eq & p) + p) ^ p) | eq
+            ph = v | ~(xh | p)
+            mh = p & xh
+            score[:k] += (ph >> top) & _ONE
+            score[:k] -= (mh >> top) & _ONE
+            ph = (ph << _ONE) | _ONE
+            pv[:k] = (mh << _ONE) | ~(xv | ph)
+            mv[:k] = ph & xv
+        out = np.empty(n)
+        out[order] = score
+        return out.tolist()
 
 
 def trigram_counts(s: str) -> Counter:

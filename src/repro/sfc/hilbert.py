@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.sfc.base import SpaceFillingCurve
+
+_ZERO = np.uint64(0)
 
 
 class HilbertCurve(SpaceFillingCurve):
@@ -89,6 +93,41 @@ class HilbertCurve(SpaceFillingCurve):
             q <<= 1
         return x
 
+    # ------------------------------------------ the same, across all rows
+
+    def _to_transpose(self, x: list[np.ndarray]) -> list[np.ndarray]:
+        """:meth:`_axes_to_transpose` with each step applied to every row."""
+        n, bits = self.ndims, self.bits
+        m = 1 << (bits - 1)
+        q = m
+        while q > 1:
+            _excess_step(x, range(n), q)
+            q >>= 1
+        for i in range(1, n):
+            x[i] ^= x[i - 1]
+        t = np.zeros_like(x[0])
+        q = m
+        while q > 1:
+            t ^= np.where(x[n - 1] & np.uint64(q), np.uint64(q - 1), _ZERO)
+            q >>= 1
+        for i in range(n):
+            x[i] ^= t
+        return x
+
+    def _from_transpose(self, x: list[np.ndarray]) -> list[np.ndarray]:
+        """:meth:`_transpose_to_axes` with each step applied to every row."""
+        n, bits = self.ndims, self.bits
+        z = 2 << (bits - 1)
+        t = x[n - 1] >> np.uint64(1)
+        for i in range(n - 1, 0, -1):
+            x[i] ^= x[i - 1]
+        x[0] ^= t
+        q = 2
+        while q != z:
+            _excess_step(x, range(n - 1, -1, -1), q)
+            q <<= 1
+        return x
+
     # ------------------------------------------------- transpose <-> index
 
     def _transpose_to_int(self, transpose: Sequence[int]) -> int:
@@ -107,3 +146,15 @@ class HilbertCurve(SpaceFillingCurve):
             dim = pos % self.ndims
             transpose[dim] = (transpose[dim] << 1) | bit
         return transpose
+
+
+def _excess_step(x: list[np.ndarray], dims: range, q: int) -> None:
+    """One pass of Skilling's excess-work loop at bit ``q``, over every row:
+    for each dimension i of ``dims`` in turn, a row whose x[i] has bit q set
+    inverts the low bits of its x[0]; any other row swaps them with x[i]'s."""
+    bit, low = np.uint64(q), np.uint64(q - 1)
+    for i in dims:
+        hit = (x[i] & bit) != 0
+        t = np.where(hit, _ZERO, (x[0] ^ x[i]) & low)
+        x[0] ^= np.where(hit, low, t)
+        x[i] ^= t
