@@ -152,6 +152,7 @@ def _sweep(
         min_rr = curve.encode(tuple(max(0, g - reach) for g in grid))
         max_rr = curve.encode(tuple(min(top, g + reach) for g in grid))
         item = _ListItem(entry.key, grid, tree.raf.read_object(entry.ptr), max_rr)
+        candidates = []
         i = len(others) - 1
         while i >= 0:
             other = others[i]
@@ -164,10 +165,14 @@ def _sweep(
             if other.key >= min_rr and all(
                 abs(a - b) <= reach for a, b in zip(grid, other.grid)
             ):
-                pair = (item.obj, other.obj) if q_side else (other.obj, item.obj)
-                if dist(*pair) <= epsilon:
-                    result.pairs.append(pair)
+                candidates.append(other.obj)
             i -= 1
+        # One batch for the visit, cut off at ε: the same pairs, in the
+        # same order, at the same count.
+        if candidates:
+            for obj, d in zip(candidates, dist.batch(item.obj, candidates, epsilon)):
+                if d <= epsilon:
+                    result.pairs.append((item.obj, obj) if q_side else (obj, item.obj))
         own.append(item)
 
     def body() -> None:

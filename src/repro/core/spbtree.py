@@ -621,6 +621,7 @@ class SPBTree:
         query: Any,
         ctx: Optional[QueryContext],
         tr: Optional[Any],
+        bound: float,
         free_accepts: bool = False,
     ) -> Iterator[tuple[Any, Optional[float]]]:
         """Verify one leaf's surviving entries — the one RAF read of the
@@ -630,7 +631,9 @@ class SPBTree:
         with ``None`` for the distance of an accepted entry — and, with
         ``free_accepts`` (the count), ``(None, None)`` for it without any
         read at all.  Tombstones are dropped; the records come from one
-        ``raf.read_many`` and the distances from one ``distance.batch``.
+        ``raf.read_many`` and the distances from one ``distance.batch``
+        under ``bound`` — the caller's cut-off: a distance past it is only
+        a lower bound greater than it, which the caller rejects anyway.
 
         Compdist and page-access budgets trip at the record they would trip
         at if every read were preceded by a checkpoint: the entries before
@@ -666,7 +669,7 @@ class SPBTree:
         else:
             chosen = [objs[k] for k in verify]
         dists: list[Optional[float]] = [None] * len(objs)
-        for k, d in zip(verify, self.distance.batch(query, chosen)):
+        for k, d in zip(verify, self.distance.batch(query, chosen, bound)):
             dists[k] = d
         fetched = zip(objs, dists)
         accepts = len(objs) - len(verify)
@@ -773,7 +776,9 @@ class SPBTree:
                 # VerifyRQ of Algorithm 1 (lines 25–29) for the entries in RR,
                 # the leaf at a time.
                 survivors = self._range_leaf(node, phi_q, radius, rr, tr)
-                for obj, d in self._fetch_many(survivors, query, ctx, tr, free_accepts):
+                for obj, d in self._fetch_many(
+                    survivors, query, ctx, tr, radius, free_accepts
+                ):
                     if d is None or d <= radius:  # None: Lemma 2, within r
                         hit(obj)
             finally:
@@ -933,12 +938,14 @@ class SPBTree:
                 if kind == 0:
                     # One popped leaf entry, verified alone: a batch of pops
                     # would compute distances the shrinking k-th bound prunes
-                    # (Lemma 4).  The loop's checkpoint just ran.
+                    # (Lemma 4) — cut off at the current k-th distance.  The
+                    # loop's checkpoint just ran.
                     if not raf.is_deleted(payload):  # type: ignore[arg-type]
                         if tr is not None:
                             tr.bump("entries_verified")
                         obj = raf.read_object(payload)  # type: ignore[arg-type]
-                        collector.offer(self.distance(query, obj), obj)
+                        (d,) = self.distance.batch(query, (obj,), cur_ndk())
+                        collector.offer(d, obj)
                     continue
                 node = self.btree.read_node(payload)  # type: ignore[arg-type]
                 if tr is not None:
@@ -948,9 +955,11 @@ class SPBTree:
                         phi_q, *self.btree.child_boxes(node)
                     )
                 elif traversal == "greedy":
-                    # Greedy paradigm: evaluate the whole leaf immediately.
+                    # Greedy paradigm: evaluate the whole leaf immediately,
+                    # cut off at the k-th distance as the leaf starts — the
+                    # bound only shrinks while its candidates are offered.
                     leaf = [(entry.ptr, False) for entry in node.entries]
-                    for obj, d in self._fetch_many(leaf, query, ctx, tr):
+                    for obj, d in self._fetch_many(leaf, query, ctx, tr, cur_ndk()):
                         collector.offer(d, obj)
                     continue
                 else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any, Iterable, Sequence
 
@@ -33,9 +34,18 @@ class Metric(ABC):
     def __call__(self, a: Any, b: Any) -> float:
         """Return d(a, b)."""
 
-    def batch(self, q: Any, objs: Sequence[Any]) -> list[float]:
-        """``[d(q, o) for o in objs]`` — the loop, unless a subclass has a
-        kernel that answers the whole batch bit-identically to it."""
+    def batch(
+        self, q: Any, objs: Sequence[Any], bound: float = math.inf
+    ) -> list[float]:
+        """d(q, o) for every ``o`` in ``objs``, exactly when it is at most
+        ``bound``; otherwise a lower bound of it that is greater than
+        ``bound`` (a NaN bound asks for every distance exactly).
+
+        A caller that only needs ``d <= bound`` — a range verification, a
+        kNN candidate against the k-th distance — passes it, and a metric
+        with a cut-off stops early.  This default is the loop, which
+        ignores the bound; a subclass's kernel answers within it
+        bit-identically to the loop."""
         return [self(q, o) for o in objs]
 
     def max_distance(self, sample: Sequence[Any], pairs: int = 2000) -> float:
@@ -95,11 +105,13 @@ class CountingDistance:
         record_compdist()
         return self.metric(a, b)
 
-    def batch(self, q: Any, objs: Sequence[Any]) -> list[float]:
-        """:meth:`Metric.batch`, counted per object."""
+    def batch(
+        self, q: Any, objs: Sequence[Any], bound: float = math.inf
+    ) -> list[float]:
+        """:meth:`Metric.batch`, counted per object, cut off or not."""
         self.count += len(objs)
         record_compdist(len(objs))
-        return self.metric.batch(q, objs)
+        return self.metric.batch(q, objs, bound)
 
     def reset(self) -> None:
         self.count = 0

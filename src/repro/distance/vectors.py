@@ -56,12 +56,18 @@ class MinkowskiDistance(Metric):
             return float(math.sqrt(float((diff * diff).sum())))
         return float((diff**self.p).sum() ** (1.0 / self.p))
 
-    def batch(self, q: Sequence[float], objs: Sequence[Sequence[float]]) -> list[float]:
+    def batch(
+        self,
+        q: Sequence[float],
+        objs: Sequence[Sequence[float]],
+        bound: float = math.inf,
+    ) -> list[float]:
         """One pass over an ``(m, dim)`` matrix, bit-identical to the scalar
         form: the same element-wise operations, numpy's same pairwise sum
         along each contiguous row, and the final root of a general ``p``
         taken per element as the scalar form takes it (an array ``**``
-        rounds differently)."""
+        rounds differently).  Every distance is exact: ``bound`` is
+        ignored."""
         matrix = _rows(q, objs, np.float64)
         if matrix is None:
             return super().batch(q, objs)
@@ -115,8 +121,11 @@ class HammingDistance(Metric):
             return float(np.count_nonzero(a != b))
         return float(sum(1 for x, y in zip(a, b) if x != y))
 
-    def batch(self, q: Sequence[int], objs: Sequence[Sequence[int]]) -> list[float]:
-        """One ``!=`` over an ``(m, dim)`` matrix and a count per row."""
+    def batch(
+        self, q: Sequence[int], objs: Sequence[Sequence[int]], bound: float = math.inf
+    ) -> list[float]:
+        """One ``!=`` over an ``(m, dim)`` matrix and a count per row;
+        exact, ``bound`` ignored."""
         matrix = _rows(q, objs)
         if matrix is None:
             return super().batch(q, objs)

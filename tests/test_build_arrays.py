@@ -73,6 +73,42 @@ def test_edit_batch_equals_the_loop_on_drawn_strings(q, texts):
     assert metric.batch(q, objs) == [metric(q, o) for o in objs]
 
 
+def _levenshtein(a: str, b: str) -> float:
+    """The textbook dynamic programme, one row at a time."""
+    row = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        prev, row[0] = row[0], i
+        for j, cb in enumerate(b, 1):
+            prev, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1, prev + (ca != cb))
+    return float(row[-1])
+
+
+@given(
+    q=st.sampled_from([0, 1, 64, 65]).flatmap(
+        lambda m: st.text(alphabet=ALPHABET, min_size=m, max_size=m)
+    ),
+    texts=st.lists(st.text(alphabet=ALPHABET, max_size=80), min_size=1, max_size=10),
+    rows=st.sampled_from([1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 150]),
+    pick=st.integers(0, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_edit_batch_under_a_bound_on_drawn_strings(q, texts, rows, pick):
+    """``Metric.batch``'s contract: d itself when d <= bound (or the bound
+    is NaN), else a value past the bound and no more than d — at d - 1, d,
+    d + 1 of a drawn row, and at 0, 1.5, inf and NaN."""
+    metric = EditDistance()
+    for text in texts:
+        assert metric(q, text) == _levenshtein(q, text)
+    objs = [texts[i % len(texts)] for i in range(rows)]
+    exact = [metric(q, o) for o in objs]
+    d = exact[pick % rows]
+    for bound in (d - 1, d, d + 1, 0.0, 1.5, math.inf, math.nan):
+        got = metric.batch(q, objs, bound)
+        assert all(type(x) is float for x in got)
+        for x, e in zip(got, exact):
+            assert x == e if not e > bound else bound < x <= e, (bound, x, e)
+
+
 def test_edit_batch_of_non_strings_is_the_loop():
     metric = CountedEdit()
     rows = [("a", "b")] * BATCH_MIN_ROWS
