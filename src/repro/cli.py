@@ -22,7 +22,6 @@ build one in memory (a cluster with ``--shards N``).
     shard-failover  promote a shard's best follower to primary
     scrub           one anti-entropy pass over a replicated cluster, repairing it
     shard-status    replication health per shard plus the journal tails
-    tune            offline cost-model calibration and pivot maintenance
     trace           render span trees recorded in a flight dump or slow log
     metrics-diff    what happened between two metric snapshots
 
@@ -603,7 +602,6 @@ def _serve_epilogue(
         st = tuner.status()
         print(
             f"tuner     : {st['ticks']} ticks, "
-            f"{st['calibration']['calibrations']} calibrations, "
             f"{st['pivot_checks']} pivot checks, "
             f"{st['pivot_rebuilds']} pivot rebuilds"
         )
@@ -742,11 +740,9 @@ def _serve(args: argparse.Namespace) -> None:
     try:
         with engine:
             if args.autotune:
-                # Feed the calibrator from the engine and start the
-                # background control loop; the epilogue finds it on the tree.
+                # The pivot-drift loop; the epilogue finds it on the tree.
                 tuner = Tuner(
                     tree,
-                    engine=engine,
                     tick_interval=args.tune_interval,
                     auto_pivot_rebuild=True,
                 )
@@ -1096,55 +1092,6 @@ def cmd_scrub(args: argparse.Namespace) -> None:
         )
 
 
-def cmd_tune(args: argparse.Namespace) -> None:
-    """Offline self-tuning pass over a saved cluster directory.
-
-    Replays a sample of the cluster's own objects as kNN queries with
-    the control loop ticking between batches — enough traffic for the
-    calibrator to fit the cost-model scales and (with ``--auto-rebuild``)
-    drift-triggered pivot re-selection to run.  Every decision lands in
-    the directory's ``tuning-events.jsonl``; ``shard-status`` shows the
-    tail.
-    """
-    cluster = ShardedIndex.open(args.dir, _directory_metric(args))
-    with contextlib.closing(cluster), Tuner(
-        cluster, auto_pivot_rebuild=args.auto_rebuild
-    ) as tuner:
-        objects = list(cluster.objects())
-        if not objects:
-            raise CommandFailed("cluster is empty; nothing to do")
-        step = max(1, len(objects) // max(1, args.queries))
-        sample = objects[::step][: args.queries]
-        for i, query in enumerate(sample):
-            ctx = QueryContext()
-            cluster.knn_query(query, args.k, context=ctx)
-            tuner.calibrator.observe_query(
-                query, args.k, ctx.compdists, ctx.page_accesses
-            )
-            if (i + 1) % args.tick_every == 0:
-                tuner.tick()
-        tuner.tick()
-        st = tuner.status()
-        cal = st["calibration"]
-        print(
-            f"replayed {len(sample)} kNN queries (k={args.k}) over "
-            f"{cluster.num_shards} shards; {st['ticks']} ticks"
-        )
-        print(
-            f"calibrated: edc_scale {cal['edc_scale']} "
-            f"epa_scale {cal['epa_scale']} "
-            f"({cal['calibrations']} refits, window {cal['window']}); "
-            f"prediction error edc={cal['error']['edc']} "
-            f"epa={cal['error']['epa']}"
-        )
-        print(
-            f"actions   : {st['pivot_checks']} pivot checks, "
-            f"{st['pivot_rebuilds']} pivot rebuilds"
-        )
-        for evt in tuner.events(args.events):
-            print(_format_event(evt))
-
-
 def _format_event(evt: dict) -> str:
     """One journal entry (supervisor's or tuner's) as an indented line."""
     parts = [f"  [{evt.get('ts')}] {evt.get('event')}"]
@@ -1327,13 +1274,12 @@ FLAGS: dict[str, dict[str, Any]] = {
     ),
     "--autotune": dict(
         action="store_true",
-        help="run the self-tuning control loop during the workload "
-             "(online cost-model calibration, drift-triggered pivot "
-             "re-selection)",
+        help="run the pivot-maintenance loop during the workload "
+             "(drift-triggered pivot re-selection and rebuild)",
     ),
     "--tune-interval": dict(
-        type=float, default=1.0,
-        help="with --autotune: seconds between control-loop ticks (default: 1)",
+        type=float, default=8.0,
+        help="with --autotune: seconds between pivot checks (default: 8)",
     ),
     "--listen": dict(
         default=None, metavar="HOST:PORT",
@@ -1408,17 +1354,6 @@ FLAGS: dict[str, dict[str, Any]] = {
     "--events": dict(
         type=int, default=10, help="journal events to tail (default: 10)"
     ),
-    "--queries": dict(
-        type=int, default=48, help="sample kNN queries to replay (default: 48)"
-    ),
-    "--tick-every": dict(
-        type=int, default=8, help="control-loop tick every N queries (default: 8)"
-    ),
-    "--auto-rebuild": dict(
-        action="store_true",
-        help="allow a drift-triggered pivot re-selection and rebuild through "
-             "a checkpoint",
-    ),
 }
 
 _DATASET = ("--dataset", "--size", "--seed", "--pivots")
@@ -1483,13 +1418,6 @@ COMMANDS: dict[str, tuple] = {
         cmd_shard_status,
         "one line of replication health per shard + supervisor events",
         (*_SAVED, "--events"), {},
-    ),
-    "tune": (
-        cmd_tune,
-        "offline self-tuning pass over a saved cluster "
-        "(cost-model calibration, pivot maintenance)",
-        (*_SAVED, "--queries", "--k", "--tick-every", "--auto-rebuild", "--events"),
-        {},
     ),
     "trace": (
         cmd_trace,

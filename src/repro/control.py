@@ -1,7 +1,7 @@
 """What the supervisor and the tuner share: the tick loop and its journal.
 
 Every state transition a :class:`ControlLoop` drives (suspected,
-promoted, quarantined, calibrated, pivot-drift, …) is recorded as one
+promoted, quarantined, pivot-drift, pivot-rebuilt, …) is recorded as one
 JSON object — in a bounded in-memory ring for the live ``status()``
 surfaces, and appended to a JSONL file when a path is given so a
 *separate* process (the ``shard-status`` CLI) can replay the tail after

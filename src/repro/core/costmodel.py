@@ -85,9 +85,7 @@ class CostModel:
     #: k used by the probe calibration.
     _PROBE_K = 8
 
-    def __init__(
-        self, tree: SPBTree, probe_queries: int = 6, calibrate: bool = True
-    ) -> None:
+    def __init__(self, tree: SPBTree, probe_queries: int = 6) -> None:
         if not tree.grid_sample:
             raise ValueError("tree has no sample; build or insert first")
         self.tree = tree
@@ -98,8 +96,7 @@ class CostModel:
         self._ndk_kind = "lb" if tree.ndk_corrections else "hom"
         self._hom_scale = 1.0
         self._epa_scale = 1.0
-        if calibrate:
-            self._calibrate_probes(probe_queries)
+        self._calibrate_probes(probe_queries)
 
     def _collect_boxes(self) -> list[tuple]:
         boxes = []
@@ -116,30 +113,6 @@ class CostModel:
         """Re-read tree structure after updates."""
         self.sample = self.tree.grid_sample
         self._node_boxes = self._collect_boxes()
-
-    @property
-    def calibration(self) -> dict:
-        """The fitted per-deployment constants, as a plain dict.
-
-        ``repro.tuning`` exports these from its online calibrator so a
-        model rebuilt after a rebalance starts from the fitted state
-        instead of cold defaults.
-        """
-        return {
-            "ndk_kind": self._ndk_kind,
-            "hom_scale": self._hom_scale,
-            "epa_scale": self._epa_scale,
-        }
-
-    def apply_calibration(self, calibration: dict) -> None:
-        """Adopt constants previously exported via :attr:`calibration`."""
-        kind = calibration.get("ndk_kind")
-        if kind in ("lb", "hom"):
-            self._ndk_kind = kind
-        if "hom_scale" in calibration:
-            self._hom_scale = float(calibration["hom_scale"])
-        if "epa_scale" in calibration:
-            self._epa_scale = float(calibration["epa_scale"])
 
     # ----------------------------------------------------------- calibration
 

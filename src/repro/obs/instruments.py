@@ -322,8 +322,7 @@ FAMILIES: dict[str, dict[str, tuple]] = {
             ("reason",),
         ),
     },
-    # Self-tuning loop: ticks, decisions by kind (``pivot-rebuild``),
-    # calibration refits and the prediction error they leave.
+    # Pivot-maintenance loop: ticks and decisions by kind (``pivot-rebuild``).
     "tuning": {
         "ticks": (
             "counter", "repro_tuning_ticks_total",
@@ -333,19 +332,6 @@ FAMILIES: dict[str, dict[str, tuple]] = {
             "counter", "repro_tuning_decisions_total",
             "Tuning decisions taken, by kind.",
             ("kind",),
-        ),
-        "calibrations": (
-            "counter", "repro_tuning_calibrations_total",
-            "Cost-model recalibrations (EDC/EPA scale refits) committed.",
-        ),
-        # The calibrated cost models' median |log(predicted/actual)| over the
-        # sliding observation window — the gauge an operator watches to
-        # decide whether the model's EDC/EPA predictions can be trusted.
-        "prediction_error": (
-            "gauge", "repro_tuning_prediction_error",
-            "Median |log(predicted/actual)| of the calibrated cost model "
-            "over the sliding window, per model (edc / epa).",
-            ("model",),
         ),
     },
 }

@@ -174,10 +174,6 @@ class QueryEngine:
         #: Optional anomaly flight recorder: finished traced queries are
         #: rung in; degraded results and rejection bursts trigger dumps.
         self.flight = flight
-        #: The repro.tuning OnlineCalibrator a ``Tuner`` sets (and unsets):
-        #: default-traversal kNN outcomes feed its EDC/EPA fit.  None keeps
-        #: the dispatch byte-identical to the untuned engine.
-        self.calibrator: Any = None
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._threads: list[threading.Thread] = []
         self._started = False
@@ -494,16 +490,7 @@ class QueryEngine:
         if kind == "range":
             return self.tree.range_query(*args, context=ctx)
         if kind == "knn":
-            result = self.tree.knn_query(*args, context=ctx)
-            # The cost model predicts the default traversal run to the
-            # end, so only complete (query, k) calls are observed: a pinned
-            # traversal's cost, or a truncated one's, would enter the fit
-            # as if the model had predicted it.
-            if self.calibrator is not None and len(args) == 2 and result.complete:
-                self.calibrator.observe_query(
-                    args[0], args[1], ctx.compdists, ctx.page_accesses
-                )
-            return result
+            return self.tree.knn_query(*args, context=ctx)
         if kind == "count":
             return self.tree.range_count(*args, context=ctx)
         if kind == "insert":

@@ -213,23 +213,33 @@ class TestCliIncrementalWrites:
 
 @pytest.mark.slow
 class TestCliTuning:
-    """The two tuner surfaces: ``tune`` over a saved cluster (and what
-    ``shard-status`` then shows), and ``serve --autotune``."""
+    """The tuner's two operator surfaces: ``serve --autotune``, and the
+    ``tuning-events.jsonl`` tail ``shard-status`` prints."""
 
-    def test_tune_then_shard_status(self, tmp_path):
+    def test_shard_status_tails_the_tuning_journal(self, tmp_path):
         d = str(tmp_path / "cluster")
         assert run_cli(
             "build", "--dataset", "words", "--size", "300",
             "--shards", "2", "--out", d,
         ).returncode == 0
-        result = run_cli("tune", "--dir", d, "--queries", "16", "--events", "1")
-        assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        assert any(line.startswith("calibrated: edc_scale ") for line in lines)
-        assert any(line.startswith("actions   : ") for line in lines)
-        assert "policy" not in result.stdout and "advised" not in result.stdout
-        # Two refits were journalled (a tick every 8 queries); one is asked for.
-        assert len([line for line in lines if line.startswith("  [")]) == 1
+        # A journal an older build wrote, with kinds this one no longer
+        # emits (per-query traversal, policy, calibrated), still reads and
+        # prints beside the pivot-drift kind it does emit.
+        with open(os.path.join(d, "tuning-events.jsonl"), "w") as fh:
+            fh.write(
+                '{"v": 1, "ts": 7.4, "event": "pivot-drift", "detail": '
+                '{"baseline": 0.9, "precision": 0.7, "drift": 0.2222}, '
+                '"request_id": "r1"}\n'
+                '{"v": 1, "ts": 7.5, "event": "traversal", "detail": '
+                '{"traversal": "greedy", "k": 4, "bucket": "k<=8", '
+                '"explored": true, "compdists": 31, "page_accesses": 6, '
+                '"elapsed_ms": 0.4}}\n'
+                '{"v": 1, "ts": 7.6, "event": "policy", "detail": '
+                '{"bucket": "k<=8", "traversal": "incremental"}}\n'
+                '{"v": 1, "ts": 7.7, "event": "calibrated", "detail": '
+                '{"edc_scale": 1.1, "epa_scale": 0.9, "error_edc": 0.2, '
+                '"error_epa": 0.1, "observations": 8}}\n'
+            )
 
         status = run_cli("shard-status", "--dir", d, "--events", "0")
         assert status.returncode == 0, status.stderr
@@ -238,22 +248,13 @@ class TestCliTuning:
         assert "tuning events" not in status.stdout
         assert "  [" not in status.stdout
 
-        # A journal an older build wrote, with the per-query kinds this
-        # one no longer emits, still reads and prints.
-        with open(os.path.join(d, "tuning-events.jsonl"), "a") as fh:
-            fh.write(
-                '{"v": 1, "ts": 7.5, "event": "traversal", "detail": '
-                '{"traversal": "greedy", "k": 4, "bucket": "k<=8", '
-                '"explored": true, "compdists": 31, "page_accesses": 6, '
-                '"elapsed_ms": 0.4}}\n'
-                '{"v": 1, "ts": 7.6, "event": "policy", "detail": '
-                '{"bucket": "k<=8", "traversal": "incremental"}}\n'
-            )
-        status = run_cli("shard-status", "--dir", d, "--events", "2")
+        status = run_cli("shard-status", "--dir", d, "--events", "3")
         assert status.returncode == 0, status.stderr
-        assert "tuning events (last 2):" in status.stdout
+        assert "tuning events (last 3):" in status.stdout
+        assert "pivot-drift" not in status.stdout
         assert "[7.5] traversal detail={'traversal': 'greedy'" in status.stdout
         assert "[7.6] policy detail={'bucket': 'k<=8'" in status.stdout
+        assert "[7.7] calibrated detail={'edc_scale': 1.1" in status.stdout
 
     def test_serve_autotune(self):
         result = run_cli(
@@ -268,7 +269,8 @@ class TestCliTuning:
             if line.startswith("tuner     :")
         ]
         assert len(tuner) == 1
-        assert "calibrations" in tuner[0] and "pivot rebuilds" in tuner[0]
+        assert "pivot checks" in tuner[0] and "pivot rebuilds" in tuner[0]
+        assert "calibrations" not in tuner[0]
         assert "advised" not in tuner[0] and "policy" not in tuner[0]
         assert "buffer" not in tuner[0] and "rebalance" not in tuner[0]
 

@@ -98,7 +98,6 @@ BAD_INPUT = {
     "shard-failover": ["shard-failover", *_MISSING, "--shard", "0"],
     "scrub": ["scrub", *_MISSING],
     "shard-status": ["shard-status", *_MISSING],
-    "tune": ["tune", *_MISSING],
 }
 
 

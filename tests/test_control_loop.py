@@ -135,7 +135,7 @@ def loop(request, tmp_path, small_words, edit):
         made = Supervisor(index, scrub_interval=None, tick_interval=0.01)
     else:
         index = cluster
-        made = Tuner(index, tick_interval=0.01, pivot_check_every=0)
+        made = Tuner(index, tick_interval=0.01)
     try:
         yield made
     finally:

@@ -100,14 +100,3 @@ class TestConsistency:
                 assert math.isfinite(est.edc) and est.edc >= 0
                 assert math.isfinite(est.epa) and est.epa >= 0
                 assert math.isfinite(est.radius) and est.radius >= 0
-
-    def test_calibration_round_trip(self, model_and_queries):
-        """Exported constants re-applied to a fresh model reproduce its
-        estimates exactly (the tuning calibrator relies on this)."""
-        model, queries, _ = model_and_queries
-        fresh = CostModel(model.tree, calibrate=False)
-        fresh.apply_calibration(model.calibration)
-        assert fresh.calibration == model.calibration
-        q = queries[0]
-        assert fresh.estimate_knn(q, 8).edc == model.estimate_knn(q, 8).edc
-        assert fresh.estimate_knn(q, 8).epa == model.estimate_knn(q, 8).epa

@@ -1,12 +1,10 @@
-"""Tests for ``repro.tuning`` — the cost-model-driven self-tuning loop.
+"""Tests for ``repro.tuning`` — the pivot-maintenance loop.
 
 * :class:`Tuner` — pivot-drift scheduling and rebuild (its lifecycle and
   journal are the shared loop contract's, ``tests/test_control_loop.py``);
-* the :class:`~repro.service.QueryEngine` hook — with a tuner attached
-  answers are unchanged and only default-traversal kNN feeds the
-  calibrator, and the *untuned* path stays bit-identical (per-query
-  compdists/page-accesses) to calling the index directly;
-* :class:`OnlineCalibrator` — the sliding window and model refresh.
+* beside a :class:`~repro.service.QueryEngine` — with a tuner attached
+  answers are unchanged, and the engine's per-query compdists/page
+  accesses are bit-identical to calling the index directly.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.core.pivots import select_pivots
 from repro.core.spbtree import SPBTree
 from repro.service import QueryEngine
 from repro.service.context import QueryContext
-from repro.tuning import OnlineCalibrator, Tuner
+from repro.tuning import Tuner
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +43,7 @@ class TestPivotMaintenance:
         )
         supervisor = types.SimpleNamespace(journal=EventJournal())
         cluster.supervisor = supervisor
-        tuner = Tuner(
-            cluster, pivot_check_every=1, pivot_drift_threshold=0.15
-        )
+        tuner = Tuner(cluster, pivot_drift_threshold=0.15)
         precisions = iter([0.9, 0.5])
         tuner._measure_precision = lambda: next(precisions)
         first = tuner.tick()["pivots"]
@@ -77,7 +73,7 @@ class TestPivotMaintenance:
         cluster = ShardedIndex.build(
             words, edit, shards=2, pivots=words[:3], seed=1
         )
-        tuner = Tuner(cluster, pivot_check_every=0)
+        tuner = Tuner(cluster)
         tuner.pivot_rebuild_due = True
         tuner.rebuild_pivots()
         assert not tuner.pivot_rebuild_due
@@ -120,41 +116,12 @@ class TestEngineHook:
         queries = small_words[:8]
         expected = [list(tuned_cluster.knn_query(q, 4)) for q in queries]
         with QueryEngine(tuned_cluster, workers=1) as engine:
-            tuner = Tuner(tuned_cluster, engine=engine, pivot_check_every=0)
-            assert engine.calibrator is tuner.calibrator
+            tuner = Tuner(tuned_cluster)
             got = [list(engine.knn(q, 4)) for q in queries]
             assert got == expected
-            assert len(tuner.calibrator._pending) == len(queries)
             tuner.close()
-            # close() detaches the hook and the index back-pointer.
-            assert engine.calibrator is None
+            # close() detaches the index back-pointer.
             assert tuned_cluster.tuner is None
-
-    def test_pinned_traversal_is_not_observed(
-        self, tuned_cluster, small_words
-    ):
-        with QueryEngine(tuned_cluster, workers=1) as engine:
-            tuner = Tuner(tuned_cluster, engine=engine, pivot_check_every=0)
-            pending = tuner.calibrator._pending
-            plain = engine.submit("knn", small_words[0], 4)
-            plain.result()
-            assert list(pending) == [
-                (
-                    small_words[0], 4,
-                    plain.context.compdists, plain.context.page_accesses,
-                )
-            ]  # fmt: skip
-            # The models predict the default traversal run to the end: a
-            # pinned traversal, a truncated answer and the other query
-            # kinds never enter the fit.
-            engine.submit("knn", small_words[2], 4, "greedy").result()
-            engine.submit("knn", small_words[3], 4, "incremental").result()
-            cut = engine.knn(small_words[4], 4, max_compdists=5)
-            assert not cut.complete
-            engine.range(small_words[5], 2.0)
-            engine.count(small_words[5], 2.0)
-            assert len(pending) == 1
-            tuner.close()
 
     def test_untuned_engine_counters_bit_identical(
         self, tuned_cluster, small_words
@@ -167,7 +134,6 @@ class TestEngineHook:
             direct.append((ctx.compdists, ctx.page_accesses))
         engine_counts = []
         with QueryEngine(tuned_cluster, workers=1) as engine:
-            assert engine.calibrator is None
             for q in queries:
                 pending = engine.submit("knn", q, 4)
                 pending.result()
@@ -178,36 +144,3 @@ class TestEngineHook:
                     )
                 )
         assert engine_counts == direct
-
-    def test_calibration_converges_from_engine_traffic(
-        self, tuned_cluster, small_words
-    ):
-        with QueryEngine(tuned_cluster, workers=1) as engine:
-            tuner = Tuner(tuned_cluster, engine=engine, pivot_check_every=0)
-            for q in small_words[:30]:
-                engine.knn(q, 8)
-            actions = tuner.tick()
-            fit = actions["calibrated"]
-            assert fit is not None
-            assert fit["edc_scale"] > 0
-            assert fit["error_edc"] >= 0
-            assert fit["observations"] == 30
-            status = tuner.status()
-            assert status["calibration"]["calibrations"] == 1
-            assert status["ticks"] == 1
-            assert "policy" not in status and "advisor" not in status
-            tuner.close()
-
-
-class TestLifecycle:
-    def test_calibrator_window_and_refresh(self, tuned_cluster, small_words):
-        calibrator = OnlineCalibrator(tuned_cluster, window=4)
-        predicted = calibrator.predict_knn(small_words[0], 4)
-        assert predicted is not None and predicted[0] > 0
-        for i in range(6):
-            calibrator.observe(predicted, 10 + i, 5)
-        assert len(calibrator._observations) == 4  # sliding window
-        calibrator.refresh()
-        assert calibrator._models == {}
-        # Models rebuild transparently after a refresh.
-        assert calibrator.predict_knn(small_words[0], 4) is not None

@@ -97,7 +97,7 @@ class TestVerify:
                 raise RuntimeError("mid-audit")
 
         def pivot_checks(index):
-            with Tuner(index, pivot_check_every=1) as tuner:
+            with Tuner(index) as tuner:
                 tuner.tick()
                 assert "drift" in tuner.tick()["pivots"]
 
@@ -105,7 +105,7 @@ class TestVerify:
             assert index.verify().ok
 
         tree = _checked_tree(words)
-        model = CostModel(tree, calibrate=False)
+        model = CostModel(tree)
         for observe in (
             lambda t: t.verify(),
             lambda t: model._calibrate_probes(5),
