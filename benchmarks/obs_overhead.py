@@ -2,8 +2,9 @@
 
 Runs the same Fig.-12-style range workload twice over one on-disk
 sharded index — once with observability fully off, once with everything
-on (metrics registry, per-query traces, slow log at threshold 0, flight
-recorder) — and enforces two claims the tracing layer makes:
+on (metrics registry, per-query traces, and the query recorder at
+threshold 0, so every query is both a slow-log entry and a ring entry)
+— and enforces two claims the tracing layer makes:
 
 * **Bit-identical counters.**  Per-query ``compdists`` and
   ``page_accesses`` must match exactly between the two runs.  Tracing
@@ -42,7 +43,6 @@ from repro.datasets import generate_words
 from repro.distance import EditDistance
 from repro.obs.flight import FlightRecorder
 from repro.obs.ids import new_trace_id
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import QueryTrace
 from repro.service.context import QueryContext
 from series import append_series  # benchmarks/series.py
@@ -53,13 +53,10 @@ def run_pass(directory, metric, queries, radius, instrumented, tmp):
 
     Returns ``(per_query_counters, elapsed_seconds, reconcile_failures)``.
     """
-    slow_log = flight = None
+    flight = None
     if instrumented:
         obs.enable()
-        slow_log = SlowQueryLog(
-            os.path.join(tmp, "slow.jsonl"), threshold_ms=0.0
-        )
-        flight = FlightRecorder(directory=os.path.join(tmp, "flight"))
+        flight = FlightRecorder(os.path.join(tmp, "flight"), slow_ms=0.0)
     else:
         obs.disable()
     idx = ShardedIndex.open(directory, metric)
@@ -79,11 +76,12 @@ def run_pass(directory, metric, queries, radius, instrumented, tmp):
                 ctx.page_accesses,
             ):
                 failures += 1
-            slow_log.maybe_record(
-                "range", 0.001, context=ctx, result=out, source="bench"
+            flight.observe(
+                "range", ctx, out, elapsed=0.001, source="bench"
             )
-            flight.observe("range", context=ctx, result=out, source="bench")
     elapsed = time.perf_counter() - t0
+    if flight is not None:
+        flight.close()
     obs.disable()
     return counters, elapsed, failures
 

@@ -62,7 +62,7 @@ from repro.baselines import (
 )
 from repro.datasets import load_dataset
 from repro import obs
-from repro.obs import MetricsRegistry, QueryTrace, SlowQueryLog, get_registry
+from repro.obs import MetricsRegistry, QueryTrace, get_registry
 from repro.recovery import SalvageReport, salvage_tree
 from repro.service import (
     BudgetExceeded,
@@ -145,5 +145,4 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "QueryTrace",
-    "SlowQueryLog",
 ]

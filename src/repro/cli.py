@@ -465,7 +465,7 @@ def _print_query_trace(index, ctx: Optional[QueryContext]) -> None:
         if index.last_trace is None:
             raise CommandFailed(
                 "the server returned no span tree (is it tracing? "
-                "start it with serve --metrics or --slow-log)"
+                "start it with serve --metrics or --flight-dir)"
             )
         _print_trace(index.last_trace.as_dict(), index.last_request_id)
         return
@@ -593,7 +593,7 @@ def _serve_workload(
 
 
 def _serve_epilogue(
-    args: argparse.Namespace, tree, engine, snapshots, slow_log, rep_dir, flight
+    args: argparse.Namespace, tree, engine, snapshots, rep_dir, flight
 ) -> None:
     """Shared tail of ``serve``: summaries, exposition, cleanup."""
     tuner = getattr(tree, "tuner", None)
@@ -609,18 +609,13 @@ def _serve_epilogue(
     if snapshots is not None:
         snapshots.write(meta={"event": "final"})
         print(f"snapshots : {snapshots.written} written to {args.snapshot_dir}")
-    if slow_log is not None:
-        print(
-            f"slow log  : {slow_log.recorded} queries over "
-            f"{args.slow_ms:g} ms -> {args.slow_log}"
-        )
-        slow_log.close()
     if flight is not None:
         print(
-            f"flight    : {flight.recorded} traces recorded "
-            f"({len(flight)} in ring), {flight.dumps} dumps -> "
-            f"{args.flight_dir}"
+            f"flight    : {flight.recorded} queries recorded "
+            f"({len(flight)} in ring), {flight.slow} over "
+            f"{args.slow_ms:g} ms, {flight.dumps} dumps -> {args.flight_dir}"
         )
+        flight.close()
     supervisor = getattr(tree, "supervisor", None)
     if supervisor is not None:
         supervisor.stop()
@@ -669,8 +664,7 @@ def _serve(args: argparse.Namespace) -> None:
         raise ValueError("--supervise requires --replicas >= 1")
     flight = None
     if args.flight_dir:
-        os.makedirs(args.flight_dir, exist_ok=True)
-        flight = obs.FlightRecorder(directory=args.flight_dir)
+        flight = obs.FlightRecorder(args.flight_dir, slow_ms=args.slow_ms)
     if args.replicas > 0 and args.shards <= 0:
         args.shards = 2  # replication implies a cluster
     dataset, tree = _build(args, args.shards)
@@ -707,9 +701,6 @@ def _serve(args: argparse.Namespace) -> None:
             f"cooldown {supervisor.cooldown:g}s, "
             f"scrub every {args.scrub_interval:g}s"
         )
-    slow_log = None
-    if args.slow_log is not None:
-        slow_log = obs.SlowQueryLog(path=args.slow_log, threshold_ms=args.slow_ms)
     snapshots = None
     if args.snapshot_dir is not None:
         snapshots = obs.SnapshotWriter(
@@ -733,7 +724,6 @@ def _serve(args: argparse.Namespace) -> None:
         workers=args.workers,
         max_queue=args.queue_size,
         trace_queries=args.metrics,
-        slow_log=slow_log,
         flight=flight,
         **{f"default_{k}": v for k, v in _limits(args).items()},
     )
@@ -767,7 +757,7 @@ def _serve(args: argparse.Namespace) -> None:
             else:
                 tree.wal.close()
             shutil.rmtree(wal_dir, ignore_errors=True)
-    _serve_epilogue(args, tree, engine, snapshots, slow_log, rep_dir, flight)
+    _serve_epilogue(args, tree, engine, snapshots, rep_dir, flight)
 
 
 def _format_span(span: dict, depth: int, lines: list) -> None:
@@ -807,13 +797,9 @@ def _print_trace(trace_data: dict, request_id: Optional[str] = None) -> None:
 def cmd_trace(args: argparse.Namespace) -> None:
     """Render the span trees recorded in a flight dump or slow log (a live
     query's tree is ``query --trace``)."""
-    try:
-        _, entries = obs.read_flight(args.file)
-    except ValueError:
-        entries = obs.read_slow_log(args.file)
     pairs = [
         (entry.get("request_id"), entry["trace"])
-        for entry in entries
+        for entry in obs.read_jsonl(args.file)
         if isinstance(entry.get("trace"), dict)
         and args.request_id in (None, entry.get("request_id"))
     ]
@@ -1227,13 +1213,10 @@ FLAGS: dict[str, dict[str, Any]] = {
         default=None, metavar="FILE",
         help="write the exposition to FILE instead of stdout",
     ),
-    "--slow-log": dict(
-        default=None, metavar="FILE",
-        help="append JSON entries for queries slower than --slow-ms",
-    ),
     "--slow-ms": dict(
         type=float, default=100.0,
-        help="slow-query threshold in milliseconds (default: 100)",
+        help="slow-query threshold in milliseconds: slower queries are "
+             "appended to <--flight-dir>/slow.jsonl (default: 100)",
     ),
     "--snapshot-dir": dict(
         default=None, metavar="DIR",
@@ -1387,7 +1370,7 @@ COMMANDS: dict[str, tuple] = {
         cmd_serve, "run a concurrent mixed workload through the QueryEngine",
         (
             *_DATASET, *_WORKLOAD, "--queue-size", *_LIMITS, "--metrics",
-            "--metrics-out", "--slow-log", "--slow-ms", "--snapshot-dir",
+            "--metrics-out", "--slow-ms", "--snapshot-dir",
             "--snapshot-interval", "--flight-dir", "--shards", "--replicas",
             "--read-policy", "--supervise", "--heartbeat-timeout",
             "--scrub-interval", "--autotune", "--tune-interval", "--listen",

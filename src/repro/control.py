@@ -12,14 +12,12 @@ clock, so a chaos test's journal is as deterministic as its failures.
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.obs import registry as _obsreg
-from repro.obs.jsonl import read_jsonl
+from repro.obs.jsonl import JsonlAppender, Ring, newest, read_jsonl
 
 #: Schema version stamped on every journal entry (``"v"``).  Readers are
 #: tolerant: unknown fields are ignored and entries missing ``"v"``
@@ -28,24 +26,19 @@ from repro.obs.jsonl import read_jsonl
 JOURNAL_VERSION = 1
 
 
-class EventJournal:
-    """Bounded in-memory event ring with an optional JSONL spill file."""
+class EventJournal(Ring):
+    """The newest events in memory, every event in a JSONL file when a
+    ``path`` is given."""
 
     def __init__(
         self,
         path: Optional[str] = None,
-        limit: int = 256,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if limit <= 0:
-            raise ValueError("journal limit must be positive")
+        super().__init__()
         self.path = path
         self.clock = clock if clock is not None else time.monotonic
-        self._events: deque[dict] = deque(maxlen=limit)
-        self._lock = threading.Lock()
-        self._fh = None
-        if path is not None:
-            self._fh = open(path, "a", encoding="utf-8")
+        self._file = JsonlAppender(path) if path is not None else None
 
     def record(
         self,
@@ -69,40 +62,25 @@ class EventJournal:
         if request_id is not None:
             evt["request_id"] = request_id
         with self._lock:
-            self._events.append(evt)
-            if self._fh is not None:
-                self._fh.write(json.dumps(evt, sort_keys=True) + "\n")
-                self._fh.flush()
+            self._records.append(evt)
+            if self._file is not None:
+                self._file.append(evt)
         return evt
-
-    def tail(self, n: int = 20) -> "list[dict]":
-        """The most recent ``n`` events, oldest first (none at ``n <= 0``:
-        a bare ``events[-0:]`` would be all of them)."""
-        with self._lock:
-            events = list(self._events)
-        return events[-n:] if n > 0 else []
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 def read_journal(path: str, limit: Optional[int] = None) -> "list[dict]":
     """The events of a JSONL journal file (the last ``limit`` when given),
     torn final line dropped; a missing file is an empty journal."""
     try:
-        events, _ = read_jsonl(path)
-    except OSError:
+        return newest(read_jsonl(path), limit)
+    except FileNotFoundError:
         return []
-    if limit is not None:
-        return events[-limit:] if limit > 0 else []
-    return events
 
 
 class ControlLoop:

@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry, trace spans, slow-query log.
+"""Observability layer: metrics registry, trace spans, query recorder.
 
 Everything here is **off by default** and zero-cost while off: the paper
 experiments and the counter-exactness tests run with no observability
@@ -18,22 +18,25 @@ Public surface:
   and its validating inverse.
 * :class:`QueryTrace` / :class:`Span` — per-query cost attribution whose
   span sums reconcile exactly with the context's counters.
-* :class:`SlowQueryLog` / :func:`read_slow_log` — threshold-filtered
-  JSON-lines log of slow queries with their span trees.
 * :func:`snapshot` / :func:`diff_snapshots` / :class:`SnapshotWriter` —
   diffable point-in-time metric dumps for benchmark harnesses.
 * :func:`new_trace_id` — request/trace identifiers minted at the edge and
   threaded through every record a request leaves behind.
-* :class:`FlightRecorder` / :func:`read_flight` — bounded ring of recent
-  traces, dumped to JSONL on anomaly triggers.
+* :class:`FlightRecorder` / :func:`read_flight` — the query recorder: a
+  ``slow.jsonl`` log of queries over a threshold, plus a bounded ring of
+  recent traces dumped to numbered JSONL files on anomaly triggers.
+* :func:`read_jsonl` — the reader of every JSONL file above and of the
+  control-loop journals (all written by one appender in
+  :mod:`repro.obs.jsonl`).
 """
 
 from __future__ import annotations
 
 from repro.obs import instruments, registry
 from repro.obs.exposition import parse_text, render_text
-from repro.obs.flight import FlightRecorder, find_request, read_flight
+from repro.obs.flight import FlightRecorder, read_flight
 from repro.obs.ids import clean_trace_id, new_trace_id
+from repro.obs.jsonl import read_jsonl
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -42,7 +45,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.slowlog import SlowQueryLog, read_slow_log
 from repro.obs.snapshot import (
     SnapshotWriter,
     diff_snapshots,
@@ -60,7 +62,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "QueryTrace",
-    "SlowQueryLog",
     "SnapshotWriter",
     "Span",
     "attributed_totals_from_dict",
@@ -69,14 +70,13 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "find_request",
     "get_registry",
     "instruments",
     "load_snapshot",
     "new_trace_id",
     "parse_text",
     "read_flight",
-    "read_slow_log",
+    "read_jsonl",
     "render_text",
     "snapshot",
     "write_snapshot",

@@ -1,25 +1,28 @@
-"""Anomaly flight recorder: the last N traces, dumped when something breaks.
+"""The query recorder: a slow-query log and an anomaly flight recorder.
 
-Aggregate metrics say *that* p99 spiked; the flight recorder says *which
-requests* were in flight around the anomaly and what each one's span tree
-looked like.  It keeps a bounded in-memory ring of recently finished
-(traced) queries — request id, outcome, compdist/PA totals, full span
-tree — and dumps the ring to a JSONL file when an anomaly trigger fires:
+Aggregate metrics say *that* p99 spiked; the recorder says *which
+requests* did it and what each one's span tree looked like.  Every
+finished query becomes one entry — kind, request id, source, cost
+counters, elapsed time, outcome and, when traced, the span tree:
 
-* ``degraded`` — a query returned an incomplete answer;
-* ``failover`` / ``quarantine`` / ``divergence`` — the supervisor acted;
-* ``rejection-burst`` — the engine shed load faster than the configured
-  rate;
-* ``manual`` — an operator asked (CLI / tests).
+* a query at or over ``slow_ms`` (traced or not) is appended to
+  ``<directory>/slow.jsonl`` — the slow-query log;
+* a traced query enters a bounded in-memory ring, which is dumped to a
+  numbered ``flight-NNNN-<reason>.jsonl`` file when an anomaly trigger
+  fires:
+
+  * ``degraded`` — a query returned an incomplete answer;
+  * ``failover`` / ``quarantine`` / ``divergence`` — the supervisor acted;
+  * ``rejection-burst`` — the engine shed :data:`REJECTION_BURST` queries
+    within :data:`BURST_WINDOW_S`;
+  * ``manual`` — an operator asked (CLI / tests).
 
 Dump files are plain JSONL: one header line (``{"v": 1, "reason": ...}``)
-followed by one line per ring entry, oldest first.  :func:`read_flight`
-is torn-tail tolerant the same way the WAL and supervisor journal readers
-are — a dump interrupted mid-write parses up to the last complete line.
+followed by one line per ring entry, oldest first.  Both file kinds go
+through :mod:`repro.obs.jsonl`, so they read back with ``read_jsonl``.
 
 The recorder is entirely passive unless installed: the engine's hot path
-pays one ``is None`` check when no recorder is attached, and ring entries
-are only built for queries that already carry a trace, so the paper
+pays one ``is None`` check when no recorder is attached, so the paper
 experiments never see it.
 """
 
@@ -28,15 +31,24 @@ from __future__ import annotations
 import collections
 import json
 import os
-import threading
 import time
 from typing import Any, Callable, Optional
 
 from repro.obs import registry as _obsreg
-from repro.obs.jsonl import read_jsonl
+from repro.obs.jsonl import JsonlAppender, Ring, read_jsonl, write_numbered
 
-#: Flight-dump schema version (the header line's ``v`` field).
+#: Schema version of query entries and dump headers (the ``v`` field).
 FLIGHT_VERSION = 1
+
+#: The slow-query log's file name inside the recorder's directory.
+SLOW_LOG = "slow.jsonl"
+
+#: Rejections within :data:`BURST_WINDOW_S` seconds that trigger a dump.
+REJECTION_BURST = 20
+BURST_WINDOW_S = 1.0
+
+#: Seconds before the same trigger reason may dump again.
+MIN_DUMP_INTERVAL_S = 5.0
 
 #: Trigger reasons a dump file may carry in its name and header.
 FLIGHT_TRIGGERS = (
@@ -55,47 +67,36 @@ def _flight_instruments():
     return instruments.flight()
 
 
-class FlightRecorder:
-    """Bounded ring of finished traces plus anomaly-triggered JSONL dumps.
+class FlightRecorder(Ring):
+    """Slow-query log, ring of finished traces and anomaly dumps.
 
-    ``directory=None`` keeps the ring in memory only (triggers still
-    count, nothing is written) — useful for tests and for surfacing
-    :meth:`recent` through a health endpoint without any disk surface.
-
-    Per-reason cooldown (``min_dump_interval_s``) stops a burst of
-    degraded replies from writing a dump per reply; a failover arriving
-    right after a degraded dump still gets its own file because the
-    cooldown is tracked per trigger reason.
+    ``directory=None`` writes nothing: slow entries and dumps are only
+    counted, and the ring stays in memory.  The dump cooldown is tracked
+    per trigger reason, so a failover arriving right after a degraded
+    dump still gets its own file.
     """
 
     def __init__(
         self,
         directory: Optional[str] = None,
-        capacity: int = 256,
-        rejection_burst: int = 20,
-        burst_window_s: float = 1.0,
-        min_dump_interval_s: float = 5.0,
+        slow_ms: float = 100.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if rejection_burst < 1:
-            raise ValueError("rejection_burst must be positive")
+        if slow_ms < 0:
+            raise ValueError("slow_ms must be non-negative")
+        super().__init__()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
         self.directory = directory
-        self.capacity = capacity
-        self.rejection_burst = rejection_burst
-        self.burst_window_s = burst_window_s
-        self.min_dump_interval_s = min_dump_interval_s
+        self.slow_ms = slow_ms
         self.clock = clock
-        self._ring: collections.deque[dict] = collections.deque(maxlen=capacity)
+        self._slow_file: Optional[JsonlAppender] = None
         self._rejections: collections.deque[float] = collections.deque()
         self._last_dump: dict[str, float] = {}
-        self._lock = threading.Lock()
-        self._sequence = 0
-        #: Entries ever observed (not capped by the ring).
+        #: Entries ever built (ring or slow log; not capped by the ring).
         self.recorded = 0
+        #: Slow entries (appended to ``slow.jsonl`` when there is a directory).
+        self.slow = 0
         #: Dump files written (or dumps suppressed only by directory=None).
         self.dumps = 0
         #: Triggers that fired, including ones swallowed by the cooldown.
@@ -111,41 +112,62 @@ class FlightRecorder:
         elapsed: Optional[float] = None,
         source: str = "inproc",
     ) -> Optional[dict]:
-        """Record one finished query; auto-triggers on a degraded result.
-
-        Only queries that carried a trace are worth keeping — without the
-        span tree the ring would just duplicate the slow log — so calls
-        with an untraced context are a cheap no-op.
-        """
-        if context is None or getattr(context, "trace", None) is None:
+        """Record one finished query; returns its entry, or None when it
+        was neither traced nor slow.  A degraded traced result triggers a
+        dump.  ``source`` attributes the query: ``"inproc"`` for library
+        and CLI callers, ``"net:<peer>"`` for wire requests."""
+        traced = getattr(context, "trace", None) is not None
+        slow = elapsed is not None and elapsed * 1000.0 >= self.slow_ms
+        if not (traced or slow):
             return None
         entry: dict[str, Any] = {
+            "v": FLIGHT_VERSION,
             "ts": round(time.time(), 6),
             "kind": kind,
-            "request_id": getattr(context, "request_id", None),
             "source": source,
-            "compdists": context.compdists,
-            "page_accesses": context.page_accesses,
-            "trace": context.trace.as_dict(),
         }
         if elapsed is not None:
             entry["elapsed_ms"] = round(elapsed * 1000.0, 3)
-        degraded = False
+        if context is not None:
+            entry["request_id"] = getattr(context, "request_id", None)
+            entry["compdists"] = context.compdists
+            entry["page_accesses"] = context.page_accesses
+            if getattr(context, "epoch", None) is not None:
+                entry["epoch"] = context.epoch
+        if traced:
+            trace = context.trace
+            entry["complete"] = trace.complete
+            if trace.reason is not None:
+                entry["reason"] = trace.reason
+            entry["trace"] = trace.as_dict()
         if result is not None:
-            complete = bool(getattr(result, "complete", True))
-            entry["complete"] = complete
-            reason = getattr(result, "reason", None)
-            if reason is not None:
-                entry["reason"] = str(reason)
-            degraded = not complete
+            if getattr(result, "complete", None) is not None:
+                entry["complete"] = bool(result.complete)
+            if getattr(result, "reason", None) is not None:
+                entry["reason"] = str(result.reason)
+            try:
+                entry["result_size"] = len(result)
+            except TypeError:
+                pass
         with self._lock:
-            self._ring.append(entry)
             self.recorded += 1
+            if slow:
+                self.slow += 1
+                if self.directory is not None:
+                    if self._slow_file is None:
+                        self._slow_file = JsonlAppender(
+                            os.path.join(self.directory, SLOW_LOG)
+                        )
+                    self._slow_file.append(entry)
+            if traced:
+                self._records.append(entry)
+        if not traced:
+            return entry
         if _obsreg.ENABLED:
             inst = _flight_instruments()
             inst.recorded.inc()
-            inst.ring_depth.set(len(self._ring))
-        if degraded:
+            inst.ring_depth.set(len(self))
+        if entry.get("complete") is False:
             self.trigger(
                 "degraded", detail={"request_id": entry["request_id"]}
             )
@@ -154,19 +176,19 @@ class FlightRecorder:
     def note_rejection(self) -> None:
         """Count one engine admission rejection; dump on a burst.
 
-        A sliding window: when ``rejection_burst`` rejections land within
-        ``burst_window_s``, the ring is dumped once (then the window
-        clears, so a sustained overload produces one dump per cooldown
-        interval, not one per rejection).
+        A sliding window: when :data:`REJECTION_BURST` rejections land
+        within :data:`BURST_WINDOW_S`, the ring is dumped once (then the
+        window clears, so a sustained overload produces one dump per
+        cooldown interval, not one per rejection).
         """
         now = self.clock()
         fire = False
         with self._lock:
             self._rejections.append(now)
-            horizon = now - self.burst_window_s
+            horizon = now - BURST_WINDOW_S
             while self._rejections and self._rejections[0] < horizon:
                 self._rejections.popleft()
-            if len(self._rejections) >= self.rejection_burst:
+            if len(self._rejections) >= REJECTION_BURST:
                 self._rejections.clear()
                 fire = True
         if fire:
@@ -187,95 +209,50 @@ class FlightRecorder:
             self.triggers += 1
             last = self._last_dump.get(reason)
             if not force and last is not None:
-                if now - last < self.min_dump_interval_s:
+                if now - last < MIN_DUMP_INTERVAL_S:
                     return None
             self._last_dump[reason] = now
-            entries = list(self._ring)
-            self._sequence += 1
-            sequence = self._sequence
+            entries = list(self._records)
         if _obsreg.ENABLED:
             _flight_instruments().dump_triggers.labels(reason=reason).inc()
-        if self.directory is None:
-            with self._lock:
-                self.dumps += 1
-            return None
-        header: dict[str, Any] = {
-            "v": FLIGHT_VERSION,
-            "reason": reason,
-            "ts": round(time.time(), 6),
-            "entries": len(entries),
-        }
-        if detail:
-            header["detail"] = detail
-        path = os.path.join(
-            self.directory, f"flight-{sequence:04d}-{reason}.jsonl"
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for entry in entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
+        path = None
+        if self.directory is not None:
+            header: dict[str, Any] = {
+                "v": FLIGHT_VERSION,
+                "reason": reason,
+                "ts": round(time.time(), 6),
+                "entries": len(entries),
+            }
+            if detail:
+                header["detail"] = detail
+            text = "".join(
+                json.dumps(obj, sort_keys=True) + "\n"
+                for obj in (header, *entries)
+            )
+            path = write_numbered(
+                self.directory, "flight", f"-{reason}.jsonl", text
+            )
         with self._lock:
             self.dumps += 1
         return path
 
-    # --------------------------------------------------------------- queries
-
-    def recent(self, n: Optional[int] = None) -> list[dict]:
-        """The newest ``n`` ring entries (all of them when ``n`` is None)."""
+    def close(self) -> None:
         with self._lock:
-            entries = list(self._ring)
-        if n is None:
-            return entries
-        return entries[-n:] if n > 0 else []  # [-0:] would be the whole ring
-
-    def find(self, request_id: str) -> list[dict]:
-        """Every ring entry recorded for ``request_id`` (oldest first)."""
-        with self._lock:
-            return [e for e in self._ring if e.get("request_id") == request_id]
-
-    def __len__(self) -> int:
-        return len(self._ring)
+            if self._slow_file is not None:
+                self._slow_file.close()
+                self._slow_file = None
 
 
 def read_flight(path: str) -> tuple[dict, list[dict]]:
     """Read a dump file; returns ``(header, entries)``.
 
-    Torn-tail tolerant: a malformed line ends the parse and the complete
-    prefix is returned, matching the WAL/journal readers' contract.  Only
-    an unreadable *header* raises — a dump whose first line is garbage
-    identifies nothing.
+    A torn final line is dropped and mid-file damage raises, as for
+    every JSONL file; so does a file whose first line is no dump header.
     """
-    objects, _ = read_jsonl(path)
+    objects = read_jsonl(path)
     header = objects[0] if objects else {}
     # "entries" + "reason" distinguishes a dump header from other JSONL
     # records (slow-log entries also carry "reason").
     if "reason" not in header or "entries" not in header:
         raise ValueError(f"{path}: missing or malformed flight header")
     return header, objects[1:]
-
-
-def find_request(directory: str, request_id: str) -> list[tuple[str, dict]]:
-    """Search every dump in ``directory`` for a request id.
-
-    Returns ``(dump_path, entry)`` pairs — "show me what happened to
-    request X" from disk alone, across dumps (the ``trace`` CLI reads one
-    ``--file`` at a time and filters it with ``--request-id``).
-    """
-    hits: list[tuple[str, dict]] = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return hits
-    for name in names:
-        if not (name.startswith("flight-") and name.endswith(".jsonl")):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            _, entries = read_flight(path)
-        except ValueError:
-            continue
-        for entry in entries:
-            if entry.get("request_id") == request_id:
-                hits.append((path, entry))
-    return hits

@@ -19,6 +19,7 @@ import os
 import time
 from typing import Any, Optional
 
+from repro.obs.jsonl import write_new, write_numbered
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, get_registry
 
 #: Snapshot schema version (bump on incompatible layout changes).
@@ -64,14 +65,19 @@ def write_snapshot(
     registry: Optional[MetricsRegistry] = None,
     meta: Optional[dict] = None,
 ) -> dict:
-    """Write a snapshot to ``path``; returns the captured dict."""
+    """Write a snapshot to the new file ``path``; returns the captured dict."""
+    snap, text = _render(registry, meta)
+    write_new(path, text)
+    return snap
+
+
+def _render(
+    registry: Optional[MetricsRegistry], meta: Optional[dict]
+) -> tuple[dict, str]:
     snap = snapshot(registry)
     if meta:
         snap["meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snap, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return snap
+    return snap, json.dumps(snap, sort_keys=True, indent=1) + "\n"
 
 
 def load_snapshot(path: str) -> dict:
@@ -115,7 +121,8 @@ def diff_snapshots(before: dict, after: dict) -> dict:
 
 
 class SnapshotWriter:
-    """Writes ``metrics-NNNN.json`` files into a directory on an interval.
+    """Writes ``metrics-NNNN.json`` files into a directory on an interval,
+    numbered on from whatever the directory already holds.
 
     Call :meth:`maybe_write` from any convenient loop (the serve CLI does
     it between result collections); it writes at most once per
@@ -135,25 +142,20 @@ class SnapshotWriter:
         self.directory = directory
         self.interval_seconds = interval_seconds
         self._registry = registry
-        self._sequence = 0
+        #: Snapshot files this writer created.
+        self.written = 0
         self._last_write = 0.0
 
     def maybe_write(self, now: Optional[float] = None) -> Optional[str]:
         """Write a snapshot if the interval elapsed; returns its path or None."""
         now = time.monotonic() if now is None else now
-        if self._sequence and now - self._last_write < self.interval_seconds:
+        if self.written and now - self._last_write < self.interval_seconds:
             return None
         self._last_write = now
         return self.write()
 
     def write(self, meta: Optional[dict] = None) -> str:
-        self._sequence += 1
-        path = os.path.join(
-            self.directory, f"metrics-{self._sequence:04d}.json"
-        )
-        write_snapshot(path, registry=self._registry, meta=meta)
+        _, text = _render(self._registry, meta)
+        path = write_numbered(self.directory, "metrics", ".json", text)
+        self.written += 1
         return path
-
-    @property
-    def written(self) -> int:
-        return self._sequence

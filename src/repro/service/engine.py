@@ -42,7 +42,6 @@ from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 from repro.obs.flight import FlightRecorder
 from repro.obs.ids import new_trace_id
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import QueryTrace
 from repro.service.context import (
     CancelToken,
@@ -149,7 +148,6 @@ class QueryEngine:
         default_max_page_accesses: Optional[int] = None,
         strict: bool = False,
         trace_queries: bool = False,
-        slow_log: Optional[SlowQueryLog] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
         if workers < 1:
@@ -165,14 +163,12 @@ class QueryEngine:
         self.default_max_page_accesses = default_max_page_accesses
         self.strict = strict
         #: Attach a QueryTrace to every query so its span tree is available
-        #: on ``pending.context.trace`` (implied by a slow-query log, which
-        #: wants the span tree of its offenders).
-        self.trace_queries = (
-            trace_queries or slow_log is not None or flight is not None
-        )
-        self.slow_log = slow_log
-        #: Optional anomaly flight recorder: finished traced queries are
-        #: rung in; degraded results and rejection bursts trigger dumps.
+        #: on ``pending.context.trace`` (implied by a query recorder, which
+        #: wants the span tree of every entry).
+        self.trace_queries = trace_queries or flight is not None
+        #: Optional query recorder: finished queries are rung in and slow
+        #: ones logged; degraded results, failovers and rejection bursts
+        #: trigger dumps.
         self.flight = flight
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._threads: list[threading.Thread] = []
@@ -427,11 +423,6 @@ class QueryEngine:
                         _instruments.trace().queue_wait_seconds.observe(
                             queue_wait
                         )
-                if self.slow_log is not None and item.kind not in _MUTATIONS:
-                    self.slow_log.maybe_record(
-                        item.kind, elapsed, item.context, result,
-                        source=item.source,
-                    )
                 if self.flight is not None:
                     if item.kind not in _MUTATIONS:
                         self.flight.observe(

@@ -12,8 +12,21 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.distance import EditDistance, EuclideanDistance
 from repro.datasets import generate_words
+
+
+@pytest.fixture()
+def obs_enabled():
+    """Process-wide instruments on for one test, from a clean registry
+    (absolute-value asserts must not see an earlier test's counts)."""
+    obs.get_registry().reset()
+    obs.enable()
+    try:
+        yield
+    finally:
+        obs.disable()
 
 
 @pytest.fixture(scope="session")

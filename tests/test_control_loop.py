@@ -46,18 +46,18 @@ class TestEventJournal:
     def test_file_round_trip_and_tail(self, tmp_path):
         clock = FakeClock(100.0)
         path = str(tmp_path / "events.jsonl")
-        journal = EventJournal(path=path, limit=3, clock=clock)
-        for i in range(5):
+        journal = EventJournal(path=path, clock=clock)
+        for i in range(257):
             clock.now += 1.0
             journal.record("tick", shard=i, detail={"n": i})
         journal.close()
         # The deque is bounded; the file holds everything.
-        assert len(journal) == 3
-        assert [e["shard"] for e in journal.tail(2)] == [3, 4]
+        assert len(journal) == 256
+        assert [e["shard"] for e in journal.tail(2)] == [255, 256]
         events = read_journal(path)
-        assert len(events) == 5
+        assert len(events) == 257
         assert events[0]["ts"] == pytest.approx(101.0)
-        assert events[-1]["detail"] == {"n": 4}
+        assert events[-1]["detail"] == {"n": 256}
         assert read_journal(path, limit=2) == events[-2:]
 
     def test_torn_tail_is_tolerated(self, tmp_path):
@@ -82,14 +82,14 @@ class TestEventJournal:
     def test_zero_means_no_entries(self, reader, tmp_path):
         """``[-0:]`` is the whole list; asking for 0 entries must give 0."""
         if reader == "flight":
-            flight = FlightRecorder(capacity=8)
+            flight = FlightRecorder()
             for i in range(5):
                 traced = types.SimpleNamespace(
                     request_id=f"r{i}", compdists=0, page_accesses=0,
                     trace=QueryTrace("knn"),
                 )
                 flight.observe("knn", traced)
-            newest = flight.recent
+            newest = flight.tail
         else:
             path = str(tmp_path / "events.jsonl")
             journal = EventJournal(path=path, clock=FakeClock())
@@ -106,16 +106,6 @@ class TestEventJournal:
         assert newest(0) == []
         assert len(newest(2)) == 2
         assert len(newest(99)) == 5
-
-
-@pytest.fixture()
-def obs_enabled():
-    obs.get_registry().reset()  # absolute-value asserts need a clean slate
-    obs.enable()
-    try:
-        yield
-    finally:
-        obs.disable()
 
 
 @pytest.fixture(params=[Supervisor, Tuner], ids=["supervisor", "tuner"])

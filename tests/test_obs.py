@@ -15,12 +15,12 @@ from repro import obs
 from repro.core.spbtree import SPBTree
 from repro.distance import EuclideanDistance
 from repro.obs import (
+    FlightRecorder,
     QueryTrace,
-    SlowQueryLog,
     SnapshotWriter,
     diff_snapshots,
     parse_text,
-    read_slow_log,
+    read_jsonl,
     render_text,
     snapshot,
 )
@@ -33,16 +33,6 @@ from repro.storage.faults import TransientIOError
 @pytest.fixture(scope="module")
 def vec_tree(small_vectors):
     return SPBTree.build(small_vectors, EuclideanDistance(), seed=7)
-
-
-@pytest.fixture()
-def obs_enabled():
-    """Enable the process-wide instruments for one test, always disabling."""
-    obs.enable()
-    try:
-        yield
-    finally:
-        obs.disable()
 
 
 # ------------------------------------------------------------- registry
@@ -296,11 +286,11 @@ class TestExposition:
 class TestSlowQueryLog:
     def test_threshold_filters_and_roundtrips(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=5.0)
-        assert not log.maybe_record("knn", 0.001)
-        assert log.maybe_record("knn", 0.5)
+        log = FlightRecorder(str(tmp_path), slow_ms=5.0)
+        assert not log.observe("knn", elapsed=0.001)
+        assert log.observe("knn", elapsed=0.5)
         log.close()
-        entries = read_slow_log(path)
+        entries = read_jsonl(path)
         assert len(entries) == 1
         assert entries[0]["kind"] == "knn"
         assert entries[0]["elapsed_ms"] == pytest.approx(500.0)
@@ -313,10 +303,10 @@ class TestSlowQueryLog:
             vec_tree, "knn", small_vectors[5], 6, max_compdists=20
         )
         path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0)
-        log.maybe_record("knn", 0.25, ctx, result)
+        log = FlightRecorder(str(tmp_path), slow_ms=0.0)
+        log.observe("knn", ctx, result, elapsed=0.25)
         log.close()
-        (entry,) = read_slow_log(path)
+        (entry,) = read_jsonl(path)
         assert entry["compdists"] == ctx.compdists
         assert entry["complete"] is False
         assert "compdists budget" in entry["reason"]
@@ -324,11 +314,11 @@ class TestSlowQueryLog:
 
     def test_no_rotation_without_max_bytes(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0)
+        log = FlightRecorder(str(tmp_path), slow_ms=0.0)
         for i in range(50):
-            log.maybe_record("knn", 0.1)
+            log.observe("knn", elapsed=0.1)
         log.close()
-        assert len(read_slow_log(path)) == 50
+        assert len(read_jsonl(path)) == 50
 
 
 # ------------------------------------------------------------- snapshots
@@ -435,18 +425,18 @@ class TestEngineInstruments:
 class TestSlowQueryLogSource:
     def test_source_defaults_to_inproc(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0)
-        log.maybe_record("knn", 0.1)
+        log = FlightRecorder(str(tmp_path), slow_ms=0.0)
+        log.observe("knn", elapsed=0.1)
         log.close()
-        (entry,) = read_slow_log(path)
+        (entry,) = read_jsonl(path)
         assert entry["source"] == "inproc"
 
     def test_explicit_source_is_recorded(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0)
-        log.maybe_record("range", 0.1, source="net:10.0.0.7:55312")
+        log = FlightRecorder(str(tmp_path), slow_ms=0.0)
+        log.observe("range", elapsed=0.1, source="net:10.0.0.7:55312")
         log.close()
-        (entry,) = read_slow_log(path)
+        (entry,) = read_jsonl(path)
         assert entry["source"] == "net:10.0.0.7:55312"
 
     def test_wire_queries_are_attributed_to_their_peer(
@@ -461,8 +451,8 @@ class TestSlowQueryLogSource:
 
         tree = SPBTree.build(small_vectors[:100], EuclideanDistance(), seed=7)
         path = str(tmp_path / "slow.jsonl")
-        log = SlowQueryLog(path=path, threshold_ms=0.0)  # record everything
-        engine = QueryEngine(tree, workers=1, slow_log=log).start()
+        log = FlightRecorder(str(tmp_path), slow_ms=0.0)  # record everything
+        engine = QueryEngine(tree, workers=1, flight=log).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
         try:
             with NetClient("127.0.0.1", handle.port) as client:
@@ -472,7 +462,7 @@ class TestSlowQueryLogSource:
             handle.stop(2.0)
             engine.stop()
             log.close()
-        entries = read_slow_log(path)
+        entries = read_jsonl(path)
         sources = [e["source"] for e in entries]
         assert any(s.startswith("net:127.0.0.1:") for s in sources)
         assert "inproc" in sources

@@ -32,7 +32,6 @@ from repro.net import (
 from repro.obs.flight import FLIGHT_VERSION, FlightRecorder
 from repro.obs.ids import clean_trace_id, is_local_id, new_trace_id
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slowlog import SLOWLOG_VERSION
 from repro.obs.trace import QueryTrace, Span, attributed_totals_from_dict
 from repro.replication import ReplicatedIndex, replicate
 from repro.service import QueryContext, QueryEngine
@@ -190,11 +189,11 @@ class TestFlightRecorder:
         assert len(flight) == 0 and flight.recorded == 0
 
     def test_ring_is_bounded_but_recorded_is_not(self):
-        flight = FlightRecorder(capacity=4)
-        for _ in range(10):
+        flight = FlightRecorder()
+        for _ in range(257):
             flight.observe("knn", _Ctx(), _Result())
-        assert len(flight) == 4
-        assert flight.recorded == 10
+        assert len(flight) == 256
+        assert flight.recorded == 257
 
     def test_degraded_result_auto_triggers_a_dump(self, tmp_path):
         flight = FlightRecorder(directory=str(tmp_path))
@@ -204,7 +203,7 @@ class TestFlightRecorder:
             "knn", ctx, _Result(complete=False, reason="deadline"),
             elapsed=0.25,
         )
-        (name,) = [n for n in os.listdir(tmp_path) if n.endswith(".jsonl")]
+        (name,) = [n for n in os.listdir(tmp_path) if n.startswith("flight-")]
         assert "degraded" in name
         header, entries = obs.read_flight(str(tmp_path / name))
         assert header["v"] == FLIGHT_VERSION
@@ -224,9 +223,7 @@ class TestFlightRecorder:
 
     def test_per_reason_cooldown_and_force(self, tmp_path):
         clock = FakeClock(0.0)
-        flight = FlightRecorder(
-            directory=str(tmp_path), min_dump_interval_s=5.0, clock=clock
-        )
+        flight = FlightRecorder(directory=str(tmp_path), clock=clock)
         flight.observe("knn", _Ctx(), _Result())
         assert flight.trigger("failover") is not None
         assert flight.trigger("failover") is None  # inside the cooldown
@@ -241,17 +238,12 @@ class TestFlightRecorder:
 
     def test_rejection_burst_dumps_once_per_window(self, tmp_path):
         clock = FakeClock(0.0)
-        flight = FlightRecorder(
-            directory=str(tmp_path),
-            rejection_burst=3,
-            burst_window_s=1.0,
-            clock=clock,
-        )
+        flight = FlightRecorder(directory=str(tmp_path), clock=clock)
         flight.note_rejection()
         clock.now = 2.0  # the first rejection ages out of the window
-        flight.note_rejection()
-        flight.note_rejection()
-        assert flight.dumps == 0  # only two within any one window
+        for _ in range(19):
+            flight.note_rejection()
+        assert flight.dumps == 0  # only 19 within any one window
         flight.note_rejection()
         assert flight.dumps == 1
         (name,) = os.listdir(tmp_path)
@@ -277,21 +269,6 @@ class TestFlightRecorder:
         with pytest.raises(ValueError, match="flight header"):
             obs.read_flight(path)
 
-    def test_find_request_searches_every_dump(self, tmp_path):
-        flight = FlightRecorder(directory=str(tmp_path))
-        wanted = _Ctx()
-        flight.observe("knn", _Ctx(), _Result())
-        flight.observe("knn", wanted, _Result())
-        flight.trigger("manual", force=True)
-        flight.trigger("failover", force=True)
-        hits = obs.find_request(str(tmp_path), wanted.request_id)
-        assert len(hits) == 2  # present in both dumps
-        for path, entry in hits:
-            assert entry["request_id"] == wanted.request_id
-            assert os.path.dirname(path) == str(tmp_path)
-        assert flight.find(wanted.request_id)  # and in the live ring
-        assert obs.find_request(str(tmp_path), "no-such-id") == []
-
     def test_directory_none_counts_dumps_without_writing(self):
         flight = FlightRecorder(directory=None)
         flight.observe("knn", _Ctx(), _Result(complete=False))
@@ -304,12 +281,12 @@ class TestFlightRecorder:
 class TestSchemaVersions:
     def test_slow_log_entries_carry_version_and_request_id(self, tmp_path):
         path = str(tmp_path / "slow.jsonl")
-        log = obs.SlowQueryLog(path=path, threshold_ms=0.0)
+        log = FlightRecorder(str(tmp_path), slow_ms=0.0)
         ctx = _Ctx()
-        log.maybe_record("knn", 0.1, ctx, _Result())
+        log.observe("knn", ctx, _Result(), elapsed=0.1)
         log.close()
-        (entry,) = obs.read_slow_log(path)
-        assert entry["v"] == SLOWLOG_VERSION
+        (entry,) = obs.read_jsonl(path)
+        assert entry["v"] == FLIGHT_VERSION
         assert entry["request_id"] == ctx.request_id
 
     def test_slow_log_reader_tolerates_legacy_and_future_entries(
@@ -325,7 +302,7 @@ class TestSchemaVersions:
                 + "\n"
             )
             fh.write('{"torn": ')  # crash mid-append
-        entries = obs.read_slow_log(path)
+        entries = obs.read_jsonl(path)
         assert len(entries) == 2
         assert "v" not in entries[0]
         assert entries[1]["hyper_field"] == [1]
@@ -363,20 +340,17 @@ class TestSchemaVersions:
 def traced_server(tmp_path, small_words):
     """An SPB-tree engine behind the wire protocol with slow log + flight."""
     tree = SPBTree.build(small_words[:150], EditDistance(), seed=7)
-    slow_path = str(tmp_path / "slow.jsonl")
-    slow = obs.SlowQueryLog(path=slow_path, threshold_ms=0.0)
     flight_dir = str(tmp_path / "flight")
-    flight = FlightRecorder(directory=flight_dir)
-    engine = QueryEngine(
-        tree, workers=2, slow_log=slow, flight=flight
-    ).start()
+    slow_path = os.path.join(flight_dir, "slow.jsonl")
+    flight = FlightRecorder(flight_dir, slow_ms=0.0)
+    engine = QueryEngine(tree, workers=2, flight=flight).start()
     handle = serve_in_thread(engine, "127.0.0.1", 0)
     try:
         yield handle, slow_path, flight, flight_dir, small_words
     finally:
         handle.stop(2.0)
         engine.stop()
-        slow.close()
+        flight.close()
 
 
 class TestWireStitching:
@@ -400,7 +374,7 @@ class TestWireStitching:
         # The engine's queue-wait stage crossed the wire with the tree.
         assert "queue-wait" in {s.name for s in trace.root.children}
         # The same id resolves into the server's slow log.
-        entries = obs.read_slow_log(slow_path)
+        entries = obs.read_jsonl(slow_path)
         mine = [
             e for e in entries if e.get("request_id") == client.last_request_id
         ]
@@ -425,8 +399,17 @@ class TestWireStitching:
         rid = client.last_request_id
         # The degraded reply landed in the ring and triggered a dump whose
         # entries include this very request.
-        assert flight.find(rid)
-        hits = obs.find_request(flight_dir, rid)
+        assert any(e["request_id"] == rid for e in flight.tail())
+        hits = [
+            (path, entry)
+            for path in sorted(
+                os.path.join(flight_dir, n)
+                for n in os.listdir(flight_dir)
+                if n.startswith("flight-")
+            )
+            for entry in obs.read_flight(path)[1]
+            if entry["request_id"] == rid
+        ]
         assert hits, os.listdir(flight_dir)
         path, entry = hits[0]
         assert "degraded" in os.path.basename(path)
@@ -612,13 +595,10 @@ class TestChaosCorrelation:
             directory, edit, wal_fsync=False,
             heartbeat_timeout=timeout, clock=clock,
         )
-        slow_path = str(tmp_path / "slow.jsonl")
-        slow = obs.SlowQueryLog(path=slow_path, threshold_ms=0.0)
         flight_dir = str(tmp_path / "flight")
-        flight = FlightRecorder(directory=flight_dir)
-        engine = QueryEngine(
-            idx, workers=2, slow_log=slow, flight=flight
-        ).start()
+        slow_path = os.path.join(flight_dir, "slow.jsonl")
+        flight = FlightRecorder(flight_dir, slow_ms=0.0)
+        engine = QueryEngine(idx, workers=2, flight=flight).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
         sup = Supervisor(idx, scrub_interval=None, flight=flight)
         proxy = FaultyTransport(
@@ -671,7 +651,7 @@ class TestChaosCorrelation:
             handle.stop(5.0)
             engine.stop()
             sup.close()
-            slow.close()
+            flight.close()
             idx.close()
 
         degraded = [
@@ -691,14 +671,14 @@ class TestChaosCorrelation:
 
         # (b) Every degraded reply's id resolves into the slow log, and
         # the logged entry reconciles on its own.
-        entries = obs.read_slow_log(slow_path)
+        entries = obs.read_jsonl(slow_path)
         by_id = {}
         for entry in entries:
             by_id.setdefault(entry.get("request_id"), []).append(entry)
         for rid, trace, _ in degraded:
             assert rid in by_id, f"degraded {rid} missing from the slow log"
             entry = by_id[rid][-1]
-            assert entry["v"] == SLOWLOG_VERSION
+            assert entry["v"] == FLIGHT_VERSION
             assert entry["source"].startswith("net:")
             assert attributed_totals_from_dict(entry["trace"]) == (
                 entry["compdists"],
@@ -746,13 +726,13 @@ class TestCliSurfaces:
         assert "WARNING" not in out.stderr
 
     def test_serve_trace_file_and_metrics_diff_round_trip(self, tmp_path):
-        slow_path = str(tmp_path / "slow.jsonl")
         snap_dir = str(tmp_path / "snaps")
         flight_dir = str(tmp_path / "flight")
+        slow_path = os.path.join(flight_dir, "slow.jsonl")
         out = run_cli(
             "serve", "--dataset", "words", "--size", "200",
             "--num-queries", "8", "--workers", "2", "--metrics",
-            "--slow-log", slow_path, "--slow-ms", "0",
+            "--slow-ms", "0",
             "--snapshot-dir", snap_dir, "--flight-dir", flight_dir,
             "--max-compdists", "40",
         )
@@ -761,7 +741,7 @@ class TestCliSurfaces:
         assert "flight" in out.stderr
 
         # Every slow-log entry carries an id; pick one and resolve it.
-        entries = obs.read_slow_log(slow_path)
+        entries = obs.read_jsonl(slow_path)
         assert entries
         rid = entries[0]["request_id"]
         out = run_cli("trace", "--file", slow_path, "--request-id", rid)
@@ -774,7 +754,7 @@ class TestCliSurfaces:
 
         # The budget degraded queries, so a flight dump exists and the
         # trace CLI reads it with the same renderer.
-        dumps = sorted(os.listdir(flight_dir))
+        dumps = sorted(n for n in os.listdir(flight_dir) if n.startswith("flight-"))
         assert dumps, "no flight dump despite degraded queries"
         out = run_cli("trace", "--file", os.path.join(flight_dir, dumps[0]))
         assert out.returncode == 0, out.stderr

@@ -29,15 +29,6 @@ from repro.service.context import QueryContext
 from tests.conftest import run_cli
 
 
-@pytest.fixture()
-def obs_enabled():
-    obs.enable()
-    try:
-        yield
-    finally:
-        obs.disable()
-
-
 class FakeClock:
     def __init__(self) -> None:
         self.now = 500.0

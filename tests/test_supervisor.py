@@ -18,7 +18,6 @@ import threading
 
 import pytest
 
-from repro import obs
 from repro.cluster import ShardedIndex
 from repro.net import NetClient, serve_in_thread
 from repro.obs import instruments
@@ -34,16 +33,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-@pytest.fixture()
-def obs_enabled():
-    obs.get_registry().reset()  # absolute-value asserts need a clean slate
-    obs.enable()
-    try:
-        yield
-    finally:
-        obs.disable()
 
 
 def make_cluster(tmp_path, words, edit, clock, replicas=2, timeout=4.0):

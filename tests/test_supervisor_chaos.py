@@ -21,7 +21,6 @@ import time
 
 import pytest
 
-from repro import obs
 from repro.cluster import ShardedIndex
 from repro.obs import instruments
 from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
@@ -36,16 +35,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-@pytest.fixture()
-def obs_enabled():
-    obs.get_registry().reset()  # absolute-value asserts need a clean slate
-    obs.enable()
-    try:
-        yield
-    finally:
-        obs.disable()
 
 
 def beat_all(idx, skip=()):

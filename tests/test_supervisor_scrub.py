@@ -16,7 +16,6 @@ import os
 
 import pytest
 
-from repro import obs
 from repro.cluster import ShardedIndex
 from repro.obs import instruments
 from repro.replication import ReplicatedIndex, replicate
@@ -30,16 +29,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-@pytest.fixture()
-def obs_enabled():
-    obs.get_registry().reset()  # absolute-value asserts need a clean slate
-    obs.enable()
-    try:
-        yield
-    finally:
-        obs.disable()
 
 
 @pytest.fixture()
