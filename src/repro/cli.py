@@ -1,9 +1,10 @@
 """Command-line interface for quick, interactive use of the library.
 
-``query``, ``build`` and ``verify`` find their index one way: ``--dir D``
-opens the saved tree or cluster D's catalog names, ``--connect HOST:PORT``
-talks to a ``serve --listen`` server, and with neither the dataset flags
-build one in memory (a cluster with ``--shards N``).
+``query``, ``build``, ``verify``, ``serve``, ``insert``, ``delete`` and
+``checkpoint`` find their index one way: ``--dir D`` opens the saved tree or
+cluster D's catalog names (writable for the last four), ``--connect
+HOST:PORT`` (``query`` only) talks to a ``serve --listen`` server, and with
+neither the dataset flags build one in memory (a cluster with ``--shards N``).
 
     info            dataset statistics: d+, intrinsic dimension, pivot precision
     query           one budgeted range / kNN / count query; --trace shows its spans
@@ -33,13 +34,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import random
-import shutil
 import signal
 import sys
-import tempfile
 import threading
 import time
 from typing import Any, Iterable, Optional, Sequence
@@ -73,7 +73,7 @@ from repro.distance import (
 from repro.recovery import salvage_tree
 from repro.service import Overloaded, QueryContext, QueryEngine
 from repro.storage.serializers import serializer_for
-from repro.storage.wal import OP_INSERT, WAL_FILE, WriteAheadLog, scan_wal
+from repro.storage.wal import OP_INSERT, WAL_FILE, scan_wal
 from repro.supervisor import SUPERVISOR_JOURNAL, Supervisor, read_journal
 from repro.tuning import TUNING_JOURNAL, Tuner
 
@@ -257,14 +257,18 @@ def _hit_rate(hits: int, misses: int) -> str:
     return f"buffer hit-rate {rate:.1f}% ({hits} hits / {misses} misses)"
 
 
-def _print_hit_rate(tree, engine: QueryEngine) -> None:
+def _trees(index) -> list:
+    """The trees an index reads: a tree itself, or a cluster's primaries."""
+    if isinstance(index, ShardedIndex):
+        return [s.tree for s in index.shards]
+    return [index]
+
+
+def _print_hit_rate(index, engine: QueryEngine) -> None:
     """The one-line buffer-pool summary ``serve`` ends with on stderr; the
     engine's admission-rejection tally rides along, so backpressure shows
     up in the same line operators already scrape."""
-    trees = (
-        [s.tree for s in tree.shards] if isinstance(tree, ShardedIndex) else [tree]
-    )
-    pools = [t.raf.buffer_pool for t in trees if t.raf is not None]
+    pools = [t.raf.buffer_pool for t in _trees(index) if t.raf is not None]
     hit_rate = _hit_rate(sum(p.hits for p in pools), sum(p.misses for p in pools))
     print(f"serve: {hit_rate}, {engine.rejected} rejected", file=sys.stderr)
 
@@ -276,11 +280,14 @@ def _parse_hostport(value: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-def _open_index(args: argparse.Namespace):
-    """What ``query``, ``build`` and ``verify`` talk to, as ``(index,
-    serializer name, objects to query by when --query is absent)``:
-    ``--connect`` gives a :class:`NetClient`, ``--dir`` the saved cluster or
-    tree its catalog names, and neither builds over the dataset flags."""
+@contextlib.contextmanager
+def _open_index(args: argparse.Namespace, writable: bool = False):
+    """What ``query``, ``build``, ``verify``, ``serve`` and the write verbs
+    talk to, as ``(index, serializer name, objects to query by when --query
+    is absent)``: ``--connect`` gives a :class:`NetClient`, ``--dir`` the
+    saved cluster or tree its catalog names (``writable``: with its logs
+    attached, a cluster as a :class:`ReplicatedIndex`), and neither builds
+    over the dataset flags.  What it opened, it closes on the way out."""
     connect, directory = getattr(args, "connect", None), getattr(args, "dir", None)
     if connect is not None:
         if directory is not None:
@@ -292,21 +299,34 @@ def _open_index(args: argparse.Namespace):
             host, port, deadline_ms=args.deadline_ms,
             retry=RetryPolicy(seed=args.seed), trace=args.trace,
         )
-        return client, None, ()
-    if directory is not None:
-        catalog, cluster = _directory_catalog(directory)
-        metric = _directory_metric(args, catalog)
-        try:
+        with contextlib.closing(client):
+            yield client, None, ()
+        return
+    if directory is None:
+        dataset, index = _build(args, args.shards)
+        yield index, serializer_for(dataset.objects[0]).name, dataset.queries
+        return
+    catalog, cluster = _directory_catalog(directory)
+    metric = _directory_metric(args, catalog)
+    try:
+        if not writable:
             index = (ShardedIndex.load if cluster else load_tree)(directory, metric)
-        except ValueError as exc:
-            print(f"index does not load: {exc}")
-            print("hint: `repro salvage` may still recover the records")
-            raise CommandFailed(
-                f"FAILED — {directory}: index does not load"
-            ) from exc
-        return index, catalog.get("serializer"), index.objects()
-    dataset, index = _build(args, args.shards)
-    return index, serializer_for(dataset.objects[0]).name, dataset.queries
+        elif cluster:
+            timeout = getattr(args, "heartbeat_timeout", replication.DEFAULT_TIMEOUT)
+            index = replication.ReplicatedIndex.open(
+                directory, metric, heartbeat_timeout=timeout
+            )
+        else:
+            index = open_tree(directory, metric)
+    except ValueError as exc:
+        print(f"index does not load: {exc}")
+        print("hint: `repro salvage` may still recover the records")
+        raise CommandFailed(f"FAILED — {directory}: index does not load") from exc
+    try:
+        yield index, catalog.get("serializer"), index.objects()
+    finally:
+        if writable:
+            (index if isinstance(index, ShardedIndex) else index.wal).close()
 
 
 def cmd_info(args: argparse.Namespace) -> None:
@@ -407,9 +427,8 @@ def cmd_query(args: argparse.Namespace) -> None:
     whatever :func:`_open_index` finds; each source adds what it can say
     about the cost (in-process the spend, plus a tree's estimate or a
     cluster's shards; over the wire the retries)."""
-    index, serializer, fallback = _open_index(args)
     ctx = None  # over the wire the spend is the server's to report
-    try:
+    with _open_index(args) as (index, serializer, fallback):
         query = _query_object(args, serializer, fallback)
         radius = _query_radius(args, index)
         if args.connect is not None:
@@ -452,9 +471,6 @@ def cmd_query(args: argparse.Namespace) -> None:
             print(f"retries   : {index.retries}", file=sys.stderr)
         if args.trace:
             _print_query_trace(index, ctx)
-    finally:
-        if args.connect is not None:
-            index.close()
 
 
 def _print_query_trace(index, ctx: Optional[QueryContext]) -> None:
@@ -479,32 +495,36 @@ def _print_query_trace(index, ctx: Optional[QueryContext]) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> None:
-    index, _, _ = _open_index(args)
-    if isinstance(index, ShardedIndex):
-        index.save(args.out)
-        print(f"saved cluster to {args.out}")
-        print(_shard_table(index))
-    else:
-        save_tree(index, args.out)
-        print(f"saved index to {args.out}")
+    with _open_index(args) as (index, _, _):
+        if isinstance(index, ShardedIndex):
+            index.save(args.out)
+            print(f"saved cluster to {args.out}")
+            print(_shard_table(index))
+        else:
+            save_tree(index, args.out)
+            print(f"saved index to {args.out}")
 
 
-def _mixed_ops(args: argparse.Namespace, dataset) -> list:
-    """The serve workload: shuffled queries plus optional writers."""
+def _mixed_ops(args: argparse.Namespace, index, fallback: Iterable) -> list:
+    """The serve workload: shuffled queries (``fallback``'s first objects)
+    plus optional writers churning the index's own objects."""
     n = args.num_queries
-    queries = [dataset.queries[i % len(dataset.queries)] for i in range(n)]
-    radius = _radius(args.radius_percent, dataset.d_plus, dataset.metric)
+    pool = list(itertools.islice(fallback, n))
+    queries = list(itertools.islice(itertools.cycle(pool), n))
+    radius = _radius(args.radius_percent, index.space.d_plus, index.distance)
     kinds = ["range", "knn", "count"]
     ops = []
     for i, q in enumerate(queries):
         kind = kinds[i % len(kinds)]
         ops.append((kind, (q, args.k) if kind == "knn" else (q, radius)))
     rng = random.Random(args.seed)
+    objects = list(index.objects()) if args.mutations > 0 else []
     for j in range(args.mutations):
         # Writers churn existing objects: re-insert a copy, then delete one.
-        obj = dataset.objects[rng.randrange(len(dataset.objects))]
+        obj = objects[rng.randrange(len(objects))]
         ops.append(("insert" if j % 2 == 0 else "delete", (obj,)))
     rng.shuffle(ops)
+    index.flush_cache(reset_stats=True)  # drawing read pages; the run starts cold
     return ops
 
 
@@ -558,10 +578,10 @@ def _serve_network(args: argparse.Namespace, engine: QueryEngine, snapshots) -> 
 
 
 def _serve_workload(
-    args: argparse.Namespace, dataset, tree, engine: QueryEngine, snapshots
+    args: argparse.Namespace, index, fallback, engine: QueryEngine, snapshots
 ) -> None:
     """The local ``serve`` path: the mixed workload through the engine."""
-    ops = _mixed_ops(args, dataset)
+    ops = _mixed_ops(args, index, fallback)
     t0 = time.perf_counter()
     pending = []
     for kind, op_args in ops:
@@ -586,17 +606,18 @@ def _serve_workload(
         f"complete  : {engine.served - partial - engine.mutated}\n"
         f"partial   : {partial}\n"
         f"mutations : {engine.mutated} "
-        f"(tree now holds {tree.object_count:,} objects)\n"
+        f"(tree now holds {index.object_count:,} objects)\n"
         f"rejections: {engine.rejected} (resubmitted after backpressure)\n"
         f"failures  : {engine.failed}"
     )
 
 
 def _serve_epilogue(
-    args: argparse.Namespace, tree, engine, snapshots, rep_dir, flight
+    args: argparse.Namespace, index, engine, snapshots, flight
 ) -> None:
-    """Shared tail of ``serve``: summaries, exposition, cleanup."""
-    tuner = getattr(tree, "tuner", None)
+    """Shared tail of ``serve``: stop the loops, checkpoint a saved index
+    the run changed, print the summaries and the exposition."""
+    tuner = getattr(index, "tuner", None)
     if tuner is not None:
         tuner.stop()
         st = tuner.status()
@@ -616,7 +637,7 @@ def _serve_epilogue(
             f"{args.slow_ms:g} ms, {flight.dumps} dumps -> {args.flight_dir}"
         )
         flight.close()
-    supervisor = getattr(tree, "supervisor", None)
+    supervisor = getattr(index, "supervisor", None)
     if supervisor is not None:
         supervisor.stop()
         print(
@@ -626,8 +647,10 @@ def _serve_epilogue(
             f"{supervisor.scrub_passes} scrub passes"
         )
         supervisor.close()
-    if rep_dir is not None:
-        status = tree.replication_status()
+    if args.dir is not None and engine.mutated:
+        index.checkpoint()  # the loops are stopped: nothing races the fold
+    status = getattr(index, "replication_status", dict)()
+    if status:
         worst = max(
             (m["lag_bytes"] for info in status.values() for m in info["members"]),
             default=0,
@@ -637,10 +660,7 @@ def _serve_epilogue(
             f"replication: {len(status)} replica sets, max lag {worst} bytes, "
             f"degraded shards {degraded if degraded else 'none'}"
         )
-    _print_hit_rate(tree, engine)
-    if rep_dir is not None:
-        tree.close()
-        shutil.rmtree(rep_dir, ignore_errors=True)
+    _print_hit_rate(index, engine)
     if args.metrics and args.metrics_out is not None:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(obs.render_text())
@@ -660,81 +680,46 @@ def cmd_serve(args: argparse.Namespace) -> None:
 
 
 def _serve(args: argparse.Namespace) -> None:
-    if args.supervise and args.replicas <= 0:
-        raise ValueError("--supervise requires --replicas >= 1")
-    flight = None
-    if args.flight_dir:
-        flight = obs.FlightRecorder(args.flight_dir, slow_ms=args.slow_ms)
-    if args.replicas > 0 and args.shards <= 0:
-        args.shards = 2  # replication implies a cluster
-    dataset, tree = _build(args, args.shards)
-    rep_dir = None
-    if args.replicas > 0:
-        # Replica sets need durable shard directories to ship between:
-        # save the built cluster, replicate it, reopen with shipping on.
-        rep_dir = tempfile.mkdtemp(prefix="repro-serve-repl-")
-        tree.save(rep_dir)
-        tree.close()
-        replication.replicate(
-            rep_dir, dataset.metric,
-            replicas=args.replicas, read_policy=args.read_policy,
+    with _open_index(args, writable=True) as (index, _, fallback):
+        if args.supervise and not getattr(index, "replication_status", dict)():
+            raise ValueError(
+                "--supervise needs a replicated cluster: give a saved cluster "
+                "followers with `replicate --dir DIR`, then serve --dir DIR"
+            )
+        flight = None
+        if args.flight_dir:
+            flight = obs.FlightRecorder(args.flight_dir, slow_ms=args.slow_ms)
+        if args.supervise:
+            supervisor = Supervisor(
+                index,
+                scrub_interval=5.0,  # a background scrub pass every 5 s
+                journal_path=os.path.join(args.dir, SUPERVISOR_JOURNAL),
+                flight=flight,
+            )
+            supervisor.start()
+            print(
+                f"supervising: tick {supervisor.tick_interval:g}s, "
+                f"grace {supervisor.grace:g}s, "
+                f"cooldown {supervisor.cooldown:g}s, "
+                f"scrub every {supervisor.scrub_interval:g}s"
+            )
+        snapshots = None
+        if args.snapshot_dir is not None:
+            snapshots = obs.SnapshotWriter(
+                args.snapshot_dir, interval_seconds=args.snapshot_interval
+            )
+        if args.metrics:
+            obs.enable()
+        engine = QueryEngine(
+            index, workers=args.workers, max_queue=args.queue_size,
+            trace_queries=args.metrics, flight=flight,
+            **{f"default_{k}": v for k, v in _limits(args).items()},
         )
-        tree = replication.ReplicatedIndex.open(
-            rep_dir, dataset.metric, wal_fsync=False,
-            heartbeat_timeout=args.heartbeat_timeout,
-        )
-        print(
-            f"replicated {tree.num_shards} shards x {args.replicas} followers "
-            f"(read policy {args.read_policy})"
-        )
-    if args.supervise:
-        supervisor = Supervisor(
-            tree,
-            scrub_interval=args.scrub_interval,
-            journal_path=os.path.join(rep_dir, SUPERVISOR_JOURNAL),
-            flight=flight,
-        )
-        supervisor.start()
-        print(
-            f"supervising: tick {supervisor.tick_interval:g}s, "
-            f"grace {supervisor.grace:g}s, "
-            f"cooldown {supervisor.cooldown:g}s, "
-            f"scrub every {args.scrub_interval:g}s"
-        )
-    snapshots = None
-    if args.snapshot_dir is not None:
-        snapshots = obs.SnapshotWriter(
-            args.snapshot_dir, interval_seconds=args.snapshot_interval
-        )
-    if args.metrics:
-        obs.enable()
-    wal_dir = None
-    if args.metrics and rep_dir is None and not args.listen:
-        # Give the in-memory index a throwaway WAL so the WAL metric families
-        # are populated too: its header commit alone exercises fsync and
-        # appended bytes, the workload's writes and one checkpoint the rest.
-        wal_dir = tempfile.mkdtemp(prefix="repro-serve-wal-")
-        if isinstance(tree, ShardedIndex):
-            tree.save(wal_dir)
-            tree = ShardedIndex.open(wal_dir, dataset.metric)
-        else:
-            tree.begin_logging(WriteAheadLog(os.path.join(wal_dir, "wal.log")))
-    engine = QueryEngine(
-        tree,
-        workers=args.workers,
-        max_queue=args.queue_size,
-        trace_queries=args.metrics,
-        flight=flight,
-        **{f"default_{k}": v for k, v in _limits(args).items()},
-    )
-    try:
         with engine:
             if args.autotune:
-                # The pivot-drift loop; the epilogue finds it on the tree.
+                # The pivot-drift loop; the epilogue finds it on the index.
                 tuner = Tuner(
-                    tree,
-                    tick_interval=args.tune_interval,
-                    auto_pivot_rebuild=True,
+                    index, tick_interval=args.tune_interval, auto_pivot_rebuild=True
                 )
                 tuner.start()
                 print(
@@ -744,20 +729,8 @@ def _serve(args: argparse.Namespace) -> None:
             if args.listen:
                 _serve_network(args, engine, snapshots)
             else:
-                _serve_workload(args, dataset, tree, engine, snapshots)
-        if wal_dir is not None and args.mutations > 0:
-            if isinstance(tree, ShardedIndex):
-                tree.checkpoint()
-            else:
-                tree.checkpoint(os.path.join(wal_dir, "checkpoint"))
-    finally:
-        if wal_dir is not None:
-            if isinstance(tree, ShardedIndex):
-                tree.close()
-            else:
-                tree.wal.close()
-            shutil.rmtree(wal_dir, ignore_errors=True)
-    _serve_epilogue(args, tree, engine, snapshots, rep_dir, flight)
+                _serve_workload(args, index, fallback, engine, snapshots)
+        _serve_epilogue(args, index, engine, snapshots, flight)
 
 
 def _format_span(span: dict, depth: int, lines: list) -> None:
@@ -853,8 +826,8 @@ def cmd_metrics_diff(args: argparse.Namespace) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
-    index, _, _ = _open_index(args)
-    report = index.verify(check_objects=not args.fast)
+    with _open_index(args) as (index, _, _):
+        report = index.verify(check_objects=not args.fast)
     print(report.summary())
     # A cluster's verification reads are its shards'.
     parts = (
@@ -871,45 +844,40 @@ def cmd_verify(args: argparse.Namespace) -> None:
     print(f"verify: OK — {args.dir}: {hit_rate}", file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _logged_tree(args: argparse.Namespace):
-    """The saved index opened with its write-ahead log; the log is closed
-    on the way out, whatever the mutation did."""
-    tree = open_tree(args.dir, _directory_metric(args))
-    try:
-        yield tree
-    finally:
-        tree.wal.close()
+def _wal_records(index) -> int:
+    """Records in the write-ahead logs of a tree or a cluster's primaries."""
+    return sum(t.wal.record_count for t in _trees(index) if t.wal is not None)
 
 
 def cmd_insert(args: argparse.Namespace) -> None:
-    obj = _parse_object(_read_catalog(args.dir).get("serializer"), args.object)
-    with _logged_tree(args) as tree:
-        tree.insert(obj)
+    with _open_index(args, writable=True) as (index, serializer, _):
+        obj = _parse_object(serializer, args.object)
+        index.insert(obj)
         print(
-            f"inserted {obj!r} (index now holds {tree.object_count:,} objects; "
-            f"WAL holds {tree.wal.record_count} records)"
+            f"inserted {obj!r} (index now holds {index.object_count:,} objects; "
+            f"WAL holds {_wal_records(index)} records)"
         )
 
 
 def cmd_delete(args: argparse.Namespace) -> None:
-    obj = _parse_object(_read_catalog(args.dir).get("serializer"), args.object)
-    with _logged_tree(args) as tree:
-        if not tree.delete(obj):
+    with _open_index(args, writable=True) as (index, serializer, _):
+        obj = _parse_object(serializer, args.object)
+        if not index.delete(obj):
             raise CommandFailed(f"not found: {obj!r}")
         print(
-            f"deleted {obj!r} (index now holds {tree.object_count:,} objects; "
-            f"WAL holds {tree.wal.record_count} records)"
+            f"deleted {obj!r} (index now holds {index.object_count:,} objects; "
+            f"WAL holds {_wal_records(index)} records)"
         )
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> None:
-    with _logged_tree(args) as tree:
-        folded = tree.wal.record_count
-        generation = tree.checkpoint()
+    with _open_index(args, writable=True) as (index, _, _):
+        folded = _wal_records(index)
+        generation = index.checkpoint()  # a cluster's shards each get their own
+        where = f"generation {generation}" if generation else "new shard generations"
         print(
-            f"checkpoint: folded {folded} WAL records into generation "
-            f"{generation} ({tree.object_count:,} objects)"
+            f"checkpoint: folded {folded} WAL records into {where} "
+            f"({index.object_count:,} objects)"
         )
 
 
@@ -1202,8 +1170,8 @@ FLAGS: dict[str, dict[str, Any]] = {
     "--queue-size": dict(type=int, default=16),
     "--mutations": dict(
         type=int, default=0,
-        help="insert/delete operations to mix into the workload (with "
-             "metrics on they exercise the WAL families)",
+        help="insert/delete operations to mix into the workload (a --dir "
+             "index logs them and is checkpointed on exit)",
     ),
     "--metrics": dict(
         action="store_true",
@@ -1242,18 +1210,13 @@ FLAGS: dict[str, dict[str, Any]] = {
     ),
     "--supervise": dict(
         action="store_true",
-        help="with --replicas: run the self-healing supervisor (automatic "
-             "failover, zombie rejoin, anti-entropy scrub) during the "
-             "workload",
+        help="on a replicated --dir cluster: run the self-healing supervisor "
+             "(automatic failover, zombie rejoin, anti-entropy scrub) during "
+             "the workload",
     ),
     "--heartbeat-timeout": dict(
         type=float, default=5.0,
         help="replica heartbeat timeout in seconds (default: 5)",
-    ),
-    "--scrub-interval": dict(
-        type=float, default=5.0,
-        help="with --supervise: seconds between background anti-entropy "
-             "scrub passes (default: 5)",
     ),
     "--autotune": dict(
         action="store_true",
@@ -1367,16 +1330,17 @@ COMMANDS: dict[str, tuple] = {
         {"--dir": dict(required=False)},
     ),
     "serve": (
-        cmd_serve, "run a concurrent mixed workload through the QueryEngine",
+        cmd_serve,
+        "run a concurrent mixed workload through the QueryEngine over a "
+        "saved index (--dir) or one built in memory",
         (
-            *_DATASET, *_WORKLOAD, "--queue-size", *_LIMITS, "--metrics",
-            "--metrics-out", "--slow-ms", "--snapshot-dir",
-            "--snapshot-interval", "--flight-dir", "--shards", "--replicas",
-            "--read-policy", "--supervise", "--heartbeat-timeout",
-            "--scrub-interval", "--autotune", "--tune-interval", "--listen",
-            "--duration", "--drain-deadline",
+            *_DATASET, "--shards", *_SAVED, *_WORKLOAD, "--queue-size",
+            *_LIMITS, "--metrics", "--metrics-out", "--slow-ms",
+            "--snapshot-dir", "--snapshot-interval", "--flight-dir",
+            "--supervise", "--heartbeat-timeout", "--autotune",
+            "--tune-interval", "--listen", "--duration", "--drain-deadline",
         ),
-        {"--replicas": dict(default=0)},
+        {"--dir": dict(required=False)},
     ),
     "shard-rebalance": (
         cmd_shard_rebalance,
@@ -1421,11 +1385,11 @@ COMMANDS: dict[str, tuple] = {
         (*_SAVED, "--fast"), {},
     ),
     "insert": (
-        cmd_insert, "durably insert one object into a saved index",
+        cmd_insert, "durably insert one object into a saved index or cluster",
         (*_SAVED, "--object"), {},
     ),
     "delete": (
-        cmd_delete, "durably delete one object from a saved index",
+        cmd_delete, "durably delete one object from a saved index or cluster",
         (*_SAVED, "--object"), {},
     ),
     "checkpoint": (

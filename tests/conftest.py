@@ -64,3 +64,15 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=240,
     )
+
+
+def replicated_cluster(directory: str, *replicate_flags: str, size: int = 200) -> None:
+    """``build --shards 2`` a words cluster into ``directory``, then
+    ``replicate`` it (one follower per shard unless the flags say more)."""
+    for argv in (
+        ("build", "--dataset", "words", "--size", str(size), "--shards", "2"),
+        ("replicate", "--replicas", "1", *replicate_flags),
+    ):
+        flag = "--out" if argv[0] == "build" else "--dir"
+        out = run_cli(*argv, flag, directory)
+        assert out.returncode == 0, out.stderr

@@ -97,6 +97,7 @@ BAD_INPUT = {
     "replicate": ["replicate", *_MISSING],
     "shard-failover": ["shard-failover", *_MISSING, "--shard", "0"],
     "scrub": ["scrub", *_MISSING],
+    "serve": ["serve", *_MISSING],
     "shard-status": ["shard-status", *_MISSING],
 }
 

@@ -26,7 +26,7 @@ from repro.cluster import ShardedIndex
 from repro.obs import instruments
 from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
 from repro.service.context import QueryContext
-from tests.conftest import run_cli
+from tests.conftest import replicated_cluster, run_cli
 
 
 class FakeClock:
@@ -236,14 +236,47 @@ class TestCliRoundTrip:
             verified.stdout + verified.stderr
         )
 
-    def test_serve_with_replicas(self):
+    def test_serve_with_replicas(self, tmp_path):
+        directory = str(tmp_path / "cluster")
+        replicated_cluster(directory, "--read-policy", "fastest-mind")
         served = run_cli(
-            "serve", "--dataset", "words", "--size", "200",
-            "--shards", "2", "--replicas", "1",
-            "--read-policy", "fastest-mind",
+            "serve", "--dir", directory,
             "--num-queries", "9", "--mutations", "4", "--workers", "2",
         )
         assert served.returncode == 0, served.stderr
-        assert "replicated 2 shards x 1 followers" in served.stdout
         assert "max lag 0 bytes" in served.stdout
         assert "degraded shards none" in served.stdout
+
+    def test_write_verbs_on_a_replicated_cluster(self, tmp_path):
+        directory = str(tmp_path / "cluster")
+        replicated_cluster(directory)
+        for verb, *rest in (
+            ("insert", "--object", "zzzq"),
+            ("insert", "--object", "zzzr"),
+            ("delete", "--object", "zzzr"),
+            ("checkpoint",),
+        ):
+            out = run_cli(verb, "--dir", directory, *rest)
+            assert out.returncode == 0, out.stderr
+        assert "folded 3 WAL records into new shard generations" in out.stdout
+
+        def found(word: str) -> bool:
+            out = run_cli(
+                "query", "--dir", directory, "--mode", "range",
+                "--radius", "0", "--query", word,
+            )
+            assert out.returncode == 0, out.stderr
+            return f"'{word}'" in out.stdout
+
+        assert found("zzzq") and not found("zzzr")
+        status = run_cli("shard-status", "--dir", directory)
+        assert status.returncode == 0, status.stderr
+        assert status.stdout.count("max lag 0 bytes") == 2
+        verified = run_cli("verify", "--dir", directory)
+        assert verified.returncode == 0, verified.stdout + verified.stderr
+        # The insert reached the followers: with both of them promoted,
+        # the object is still there.
+        for shard in ("0", "1"):
+            out = run_cli("shard-failover", "--dir", directory, "--shard", shard)
+            assert out.returncode == 0, out.stderr
+        assert found("zzzq") and not found("zzzr")

@@ -26,7 +26,7 @@ from repro.obs import instruments
 from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
 from repro.service.context import QueryContext
 from repro.supervisor import SUPERVISOR_JOURNAL, Supervisor, read_journal
-from tests.conftest import run_cli
+from tests.conftest import replicated_cluster, run_cli
 
 
 class FakeClock:
@@ -196,25 +196,52 @@ def test_kill_primary_under_load_converges(
 
 @pytest.mark.slow
 class TestCliRoundTrips:
-    def test_serve_with_supervisor(self):
+    def test_serve_with_supervisor(self, tmp_path):
+        directory = str(tmp_path / "cluster")
+        replicated_cluster(directory, size=300)
         out = run_cli(
-            "serve", "--dataset", "words", "--size", "300",
+            "serve", "--dir", directory,
             "--num-queries", "10", "--mutations", "4", "--workers", "2",
-            "--shards", "2", "--replicas", "1", "--supervise",
-            "--heartbeat-timeout", "30", "--scrub-interval", "5",
+            "--supervise", "--heartbeat-timeout", "30",
         )
         assert out.returncode == 0, out.stderr
         assert "supervising: tick" in out.stdout
         assert "supervisor :" in out.stdout
         assert "replication:" in out.stdout
 
-    def test_serve_supervise_requires_replicas(self):
+    def test_supervised_serve_journals_into_its_directory(self, tmp_path):
+        directory = str(tmp_path / "cluster")
+        replicated_cluster(directory)
         out = run_cli(
-            "serve", "--dataset", "words", "--size", "200",
-            "--num-queries", "2", "--supervise",
+            "serve", "--dir", directory, "--num-queries", "4",
+            "--supervise", "--heartbeat-timeout", "30",
         )
-        assert out.returncode != 0
-        assert "--supervise requires --replicas" in out.stderr
+        assert out.returncode == 0, out.stderr
+        events = read_journal(os.path.join(directory, SUPERVISOR_JOURNAL))
+        assert [events[0]["event"], events[-1]["event"]] == ["started", "stopped"]
+        status = run_cli("shard-status", "--dir", directory)
+        assert status.returncode == 0, status.stderr
+        assert "supervisor events (last" in status.stdout
+        assert "] started" in status.stdout and "] stopped" in status.stdout
+
+    def test_serve_supervise_requires_replicas(self, tmp_path):
+        unreplicated = str(tmp_path / "cluster")
+        assert run_cli(
+            "build", "--dataset", "words", "--size", "200",
+            "--shards", "2", "--out", unreplicated,
+        ).returncode == 0
+        for source in (
+            ("--dataset", "words", "--size", "200"),  # in memory
+            ("--dir", unreplicated),  # a cluster without followers
+        ):
+            out = run_cli("serve", *source, "--num-queries", "2", "--supervise")
+            assert out.returncode == 1
+            lines = [line for line in out.stderr.splitlines() if line]
+            assert len(lines) == 1, out.stderr
+            assert lines[0].startswith(
+                "serve: --supervise needs a replicated cluster"
+            )
+            assert "replicate --dir DIR" in lines[0]
 
     def test_scrub_detects_page_rot_and_shard_status_reports(
         self, tmp_path
