@@ -80,11 +80,8 @@ class BPlusTree:
         self,
         curve: SpaceFillingCurve,
         page_size: int = DEFAULT_PAGE_SIZE,
-        fill_factor: float = 1.0,
         checksums: bool = False,
     ) -> None:
-        if not 0.1 <= fill_factor <= 1.0:
-            raise ValueError("fill_factor must be in [0.1, 1.0]")
         if curve.bits > 62:
             raise ValueError(
                 f"{curve.bits}-bit grid coordinates do not fit the 64-bit "
@@ -95,7 +92,6 @@ class BPlusTree:
         self.codec = NodeCodec(key_bytes, page_size)
         self.memo = NodeMemo()
         self.pagefile = PageFile(page_size=page_size, checksums=checksums)
-        self.fill_factor = fill_factor
         self.root_page = -1
         self.height = 0
         self.entry_count = 0
@@ -196,7 +192,7 @@ class BPlusTree:
     def bulk_load(self, items: Sequence[tuple[int, int]]) -> None:
         """Build the tree from ``(key, ptr)`` pairs sorted by key.
 
-        Leaves are packed to ``fill_factor`` of capacity and written once;
+        Leaves are packed full and written once;
         upper levels are built bottom-up — the cheap construction path the
         paper credits for the SPB-tree's low build cost (Table 6).
         """
@@ -213,7 +209,7 @@ class BPlusTree:
             self.height = 1
             self.leaf_page_count = 1
             return
-        leaf_fill = max(2, int(self.codec.leaf_capacity * self.fill_factor))
+        leaf_fill = self.codec.leaf_capacity
         # Every key decoded in one pass, each leaf handed its rows: the
         # parents' MBBs come from them without a per-key decode.
         cells = self.curve.decode_many([key for key, _ in items])
@@ -233,7 +229,7 @@ class BPlusTree:
 
         level: list[Node] = leaves
         self.height = 1
-        node_fill = max(2, int(self.codec.node_capacity * self.fill_factor))
+        node_fill = self.codec.node_capacity
         while len(level) > 1:
             parents: list[Node] = []
             for start in range(0, len(level), node_fill):

@@ -24,7 +24,7 @@ neither the dataset flags build one in memory (a cluster with ``--shards N``).
     scrub           one anti-entropy pass over a replicated cluster, repairing it
     shard-status    replication health per shard plus the journal tails
     trace           render span trees recorded in a flight dump or slow log
-    metrics-diff    what happened between two metric snapshots
+    metrics-diff    what happened between two metric expositions
 
 Every subcommand answers bad input with exit code 1 and one
 ``<subcommand>: <message>`` line on stderr, never a traceback.
@@ -627,9 +627,6 @@ def _serve_epilogue(
             f"{st['pivot_rebuilds']} pivot rebuilds"
         )
         tuner.close()
-    if snapshots is not None:
-        snapshots.write(meta={"event": "final"})
-        print(f"snapshots : {snapshots.written} written to {args.snapshot_dir}")
     if flight is not None:
         print(
             f"flight    : {flight.recorded} queries recorded "
@@ -651,16 +648,17 @@ def _serve_epilogue(
         index.checkpoint()  # the loops are stopped: nothing races the fold
     status = getattr(index, "replication_status", dict)()
     if status:
-        worst = max(
-            (m["lag_bytes"] for info in status.values() for m in info["members"]),
-            default=0,
-        )
+        worst = max(info["max_lag_bytes"] for info in status.values())
         degraded = sorted(s for s, info in status.items() if info["degraded"])
         print(
             f"replication: {len(status)} replica sets, max lag {worst} bytes, "
             f"degraded shards {degraded if degraded else 'none'}"
         )
     _print_hit_rate(index, engine)
+    if snapshots is not None:
+        # Last, so the final snapshot is the state --metrics-out holds.
+        snapshots.write(event="final")
+        print(f"snapshots : {snapshots.written} written to {args.snapshot_dir}")
     if args.metrics and args.metrics_out is not None:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(obs.render_text())
@@ -784,10 +782,17 @@ def cmd_trace(args: argparse.Namespace) -> None:
 
 
 def cmd_metrics_diff(args: argparse.Namespace) -> None:
-    """What happened between two metric snapshots (see --snapshot-dir)."""
-    delta = obs.diff_snapshots(
-        obs.load_snapshot(args.before), obs.load_snapshot(args.after)
-    )
+    """What happened between two Prometheus expositions: snapshots (see
+    --snapshot-dir), ``--metrics-out`` files or a saved scrape."""
+    parsed = []
+    for path in (args.before, args.after):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            parsed.append(obs.parse_text(text))
+        except ValueError as exc:
+            raise CommandFailed(f"{path}: {exc}") from exc
+    delta = obs.diff_snapshots(*parsed)
     if args.json:
         json.dump(delta, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -1080,12 +1085,7 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
                     f"{shard.tree.object_count:,} objects"
                 )
         for sid, info in sorted(status.items()):
-            members = info["members"]
-            primary_ok = any(
-                m["role"] == "primary" and m["healthy"] for m in members
-            )
-            healthy = sum(1 for m in members if m["healthy"])
-            worst = max((m["lag_bytes"] for m in members), default=0)
+            primary_ok = info["primary_healthy"]
             state = "DEGRADED" if info["degraded"] else "ok"
             if not primary_ok:
                 state = "NO HEALTHY PRIMARY"
@@ -1093,8 +1093,8 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
             print(
                 f"shard {sid}: primary r{info['primary']} "
                 f"{'up' if primary_ok else 'DOWN'}, "
-                f"{healthy}/{len(members)} members healthy, "
-                f"max lag {worst} bytes, {state}"
+                f"{info['healthy_members']}/{len(info['members'])} members "
+                f"healthy, max lag {info['max_lag_bytes']} bytes, {state}"
             )
         _print_journal_tail("supervisor", args, SUPERVISOR_JOURNAL)
         _print_journal_tail("tuning", args, TUNING_JOURNAL)
@@ -1255,8 +1255,8 @@ FLAGS: dict[str, dict[str, Any]] = {
     "--request-id": dict(
         default=None, help="with --file: only the trace(s) of this request id"
     ),
-    "before": dict(metavar="BEFORE.json"),
-    "after": dict(metavar="AFTER.json"),
+    "before": dict(metavar="BEFORE", help="a Prometheus text exposition"),
+    "after": dict(metavar="AFTER", help="a Prometheus text exposition"),
     "--json": dict(
         action="store_true",
         help="emit the structured diff as JSON instead of text",
@@ -1373,7 +1373,7 @@ COMMANDS: dict[str, tuple] = {
     ),
     "metrics-diff": (
         cmd_metrics_diff,
-        "diff two metric snapshots (see serve --snapshot-dir)",
+        "diff two metric expositions (snapshots, --metrics-out files)",
         ("before", "after", "--json", "--changed-only"), {},
     ),
     "build": (

@@ -309,7 +309,6 @@ class ShardedIndex:
         shards: int = 4,
         num_pivots: int = 5,
         curve: str = "hilbert",
-        pivot_method: str = "hfi",
         pivots: Optional[Sequence[Any]] = None,
         delta: Optional[float] = None,
         d_plus: Optional[float] = None,
@@ -327,9 +326,7 @@ class ShardedIndex:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if pivots is None:
-            pivots = select_pivots(
-                objects, num_pivots, metric, method=pivot_method, seed=seed
-            )
+            pivots = select_pivots(objects, num_pivots, metric, seed=seed)
         if d_plus is None:
             d_plus = metric.max_distance(objects)
         self = cls(

@@ -37,6 +37,9 @@ from repro.obs import registry as _obsreg
 from repro.obs.ids import new_trace_id
 from repro.obs.trace import QueryTrace
 
+#: Slack (ms) added to a request's deadline for its socket timeout.
+DEADLINE_GRACE_MS = 500.0
+
 
 class NetError(ConnectionError):
     """Base class for client-side wire failures."""
@@ -112,7 +115,6 @@ class NetClient:
         deadline_ms: Optional[float] = None,
         connect_timeout: float = 5.0,
         op_timeout: float = 30.0,
-        grace_ms: float = 500.0,
         retry: Optional[RetryPolicy] = None,
         max_frame: int = protocol.MAX_FRAME,
         trace: bool = False,
@@ -123,7 +125,6 @@ class NetClient:
         self.connect_timeout = connect_timeout
         #: Wait bound for ops without a deadline (seconds).
         self.op_timeout = op_timeout
-        self.grace_ms = grace_ms
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_frame = max_frame
         #: When True, mint one trace id per *logical* call (shared by all
@@ -225,7 +226,7 @@ class NetClient:
             deadline_ms if deadline_ms is not None else self.default_deadline_ms
         )
         timeout_s = (
-            (deadline_ms + self.grace_ms) / 1000.0
+            (deadline_ms + DEADLINE_GRACE_MS) / 1000.0
             if deadline_ms is not None
             else self.op_timeout
         )

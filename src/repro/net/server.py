@@ -6,10 +6,11 @@ Robustness contract, end to end:
   up at (``deadline_ms``).  The server arms the engine's
   :class:`~repro.service.QueryContext` with that budget minus a measured
   **network allowance** (an EWMA of recent serialize-and-flush costs,
-  floored at ``allowance_ms``), so the degraded-but-honest response is on
-  the wire *before* the client's timer fires.  A request whose remaining
-  budget is already inside the allowance is answered immediately with an
-  empty ``complete=False`` result — still honest, still on time.
+  floored at :data:`ALLOWANCE_FLOOR_MS`), so the degraded-but-honest
+  response is on the wire *before* the client's timer fires.  A request
+  whose remaining budget is already inside the allowance is answered
+  immediately with an empty ``complete=False`` result — still honest,
+  still on time.
 * **Backpressure** — :class:`~repro.service.Overloaded` admission
   rejections become structured ``RETRY_LATER`` errors carrying the
   engine's ``queue_depth`` and ``retry_after_ms`` hint; the server never
@@ -18,7 +19,8 @@ Robustness contract, end to end:
   and oversized frames are :class:`ProtocolError`\\ s that close only the
   offending connection; slow-loris clients are bounded by a
   per-connection ``read_timeout`` (time allowed to deliver one complete
-  frame) and ``write_timeout`` (time allowed to accept one response).
+  frame) and :data:`WRITE_TIMEOUT_S` (time allowed to accept one
+  response).
 * **Graceful drain** — :meth:`NetServer.drain` stops accepting, lets
   in-flight requests finish inside the drain deadline, then trips their
   cancellation tokens so they return honest ``complete=False`` partials,
@@ -48,6 +50,13 @@ from repro.service import (
     QueryResult,
 )
 
+#: Seconds a connection gets to accept one response.
+WRITE_TIMEOUT_S = 10.0
+#: Floor (ms) of the network allowance subtracted from client deadlines.
+ALLOWANCE_FLOOR_MS = 5.0
+#: Seconds a request without a deadline may wait on the engine.
+DEFAULT_OP_TIMEOUT_S = 60.0
+
 
 class NetServer:
     """One TCP listener serving a :class:`~repro.service.QueryEngine`.
@@ -65,19 +74,12 @@ class NetServer:
         *,
         max_frame: int = protocol.MAX_FRAME,
         read_timeout: float = 30.0,
-        write_timeout: float = 10.0,
-        allowance_ms: float = 5.0,
-        default_op_timeout: float = 60.0,
     ) -> None:
         self.engine = engine
         self.host = host
         self.port = port
         self.max_frame = max_frame
         self.read_timeout = read_timeout
-        self.write_timeout = write_timeout
-        #: Floor of the network allowance subtracted from client deadlines.
-        self.allowance_ms = allowance_ms
-        self.default_op_timeout = default_op_timeout
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
         #: Reply-cost EWMA (ms): measured serialize+flush time, feeding the
@@ -244,7 +246,7 @@ class NetServer:
             )
         try:
             writer.write(data)
-            await asyncio.wait_for(writer.drain(), self.write_timeout)
+            await asyncio.wait_for(writer.drain(), WRITE_TIMEOUT_S)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             return False
         if _obsreg.ENABLED:
@@ -358,7 +360,7 @@ class NetServer:
         wait_s = (
             effective_ms / 1000.0 + 5.0
             if effective_ms is not None
-            else self.default_op_timeout
+            else DEFAULT_OP_TIMEOUT_S
         )
         self._inflight.add(pending)
         self._idle.clear()
@@ -448,18 +450,10 @@ class NetServer:
                 health["replication"] = {
                     str(sid): {
                         "primary": info["primary"],
-                        "primary_healthy": any(
-                            m["role"] == "primary" and m["healthy"]
-                            for m in info["members"]
-                        ),
-                        "healthy_members": sum(
-                            1 for m in info["members"] if m["healthy"]
-                        ),
+                        "primary_healthy": info["primary_healthy"],
+                        "healthy_members": info["healthy_members"],
                         "members": len(info["members"]),
-                        "max_lag_bytes": max(
-                            (m["lag_bytes"] for m in info["members"]),
-                            default=0,
-                        ),
+                        "max_lag_bytes": info["max_lag_bytes"],
                         "degraded": info["degraded"],
                     }
                     for sid, info in status.items()
@@ -471,8 +465,8 @@ class NetServer:
 
     def network_allowance_ms(self) -> float:
         """The slice of a client deadline reserved for the wire: the
-        measured reply-cost EWMA, floored at ``allowance_ms``."""
-        return max(self.allowance_ms, 2.0 * self._reply_cost_ms)
+        measured reply-cost EWMA, floored at :data:`ALLOWANCE_FLOOR_MS`."""
+        return max(ALLOWANCE_FLOOR_MS, 2.0 * self._reply_cost_ms)
 
     def _note_reply_cost(self, ms: float) -> None:
         self._reply_cost_ms = (

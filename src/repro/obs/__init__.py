@@ -13,13 +13,15 @@ trees (independent of the global switch — tracing is per-context).
 Public surface:
 
 * :class:`MetricsRegistry` / :func:`get_registry` — counters, gauges,
-  fixed-bucket histograms with p50/p95/p99 estimation.
+  fixed-bucket histograms.
 * :func:`render_text` / :func:`parse_text` — Prometheus text exposition
-  and its validating inverse.
+  and its validating inverse: the registry's one serialisation and its one
+  reader.
 * :class:`QueryTrace` / :class:`Span` — per-query cost attribution whose
   span sums reconcile exactly with the context's counters.
-* :func:`snapshot` / :func:`diff_snapshots` / :class:`SnapshotWriter` —
-  diffable point-in-time metric dumps for benchmark harnesses.
+* :class:`SnapshotWriter` / :func:`diff_snapshots` — numbered exposition
+  files written on an interval, and the delta between any two parsed
+  expositions.
 * :func:`new_trace_id` — request/trace identifiers minted at the edge and
   threaded through every record a request leaves behind.
 * :class:`FlightRecorder` / :func:`read_flight` — the query recorder: a
@@ -45,13 +47,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.snapshot import (
-    SnapshotWriter,
-    diff_snapshots,
-    load_snapshot,
-    snapshot,
-    write_snapshot,
-)
+from repro.obs.snapshot import SnapshotWriter, diff_snapshots
 from repro.obs.trace import QueryTrace, Span, attributed_totals_from_dict
 
 __all__ = [
@@ -72,14 +68,11 @@ __all__ = [
     "enabled",
     "get_registry",
     "instruments",
-    "load_snapshot",
     "new_trace_id",
     "parse_text",
     "read_flight",
     "read_jsonl",
     "render_text",
-    "snapshot",
-    "write_snapshot",
 ]
 
 

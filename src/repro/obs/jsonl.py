@@ -79,13 +79,6 @@ class JsonlAppender:
             self._fh.close()
 
 
-def write_new(path: str, text: str) -> None:
-    """Create ``path`` holding ``text``; an existing file raises
-    :class:`FileExistsError` rather than being overwritten."""
-    with open(path, "x", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def write_numbered(directory: str, prefix: str, suffix: str, text: str) -> str:
     """Create ``<directory>/<prefix>-NNNN<suffix>`` holding ``text``, NNNN
     one past the highest number any ``<prefix>-`` file in the directory
@@ -98,7 +91,8 @@ def write_numbered(directory: str, prefix: str, suffix: str, text: str) -> str:
         number = 1 + max((int(m.group(1)) for m in taken if m), default=0)
         path = os.path.join(directory, f"{prefix}-{number:04d}{suffix}")
         try:
-            write_new(path, text)
+            with open(path, "x", encoding="utf-8") as fh:
+                fh.write(text)
         except FileExistsError:  # another writer took the number first
             continue
         return path

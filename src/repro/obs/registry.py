@@ -14,8 +14,8 @@ Three metric kinds exist, mirroring the Prometheus data model:
 * :class:`Gauge` — a point-in-time value, settable directly or computed by
   a callback at collection time (queue depth, hit ratio);
 * :class:`Histogram` — fixed-bucket value distribution with ``sum`` and
-  ``count``, plus p50/p95/p99 estimation by linear interpolation inside
-  the owning bucket (latencies).
+  ``count`` (latencies); quantiles are the scraper's business, computed
+  from the exported cumulative buckets.
 
 **The zero-overhead-when-disabled contract.**  Observability must not
 perturb the paper experiments, whose counter semantics are exact.  Every
@@ -86,7 +86,7 @@ class Gauge:
     """A point-in-time value, set directly or computed by a callback.
 
     With ``fn`` supplied, the gauge is *collected* rather than stored: the
-    callback runs when :attr:`value` is read (exposition / snapshot time),
+    callback runs when :attr:`value` is read (exposition time),
     which keeps derived values like hit ratios off the hot path entirely.
     """
 
@@ -124,14 +124,12 @@ class Histogram:
     """Fixed-bucket distribution with Prometheus-style cumulative export.
 
     ``buckets`` are the inclusive upper bounds of each bucket, ascending;
-    an implicit ``+Inf`` bucket catches the tail.  Quantiles are estimated
-    by locating the owning bucket and interpolating linearly inside it —
-    the standard ``histogram_quantile`` approximation, good to a bucket
-    width, which is what fixed-bucket latency monitoring trades for O(1)
-    observation cost.
+    an implicit ``+Inf`` bucket catches the tail.  Observation is O(1) in
+    the bucket count; every bucket is exported, so any quantile can be
+    estimated downstream (``histogram_quantile``) to a bucket's width.
     """
 
-    __slots__ = ("_lock", "buckets", "_counts", "_sum", "_count", "_exemplars")
+    __slots__ = ("_lock", "buckets", "_counts", "_sum", "_count")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
@@ -144,12 +142,8 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)  # last slot is +Inf
         self._sum = 0.0
         self._count = 0
-        #: Per-bucket exemplar: bucket index -> (trace_id, value).  Lazily
-        #: allocated — histograms observed without trace ids never pay for
-        #: the dict.
-        self._exemplars: Optional[dict[int, tuple[str, float]]] = None
 
-    def observe(self, value: float, trace_id: Optional[str] = None) -> None:
+    def observe(self, value: float) -> None:
         # Linear scan beats bisect for the short bucket lists used here,
         # and most observations land in the first few buckets anyway.
         idx = len(self.buckets)
@@ -161,28 +155,6 @@ class Histogram:
             self._counts[idx] += 1
             self._sum += value
             self._count += 1
-            if trace_id is not None:
-                if self._exemplars is None:
-                    self._exemplars = {}
-                self._exemplars[idx] = (trace_id, value)
-
-    def exemplars(self) -> dict[float, dict]:
-        """Last-seen exemplar per bucket: upper bound -> trace id + value.
-
-        This is the aggregates→trace bridge: a p99 spike names its bucket,
-        the bucket names a trace id, and the trace id is greppable in the
-        slow log and dumpable from the flight recorder.
-        """
-        with self._lock:
-            if not self._exemplars:
-                return {}
-            out: dict[float, dict] = {}
-            for idx, (trace_id, value) in sorted(self._exemplars.items()):
-                bound = (
-                    self.buckets[idx] if idx < len(self.buckets) else float("inf")
-                )
-                out[bound] = {"trace_id": trace_id, "value": value}
-            return out
 
     @property
     def sum(self) -> float:
@@ -203,51 +175,11 @@ class Histogram:
             out.append((float("inf"), cumulative + self._counts[-1]))
         return out
 
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (0 < q <= 1); 0.0 when empty.
-
-        Values beyond the last finite bound are reported *as* that bound —
-        the histogram cannot resolve further, and a clamped answer beats a
-        fabricated one.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        with self._lock:
-            total = self._count
-            if total == 0:
-                return 0.0
-            target = q * total
-            cumulative = 0
-            for i, n in enumerate(self._counts[:-1]):
-                if n == 0:
-                    cumulative += n
-                    continue
-                if cumulative + n >= target:
-                    lo = self.buckets[i - 1] if i > 0 else 0.0
-                    hi = self.buckets[i]
-                    frac = (target - cumulative) / n
-                    return lo + (hi - lo) * frac
-                cumulative += n
-            return self.buckets[-1]
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
     def reset(self) -> None:
         with self._lock:
             self._counts = [0] * (len(self.buckets) + 1)
             self._sum = 0.0
             self._count = 0
-            self._exemplars = None
 
 
 class MetricFamily:
@@ -370,7 +302,7 @@ class MetricsRegistry:
             return self._families.get(name)
 
     def collect(self) -> Iterator[MetricFamily]:
-        """Families in name order (the exposition / snapshot ordering)."""
+        """Families in name order (the exposition ordering)."""
         with self._lock:
             families = sorted(self._families.items())
         for _, family in families:

@@ -1,98 +1,48 @@
-"""Metric snapshots: periodic JSON dumps the benchmark harness can diff.
+"""Metric snapshots: numbered Prometheus expositions, and the diff of two.
 
 Prometheus exposition answers "what is the state *now*"; a benchmark run
 wants "what happened *between* two points" — e.g. how many buffer-pool
 misses and WAL fsyncs one workload cost, independent of whatever ran
-before it.  A snapshot is a plain JSON rendering of every metric family;
-:func:`diff_snapshots` subtracts two of them, giving counter and histogram
-deltas (gauges, being point-in-time, report before/after instead).
+before it.  A snapshot is the exposition itself (:func:`render_text`);
+:func:`diff_snapshots` subtracts two :func:`parse_text` results, giving
+counter and histogram deltas (gauges, being point-in-time, report
+before/after instead).  So any two expositions diff alike: two snapshots,
+a snapshot and a ``--metrics-out`` file, or a ``NetClient.metrics()``
+scrape.
 
 :class:`SnapshotWriter` writes numbered snapshot files on a configurable
 interval; the ``serve`` CLI drives it with ``--snapshot-dir`` so a long
-run leaves a time series of cheap, greppable JSON files behind.
+run leaves a time series of cheap, greppable ``.prom`` files behind.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Any, Optional
 
-from repro.obs.jsonl import write_new, write_numbered
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, get_registry
-
-#: Snapshot schema version (bump on incompatible layout changes).
-SNAPSHOT_VERSION = 1
+from repro.obs.exposition import render_text
+from repro.obs.jsonl import write_numbered
+from repro.obs.registry import MetricsRegistry
 
 
-def _label_key(labelnames: tuple[str, ...], labelvalues: tuple[str, ...]) -> str:
-    if not labelnames:
-        return ""
-    return ",".join(f"{n}={v}" for n, v in zip(labelnames, labelvalues))
-
-
-def snapshot(registry: Optional[MetricsRegistry] = None) -> dict:
-    """Capture every metric family as a JSON-serializable dict."""
-    registry = registry if registry is not None else get_registry()
-    metrics: dict[str, Any] = {}
-    for family in registry.collect():
-        samples: dict[str, Any] = {}
-        for labelvalues, metric in family.samples():
-            key = _label_key(family.labelnames, labelvalues)
-            if isinstance(metric, Histogram):
-                samples[key] = {
-                    "count": metric.count,
-                    "sum": metric.sum,
-                    "p50": metric.p50,
-                    "p95": metric.p95,
-                    "p99": metric.p99,
-                }
-                exemplars = metric.exemplars()
-                if exemplars:
-                    # JSON object keys must be strings; +Inf included.
-                    samples[key]["exemplars"] = {
-                        str(bound): ex for bound, ex in exemplars.items()
-                    }
-            elif isinstance(metric, (Counter, Gauge)):
-                samples[key] = metric.value
-        metrics[family.name] = {"type": family.type, "samples": samples}
-    return {"version": SNAPSHOT_VERSION, "ts": time.time(), "metrics": metrics}
-
-
-def write_snapshot(
-    path: str,
-    registry: Optional[MetricsRegistry] = None,
-    meta: Optional[dict] = None,
-) -> dict:
-    """Write a snapshot to the new file ``path``; returns the captured dict."""
-    snap, text = _render(registry, meta)
-    write_new(path, text)
-    return snap
-
-
-def _render(
-    registry: Optional[MetricsRegistry], meta: Optional[dict]
-) -> tuple[dict, str]:
-    snap = snapshot(registry)
-    if meta:
-        snap["meta"] = meta
-    return snap, json.dumps(snap, sort_keys=True, indent=1) + "\n"
-
-
-def load_snapshot(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        snap = json.load(fh)
-    if snap.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"{path}: snapshot version {snap.get('version')!r} is not "
-            f"{SNAPSHOT_VERSION}"
-        )
-    return snap
+def _samples(name: str, info: dict) -> dict[str, Any]:
+    """One parsed family's values keyed by label set (``n=v,...``, ``""``
+    when unlabelled); a histogram's value is its ``count`` and ``sum``."""
+    out: dict[str, Any] = {}
+    for sample, labels, value in info["samples"]:
+        key = ",".join(f"{n}={v}" for n, v in labels.items() if n != "le")
+        if info["type"] != "histogram":
+            out[key] = value
+        elif sample == f"{name}_count":
+            out.setdefault(key, {"count": 0, "sum": 0.0})["count"] = int(value)
+        elif sample == f"{name}_sum":
+            out.setdefault(key, {"count": 0, "sum": 0.0})["sum"] = value
+    return out
 
 
 def diff_snapshots(before: dict, after: dict) -> dict:
-    """What happened between two snapshots.
+    """What happened between two parsed expositions.
 
     Counters and histograms report deltas (``after - before``; a family or
     sample absent from ``before`` counts from zero).  Gauges report
@@ -100,17 +50,16 @@ def diff_snapshots(before: dict, after: dict) -> dict:
     dropped — they no longer exist.
     """
     out: dict[str, Any] = {}
-    before_metrics = before.get("metrics", {})
-    for name, info in after.get("metrics", {}).items():
-        prior = before_metrics.get(name, {"samples": {}})
+    for name, info in after.items():
+        prior = _samples(name, before[name]) if name in before else {}
         samples_out: dict[str, Any] = {}
-        for key, value in info.get("samples", {}).items():
-            prior_value = prior.get("samples", {}).get(key)
+        for key, value in _samples(name, info).items():
+            prior_value = prior.get(key)
             if info["type"] == "histogram":
                 prior_value = prior_value or {"count": 0, "sum": 0.0}
                 samples_out[key] = {
-                    "count": value["count"] - prior_value.get("count", 0),
-                    "sum": value["sum"] - prior_value.get("sum", 0.0),
+                    "count": value["count"] - prior_value["count"],
+                    "sum": value["sum"] - prior_value["sum"],
                 }
             elif info["type"] == "counter":
                 samples_out[key] = value - (prior_value or 0.0)
@@ -121,13 +70,14 @@ def diff_snapshots(before: dict, after: dict) -> dict:
 
 
 class SnapshotWriter:
-    """Writes ``metrics-NNNN.json`` files into a directory on an interval,
+    """Writes ``metrics-NNNN.prom`` files into a directory on an interval,
     numbered on from whatever the directory already holds.
 
     Call :meth:`maybe_write` from any convenient loop (the serve CLI does
     it between result collections); it writes at most once per
-    ``interval_seconds``.  :meth:`write` forces a final snapshot — a run
-    always ends with one, so two-point diffs work even for short runs.
+    ``interval_seconds``.  :meth:`write` forces a snapshot — a run always
+    ends with a ``metrics-NNNN-final.prom``, so two-point diffs work even
+    for short runs.
     """
 
     def __init__(
@@ -154,8 +104,12 @@ class SnapshotWriter:
         self._last_write = now
         return self.write()
 
-    def write(self, meta: Optional[dict] = None) -> str:
-        _, text = _render(self._registry, meta)
-        path = write_numbered(self.directory, "metrics", ".json", text)
+    def write(self, event: Optional[str] = None) -> str:
+        """Write a snapshot now, named ``metrics-NNNN-<event>.prom`` when
+        ``event`` is given; returns its path."""
+        suffix = f"-{event}.prom" if event else ".prom"
+        path = write_numbered(
+            self.directory, "metrics", suffix, render_text(self._registry)
+        )
         self.written += 1
         return path

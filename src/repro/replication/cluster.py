@@ -219,25 +219,32 @@ class ReplicatedIndex(ShardedIndex):
         }
 
     def replication_status(self) -> dict[int, dict]:
-        """Operator-facing snapshot: roles, health, lag per shard."""
+        """Operator-facing snapshot: roles, health, lag per member, and
+        each shard's rollup of them (``primary_healthy``,
+        ``healthy_members``, ``max_lag_bytes``)."""
         out: dict[int, dict] = {}
         degraded = self.degraded_shards()
         for sid, rset in sorted(self._sets.items()):
+            primary = rset.primary.replica_id
+            members = [
+                {
+                    "replica": rid,
+                    "role": "primary" if rid == primary else "follower",
+                    "healthy": rset.healthy(rid),
+                    "lag_bytes": rset.lag(rid),
+                }
+                for rid in rset.member_ids()
+            ]
             out[sid] = {
-                "primary": rset.primary.replica_id,
-                "members": [
-                    {
-                        "replica": rid,
-                        "role": (
-                            "primary"
-                            if rid == rset.primary.replica_id
-                            else "follower"
-                        ),
-                        "healthy": rset.healthy(rid),
-                        "lag_bytes": rset.lag(rid),
-                    }
-                    for rid in rset.member_ids()
-                ],
+                "primary": primary,
+                "members": members,
+                "primary_healthy": any(
+                    m["healthy"] for m in members if m["role"] == "primary"
+                ),
+                "healthy_members": sum(m["healthy"] for m in members),
+                "max_lag_bytes": max(
+                    (m["lag_bytes"] for m in members), default=0
+                ),
                 "degraded": sid in degraded,
             }
         return out

@@ -414,9 +414,7 @@ class QueryEngine:
                     ctx.trace.span("queue-wait").elapsed += queue_wait
                 if _obsreg.ENABLED:
                     eng = _instruments.engine()
-                    eng.query_latency.labels(kind=item.kind).observe(
-                        elapsed, trace_id=ctx.request_id
-                    )
+                    eng.query_latency.labels(kind=item.kind).observe(elapsed)
                     if degraded:
                         eng.degraded.inc()
                     if ctx.trace is not None:

@@ -93,8 +93,6 @@ class Supervisor(ControlLoop):
     def __init__(
         self,
         index: Any,
-        grace: Optional[float] = None,
-        cooldown: Optional[float] = None,
         scrub_interval: Optional[float] = 60.0,
         scrub_pages: Optional[int] = 64,
         tick_interval: Optional[float] = None,
@@ -109,19 +107,19 @@ class Supervisor(ControlLoop):
         self.monitor = index.monitor
         timeout = self.monitor.timeout
         #: How long a primary stays merely *suspected* before promotion.
-        #: grace + one heartbeat timeout bounds detect-to-promote, so the
-        #: default keeps total repair time within two timeouts.
-        self.grace = timeout / 2.0 if grace is None else grace
+        #: grace + one heartbeat timeout bounds detect-to-promote, so half
+        #: a timeout keeps total repair time within two timeouts.
+        self.grace = timeout / 2.0
         #: Minimum spacing between promotions of one shard.
-        self.cooldown = 2.0 * timeout if cooldown is None else cooldown
+        self.cooldown = 2.0 * timeout
         #: Seconds between background scrub passes (None disables).
         self.scrub_interval = scrub_interval
         #: Pages spot-verified per member per background pass.
         self.scrub_pages = scrub_pages
         if tick_interval is None:
             tick_interval = max(0.05, timeout / 4.0)
-        if self.grace < 0 or self.cooldown < 0 or tick_interval <= 0:
-            raise ValueError("grace/cooldown must be >= 0, tick_interval > 0")
+        if tick_interval <= 0:
+            raise ValueError("tick_interval must be > 0")
         if scrub_pages is not None and scrub_pages < 0:
             raise ValueError(f"scrub_pages must be >= 0, got {scrub_pages}")
         self._states: dict[int, _ShardState] = {}

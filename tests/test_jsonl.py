@@ -20,7 +20,7 @@ from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     SnapshotWriter,
-    load_snapshot,
+    parse_text,
     read_flight,
     read_jsonl,
 )
@@ -93,13 +93,12 @@ def test_two_recorders_never_overwrite_each_others_dumps(tmp_path):
 def test_two_snapshot_writers_continue_one_sequence(tmp_path):
     directory = str(tmp_path)
     for run in ("run-1", "run-2"):
-        SnapshotWriter(directory, registry=MetricsRegistry()).write(
-            meta={"run": run}
-        )
+        SnapshotWriter(directory, registry=MetricsRegistry()).write(event=run)
     names = sorted(os.listdir(directory))
-    assert names == ["metrics-0001.json", "metrics-0002.json"]
-    runs = [load_snapshot(os.path.join(directory, n))["meta"]["run"] for n in names]
-    assert runs == ["run-1", "run-2"]
+    assert names == ["metrics-0001-run-1.prom", "metrics-0002-run-2.prom"]
+    for name in names:
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            assert parse_text(fh.read()) == {}
 
 
 def _damage_line_3(path):

@@ -31,7 +31,6 @@ from repro.net import (
 )
 from repro.obs.flight import FLIGHT_VERSION, FlightRecorder
 from repro.obs.ids import clean_trace_id, is_local_id, new_trace_id
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import QueryTrace, Span, attributed_totals_from_dict
 from repro.replication import ReplicatedIndex, replicate
 from repro.service import QueryContext, QueryEngine
@@ -134,28 +133,6 @@ class TestTraceSerialisation:
         data["future_top_level"] = True
         rebuilt = QueryTrace.from_dict(data)
         assert rebuilt.span("shard-0").compdists == 40
-
-
-# --------------------------------------------------------- histogram exemplars
-
-
-class TestExemplars:
-    def test_observe_with_trace_id_records_bucket_exemplar(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("t_lat_seconds", "help", buckets=(0.1, 1.0))
-        h.observe(0.05, trace_id="aaaa")
-        h.observe(0.5, trace_id="bbbb")
-        h.observe(0.07, trace_id="cccc")  # same bucket: last one wins
-        ex = h.exemplars()
-        assert ex[0.1] == {"trace_id": "cccc", "value": 0.07}
-        assert ex[1.0]["trace_id"] == "bbbb"
-
-    def test_untraced_observations_cost_no_exemplar_state(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("t_plain_seconds", "help", buckets=(1.0,))
-        h.observe(0.5)
-        assert h.exemplars() == {}
-        assert h._exemplars is None  # lazily allocated only when needed
 
 
 # ---------------------------------------------------------- flight recorder
@@ -772,6 +749,33 @@ class TestCliSurfaces:
         assert out.returncode == 0, out.stderr
         assert "repro_query_latency_seconds" in out.stdout
 
+    def test_final_snapshot_diffs_to_zero_against_metrics_out(self, tmp_path):
+        # A snapshot is the exposition itself, so metrics-diff reads a
+        # --metrics-out file as readily as a snapshot, and the run's final
+        # snapshot is taken at the state --metrics-out records.
+        snap_dir = tmp_path / "snaps"
+        metrics_out = str(tmp_path / "run.prom")
+        out = run_cli(
+            "serve", "--dataset", "words", "--size", "200",
+            "--num-queries", "8", "--workers", "2", "--metrics",
+            "--metrics-out", metrics_out, "--snapshot-dir", str(snap_dir),
+        )
+        assert out.returncode == 0, out.stderr
+        (final,) = [n for n in os.listdir(snap_dir) if n.endswith("-final.prom")]
+        out = run_cli(
+            "metrics-diff", str(snap_dir / final), metrics_out, "--json"
+        )
+        assert out.returncode == 0, out.stderr
+        delta = json.loads(out.stdout)
+        assert delta["repro_buffer_pool_hits_total"]["type"] == "counter"
+        assert delta["repro_query_latency_seconds"]["samples"]
+        for name, info in delta.items():
+            for value in info["samples"].values():
+                if info["type"] == "counter":
+                    assert value == 0, (name, value)
+                elif info["type"] == "histogram":
+                    assert value["count"] == 0, (name, value)
+
     def test_metrics_diff_rejects_a_missing_snapshot(self, tmp_path):
         out = run_cli(
             "metrics-diff",
@@ -780,3 +784,11 @@ class TestCliSurfaces:
         )
         assert out.returncode == 1
         assert "metrics-diff:" in out.stderr
+        # A file that is no exposition (an old JSON snapshot, say) is
+        # refused the same way, naming the file and the line.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1}\n', encoding="utf-8")
+        out = run_cli("metrics-diff", str(bad), str(bad))
+        assert out.returncode == 1
+        (line,) = out.stderr.splitlines()
+        assert line.startswith(f"metrics-diff: {bad}: line 1: malformed sample")
