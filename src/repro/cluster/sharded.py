@@ -353,25 +353,6 @@ class ShardedIndex:
         keys = self.curve.encode_many(self.space.grid_from_phi_many(phis))
         keyed = sorted(zip(keys, objects), key=lambda pair: pair[0])
         bounds = self._split_bounds(keyed, count)
-        # A small throwaway build carries the sampled cost-model statistics
-        # (pair distances, exponent, ND_k corrections, all pivot-dependent);
-        # the keyed shard builds inherit them so every shard prices visits
-        # the same way.
-        step = max(1, len(keyed) // 256)
-        sample = [obj for _, obj in keyed[::step]][:256]
-        donor = None
-        if len(sample) >= 2:
-            donor = SPBTree.build(
-                sample,
-                self.distance.metric,
-                pivots=self.space.pivots,
-                delta=self.space.delta,
-                d_plus=self.space.d_plus,
-                curve=self._curve_name,
-                page_size=self._page_size,
-                cache_pages=self._cache_pages,
-                checksums=self._checksums,
-            )
         shards: list[Shard] = []
         start = 0
         for i, lo in enumerate(bounds):
@@ -379,7 +360,7 @@ class ShardedIndex:
             end = start
             while end < len(keyed) and keyed[end][0] < hi:
                 end += 1
-            tree = self._tree_from_items(keyed[start:end], stats_from=donor)
+            tree = self._tree_from_items(keyed[start:end])
             shards.append(Shard(self.next_shard_id, lo, hi, tree))
             self.next_shard_id += 1
             start = end
@@ -409,11 +390,7 @@ class ShardedIndex:
             start = j
         return bounds
 
-    def _tree_from_items(
-        self,
-        items: Sequence[tuple[int, Any]],
-        stats_from: Optional[SPBTree] = None,
-    ) -> SPBTree:
+    def _tree_from_items(self, items: Sequence[tuple[int, Any]]) -> SPBTree:
         return SPBTree.build_keyed(
             items,
             self.distance.metric,
@@ -425,7 +402,6 @@ class ShardedIndex:
             cache_pages=self._cache_pages,
             serializer=self._serializer,
             checksums=self._checksums,
-            stats_from=stats_from,
         )
 
     def _empty_tree(self) -> SPBTree:
@@ -1078,13 +1054,13 @@ class ShardedIndex:
             self.next_shard_id,
             shard.key_lo,
             mid,
-            self._tree_from_items(left_items, stats_from=shard.tree),
+            self._tree_from_items(left_items),
         )
         right = Shard(
             self.next_shard_id + 1,
             mid,
             shard.key_hi,
-            self._tree_from_items(right_items, stats_from=shard.tree),
+            self._tree_from_items(right_items),
         )
         self.next_shard_id += 2
         self._commit_swap("split", [shard], [left, right], faults)
@@ -1108,12 +1084,11 @@ class ShardedIndex:
                 f"shards {pair[0]} and {pair[1]} are not range-adjacent"
             )
         items = list(a.tree.keyed_objects()) + list(b.tree.keyed_objects())
-        donor = a.tree if a.tree.object_count >= b.tree.object_count else b.tree
         merged = Shard(
             self.next_shard_id,
             a.key_lo,
             b.key_hi,
-            self._tree_from_items(items, stats_from=donor),
+            self._tree_from_items(items),
         )
         self.next_shard_id += 1
         self._commit_swap("merge", [a, b], [merged], faults)

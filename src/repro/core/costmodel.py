@@ -9,31 +9,41 @@ The models estimate, without executing a query,
 
 Both are driven by the *union distance distribution* F(r₁, …, r_|P|) of
 eq. 2 — the joint distribution of distances from a random object to every
-pivot — which "can be statistically obtained during SPB-tree construction":
-the SPB-tree keeps a reservoir sample of mapped grid points for exactly this
-purpose, and the box probabilities of eq. 4 are evaluated by counting sample
-points inside RR (numerically identical to eq. 4's inclusion–exclusion,
-since both compute the measure F assigns to the box).
+pivot.  The paper obtains F statistically at construction; here a model
+gathers it from the stored index when it is built: it reads every
+⌈n / 2 000⌉-th live leaf entry in key order (so a tree of 2 000 objects or
+fewer is modelled from all of its cells), and the box probabilities of
+eq. 4 are evaluated by counting sampled cells inside RR (numerically
+identical to eq. 4's inclusion–exclusion, since both compute the measure F
+assigns to the box).  Nothing is kept on the tree or in its catalog.
 
 For kNN, the unknown k-th NN distance ND_k is estimated (eq. 5) from the
 query's distance distribution F_q.  Two estimators are available — a
 query-sensitive one from the mapped lower bounds, and the query-insensitive
-homogeneity assumption of Ciaccia & Nanni [40] — and, like a production
-query optimizer, the model *calibrates itself once* when instantiated: it
-runs a handful of probe queries against the tree (with the performance
-counters snapshotted and restored, so measurements stay clean), picks the
-ND_k estimator that tracks reality better on this dataset, and fits a
-scaling constant for the page-access model.
+homogeneity assumption of Ciaccia & Nanni [40].  From the sampled objects
+the model measures, on the raw metric, a pairwise-distance sample and the
+per-k corrections of the lower-bound estimator; then, like a production
+query optimizer, it runs a handful of probe queries against the tree, picks
+the ND_k estimator that tracks reality better on this dataset, and fits a
+scaling constant for the page-access model.  All of it runs under
+:meth:`SPBTree.unobserved`, so building a model moves no counter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
+from repro.btree.node import LeafEntry
 from repro.core.spbtree import SPBTree
 from repro.sfc.region import boxes_intersect, point_in_box
+
+#: Most live entries a model samples from one tree (eq. 2's F).
+_SAMPLE_CAPACITY = 2000
 
 
 @dataclass
@@ -57,7 +67,7 @@ def _interpolated(values: Sequence[float], position: float) -> float:
 
 
 def _correction_for(corrections: dict, k: int) -> float:
-    """The build-time ND_k correction, log-interpolated between measured k."""
+    """The measured ND_k correction, log-interpolated between measured k."""
     if k in corrections:
         return corrections[k]
     ks = sorted(corrections)
@@ -79,6 +89,63 @@ def _median(values: list[float]) -> float:
     return ordered[len(ordered) // 2]
 
 
+def _lcg(state: int) -> int:
+    """One step of the deterministic generator behind every sampled draw."""
+    return (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+
+
+def _sampled_entries(tree: SPBTree) -> list[LeafEntry]:
+    """Every ⌈n / _SAMPLE_CAPACITY⌉-th live leaf entry, in key order, read
+    under :meth:`SPBTree.unobserved`."""
+    raf = tree.raf
+    if raf is None:
+        return []
+    step = max(1, -(-tree.object_count // _SAMPLE_CAPACITY))
+    with tree.unobserved():
+        live = (e for e in tree.btree.leaf_entries() if not raf.is_deleted(e.ptr))
+        return list(itertools.islice(live, 0, None, step))
+
+
+def _cells(tree: SPBTree, entries: Sequence[LeafEntry]) -> list[tuple[int, ...]]:
+    """The grid cells the entries' SFC keys encode."""
+    keys = [entry.key for entry in entries]
+    return [tuple(cell) for cell in tree.curve.decode_many(keys).tolist()]
+
+
+def _pair_sample(
+    metric: Any, objects: Sequence[Any], pairs: int = 1500
+) -> tuple[list[float], float]:
+    """A sorted sample of pairwise distances, and the exponent 2ρ.
+
+    The kNN cost model needs the query distance distribution F_q of eq. 5;
+    following the query-insensitive approximation of Ciaccia & Nanni,
+    F_q ≈ F, so we sample actual pairwise distances plus the distance
+    exponent 2ρ (ρ = μ²/2σ², the intrinsic dimensionality of §3.2) for tail
+    extrapolation below the sample's resolution.
+    """
+    n = len(objects)
+    exponent = 2.0
+    if n < 2:
+        return [], exponent
+    state = 0x9E3779B97F4A7C15
+    sampled: list[float] = []
+    for _ in range(pairs):
+        state = _lcg(state)
+        i = state % n
+        state = _lcg(state)
+        j = state % n
+        if i != j:
+            sampled.append(metric(objects[i], objects[j]))
+    sampled.sort()
+    if sampled:
+        mean = sum(sampled) / len(sampled)
+        var = sum((d - mean) ** 2 for d in sampled) / len(sampled)
+        if var > 0:
+            # 2ρ: the power-law exponent of F(r) for small r.
+            exponent = max(0.5, mean * mean / var)
+    return sampled, exponent
+
+
 class CostModel:
     """Cost model for range and kNN queries over one SPB-tree."""
 
@@ -86,17 +153,31 @@ class CostModel:
     _PROBE_K = 8
 
     def __init__(self, tree: SPBTree, probe_queries: int = 6) -> None:
-        if not tree.grid_sample:
-            raise ValueError("tree has no sample; build or insert first")
+        entries = _sampled_entries(tree)
+        if not entries:
+            raise ValueError("tree has no objects to sample; build or insert first")
+        assert tree.raf is not None
         self.tree = tree
-        self.sample = tree.grid_sample
-        #: Node MBBs of the B+-tree, cached once; eq. 6 sums over them.
-        self._node_boxes = self._collect_boxes()
-        #: Which ND_k estimator won calibration: "lb" or "hom".
-        self._ndk_kind = "lb" if tree.ndk_corrections else "hom"
+        self.sample = _cells(tree, entries)
         self._hom_scale = 1.0
         self._epa_scale = 1.0
-        self._calibrate_probes(probe_queries)
+        try:
+            with tree.unobserved():
+                #: Node MBBs of the B+-tree, cached once; eq. 6 sums over them.
+                self._node_boxes = self._collect_boxes()
+                objects = tree.raf.read_many([entry.ptr for entry in entries])
+                #: Sorted pairwise-distance sample and 2ρ (the "hom" estimator).
+                self.pair_distances, self.distance_exponent = _pair_sample(
+                    tree.distance.metric, objects
+                )
+                #: Per-k corrections of the "lb" estimator.
+                self.ndk_corrections = self._measure_corrections(objects)
+                #: Which ND_k estimator won calibration: "lb" or "hom".
+                self._ndk_kind = "lb" if self.ndk_corrections else "hom"
+                step = max(1, len(objects) // probe_queries)
+                self._calibrate_probes(objects[::step][:probe_queries])
+        finally:
+            tree.flush_cache()
 
     def _collect_boxes(self) -> list[tuple]:
         boxes = []
@@ -109,45 +190,92 @@ class CostModel:
                     self._leaf_boxes.append(box)
         return boxes
 
-    def refresh(self) -> None:
-        """Re-read tree structure after updates."""
-        self.sample = self.tree.grid_sample
-        self._node_boxes = self._collect_boxes()
-
     # ----------------------------------------------------------- calibration
 
-    def _calibrate_probes(self, count: int) -> None:
+    def _measure_corrections(
+        self,
+        objects: Sequence[Any],
+        pseudo_queries: int = 10,
+        subsample: int = 300,
+    ) -> dict[int, float]:
+        """Calibrate the "lb" ND_k estimator against reality.
+
+        The mapped lower-bound quantile tracks the true k-th NN distance
+        proportionally but with a dataset-specific bias (it is a lower
+        bound, and order statistics push it further down).  For a few
+        pseudo-queries drawn from the sampled objects, compare the
+        lower-bound quantile against the empirical ND_k on a subsample, and
+        keep the median correction per k.  Uses the raw metric.
+        """
+        n = self.tree.object_count
+        m = len(objects)
+        if n < 20:
+            return {}
+        metric = self.tree.distance.metric
+        space = self.tree.space
+        shift = 0.0 if space.exact else 0.5
+        state = 0xDEADBEEF12345678
+
+        def next_object() -> Any:
+            nonlocal state
+            state = _lcg(state)
+            return objects[state % m]
+
+        queries = [next_object() for _ in range(pseudo_queries)]
+        sub_objects = [next_object() for _ in range(min(subsample, m))]
+        # (c + shift)·δ of every sampled cell: an integer cell converts to the
+        # same double either way, so the lower bounds below take the scalar
+        # expression's IEEE steps, |(c + shift)·δ − φ_q(i)| then the row max.
+        centres = (np.asarray(self.sample, dtype=np.float64) + shift) * space.delta
+        # What does not depend on k, once per pseudo-query: its sorted lower
+        # bounds over the sample and its sorted true distances.
+        sorted_per_query = []
+        for q in queries:
+            lbs = np.abs(centres - np.asarray(self._phi(q), dtype=np.float64))
+            dists = metric.batch(q, sub_objects)
+            sorted_per_query.append((np.sort(lbs.max(axis=1)).tolist(), sorted(dists)))
+        corrections: dict[int, float] = {}
+        for k in (1, 2, 4, 8, 16, 32, 64):
+            ratios_k = []
+            for lbs, dists in sorted_per_query:
+                lbq = _interpolated(lbs, k * len(lbs) / n)
+                if lbq <= 0:
+                    continue
+                true_ndk = _interpolated(dists, k * len(dists) / n)
+                if true_ndk > 0:
+                    ratios_k.append(true_ndk / lbq)
+            if ratios_k:
+                corrections[k] = _median(ratios_k)
+        return corrections
+
+    def _calibrate_probes(self, probes: Sequence[Any]) -> None:
         """Probe the tree with a few real queries and fit the model to them.
 
-        The probes run under :meth:`SPBTree.unobserved`, so probing never shows up
-        in reported PA/compdists or the buffer pool's hit rate.
+        The caller runs the probes under :meth:`SPBTree.unobserved`, so
+        probing never shows up in reported PA/compdists or the buffer
+        pool's hit rate.
         """
         tree = self.tree
-        if tree.raf is None or tree.object_count < 30:
+        if tree.object_count < 30:
             return
-        try:
-            with tree.unobserved():
-                probes = self._probe_objects(count)
-                lb_err, hom_err = [], []
-                observations = []
-                for q in probes:
-                    tree.flush_cache()
-                    pa0 = tree.page_accesses
-                    result = tree.knn_query(q, self._PROBE_K)
-                    actual_pa = tree.page_accesses - pa0
-                    true_ndk = result[-1][0] if result else 0.0
-                    if true_ndk <= 0:
-                        continue
-                    phi_q = self._phi(q)
-                    r_lb = self._ndk_lower_bound(phi_q, self._PROBE_K)
-                    r_hom = self._ndk_homogeneous(self._PROBE_K)
-                    if r_lb > 0:
-                        lb_err.append(abs(math.log(r_lb / true_ndk)))
-                    if r_hom > 0:
-                        hom_err.append(abs(math.log(r_hom / true_ndk)))
-                        observations.append((q, phi_q, true_ndk, actual_pa, r_hom))
-        finally:
+        lb_err, hom_err = [], []
+        observations = []
+        for q in probes:
             tree.flush_cache()
+            pa0 = tree.page_accesses
+            result = tree.knn_query(q, self._PROBE_K)
+            actual_pa = tree.page_accesses - pa0
+            true_ndk = result[-1][0] if result else 0.0
+            if true_ndk <= 0:
+                continue
+            phi_q = self._phi(q)
+            r_lb = self._ndk_lower_bound(phi_q, self._PROBE_K)
+            r_hom = self._ndk_homogeneous(self._PROBE_K)
+            if r_lb > 0:
+                lb_err.append(abs(math.log(r_lb / true_ndk)))
+            if r_hom > 0:
+                hom_err.append(abs(math.log(r_hom / true_ndk)))
+                observations.append((q, phi_q, true_ndk, actual_pa, r_hom))
         if not observations:
             return
         if lb_err and (not hom_err or _median(lb_err) <= _median(hom_err)):
@@ -166,19 +294,6 @@ class CostModel:
                 pa_ratios.append(actual_pa / raw)
         if pa_ratios:
             self._epa_scale = _median(pa_ratios)
-
-    def _probe_objects(self, count: int) -> list[Any]:
-        """A spread of stored objects to probe with."""
-        assert self.tree.raf is not None
-        total = max(1, self.tree.raf.object_count)
-        step = max(1, total // count)
-        probes = []
-        for i, (_, _, obj) in enumerate(self.tree.raf.scan()):
-            if i % step == 0:
-                probes.append(obj)
-            if len(probes) >= count:
-                break
-        return probes
 
     # ------------------------------------------------------------ internals
 
@@ -246,7 +361,7 @@ class CostModel:
 
         * ``"lb"`` — the k/n quantile of the mapped lower bounds
           max_i |d(o,pᵢ) − d(q,pᵢ)| over the sample, scaled by the per-k
-          correction measured at construction (query-sensitive);
+          correction measured when the model was built (query-sensitive);
         * ``"hom"`` — the k/n quantile of the sampled pairwise distance
           distribution F with power-law tail extrapolation F(r) ∝ r^(2ρ)
           (query-insensitive), scaled by the probe-fitted constant.
@@ -264,10 +379,10 @@ class CostModel:
         """The "lb" estimate, projected monotone non-decreasing in k.
 
         ND_k is non-decreasing by definition, but two things can locally
-        invert the raw estimate: the per-k correction measured at
-        construction can fall faster than the lower-bound quantile rises,
-        and the homogeneous fallback (used where the quantile is 0) need
-        not agree with the quantile it hands over to.  The projection
+        invert the raw estimate: the measured per-k correction can fall
+        faster than the lower-bound quantile rises, and the homogeneous
+        fallback (used where the quantile is 0) need not agree with the
+        quantile it hands over to.  The projection
         resolves both at once: evaluate the *fallback-resolved* estimate
         at k and at every measured anchor above it (the sorted lower
         bounds are computed once and shared), then take the min — a lower
@@ -283,7 +398,7 @@ class CostModel:
                 value = self._ndk_homogeneous(j) * self._hom_scale
             return value
 
-        anchors = [j for j in sorted(self.tree.ndk_corrections) if j > k]
+        anchors = [j for j in sorted(self.ndk_corrections) if j > k]
         values = [v for j in [k] + anchors if (v := resolved(j)) > 0]
         return min(values) if values else 0.0
 
@@ -311,16 +426,16 @@ class CostModel:
         lbq = _interpolated(lower_bounds, position)
         if lbq <= 0:
             return 0.0
-        return lbq * _correction_for(self.tree.ndk_corrections, k)
+        return lbq * _correction_for(self.ndk_corrections, k)
 
     def _ndk_homogeneous(self, k: int) -> float:
-        pd = self.tree.pair_distances
+        pd = self.pair_distances
         if not pd:
             return 0.0
         n = max(self.tree.object_count, 1)
         position = (_member_rank(k) / n) * len(pd)
         if position < 1.0:
-            exponent = self.tree.distance_exponent
+            exponent = self.distance_exponent
             return pd[0] * position ** (1.0 / exponent)
         return pd[min(int(position), len(pd) - 1)]
 
@@ -337,19 +452,20 @@ class CostModel:
         the same sum in expectation.
         """
         space = tree_o.space
-        sample_o = tree_o.grid_sample
+        sample_q = _cells(tree_q, _sampled_entries(tree_q))
+        sample_o = _cells(tree_o, _sampled_entries(tree_o))
         top = space.cells - 1
         if space.exact:
             reach = int(epsilon // space.delta)
         else:
             reach = int(epsilon // space.delta) + 1
         total_pr = 0.0
-        for grid_q in tree_q.grid_sample:
+        for grid_q in sample_q:
             lo = tuple(max(0, g - reach) for g in grid_q)
             hi = tuple(min(top, g + reach) for g in grid_q)
             inside = sum(1 for g in sample_o if point_in_box(g, lo, hi))
             total_pr += inside / len(sample_o)
-        mean_pr = total_pr / len(tree_q.grid_sample)
+        mean_pr = total_pr / len(sample_q)
         edc = len(tree_q) * len(tree_o) * mean_pr
         f_q = tree_q.raf.objects_per_page if tree_q.raf else 1.0
         f_o = tree_o.raf.objects_per_page if tree_o.raf else 1.0

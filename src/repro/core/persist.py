@@ -2,7 +2,7 @@
 
 The SPB-tree is a disk-based index, and its two page files round-trip
 naturally; this module adds the catalog metadata (pivot table, curve
-parameters, cost-model statistics) so that a tree can be reopened in a new
+parameters, B+-tree and RAF state) so that a tree can be reopened in a new
 process::
 
     save_tree(tree, "index_dir")
@@ -144,16 +144,6 @@ def save_tree(
             "object_count": tree.raf.object_count,
             "deleted": sorted(tree.raf._deleted),
         },
-        "statistics": {
-            "grid_sample": [list(g) for g in tree.grid_sample],
-            "sampled_from": tree._sampled_from,
-            "pair_distances": tree.pair_distances,
-            "distance_exponent": tree.distance_exponent,
-            "precision_hint": tree.precision_hint,
-            "ndk_corrections": {
-                str(k): v for k, v in tree.ndk_corrections.items()
-            },
-        },
     }
     # Commit point: once the catalog rename lands, the new generation is live.
     _atomic_write(
@@ -234,15 +224,6 @@ def load_tree(
     tree.object_count = meta["object_count"]
     tree._next_id = meta["next_id"]
     tree._generation = int(meta.get("generation", 0))
-    stats = meta["statistics"]
-    tree.grid_sample = [tuple(g) for g in stats["grid_sample"]]
-    tree._sampled_from = stats["sampled_from"]
-    tree.pair_distances = stats["pair_distances"]
-    tree.distance_exponent = stats["distance_exponent"]
-    tree.precision_hint = stats["precision_hint"]
-    tree.ndk_corrections = {
-        int(k): v for k, v in stats["ndk_corrections"].items()
-    }
     if replay_wal:
         _replay_wal(tree, directory)
     tree.reset_counters()

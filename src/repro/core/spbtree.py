@@ -65,9 +65,6 @@ _CURVES: dict[str, type[SpaceFillingCurve]] = {
     "z-curve": ZCurve,
 }
 
-#: Reservoir size for the cost-model sample of mapped vectors (eq. 2).
-_SAMPLE_CAPACITY = 2000
-
 
 class SPBTree:
     """A disk-based metric index for similarity search and joins."""
@@ -107,18 +104,6 @@ class SPBTree:
         self._epoch_lock = EpochLock()
         #: The on-disk generation this in-memory state extends (0 = unsaved).
         self._generation = 0
-        #: Reservoir sample of mapped grid points, for the cost models.
-        self.grid_sample: list[tuple[int, ...]] = []
-        #: Sorted sample of actual pairwise distances (kNN cost model).
-        self.pair_distances: list[float] = []
-        #: Power-law exponent 2ρ of F(r) near 0, for tail extrapolation.
-        self.distance_exponent = 2.0
-        #: precision(P) of Definition 1, sampled at build time.
-        self.precision_hint = 1.0
-        #: Per-k correction factors for the ND_k estimator (see _calibrate).
-        self.ndk_corrections: dict[int, float] = {}
-        self._sampled_from = 0
-        self._sample_rng_state = 12345
         #: Ablation switch (§4.2): Lemma 2's distance-free inclusion.  On by
         #: default; the ablation experiment turns it off to measure its
         #: contribution.
@@ -184,7 +169,6 @@ class SPBTree:
         cache_pages: int = 32,
         serializer: Optional[Serializer] = None,
         checksums: bool = False,
-        stats_from: Optional["SPBTree"] = None,
     ) -> "SPBTree":
         """Bulk-load from precomputed ``(SFC key, object)`` pairs.
 
@@ -192,9 +176,7 @@ class SPBTree:
         distance computations — the path cluster rebalancing takes to
         split or merge shards without re-mapping a single object.  The
         caller guarantees the keys were produced by an identical pivot
-        space (same pivots, d+, delta, curve).  ``stats_from`` donates
-        the cost-model statistics that cannot be re-derived without
-        distances (pair-distance sample, exponent, ND_k corrections).
+        space (same pivots, d+, delta, curve).
         """
         tree = cls(
             metric,
@@ -207,11 +189,6 @@ class SPBTree:
             serializer=serializer,
             checksums=checksums,
         )
-        if stats_from is not None:
-            tree.pair_distances = list(stats_from.pair_distances)
-            tree.distance_exponent = stats_from.distance_exponent
-            tree.precision_hint = stats_from.precision_hint
-            tree.ndk_corrections = dict(stats_from.ndk_corrections)
         if not items:
             return tree
         ordered = sorted(items, key=lambda pair: pair[0])
@@ -221,8 +198,6 @@ class SPBTree:
             offset = raf.append(tree._next_id, obj, flush=False)
             tree._next_id += 1
             entries.append((key, offset))
-        for grid in tree.curve.decode_many([key for key, _ in ordered]).tolist():
-            tree._observe(tuple(grid))
         raf.finalize()
         tree.btree.bulk_load(entries)
         tree.object_count = len(ordered)
@@ -245,9 +220,6 @@ class SPBTree:
         phis = self.space.phi_many(objects)  # |O| × |P| distance computations
         cells = self.space.grid_from_phi_many(phis)
         keys = self.curve.encode_many(cells)
-        for grid in cells.tolist():
-            self._observe(tuple(grid))
-        self._calibrate(objects, phis)
         items = []
         for i in sorted(range(len(keys)), key=keys.__getitem__):
             offset = raf.append(self._next_id, objects[i], flush=False)
@@ -256,134 +228,6 @@ class SPBTree:
         raf.finalize()
         self.btree.bulk_load(items)
         self.object_count = len(objects)
-
-    def _calibrate(self, objects: Sequence[Any], phis: list, pairs: int = 1500) -> None:
-        """Sample the dataset's pairwise distance distribution F(r).
-
-        The kNN cost model needs the query distance distribution F_q of
-        eq. 5; following the query-insensitive approximation of Ciaccia &
-        Nanni, F_q ≈ F, so we record a sorted sample of actual pairwise
-        distances plus the distance exponent 2ρ (ρ = μ²/2σ², the intrinsic
-        dimensionality of §3.2) for tail extrapolation below the sample's
-        resolution.  Like the union distance distribution of eq. 2, this is
-        "statistically obtained during SPB-tree construction"; it uses the
-        raw metric so construction compdists stay at the paper's |O| × |P|.
-        """
-        n = len(objects)
-        self.pair_distances: list[float] = []
-        self.distance_exponent = 2.0
-        self.precision_hint = 1.0
-        if n < 2:
-            return
-        metric = self.distance.metric
-        state = 0x9E3779B97F4A7C15
-        sampled: list[float] = []
-        ratios: list[float] = []
-        for _ in range(pairs):
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            i = state % n
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            j = state % n
-            if i == j:
-                continue
-            d = metric(objects[i], objects[j])
-            sampled.append(d)
-            if d > 0:
-                lb = max(abs(a - b) for a, b in zip(phis[i], phis[j]))
-                ratios.append(lb / d)
-        sampled.sort()
-        self.pair_distances = sampled
-        if sampled:
-            mean = sum(sampled) / len(sampled)
-            var = sum((d - mean) ** 2 for d in sampled) / len(sampled)
-            if var > 0:
-                # 2ρ: the power-law exponent of F(r) for small r.
-                self.distance_exponent = max(0.5, mean * mean / var)
-        if ratios:
-            # precision(P) of Definition 1, reused by the kNN cost model to
-            # scale mapped lower bounds up to distance estimates.
-            self.precision_hint = max(0.05, sum(ratios) / len(ratios))
-        self._self_validate(objects, phis)
-
-    def _self_validate(
-        self,
-        objects: Sequence[Any],
-        phis: list,
-        pseudo_queries: int = 10,
-        subsample: int = 300,
-    ) -> None:
-        """Calibrate the kNN cost model's ND_k estimator against reality.
-
-        The mapped lower-bound quantile tracks the true k-th NN distance
-        proportionally but with a dataset-specific bias (it is a lower
-        bound, and order statistics push it further down).  We measure that
-        bias once, at construction: for a few pseudo-queries drawn from the
-        data, compare the lower-bound quantile against the empirical ND_k
-        on a subsample, and store the median correction per k.  Uses the
-        raw metric, so reported construction compdists stay |O| × |P|.
-        """
-        self.ndk_corrections: dict[int, float] = {}
-        n = len(objects)
-        if n < 20:
-            return
-        metric = self.distance.metric
-        space = self.space
-        shift = 0.0 if space.exact else 0.5
-        state = 0xDEADBEEF12345678
-
-        def next_index() -> int:
-            nonlocal state
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            return state % n
-
-        pq_idx = [next_index() for _ in range(pseudo_queries)]
-        sub_idx = [next_index() for _ in range(min(subsample, n))]
-        sub_objects = [objects[i] for i in sub_idx]
-        # (c + shift)·δ of every sampled cell: an integer cell converts to the
-        # same double either way, so the lower bounds below take the scalar
-        # expression's IEEE steps, |(c + shift)·δ − φ_q(i)| then the row max.
-        centres = (np.asarray(self.grid_sample, dtype=np.float64) + shift) * space.delta
-        # What does not depend on k, once per pseudo-query: its sorted lower
-        # bounds over the sample and its sorted true distances.
-        sorted_per_query = []
-        for qi in pq_idx:
-            lbs = np.abs(centres - np.asarray(phis[qi], dtype=np.float64)).max(axis=1)
-            dists = metric.batch(objects[qi], sub_objects)
-            sorted_per_query.append((np.sort(lbs).tolist(), sorted(dists)))
-
-        def interpolated(values: list, position: float) -> float:
-            position = min(len(values) - 1, max(0.0, position))
-            i = int(position)
-            frac = position - i
-            upper = values[min(i + 1, len(values) - 1)]
-            return values[i] * (1 - frac) + upper * frac
-
-        for k in (1, 2, 4, 8, 16, 32, 64):
-            ratios_k = []
-            for lbs, dists in sorted_per_query:
-                lbq = interpolated(lbs, k * len(lbs) / n)
-                if lbq <= 0:
-                    continue
-                true_ndk = interpolated(dists, k * len(dists) / n)
-                if true_ndk > 0:
-                    ratios_k.append(true_ndk / lbq)
-            if ratios_k:
-                ratios_k.sort()
-                self.ndk_corrections[k] = ratios_k[len(ratios_k) // 2]
-
-    def _observe(self, grid: tuple[int, ...]) -> None:
-        """Reservoir-sample mapped grid points for the cost models."""
-        self._sampled_from += 1
-        if len(self.grid_sample) < _SAMPLE_CAPACITY:
-            self.grid_sample.append(grid)
-            return
-        # Deterministic linear-congruential step keeps builds reproducible.
-        self._sample_rng_state = (
-            self._sample_rng_state * 6364136223846793005 + 1442695040888963407
-        ) % (1 << 64)
-        slot = self._sample_rng_state % self._sampled_from
-        if slot < _SAMPLE_CAPACITY:
-            self.grid_sample[slot] = grid
 
     # --------------------------------------------------------------- update
 
@@ -407,7 +251,7 @@ class SPBTree:
             obj_id = self._next_id
             if self.wal is not None:
                 self.wal.append_insert(obj_id, key, raf.serializer.serialize(obj))
-            self._apply_insert(obj, obj_id, key, grid, flush=self.wal is None)
+            self._apply_insert(obj, obj_id, key, flush=self.wal is None)
 
     def delete(self, obj: Any, grid: Optional[tuple[int, ...]] = None) -> bool:
         """Delete one object; True if it was present.
@@ -429,7 +273,7 @@ class SPBTree:
                 return False
             if self.wal is not None:
                 self.wal.append_delete(key, target)
-            self._apply_delete(entry, grid)
+            self._apply_delete(entry)
             return True
 
     def _find_live_entry(self, key: int, target: bytes):
@@ -444,9 +288,7 @@ class SPBTree:
                 return entry
         return None
 
-    def _apply_insert(
-        self, obj: Any, obj_id: int, key: int, grid: tuple[int, ...], flush: bool
-    ) -> None:
+    def _apply_insert(self, obj: Any, obj_id: int, key: int, flush: bool) -> None:
         """The in-memory half of an insert (live path and WAL replay)."""
         raf = self._ensure_raf(obj)
         offset = raf.append(obj_id, obj, flush=flush)
@@ -454,36 +296,33 @@ class SPBTree:
             self._next_id = obj_id + 1
         self.btree.insert(key, offset)
         self.object_count += 1
-        self._observe(grid)
 
-    def _apply_delete(self, entry: LeafEntry, grid: tuple[int, ...]) -> None:
+    def _apply_delete(self, entry: LeafEntry) -> None:
         """The in-memory half of a delete (live path and WAL replay)."""
         assert self.raf is not None
         self.btree.delete(entry.key, entry.ptr)
         self.raf.mark_deleted(entry.ptr)
         self.object_count -= 1
-        self._unobserve(grid)
 
     def _apply_wal_record(self, record: WalRecord) -> None:
         """Re-apply one logged mutation during recovery.
 
         Replay is deterministic and costs zero distance computations: the
-        grid cell comes back from the recorded SFC key, the object from the
-        recorded bytes, and the id from the recorded id, so a replayed tree
-        is byte-for-byte the tree that logged the records.
+        SFC key comes back from the record, the object from the recorded
+        bytes, and the id from the recorded id, so a replayed tree is
+        byte-for-byte the tree that logged the records.
         """
-        grid = tuple(self.curve.decode(record.key))
         if record.op == OP_INSERT:
             serializer = (
                 self.raf.serializer if self.raf is not None else self._serializer
             )
             assert serializer is not None
             obj = serializer.deserialize(record.payload)
-            self._apply_insert(obj, record.obj_id, record.key, grid, flush=False)
+            self._apply_insert(obj, record.obj_id, record.key, flush=False)
             return
         entry = self._find_live_entry(record.key, record.payload)
         if entry is not None:
-            self._apply_delete(entry, grid)
+            self._apply_delete(entry)
 
     # ----------------------------------------------------- WAL & checkpoint
 
@@ -536,23 +375,6 @@ class SPBTree:
                 time.perf_counter() - t0
             )
         return generation
-
-    def _unobserve(self, grid: tuple[int, ...]) -> None:
-        """Compensate the cost-model reservoir for one deletion.
-
-        Removes one matching grid point from the sample (if present) and
-        shrinks the population counter, so the sample keeps estimating the
-        *live* distribution.  This is an approximation: when the deleted
-        object was never sampled, the decrement slightly raises the
-        inclusion probability of future inserts; the drift is bounded and
-        tested (cost estimates, not correctness, depend on the sample).
-        """
-        if self._sampled_from > 0:
-            self._sampled_from -= 1
-        try:
-            self.grid_sample.remove(grid)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------- the read frame
 

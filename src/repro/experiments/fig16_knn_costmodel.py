@@ -1,7 +1,8 @@
 """Fig. 16 — accuracy of the kNN cost model vs. k.
 
 Same protocol as Fig. 15, with the radius replaced by the eND_k estimate of
-eq. 5 (k-th NN distance from the construction-time distance distribution).
+eq. 5 (k-th NN distance from the distance distribution the model samples
+from the stored index).
 The paper reports average accuracy above 80 %.
 """
 

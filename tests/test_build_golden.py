@@ -1,14 +1,15 @@
 """Golden builds: the bytes a bulk load writes, pinned to recorded values.
 
-A build's pivots, mapping distances, SFC keys, page layout and cost-model
-statistics all end up in the files ``save_tree`` / ``ShardedIndex.save``
-write, so the sha256 of every one of those files pins the whole build.  This
-builds words, color and signature trees on both curves and a 2-shard words
-cluster, saves each, and compares the digests and the chosen pivots with
-``tests/golden/build_golden.json`` — recorded at ``7466d20``, the commit
-before the build's distance, mapping and SFC loops became array passes.  A
-change that *means* to move a build re-records with
-``PYTHONPATH=src python tests/test_build_golden.py``.
+A build's pivots, mapping distances, SFC keys and page layout all end up in
+the files ``save_tree`` / ``ShardedIndex.save`` write, so the sha256 of every
+one of those files pins the whole build.  This builds words, color and
+signature trees on both curves and a 2-shard words cluster, saves each, and
+compares the digests and the chosen pivots with
+``tests/golden/build_golden.json``.  The page-file digests and pivots were
+recorded at ``7466d20``, the commit before the build's distance, mapping and
+SFC loops became array passes; the catalog digests were re-recorded when
+the catalog stopped carrying cost-model samples.  A change that *means* to
+move a build re-records with ``PYTHONPATH=src python tests/test_build_golden.py``.
 """
 
 from __future__ import annotations

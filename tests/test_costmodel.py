@@ -7,8 +7,8 @@ from repro.core.costmodel import CostModel
 from repro.core.join import similarity_join
 from repro.core.pivots import select_pivots
 from repro.core.spbtree import SPBTree
-from repro.datasets import generate_words
-from repro.distance import EditDistance, EuclideanDistance
+from repro.datasets import generate_color, generate_words
+from repro.distance import EditDistance, EuclideanDistance, MinkowskiDistance
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +133,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             CostModel(empty)
 
-    def test_refresh_after_updates(self, tree_and_model):
-        tree, model, data, _ = tree_and_model
-        boxes_before = len(model._node_boxes)
-        model.refresh()
-        assert len(model._node_boxes) == boxes_before
+
+class TestSampledFromTheIndex:
+    def test_churned_tree_models_like_a_fresh_build_of_its_survivors(self):
+        """The model reads its statistics from the live entries, so a tree
+        that has seen deletes is modelled exactly like a fresh build of the
+        objects it still holds (same pivots, d+ and delta).  3 000 objects
+        is above the sampling cap, so the cap's stride is exercised too."""
+        data = generate_color(3000, seed=4)
+        metric = MinkowskiDistance(5)
+        churned = SPBTree.build(data, metric, num_pivots=5, seed=1)
+        for obj in data[::5]:
+            assert churned.delete(obj)
+        survivors = [obj for i, obj in enumerate(data) if i % 5]
+        space = churned.space
+        fresh = SPBTree.build(
+            survivors, metric, pivots=space.pivots, d_plus=space.d_plus,
+            delta=space.delta,
+        )  # fmt: skip
+        a, b = CostModel(churned), CostModel(fresh)
+        radius = 0.08 * space.d_plus
+        for q in data[1:200:23]:
+            assert a.estimate_range(q, radius).edc == b.estimate_range(q, radius).edc
+            for k in (1, 4, 8, 32):
+                assert a.estimate_nd_k(q, k) == b.estimate_nd_k(q, k)
 
 
 class TestMemberQueries:

@@ -1,14 +1,14 @@
 """Property tests for the cost models, across the registered datasets.
 
-The models drive online decisions now (``repro.tuning``), so their shape
-matters beyond point accuracy: a non-monotone EDC would make the tuner's
-payoff reasoning incoherent, and a NaN would poison an EWMA.  These
-properties are checked on several registered datasets (Table 2 pairings),
-not one handpicked distribution:
+A caller compares estimates (radii, k values, one query against another),
+so the models' shape matters beyond point accuracy: a non-monotone EDC
+would rank two plans the wrong way round, and a NaN would poison any sum it
+enters.  These properties are checked on several registered datasets
+(Table 2 pairings), not one handpicked distribution:
 
 * EDC and EPA are monotone non-decreasing in the range radius;
 * EDC, EPA, and the estimated radius are monotone non-decreasing in k
-  (evaluated at the construction-measured correction anchors, where the
+  (evaluated at the model's measured correction anchors, where the
   lower-envelope projection guarantees the invariant);
 * ``estimate_knn(k)`` is exactly ``estimate_range`` at
   ``estimate_nd_k(k)`` — the kNN model is the range model at the
@@ -27,8 +27,8 @@ from repro.datasets import load_dataset
 #: Registered datasets exercised, at harness-friendly sizes.
 _CASES = [("words", 400), ("color", 300), ("synthetic", 300)]
 
-#: k values at the build-time correction anchors (see
-#: ``SPBTree._self_validate``), where monotonicity is guaranteed.
+#: k values at the measured correction anchors (see
+#: ``CostModel._measure_corrections``), where monotonicity is guaranteed.
 _KS = (1, 2, 4, 8, 16, 32)
 
 

@@ -1,5 +1,8 @@
 """Tests for SPB-tree persistence (save_tree / load_tree)."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -61,16 +64,47 @@ class TestRoundTrip:
         assert len(reopened) == 199
 
     def test_cost_model_statistics_survive(self, tmp_path):
+        """A model over the reopened tree equals the model over the saved
+        one: every statistic it uses comes from the stored index."""
         words = generate_words(300, seed=3)
         tree = SPBTree.build(words, EditDistance(), num_pivots=3, seed=1)
         save_tree(tree, str(tmp_path / "idx"))
         reopened = load_tree(str(tmp_path / "idx"), EditDistance())
-        assert reopened.pair_distances == tree.pair_distances
-        assert reopened.ndk_corrections == tree.ndk_corrections
-        assert reopened.grid_sample == tree.grid_sample
-        model = CostModel(reopened)
-        estimate = model.estimate_knn(words[0], 4)
-        assert estimate.edc >= 3
+        saved, loaded = CostModel(tree), CostModel(reopened)
+        for q in words[:40:7]:
+            for radius in (1, 2, 4):
+                assert loaded.estimate_range(q, radius) == saved.estimate_range(
+                    q, radius
+                )
+            for k in (1, 4, 16):
+                assert loaded.estimate_knn(q, k) == saved.estimate_knn(q, k)
+
+    def test_catalog_with_a_statistics_block_loads(self, tmp_path):
+        """Catalogs once carried the cost model's samples in a
+        ``statistics`` block; one that still does loads, the block unread."""
+        words = generate_words(200, seed=3)
+        tree = SPBTree.build(words, EditDistance(), num_pivots=3, seed=1)
+        directory = str(tmp_path / "idx")
+        save_tree(tree, directory)
+        catalog = os.path.join(directory, "spbtree.json")
+        with open(catalog) as fh:
+            meta = json.load(fh)
+        assert "statistics" not in meta
+        meta["statistics"] = {
+            "grid_sample": [[0, 0, 0]],
+            "sampled_from": 1,
+            "pair_distances": [1.0],
+            "distance_exponent": 2.0,
+            "precision_hint": 1.0,
+            "ndk_corrections": {"1": 1.0},
+        }
+        with open(catalog, "w") as fh:
+            json.dump(meta, fh)
+        reopened = load_tree(directory, EditDistance())
+        assert len(reopened) == len(tree)
+        for q in words[:30:6]:
+            assert sorted(reopened.range_query(q, 2)) == sorted(tree.range_query(q, 2))
+            assert reopened.knn_query(q, 5) == tree.knn_query(q, 5)
 
     def test_join_after_reload(self, tmp_path):
         metric = EditDistance()

@@ -80,7 +80,7 @@ class TestVerify:
 
     def test_observation_free(self, words):
         """An audit or a probe leaves every counter the tree has where it
-        was: verify(), a cost-model probe pass, the tuner's pivot check, a
+        was: verify(), building a cost model, the tuner's pivot check, a
         block that raises — and a cluster's verify() and pivot check."""
 
         def tallies(tree):
@@ -105,10 +105,9 @@ class TestVerify:
             assert index.verify().ok
 
         tree = _checked_tree(words)
-        model = CostModel(tree)
         for observe in (
             lambda t: t.verify(),
-            lambda t: model._calibrate_probes(5),
+            CostModel,
             pivot_checks,
             raising,
         ):

@@ -306,29 +306,3 @@ class TestBatchFlush:
         assert got == [(0, "write-through"), (1, "batched-one"), (2, "batched-two")]
         raf.flush()
         assert [raf.read(off) for off in offsets] == got
-
-
-class TestReservoirCompensation:
-    """Satellite: delete compensates the cost-model grid sample."""
-
-    def test_insert_delete_returns_sample_population(self, words, edit):
-        tree = SPBTree.build(words, edit, num_pivots=3, seed=7)
-        base_population = tree._sampled_from
-        base_sample = list(tree.grid_sample)
-        tree.insert("zzyzx")
-        grid = tree.space.grid("zzyzx")
-        assert tree._sampled_from == base_population + 1
-        assert tree.delete("zzyzx")
-        assert tree._sampled_from == base_population
-        # The deleted object's grid point is not over-represented.
-        assert tree.grid_sample.count(grid) <= base_sample.count(grid)
-
-    def test_sample_never_negative_under_churn(self, words, edit):
-        tree = SPBTree.build(words[:40], edit, num_pivots=3, seed=7)
-        for word in list(words[:40]):
-            assert tree.delete(word)
-        assert tree._sampled_from >= 0
-        assert tree.object_count == 0
-        tree.insert("fresh")
-        assert tree._sampled_from >= 1
-        assert tree.range_query("fresh", 0) == ["fresh"]
