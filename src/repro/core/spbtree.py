@@ -745,7 +745,8 @@ class SPBTree:
         # pushed before anything can trip, so ``heap`` always bounds the unseen.
         heap.append((0.0, next(counter), 1, self.btree.root_page, 0))
         tr, phi_q = self._map_query(query, ctx, phi_q)
-        cur_ndk = collector.bound
+        # Bound here, inside the read frame: it counts on this context.
+        distance = self.distance.against(query)
         raf = self.raf
         assert raf is not None
 
@@ -753,21 +754,26 @@ class SPBTree:
             if ctx is not None:
                 ctx.checkpoint()
             mind, tb, kind, payload, depth = heapq.heappop(heap)
-            if mind >= cur_ndk():  # Lemma 3: early termination
+            # The k-th distance, read once: nothing is offered before the
+            # push below, so the cut-off and the push mask see this value.
+            bound = collector.bound()
+            if mind >= bound:  # Lemma 3: early termination
                 break
             record = tr.enter(tr.level(depth), ctx) if tr is not None else None
             try:
                 if kind == 0:
-                    # One popped leaf entry, verified alone: a batch of pops
-                    # would compute distances the shrinking k-th bound prunes
-                    # (Lemma 4) — cut off at the current k-th distance.  The
-                    # loop's checkpoint just ran.
+                    # One popped leaf entry, verified alone, cut off at the
+                    # k-th distance.  Pops are not gathered into a batch: on
+                    # a discrete metric MINDs tie, and no sound lower bound
+                    # on the final k-th distance passes a MIND level until
+                    # all but k - 1 of its entries are verified, so nearly
+                    # every batch would hold one pop.  The loop's
+                    # checkpoint just ran.
                     if not raf.is_deleted(payload):  # type: ignore[arg-type]
                         if tr is not None:
                             tr.bump("entries_verified")
                         obj = raf.read_object(payload)  # type: ignore[arg-type]
-                        (d,) = self.distance.batch(query, (obj,), cur_ndk())
-                        collector.offer(d, obj)
+                        collector.offer(distance(obj, bound), obj)
                     continue
                 node = self.btree.read_node(payload)  # type: ignore[arg-type]
                 if tr is not None:
@@ -781,14 +787,14 @@ class SPBTree:
                     # cut off at the k-th distance as the leaf starts — the
                     # bound only shrinks while its candidates are offered.
                     leaf = [(entry.ptr, False) for entry in node.entries]
-                    for obj, d in self._fetch_many(leaf, query, ctx, tr, cur_ndk()):
+                    for obj, d in self._fetch_many(leaf, query, ctx, tr, bound):
                         collector.offer(d, obj)
                     continue
                 else:
                     minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
                 # Lemma 3 over the whole node: push the entries whose MIND
                 # beats the current k-th distance, in entry order.
-                keep = np.flatnonzero(minds < cur_ndk())
+                keep = np.flatnonzero(minds < bound)
                 entries = node.entries
                 for i, mind in zip(keep.tolist(), minds[keep].tolist()):
                     if node.is_leaf:

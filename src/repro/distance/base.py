@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.stats import record_compdist
+from repro.stats import current_stat_shard, record_compdist
 
 
 class Metric(ABC):
@@ -47,6 +47,16 @@ class Metric(ABC):
         ignores the bound; a subclass's kernel answers within it
         bit-identically to the loop."""
         return [self(q, o) for o in objs]
+
+    def against(self, q: Any) -> Callable[[Any, float], float]:
+        """``f(o, bound)``: ``batch(q, [o], bound)[0]``, bit for bit, with
+        whatever the query alone decides resolved once.
+
+        A search that verifies objects one at a time (the incremental kNN's
+        pops) binds its query here and calls ``f`` per object.  This default
+        is that call; a subclass binds its kernel's per-query state."""
+        batch = self.batch
+        return lambda o, bound: batch(q, (o,), bound)[0]
 
     def max_distance(self, sample: Sequence[Any], pairs: int = 2000) -> float:
         """Estimate d+ — the maximum pairwise distance — from ``sample``.
@@ -112,6 +122,21 @@ class CountingDistance:
         self.count += len(objs)
         record_compdist(len(objs))
         return self.metric.batch(q, objs, bound)
+
+    def against(self, q: Any) -> Callable[[Any, float], float]:
+        """:meth:`Metric.against`, counted one per call on ``count`` and on
+        the stat shard active *when it is bound* — resolved once, so bind it
+        inside the frame that activates the query's context."""
+        f = self.metric.against(q)
+        shard = current_stat_shard()
+
+        def counted(o: Any, bound: float) -> float:
+            self.count += 1
+            if shard is not None:
+                shard.compdists += 1
+            return f(o, bound)
+
+        return counted
 
     def reset(self) -> None:
         self.count = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -170,6 +170,22 @@ class EditDistance(Metric):
             return super().batch(q, objs)
         peq = _pattern_bits(q)
         return [_myers(peq, m, o, bound) for o in objs]
+
+    def against(self, q: str) -> Callable[[str, float], float]:
+        """:meth:`Metric.against`: the scalar loop's Myers with the query's
+        bitmasks and length resolved once — what a one-row :meth:`batch`
+        runs.  A query that is not a ``str``, or a subclass that overrides
+        ``__call__`` or ``batch``, gets the default, which asks them."""
+        cls = type(self)
+        if (
+            not isinstance(q, str)
+            or cls.__call__ is not EditDistance.__call__
+            or cls.batch is not EditDistance.batch
+        ):
+            return super().against(q)
+        peq = _pattern_bits(q)
+        m = len(q)
+        return lambda o, bound: _myers(peq, m, o, bound)
 
 
 def trigram_counts(s: str) -> Counter:

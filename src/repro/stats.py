@@ -67,6 +67,12 @@ def trim_stat_shards(depth: int) -> int:
     return leaked
 
 
+def current_stat_shard() -> object | None:
+    """The current thread's accounting sink, or None when none is active."""
+    stack = getattr(_local, "shards", None)
+    return stack[-1] if stack else None
+
+
 def record_page_access() -> None:
     """Credit one page access to the current thread's shard, if any."""
     stack = getattr(_local, "shards", None)

@@ -45,6 +45,15 @@ def _loop(metric, q, objs) -> list[float]:
     return [metric(q, o) for o in objs]
 
 
+def _against_is_one_row_batch(metric, q, objs, bound) -> bool:
+    """``against(q)(o, bound)`` is ``batch(q, [o], bound)[0]``, bit for bit."""
+    f = metric.against(q)
+    got = [f(o, bound) for o in objs]
+    return all(type(d) is float for d in got) and got == [
+        metric.batch(q, [o], bound)[0] for o in objs
+    ]
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("p", MINKOWSKI)
@@ -117,11 +126,15 @@ class TestCountingDistanceBatch:
         counting = CountingDistance(MinkowskiDistance(2))
         rows = np.arange(n * 3, dtype=np.float64).reshape(n, 3)
         ctx = QueryContext()
+        unbound = counting.against(np.zeros(3))  # bound with no shard active
         with ctx.activate():
             out = counting.batch(np.zeros(3), rows)
+            f = counting.against(np.zeros(3))
+            assert [f(o, math.inf) for o in rows] == out
+            assert [unbound(o, math.inf) for o in rows] == out
         assert out == _loop(counting.metric, np.zeros(3), rows)
-        assert counting.count == n
-        assert ctx.compdists == n
+        assert counting.count == 3 * n
+        assert ctx.compdists == 2 * n  # the shard is the one active when bound
 
 
 class TestPhiMany:
@@ -231,6 +244,7 @@ class TestBoundContract:
                 got = metric.batch(q, objs, bound)
                 assert all(type(d) is float for d in got)
                 assert all(map(_within, got, exact, [bound] * n)), (metric.name, bound)
+                assert _against_is_one_row_batch(metric, q, objs[:9], bound)
                 if not isinstance(metric, EditDistance):
                     # Kernels without a cut-off ignore the bound: bit-identical.
                     assert got == exact, (metric.name, bound)
@@ -252,6 +266,7 @@ class TestBoundContract:
             got = metric.batch(q, objs, bound)
             assert all(type(d) is float for d in got)
             assert all(map(_within, got, exact, [bound] * n)), bound
+            assert _against_is_one_row_batch(metric, q, objs, bound), bound
 
     def test_the_cut_off_answers_with_a_lower_bound(self):
         metric = EditDistance()
@@ -264,9 +279,13 @@ class TestBoundContract:
             for n in sizes:
                 got = metric.batch(q, [far] * n, 1)
                 assert got == [got[0]] * n and 1 < got[0] < d
+            assert _against_is_one_row_batch(metric, q, [far], 1)
+            assert 1 < metric.against(q)(far, 1) < d
         # Within the bound, or with no bound at all: exact.
         assert metric.batch(q, ["a" * 19 + "b"], 1) == [1.0]
         assert metric.batch(q, ["b" * 20], math.nan) == [20.0]
+        assert metric.against(q)("a" * 19 + "b", 1) == 1.0
+        assert metric.against(q)("b" * 20, math.nan) == 20.0
 
     def test_non_str_rows_under_a_bound(self):
         metric = EditDistance()
@@ -278,6 +297,7 @@ class TestBoundContract:
                 for bound in (0, 1, 2.5, math.inf, math.nan):
                     got = metric.batch(q, rows[:n], bound)
                     assert all(map(_within, got, exact, [bound] * n))
+                    assert _against_is_one_row_batch(metric, q, rows[:4], bound)
 
     @pytest.mark.parametrize("bound", (0.0, 1, 1.5, math.inf, math.nan))
     def test_a_call_only_subclass_answers_exactly_through_counting(self, bound):
@@ -288,6 +308,9 @@ class TestBoundContract:
             got = counting.batch(words[0], words[1 : n + 1], bound)
             assert got == [EditDistance()(words[0], o) for o in words[1 : n + 1]]
             assert metric.calls == n and counting.count == n
+            f = counting.against(words[0])
+            assert [f(o, bound) for o in words[1 : n + 1]] == got
+            assert metric.calls == 2 * n and counting.count == 2 * n
 
     def test_an_edit_subclass_with_its_own_call_is_asked_every_row(self):
         class Counted(EditDistance):
@@ -297,10 +320,23 @@ class TestBoundContract:
                 self.calls += 1
                 return super().__call__(a, b)
 
+        class Batched(EditDistance):
+            rows = 0
+
+            def batch(self, q, objs, bound=math.inf):
+                self.rows += len(objs)
+                return super().batch(q, objs, bound)
+
         metric = Counted()
         words = generate_words(10, seed=6)
         assert metric.batch(words[0], words, 1) == [metric(words[0], o) for o in words]
         assert metric.calls == 2 * len(words)
+        f = metric.against(words[0])
+        assert [f(o, 1) for o in words] == metric.batch(words[0], words, 1)
+        assert metric.calls == 4 * len(words)
+        batched = Batched()
+        assert _against_is_one_row_batch(batched, words[0], words, 1)
+        assert batched.rows == 2 * len(words)  # against asked batch once a row
 
 
 # ------------------------------------------------- queries under the bound
