@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.cluster import ShardedIndex
 from repro.datasets import generate_words
 from repro.distance import EditDistance
-from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
+from repro.replication import PrimaryDownError, replicate
 from repro.service.context import QueryContext
 from repro.supervisor import Supervisor
 from series import append_series  # benchmarks/series.py
@@ -50,7 +50,7 @@ def run(args: argparse.Namespace) -> int:
             base, edit, shards=2, num_pivots=3, seed=11
         ).save(directory)
         replicate(directory, edit, replicas=2, read_policy="round-robin")
-        idx = ReplicatedIndex.open(
+        idx = ShardedIndex.open(
             directory, edit, wal_fsync=False,
             heartbeat_timeout=args.heartbeat_timeout,
         )

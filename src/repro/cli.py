@@ -286,7 +286,7 @@ def _open_index(args: argparse.Namespace, writable: bool = False):
     talk to, as ``(index, serializer name, objects to query by when --query
     is absent)``: ``--connect`` gives a :class:`NetClient`, ``--dir`` the
     saved cluster or tree its catalog names (``writable``: with its logs
-    attached, a cluster as a :class:`ReplicatedIndex`), and neither builds
+    attached, and a cluster's replica sets), and neither builds
     over the dataset flags.  What it opened, it closes on the way out."""
     connect, directory = getattr(args, "connect", None), getattr(args, "dir", None)
     if connect is not None:
@@ -312,9 +312,9 @@ def _open_index(args: argparse.Namespace, writable: bool = False):
         if not writable:
             index = (ShardedIndex.load if cluster else load_tree)(directory, metric)
         elif cluster:
-            timeout = getattr(args, "heartbeat_timeout", replication.DEFAULT_TIMEOUT)
-            index = replication.ReplicatedIndex.open(
-                directory, metric, heartbeat_timeout=timeout
+            index = ShardedIndex.open(
+                directory, metric,
+                heartbeat_timeout=getattr(args, "heartbeat_timeout", None),
             )
         else:
             index = open_tree(directory, metric)
@@ -984,15 +984,12 @@ def cmd_replicate(args: argparse.Namespace) -> None:
         f"replicated shards {done}: {args.replicas} follower(s) each, "
         f"read policy {args.read_policy}"
     )
-    with contextlib.closing(
-        replication.ReplicatedIndex.open(args.dir, metric)
-    ) as idx:
-        idx.ship_all()  # seed every follower to lag zero
+    with contextlib.closing(ShardedIndex.open(args.dir, metric)) as idx:
         print(_replication_table(idx))
 
 
 def cmd_shard_failover(args: argparse.Namespace) -> None:
-    idx = replication.ReplicatedIndex.open(args.dir, _directory_metric(args))
+    idx = ShardedIndex.open(args.dir, _directory_metric(args))
     with contextlib.closing(idx):
         info = idx.failover(args.shard)
         idx.ship_all()  # re-sync the demoted ex-primary right away
@@ -1006,7 +1003,7 @@ def cmd_shard_failover(args: argparse.Namespace) -> None:
 
 def cmd_scrub(args: argparse.Namespace) -> None:
     """One anti-entropy pass over a saved replicated cluster."""
-    idx = replication.ReplicatedIndex.open(args.dir, _directory_metric(args))
+    idx = ShardedIndex.open(args.dir, _directory_metric(args))
     with contextlib.closing(idx), Supervisor(
         idx,
         journal_path=os.path.join(args.dir, SUPERVISOR_JOURNAL),
@@ -1072,7 +1069,7 @@ def cmd_shard_status(args: argparse.Namespace) -> None:
     """Replication status plus supervisor event tail, one line per shard."""
     metric = _directory_metric(args)
     try:
-        idx = replication.ReplicatedIndex.open(args.dir, metric)
+        idx = ShardedIndex.open(args.dir, metric)
     except (ValueError, replication.ReplicationError, OSError) as exc:
         raise CommandFailed(f"FAILED — {args.dir}: {exc}") from exc
     with contextlib.closing(idx):

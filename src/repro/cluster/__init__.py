@@ -9,7 +9,7 @@ WALs, budgeted queries, observability — into a multi-shard system::
     hits = cluster.range_query(q, radius)          # scatters to few shards
     nn = cluster.knn_query(q, 10)                  # best-shard-first
     cluster.save("cluster_dir")
-    cluster = ShardedIndex.open("cluster_dir", metric)   # WAL-backed
+    cluster = ShardedIndex.open("cluster_dir", metric)   # WALs + replica sets
     cluster.rebalance()                            # crash-safe split/merge
     assert cluster.verify().ok
 
@@ -17,13 +17,15 @@ Range, count and kNN are one sequential scatter loop; kNN visits shards
 best-first by Lemma 3's MIND under one shared bound.
 
 A :class:`Shard` owns its members: ``shard.members`` is None or a replica
-set the cluster reaches through six duck-typed methods (``reader``,
-``require_writable``, ``after_write``, ``degraded``, ``rows``,
-``close``).  Replication (``repro.replication``) supplies that set and
-builds on the catalog's replica rows (:class:`ReplicaMeta`), the recorded
-read policy (:data:`READ_POLICIES`), and the deterministic
-:class:`ReplicaSelector` exported here; this package imports nothing
-from it.
+set the read and write path reaches through six duck-typed methods
+(``reader``, ``require_writable``, ``after_write``, ``degraded``,
+``rows``, ``close``).  Replication (``repro.replication``) supplies that
+set and builds on the catalog's replica rows (:class:`ReplicaMeta`), the
+recorded read policy (:data:`READ_POLICIES`), and the deterministic
+:class:`ReplicaSelector` exported here.  :meth:`ShardedIndex.open`
+attaches the sets and :class:`ShardedIndex` carries their administration
+(failover, shipping, health, status); it imports ``repro.replication``
+only inside those calls.
 """
 
 from repro.cluster.catalog import (
@@ -41,8 +43,8 @@ from repro.cluster.sharded import (
     ClusterVerifyReport,
     Shard,
     ShardedIndex,
-    ShardExhaustion,
 )
+from repro.service.context import ShardExhaustion
 
 __all__ = [
     "CLUSTER_FILE",

@@ -19,10 +19,17 @@ generation; the cluster adds
   merge cold neighbours) committed by one catalog rename.
 
 A :class:`Shard` owns its members.  Unreplicated, its tree is the only
-one; replicated, ``shard.members`` is a replica set and the cluster asks
-the shard six things — ``reader(ctx)``, ``require_writable()``,
-``after_write()``, ``degraded()``, ``rows()``, ``close()`` — without ever
-importing :mod:`repro.replication`.
+one; replicated, ``shard.members`` is a replica set and the read and
+write path asks the shard six things — ``reader(ctx)``,
+``require_writable()``, ``after_write()``, ``degraded()``, ``rows()``,
+``close()`` — and never looks inside.  :meth:`ShardedIndex.open`, the
+one writable open, attaches a :class:`repro.replication.ReplicaSet` to
+every shard whose catalog row has replicas, so every write ships before
+it is acknowledged.  Replication administration (failover, shipping,
+health, status, the re-syncing checkpoint) is the cluster's own and
+answers empty on an unreplicated cluster.  :mod:`repro.replication`
+builds on this module, so ``open`` and ``failover`` import it when they
+run.
 
 Shards are visited sequentially, in plan order.  kNN is best-first by
 Lemma 3's MIND with one shared :class:`KnnCollector`, so the k-th-distance
@@ -45,7 +52,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from repro.cluster.catalog import (
     ClusterCatalog,
@@ -55,7 +62,7 @@ from repro.cluster.catalog import (
     load_catalog,
     save_catalog,
 )
-from repro.cluster.router import Router
+from repro.cluster.router import ReplicaSelector, Router
 from repro.core.mapping import PivotSpace
 from repro.core.persist import load_tree, save_tree
 from repro.core.pivots import select_pivots
@@ -71,28 +78,15 @@ from repro.service.context import (
     KnnCollector,
     QueryContext,
     QueryResult,
+    ShardExhaustion,
     _Exhausted,
 )
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE
 from repro.storage.serializers import Serializer, serializer_for
-from repro.storage.wal import WAL_FILE, WriteAheadLog
+from repro.storage.wal import WAL_FILE, WriteAheadLog, scan_wal
 
-
-@dataclass(frozen=True)
-class ShardExhaustion(ExhaustionReason):
-    """An :class:`ExhaustionReason` that names the shard whose sub-budget
-    tripped — what a degraded scatter reports so an operator can tell a
-    hot shard from a globally short deadline."""
-
-    shard: int = -1
-
-    def __str__(self) -> str:
-        if self.kind == "quorum":
-            return (
-                f"shard {self.shard}: replica set degraded "
-                f"({self.spent:.0f} healthy members, quorum {self.limit:.0f})"
-            )
-        return f"shard {self.shard}: {super().__str__()}"
+if TYPE_CHECKING:
+    from repro.replication import Monitor, ReplicaSet
 
 
 def _name_shard(reason: ExhaustionReason, shard_id: int) -> ShardExhaustion:
@@ -294,10 +288,14 @@ class ShardedIndex:
         self._logging = False
         self._faults: Optional[FaultInjector] = None
         self.next_shard_id = 0
-        #: The catalog's recorded read-routing policy.  The base class only
-        #: preserves it (and each shard's replica rows) across save/load;
-        #: ``repro.replication`` attaches the live members that use it.
-        self._read_policy = "primary-only"
+        #: Read routing under the catalog's recorded policy, shared by
+        #: every replica set so an operator can ask it directly.
+        self._selector = ReplicaSelector("primary-only")
+        #: Member liveness; set by :meth:`open` (a built or loaded cluster
+        #: has no members to watch).
+        self.monitor: Optional[Monitor] = None
+        #: Attached self-healing loop, if any (set by ``Supervisor``).
+        self.supervisor: Optional[Any] = None
 
     # --------------------------------------------------------- construction
 
@@ -404,11 +402,20 @@ class ShardedIndex:
             checksums=self._checksums,
         )
 
-    def _empty_tree(self) -> SPBTree:
-        """A fresh empty stack with the cluster's parameters: a shard (or
-        a follower of one) that has never been checkpointed has no page
-        files to load."""
-        return self._tree_from_items([])
+    def _load_member(self, directory: str, replay_wal: bool = True) -> SPBTree:
+        """One member's tree from its directory: its snapshot plus its live
+        log, or — never checkpointed, so no page files — a fresh empty stack
+        with the cluster's parameters plus the log's generation-0 records.
+        A shard's primary and every follower load through here."""
+        if os.path.exists(os.path.join(directory, "spbtree.json")):
+            return load_tree(directory, self.distance.metric, replay_wal=replay_wal)
+        tree = self._tree_from_items([])
+        if replay_wal:
+            header, records, _, _ = scan_wal(os.path.join(directory, WAL_FILE))
+            if header is not None and header.base_generation == tree._generation:
+                for record in records:
+                    tree._apply_wal_record(record)
+        return tree
 
     # ---------------------------------------------------------- persistence
 
@@ -436,11 +443,9 @@ class ShardedIndex:
         )
         self.next_shard_id = cat.next_shard_id
         for meta in cat.shards:
-            sdir = os.path.join(directory, meta.directory)
-            if os.path.exists(os.path.join(sdir, "spbtree.json")):
-                tree = load_tree(sdir, metric, replay_wal=replay_wal)
-            else:
-                tree = self._empty_tree()  # empty at save time
+            tree = self._load_member(
+                os.path.join(directory, meta.directory), replay_wal
+            )
             shard = Shard(
                 meta.shard_id, meta.key_lo, meta.key_hi, tree, meta.directory
             )
@@ -448,7 +453,7 @@ class ShardedIndex:
             self.shards.append(shard)
         self.router.reset(self.shards)
         self.directory = directory
-        self._read_policy = cat.read_policy
+        self._selector = ReplicaSelector(cat.read_policy)
         self._cleanup_unreferenced()
         self._gauge_all()
         return self
@@ -460,14 +465,52 @@ class ShardedIndex:
         metric: Metric,
         wal_fsync: bool = True,
         faults: Optional[FaultInjector] = None,
+        heartbeat_timeout: Optional[float] = None,
+        clock: Optional[Callable[[], float]] = None,
     ) -> "ShardedIndex":
-        """Reopen for writing: load, then attach a WAL to every shard."""
+        """Reopen for writing: load, attach a WAL to every shard, and a
+        replica set to every shard whose catalog row has replicas.
+
+        Follower trees load from their own directories (their logs
+        replaying exactly as a primary's would) and every member starts
+        healthy under a monitor with ``heartbeat_timeout`` (None: the
+        monitor's default, 5 s); pass ``clock`` to drive heartbeats
+        deterministically.
+        """
+        from repro.replication import DEFAULT_TIMEOUT, Monitor, Replica, ReplicaSet
+
         self = cls.load(directory, metric)
         self._wal_fsync = wal_fsync
         self._faults = faults
         for shard in self.shards:
             self._attach_wal(shard)
         self._logging = True
+        self.monitor = Monitor(
+            DEFAULT_TIMEOUT if heartbeat_timeout is None else heartbeat_timeout,
+            clock,
+        )
+        for shard in self.shards:
+            if not shard.replicas:
+                continue
+            row = next(r for r in shard.replicas if r.role == "primary")
+            rset = ReplicaSet(
+                shard.shard_id,
+                directory,
+                Replica(row.replica_id, shard.dirname, shard.tree, shard.tree.wal),
+                self._load_member,
+                self._selector,
+                self.monitor,
+                wal_fsync=wal_fsync,
+                faults=faults,
+            )
+            for row in shard.replicas:
+                if row.role == "follower":
+                    rset.add_follower(row.replica_id, row.directory)
+            # Catch-up pump: a freshly seeded follower has no log of its
+            # own yet (``save`` folds the WAL into the snapshot), so one
+            # ship brings every member to lag zero before the first write.
+            rset.ship()
+            shard.members = rset
         return self
 
     def save(
@@ -491,11 +534,25 @@ class ShardedIndex:
             )
 
     def checkpoint(self, faults: Optional[FaultInjector] = None) -> None:
-        """Fold every shard's WAL into a new generation, then refresh the
-        catalog.  A crash between the two leaves stale (not wrong) cluster
-        rows: shard catalogs stay authoritative for loading."""
+        """Ship first, fold every shard's WAL into a new generation, refresh
+        the catalog, then re-sync the followers.
+
+        A crash between the fold and the catalog leaves stale (not wrong)
+        cluster rows: shard catalogs stay authoritative for loading.
+        Folding starts a new log generation, which makes every follower's
+        position stale by design; the re-sync pass re-seeds them from the
+        fresh snapshots and a second catalog write records the new
+        positions.  A crash between the two leaves stale
+        (generation-mismatched) acked rows, which load ignores — the
+        followers simply re-sync on their next ship.
+        """
         if self.directory is None:
             raise ValueError("cluster has no directory; save() it first")
+        sets = list(self._sets.values())  # a checkpoint swaps no shard
+        with self._lock.read():
+            for rset in sets:
+                if rset.healthy(rset.primary.replica_id):
+                    rset.ship()
         with self._lock.write():
             for shard in self.shards:
                 if shard.tree.wal is None or shard.tree.raf is None:
@@ -504,6 +561,11 @@ class ShardedIndex:
                     os.path.join(self.directory, shard.dirname), faults=faults
                 )
             self._write_catalog(faults)
+            if not sets:
+                return
+            for rset in sets:
+                rset.resync_all()
+            self._write_catalog(faults if faults is not None else self._faults)
 
     def close(self) -> None:
         """Release every shard's WAL file handles."""
@@ -561,7 +623,7 @@ class ShardedIndex:
                 )
                 for s in shards
             ],
-            read_policy=self._read_policy,
+            read_policy=self._selector.policy,
         )
 
     def _cleanup_unreferenced(self) -> None:
@@ -971,6 +1033,142 @@ class ShardedIndex:
         if _obsreg.ENABLED:
             for shard in self.shards:
                 self._gauge_shard(shard)
+
+    # --------------------------------------------------------- replication
+
+    @property
+    def _sets(self) -> dict[int, ReplicaSet]:
+        """``shard_id -> members`` of every replicated shard: a view
+        derived from the shards, which own their sets."""
+        return {
+            s.shard_id: s.members for s in self.shards if s.members is not None
+        }
+
+    def degraded_shards(self) -> dict[int, ShardExhaustion]:
+        """Shards whose replica set cannot currently honour the write/read
+        contract: primary down (no writes, reads possibly stale) or
+        majority lost.  Keyed by shard id, valued by the reason a
+        degraded result carries."""
+        out = {}
+        for shard in self.shards:
+            lost = shard.degraded()
+            if lost is not None:
+                out[shard.shard_id] = lost
+        return out
+
+    def ship_all(self, request_id: Optional[str] = None) -> dict[int, int]:
+        """Pump every replicated shard once; ``shard_id -> bytes shipped``.
+        Shards with a down primary are skipped (they need a promotion,
+        not a pump).  ``request_id`` is accepted so engine-submitted ship
+        tasks stay correlatable; shipping itself records nothing."""
+        del request_id  # identity rides on the engine task's context
+        with self._lock.read():
+            out = {}
+            for sid, rset in sorted(self._sets.items()):
+                if not rset.healthy(rset.primary.replica_id):
+                    continue
+                out[sid] = rset.ship()
+            return out
+
+    def check_health(self) -> dict[int, "list[int]"]:
+        """Probe every replica set; ``shard_id -> unhealthy replica ids``.
+        Misses feed the per-shard heartbeat-miss counter."""
+        return {
+            sid: self.monitor.check(sid, rset.member_ids())
+            for sid, rset in sorted(self._sets.items())
+        }
+
+    def replication_status(self) -> dict[int, dict]:
+        """Operator-facing snapshot: roles, health, lag per member, and
+        each shard's rollup of them (``primary_healthy``,
+        ``healthy_members``, ``max_lag_bytes``)."""
+        out: dict[int, dict] = {}
+        degraded = self.degraded_shards()
+        for sid, rset in sorted(self._sets.items()):
+            primary = rset.primary.replica_id
+            members = [
+                {
+                    "replica": rid,
+                    "role": "primary" if rid == primary else "follower",
+                    "healthy": rset.healthy(rid),
+                    "lag_bytes": rset.lag(rid),
+                }
+                for rid in rset.member_ids()
+            ]
+            out[sid] = {
+                "primary": primary,
+                "members": members,
+                "primary_healthy": any(
+                    m["healthy"] for m in members if m["role"] == "primary"
+                ),
+                "healthy_members": sum(m["healthy"] for m in members),
+                "max_lag_bytes": max(
+                    (m["lag_bytes"] for m in members), default=0
+                ),
+                "degraded": sid in degraded,
+            }
+        return out
+
+    def failover(
+        self,
+        shard_id: int,
+        faults: Optional[FaultInjector] = None,
+        request_id: Optional[str] = None,
+    ) -> dict:
+        """Promote the best follower of ``shard_id`` to primary.
+
+        The sequence is crash-proven end to end:
+
+        1. pick the healthy follower with the longest valid WAL prefix
+           (every fully-acknowledged write is on it);
+        2. fold its log into a new generation in *its own* directory —
+           pure preparation: the old catalog still names the old
+           primary, so a crash here changes nothing visible;
+        3. rewrite the cluster catalog naming the follower's directory
+           as the shard's — the atomic rename is the single commit
+           point.  Before it: the old membership.  After it: the new.
+           Never a hybrid.
+
+        The generation bump in step 2 is the fence — the ex-primary's
+        log is now stale, so when it returns it re-syncs as a follower
+        and can never take a write against the promoted catalog.
+        """
+        from repro.replication import ReplicationError
+
+        if faults is None:
+            faults = self._faults
+        with self._lock.write():
+            rset = self._sets.get(shard_id)
+            if rset is None:
+                raise ReplicationError(
+                    f"shard {shard_id} is not replicated; nothing to fail over"
+                )
+            shard = self._shard_by_id(shard_id)
+            candidate = rset.best_follower()
+            if candidate.tree.wal is None:
+                candidate.tree.begin_logging(candidate.wal)
+            assert self.directory is not None
+            generation = candidate.tree.checkpoint(
+                os.path.join(self.directory, candidate.directory),
+                faults=faults,
+            )
+            old = rset.promote(candidate)
+            shard.tree = candidate.tree
+            shard.dirname = candidate.directory
+            self.router.invalidate(shard_id)  # new tree: drop the cached MBB
+            self._write_catalog(faults)  # the commit point
+            self._gauge_shard(shard)
+            out = {
+                "shard": shard_id,
+                "promoted": candidate.replica_id,
+                "demoted": old.replica_id,
+                "generation": generation,
+            }
+            if request_id is not None:
+                # Correlate an engine/CLI-driven promotion with the request
+                # that asked for it (supervisor journal detail, flight dump).
+                out["request_id"] = request_id
+            return out
 
     # ----------------------------------------------------------- rebalance
 

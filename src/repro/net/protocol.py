@@ -203,14 +203,12 @@ def reason_from_json(data: Optional[dict]) -> Any:
         spent = data["spent"]
     except (TypeError, KeyError) as exc:
         raise ProtocolError(f"malformed exhaustion reason: {data!r}") from exc
-    if "shard" in data:
-        from repro.cluster.sharded import ShardExhaustion
+    from repro.service.context import ExhaustionReason, ShardExhaustion
 
+    if "shard" in data:
         return ShardExhaustion(
             kind=kind, limit=limit, spent=spent, shard=data["shard"]
         )
-    from repro.service.context import ExhaustionReason
-
     return ExhaustionReason(kind=kind, limit=limit, spent=spent)
 
 

@@ -4,11 +4,10 @@ and crash-proven promotion.
 Public surface:
 
 * :func:`replicate` — bootstrap follower directories + catalog rows for
-  a saved cluster.
-* :class:`ReplicatedIndex` — a :class:`~repro.cluster.ShardedIndex`
-  whose shards hold replica sets.  It adds replication *administration*
-  (open, failover, ship, health, status, checkpoint); reads and writes
-  are the base class's, which asks each shard's set.
+  a saved cluster.  :meth:`~repro.cluster.ShardedIndex.open` then
+  attaches a replica set to every shard with replica rows; failover,
+  shipping, health, status and the re-syncing checkpoint are
+  :class:`~repro.cluster.ShardedIndex` methods too.
 * :class:`ReplicaSet` / :class:`Replica` — one shard's membership and
   the shipping pump; the set is what a :class:`~repro.cluster.Shard`
   holds as ``members`` (read routing, fencing, synchronous shipping,
@@ -19,7 +18,7 @@ Public surface:
   :class:`~repro.storage.wal.StaleWalError` for fenced writers).
 """
 
-from repro.replication.cluster import ReplicatedIndex, replicate
+from repro.replication.cluster import replicate
 from repro.replication.monitor import DEFAULT_TIMEOUT, Monitor
 from repro.replication.replicaset import (
     NoPromotableFollowerError,
@@ -36,7 +35,6 @@ __all__ = [
     "PrimaryDownError",
     "Replica",
     "ReplicaSet",
-    "ReplicatedIndex",
     "ReplicationError",
     "replicate",
 ]

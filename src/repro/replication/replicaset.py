@@ -31,21 +31,13 @@ from typing import Callable, Optional
 
 from repro.cluster.catalog import CLUSTER_FILE, ReplicaMeta
 from repro.cluster.router import ReplicaSelector
-from repro.cluster.sharded import ShardExhaustion
-from repro.core.persist import load_tree
 from repro.core.spbtree import SPBTree
-from repro.distance.base import Metric
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
 from repro.replication.monitor import Monitor
-from repro.service.context import QueryContext
+from repro.service.context import QueryContext, ShardExhaustion
 from repro.storage.faults import FaultInjector
-from repro.storage.wal import (
-    WAL_FILE,
-    ShipPosition,
-    WriteAheadLog,
-    scan_wal,
-)
+from repro.storage.wal import WAL_FILE, ShipPosition, WriteAheadLog
 
 
 class ReplicationError(RuntimeError):
@@ -94,6 +86,9 @@ class ReplicaSet:
     the cluster's read and write path reaches it through six methods and
     nothing else: :meth:`reader`, :meth:`require_writable`,
     :meth:`after_write`, :meth:`degraded`, :meth:`rows`, :meth:`close`.
+    Followers join through :meth:`add_follower`; ``load_tree`` turns a
+    member directory into its tree (the cluster's own member loader) and
+    ``selector`` is the cluster's read-routing policy, shared by its sets.
     """
 
     def __init__(
@@ -101,9 +96,8 @@ class ReplicaSet:
         shard_id: int,
         cluster_dir: str,
         primary: Replica,
-        followers: "list[Replica]",
-        metric: Metric,
-        tree_factory: Callable[[], SPBTree],
+        load_tree: Callable[[str], SPBTree],
+        selector: ReplicaSelector,
         monitor: Monitor,
         wal_fsync: bool = True,
         faults: Optional[FaultInjector] = None,
@@ -111,32 +105,25 @@ class ReplicaSet:
         self.shard_id = shard_id
         self.cluster_dir = cluster_dir
         self.primary = primary
-        self.followers = sorted(followers, key=lambda r: r.replica_id)
-        self.metric = metric
-        self.tree_factory = tree_factory
+        self.followers: list[Replica] = []
+        self.load_tree = load_tree
+        self.selector = selector
         self.monitor = monitor
         self.wal_fsync = wal_fsync
         self.faults = faults
         #: Durable acknowledged position per follower id.
-        self.acked: dict[int, ShipPosition] = {
-            rep.replica_id: rep.wal.position for rep in self.followers
-        }
+        self.acked: dict[int, ShipPosition] = {}
         #: Serialises shipping pumps: writer threads ship synchronously
         #: after each commit while the supervisor's catch-up pass ships
         #: from its own thread, both under the cluster's *read* side —
         #: without this, interleaved pumps ship overlapping frame ranges
         #: and trip the splice check in :meth:`_acknowledge`.
         self._ship_lock = threading.Lock()
-        #: Read-routing policy; the cluster shares one selector across
-        #: its sets so an operator can ask it directly.
-        self.selector = ReplicaSelector("primary-only")
         #: ``cluster.json``'s stat signature and this shard's generation
         #: in it, as last read by :meth:`_catalog_generation`.
         self._fence_stamp: Optional[tuple[int, int]] = None
         self._fence_generation: Optional[int] = None
         monitor.register(shard_id, primary.replica_id)
-        for rep in self.followers:
-            monitor.register(shard_id, rep.replica_id)
 
     # ----------------------------------------------------------- membership
 
@@ -144,7 +131,7 @@ class ReplicaSet:
         """Open (or create) a follower from its catalog row."""
         fdir = os.path.join(self.cluster_dir, directory)
         os.makedirs(fdir, exist_ok=True)
-        tree = self._load_tree(fdir)
+        tree = self.load_tree(fdir)
         wal = WriteAheadLog(
             os.path.join(fdir, WAL_FILE),
             fsync=self.wal_fsync,
@@ -380,7 +367,7 @@ class ReplicaSet:
             )
         shutil.rmtree(fdir, ignore_errors=True)
         shutil.copytree(pdir, fdir)
-        rep.tree = self._load_tree(fdir)
+        rep.tree = self.load_tree(fdir)
         rep.wal = WriteAheadLog(
             os.path.join(fdir, WAL_FILE),
             fsync=self.wal_fsync,
@@ -393,19 +380,6 @@ class ReplicaSet:
     def resync_all(self) -> None:
         for rep in self.followers:
             self.resync(rep)
-
-    def _load_tree(self, directory: str) -> SPBTree:
-        """A follower tree from its directory: catalog + stale-aware WAL
-        replay, or a fresh empty stack (plus any generation-0 records)
-        when the shard has never been checkpointed."""
-        if os.path.exists(os.path.join(directory, "spbtree.json")):
-            return load_tree(directory, self.metric, replay_wal=True)
-        tree = self.tree_factory()
-        header, records, _, _ = scan_wal(os.path.join(directory, WAL_FILE))
-        if header is not None and header.base_generation == tree._generation:
-            for record in records:
-                tree._apply_wal_record(record)
-        return tree
 
     # ------------------------------------------------------------ promotion
 
@@ -442,7 +416,7 @@ class ReplicaSet:
     def promote(self, candidate: Replica) -> Replica:
         """Swap roles after the caller has committed the promotion.
 
-        The caller (the replicated cluster) has already checkpointed the
+        The caller (the cluster's ``failover``) has already checkpointed the
         candidate's tree (bumping its generation past the ex-primary's
         log — the fence) and rewritten the catalog; this is the
         in-memory role swap.  Returns the demoted ex-primary, now a

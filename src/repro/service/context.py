@@ -113,6 +113,24 @@ class ExhaustionReason:
         return f"{self.kind} budget exceeded ({self.spent:.0f} of {self.limit:.0f})"
 
 
+@dataclass(frozen=True)
+class ShardExhaustion(ExhaustionReason):
+    """An :class:`ExhaustionReason` that names the shard whose sub-budget
+    tripped — what a degraded scatter reports so an operator can tell a
+    hot shard from a globally short deadline — or, as ``kind="quorum"``,
+    whose replica set lost its quorum."""
+
+    shard: int = -1
+
+    def __str__(self) -> str:
+        if self.kind == "quorum":
+            return (
+                f"shard {self.shard}: replica set degraded "
+                f"({self.spent:.0f} healthy members, quorum {self.limit:.0f})"
+            )
+        return f"shard {self.shard}: {super().__str__()}"
+
+
 class EpochLock:
     """Single-writer / multi-reader lock with snapshot-epoch pinning.
 

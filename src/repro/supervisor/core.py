@@ -1,7 +1,7 @@
 """The self-healing control loop: failover, rejoin, anti-entropy.
 
-One :class:`Supervisor` watches one :class:`~repro.replication.cluster.
-ReplicatedIndex`.  Each tick it probes every replica set's heartbeats
+One :class:`Supervisor` watches one :class:`~repro.cluster.ShardedIndex`
+with replica sets.  Each tick it probes every replica set's heartbeats
 and drives three repairs, all built on primitives the cluster already
 trusts:
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.cluster import ShardedIndex
 from repro.control import ControlLoop
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
@@ -85,14 +86,14 @@ class _ShardState:
 
 
 class Supervisor(ControlLoop):
-    """Background repair loop over a :class:`ReplicatedIndex`."""
+    """Background repair loop over a cluster with replica sets."""
 
     name = "supervisor"
     _bundle = staticmethod(_instruments.supervisor)
 
     def __init__(
         self,
-        index: Any,
+        index: ShardedIndex,
         scrub_interval: Optional[float] = 60.0,
         scrub_pages: Optional[int] = 64,
         tick_interval: Optional[float] = None,

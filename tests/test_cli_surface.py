@@ -60,7 +60,11 @@ def test_every_flag_of_every_subcommand_is_the_recorded_one():
 #: Bad input -> (argv after the subcommand).  Every subcommand that takes
 #: ``--dir`` gets a directory that does not exist.  A case named after a
 #: subcommand that ``query`` / ``verify`` replaced runs the replacement.
+#: The cluster verbs also get a saved single tree (``_TREE`` stands for
+#: its directory), which they must refuse by naming the missing
+#: ``cluster.json``.
 _MISSING = ["--dir", "/nonexistent/index", "--metric", "edit"]
+_TREE = "<saved tree>"
 _SMALL = ["--dataset", "words", "--size", "60"]
 _WIRE = ["query", "--connect", "127.0.0.1:1", "--query", "x"]
 BAD_INPUT = {
@@ -99,19 +103,38 @@ BAD_INPUT = {
     "scrub": ["scrub", *_MISSING],
     "serve": ["serve", *_MISSING],
     "shard-status": ["shard-status", *_MISSING],
+    "shard-rebalance-on-a-tree": ["shard-rebalance", "--dir", _TREE],
+    "replicate-on-a-tree": ["replicate", "--dir", _TREE],
+    "shard-failover-on-a-tree": ["shard-failover", "--dir", _TREE, "--shard", "0"],
+    "scrub-on-a-tree": ["scrub", "--dir", _TREE],
+    "shard-status-on-a-tree": ["shard-status", "--dir", _TREE],
 }
+
+
+@pytest.fixture(scope="module")
+def saved_tree(tmp_path_factory) -> str:
+    out = str(tmp_path_factory.mktemp("tree") / "idx")
+    built = run_cli("build", "--dataset", "words", "--size", "60", "--out", out)
+    assert built.returncode == 0, built.stderr
+    return out
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_is_one_stderr_line_and_exit_1(case):
+def test_bad_input_is_one_stderr_line_and_exit_1(case, request):
     argv = BAD_INPUT[case]
+    on_tree = _TREE in argv
+    if on_tree:
+        tree = request.getfixturevalue("saved_tree")
+        argv = [tree if arg == _TREE else arg for arg in argv]
     out = run_cli(*argv)
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr + out.stdout
     lines = [line for line in out.stderr.splitlines() if line]
     assert len(lines) == 1, out.stderr
     assert lines[0].startswith(f"{argv[0]}: ")
+    if on_tree:
+        assert "cluster.json" in lines[0], lines[0]
 
 
 def test_every_dir_subcommand_has_a_bad_input_case():

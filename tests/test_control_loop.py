@@ -22,7 +22,7 @@ from repro.cluster import ShardedIndex
 from repro.control import ControlLoop, EventJournal, read_journal
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import QueryTrace
-from repro.replication import ReplicatedIndex, replicate
+from repro.replication import replicate
 from repro.supervisor import Supervisor
 from repro.tuning import Tuner
 
@@ -118,7 +118,7 @@ def loop(request, tmp_path, small_words, edit):
         directory = str(tmp_path / "cluster")
         cluster.save(directory)
         replicate(directory, edit, replicas=1)
-        index = ReplicatedIndex.open(
+        index = ShardedIndex.open(
             directory, edit, wal_fsync=False,
             heartbeat_timeout=4.0, clock=FakeClock(),
         )

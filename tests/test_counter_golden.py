@@ -21,7 +21,7 @@ from repro.cluster import ShardedIndex
 from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words, load_dataset
 from repro.obs.trace import QueryTrace
-from repro.replication import ReplicatedIndex, replicate
+from repro.replication import replicate
 from repro.service.context import QueryContext
 
 SIZE = 1500
@@ -407,7 +407,7 @@ def _build_cluster(name: str, workdir: str):
         directory = os.path.join(workdir, name)
         built.save(directory)
         replicate(directory, dataset.metric, replicas=followers, read_policy=policy)
-        index = ReplicatedIndex.open(
+        index = ShardedIndex.open(
             directory, dataset.metric, wal_fsync=False, heartbeat_timeout=3600.0
         )
     else:

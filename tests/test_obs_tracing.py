@@ -32,7 +32,7 @@ from repro.net import (
 from repro.obs.flight import FLIGHT_VERSION, FlightRecorder
 from repro.obs.ids import clean_trace_id, is_local_id, new_trace_id
 from repro.obs.trace import QueryTrace, Span, attributed_totals_from_dict
-from repro.replication import ReplicatedIndex, replicate
+from repro.replication import replicate
 from repro.service import QueryContext, QueryEngine
 from repro.storage.faults import TransientIOError
 from repro.supervisor import Supervisor
@@ -425,7 +425,7 @@ class TestReplicatedReconciliation:
         self, cluster_dir, small_words, edit
     ):
         replicate(cluster_dir, edit, replicas=2, read_policy="fastest-mind")
-        idx = ReplicatedIndex.open(cluster_dir, edit, wal_fsync=False)
+        idx = ShardedIndex.open(cluster_dir, edit, wal_fsync=False)
         try:
             for word in small_words[:8]:
                 ctx, _ = _traced_range(idx, word, 2.0)
@@ -447,7 +447,7 @@ class TestReplicatedReconciliation:
         self, cluster_dir, small_words, edit
     ):
         replicate(cluster_dir, edit, replicas=2, read_policy="round-robin")
-        idx = ReplicatedIndex.open(cluster_dir, edit, wal_fsync=False)
+        idx = ShardedIndex.open(cluster_dir, edit, wal_fsync=False)
         try:
             seen = set()
             for word in small_words[:6]:
@@ -461,7 +461,7 @@ class TestReplicatedReconciliation:
         self, cluster_dir, small_words, edit
     ):
         replicate(cluster_dir, edit, replicas=2, read_policy="fastest-mind")
-        idx = ReplicatedIndex.open(cluster_dir, edit, wal_fsync=False)
+        idx = ShardedIndex.open(cluster_dir, edit, wal_fsync=False)
         try:
             before, _ = _traced_range(idx, small_words[0], 2.0)
             assert before.trace.attributed_totals() == (
@@ -568,7 +568,7 @@ class TestChaosCorrelation:
             small_words[:200], edit, shards=2, num_pivots=3, seed=11
         ).save(directory)
         replicate(directory, edit, replicas=2, read_policy="round-robin")
-        idx = ReplicatedIndex.open(
+        idx = ShardedIndex.open(
             directory, edit, wal_fsync=False,
             heartbeat_timeout=timeout, clock=clock,
         )

@@ -27,7 +27,6 @@ from repro.replication import (
     Monitor,
     NoPromotableFollowerError,
     PrimaryDownError,
-    ReplicatedIndex,
     ReplicationError,
     replicate,
 )
@@ -78,7 +77,7 @@ class TestReplicate:
                 assert os.path.isdir(os.path.join(repl_dir, rep.directory))
 
     def test_followers_start_at_primary_position(self, repl_dir, edit):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             for rset in idx._sets.values():
                 for rid in rset.member_ids():
@@ -105,7 +104,7 @@ class TestShipping:
     def test_every_write_is_on_every_follower_before_return(
         self, repl_dir, edit, small_words
     ):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             for word in small_words[250:300]:
                 idx.insert(word)
@@ -122,8 +121,46 @@ class TestShipping:
         finally:
             idx.close()
 
+    def test_plain_open_ships_before_it_acknowledges(
+        self, repl_dir, edit, small_words
+    ):
+        """The cluster's one writable open attaches every shard's replica
+        set, so an insert or delete into any shard is on every follower's
+        log, byte for byte, by the time the call returns."""
+
+        def wal_bytes(row_dir: str) -> int:  # a member with no log holds 0
+            path = os.path.join(repl_dir, row_dir, WAL_FILE)
+            return os.path.getsize(path) if os.path.exists(path) else 0
+
+        def assert_shipped() -> None:
+            for meta in load_catalog(repl_dir).shards:
+                primary = wal_bytes(meta.directory)
+                for row in meta.replicas:
+                    assert wal_bytes(row.directory) == primary, (
+                        meta.shard_id, row.replica_id
+                    )
+            for info in idx.replication_status().values():
+                assert info["max_lag_bytes"] == 0
+
+        idx = ShardedIndex.open(repl_dir, edit)
+        try:
+            owner = {}
+            for word in small_words[250:]:
+                sid = idx.router.shard_for_key(
+                    idx.curve.encode(idx.space.grid(word))
+                ).shard_id
+                owner.setdefault(sid, word + "q")
+            assert sorted(owner) == sorted(s.shard_id for s in idx.shards)
+            for word in owner.values():
+                idx.insert(word)
+                assert_shipped()
+                assert idx.delete(word)
+                assert_shipped()
+        finally:
+            idx.close()
+
     def test_delete_ships_too(self, repl_dir, edit, small_words):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             victim = small_words[0]
             assert idx.delete(victim)
@@ -140,7 +177,7 @@ class TestShipping:
         self, repl_dir, edit, small_words
     ):
         clock = FakeClock()
-        idx = ReplicatedIndex.open(repl_dir, edit, clock=clock)
+        idx = ShardedIndex.open(repl_dir, edit, clock=clock)
         try:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
@@ -166,7 +203,7 @@ class TestShipping:
     def test_checkpoint_resyncs_followers_to_new_generation(
         self, repl_dir, edit, small_words
     ):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             for word in small_words[250:280]:
                 idx.insert(word)
@@ -184,13 +221,13 @@ class TestShipping:
             idx.close()
 
     def test_reopen_preserves_replication(self, repl_dir, edit, small_words):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         for word in small_words[250:270]:
             idx.insert(word)
         count = idx.object_count
         idx.checkpoint()
         idx.close()
-        idx2 = ReplicatedIndex.open(repl_dir, edit)
+        idx2 = ShardedIndex.open(repl_dir, edit)
         try:
             assert idx2.object_count == count
             assert sorted(idx2._sets) == sorted(
@@ -268,7 +305,7 @@ class TestReadRouting:
             directory = str(tmp_path / policy)
             shutil.copytree(base_dir, directory)
             replicate(directory, edit, replicas=2, read_policy=policy)
-            idx = ReplicatedIndex.open(directory, edit)
+            idx = ShardedIndex.open(directory, edit)
             try:
                 hits = [
                     sorted(
@@ -312,7 +349,7 @@ class TestMonitor:
         assert not Monitor().healthy(7, 7)
 
     def test_degraded_reads_name_the_shard(self, repl_dir, edit, small_words):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
@@ -336,7 +373,7 @@ class TestMonitor:
     def test_writes_to_down_primary_are_refused(
         self, repl_dir, edit, small_words
     ):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             for sid, rset in idx._sets.items():
                 idx.monitor.mark_down(sid, rset.primary.replica_id)
@@ -354,7 +391,7 @@ class TestFailover:
     def test_promotes_longest_prefix_and_serves_reads(
         self, repl_dir, edit, small_words
     ):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             for word in small_words[250:290]:
                 idx.insert(word)
@@ -381,7 +418,7 @@ class TestFailover:
             idx.close()
 
     def test_failover_requires_a_healthy_follower(self, repl_dir, edit):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             sid = sorted(idx._sets)[0]
             for rid in idx._sets[sid].member_ids():
@@ -394,7 +431,7 @@ class TestFailover:
     def test_unreplicated_shard_cannot_fail_over(self, base_dir, tmp_path, edit):
         directory = str(tmp_path / "plain")
         shutil.copytree(base_dir, directory)
-        idx = ReplicatedIndex.open(directory, edit)
+        idx = ShardedIndex.open(directory, edit)
         try:
             with pytest.raises(ReplicationError, match="not replicated"):
                 idx.failover(idx.shards[0].shard_id)
@@ -404,7 +441,7 @@ class TestFailover:
     def test_zombie_primary_is_fenced(self, repl_dir, edit, small_words):
         """An ex-primary that missed the promotion must be refused at its
         own WAL the moment it tries to write against the new catalog."""
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
@@ -433,7 +470,7 @@ class TestFailover:
     def test_demoted_ex_primary_resyncs_and_discards_tail(
         self, repl_dir, edit, small_words
     ):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
@@ -462,7 +499,7 @@ class TestFailover:
             idx.close()
 
     def test_failover_survives_reopen(self, repl_dir, edit, small_words):
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         for word in small_words[250:270]:
             idx.insert(word)
         expected = sorted(str(o) for o in idx.objects())
@@ -470,7 +507,7 @@ class TestFailover:
         idx.monitor.mark_down(sid, idx._sets[sid].primary.replica_id)
         info = idx.failover(sid)
         idx.close()
-        idx2 = ReplicatedIndex.open(repl_dir, edit)
+        idx2 = ShardedIndex.open(repl_dir, edit)
         try:
             assert sorted(str(o) for o in idx2.objects()) == expected
             assert (
@@ -485,16 +522,6 @@ class TestFailover:
 
 
 class TestStructuralChanges:
-    def test_replication_is_administration_not_a_second_read_path(self):
-        """The read and write path exists once, on ``ShardedIndex``; the
-        replicated cluster overrides none of it."""
-        own = vars(ReplicatedIndex)
-        for name in (
-            "range_query", "knn_query", "range_count", "insert", "delete",
-            "rebalance", "close", "_catalog", "_read_tree",
-        ):
-            assert name not in own, name
-
     def test_re_pivot_retires_the_old_shards_members(
         self, base_dir, tmp_path, edit, small_words
     ):
@@ -506,7 +533,7 @@ class TestStructuralChanges:
         shutil.copytree(base_dir, directory)
         replicate(directory, edit, replicas=1)
         clock = FakeClock()
-        idx = ReplicatedIndex.open(directory, edit, clock=clock)
+        idx = ShardedIndex.open(directory, edit, clock=clock)
         try:
             retired = {
                 (sid, rid)
@@ -542,7 +569,7 @@ class TestEngineTasks:
     ):
         from repro.service import QueryEngine
 
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             with QueryEngine(idx, workers=2) as engine:
                 engine.submit("insert", small_words[250]).result()
@@ -630,7 +657,7 @@ class TestCatalogRejections:
         generation must match for the check to fire (stale positions are
         legitimately ignored)."""
         # Give shard WALs real content first.
-        idx = ReplicatedIndex.open(repl_dir, edit)
+        idx = ShardedIndex.open(repl_dir, edit)
         idx.insert("ackfuzz")
         idx.close()
         cat = load_catalog(repl_dir)

@@ -24,7 +24,7 @@ import pytest
 from repro import obs
 from repro.cluster import ShardedIndex
 from repro.obs import instruments
-from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
+from repro.replication import PrimaryDownError, replicate
 from repro.service.context import QueryContext
 from tests.conftest import replicated_cluster, run_cli
 
@@ -47,7 +47,7 @@ def test_kill_primary_mid_load_loses_no_acked_write(
     replicate(directory, edit, replicas=2, read_policy="round-robin")
     # An injected clock: liveness here is mark_down's, never a heartbeat
     # that timed out because the suite ran slowly.
-    idx = ReplicatedIndex.open(
+    idx = ShardedIndex.open(
         directory, edit, wal_fsync=False, clock=FakeClock()
     )
     baseline = sorted(str(o) for o in idx.objects())
@@ -155,7 +155,7 @@ def test_kill_primary_mid_load_loses_no_acked_write(
 
     # And the whole history is durable.
     idx.close()
-    reopened = ReplicatedIndex.open(directory, edit, wal_fsync=False)
+    reopened = ShardedIndex.open(directory, edit, wal_fsync=False)
     try:
         assert set(str(o) for o in reopened.objects()) == survived
         assert reopened.verify().ok
@@ -174,7 +174,7 @@ def test_heartbeat_timeout_degrades_then_recovers(
         small_words[:150], edit, shards=2, num_pivots=3, seed=12
     ).save(directory)
     replicate(directory, edit, replicas=1)
-    idx = ReplicatedIndex.open(
+    idx = ShardedIndex.open(
         directory, edit, wal_fsync=False, heartbeat_timeout=5.0, clock=clock
     )
     try:

@@ -27,7 +27,7 @@ import shutil
 import pytest
 
 from repro.cluster import ShardedIndex, load_catalog
-from repro.replication import ReplicatedIndex, replicate
+from repro.replication import replicate
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.wal import WAL_FILE, StaleWalError, WriteAheadLog
 
@@ -49,7 +49,7 @@ def base_dir(tmp_path_factory, small_words, edit) -> str:
 
 
 def _objects(directory: str, metric) -> "list[str]":
-    idx = ReplicatedIndex.open(directory, metric, wal_fsync=False)
+    idx = ShardedIndex.open(directory, metric, wal_fsync=False)
     try:
         return sorted(str(o) for o in idx.objects())
     finally:
@@ -78,7 +78,7 @@ class TestShippingCrashMatrix:
         """Run the insert workload; returns the words whose insert
         *returned* (the acknowledged set)."""
         acked = []
-        idx = ReplicatedIndex.open(
+        idx = ShardedIndex.open(
             directory, edit, wal_fsync=False, faults=injector
         )
         try:
@@ -126,7 +126,7 @@ class TestShippingCrashMatrix:
             # … and nothing beyond the batch appeared or vanished.
             extra = recovered - set(baseline) - set(map(str, batch))
             assert not extra, f"crash point {n} invented objects: {extra}"
-            idx = ReplicatedIndex.open(directory, edit, wal_fsync=False)
+            idx = ShardedIndex.open(directory, edit, wal_fsync=False)
             try:
                 assert idx.verify().ok, f"crash point {n} failed verify"
                 # Recovery leaves every follower caught up again.
@@ -147,7 +147,7 @@ class TestPromotionCrashMatrix:
         """Clone the base cluster and give it a written history so the
         promotion has real acked state to preserve."""
         shutil.copytree(base_dir, directory)
-        idx = ReplicatedIndex.open(directory, edit, wal_fsync=False)
+        idx = ShardedIndex.open(directory, edit, wal_fsync=False)
         try:
             for word in small_words[130:142]:
                 idx.insert(word)
@@ -168,7 +168,7 @@ class TestPromotionCrashMatrix:
         ]
 
     def _failover(self, directory, edit, sid, injector):
-        idx = ReplicatedIndex.open(
+        idx = ShardedIndex.open(
             directory, edit, wal_fsync=False, faults=injector
         )
         try:
@@ -238,7 +238,7 @@ class TestPromotionCrashMatrix:
             assert _objects(directory, edit) == expected, (
                 f"crash point {n} lost acked writes across promotion"
             )
-            idx = ReplicatedIndex.open(directory, edit, wal_fsync=False)
+            idx = ShardedIndex.open(directory, edit, wal_fsync=False)
             try:
                 assert idx.verify().ok, f"crash point {n} failed verify"
             finally:

@@ -21,7 +21,7 @@ import pytest
 from repro.cluster import ShardedIndex
 from repro.net import NetClient, serve_in_thread
 from repro.obs import instruments
-from repro.replication import ReplicatedIndex, replicate
+from repro.replication import replicate
 from repro.replication.monitor import Monitor
 from repro.service import QueryEngine
 from repro.supervisor import Supervisor
@@ -41,7 +41,7 @@ def make_cluster(tmp_path, words, edit, clock, replicas=2, timeout=4.0):
         words[:200], edit, shards=2, num_pivots=3, seed=11
     ).save(directory)
     replicate(directory, edit, replicas=replicas, read_policy="round-robin")
-    idx = ReplicatedIndex.open(
+    idx = ShardedIndex.open(
         directory, edit, wal_fsync=False,
         heartbeat_timeout=timeout, clock=clock,
     )

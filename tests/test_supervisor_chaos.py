@@ -23,7 +23,7 @@ import pytest
 
 from repro.cluster import ShardedIndex
 from repro.obs import instruments
-from repro.replication import PrimaryDownError, ReplicatedIndex, replicate
+from repro.replication import PrimaryDownError, replicate
 from repro.service.context import QueryContext
 from repro.supervisor import SUPERVISOR_JOURNAL, Supervisor, read_journal
 from tests.conftest import replicated_cluster, run_cli
@@ -54,7 +54,7 @@ def test_kill_primary_under_load_converges(
         small_words[:200], edit, shards=2, num_pivots=3, seed=11
     ).save(directory)
     replicate(directory, edit, replicas=2, read_policy="round-robin")
-    idx = ReplicatedIndex.open(
+    idx = ShardedIndex.open(
         directory, edit, wal_fsync=False,
         heartbeat_timeout=timeout, clock=clock,
     )
@@ -186,7 +186,7 @@ def test_kill_primary_under_load_converges(
     idx.close()
 
     # The healed cluster reopens clean.
-    reopened = ReplicatedIndex.open(directory, edit, wal_fsync=False)
+    reopened = ShardedIndex.open(directory, edit, wal_fsync=False)
     try:
         assert set(str(o) for o in reopened.objects()) == survived
         assert reopened.verify().ok

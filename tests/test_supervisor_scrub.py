@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster import ShardedIndex
 from repro.obs import instruments
-from repro.replication import ReplicatedIndex, replicate
+from repro.replication import replicate
 from repro.supervisor import Supervisor
 from repro.supervisor.scrub import compare_wal_prefix, spot_check_pages
 
@@ -43,7 +43,7 @@ def cluster(tmp_path, small_words, edit):
         checksums=True,
     ).save(directory)
     replicate(directory, edit, replicas=2, read_policy="round-robin")
-    idx = ReplicatedIndex.open(
+    idx = ShardedIndex.open(
         directory, edit, wal_fsync=False, heartbeat_timeout=4.0, clock=clock
     )
     for word in small_words[200:240]:  # WAL bytes on both shards
@@ -265,7 +265,7 @@ class TestRateLimitingAndRotation:
             small_words[:150], edit, shards=2, num_pivots=3, seed=12
         ).save(directory)
         replicate(directory, edit, replicas=1)
-        idx = ReplicatedIndex.open(
+        idx = ShardedIndex.open(
             directory, edit, wal_fsync=False,
             heartbeat_timeout=4.0, clock=clock,
         )
