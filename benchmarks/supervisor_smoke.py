@@ -4,7 +4,7 @@ Real clocks, real threads, ~10 seconds: a writer streams inserts and
 readers hammer scatter-gather queries against a replicated 2-shard
 cluster while the supervisor runs on its own thread.  Partway through,
 shard 0's primary is hard-killed; later the zombie comes back up.  The
-supervisor must promote within two heartbeat timeouts, re-admit the
+supervisor must promote within its cooldown (eight ticks), re-admit the
 zombie as a follower, and the run must end with **zero acknowledged
 writes lost**.
 
@@ -15,7 +15,7 @@ this as the supervisor smoke.
 Usage::
 
     PYTHONPATH=src python benchmarks/supervisor_smoke.py \
-        [--size 500] [--duration 10] [--heartbeat-timeout 0.8] \
+        [--size 500] [--duration 10] [--tick-interval 0.2] \
         [--out results/BENCH_supervisor.json]
 """
 
@@ -50,12 +50,12 @@ def run(args: argparse.Namespace) -> int:
             base, edit, shards=2, num_pivots=3, seed=11
         ).save(directory)
         replicate(directory, edit, replicas=2, read_policy="round-robin")
-        idx = ShardedIndex.open(
-            directory, edit, wal_fsync=False,
-            heartbeat_timeout=args.heartbeat_timeout,
-        )
+        idx = ShardedIndex.open(directory, edit, wal_fsync=False)
         baseline = set(str(o) for o in idx.objects())
-        sup = Supervisor(idx, scrub_interval=args.duration / 4.0)
+        sup = Supervisor(
+            idx, scrub_interval=args.duration / 4.0,
+            tick_interval=args.tick_interval,
+        )
         sup.start()
 
         acked: list[str] = []
@@ -69,15 +69,6 @@ def run(args: argparse.Namespace) -> int:
         killed_rid = idx._sets[0].primary.replica_id
         kill_time = [0.0]
         promoted_time = [0.0]
-
-        def beater() -> None:
-            # Stand-in for the serving path's liveness signal: beat every
-            # member.  The kill uses the forced-down switch, which wins
-            # over beats, so beating the corpse is harmless.
-            while not stop.wait(args.heartbeat_timeout / 4.0):
-                for sid, rset in idx._sets.items():
-                    for rid in rset.member_ids():
-                        idx.monitor.beat(sid, rid)
 
         def chaos() -> None:
             time.sleep(kill_at)
@@ -117,23 +108,22 @@ def run(args: argparse.Namespace) -> int:
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        beat_t = threading.Thread(target=beater, daemon=True)
         chaos_t = threading.Thread(target=chaos, daemon=True)
         writer_t = threading.Thread(target=writer)
         reader_ts = [
             threading.Thread(target=reader, daemon=True) for _ in range(2)
         ]
-        for t in [beat_t, chaos_t, writer_t, *reader_ts]:
+        for t in [chaos_t, writer_t, *reader_ts]:
             t.start()
         deadline = started + args.duration + 30.0
         writer_t.join(max(1.0, deadline - time.monotonic()))
         chaos_t.join(max(1.0, deadline - time.monotonic()))
         stop.set()
-        for t in [beat_t, *reader_ts]:
+        for t in reader_ts:
             t.join(2.0)
 
         # Let the repair pass finish re-admitting the zombie.
-        grace_deadline = time.monotonic() + 4.0 * args.heartbeat_timeout
+        grace_deadline = time.monotonic() + 2.0 * sup.cooldown
         while time.monotonic() < grace_deadline:
             status = idx.replication_status()[0]
             if all(m["healthy"] for m in status["members"]):
@@ -151,7 +141,7 @@ def run(args: argparse.Namespace) -> int:
             "bench": "supervisor-smoke",
             "size": args.size,
             "duration_s": args.duration,
-            "heartbeat_timeout_s": args.heartbeat_timeout,
+            "tick_interval_s": args.tick_interval,
             "acked": len(acked),
             "refused": len(refused),
             "reads": reads[0],
@@ -191,10 +181,9 @@ def run(args: argparse.Namespace) -> int:
         failures.append(f"lost acked writes: {sorted(lost)[:5]}")
     if sup.promotions < 1 or mttr is None:
         failures.append("no automatic promotion happened")
-    elif mttr > 2.0 * args.heartbeat_timeout:
+    elif mttr > sup.cooldown:
         failures.append(
-            f"MTTR {mttr:.2f}s exceeds two heartbeat timeouts "
-            f"({2.0 * args.heartbeat_timeout:.2f}s)"
+            f"MTTR {mttr:.2f}s exceeds the cooldown ({sup.cooldown:.2f}s)"
         )
     if sup.rejoins < 1:
         failures.append("zombie was never re-admitted")
@@ -214,7 +203,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=500)
     parser.add_argument("--duration", type=float, default=10.0)
-    parser.add_argument("--heartbeat-timeout", type=float, default=0.8)
+    parser.add_argument("--tick-interval", type=float, default=0.2)
     parser.add_argument(
         "--out", default=os.path.join("results", "BENCH_supervisor.json")
     )

@@ -312,10 +312,7 @@ def _open_index(args: argparse.Namespace, writable: bool = False):
         if not writable:
             index = (ShardedIndex.load if cluster else load_tree)(directory, metric)
         elif cluster:
-            index = ShardedIndex.open(
-                directory, metric,
-                heartbeat_timeout=getattr(args, "heartbeat_timeout", None),
-            )
+            index = ShardedIndex.open(directory, metric)
         else:
             index = open_tree(directory, metric)
     except ValueError as exc:
@@ -1211,10 +1208,6 @@ FLAGS: dict[str, dict[str, Any]] = {
              "(automatic failover, zombie rejoin, anti-entropy scrub) during "
              "the workload",
     ),
-    "--heartbeat-timeout": dict(
-        type=float, default=5.0,
-        help="replica heartbeat timeout in seconds (default: 5)",
-    ),
     "--autotune": dict(
         action="store_true",
         help="run the pivot-maintenance loop during the workload "
@@ -1334,7 +1327,7 @@ COMMANDS: dict[str, tuple] = {
             *_DATASET, "--shards", *_SAVED, *_WORKLOAD, "--queue-size",
             *_LIMITS, "--metrics", "--metrics-out", "--slow-ms",
             "--snapshot-dir", "--snapshot-interval", "--flight-dir",
-            "--supervise", "--heartbeat-timeout", "--autotune",
+            "--supervise", "--autotune",
             "--tune-interval", "--listen", "--duration", "--drain-deadline",
         ),
         {"--dir": dict(required=False)},

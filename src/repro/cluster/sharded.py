@@ -465,19 +465,15 @@ class ShardedIndex:
         metric: Metric,
         wal_fsync: bool = True,
         faults: Optional[FaultInjector] = None,
-        heartbeat_timeout: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> "ShardedIndex":
         """Reopen for writing: load, attach a WAL to every shard, and a
         replica set to every shard whose catalog row has replicas.
 
         Follower trees load from their own directories (their logs
         replaying exactly as a primary's would) and every member starts
-        healthy under a monitor with ``heartbeat_timeout`` (None: the
-        monitor's default, 5 s); pass ``clock`` to drive heartbeats
-        deterministically.
+        healthy; it stays so until something marks it down.
         """
-        from repro.replication import DEFAULT_TIMEOUT, Monitor, Replica, ReplicaSet
+        from repro.replication import Monitor, Replica, ReplicaSet
 
         self = cls.load(directory, metric)
         self._wal_fsync = wal_fsync
@@ -485,10 +481,7 @@ class ShardedIndex:
         for shard in self.shards:
             self._attach_wal(shard)
         self._logging = True
-        self.monitor = Monitor(
-            DEFAULT_TIMEOUT if heartbeat_timeout is None else heartbeat_timeout,
-            clock,
-        )
+        self.monitor = Monitor()
         for shard in self.shards:
             if not shard.replicas:
                 continue
@@ -1069,14 +1062,6 @@ class ShardedIndex:
                     continue
                 out[sid] = rset.ship()
             return out
-
-    def check_health(self) -> dict[int, "list[int]"]:
-        """Probe every replica set; ``shard_id -> unhealthy replica ids``.
-        Misses feed the per-shard heartbeat-miss counter."""
-        return {
-            sid: self.monitor.check(sid, rset.member_ids())
-            for sid, rset in sorted(self._sets.items())
-        }
 
     def replication_status(self) -> dict[int, dict]:
         """Operator-facing snapshot: roles, health, lag per member, and

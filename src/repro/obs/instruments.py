@@ -158,11 +158,6 @@ FAMILIES: dict[str, dict[str, tuple]] = {
             "Latency of one ship round: read frames, append to the "
             "follower's log, apply, acknowledge.",
         ),
-        "heartbeat_misses": (
-            "counter", "repro_replication_heartbeat_misses_total",
-            "Health probes that found a replica past its heartbeat timeout.",
-            ("shard",),
-        ),
         "promotions": (
             "counter", "repro_replication_promotions_total",
             "Follower promotions to primary (failovers), per shard.",

@@ -12,14 +12,14 @@ Public surface:
   the shipping pump; the set is what a :class:`~repro.cluster.Shard`
   holds as ``members`` (read routing, fencing, synchronous shipping,
   the quorum reason).
-* :class:`Monitor` — heartbeat liveness with an injectable clock.
+* :class:`Monitor` — liveness: a member is healthy unless marked down.
 * Errors: :class:`ReplicationError`, :class:`PrimaryDownError`,
   :class:`NoPromotableFollowerError` (plus the storage layer's
   :class:`~repro.storage.wal.StaleWalError` for fenced writers).
 """
 
 from repro.replication.cluster import replicate
-from repro.replication.monitor import DEFAULT_TIMEOUT, Monitor
+from repro.replication.monitor import Monitor
 from repro.replication.replicaset import (
     NoPromotableFollowerError,
     PrimaryDownError,
@@ -29,7 +29,6 @@ from repro.replication.replicaset import (
 )
 
 __all__ = [
-    "DEFAULT_TIMEOUT",
     "Monitor",
     "NoPromotableFollowerError",
     "PrimaryDownError",

@@ -21,16 +21,15 @@ replica rows, which turns each shard's read/write questions into:
   (:class:`~repro.storage.wal.StaleWalError`) the moment it next sees
   the promoted catalog (``require_writable``).
 
-``reader`` and ``after_write`` are also the two places a member shows it
-is alive.  Today only ``after_write`` beats (and ship acknowledgements),
-so a read-only index with no supervisor ages out after
-``heartbeat_timeout``; a remote member will feed beats from both.
+A member is healthy unless it is marked down — by the kill switch, a
+supervisor quarantine, or a ship to it that failed; time plays no part.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+from typing import Optional
 
 from repro.cluster.catalog import (
     READ_POLICIES,
@@ -43,10 +42,23 @@ from repro.distance.base import Metric
 from repro.replication.replicaset import ReplicationError
 from repro.storage.wal import WAL_FILE, scan_wal
 
-#: A cluster has one class, :class:`ShardedIndex`.  This name stays only
-#: because ``bench/workloads.py`` still imports it; it goes once that
-#: file opens clusters with ``ShardedIndex.open``.
-ReplicatedIndex = ShardedIndex
+
+class ReplicatedIndex:
+    """A cluster has one class, :class:`ShardedIndex`.  This name stays
+    only because ``bench/workloads.py`` still opens clusters through it
+    with a ``heartbeat_timeout`` that no longer exists; it is the one
+    place that accepts and drops that keyword, and it goes with ROADMAP
+    item 1(g), once that file calls ``ShardedIndex.open`` itself."""
+
+    @staticmethod
+    def open(
+        directory: str,
+        metric: Metric,
+        wal_fsync: bool = True,
+        heartbeat_timeout: Optional[float] = None,
+    ) -> ShardedIndex:
+        del heartbeat_timeout
+        return ShardedIndex.open(directory, metric, wal_fsync=wal_fsync)
 
 
 def replicate(

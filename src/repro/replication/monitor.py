@@ -1,127 +1,66 @@
-"""Replica liveness tracking via heartbeat timestamps.
+"""Replica liveness: a registered member is healthy unless marked down.
 
-Every successful ship acknowledgement beats the follower's heart; the
-primary's heart beats on every write it commits.  A member whose last
-beat is older than the configured timeout is *unhealthy*: the read
-router stops sending it traffic and (for a primary) the shard reports
-degraded reads until a promotion installs a new primary.
+Every member is an object in this process, so nothing can go silent and
+no clock plays a part.  A member goes down only when something says so:
+:meth:`Monitor.mark_down` (the chaos harness, the CLI, a supervisor
+quarantine) or a ship to it that failed.  ``mark_up`` lifts the mark.
+The read router stops sending a down member traffic and, for a primary,
+the shard reports degraded reads until a promotion installs a new one.
 
-The clock is injectable so tests drive time deterministically — chaos
-tests advance a fake clock instead of sleeping — and ``mark_down`` /
-``mark_up`` give the chaos harness and the CLI a direct kill switch
-that overrides timestamps entirely (a process you killed should not
-look alive for another timeout's worth of grace).
+A member that was never registered (or was forgotten when its set
+closed) is unhealthy: a retired shard's members must not look alive.
 
-All state is guarded by one lock: engine worker threads beat members on
-every ship acknowledgement while the supervisor thread probes
-:meth:`check` on its own tick, and the beat/forced-down maps must never
-be observed mid-mutation across that boundary.
+Both sets are guarded by one lock: engine worker threads mark a member
+down when a ship to it fails while the supervisor thread reads health
+on its own tick, and neither set may be observed mid-mutation.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Optional
-
-from repro.obs import instruments as _instruments
-from repro.obs import registry as _obsreg
-
-#: Default heartbeat timeout (seconds): generous for in-process replicas.
-DEFAULT_TIMEOUT = 5.0
 
 
 class Monitor:
-    """Heartbeat bookkeeping for every replica of every shard."""
+    """Liveness bookkeeping for every replica of every shard."""
 
-    def __init__(
-        self,
-        timeout: float = DEFAULT_TIMEOUT,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if timeout <= 0:
-            raise ValueError("heartbeat timeout must be positive")
-        self.timeout = timeout
-        self.clock = clock if clock is not None else time.monotonic
-        #: ``(shard_id, replica_id) -> last beat timestamp``.
-        self._beats: dict[tuple[int, int], float] = {}
-        #: Members forced down (kill switch) — timestamps are ignored.
+    def __init__(self) -> None:
+        #: ``(shard_id, replica_id)`` of every tracked member.
+        self._registered: set[tuple[int, int]] = set()
+        #: Members held down until :meth:`mark_up`.
         self._forced_down: set[tuple[int, int]] = set()
-        #: Total heartbeat misses observed by :meth:`check`.
-        self.misses = 0
         self._lock = threading.Lock()
 
     # ----------------------------------------------------------- membership
 
     def register(self, shard_id: int, replica_id: int) -> None:
-        """Start tracking a member; it is born healthy (beaten now)."""
-        now = self.clock()
+        """Start tracking a member; it is healthy unless marked down."""
         with self._lock:
-            self._beats[(shard_id, replica_id)] = now
+            self._registered.add((shard_id, replica_id))
 
     def forget(self, shard_id: int, replica_id: int) -> None:
         with self._lock:
-            self._beats.pop((shard_id, replica_id), None)
+            self._registered.discard((shard_id, replica_id))
             self._forced_down.discard((shard_id, replica_id))
 
     # ------------------------------------------------------------ liveness
 
-    def beat(self, shard_id: int, replica_id: int) -> None:
-        """Record a sign of life (write committed, ship acknowledged)."""
-        now = self.clock()
-        with self._lock:
-            self._beats[(shard_id, replica_id)] = now
-
     def mark_down(self, shard_id: int, replica_id: int) -> None:
-        """Force a member unhealthy regardless of timestamps (chaos, CLI)."""
+        """Hold a member unhealthy until :meth:`mark_up` (chaos, CLI,
+        quarantine, a failed ship)."""
         with self._lock:
             self._forced_down.add((shard_id, replica_id))
 
     def mark_up(self, shard_id: int, replica_id: int) -> None:
-        """Lift a forced-down mark and beat the member back to health."""
-        now = self.clock()
+        """Lift a down mark."""
         with self._lock:
             self._forced_down.discard((shard_id, replica_id))
-            self._beats[(shard_id, replica_id)] = now
 
     def forced_down(self, shard_id: int, replica_id: int) -> bool:
-        """True when the member is held down by the kill switch."""
+        """True when the member is held down by :meth:`mark_down`."""
         with self._lock:
             return (shard_id, replica_id) in self._forced_down
 
     def healthy(self, shard_id: int, replica_id: int) -> bool:
-        now = self.clock()
-        with self._lock:
-            return self._healthy_locked(shard_id, replica_id, now)
-
-    def _healthy_locked(
-        self, shard_id: int, replica_id: int, now: float
-    ) -> bool:
         key = (shard_id, replica_id)
-        if key in self._forced_down:
-            return False
-        last = self._beats.get(key)
-        if last is None:
-            return False
-        return now - last <= self.timeout
-
-    def check(self, shard_id: int, replica_ids: "list[int]") -> "list[int]":
-        """Probe one shard's members; returns the unhealthy replica ids.
-
-        Each miss bumps the per-shard heartbeat-miss counter so a
-        dashboard sees flapping members even when every probe recovers.
-        """
-        now = self.clock()
         with self._lock:
-            down = [
-                r
-                for r in replica_ids
-                if not self._healthy_locked(shard_id, r, now)
-            ]
-            if down:
-                self.misses += len(down)
-        if down and _obsreg.ENABLED:
-            _instruments.replication().heartbeat_misses.labels(
-                shard=str(shard_id)
-            ).inc(len(down))
-        return down
+            return key in self._registered and key not in self._forced_down

@@ -225,9 +225,8 @@ class ReplicaSet:
             )
 
     def after_write(self) -> None:
-        """The primary committed a write: it is alive, and the record goes
-        to every healthy follower before the caller is acknowledged."""
-        self.monitor.beat(self.shard_id, self.primary.replica_id)
+        """The primary committed a write: the record goes to every healthy
+        follower before the caller is acknowledged."""
         self.ship()
 
     def _fence(self, tree: SPBTree) -> None:
@@ -279,7 +278,9 @@ class ReplicaSet:
         Called synchronously after each primary write (so a client ack
         implies every healthy follower holds the record durably) and by
         the ``replicate`` CLI / engine task for catch-up.  Unhealthy
-        followers are skipped — they re-sync or catch up on recovery.
+        followers are skipped — they re-sync or catch up on recovery.  A
+        ship that fails marks its follower down before the error
+        propagates, so the next write is not refused on its account.
         """
         if not self.healthy(self.primary.replica_id):
             raise PrimaryDownError(
@@ -291,7 +292,11 @@ class ReplicaSet:
             for rep in self.followers:
                 if not self.healthy(rep.replica_id):
                     continue
-                total += self._ship_one(rep)
+                try:
+                    total += self._ship_one(rep)
+                except BaseException:
+                    self.monitor.mark_down(self.shard_id, rep.replica_id)
+                    raise
         return total
 
     def _ship_one(self, rep: Replica) -> int:
@@ -336,7 +341,6 @@ class ReplicaSet:
 
     def _acknowledge(self, rep: Replica, elapsed: float, nbytes: int) -> None:
         self.acked[rep.replica_id] = rep.wal.position
-        self.monitor.beat(self.shard_id, rep.replica_id)
         if _obsreg.ENABLED:
             inst = _instruments.replication()
             inst.ack_seconds.observe(elapsed)
@@ -432,7 +436,6 @@ class ReplicaSet:
         self.acked[old.replica_id] = old.wal.position  # stale by generation
         self.acked.pop(candidate.replica_id, None)
         self.primary = candidate
-        self.monitor.beat(self.shard_id, candidate.replica_id)
         if _obsreg.ENABLED:
             _instruments.replication().promotions.labels(
                 shard=str(self.shard_id)
@@ -470,7 +473,7 @@ class ReplicaSet:
     def close(self) -> None:
         """Release the followers' WAL handles and stop tracking the
         members: a closed set (index closed, shard retired by a
-        rebalance or re-pivot) must not age into a degraded one."""
+        rebalance or re-pivot) must not be counted as a degraded one."""
         for rep in self.followers:
             rep.wal.close()
         for rid in self.member_ids():

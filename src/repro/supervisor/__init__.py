@@ -1,6 +1,6 @@
 """Self-healing control loop over the replicated cluster primitives.
 
-The supervisor turns the manual fault-tolerance toolkit (heartbeat
+The supervisor turns the manual fault-tolerance toolkit (liveness
 monitor, crash-safe ``failover()``, snapshot ``resync()``, page/WAL
 verification) into an operator-free background loop: automatic
 failover with grace/cooldown guards, zombie-rejoin of demoted

@@ -1,9 +1,9 @@
 """The self-healing control loop: failover, rejoin, anti-entropy.
 
 One :class:`Supervisor` watches one :class:`~repro.cluster.ShardedIndex`
-with replica sets.  Each tick it probes every replica set's heartbeats
-and drives three repairs, all built on primitives the cluster already
-trusts:
+with replica sets.  Each tick it reads every replica set's health (a
+member is healthy unless something marked it down) and drives three
+repairs, all built on primitives the cluster already trusts:
 
 * **Automatic failover** — a primary unhealthy past a *grace period*
   triggers the crash-safe ``failover()``.  A *single-flight* flag stops
@@ -27,13 +27,16 @@ trusts:
   shard fast-tracked through the failover path, after which the repair
   pass rebuilds it as a follower.
 
-The lifecycle is :class:`repro.control.ControlLoop`'s; the clock is
-injectable (defaulting to the monitor's), so every test drives time
+The lifecycle is :class:`repro.control.ControlLoop`'s.  Grace and
+cooldown are counted in ticks (two and eight); the clock that measures
+them, stamps the journal and times MTTR is the supervisor's own and
+injectable (defaulting to ``time.monotonic``), so every test drives time
 deterministically.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Optional
 
 from repro.cluster import ShardedIndex
@@ -96,7 +99,7 @@ class Supervisor(ControlLoop):
         index: ShardedIndex,
         scrub_interval: Optional[float] = 60.0,
         scrub_pages: Optional[int] = 64,
-        tick_interval: Optional[float] = None,
+        tick_interval: float = 1.25,
         clock: Optional[Any] = None,
         journal_path: Optional[str] = None,
         flight: Optional[FlightRecorder] = None,
@@ -106,21 +109,17 @@ class Supervisor(ControlLoop):
         #: the requests degraded *by* the anomaly are captured with it.
         self.flight = flight
         self.monitor = index.monitor
-        timeout = self.monitor.timeout
-        #: How long a primary stays merely *suspected* before promotion.
-        #: grace + one heartbeat timeout bounds detect-to-promote, so half
-        #: a timeout keeps total repair time within two timeouts.
-        self.grace = timeout / 2.0
-        #: Minimum spacing between promotions of one shard.
-        self.cooldown = 2.0 * timeout
+        if tick_interval <= 0:
+            raise ValueError("tick_interval must be > 0")
+        #: How long a primary stays merely *suspected* before promotion:
+        #: two ticks, so detect-to-promote stays within grace + two ticks.
+        self.grace = 2.0 * tick_interval
+        #: Minimum spacing between promotions of one shard: eight ticks.
+        self.cooldown = 8.0 * tick_interval
         #: Seconds between background scrub passes (None disables).
         self.scrub_interval = scrub_interval
         #: Pages spot-verified per member per background pass.
         self.scrub_pages = scrub_pages
-        if tick_interval is None:
-            tick_interval = max(0.05, timeout / 4.0)
-        if tick_interval <= 0:
-            raise ValueError("tick_interval must be > 0")
         if scrub_pages is not None and scrub_pages < 0:
             raise ValueError(f"scrub_pages must be >= 0, got {scrub_pages}")
         self._states: dict[int, _ShardState] = {}
@@ -140,8 +139,9 @@ class Supervisor(ControlLoop):
         self.scrub_passes = 0
         # Last: this publishes ``index.supervisor``, which the net health
         # op reads from another thread.
-        clock = clock or self.monitor.clock
-        super().__init__(index, tick_interval, clock, journal_path)
+        super().__init__(
+            index, tick_interval, clock or time.monotonic, journal_path
+        )
 
     # -------------------------------------------------------------- the pass
 
@@ -155,7 +155,6 @@ class Supervisor(ControlLoop):
             "scrubbed": None,
         }
         for sid, rset in sorted(self.index._sets.items()):
-            self.monitor.check(sid, rset.member_ids())
             st = self._state(sid)
             if rset.healthy(rset.primary.replica_id):
                 if st.state == SUSPECTED:
@@ -270,8 +269,8 @@ class Supervisor(ControlLoop):
 
         Runs only while the shard's primary is healthy (resync copies
         *from* it).  Members that are down for liveness reasons and not
-        quarantined are left alone — a dead process cannot be rebuilt
-        into health from here; it rejoins when its beats resume.
+        quarantined are left alone — whoever marked them down marks them
+        up again.
         """
         quarantined = self._quarantined.setdefault(sid, set())
         for rep in list(rset.followers):

@@ -118,11 +118,10 @@ def loop(request, tmp_path, small_words, edit):
         directory = str(tmp_path / "cluster")
         cluster.save(directory)
         replicate(directory, edit, replicas=1)
-        index = ShardedIndex.open(
-            directory, edit, wal_fsync=False,
-            heartbeat_timeout=4.0, clock=FakeClock(),
+        index = ShardedIndex.open(directory, edit, wal_fsync=False)
+        made = Supervisor(
+            index, scrub_interval=None, tick_interval=0.01, clock=FakeClock()
         )
-        made = Supervisor(index, scrub_interval=None, tick_interval=0.01)
     else:
         index = cluster
         made = Tuner(index, tick_interval=0.01)

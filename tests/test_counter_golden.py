@@ -407,9 +407,7 @@ def _build_cluster(name: str, workdir: str):
         directory = os.path.join(workdir, name)
         built.save(directory)
         replicate(directory, dataset.metric, replicas=followers, read_policy=policy)
-        index = ShardedIndex.open(
-            directory, dataset.metric, wal_fsync=False, heartbeat_timeout=3600.0
-        )
+        index = ShardedIndex.open(directory, dataset.metric, wal_fsync=False)
     else:
         index = built
     # mutations after open: shipped frames applied on the followers

@@ -545,13 +545,6 @@ class TestRetriedAttemptTrace:
 # ------------------------------------------------- chaos: end-to-end story
 
 
-def beat_all(idx, skip=()):
-    for sid, rset in idx._sets.items():
-        for rid in rset.member_ids():
-            if (sid, rid) not in skip:
-                idx.monitor.beat(sid, rid)
-
-
 class TestChaosCorrelation:
     def test_every_degraded_reply_resolves_end_to_end(
         self, tmp_path, small_words, edit
@@ -561,23 +554,22 @@ class TestChaosCorrelation:
         whose per-span sums equal the reply totals, (b) its slow-log
         entry, (c) the journal events of the failover — and the failover's
         flight dump contains the affected requests' traces."""
-        timeout = 4.0
         clock = FakeClock()
         directory = str(tmp_path / "cluster")
         ShardedIndex.build(
             small_words[:200], edit, shards=2, num_pivots=3, seed=11
         ).save(directory)
         replicate(directory, edit, replicas=2, read_policy="round-robin")
-        idx = ShardedIndex.open(
-            directory, edit, wal_fsync=False,
-            heartbeat_timeout=timeout, clock=clock,
-        )
+        idx = ShardedIndex.open(directory, edit, wal_fsync=False)
         flight_dir = str(tmp_path / "flight")
         slow_path = os.path.join(flight_dir, "slow.jsonl")
         flight = FlightRecorder(flight_dir, slow_ms=0.0)
         engine = QueryEngine(idx, workers=2, flight=flight).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
-        sup = Supervisor(idx, scrub_interval=None, flight=flight)
+        sup = Supervisor(
+            idx, scrub_interval=None, tick_interval=1.0, clock=clock,
+            flight=flight,
+        )
         proxy = FaultyTransport(
             "127.0.0.1", handle.port, seed=3,
             plan_c2s=FaultPlan(drop_rate=0.08),
@@ -613,7 +605,6 @@ class TestChaosCorrelation:
             idx.monitor.mark_down(0, p0)
             promoted = False
             for i in range(30):
-                beat_all(idx, skip={(0, p0)})
                 ask(6 + i)
                 if sup.tick()["promoted"]:
                     promoted = True

@@ -3,7 +3,7 @@
 The crash matrix (`test_replication_crash.py`) and chaos suite
 (`test_replication_chaos.py`) prove the failure-time guarantees; this
 file pins the sunny-day mechanics — replicate a saved cluster, ship
-synchronously on every write, route reads by policy, monitor liveness,
+synchronously on every write, route reads by policy, track liveness,
 fence zombies — plus the catalog loader's rejection of malformed
 replica membership.
 """
@@ -32,6 +32,7 @@ from repro.replication import (
 )
 from repro.service.context import QueryContext
 from repro.storage.wal import WAL_FILE, StaleWalError, scan_wal
+from repro.supervisor import Supervisor
 
 
 @pytest.fixture(scope="module")
@@ -176,8 +177,7 @@ class TestShipping:
     def test_down_follower_is_skipped_then_caught_up(
         self, repl_dir, edit, small_words
     ):
-        clock = FakeClock()
-        idx = ShardedIndex.open(repl_dir, edit, clock=clock)
+        idx = ShardedIndex.open(repl_dir, edit)
         try:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
@@ -197,6 +197,47 @@ class TestShipping:
                     lagger.tree.object_count
                     == rset.primary.tree.object_count
                 )
+        finally:
+            idx.close()
+
+    def test_failed_ship_marks_the_follower_down_at_once(
+        self, repl_dir, edit, small_words, monkeypatch
+    ):
+        """A follower whose ship raised is down before the error reaches
+        the writer, so the shard's next write is acknowledged by the rest
+        of the set instead of failing on it again."""
+        idx = ShardedIndex.open(repl_dir, edit)
+        try:
+            sid = sorted(idx._sets)[0]
+            rset = idx._sets[sid]
+            broken, other = rset.followers
+            real_append = broken.wal.append_frames
+            calls = []
+
+            def fail_once(shipment):
+                calls.append(shipment)
+                if len(calls) == 1:
+                    raise OSError("injected: follower log unwritable")
+                return real_append(shipment)
+
+            monkeypatch.setattr(broken.wal, "append_frames", fail_once)
+            words = iter(small_words[250:])
+            with pytest.raises(OSError, match="injected"):
+                for word in words:  # until one routes to shard ``sid``
+                    idx.insert(word)
+            assert not rset.healthy(broken.replica_id)
+            assert idx.monitor.forced_down(sid, broken.replica_id)
+            pwal = rset.primary.tree.wal
+            before = pwal.size_in_bytes
+            for word in words:
+                idx.insert(word)  # acknowledged: no exception
+                if pwal.size_in_bytes > before:
+                    break
+            else:
+                pytest.fail(f"no write reached shard {sid}")
+            assert rset.lag(other.replica_id) == 0
+            assert rset.lag(broken.replica_id) > 0
+            assert len(calls) == 1  # a down follower is not shipped to
         finally:
             idx.close()
 
@@ -324,26 +365,54 @@ class TestReadRouting:
 
 
 class TestMonitor:
-    def test_heartbeat_timeout_marks_down(self):
-        clock = FakeClock()
-        mon = Monitor(timeout=5.0, clock=clock)
-        mon.register(0, 0)
-        assert mon.healthy(0, 0)
-        clock.now += 5.1
-        assert not mon.healthy(0, 0)
-        assert mon.check(0, [0]) == [0]
-        assert mon.misses == 1
-        mon.beat(0, 0)
-        assert mon.healthy(0, 0)
-
     def test_mark_down_overrides_fresh_beats(self):
-        mon = Monitor(timeout=1000.0)
+        """A down mark holds until ``mark_up``, whatever happens to the
+        member meanwhile — re-registering it included."""
+        mon = Monitor()
         mon.register(0, 2)
+        assert mon.healthy(0, 2)
         mon.mark_down(0, 2)
-        mon.beat(0, 2)
+        mon.register(0, 2)
         assert not mon.healthy(0, 2)
         mon.mark_up(0, 2)
         assert mon.healthy(0, 2)
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["bare", "supervised"])
+    @pytest.mark.parametrize("policy", READ_POLICIES)
+    def test_idle_cluster_stays_complete_whatever_the_clock(
+        self, base_dir, tmp_path, edit, small_words, monkeypatch, policy,
+        supervised,
+    ):
+        """Nothing in one process can go silent: a replicated cluster that
+        only reads answers complete after any idle time, under every read
+        policy, with or without a supervisor ticking over it."""
+        clock = FakeClock()
+        # Every default clock reads the fake one, whichever object owns it.
+        monkeypatch.setattr("time.monotonic", clock)
+        directory = str(tmp_path / "cluster")
+        shutil.copytree(base_dir, directory)
+        replicate(directory, edit, replicas=2, read_policy=policy)
+        idx = ShardedIndex.open(directory, edit, wal_fsync=False)
+        sup = Supervisor(idx, scrub_interval=None) if supervised else None
+        try:
+            for _ in range(20):
+                clock.now += 3.0  # 60 idle seconds in all
+                if sup is not None:
+                    assert sup.tick()["promoted"] == []
+                for q in small_words[:3]:
+                    out = idx.range_query(q, 2.0, context=QueryContext())
+                    assert out.complete, out.reason
+                    out = idx.knn_query(q, 3, context=QueryContext())
+                    assert out.complete, out.reason
+            assert idx.degraded_shards() == {}
+            if sup is not None:
+                events = [e["event"] for e in sup.events(100)]
+                assert "promotion-blocked" not in events
+                assert "primary-suspected" not in events
+        finally:
+            if sup is not None:
+                sup.close()
+            idx.close()
 
     def test_unknown_member_is_unhealthy(self):
         assert not Monitor().healthy(7, 7)
@@ -526,14 +595,13 @@ class TestStructuralChanges:
         self, base_dir, tmp_path, edit, small_words
     ):
         """Every structural path that retires a shard retires its replica
-        set with it: once the orphans' heartbeats lapse, a complete answer
+        set with it: its members stop being tracked, so a complete answer
         from the live shards must not be called degraded in the name of a
         shard that is no longer in the cluster."""
         directory = str(tmp_path / "cluster")
         shutil.copytree(base_dir, directory)
         replicate(directory, edit, replicas=1)
-        clock = FakeClock()
-        idx = ShardedIndex.open(directory, edit, clock=clock)
+        idx = ShardedIndex.open(directory, edit)
         try:
             retired = {
                 (sid, rid)
@@ -550,7 +618,6 @@ class TestStructuralChanges:
             assert set(idx._sets) <= live
             assert set(idx.replication_status()) <= live
             assert all(rep.wal._file.closed for rep in followers)
-            clock.now += 60.0  # far past every heartbeat timeout
             assert not any(idx.monitor.healthy(*key) for key in retired)
             out = idx.range_query(small_words[0], 2.0, context=QueryContext())
             assert out.complete, out.reason

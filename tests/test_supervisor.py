@@ -5,9 +5,9 @@ pinned here with injected time — no wall-clock sleeps: the grace period
 absorbing a flap, automatic promotion after grace, the cooldown
 suppressing a promotion storm on a flapping shard, single-flight
 promotion, and the zombie ex-primary re-admitted with a byte-identical
-WAL prefix.  The thread-safety of :class:`Monitor` (beats from worker
-threads racing ``check`` from the supervisor thread) gets its own
-hammer.  The loop lifecycle and the event journal are shared with the
+WAL prefix.  The thread-safety of :class:`Monitor` (down/up marks and
+membership changes racing health reads from the supervisor thread) gets
+its own hammer.  The loop lifecycle and the event journal are shared with the
 tuner and pinned once, in ``tests/test_control_loop.py``.
 """
 
@@ -35,31 +35,27 @@ class FakeClock:
         return self.now
 
 
-def make_cluster(tmp_path, words, edit, clock, replicas=2, timeout=4.0):
+def make_cluster(tmp_path, words, edit, replicas=2):
     directory = str(tmp_path / "cluster")
     ShardedIndex.build(
         words[:200], edit, shards=2, num_pivots=3, seed=11
     ).save(directory)
     replicate(directory, edit, replicas=replicas, read_policy="round-robin")
-    idx = ShardedIndex.open(
-        directory, edit, wal_fsync=False,
-        heartbeat_timeout=timeout, clock=clock,
+    return directory, ShardedIndex.open(directory, edit, wal_fsync=False)
+
+
+def supervise(idx, clock, **kwargs):
+    """A supervisor ticking once a fake second: grace 2 s, cooldown 8 s."""
+    return Supervisor(
+        idx, scrub_interval=None, tick_interval=1.0, clock=clock, **kwargs
     )
-    return directory, idx
-
-
-def beat_all(idx, skip=()):
-    for sid, rset in idx._sets.items():
-        for rid in rset.member_ids():
-            if (sid, rid) not in skip:
-                idx.monitor.beat(sid, rid)
 
 
 class TestStateMachine:
     def test_healthy_cluster_ticks_are_noops(self, tmp_path, small_words, edit):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         try:
             actions = sup.tick()
             assert actions["promoted"] == []
@@ -76,21 +72,27 @@ class TestStateMachine:
     def test_defaults_derive_from_heartbeat_timeout(
         self, tmp_path, small_words, edit
     ):
-        clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock, timeout=4.0)
+        """Grace is two ticks and cooldown eight: 2.5 s and 10 s at the
+        default 1.25 s tick, and a custom tick scales both."""
+        _, idx = make_cluster(tmp_path, small_words, edit)
         sup = Supervisor(idx, scrub_interval=None)
         try:
-            assert sup.grace == 2.0
-            assert sup.cooldown == 8.0
-            assert sup.tick_interval == 1.0
+            assert sup.tick_interval == 1.25
+            assert sup.grace == 2.5
+            assert sup.cooldown == 10.0
+        finally:
+            sup.close()
+        sup = supervise(idx, FakeClock())
+        try:
+            assert (sup.grace, sup.cooldown) == (2.0, 8.0)
         finally:
             sup.close()
             idx.close()
 
     def test_grace_absorbs_a_flap(self, tmp_path, small_words, edit):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         p0 = idx._sets[0].primary.replica_id
         try:
             idx.monitor.mark_down(0, p0)
@@ -116,8 +118,8 @@ class TestStateMachine:
         self, tmp_path, small_words, edit, obs_enabled
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         p0 = idx._sets[0].primary.replica_id
         try:
             idx.monitor.mark_down(0, p0)
@@ -125,16 +127,18 @@ class TestStateMachine:
             clock.now += 1.0
             assert sup.tick()["promoted"] == []  # 1.0 < grace 2.0
             clock.now += 1.5
-            beat_all(idx)
             actions = sup.tick()
             assert actions["promoted"] == [0]
             assert idx._sets[0].primary.replica_id != p0
-            # Detect-to-promote stayed within two heartbeat timeouts.
+            # Detect-to-promote stayed within grace + two ticks.
             promoted = [
                 e for e in sup.events(20) if e["event"] == "promoted"
             ][-1]
             assert promoted["detail"]["mttr"] == pytest.approx(2.5)
-            assert promoted["detail"]["mttr"] <= 2 * idx.monitor.timeout
+            assert (
+                promoted["detail"]["mttr"]
+                <= sup.grace + 2 * sup.tick_interval
+            )
             assert sup.promotions == 1
             assert (
                 instruments.supervisor().promotions.labels(shard="0").value
@@ -150,15 +154,14 @@ class TestStateMachine:
         self, tmp_path, small_words, edit
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         rset = idx._sets[0]
         p0 = rset.primary.replica_id
         try:
             idx.monitor.mark_down(0, p0)
             sup.tick()
             clock.now += 3.0  # past grace
-            beat_all(idx)
             assert sup.tick()["promoted"] == [0]
             promoted_at = clock.now
             p1 = rset.primary.replica_id
@@ -170,7 +173,6 @@ class TestStateMachine:
             clock.now += 2.0  # past grace, still deep inside the cooldown
             for _ in range(3):
                 clock.now += 1.0
-                beat_all(idx)
                 actions = sup.tick()
                 assert clock.now - promoted_at < sup.cooldown
                 assert actions["promoted"] == []
@@ -183,7 +185,6 @@ class TestStateMachine:
             assert len(suppressed) == 1  # journalled once, not per tick
             # Once the cooldown expires the shard may promote again.
             clock.now = promoted_at + sup.cooldown + 0.5
-            beat_all(idx)
             actions = sup.tick()
             assert actions["promoted"] == [0]
             assert sup.promotions == 2
@@ -196,8 +197,8 @@ class TestStateMachine:
         self, tmp_path, small_words, edit, monkeypatch
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         p0 = idx._sets[0].primary.replica_id
         calls: list[int] = []
         orig = idx.failover
@@ -217,7 +218,6 @@ class TestStateMachine:
             idx.monitor.mark_down(0, p0)
             sup.tick()
             clock.now += 3.0
-            beat_all(idx)
             assert sup.tick()["promoted"] == [0]
             assert calls == [0]
         finally:
@@ -228,8 +228,8 @@ class TestStateMachine:
         self, tmp_path, small_words, edit
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock, replicas=1)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit, replicas=1)
+        sup = supervise(idx, clock)
         rset = idx._sets[0]
         try:
             for rid in rset.member_ids():
@@ -251,15 +251,14 @@ class TestZombieRejoin:
         self, tmp_path, small_words, edit
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
+        _, idx = make_cluster(tmp_path, small_words, edit)
         rset = idx._sets[0]
         p0 = rset.primary.replica_id
-        sup = Supervisor(idx, scrub_interval=None)
+        sup = supervise(idx, clock)
         try:
             idx.monitor.mark_down(0, p0)
             sup.tick()
             clock.now += 3.0
-            beat_all(idx)
             assert sup.tick()["promoted"] == [0]
             # The surviving follower is stranded on the old generation;
             # the next repair pass re-admits it too.
@@ -302,15 +301,14 @@ class TestZombieRejoin:
     ):
         """A member an operator (or chaos) killed is not resurrected."""
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
+        _, idx = make_cluster(tmp_path, small_words, edit)
         rset = idx._sets[0]
         rid = rset.followers[0].replica_id
-        sup = Supervisor(idx, scrub_interval=None)
+        sup = supervise(idx, clock)
         try:
             idx.monitor.mark_down(0, rid)
             for _ in range(3):
                 clock.now += 1.0
-                beat_all(idx, skip={(0, rid)})
                 actions = sup.tick()
                 assert actions["rejoined"] == []
                 assert actions["repaired"] == []
@@ -323,53 +321,55 @@ class TestZombieRejoin:
 
 class TestMonitorThreadSafety:
     def test_concurrent_beats_checks_and_kill_switch(self):
-        """Regression: worker threads beat members while the supervisor
-        thread probes check() — the maps must never be observed
-        mid-mutation (this raced before the monitor grew its lock)."""
-        mon = Monitor(timeout=60.0)
+        """Regression: worker threads mark members down (a failed ship)
+        and membership churns while the supervisor thread reads health —
+        the sets must never be observed mid-mutation."""
+        mon = Monitor()
         ids = list(range(4))
         for rid in ids:
             mon.register(0, rid)
         errors: list[BaseException] = []
 
-        def beater(rid: int) -> None:
+        def reader() -> None:
             try:
                 for _ in range(2000):
-                    mon.beat(0, rid)
+                    for rid in ids:
+                        mon.healthy(0, rid)
+                    mon.healthy(1, 9)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        def checker() -> None:
+        def flipper(rid: int) -> None:
             try:
                 for _ in range(2000):
-                    mon.check(0, ids)
-                    mon.healthy(0, 1)
+                    mon.mark_down(0, rid)
+                    mon.forced_down(0, rid)
+                    mon.mark_up(0, rid)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        def flipper() -> None:
+        def churner() -> None:
             try:
                 for _ in range(2000):
-                    mon.mark_down(0, 2)
-                    mon.forced_down(0, 2)
-                    mon.mark_up(0, 2)
                     mon.register(1, 9)
+                    mon.mark_down(1, 9)
                     mon.forget(1, 9)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         threads = (
-            [threading.Thread(target=beater, args=(r,)) for r in ids]
-            + [threading.Thread(target=checker) for _ in range(2)]
-            + [threading.Thread(target=flipper)]
+            [threading.Thread(target=flipper, args=(r,)) for r in (1, 2)]
+            + [threading.Thread(target=reader) for _ in range(2)]
+            + [threading.Thread(target=churner)]
         )
         for t in threads:
             t.start()
         for t in threads:
             t.join(60.0)
         assert not errors, errors
-        assert all(mon.healthy(0, r) for r in (0, 1, 3))
-        assert mon.healthy(0, 2)  # the last flip was mark_up
+        assert all(mon.healthy(0, r) for r in ids)  # the last flip was mark_up
+        assert not mon.healthy(1, 9)  # forgotten
+        assert not mon.forced_down(1, 9)  # forget drops the mark too
 
 
 class TestSurfaces:
@@ -377,8 +377,8 @@ class TestSurfaces:
         self, tmp_path, small_words, edit
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         try:
             sup.tick()
             status = sup.status()
@@ -398,8 +398,8 @@ class TestSurfaces:
         self, tmp_path, small_words, edit
     ):
         clock = FakeClock()
-        _, idx = make_cluster(tmp_path, small_words, edit, clock)
-        sup = Supervisor(idx, scrub_interval=None)
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        sup = supervise(idx, clock)
         engine = QueryEngine(idx, workers=2).start()
         handle = serve_in_thread(engine, "127.0.0.1", 0)
         try:

@@ -43,12 +43,10 @@ def cluster(tmp_path, small_words, edit):
         checksums=True,
     ).save(directory)
     replicate(directory, edit, replicas=2, read_policy="round-robin")
-    idx = ShardedIndex.open(
-        directory, edit, wal_fsync=False, heartbeat_timeout=4.0, clock=clock
-    )
+    idx = ShardedIndex.open(directory, edit, wal_fsync=False)
     for word in small_words[200:240]:  # WAL bytes on both shards
         idx.insert(word)
-    sup = Supervisor(idx, scrub_interval=None)
+    sup = Supervisor(idx, scrub_interval=None, tick_interval=1.0, clock=clock)
     yield idx, sup, clock
     sup.close()
     idx.close()
@@ -265,11 +263,11 @@ class TestRateLimitingAndRotation:
             small_words[:150], edit, shards=2, num_pivots=3, seed=12
         ).save(directory)
         replicate(directory, edit, replicas=1)
-        idx = ShardedIndex.open(
-            directory, edit, wal_fsync=False,
-            heartbeat_timeout=4.0, clock=clock,
+        idx = ShardedIndex.open(directory, edit, wal_fsync=False)
+        sup = Supervisor(
+            idx, scrub_interval=10.0, scrub_pages=4, tick_interval=1.0,
+            clock=clock,
         )
-        sup = Supervisor(idx, scrub_interval=10.0, scrub_pages=4)
         try:
             assert sup.tick()["scrubbed"] == 0  # first tick always scrubs
             assert sup.tick()["scrubbed"] is None  # interval not elapsed
