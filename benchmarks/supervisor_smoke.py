@@ -4,9 +4,10 @@ Real clocks, real threads, ~10 seconds: a writer streams inserts and
 readers hammer scatter-gather queries against a replicated 2-shard
 cluster while the supervisor runs on its own thread.  Partway through,
 shard 0's primary is hard-killed; later the zombie comes back up.  The
-supervisor must promote within its cooldown (eight ticks), re-admit the
-zombie as a follower, and the run must end with **zero acknowledged
-writes lost**.
+supervisor must promote within its cooldown (eight ticks), the zombie
+must end as a healthy follower holding a byte-identical prefix of the
+primary's log (re-synced by the supervisor or by a writer's own ship),
+and the run must end with **zero acknowledged writes lost**.
 
 Appends one MTTR record to ``results/BENCH_supervisor.json`` and exits
 nonzero on any lost write, missed promotion, or failed verify — CI runs
@@ -37,6 +38,31 @@ from repro.replication import PrimaryDownError, replicate
 from repro.service.context import QueryContext
 from repro.supervisor import Supervisor
 from series import append_series  # benchmarks/series.py
+
+
+def _rejoin_problem(rset, rid: int):
+    """Why member ``rid`` is not a healthy follower at lag 0 holding the
+    primary's WAL generation and a byte-identical prefix of its log, or
+    None.  The supervisor or a writer's own ship may have re-synced it."""
+    rep = next((r for r in rset.followers if r.replica_id == rid), None)
+    if rep is None:
+        return "not a follower"
+    if not rset.healthy(rid):
+        return "unhealthy"
+    if rset.lag(rid):
+        return f"lags {rset.lag(rid)} bytes"
+    pwal = rset.primary.tree.wal
+    if rep.wal.header is None or (
+        rep.wal.header.base_generation != pwal.header.base_generation
+    ):
+        return "not on the primary's WAL generation"
+    committed = rep.wal.size_in_bytes
+    with open(rep.wal.path, "rb") as fh:
+        mine = fh.read(committed)
+    with open(pwal.path, "rb") as fh:
+        if fh.read(committed) != mine:
+            return "WAL prefix differs from the primary's"
+    return None
 
 
 def run(args: argparse.Namespace) -> int:
@@ -73,14 +99,14 @@ def run(args: argparse.Namespace) -> int:
         def chaos() -> None:
             time.sleep(kill_at)
             kill_time[0] = time.monotonic()
-            idx.monitor.mark_down(0, killed_rid)
+            idx._sets[0].mark_down(killed_rid)
             while sup.promotions < 1 and not stop.is_set():
                 time.sleep(0.01)
             promoted_time[0] = time.monotonic()
             delay = revive_at - (time.monotonic() - started)
             if delay > 0:
                 time.sleep(delay)
-            idx.monitor.mark_up(0, killed_rid)  # the zombie returns
+            idx._sets[0].mark_up(killed_rid)  # the zombie returns
 
         def writer() -> None:
             try:
@@ -126,7 +152,10 @@ def run(args: argparse.Namespace) -> int:
         grace_deadline = time.monotonic() + 2.0 * sup.cooldown
         while time.monotonic() < grace_deadline:
             status = idx.replication_status()[0]
-            if all(m["healthy"] for m in status["members"]):
+            if all(
+                m["healthy"] and m["lag_bytes"] == 0
+                for m in status["members"]
+            ):
                 break
             time.sleep(0.05)
         for word in refused:  # refused writes go through after failover
@@ -137,6 +166,7 @@ def run(args: argparse.Namespace) -> int:
         lost = (baseline | set(acked) | set(refused)) - survived
         vreport = idx.verify()
         status0 = idx.replication_status()[0]
+        zombie_problem = _rejoin_problem(idx._sets[0], killed_rid)
         record = {
             "bench": "supervisor-smoke",
             "size": args.size,
@@ -185,8 +215,8 @@ def run(args: argparse.Namespace) -> int:
         failures.append(
             f"MTTR {mttr:.2f}s exceeds the cooldown ({sup.cooldown:.2f}s)"
         )
-    if sup.rejoins < 1:
-        failures.append("zombie was never re-admitted")
+    if zombie_problem is not None:
+        failures.append(f"zombie was never re-admitted: {zombie_problem}")
     if not vreport.ok:
         failures.append(f"verify failed: {vreport.errors[:3]}")
     if record["shard0_members_healthy"] != len(status0["members"]):

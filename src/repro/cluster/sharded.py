@@ -86,7 +86,7 @@ from repro.storage.serializers import Serializer, serializer_for
 from repro.storage.wal import WAL_FILE, WriteAheadLog, scan_wal
 
 if TYPE_CHECKING:
-    from repro.replication import Monitor, ReplicaSet
+    from repro.replication import ReplicaSet
 
 
 def _name_shard(reason: ExhaustionReason, shard_id: int) -> ShardExhaustion:
@@ -291,9 +291,6 @@ class ShardedIndex:
         #: Read routing under the catalog's recorded policy, shared by
         #: every replica set so an operator can ask it directly.
         self._selector = ReplicaSelector("primary-only")
-        #: Member liveness; set by :meth:`open` (a built or loaded cluster
-        #: has no members to watch).
-        self.monitor: Optional[Monitor] = None
         #: Attached self-healing loop, if any (set by ``Supervisor``).
         self.supervisor: Optional[Any] = None
 
@@ -473,7 +470,7 @@ class ShardedIndex:
         replaying exactly as a primary's would) and every member starts
         healthy; it stays so until something marks it down.
         """
-        from repro.replication import Monitor, Replica, ReplicaSet
+        from repro.replication import Replica, ReplicaSet
 
         self = cls.load(directory, metric)
         self._wal_fsync = wal_fsync
@@ -481,7 +478,6 @@ class ShardedIndex:
         for shard in self.shards:
             self._attach_wal(shard)
         self._logging = True
-        self.monitor = Monitor()
         for shard in self.shards:
             if not shard.replicas:
                 continue
@@ -492,7 +488,6 @@ class ShardedIndex:
                 Replica(row.replica_id, shard.dirname, shard.tree, shard.tree.wal),
                 self._load_member,
                 self._selector,
-                self.monitor,
                 wal_fsync=wal_fsync,
                 faults=faults,
             )

@@ -11,15 +11,14 @@ Public surface:
 * :class:`ReplicaSet` / :class:`Replica` — one shard's membership and
   the shipping pump; the set is what a :class:`~repro.cluster.Shard`
   holds as ``members`` (read routing, fencing, synchronous shipping,
-  the quorum reason).
-* :class:`Monitor` — liveness: a member is healthy unless marked down.
+  the quorum reason) and the owner of its members' health: a member is
+  healthy unless ``mark_down`` or ``quarantine`` took it out.
 * Errors: :class:`ReplicationError`, :class:`PrimaryDownError`,
   :class:`NoPromotableFollowerError` (plus the storage layer's
   :class:`~repro.storage.wal.StaleWalError` for fenced writers).
 """
 
 from repro.replication.cluster import replicate
-from repro.replication.monitor import Monitor
 from repro.replication.replicaset import (
     NoPromotableFollowerError,
     PrimaryDownError,
@@ -29,7 +28,6 @@ from repro.replication.replicaset import (
 )
 
 __all__ = [
-    "Monitor",
     "NoPromotableFollowerError",
     "PrimaryDownError",
     "Replica",

@@ -18,6 +18,15 @@ or a promotion bumped it), a follower's position is *stale* and the set
 falls back to a full snapshot re-sync: copy the primary's directory,
 reload.  That is exactly the stale-WAL rule single-tree recovery already
 follows, applied across directories.
+
+The set also owns its members' health.  Every member is an object in
+this process, so nothing can go silent and no clock plays a part: a
+member is healthy unless something marked it down — :meth:`mark_down`
+(the kill switch, chaos tests) or :meth:`quarantine` (a supervisor
+finding, or a ship to the follower that failed, which may have left a
+torn tail in its log).  A down member serves no read and takes no ship;
+a quarantined one is also rebuilt from the primary's snapshot by the
+supervisor before it comes back.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from repro.cluster.router import ReplicaSelector
 from repro.core.spbtree import SPBTree
 from repro.obs import instruments as _instruments
 from repro.obs import registry as _obsreg
-from repro.replication.monitor import Monitor
 from repro.service.context import QueryContext, ShardExhaustion
 from repro.storage.faults import FaultInjector
 from repro.storage.wal import WAL_FILE, ShipPosition, WriteAheadLog
@@ -79,8 +87,10 @@ class ReplicaSet:
     The primary's tree and WAL are the shard's own (owned by the
     cluster); follower trees and logs are owned here.  All methods
     assume the cluster-level locking discipline: shipping runs under the
-    cluster's read side (it extends one shard's replicas), promotion and
-    re-sync under the write side.
+    cluster's read side, serialised per set by ``_ship_lock`` — and a
+    ship re-syncs a stale follower it meets, so that re-sync runs under
+    the read side too.  Promotion and the supervisor's rebuilds run
+    under the write side.  The health marks have a lock of their own.
 
     A set is what a :class:`~repro.cluster.Shard` holds as ``members``;
     the cluster's read and write path reaches it through six methods and
@@ -98,7 +108,6 @@ class ReplicaSet:
         primary: Replica,
         load_tree: Callable[[str], SPBTree],
         selector: ReplicaSelector,
-        monitor: Monitor,
         wal_fsync: bool = True,
         faults: Optional[FaultInjector] = None,
     ) -> None:
@@ -108,7 +117,6 @@ class ReplicaSet:
         self.followers: list[Replica] = []
         self.load_tree = load_tree
         self.selector = selector
-        self.monitor = monitor
         self.wal_fsync = wal_fsync
         self.faults = faults
         #: Durable acknowledged position per follower id.
@@ -123,7 +131,14 @@ class ReplicaSet:
         #: in it, as last read by :meth:`_catalog_generation`.
         self._fence_stamp: Optional[tuple[int, int]] = None
         self._fence_generation: Optional[int] = None
-        monitor.register(shard_id, primary.replica_id)
+        #: Member health, under one lock: engine worker threads mark a
+        #: follower down when a ship to it fails while the supervisor
+        #: thread reads health on its tick.  ``_members`` empties on
+        #: :meth:`close`; ``_quarantined`` is a subset of ``_down``.
+        self._health_lock = threading.Lock()
+        self._members = {primary.replica_id}
+        self._down: set[int] = set()
+        self._quarantined: set[int] = set()
 
     # ----------------------------------------------------------- membership
 
@@ -141,7 +156,8 @@ class ReplicaSet:
         self.followers.append(rep)
         self.followers.sort(key=lambda r: r.replica_id)
         self.acked[replica_id] = wal.position
-        self.monitor.register(self.shard_id, replica_id)
+        with self._health_lock:
+            self._members.add(replica_id)
         return rep
 
     def member_ids(self) -> "list[int]":
@@ -160,8 +176,35 @@ class ReplicaSet:
             f"shard {self.shard_id} has no replica {replica_id}"
         )
 
+    # --------------------------------------------------------------- health
+
     def healthy(self, replica_id: int) -> bool:
-        return self.monitor.healthy(self.shard_id, replica_id)
+        """True for a member nobody marked down; never for a non-member
+        or after :meth:`close`."""
+        with self._health_lock:
+            return replica_id in self._members and replica_id not in self._down
+
+    def mark_down(self, replica_id: int) -> None:
+        """Hold a member unhealthy until :meth:`mark_up` (the kill switch)."""
+        with self._health_lock:
+            self._down.add(replica_id)
+
+    def quarantine(self, replica_id: int) -> None:
+        """Mark a member down until a snapshot rebuild brings it back."""
+        with self._health_lock:
+            self._down.add(replica_id)
+            self._quarantined.add(replica_id)
+
+    def mark_up(self, replica_id: int) -> None:
+        """Lift a down mark, and the quarantine with it."""
+        with self._health_lock:
+            self._down.discard(replica_id)
+            self._quarantined.discard(replica_id)
+
+    def quarantined(self) -> "list[int]":
+        """Ids of the members waiting for a rebuild."""
+        with self._health_lock:
+            return sorted(self._quarantined)
 
     def degraded(self) -> Optional[ShardExhaustion]:
         """The reason a degraded reply carries while the set cannot honour
@@ -279,8 +322,9 @@ class ReplicaSet:
         implies every healthy follower holds the record durably) and by
         the ``replicate`` CLI / engine task for catch-up.  Unhealthy
         followers are skipped — they re-sync or catch up on recovery.  A
-        ship that fails marks its follower down before the error
-        propagates, so the next write is not refused on its account.
+        ship that fails quarantines its follower before the error
+        propagates, so the next write is not refused on its account and
+        the supervisor rebuilds the follower's possibly torn log.
         """
         if not self.healthy(self.primary.replica_id):
             raise PrimaryDownError(
@@ -295,7 +339,7 @@ class ReplicaSet:
                 try:
                     total += self._ship_one(rep)
                 except BaseException:
-                    self.monitor.mark_down(self.shard_id, rep.replica_id)
+                    self.quarantine(rep.replica_id)
                     raise
         return total
 
@@ -471,10 +515,10 @@ class ReplicaSet:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Release the followers' WAL handles and stop tracking the
-        members: a closed set (index closed, shard retired by a
-        rebalance or re-pivot) must not be counted as a degraded one."""
+        """Release the followers' WAL handles; every member of a closed
+        set (index closed, shard retired by a rebalance or re-pivot) is
+        unhealthy from then on."""
         for rep in self.followers:
             rep.wal.close()
-        for rid in self.member_ids():
-            self.monitor.forget(self.shard_id, rid)
+        with self._health_lock:
+            self._members.clear()

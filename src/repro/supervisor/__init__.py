@@ -1,8 +1,8 @@
 """Self-healing control loop over the replicated cluster primitives.
 
-The supervisor turns the manual fault-tolerance toolkit (liveness
-monitor, crash-safe ``failover()``, snapshot ``resync()``, page/WAL
-verification) into an operator-free background loop: automatic
+The supervisor turns the manual fault-tolerance toolkit (each replica
+set's health marks, crash-safe ``failover()``, snapshot ``resync()``,
+page/WAL verification) into an operator-free background loop: automatic
 failover with grace/cooldown guards, zombie-rejoin of demoted
 ex-primaries, and a rate-limited anti-entropy scrub that quarantines
 and rebuilds divergent replicas.  The loop's lifecycle and its journal

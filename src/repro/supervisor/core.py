@@ -10,22 +10,24 @@ repairs, all built on primitives the cluster already trusts:
   reentrant promotions and a per-shard *cooldown* stops a flapping
   member from causing a promotion storm: at most one promotion per
   cooldown window, no matter how often health flaps inside it.
-* **Zombie rejoin** — a healthy follower whose log is stale (the
+* **Rejoin and rebuild** — a healthy follower whose log is stale (the
   demoted ex-primary's generation-fenced WAL, or a snapshot from
-  before a checkpoint) is re-admitted through the snapshot ``resync()``
-  path, restoring the replication factor instead of leaving the set
-  degraded.  Healthy followers that merely lag are pumped via
-  ``ship()``.
+  before a checkpoint) is re-admitted, and a quarantined one rebuilt,
+  through one snapshot ``resync()`` path, restoring the replication
+  factor instead of leaving the set degraded.  Healthy followers that
+  merely lag are pumped via ``ship()``.  A member taken out by a plain
+  ``mark_down`` is left alone until someone marks it up.
 * **Anti-entropy scrub** — a rate-limited pass (one shard per
   interval, rotating) compares each follower's durable WAL byte-prefix
   against the primary's and spot-verifies a budgeted window of page
   checksums at rest.  A divergent or corrupt follower is *quarantined*
-  (marked down — the read router stops choosing it immediately),
-  rebuilt by snapshot resync, and only then marked up again: it never
-  serves a divergent read between detection and repair.  A corrupt
-  *primary* cannot be rebuilt in place; it is quarantined and the
-  shard fast-tracked through the failover path, after which the repair
-  pass rebuilds it as a follower.
+  in its replica set (down — the read router stops choosing it
+  immediately), rebuilt by snapshot resync, and only then marked up
+  again: it never serves a divergent read between detection and
+  repair.  A corrupt *primary* cannot be rebuilt in place; it is
+  quarantined and the shard fast-tracked through the failover path,
+  after which the repair pass rebuilds it as a follower.  A follower a
+  failed ship quarantined takes the same rebuild.
 
 The lifecycle is :class:`repro.control.ControlLoop`'s.  Grace and
 cooldown are counted in ticks (two and eight); the clock that measures
@@ -60,7 +62,8 @@ from repro.supervisor.scrub import (
 #: Journal filename inside a supervised cluster directory.
 SUPERVISOR_JOURNAL = "supervisor-events.jsonl"
 
-#: Shard liveness states (the supervisor's view, not the monitor's).
+#: Shard liveness states (the supervisor's view of a shard, not a
+#: replica set's health marks on its members).
 HEALTHY = "healthy"
 SUSPECTED = "suspected"
 
@@ -108,7 +111,6 @@ class Supervisor(ControlLoop):
         #: scrub divergences trigger a dump of the recent-trace ring so
         #: the requests degraded *by* the anomaly are captured with it.
         self.flight = flight
-        self.monitor = index.monitor
         if tick_interval <= 0:
             raise ValueError("tick_interval must be > 0")
         #: How long a primary stays merely *suspected* before promotion:
@@ -123,7 +125,6 @@ class Supervisor(ControlLoop):
         if scrub_pages is not None and scrub_pages < 0:
             raise ValueError(f"scrub_pages must be >= 0, got {scrub_pages}")
         self._states: dict[int, _ShardState] = {}
-        self._quarantined: dict[int, set[int]] = {}
         self._page_cursors: dict[tuple[int, int], int] = {}
         self._last_scrub: Optional[float] = None
         self._scrub_cursor = 0
@@ -268,42 +269,14 @@ class Supervisor(ControlLoop):
         """Re-admit stale members and rebuild quarantined ones.
 
         Runs only while the shard's primary is healthy (resync copies
-        *from* it).  Members that are down for liveness reasons and not
-        quarantined are left alone — whoever marked them down marks them
-        up again.
+        *from* it).  Members that are down and not quarantined are left
+        alone — whoever marked them down marks them up again.
         """
-        quarantined = self._quarantined.setdefault(sid, set())
         for rep in list(rset.followers):
-            rid = rep.replica_id
-            in_quarantine = rid in quarantined
-            if not in_quarantine and not rset.healthy(rid):
-                continue
-            if not in_quarantine and not rset.is_stale(rep):
-                continue
-            try:
-                with self.index._lock.write():
-                    rset.resync(rep)
-            except (OSError, ReplicationError) as exc:
-                self.journal.record(
-                    "repair-failed", shard=sid, replica=rid, detail=str(exc)
-                )
-                continue
-            if in_quarantine:
-                quarantined.discard(rid)
-                self.monitor.mark_up(sid, rid)
-                self.repairs += 1
-                if _obsreg.ENABLED:
-                    _instruments.supervisor().repairs.inc()
-                self.journal.record("rebuilt", shard=sid, replica=rid)
-                actions["repaired"].append((sid, rid))
-            else:
-                self.rejoins += 1
-                if _obsreg.ENABLED:
-                    _instruments.supervisor().rejoins.labels(
-                        shard=str(sid)
-                    ).inc()
-                self.journal.record("rejoined", shard=sid, replica=rid)
-                actions["rejoined"].append((sid, rid))
+            if self._needs_resync(rset, rep):
+                done = self._rebuild(sid, rset, rep)
+                if done is not None:
+                    actions[done].append((sid, rep.replica_id))
         # Same-generation catch-up for followers that merely lag.
         try:
             if any(
@@ -314,6 +287,48 @@ class Supervisor(ControlLoop):
                     rset.ship()
         except PrimaryDownError:
             pass
+
+    @staticmethod
+    def _needs_resync(rset: Any, rep: Any) -> bool:
+        """Quarantined, or healthy on a log that no longer splices."""
+        rid = rep.replica_id
+        return rid in rset.quarantined() or (
+            rset.healthy(rid) and rset.is_stale(rep)
+        )
+
+    def _rebuild(self, sid: int, rset: Any, rep: Any) -> Optional[str]:
+        """Re-sync one follower from the primary's snapshot if it still
+        needs it; ``"repaired"``, ``"rejoined"`` or None.
+
+        The need is judged again under the write lock: a writer's ship
+        may have re-synced a stale follower since the caller looked.  A
+        quarantined follower comes back (its quarantine lifted) only
+        once the copy is in place, so it never serves a read before.
+        """
+        rid = rep.replica_id
+        try:
+            with self.index._lock.write():
+                if not self._needs_resync(rset, rep):
+                    return None
+                repair = rid in rset.quarantined()
+                rset.resync(rep)
+                rset.mark_up(rid)
+        except (OSError, ReplicationError) as exc:
+            self.journal.record(
+                "repair-failed", shard=sid, replica=rid, detail=str(exc)
+            )
+            return None
+        if repair:
+            self.repairs += 1
+            if _obsreg.ENABLED:
+                _instruments.supervisor().repairs.inc()
+            self.journal.record("rebuilt", shard=sid, replica=rid)
+            return "repaired"
+        self.rejoins += 1
+        if _obsreg.ENABLED:
+            _instruments.supervisor().rejoins.labels(shard=str(sid)).inc()
+        self.journal.record("rejoined", shard=sid, replica=rid)
+        return "rejoined"
 
     # ---------------------------------------------------------------- scrub
 
@@ -387,16 +402,20 @@ class Supervisor(ControlLoop):
                     self._note_divergence(finding, report)
                 continue
             self._scrub_primary(sid, rset, pages, deep, report)
-            quarantined = self._quarantined.setdefault(sid, set())
             for rep in list(rset.followers):
-                rid = rep.replica_id
-                if rid in quarantined or not rset.healthy(rid):
+                if not rset.healthy(rep.replica_id):
                     continue
                 if rset.is_stale(rep):
                     continue  # the rejoin path owns stale members
                 finding = self._scrub_follower(sid, rset, rep, pages, deep, report)
                 if finding is not None:
-                    self._quarantine_and_rebuild(sid, rset, rep, finding, report)
+                    # Quarantine first (the selector stops choosing the
+                    # member at once), rebuild second.
+                    self._note_divergence(finding, report)
+                    self._quarantine(
+                        rset, rep.replica_id, finding.kind, finding.detail
+                    )
+                    finding.repaired = self._rebuild(sid, rset, rep) is not None
         self.scrub_passes += 1
         if inst is not None:
             inst.scrub_passes.inc()
@@ -456,7 +475,7 @@ class Supervisor(ControlLoop):
             st.state = SUSPECTED
             st.suspected_at = self.clock()
         st.fast_track = True
-        self._quarantine(sid, rep.replica_id, problems[0][0], problems[0][1])
+        self._quarantine(rset, rep.replica_id, problems[0][0], problems[0][1])
 
     def _scrub_follower(
         self,
@@ -533,9 +552,9 @@ class Supervisor(ControlLoop):
                 },
             )
 
-    def _quarantine(self, sid: int, rid: int, kind: str, detail: str) -> None:
-        self.monitor.mark_down(sid, rid)
-        self._quarantined.setdefault(sid, set()).add(rid)
+    def _quarantine(self, rset: Any, rid: int, kind: str, detail: str) -> None:
+        sid = rset.shard_id
+        rset.quarantine(rid)
         self.quarantines += 1
         if _obsreg.ENABLED:
             _instruments.supervisor().quarantines.labels(shard=str(sid)).inc()
@@ -557,44 +576,16 @@ class Supervisor(ControlLoop):
                 },
             )
 
-    def _quarantine_and_rebuild(
-        self, sid: int, rset: Any, rep: Any, finding: ScrubFinding, report: ScrubReport
-    ) -> None:
-        """The quarantine lifecycle for a divergent follower.
-
-        Order matters: mark down *first* (the selector stops choosing
-        the member immediately), resync second, mark up last — the
-        member never serves a read between detection and rebuild.
-        """
-        rid = rep.replica_id
-        self._note_divergence(finding, report)
-        self._quarantine(sid, rid, finding.kind, finding.detail)
-        try:
-            with self.index._lock.write():
-                rset.resync(rep)
-        except (OSError, ReplicationError) as exc:
-            self.journal.record(
-                "repair-failed", shard=sid, replica=rid, detail=str(exc)
-            )
-            return
-        self.monitor.mark_up(sid, rid)
-        self._quarantined[sid].discard(rid)
-        finding.repaired = True
-        self.repairs += 1
-        if _obsreg.ENABLED:
-            _instruments.supervisor().repairs.inc()
-        self.journal.record("rebuilt", shard=sid, replica=rid)
-
     # --------------------------------------------------------------- surface
 
     def quarantined(self, shard_id: int) -> "list[int]":
-        with self._lock:
-            return sorted(self._quarantined.get(shard_id, ()))
+        rset = self.index._sets.get(shard_id)
+        return rset.quarantined() if rset is not None else []
 
     def shard_state(self, shard_id: int) -> str:
         """Compact state label: quarantine > suspected > cooldown > healthy."""
         with self._lock:
-            if self._quarantined.get(shard_id):
+            if self.quarantined(shard_id):
                 return "quarantine"
             st = self._states.get(shard_id)
             if st is None:
@@ -620,7 +611,7 @@ class Supervisor(ControlLoop):
                         else None
                     ),
                     "promotions": st.promotions,
-                    "quarantined": sorted(self._quarantined.get(sid, ())),
+                    "quarantined": self.quarantined(sid),
                 }
             return {
                 "running": self.running,

@@ -528,7 +528,7 @@ def _cluster_quorum_lost(index, queries) -> dict:
     """Strict, traced queries against a shard that lost its majority: the
     survivors answer, nothing raises, reply and trace both say degraded."""
     follower = index._sets[0].followers[0].replica_id
-    index.monitor.mark_down(0, follower)
+    index._sets[0].mark_down(follower)
     out = {}
     runs = {
         "range": lambda ctx: index.range_query(queries[3], 1, context=ctx),
@@ -551,7 +551,7 @@ def _cluster_quorum_lost(index, queries) -> dict:
                 },
             }
     finally:
-        index.monitor.mark_up(0, follower)
+        index._sets[0].mark_up(follower)
     return out
 
 

@@ -470,7 +470,7 @@ class TestReplicatedReconciliation:
             )
             rset = idx._sets[0]
             p0 = rset.primary.replica_id
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             info = idx.failover(0, request_id=new_trace_id())
             assert info["promoted"] != p0
             after, result = _traced_range(idx, small_words[1], 2.0)
@@ -602,7 +602,7 @@ class TestChaosCorrelation:
             # failover while the client keeps asking through the faults.
             rset = idx._sets[0]
             p0 = rset.primary.replica_id
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             promoted = False
             for i in range(30):
                 ask(6 + i)

@@ -24,7 +24,6 @@ from repro.cluster import (
 )
 from repro.core.persist import CatalogError
 from repro.replication import (
-    Monitor,
     NoPromotableFollowerError,
     PrimaryDownError,
     ReplicationError,
@@ -182,14 +181,14 @@ class TestShipping:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
             lagger = rset.followers[0]
-            idx.monitor.mark_down(sid, lagger.replica_id)
+            idx._sets[sid].mark_down(lagger.replica_id)
             for word in small_words[250:290]:
                 idx.insert(word)
             shard_writes = rset.lag(lagger.replica_id)
             other = rset.followers[1]
             assert rset.lag(other.replica_id) == 0
             # Recovery: mark up, pump, caught up.
-            idx.monitor.mark_up(sid, lagger.replica_id)
+            idx._sets[sid].mark_up(lagger.replica_id)
             idx.ship_all()
             assert rset.lag(lagger.replica_id) == 0
             if shard_writes:  # at least one write routed to this shard
@@ -226,7 +225,7 @@ class TestShipping:
                 for word in words:  # until one routes to shard ``sid``
                     idx.insert(word)
             assert not rset.healthy(broken.replica_id)
-            assert idx.monitor.forced_down(sid, broken.replica_id)
+            assert rset.quarantined() == [broken.replica_id]
             pwal = rset.primary.tree.wal
             before = pwal.size_in_bytes
             for word in words:
@@ -239,6 +238,56 @@ class TestShipping:
             assert rset.lag(broken.replica_id) > 0
             assert len(calls) == 1  # a down follower is not shipped to
         finally:
+            idx.close()
+
+    def test_failed_ship_is_rebuilt_by_the_next_tick(
+        self, repl_dir, edit, small_words, monkeypatch
+    ):
+        """A failed ship may leave a torn tail in the follower's log, so
+        it quarantines the follower: one supervisor tick rebuilds it from
+        the primary's snapshot and brings it back at lag 0."""
+        idx = ShardedIndex.open(repl_dir, edit)
+        sup = Supervisor(idx, scrub_interval=None)
+        try:
+            sid = sorted(idx._sets)[0]
+            rset = idx._sets[sid]
+            broken = rset.followers[0]
+            rid = broken.replica_id
+            real_append = broken.wal.append_frames
+            calls = []
+
+            def fail_once(shipment):
+                calls.append(shipment)
+                if len(calls) == 1:
+                    raise OSError("injected: follower log unwritable")
+                return real_append(shipment)
+
+            monkeypatch.setattr(broken.wal, "append_frames", fail_once)
+            with pytest.raises(OSError, match="injected"):
+                for word in small_words[250:]:  # until one reaches ``sid``
+                    idx.insert(word)
+            assert not rset.healthy(rid)
+            assert sup.shard_state(sid) == "quarantine"
+            actions = sup.tick()
+            assert (sid, rid) in actions["repaired"]
+            assert sup.shard_state(sid) == "healthy"
+            assert "rebuilt" in [e["event"] for e in sup.events(20)]
+            rebuilt = next(r for r in rset.followers if r.replica_id == rid)
+            pwal = rset.primary.tree.wal
+            assert rset.healthy(rid)
+            assert rset.lag(rid) == 0
+            assert (
+                rebuilt.wal.header.base_generation
+                == pwal.header.base_generation
+            )
+            committed = rebuilt.wal.size_in_bytes
+            assert committed == pwal.size_in_bytes > 0
+            with open(rebuilt.wal.path, "rb") as fh:
+                fbytes = fh.read(committed)
+            with open(pwal.path, "rb") as fh:
+                assert fh.read(committed) == fbytes
+        finally:
+            sup.close()
             idx.close()
 
     def test_checkpoint_resyncs_followers_to_new_generation(
@@ -361,21 +410,34 @@ class TestReadRouting:
         assert answers["primary-only"] == answers["fastest-mind"]
 
 
-# -------------------------------------------------------- monitor & quorum
+# --------------------------------------------------------- health & quorum
 
 
 class TestMonitor:
-    def test_mark_down_overrides_fresh_beats(self):
+    """Member health as a replica set keeps it."""
+
+    def test_mark_down_overrides_fresh_beats(self, repl_dir, edit, small_words):
         """A down mark holds until ``mark_up``, whatever happens to the
-        member meanwhile — re-registering it included."""
-        mon = Monitor()
-        mon.register(0, 2)
-        assert mon.healthy(0, 2)
-        mon.mark_down(0, 2)
-        mon.register(0, 2)
-        assert not mon.healthy(0, 2)
-        mon.mark_up(0, 2)
-        assert mon.healthy(0, 2)
+        member meanwhile — writes shipped around it and reads routed
+        around it included."""
+        idx = ShardedIndex.open(repl_dir, edit)
+        try:
+            sid = sorted(idx._sets)[0]
+            rset = idx._sets[sid]
+            rid = rset.followers[0].replica_id
+            assert rset.healthy(rid)
+            rset.mark_down(rid)
+            for word in small_words[250:270]:
+                idx.insert(word)
+            for q in small_words[:5]:
+                idx.knn_query(q, 3)
+            idx.ship_all()
+            assert not rset.healthy(rid)
+            assert rset.quarantined() == []  # down, not queued for a rebuild
+            rset.mark_up(rid)
+            assert rset.healthy(rid)
+        finally:
+            idx.close()
 
     @pytest.mark.parametrize("supervised", [False, True], ids=["bare", "supervised"])
     @pytest.mark.parametrize("policy", READ_POLICIES)
@@ -414,15 +476,23 @@ class TestMonitor:
                 sup.close()
             idx.close()
 
-    def test_unknown_member_is_unhealthy(self):
-        assert not Monitor().healthy(7, 7)
+    def test_unknown_member_is_unhealthy(self, repl_dir, edit):
+        idx = ShardedIndex.open(repl_dir, edit)
+        try:
+            rset = idx._sets[sorted(idx._sets)[0]]
+            assert 7 not in rset.member_ids()
+            assert not rset.healthy(7)
+            rset.mark_up(7)  # a mark does not make a member
+            assert not rset.healthy(7)
+        finally:
+            idx.close()
 
     def test_degraded_reads_name_the_shard(self, repl_dir, edit, small_words):
         idx = ShardedIndex.open(repl_dir, edit)
         try:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
-            idx.monitor.mark_down(sid, rset.primary.replica_id)
+            idx._sets[sid].mark_down(rset.primary.replica_id)
             out = idx.range_query(
                 small_words[0], 3.0, context=QueryContext()
             )
@@ -445,7 +515,7 @@ class TestMonitor:
         idx = ShardedIndex.open(repl_dir, edit)
         try:
             for sid, rset in idx._sets.items():
-                idx.monitor.mark_down(sid, rset.primary.replica_id)
+                idx._sets[sid].mark_down(rset.primary.replica_id)
             with pytest.raises(PrimaryDownError, match="shard"):
                 for word in small_words[:20]:  # some word hits each shard
                     idx.insert(word)
@@ -468,7 +538,7 @@ class TestFailover:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
             old_primary = rset.primary.replica_id
-            idx.monitor.mark_down(sid, old_primary)
+            idx._sets[sid].mark_down(old_primary)
             info = idx.failover(sid)
             assert info["shard"] == sid
             assert info["promoted"] != old_primary
@@ -491,7 +561,7 @@ class TestFailover:
         try:
             sid = sorted(idx._sets)[0]
             for rid in idx._sets[sid].member_ids():
-                idx.monitor.mark_down(sid, rid)
+                idx._sets[sid].mark_down(rid)
             with pytest.raises(NoPromotableFollowerError, match=f"shard {sid}"):
                 idx.failover(sid)
         finally:
@@ -517,7 +587,7 @@ class TestFailover:
             shard = next(s for s in idx.shards if s.shard_id == sid)
             zombie_tree = shard.tree
             zombie_wal = shard.tree.wal
-            idx.monitor.mark_down(sid, rset.primary.replica_id)
+            idx._sets[sid].mark_down(rset.primary.replica_id)
             idx.failover(sid)
             # Resurrect the old primary's in-memory state (the zombie):
             # its log predates the promoted generation.
@@ -544,10 +614,10 @@ class TestFailover:
             sid = sorted(idx._sets)[0]
             rset = idx._sets[sid]
             old_primary = rset.primary.replica_id
-            idx.monitor.mark_down(sid, old_primary)
+            idx._sets[sid].mark_down(old_primary)
             idx.failover(sid)
             # The ex-primary comes back as a follower with a stale log.
-            idx.monitor.mark_up(sid, old_primary)
+            idx._sets[sid].mark_up(old_primary)
             demoted = next(
                 r for r in rset.followers if r.replica_id == old_primary
             )
@@ -573,7 +643,7 @@ class TestFailover:
             idx.insert(word)
         expected = sorted(str(o) for o in idx.objects())
         sid = sorted(idx._sets)[0]
-        idx.monitor.mark_down(sid, idx._sets[sid].primary.replica_id)
+        idx._sets[sid].mark_down(idx._sets[sid].primary.replica_id)
         info = idx.failover(sid)
         idx.close()
         idx2 = ShardedIndex.open(repl_dir, edit)
@@ -604,7 +674,7 @@ class TestStructuralChanges:
         idx = ShardedIndex.open(directory, edit)
         try:
             retired = {
-                (sid, rid)
+                (sid, rset, rid)
                 for sid, rset in idx._sets.items()
                 for rid in rset.member_ids()
             }
@@ -614,11 +684,11 @@ class TestStructuralChanges:
             assert retired and followers
             idx.rebuild_with_pivots(list(idx.space.pivots)[::-1])
             live = {s.shard_id for s in idx.shards}
-            assert not live & {sid for sid, _ in retired}
+            assert not live & {sid for sid, _, _ in retired}
             assert set(idx._sets) <= live
             assert set(idx.replication_status()) <= live
             assert all(rep.wal._file.closed for rep in followers)
-            assert not any(idx.monitor.healthy(*key) for key in retired)
+            assert not any(rset.healthy(rid) for _, rset, rid in retired)
             out = idx.range_query(small_words[0], 2.0, context=QueryContext())
             assert out.complete, out.reason
             assert set(out.per_shard) <= live
@@ -643,7 +713,7 @@ class TestEngineTasks:
                 shipped = engine.submit("ship").result()
                 assert sorted(shipped) == sorted(idx._sets)
                 sid = sorted(idx._sets)[0]
-                idx.monitor.mark_down(sid, idx._sets[sid].primary.replica_id)
+                idx._sets[sid].mark_down(idx._sets[sid].primary.replica_id)
                 info = engine.submit("failover", sid).result()
                 assert info["shard"] == sid
                 out = engine.submit(

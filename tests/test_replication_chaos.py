@@ -58,7 +58,7 @@ def test_kill_primary_mid_load_loses_no_acked_write(
                 if i == len(batch) // 3:
                     # Kill shard 0's primary mid-stream: the workload is
                     # live on both sides of this line.
-                    idx.monitor.mark_down(0, idx._sets[0].primary.replica_id)
+                    idx._sets[0].mark_down(idx._sets[0].primary.replica_id)
                     primary_killed.set()
                 try:
                     idx.insert(word)

@@ -173,7 +173,7 @@ class TestPromotionCrashMatrix:
         )
         try:
             rset = idx._sets[sid]
-            idx.monitor.mark_down(sid, rset.primary.replica_id)
+            idx._sets[sid].mark_down(rset.primary.replica_id)
             return idx.failover(sid, faults=injector)
         finally:
             idx.close()

@@ -5,15 +5,16 @@ pinned here with injected time — no wall-clock sleeps: the grace period
 absorbing a flap, automatic promotion after grace, the cooldown
 suppressing a promotion storm on a flapping shard, single-flight
 promotion, and the zombie ex-primary re-admitted with a byte-identical
-WAL prefix.  The thread-safety of :class:`Monitor` (down/up marks and
-membership changes racing health reads from the supervisor thread) gets
-its own hammer.  The loop lifecycle and the event journal are shared with the
+WAL prefix.  The thread-safety of a replica set's health marks (down, up
+and quarantine marks and ``close`` racing health reads from the
+supervisor thread) gets its own hammer.  The loop lifecycle and the event journal are shared with the
 tuner and pinned once, in ``tests/test_control_loop.py``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -22,7 +23,6 @@ from repro.cluster import ShardedIndex
 from repro.net import NetClient, serve_in_thread
 from repro.obs import instruments
 from repro.replication import replicate
-from repro.replication.monitor import Monitor
 from repro.service import QueryEngine
 from repro.supervisor import Supervisor
 
@@ -95,13 +95,13 @@ class TestStateMachine:
         sup = supervise(idx, clock)
         p0 = idx._sets[0].primary.replica_id
         try:
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             actions = sup.tick()
             assert actions["promoted"] == []
             assert sup.shard_state(0) == "suspected"
             # The primary comes back inside the grace window: no promotion.
             clock.now += 1.0
-            idx.monitor.mark_up(0, p0)
+            idx._sets[0].mark_up(p0)
             actions = sup.tick()
             assert actions["promoted"] == []
             assert sup.shard_state(0) == "healthy"
@@ -122,7 +122,7 @@ class TestStateMachine:
         sup = supervise(idx, clock)
         p0 = idx._sets[0].primary.replica_id
         try:
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             assert sup.tick()["promoted"] == []  # suspected, inside grace
             clock.now += 1.0
             assert sup.tick()["promoted"] == []  # 1.0 < grace 2.0
@@ -159,7 +159,7 @@ class TestStateMachine:
         rset = idx._sets[0]
         p0 = rset.primary.replica_id
         try:
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             sup.tick()
             clock.now += 3.0  # past grace
             assert sup.tick()["promoted"] == [0]
@@ -168,7 +168,7 @@ class TestStateMachine:
             sup.tick()  # repair pass re-admits the stale survivor
             # The new primary flaps straight back down: inside the
             # cooldown window every tick suppresses, no matter how many.
-            idx.monitor.mark_down(0, p1)
+            idx._sets[0].mark_down(p1)
             sup.tick()  # suspected again
             clock.now += 2.0  # past grace, still deep inside the cooldown
             for _ in range(3):
@@ -215,7 +215,7 @@ class TestStateMachine:
 
         monkeypatch.setattr(idx, "failover", reentrant)
         try:
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             sup.tick()
             clock.now += 3.0
             assert sup.tick()["promoted"] == [0]
@@ -233,7 +233,7 @@ class TestStateMachine:
         rset = idx._sets[0]
         try:
             for rid in rset.member_ids():
-                idx.monitor.mark_down(0, rid)  # nobody left to promote
+                idx._sets[0].mark_down(rid)  # nobody left to promote
             sup.tick()
             clock.now += 3.0
             actions = sup.tick()
@@ -256,7 +256,7 @@ class TestZombieRejoin:
         p0 = rset.primary.replica_id
         sup = supervise(idx, clock)
         try:
-            idx.monitor.mark_down(0, p0)
+            idx._sets[0].mark_down(p0)
             sup.tick()
             clock.now += 3.0
             assert sup.tick()["promoted"] == [0]
@@ -270,7 +270,7 @@ class TestZombieRejoin:
                 idx.insert(word)
             # The zombie returns: healthy but generation-fenced — the
             # repair pass demotes it through the snapshot resync path.
-            idx.monitor.mark_up(0, p0)
+            idx._sets[0].mark_up(p0)
             actions = sup.tick()
             assert (0, p0) in actions["rejoined"]
             assert sup.rejoins >= 2
@@ -296,6 +296,56 @@ class TestZombieRejoin:
             sup.close()
             idx.close()
 
+    def test_follower_a_writer_resynced_is_not_copied_again(
+        self, tmp_path, small_words, edit, monkeypatch
+    ):
+        """The repair pass judges staleness again under the write lock:
+        a follower a writer's ``ship()`` re-synced while the supervisor
+        waited for that lock is not copied a second time."""
+        clock = FakeClock()
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        rset = idx._sets[0]
+        p0 = rset.primary.replica_id
+        sup = supervise(idx, clock)
+        try:
+            idx._sets[0].mark_down(p0)
+            sup.tick()
+            clock.now += 3.0
+            assert sup.tick()["promoted"] == [0]
+            # The surviving follower is stranded on the old generation.
+            survivor = next(r for r in rset.followers if r.replica_id != p0)
+            assert rset.healthy(survivor.replica_id)
+            assert rset.is_stale(survivor)
+            resyncs = []
+            real_resync = rset.resync
+
+            def counting_resync(rep):
+                resyncs.append(rep.replica_id)
+                return real_resync(rep)
+
+            real_write = idx._lock.write
+            writers = []
+
+            def write_after_a_writer():
+                if not writers:  # a writer's ship wins the race once
+                    writers.append(True)
+                    with idx._lock.read():
+                        rset.ship()
+                return real_write()
+
+            monkeypatch.setattr(rset, "resync", counting_resync)
+            monkeypatch.setattr(idx._lock, "write", write_after_a_writer)
+            actions = sup.tick()
+            assert writers
+            assert resyncs == [survivor.replica_id]
+            assert (0, survivor.replica_id) not in actions["rejoined"]
+            assert rset.healthy(survivor.replica_id)
+            assert rset.lag(survivor.replica_id) == 0
+            assert not rset.is_stale(survivor)
+        finally:
+            sup.close()
+            idx.close()
+
     def test_externally_downed_member_is_left_alone(
         self, tmp_path, small_words, edit
     ):
@@ -306,70 +356,84 @@ class TestZombieRejoin:
         rid = rset.followers[0].replica_id
         sup = supervise(idx, clock)
         try:
-            idx.monitor.mark_down(0, rid)
+            idx._sets[0].mark_down(rid)
             for _ in range(3):
                 clock.now += 1.0
                 actions = sup.tick()
                 assert actions["rejoined"] == []
                 assert actions["repaired"] == []
             assert not rset.healthy(rid)
-            assert idx.monitor.forced_down(0, rid)
+            assert sup.quarantined(0) == []  # held down, not rebuilt
         finally:
             sup.close()
             idx.close()
 
 
 class TestMonitorThreadSafety:
-    def test_concurrent_beats_checks_and_kill_switch(self):
-        """Regression: worker threads mark members down (a failed ship)
-        and membership churns while the supervisor thread reads health —
-        the sets must never be observed mid-mutation."""
-        mon = Monitor()
-        ids = list(range(4))
-        for rid in ids:
-            mon.register(0, rid)
+    def test_concurrent_beats_checks_and_kill_switch(
+        self, tmp_path, small_words, edit
+    ):
+        """Regression: worker threads mark members down (a failed ship
+        quarantines) and the set closes while the supervisor thread reads
+        health — the marks must never be observed mid-mutation."""
+        _, idx = make_cluster(tmp_path, small_words, edit)
+        rset = idx._sets[0]
+        ids = rset.member_ids()
         errors: list[BaseException] = []
+        closing = threading.Event()
 
         def reader() -> None:
             try:
                 for _ in range(2000):
                     for rid in ids:
-                        mon.healthy(0, rid)
-                    mon.healthy(1, 9)
+                        rset.healthy(rid)
+                    rset.healthy(9)
+                    rset.quarantined()
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         def flipper(rid: int) -> None:
             try:
-                for _ in range(2000):
-                    mon.mark_down(0, rid)
-                    mon.forced_down(0, rid)
-                    mon.mark_up(0, rid)
+                for i in range(2000):
+                    if i % 2:
+                        rset.quarantine(rid)
+                    else:
+                        rset.mark_down(rid)
+                    rset.healthy(rid)
+                    rset.mark_up(rid)
+                    if i == 1000:
+                        closing.set()
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        def churner() -> None:
+        def closer() -> None:
+            closing.wait(60.0)
             try:
-                for _ in range(2000):
-                    mon.register(1, 9)
-                    mon.mark_down(1, 9)
-                    mon.forget(1, 9)
+                rset.close()
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         threads = (
-            [threading.Thread(target=flipper, args=(r,)) for r in (1, 2)]
+            [threading.Thread(target=flipper, args=(r,)) for r in ids[1:]]
             + [threading.Thread(target=reader) for _ in range(2)]
-            + [threading.Thread(target=churner)]
+            + [threading.Thread(target=closer)]
         )
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-        assert not errors, errors
-        assert all(mon.healthy(0, r) for r in ids)  # the last flip was mark_up
-        assert not mon.healthy(1, 9)  # forgotten
-        assert not mon.forced_down(1, 9)  # forget drops the mark too
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+            # The last flip was mark_up: no mark is left behind.
+            assert rset._down == set() and rset.quarantined() == []
+            assert not any(rset.healthy(r) for r in ids)  # closed
+            assert not rset.healthy(9)  # never a member
+        finally:
+            sys.setswitchinterval(switch)
+            idx.close()
 
 
 class TestSurfaces:

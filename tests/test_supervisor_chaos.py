@@ -64,7 +64,7 @@ def test_kill_primary_under_load_converges(
         try:
             for i, word in enumerate(batch):
                 if i == len(batch) // 3:
-                    idx.monitor.mark_down(0, p0)
+                    idx._sets[0].mark_down(p0)
                     killed.set()
                 try:
                     idx.insert(word)
@@ -129,7 +129,7 @@ def test_kill_primary_under_load_converges(
 
     # The stranded survivor rejoined already; now the zombie comes back.
     sup.tick()
-    idx.monitor.mark_up(0, p0)
+    idx._sets[0].mark_up(p0)
     actions = sup.tick()
     assert (0, p0) in actions["rejoined"]
     status = idx.replication_status()

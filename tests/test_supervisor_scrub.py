@@ -91,11 +91,11 @@ class TestCleanScrub:
         idx, sup, clock = cluster
         rset = idx._sets[0]
         p0 = rset.primary.replica_id
-        idx.monitor.mark_down(0, p0)
+        idx._sets[0].mark_down(p0)
         sup.tick()
         clock.now += 3.0
         assert sup.tick()["promoted"] == [0]
-        idx.monitor.mark_up(0, p0)
+        idx._sets[0].mark_up(p0)
         zombie = next(r for r in rset.followers if r.replica_id == p0)
         problem, compared = compare_wal_prefix(rset.primary.tree.wal, zombie)
         assert problem is None and compared == 0
