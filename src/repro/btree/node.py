@@ -56,8 +56,9 @@ class Node:
     entries: Sequence = field(default_factory=list)
     next_leaf: int = -1
     page_id: int = -1
-    #: Grid arrays of the entries, cached by the tree on read-only nodes
-    #: and given by a bulk load to the leaves it builds.
+    #: Grid arrays of the entries, cached by the tree on read-only nodes,
+    #: given by a bulk load to the leaves it builds and carried by an
+    #: insert or delete to the node it writes (a split drops them).
     arrays: Any = field(default=None, compare=False, repr=False)
 
     @property
@@ -68,7 +69,10 @@ class Node:
         return Node(self.is_leaf, list(self.entries), self.next_leaf, self.page_id)
 
     def frozen_copy(self) -> "Node":
-        return Node(self.is_leaf, tuple(self.entries), self.next_leaf, self.page_id)
+        return Node(
+            self.is_leaf, tuple(self.entries), self.next_leaf, self.page_id,
+            self.arrays,
+        )
 
     @property
     def count(self) -> int:

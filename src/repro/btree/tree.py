@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class BPlusTree:
         """
         if node.arrays is not None:
             return node.arrays
-        cells = self._grid_array([self.curve.decode(e.key) for e in node.entries])
+        cells = self._grid_array([e.key for e in node.entries])
         if node.read_only:
             node.arrays = cells
         return cells
@@ -152,17 +152,17 @@ class BPlusTree:
         """A non-leaf node's child MBB corners as two ``(n, |P|)`` arrays."""
         if node.arrays is not None:
             return node.arrays
-        decode = self.curve.decode
         corners = (
-            self._grid_array([decode(e.min_sfc) for e in node.entries]),
-            self._grid_array([decode(e.max_sfc) for e in node.entries]),
+            self._grid_array([e.min_sfc for e in node.entries]),
+            self._grid_array([e.max_sfc for e in node.entries]),
         )
         if node.read_only:
             node.arrays = corners
         return corners
 
-    def _grid_array(self, points: list) -> np.ndarray:
-        array = np.array(points, dtype=np.int64).reshape(len(points), self.curve.ndims)
+    def _grid_array(self, keys: list[int]) -> np.ndarray:
+        """The grid cells of ``keys``, decoded a column at a time."""
+        array = self.curve.decode_many(keys)
         array.setflags(write=False)
         return array
 
@@ -186,6 +186,32 @@ class BPlusTree:
             min_sfc=self.curve.encode(lo),
             max_sfc=self.curve.encode(hi),
         )
+
+    def _refreshed_entry(
+        self, entry: NodeEntry, child: Node, key: int, joined: bool
+    ) -> tuple[NodeEntry, Box]:
+        """``_entry_for_child(child)`` and the child's MBB once ``key``
+        joined (or left) the child that ``entry`` summarised exactly, read
+        from the key's cell alone where it settles the MBB: a joining cell
+        widens the box to take it in, and a cell leaving from strictly
+        inside the box leaves it as it was.  Otherwise (a cell left from
+        the box's boundary) the MBB comes from the child's entries."""
+        lo, hi = self.decode_box(entry)
+        cell = self.curve.decode(key)
+        if joined:
+            box = tuple(map(min, lo, cell)), tuple(map(max, hi, cell))
+        elif all(a < c < b for a, c, b in zip(lo, cell, hi)):
+            box = lo, hi
+        else:
+            box = self.node_box(child)  # type: ignore[assignment]
+        encode = self.curve.encode
+        refreshed = NodeEntry(
+            key=child.min_key(),
+            child=child.page_id,
+            min_sfc=entry.min_sfc if box[0] == lo else encode(box[0]),
+            max_sfc=entry.max_sfc if box[1] == hi else encode(box[1]),
+        )
+        return refreshed, box
 
     # ----------------------------------------------------------- bulk load
 
@@ -262,12 +288,14 @@ class BPlusTree:
         self, page_id: int, key: int, ptr: int
     ) -> Optional[NodeEntry]:
         """Insert below ``page_id``; returns a new sibling entry on split."""
-        node = self.read_node(page_id).mutable_copy()
+        held = self.read_node(page_id)
+        node = held.mutable_copy()
         if node.is_leaf:
             keys = [entry.key for entry in node.entries]
             idx = bisect.bisect_right(keys, key)
             node.entries.insert(idx, LeafEntry(key, ptr))
             if node.count <= self.codec.leaf_capacity:
+                node.arrays = _spliced(held.arrays, idx, 0, [self.curve.decode(key)])
                 self._write_node(node)
                 return None
             return self._split_leaf(node)
@@ -276,8 +304,13 @@ class BPlusTree:
         split = self._insert_into(child_entry.child, key, ptr)
         # Refresh the child's summary (its key range and MBB may have grown).
         child = self.read_node(child_entry.child)
-        node.entries[idx] = self._entry_for_child(child)
-        if split is not None:
+        if split is None:
+            node.entries[idx], box = self._refreshed_entry(
+                child_entry, child, key, True
+            )
+            node.arrays = _spliced(held.arrays, idx, 1, [box])
+        else:
+            node.entries[idx] = self._entry_for_child(child)
             node.entries.insert(idx + 1, split)
         if node.count <= self.codec.node_capacity:
             self._write_node(node)
@@ -330,11 +363,13 @@ class BPlusTree:
         return found
 
     def _delete_from(self, page_id: int, key: int, ptr: int) -> bool:
-        node = self.read_node(page_id).mutable_copy()
+        held = self.read_node(page_id)
+        node = held.mutable_copy()
         if node.is_leaf:
             for i, entry in enumerate(node.entries):
                 if entry.key == key and entry.ptr == ptr:
                     del node.entries[i]
+                    node.arrays = _spliced(held.arrays, i, 1, [])
                     self._write_node(node)
                     return True
                 if entry.key > key:
@@ -352,10 +387,14 @@ class BPlusTree:
                 child = self.read_node(child_entry.child)
                 if child.count == 0:
                     del node.entries[idx]
+                    node.arrays = _spliced(held.arrays, idx, 1, [])
                     if node.count == 0 and page_id != self.root_page:
                         pass  # parent unlinks us in its own pass
                 else:
-                    node.entries[idx] = self._entry_for_child(child)
+                    node.entries[idx], box = self._refreshed_entry(
+                        child_entry, child, key, False
+                    )
+                    node.arrays = _spliced(held.arrays, idx, 1, [box])
                 self._write_node(node)
                 return True
         return False
@@ -432,3 +471,21 @@ class BPlusTree:
             yield node
             if not node.is_leaf:
                 stack.extend(entry.child for entry in node.entries)
+
+
+def _spliced(arrays: Any, at: int, drop: int, rows: list) -> Any:
+    """A node's decoded arrays once its entries ``at:at + drop`` gave way
+    to entries whose cells (a leaf) or ``(lo, hi)`` MBBs (an inner node)
+    are ``rows``: a write carries them to the node it writes, which then
+    needs no decode.  None (never decoded) stays None."""
+    if arrays is None:
+        return None
+    if isinstance(arrays, tuple):
+        return tuple(
+            _spliced(a, at, drop, [row[k] for row in rows])
+            for k, a in enumerate(arrays)
+        )
+    middle = np.array(rows, dtype=np.int64).reshape(len(rows), arrays.shape[1])
+    out = np.concatenate((arrays[:at], middle, arrays[at + drop :]))
+    out.setflags(write=False)
+    return out

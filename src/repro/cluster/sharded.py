@@ -523,7 +523,8 @@ class ShardedIndex:
 
     def checkpoint(self, faults: Optional[FaultInjector] = None) -> None:
         """Ship first, fold every shard's WAL into a new generation, refresh
-        the catalog, then re-sync the followers.
+        the catalog, then re-sync the healthy followers (a down one is
+        rebuilt by the supervisor or on its first ship after ``mark_up``).
 
         A crash between the fold and the catalog leaves stale (not wrong)
         cluster rows: shard catalogs stay authoritative for loading.

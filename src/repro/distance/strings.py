@@ -33,21 +33,95 @@ def _pattern_bits(pattern: str) -> dict[str, int]:
     return peq
 
 
-def _myers(peq: dict[str, int], m: int, text: str, bound: float) -> float:
-    """d(pattern, text) for the pattern of length ``m`` whose bitmasks are
-    ``peq``, when it is at most ``bound``; otherwise a lower bound of it
-    that is greater than ``bound``.
+#: Longest string the bag stage takes: a bag counts each lane's characters
+#: in a 7-bit field.
+BAG_MAX_LEN = 127
+#: The spare top bit of each of the 64 one-byte lanes of a bag.
+_TOPS = sum(1 << (8 * k + 7) for k in range(64))
 
-    Two cut-offs, both sound because d(pattern, text[:j]) moves by at most
-    one per text character: the length gap ``|m - n|`` bounds d from below
-    before the loop, and after column j the final score is at least
-    ``score_j - (n - j)`` (Ukkonen), so the loop stops once that passes
-    ``bound``.  A NaN bound never compares greater, so it is exact.
+
+class _LaneUnits(dict):
+    """Character -> ``1 << 8 * (ord(c) & 63)``, the one its bag lane adds,
+    kept once computed (one entry per distinct character met)."""
+
+    def __missing__(self, c: str) -> int:
+        unit = self[c] = 1 << (8 * (ord(c) & 63))
+        return unit
+
+
+_LANE_UNIT = _LaneUnits()
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _bag(s: str) -> int:
+    """The character multiset of ``s`` as one int, cached: byte lane
+    ``ord(c) & 63`` counts the characters c of ``s`` that fall in it,
+    summed at C speed.  Characters sharing a lane are counted together,
+    which only merges differences away, so the bag distance read from two
+    of these ints stays a lower bound of the edit distance.  Exact up to
+    :data:`BAG_MAX_LEN` characters."""
+    return sum(map(_LANE_UNIT.__getitem__, s))
+
+
+def _excess(bag: int, other: int) -> int:
+    """The size of ``other``'s multiset less ``bag``'s, summed over the
+    lanes of max(0, o - q), all lanes at once: with every lane's top bit
+    set in ``other`` the subtraction borrows across no lane, a lane whose
+    top bit survives had o >= q, and its low seven bits are o - q; the
+    kept lanes add up mod 255 (256 is 1 mod 255), exactly as the sum is
+    at most 127."""
+    t = (other | _TOPS) - bag
+    kept = t & _TOPS
+    return (t & (kept - (kept >> 7))) % 255
+
+
+def _bounded(
+    peq: dict[str, int], m: int, bag: int, text: str, bound: float
+) -> float:
+    """d(pattern, text) for the pattern of length ``m`` whose bitmasks are
+    ``peq`` and whose :func:`_bag` is ``bag``, when it is at most
+    ``bound``; otherwise a lower bound of it that is greater than ``bound``.
+
+    Three stages, each a lower bound of d, cheapest first: the length gap
+    ``|m - n|``; the bag distance ``max(|p - t|, |t - p|)`` over the two
+    character multisets, which is ``|t - p| + max(0, m - n)``
+    (:func:`_excess`, six operations on the two cached ints); then Myers'
+    recurrence with Ukkonen's cut-off.  A pair the bag rejects answers
+    ``floor(bound) + 1``, the least integer past the bound, which d
+    reaches because it is an integer greater than ``bound``.  A NaN bound
+    never compares greater, so it is exact.
     """
     n = len(text)
     gap = abs(m - n)
     if gap > bound or not m or not n:
         return float(gap)
+    # The bag distance is at most max(m, n): past that it cannot reject,
+    # and an unbounded call never builds the text's bag.  A text that is
+    # not a ``str`` (a tuple of any hashables) goes straight to Myers.
+    if (
+        (bound < m or bound < n)
+        and type(text) is str
+        and m <= BAG_MAX_LEN
+        and n <= BAG_MAX_LEN
+    ):
+        # _excess, inlined: this is the hot path of a words kNN.
+        t = (_bag(text) | _TOPS) - bag
+        kept = t & _TOPS
+        if (t & (kept - (kept >> 7))) % 255 + (m - n if m > n else 0) > bound:
+            return math.floor(bound) + 1.0
+    return _myers(peq, m, text, bound)
+
+
+def _myers(peq: dict[str, int], m: int, text: str, bound: float) -> float:
+    """Myers' recurrence for a pattern and a text of lengths ``m, n >= 1``:
+    d when it is at most ``bound``, otherwise a lower bound of it greater
+    than ``bound``.
+
+    After column j the final score is at least ``score_j - (n - j)``
+    (d(pattern, text[:j]) moves by at most one per text character), so
+    the loop stops once that passes ``bound`` (Ukkonen's cut-off).
+    """
+    n = len(text)
     mask = (1 << m) - 1
     high = 1 << (m - 1)
     pv = mask
@@ -123,16 +197,24 @@ class EditDistance(Metric):
     Words dataset.  Implementation is Myers' bit-parallel algorithm (Myers,
     JACM 1999) — one big-integer update per text character instead of a DP
     row — with the first argument (the query, in a search) as the pattern.
-    :meth:`batch` takes a bound and stops a row once it is past it: a
-    length filter, then Ukkonen's cut-off.  Python's arbitrary-precision
-    integers make it exact for any string length.
+    Python's arbitrary-precision integers make it exact for any string
+    length.
+
+    :meth:`batch` and :meth:`against` take a bound and settle a pair in
+    three stages, each a lower bound of d, cheapest first, stopping once
+    one is past the bound: the length gap ``|m - n|``; the bag distance,
+    ``max(|q - o|, |o - q|)`` over the character multisets, read from one
+    cached int per string (strings of up to :data:`BAG_MAX_LEN`
+    characters); then Myers' recurrence with Ukkonen's cut-off.  On the
+    words kNN most rejected pairs never reach the recurrence.
     """
 
     name = "edit"
     is_discrete = True
 
     def __call__(self, a: str, b: str) -> float:
-        return _myers(_pattern_bits(a), len(a), b, math.inf)
+        # No bound, so the bag is never read.
+        return _bounded(_pattern_bits(a), len(a), 0, b, math.inf)
 
     def batch(
         self, q: str, objs: Sequence[str], bound: float = math.inf
@@ -141,10 +223,11 @@ class EditDistance(Metric):
         ``bound``, else a lower bound of it greater than ``bound``.
 
         With :data:`BATCH_MIN_ROWS` rows or more, 0 < |q| <= 64 and only
-        ``str`` rows, the rows whose length gap passes the bound are
-        answered by the gap; if that many rows remain, Myers' recurrence
-        runs across them, exactly.  Otherwise every row takes the scalar
-        loop with the query as pattern and both cut-offs — or, for a query
+        ``str`` rows, the rows whose length gap or (under a finite
+        non-negative bound) bag distance passes the bound are answered as the scalar loop
+        answers them; if that many rows remain, Myers' recurrence runs
+        across them, exactly.  Otherwise every row takes the scalar loop
+        with the query as pattern and all three stages — or, for a query
         that is not a ``str`` or a subclass that overrides ``__call__``,
         :meth:`Metric.batch`'s loop.  Distances are integers, so every path
         agrees exactly within the bound."""
@@ -160,21 +243,38 @@ class EditDistance(Metric):
             # len(): a dropped NUL reads back as the zero padding.
             lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
             gaps = np.abs(lengths - m)
-            keep = np.flatnonzero(~(gaps > bound))
+            out = gaps.astype(np.float64)
+            past = gaps > bound
+            if 0 <= bound < math.inf:
+                # The scalar loop's bag stage, a row at a time; the query
+                # (at most 64 characters here) always fits a bag.
+                bag = _bag(q)
+                excess = np.fromiter(
+                    (
+                        _excess(bag, _bag(o)) if len(o) <= BAG_MAX_LEN else 0
+                        for o in objs
+                    ),
+                    dtype=np.int64,
+                    count=n,
+                )
+                over = excess + np.maximum(m - lengths, 0) > bound
+                out[over & ~past] = math.floor(bound) + 1.0
+                past |= over
+            keep = np.flatnonzero(~past)
             if len(keep) >= BATCH_MIN_ROWS:
-                out = gaps.astype(np.float64)
                 rows = objs if len(keep) == n else [objs[k] for k in keep.tolist()]
                 out[keep] = _myers_columns(q, rows, lengths[keep])
                 return out.tolist()
         if not isinstance(q, str) or type(self).__call__ is not EditDistance.__call__:
             return super().batch(q, objs)
         peq = _pattern_bits(q)
-        return [_myers(peq, m, o, bound) for o in objs]
+        bag = _bag(q)
+        return [_bounded(peq, m, bag, o, bound) for o in objs]
 
     def against(self, q: str) -> Callable[[str, float], float]:
-        """:meth:`Metric.against`: the scalar loop's Myers with the query's
-        bitmasks and length resolved once — what a one-row :meth:`batch`
-        runs.  A query that is not a ``str``, or a subclass that overrides
+        """:meth:`Metric.against`: the scalar loop's three stages with the
+        query's bitmasks, length and bag resolved once — what a one-row
+        :meth:`batch` runs.  A query that is not a ``str``, or a subclass that overrides
         ``__call__`` or ``batch``, gets the default, which asks them."""
         cls = type(self)
         if (
@@ -183,9 +283,7 @@ class EditDistance(Metric):
             or cls.batch is not EditDistance.batch
         ):
             return super().against(q)
-        peq = _pattern_bits(q)
-        m = len(q)
-        return lambda o, bound: _myers(peq, m, o, bound)
+        return functools.partial(_bounded, _pattern_bits(q), len(q), _bag(q))
 
 
 def trigram_counts(s: str) -> Counter:

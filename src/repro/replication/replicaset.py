@@ -426,8 +426,15 @@ class ReplicaSet:
             _instruments.replication().resyncs.inc()
 
     def resync_all(self) -> None:
+        """Re-sync every healthy follower (a checkpoint folded the log).
+
+        A down follower is left alone, so none is copied twice: a
+        quarantined one is rebuilt once by the supervisor, and a killed
+        one re-syncs on the first ship after its ``mark_up`` (its log no
+        longer splices)."""
         for rep in self.followers:
-            self.resync(rep)
+            if self.healthy(rep.replica_id):
+                self.resync(rep)
 
     # ------------------------------------------------------------ promotion
 

@@ -3,8 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.btree import BPlusTree
-from repro.sfc import ZCurve
+from repro.sfc import HilbertCurve, ZCurve
 
 keys = st.integers(0, 255 * 256 + 255)  # any 2x8-bit Z value
 
@@ -22,6 +24,20 @@ def operations(draw):
         st.lists(
             st.tuples(st.sampled_from(["insert", "delete"]), keys),
             max_size=40,
+        )
+    )
+    return initial, ops
+
+
+@st.composite
+def churn(draw):
+    """A bulk load, then inserts and deletes of entries the tree holds
+    (a delete picks one by index), enough of them to empty leaves."""
+    initial = sorted(zip(draw(st.lists(keys, min_size=10, max_size=60)), range(1000)))
+    ops = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["insert", "delete", "delete"]), keys),
+            max_size=80,
         )
     )
     return initial, ops
@@ -53,6 +69,28 @@ class TestAgainstModel:
         assert [k for k, _ in got] == [k for k, _ in model]
         assert sorted(got) == sorted(model)
 
+    @pytest.mark.parametrize("curve", (ZCurve, HilbertCurve))
+    @given(scenario=churn())
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_summarises_its_child_exactly(self, curve, scenario):
+        """Inserts widen a summary by the new key's cell and deletes keep it
+        when the cell left from inside: the stored MBB and routing key stay
+        the ones a full recompute from the child's entries gives.  The
+        decoded arrays a write carries to the node it writes are the ones
+        decoding its entries gives."""
+        initial, ops = scenario
+        tree = BPlusTree(curve(2, 8), page_size=64)  # 5 per leaf, 3 per node
+        tree.bulk_load(initial)
+        live = list(initial)
+        _check_summaries(tree)
+        for n, (op, arg) in enumerate(ops):
+            if op == "insert":
+                tree.insert(arg, 10_000 + n)
+                live.append((arg, 10_000 + n))
+            elif live:
+                assert tree.delete(*live.pop(arg % len(live)))
+            _check_summaries(tree)
+
     @given(st.lists(keys, min_size=1, max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_insert_only_construction_equals_bulk_load(self, raw_keys):
@@ -73,3 +111,26 @@ class TestAgainstModel:
         tree.bulk_load(items)
         expected = sorted(p for k, p in items if k == probe)
         assert sorted(e.ptr for e in tree.find_entries(probe)) == expected
+
+
+def _check_summaries(tree: BPlusTree) -> None:
+    """Decode every node's arrays (kept on it, so the next write carries
+    them) and check them, each routing key and each stored MBB against the
+    node's entries."""
+    decode = tree.curve.decode_many
+    stack = [tree.root_page]
+    while stack:
+        node = tree.read_node(stack.pop())
+        if node.is_leaf:
+            cells = tree.leaf_cells(node)
+            assert cells.tolist() == decode([e.key for e in node.entries]).tolist()
+            continue
+        lo, hi = tree.child_boxes(node)
+        assert lo.tolist() == decode([e.min_sfc for e in node.entries]).tolist()
+        assert hi.tolist() == decode([e.max_sfc for e in node.entries]).tolist()
+        for entry in node.entries:
+            child = tree.read_node(entry.child)
+            if child.count:
+                assert entry.key == child.min_key()
+                assert tree.decode_box(entry) == tree.node_box(child)
+            stack.append(entry.child)

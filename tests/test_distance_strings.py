@@ -1,11 +1,33 @@
 """Unit tests for string metrics."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.spbtree import SPBTree
 from repro.distance import EditDistance, TriGramAngularDistance
-from repro.distance.strings import trigram_counts
+from repro.distance import strings
+from repro.distance.strings import BATCH_MIN_ROWS, trigram_counts
+from tests.test_metric_batch import _within
+
+#: Characters that stress the bag's one-int form: NUL, and code points 64
+#: apart that share a lane ("\x00" / "@" / "\x80", "!" / "a" / "\xa1"),
+#: beside non-ASCII and astral ones.
+ALPHABET = "ab!@\x00\x80\xa1é中\U0001F600\U0001F640"
+texts = st.text(alphabet=ALPHABET, max_size=24)
+BOUNDS = (0, 0.5, 1, 2, 7, math.inf, math.nan)
+
+
+def _bag_distance(a: str, b: str) -> int:
+    """The bag distance the kernel reads from its two cached ints, both
+    ways round."""
+    x, y = strings._bag(a), strings._bag(b)
+    forth = strings._excess(x, y) + max(0, len(a) - len(b))
+    assert forth == strings._excess(y, x) + max(0, len(b) - len(a))
+    return forth
 
 
 class TestEditDistance:
@@ -67,6 +89,112 @@ class TestEditDistance:
         for a in words:
             for b in words:
                 assert ed(a, b) == reference(a, b), (a, b)
+
+
+class TestBagBound:
+    @given(a=texts, b=texts)
+    @example(a="", b="")
+    @example(a="", b="\x00\x00")
+    @example(a="aaaaaaa", b="a")  # more than four copies of one character
+    @example(a="!!!!!", b="aaaaa")  # all in one lane: the bound reads 0
+    @example(a="\U0001F600" * 5, b="\U0001F640\x00")
+    @settings(max_examples=300, deadline=None)
+    def test_is_a_lower_bound_of_the_edit_distance(self, a, b):
+        bag = _bag_distance(a, b)
+        ca, cb = Counter(a), Counter(b)
+        exact_bag = max(sum((ca - cb).values()), sum((cb - ca).values()))
+        assert abs(len(a) - len(b)) <= bag <= exact_bag <= EditDistance()(a, b)
+
+    def test_characters_apart_by_64_share_a_lane(self):
+        assert strings._bag("!") == strings._bag("a") == 1 << (8 * 33)
+        assert strings._bag("aa!") == 3 << (8 * 33)
+        assert _bag_distance("!!!!!", "aaaaa") == 0
+        assert _bag_distance("abc", "xyz") == 3
+        full = "a" * strings.BAG_MAX_LEN
+        assert _bag_distance(full, "") == _bag_distance("", full) == len(full)
+
+    def test_strings_past_the_lane_width_skip_the_bag(self):
+        """A lane counts at most 127 characters, so longer strings go from
+        the length gap straight to Myers, and stay exact within the bound."""
+        metric = EditDistance()
+        q = "a" * 300
+        for o in ("a" * 150 + "b" * 150, "b" * 300, "a" * 299 + "!"):
+            d = metric(q, o)
+            for bound in (0, 1, d - 1, d, math.inf):
+                assert _within(metric.against(q)(o, bound), d, bound)
+                assert _within(metric.batch(q, [o], bound)[0], d, bound)
+
+    @given(q=texts, objs=st.lists(texts, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_path_keeps_the_batch_contract(self, q, objs):
+        metric = EditDistance()
+        exact = [metric(q, o) for o in objs]
+        for bound in BOUNDS:
+            got = metric.batch(q, objs, bound)
+            assert all(map(_within, got, exact, [bound] * len(objs))), bound
+            f = metric.against(q)
+            assert [f(o, bound) for o in objs] == [
+                metric.batch(q, [o], bound)[0] for o in objs
+            ]
+            bounds = [bound] * len(objs)
+            assert all(map(_within, map(f, objs, bounds), exact, bounds))
+
+    @given(
+        q=st.text(alphabet=ALPHABET, min_size=1, max_size=64),
+        rows=st.lists(texts, min_size=1, max_size=10),
+    )
+    @example(q="ab", rows=["ab", "ba", "a!"])  # rows left for the array at 2, 7
+    @settings(max_examples=60, deadline=None)
+    def test_array_path_keeps_the_batch_contract(self, q, rows):
+        metric = EditDistance()
+        objs = [
+            rows[i % len(rows)] + "ab"[i % 2] * (i % 3)
+            for i in range(BATCH_MIN_ROWS + 8)
+        ]
+        exact = [metric(q, o) for o in objs]
+        for bound in BOUNDS:
+            got = metric.batch(q, objs, bound)
+            assert all(type(d) is float for d in got)
+            assert all(map(_within, got, exact, [bound] * len(objs))), bound
+
+
+class TestBagFilterFires:
+    """The bag stage spares Myers most rejected pairs of a search and
+    moves nothing the search counts."""
+
+    QUERIES = ("defoliate", "bramble", "x", "stonewarden")
+
+    def _searches(self, words, edit, calls):
+        """kNN and range answers, compdists, page accesses and the Myers
+        calls of the searches alone."""
+        tree = SPBTree.build(words, edit, num_pivots=3, seed=5)
+        tree.reset_counters()
+        calls.clear()
+        answers = []
+        for q in self.QUERIES + tuple(words[::97]):
+            answers.append(tree.knn_query(q, 8))
+            answers.append(tree.range_query(q, 2))
+        return answers, tree.distance_computations, tree.page_accesses, len(calls)
+
+    def test_myers_runs_on_fewer_pairs_than_are_verified(
+        self, small_words, edit, monkeypatch
+    ):
+        calls = []
+        myers = strings._myers
+
+        def counted(*args):
+            calls.append(args)
+            return myers(*args)
+
+        monkeypatch.setattr(strings, "_myers", counted)
+        answers, compdists, pa, ran = self._searches(small_words, edit, calls)
+        # No string is short enough for the bag stage: the length gap and
+        # Myers alone, as before the stage existed.  The same answers,
+        # distances and page accesses, with Myers on more pairs.
+        monkeypatch.setattr(strings, "BAG_MAX_LEN", 0)
+        before = self._searches(small_words, edit, calls)
+        assert before[:3] == (answers, compdists, pa)
+        assert 0 < ran < before[3] <= compdists
 
 
 class TestTriGramAngular:

@@ -368,6 +368,43 @@ class TestZombieRejoin:
             sup.close()
             idx.close()
 
+    def test_checkpoint_copies_each_follower_at_most_once(
+        self, tmp_path, small_words, edit, monkeypatch
+    ):
+        """A checkpoint re-syncs the healthy followers only: a quarantined
+        one is rebuilt once, by the next tick, and a killed one is left
+        alone by both."""
+        clock = FakeClock()
+        _, idx = make_cluster(tmp_path, small_words, edit, replicas=3)
+        rset = idx._sets[0]
+        sick, killed, well = (r.replica_id for r in rset.followers)
+        resyncs = []
+        real_resync = rset.resync
+
+        def counting_resync(rep):
+            resyncs.append(rep.replica_id)
+            return real_resync(rep)
+
+        monkeypatch.setattr(rset, "resync", counting_resync)
+        sup = supervise(idx, clock)
+        try:
+            rset.quarantine(sick)
+            rset.mark_down(killed)
+            for word in small_words[200:220]:
+                idx.insert(word)
+            idx.checkpoint()
+            assert resyncs == [well]
+            clock.now += 1.0
+            assert sup.tick()["repaired"] == [(0, sick)]
+            clock.now += 1.0
+            sup.tick()
+            assert sorted(resyncs) == sorted([well, sick])
+            assert rset.healthy(sick) and not rset.is_stale(rset.followers[0])
+            assert not rset.healthy(killed)
+        finally:
+            sup.close()
+            idx.close()
+
 
 class TestMonitorThreadSafety:
     def test_concurrent_beats_checks_and_kill_switch(
