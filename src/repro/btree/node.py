@@ -57,9 +57,12 @@ class Node:
     next_leaf: int = -1
     page_id: int = -1
     #: Grid arrays of the entries, cached by the tree on read-only nodes,
-    #: given by a bulk load to the leaves it builds and carried by an
-    #: insert or delete to the node it writes (a split drops them).
+    #: given by a bulk load or a new root to the nodes it builds and carried
+    #: by an insert, delete or split to the nodes it writes.
     arrays: Any = field(default=None, compare=False, repr=False)
+    #: A leaf's RAF pointers as one int64 array, cached by the tree on
+    #: read-only leaves.
+    ptrs: Any = field(default=None, compare=False, repr=False)
 
     @property
     def read_only(self) -> bool:

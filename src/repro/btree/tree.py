@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
@@ -148,6 +149,19 @@ class BPlusTree:
             node.arrays = cells
         return cells
 
+    def leaf_ptrs(self, node: Node) -> np.ndarray:
+        """A leaf's RAF pointers, one per entry: ``(n,)`` int64, kept on a
+        read-only node like :meth:`leaf_cells`."""
+        if node.ptrs is not None:
+            return node.ptrs
+        ptrs = np.fromiter(
+            map(itemgetter(1), node.entries), dtype=np.int64, count=node.count
+        )
+        ptrs.setflags(write=False)
+        if node.read_only:
+            node.ptrs = ptrs
+        return ptrs
+
     def child_boxes(self, node: Node) -> tuple[np.ndarray, np.ndarray]:
         """A non-leaf node's child MBB corners as two ``(n, |P|)`` arrays."""
         if node.arrays is not None:
@@ -176,16 +190,26 @@ class BPlusTree:
             lo, hi = self.child_boxes(node)
         return tuple(lo.min(axis=0).tolist()), tuple(hi.max(axis=0).tolist())
 
-    def _entry_for_child(self, child: Node) -> NodeEntry:
+    def _entry_for_child(self, child: Node) -> tuple[NodeEntry, Box]:
+        """The entry summarising ``child`` in its parent, and its MBB."""
         box = self.node_box(child)
         assert box is not None, "cannot summarize an empty child"
         lo, hi = box
-        return NodeEntry(
+        entry = NodeEntry(
             key=child.min_key(),
             child=child.page_id,
             min_sfc=self.curve.encode(lo),
             max_sfc=self.curve.encode(hi),
         )
+        return entry, box
+
+    def _inner_node(self, summaries: Sequence[tuple[NodeEntry, Box]]) -> Node:
+        """A new non-leaf node over ``summaries`` (each child's entry and
+        MBB), carrying the MBBs as the arrays a read would decode."""
+        node = Node(False, [entry for entry, _ in summaries])
+        empty = np.empty((0, self.curve.ndims), dtype=np.int64)
+        node.arrays = _spliced((empty, empty), 0, 0, [box for _, box in summaries])
+        return node
 
     def _refreshed_entry(
         self, entry: NodeEntry, child: Node, key: int, joined: bool
@@ -260,7 +284,7 @@ class BPlusTree:
             parents: list[Node] = []
             for start in range(0, len(level), node_fill):
                 children = level[start : start + node_fill]
-                parent = Node(False, [self._entry_for_child(c) for c in children])
+                parent = self._inner_node([self._entry_for_child(c) for c in children])
                 self._write_node(parent)
                 parents.append(parent)
             level = parents
@@ -278,24 +302,24 @@ class BPlusTree:
         self.entry_count += 1
         if split is not None:
             old_root = self.read_node(self.root_page)
-            left_entry = self._entry_for_child(old_root)
-            new_root = Node(False, [left_entry, split])
+            new_root = self._inner_node([self._entry_for_child(old_root), split])
             self._write_node(new_root)
             self.root_page = new_root.page_id
             self.height += 1
 
     def _insert_into(
         self, page_id: int, key: int, ptr: int
-    ) -> Optional[NodeEntry]:
-        """Insert below ``page_id``; returns a new sibling entry on split."""
+    ) -> Optional[tuple[NodeEntry, Box]]:
+        """Insert below ``page_id``; returns a new sibling's entry and MBB
+        on split."""
         held = self.read_node(page_id)
         node = held.mutable_copy()
         if node.is_leaf:
             keys = [entry.key for entry in node.entries]
             idx = bisect.bisect_right(keys, key)
             node.entries.insert(idx, LeafEntry(key, ptr))
+            node.arrays = _spliced(held.arrays, idx, 0, [self.curve.decode(key)])
             if node.count <= self.codec.leaf_capacity:
-                node.arrays = _spliced(held.arrays, idx, 0, [self.curve.decode(key)])
                 self._write_node(node)
                 return None
             return self._split_leaf(node)
@@ -310,27 +334,36 @@ class BPlusTree:
             )
             node.arrays = _spliced(held.arrays, idx, 1, [box])
         else:
-            node.entries[idx] = self._entry_for_child(child)
-            node.entries.insert(idx + 1, split)
+            entry, box = self._entry_for_child(child)
+            node.entries[idx] = entry
+            node.entries.insert(idx + 1, split[0])
+            node.arrays = _spliced(held.arrays, idx, 1, [box, split[1]])
         if node.count <= self.codec.node_capacity:
             self._write_node(node)
             return None
         return self._split_internal(node)
 
-    def _split_leaf(self, node: Node) -> NodeEntry:
+    def _split_leaf(self, node: Node) -> tuple[NodeEntry, Box]:
         mid = node.count // 2
-        sibling = Node(True, node.entries[mid:], node.next_leaf)
+        sibling = Node(
+            True, node.entries[mid:], node.next_leaf,
+            arrays=_sliced(node.arrays, slice(mid, None)),
+        )
         node.entries = node.entries[:mid]
+        node.arrays = _sliced(node.arrays, slice(mid))
         self._write_node(sibling)
         node.next_leaf = sibling.page_id
         self._write_node(node)
         self.leaf_page_count += 1
         return self._entry_for_child(sibling)
 
-    def _split_internal(self, node: Node) -> NodeEntry:
+    def _split_internal(self, node: Node) -> tuple[NodeEntry, Box]:
         mid = node.count // 2
-        sibling = Node(False, node.entries[mid:])
+        sibling = Node(
+            False, node.entries[mid:], arrays=_sliced(node.arrays, slice(mid, None))
+        )
         node.entries = node.entries[:mid]
+        node.arrays = _sliced(node.arrays, slice(mid))
         self._write_node(sibling)
         self._write_node(node)
         return self._entry_for_child(sibling)
@@ -471,6 +504,16 @@ class BPlusTree:
             yield node
             if not node.is_leaf:
                 stack.extend(entry.child for entry in node.entries)
+
+
+def _sliced(arrays: Any, part: slice) -> Any:
+    """The ``part`` of a node's decoded arrays that goes with the same
+    slice of its entries (a split's half); None stays None."""
+    if arrays is None:
+        return None
+    if isinstance(arrays, tuple):
+        return tuple(a[part] for a in arrays)
+    return arrays[part]
 
 
 def _spliced(arrays: Any, at: int, drop: int, rows: list) -> Any:

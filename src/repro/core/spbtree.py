@@ -27,9 +27,10 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
+import math
 import os
 import time
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -437,83 +438,83 @@ class SPBTree:
             ctx.checkpoint()
         return tr, phi_q
 
-    def _fetch_many(
+    def _verify_leaf(
         self,
-        entries: Iterable[tuple[int, bool]],
+        ptrs: np.ndarray,
+        accepted: np.ndarray,
         query: Any,
         ctx: Optional[QueryContext],
         tr: Optional[Any],
         bound: float,
-        free_accepts: bool = False,
-    ) -> Iterator[tuple[Any, Optional[float]]]:
-        """Verify one leaf's surviving entries — the one RAF read of the
-        query path, a leaf at a time.  ``entries`` are ``(ptr, accepted)``
-        pairs (``accepted``: Lemma 2 proved the object a result); for each
-        live one, in entry order, this yields ``(object, d(query, object))``
-        with ``None`` for the distance of an accepted entry — and, with
-        ``free_accepts`` (the count), ``(None, None)`` for it without any
-        read at all.  Tombstones are dropped; the records come from one
-        ``raf.read_many`` and the distances from one ``distance.batch``
-        under ``bound`` — the caller's cut-off: a distance past it is only
-        a lower bound greater than it, which the caller rejects anyway.
+        take: Callable[[Sequence[Any], np.ndarray, int], None],
+        read_accepts: bool = True,
+    ) -> None:
+        """Verify one leaf's surviving entries as arrays — the one RAF read
+        of the query path, a leaf at a time.  ``ptrs`` are the entries' RAF
+        pointers in entry order and ``accepted`` marks those Lemma 2 proved
+        results.  Tombstones are masked out; the live records are read with
+        one ``raf.read_many`` — with ``read_accepts`` false (the count) only
+        those not accepted — and the others' distances come from one
+        ``distance.batch`` under ``bound``, the caller's cut-off: a distance
+        past it is only a lower bound greater than it, which the caller
+        rejects anyway.  Then ``take(objs, dists, free)`` gets the records
+        read, in entry order, a float64 array of their distances (-inf for
+        an accepted record: within any radius, no distance spent) and the
+        number of accepted entries counted without a read.
 
         Compdist and page-access budgets trip at the record they would trip
-        at if every read were preceded by a checkpoint: the entries before
-        it are yielded, then ``_Exhausted`` is raised.  The deadline and
-        cancellation are the caller's to observe, once per node.
+        at if every read were preceded by a checkpoint: ``take`` gets the
+        records before it (and the count the accepts before it), then
+        ``_Exhausted`` is raised.  The deadline and cancellation are the
+        caller's to observe, once per node.
         """
         raf = self.raf
         assert raf is not None
-        is_deleted = raf.is_deleted
-        live = [entry for entry in entries if not is_deleted(entry[0])]
-        # Every live entry costs a read, but for the count's Lemma 2 accepts.
-        reads = [entry for entry in live if not entry[1]] if free_accepts else live
+        dead = raf.tombstoned(ptrs)
+        if dead is not None:
+            ptrs, accepted = ptrs[~dead], accepted[~dead]
+        if read_accepts:
+            reads, verify = ptrs, ~accepted
+        else:
+            reads = ptrs[~accepted]
+            verify = np.ones(len(reads), dtype=bool)
         allowed, stop = len(reads), None
         if ctx is not None:
             if ctx.max_compdists is not None:
                 # The checkpoint before a read trips once the distances spent
-                # on the entries ahead of it exceed what the budget has left.
+                # on the reads ahead of it exceed what the budget has left.
+                spent = np.cumsum(verify) - verify
                 left = ctx.max_compdists - ctx.compdists
-                for k, (_, accepted) in enumerate(reads):
-                    if left < 0:
-                        allowed = k
-                        break
-                    if not accepted:
-                        left -= 1
+                allowed = int(np.searchsorted(spent, left, side="right"))
             if ctx.max_page_accesses is not None:
                 stop = lambda: ctx.page_accesses > ctx.max_page_accesses  # noqa: E731
-        objs = raf.read_many([ptr for ptr, _ in reads[:allowed]], stop)
-        verify = [k for k, (_, accepted) in enumerate(reads[: len(objs)]) if not accepted]
-        if len(verify) == len(objs):
-            chosen = objs
-        elif isinstance(objs, np.ndarray):
-            chosen = objs[verify]
-        else:
-            chosen = [objs[k] for k in verify]
-        dists: list[Optional[float]] = [None] * len(objs)
-        for k, d in zip(verify, self.distance.batch(query, chosen, bound)):
-            dists[k] = d
-        fetched = zip(objs, dists)
-        accepts = len(objs) - len(verify)
-        if not free_accepts:
-            yield from fetched
-        else:
+        objs = raf.read_many(reads[:allowed].tolist(), stop)
+        n = len(objs)
+        verify = verify[:n]
+        rows = np.flatnonzero(verify)
+        dists = np.full(n, -math.inf)
+        if len(rows):
+            if len(rows) == n:
+                chosen = objs
+            elif isinstance(objs, np.ndarray):
+                chosen = objs[rows]
+            else:
+                chosen = list(itertools.compress(objs, verify.tolist()))
+            dists[rows] = self.distance.batch(query, chosen, bound)
+        free = 0
+        if not read_accepts:
             # Lemma 2's accepts up to the read a budget refused, if one did.
-            for _, accepted in live:
-                if accepted:
-                    accepts += 1
-                    yield None, None
-                else:
-                    pair = next(fetched, None)
-                    if pair is None:
-                        break
-                    yield pair
+            if n < len(reads):
+                accepted = accepted[: np.flatnonzero(~accepted)[n]]
+            free = int(np.count_nonzero(accepted))
+        take(objs, dists, free)
         if tr is not None:
-            if verify:
-                tr.bump("entries_verified", len(verify))
+            accepts = n - len(rows) + free
+            if len(rows):
+                tr.bump("entries_verified", len(rows))
             if accepts:
                 tr.bump("lemma2_accepts", accepts)
-        if len(objs) < len(reads):
+        if n < len(reads):
             assert ctx is not None
             ctx.checkpoint()
 
@@ -541,10 +542,14 @@ class SPBTree:
         if radius < 0:
             raise ValueError("radius must be non-negative")
         results: list[Any] = []
+
+        def take(objs: Sequence[Any], dists: np.ndarray, _: int) -> None:
+            results.extend(itertools.compress(objs, (dists <= radius).tolist()))
+
         complete, reason, elapsed = self.read_frame(
             context,
             lambda: self._range_search(
-                query, radius, context, phi_q, results.append, free_accepts=False
+                query, radius, context, phi_q, take, read_accepts=True
             ),
         )
         if context is None:
@@ -562,13 +567,13 @@ class SPBTree:
         radius: float,
         ctx: Optional[QueryContext],
         phi_q: Optional[tuple[float, ...]],
-        hit: Callable[[Any], None],
-        free_accepts: bool,
+        take: Callable[[Sequence[Any], np.ndarray, int], None],
+        read_accepts: bool,
     ) -> None:
         """Algorithm 1's descent, for the range query and the count alike:
-        ``hit(obj)`` is called once per live object within ``radius``.
-        With ``free_accepts`` (the count) an entry Lemma 2 accepts is a hit
-        with no I/O at all — ``hit(None)`` — instead of a RAF read."""
+        each leaf's verification goes to ``take`` (see :meth:`_verify_leaf`).
+        Without ``read_accepts`` (the count) an entry Lemma 2 accepts is
+        counted with no I/O at all instead of a RAF read."""
         assert self.raf is not None
         tr, phi_q = self._map_query(query, ctx, phi_q)
         rr = self.space.range_region(phi_q, radius)
@@ -597,12 +602,11 @@ class SPBTree:
                     continue
                 # VerifyRQ of Algorithm 1 (lines 25–29) for the entries in RR,
                 # the leaf at a time.
-                survivors = self._range_leaf(node, phi_q, radius, rr, tr)
-                for obj, d in self._fetch_many(
-                    survivors, query, ctx, tr, radius, free_accepts
-                ):
-                    if d is None or d <= radius:  # None: Lemma 2, within r
-                        hit(obj)
+                inside, accepted = self._range_leaf(node, phi_q, radius, rr, tr)
+                self._verify_leaf(
+                    self.btree.leaf_ptrs(node)[inside], accepted,
+                    query, ctx, tr, radius, take, read_accepts,
+                )
             finally:
                 if record is not None:
                     tr.exit(record)
@@ -614,10 +618,11 @@ class SPBTree:
         radius: float,
         rr: tuple,
         tr: Optional[Any] = None,
-    ) -> Iterator[tuple[int, bool]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Leaf handling of Algorithm 1, lines 11–23, as two masks over the
-        leaf's decoded cells: ``(ptr, Lemma 2 accepts it)`` for every entry
-        inside RR (Lemma 1), in entry order.
+        leaf's decoded cells: ``(inside, accepted)`` — the indices of the
+        entries inside RR (Lemma 1), in entry order, and which of those
+        Lemma 2 accepts.
 
         One path stands for the paper's three (MBB ⊆ RR, computeSFC
         enumeration, per-entry check): for a leaf entry,
@@ -635,8 +640,7 @@ class SPBTree:
             accepted = self.space.lemma2_accepts(cells[inside], phi_q, radius)
         else:
             accepted = np.zeros(len(inside), dtype=bool)
-        entries = node.entries
-        return zip([entries[i].ptr for i in inside.tolist()], accepted.tolist())
+        return inside, accepted
 
     # ------------------------------------------------------------ kNN query
 
@@ -750,6 +754,16 @@ class SPBTree:
         raf = self.raf
         assert raf is not None
 
+        def offer(objs: Sequence[Any], dists: np.ndarray, _: int) -> None:
+            # A greedy leaf's candidates.  ``bound`` is the k-th distance as
+            # the leaf started: a full collector turns away what does not
+            # beat it, and one that is not full yet takes everything.
+            if bound < math.inf:
+                keep = dists < bound
+                objs, dists = itertools.compress(objs, keep.tolist()), dists[keep]
+            for d, obj in zip(dists.tolist(), objs):
+                collector.offer(d, obj)
+
         while heap:
             if ctx is not None:
                 ctx.checkpoint()
@@ -786,9 +800,10 @@ class SPBTree:
                     # Greedy paradigm: evaluate the whole leaf immediately,
                     # cut off at the k-th distance as the leaf starts — the
                     # bound only shrinks while its candidates are offered.
-                    leaf = [(entry.ptr, False) for entry in node.entries]
-                    for obj, d in self._fetch_many(leaf, query, ctx, tr, bound):
-                        collector.offer(d, obj)
+                    self._verify_leaf(
+                        self.btree.leaf_ptrs(node), np.zeros(node.count, dtype=bool),
+                        query, ctx, tr, bound, offer,
+                    )
                     continue
                 else:
                     minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
@@ -841,14 +856,18 @@ class SPBTree:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        hits: list[Any] = []
+        counts: list[int] = []  # one per leaf
+
+        def take(_: Sequence[Any], dists: np.ndarray, free: int) -> None:
+            counts.append(free + int(np.count_nonzero(dists <= radius)))
+
         complete, reason, elapsed = self.read_frame(
             context,
             lambda: self._range_search(
-                query, radius, context, phi_q, hits.append, free_accepts=True
+                query, radius, context, phi_q, take, read_accepts=False
             ),
         )
-        count = len(hits)
+        count = sum(counts)
         if context is None:
             return count
         return QueryResult(

@@ -222,23 +222,21 @@ class EditDistance(Metric):
         """:meth:`Metric.batch`'s contract: d(q, o) when it is at most
         ``bound``, else a lower bound of it greater than ``bound``.
 
-        With :data:`BATCH_MIN_ROWS` rows or more, 0 < |q| <= 64 and only
-        ``str`` rows, the rows whose length gap or (under a finite
-        non-negative bound) bag distance passes the bound are answered as the scalar loop
-        answers them; if that many rows remain, Myers' recurrence runs
-        across them, exactly.  Otherwise every row takes the scalar loop
-        with the query as pattern and all three stages — or, for a query
-        that is not a ``str`` or a subclass that overrides ``__call__``,
-        :meth:`Metric.batch`'s loop.  Distances are integers, so every path
-        agrees exactly within the bound."""
+        A query that is not a ``str``, or a subclass that overrides
+        ``__call__``, gets :meth:`Metric.batch`'s loop, which asks
+        ``__call__`` for every row.  Otherwise, with :data:`BATCH_MIN_ROWS`
+        rows or more, 0 < |q| <= 64 and only ``str`` rows, the rows whose
+        length gap or (under a finite non-negative bound) bag distance
+        passes the bound are answered as the scalar loop answers them; if
+        that many rows remain, Myers' recurrence runs across them, exactly.
+        Every other row takes the scalar loop with the query as pattern and
+        all three stages.  Distances are integers, so every path agrees exactly
+        within the bound."""
+        if not isinstance(q, str) or type(self).__call__ is not EditDistance.__call__:
+            return super().batch(q, objs)
         n = len(objs)
         m = len(q)
-        if (
-            n >= BATCH_MIN_ROWS
-            and 0 < m <= 64
-            and isinstance(q, str)
-            and all(type(o) is str for o in objs)
-        ):
+        if n >= BATCH_MIN_ROWS and 0 < m <= 64 and all(type(o) is str for o in objs):
             # numpy's str dtype drops trailing NULs, so lengths come from
             # len(): a dropped NUL reads back as the zero padding.
             lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
@@ -265,8 +263,6 @@ class EditDistance(Metric):
                 rows = objs if len(keep) == n else [objs[k] for k in keep.tolist()]
                 out[keep] = _myers_columns(q, rows, lengths[keep])
                 return out.tolist()
-        if not isinstance(q, str) or type(self).__call__ is not EditDistance.__call__:
-            return super().batch(q, objs)
         peq = _pattern_bits(q)
         bag = _bag(q)
         return [_bounded(peq, m, bag, o, bound) for o in objs]

@@ -13,7 +13,9 @@ keys = st.integers(0, 255 * 256 + 255)  # any 2x8-bit Z value
 
 @st.composite
 def operations(draw):
-    """A bulk load followed by a mixed insert/delete sequence."""
+    """A bulk load followed by a mixed insert/delete sequence.  About half
+    of the deletes name an entry the model holds (``"delete-held"`` picks
+    one by index); the rest draw any key, so most of those miss."""
     initial = sorted(
         zip(
             draw(st.lists(keys, max_size=60)),
@@ -22,7 +24,10 @@ def operations(draw):
     )
     ops = draw(
         st.lists(
-            st.tuples(st.sampled_from(["insert", "delete"]), keys),
+            st.tuples(
+                st.sampled_from(["insert", "insert", "delete", "delete-held"]),
+                keys,
+            ),
             max_size=40,
         )
     )
@@ -57,6 +62,10 @@ class TestAgainstModel:
                 tree.insert(key, next_ptr)
                 model.append((key, next_ptr))
                 next_ptr += 1
+            elif op == "delete-held" and model:
+                held = model[key % len(model)]
+                assert tree.delete(*held)
+                model.remove(held)
             else:
                 candidates = [p for k, p in model if k == key]
                 if candidates:
@@ -75,9 +84,10 @@ class TestAgainstModel:
     def test_every_entry_summarises_its_child_exactly(self, curve, scenario):
         """Inserts widen a summary by the new key's cell and deletes keep it
         when the cell left from inside: the stored MBB and routing key stay
-        the ones a full recompute from the child's entries gives.  The
-        decoded arrays a write carries to the node it writes are the ones
-        decoding its entries gives."""
+        the ones a full recompute from the child's entries gives.  Every
+        node a write leaves — a split's two halves and a new root too —
+        carries its decoded arrays, and they are the ones decoding its
+        entries gives."""
         initial, ops = scenario
         tree = BPlusTree(curve(2, 8), page_size=64)  # 5 per leaf, 3 per node
         tree.bulk_load(initial)
@@ -114,13 +124,13 @@ class TestAgainstModel:
 
 
 def _check_summaries(tree: BPlusTree) -> None:
-    """Decode every node's arrays (kept on it, so the next write carries
-    them) and check them, each routing key and each stored MBB against the
-    node's entries."""
+    """Check every node's carried arrays against a fresh decode of its
+    entries, and each routing key and each stored MBB against them."""
     decode = tree.curve.decode_many
     stack = [tree.root_page]
     while stack:
         node = tree.read_node(stack.pop())
+        assert node.arrays is not None, f"page {node.page_id} left undecoded"
         if node.is_leaf:
             cells = tree.leaf_cells(node)
             assert cells.tolist() == decode([e.key for e in node.entries]).tolist()

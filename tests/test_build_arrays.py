@@ -21,6 +21,7 @@ from repro.core.mapping import PivotSpace
 from repro.core.persist import save_tree
 from repro.core.spbtree import SPBTree
 from repro.distance import EditDistance, EuclideanDistance
+from repro.distance import strings
 from repro.distance.strings import BATCH_MIN_ROWS
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.zorder import ZCurve
@@ -47,17 +48,25 @@ def _text(rng: random.Random, length: int) -> str:
 
 @pytest.mark.parametrize("m", [0, 1, 13, 64, 65])
 @pytest.mark.parametrize("rows", [1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 400])
-def test_edit_batch_equals_the_loop(m, rows):
+def test_edit_batch_equals_the_loop(m, rows, monkeypatch):
     """Both sides of the crossover, |q| at and past the one-word limit,
     empty texts, texts ending in NUL (numpy's str dtype strips those)."""
     rng = random.Random(1000 * m + rows)
     q = _text(rng, m)
     edge = ["", q, q + "\x00", "\x00" * 3, q[::-1] + "\x00\x00", "é" * 70]
     objs = (edge + [_text(rng, rng.randrange(90)) for _ in range(rows)])[:rows]
-    metric = CountedEdit()
+    metric = EditDistance()
+    kernel_runs = []
+    myers_columns = strings._myers_columns
+
+    def counted(*args):
+        kernel_runs.append(len(args[1]))
+        return myers_columns(*args)
+
+    monkeypatch.setattr(strings, "_myers_columns", counted)
     got = metric.batch(q, objs)
     kernel = rows >= BATCH_MIN_ROWS and 0 < m <= 64
-    assert metric.calls == (0 if kernel else rows)
+    assert kernel_runs == ([rows] if kernel else [])
     assert got == [metric(q, o) for o in objs]
     assert all(type(d) is float for d in got)
 

@@ -90,6 +90,26 @@ class TestEditDistance:
             for b in words:
                 assert ed(a, b) == reference(a, b), (a, b)
 
+    @pytest.mark.parametrize("bound", [math.inf, 2.0])
+    def test_batch_asks_an_overriding_call_for_every_row(self, bound):
+        """A subclass that overrides ``__call__`` is asked for each row of
+        a batch, however many rows it has — also past the array path's
+        ``BATCH_MIN_ROWS``."""
+
+        class Counted(EditDistance):
+            calls = 0
+
+            def __call__(self, a, b):
+                self.calls += 1
+                return super().__call__(a, b)
+
+        words = [f"w{i:03d}" + "ab" * (i % 5) for i in range(100)]
+        assert len(words) >= BATCH_MIN_ROWS
+        metric = Counted()
+        got = metric.batch("w042ab", words, bound)
+        assert metric.calls == len(words)
+        assert got == [EditDistance()("w042ab", w) for w in words]
+
 
 class TestBagBound:
     @given(a=texts, b=texts)
