@@ -420,9 +420,9 @@ class BPlusTree:
                 child = self.read_node(child_entry.child)
                 if child.count == 0:
                     del node.entries[idx]
+                    # Emptied here too, a non-root node is unlinked by its
+                    # parent's own pass.
                     node.arrays = _spliced(held.arrays, idx, 1, [])
-                    if node.count == 0 and page_id != self.root_page:
-                        pass  # parent unlinks us in its own pass
                 else:
                     node.entries[idx], box = self._refreshed_entry(
                         child_entry, child, key, False

@@ -47,8 +47,10 @@ class ReplicaSelector:
       when the primary is unhealthy (availability beats policy — the
       quorum check reports the degradation honestly).
     * ``round-robin`` — a per-shard counter rotates reads over the healthy
-      members in replica-id order, so a replication factor of N multiplies
-      read throughput by ~N.
+      members in replica-id order.  It spreads reads, but in-process
+      members share one interpreter lock, so this adds no measured read
+      throughput; no benchmark workload runs a policy other than
+      ``primary-only`` (ROADMAP item 8 measures them on processes).
     * ``fastest-mind`` — reads go to the healthy member with the smallest
       replication lag (the primary's lag is zero, so it wins ties): the
       freshest MIND bounds and the fewest missing objects.

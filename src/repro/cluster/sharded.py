@@ -1421,13 +1421,11 @@ class ShardedIndex:
     def _check_keys_in_range(
         self, shard: Shard, report: ClusterVerifyReport
     ) -> None:
-        """Every live leaf key must fall inside the shard's half-open
-        range.  Verification is an audit, not a workload: no counter moves."""
+        """Every leaf key must fall inside the shard's half-open range.
+        Verification is an audit, not a workload: no counter moves."""
         tree = shard.tree
         with tree.unobserved():
             for entry in tree.btree.leaf_entries():
-                if tree.raf is not None and tree.raf.is_deleted(entry.ptr):
-                    continue
                 if not (shard.key_lo <= entry.key < shard.key_hi):
                     report.errors.append(
                         f"shard {shard.shard_id}: key {entry.key} outside "

@@ -95,15 +95,13 @@ def _lcg(state: int) -> int:
 
 
 def _sampled_entries(tree: SPBTree) -> list[LeafEntry]:
-    """Every ⌈n / _SAMPLE_CAPACITY⌉-th live leaf entry, in key order, read
+    """Every ⌈n / _SAMPLE_CAPACITY⌉-th leaf entry, in key order, read
     under :meth:`SPBTree.unobserved`."""
-    raf = tree.raf
-    if raf is None:
+    if tree.raf is None:
         return []
     step = max(1, -(-tree.object_count // _SAMPLE_CAPACITY))
     with tree.unobserved():
-        live = (e for e in tree.btree.leaf_entries() if not raf.is_deleted(e.ptr))
-        return list(itertools.islice(live, 0, None, step))
+        return list(itertools.islice(tree.btree.leaf_entries(), 0, None, step))
 
 
 def _cells(tree: SPBTree, entries: Sequence[LeafEntry]) -> list[tuple[int, ...]]:

@@ -145,8 +145,6 @@ def _sweep(
         if context is not None:
             context.checkpoint()
         assert tree.raf is not None
-        if tree.raf.is_deleted(entry.ptr):
-            return
         grid = curve.decode(entry.key)
         # minRR / maxRR of Lemma 6: the keys of RR(o, ε)'s two corners.
         min_rr = curve.encode(tuple(max(0, g - reach) for g in grid))

@@ -278,12 +278,11 @@ class SPBTree:
             return True
 
     def _find_live_entry(self, key: int, target: bytes):
-        """The first live leaf entry at ``key`` whose record byte-matches
-        ``target`` — the shared lookup rule of delete and WAL replay."""
+        """The first leaf entry at ``key`` whose record byte-matches
+        ``target`` — the shared lookup rule of delete and WAL replay.  Every
+        leaf entry names a live record (see :meth:`_apply_delete`)."""
         assert self.raf is not None
         for entry in self.btree.find_entries(key):
-            if self.raf.is_deleted(entry.ptr):
-                continue
             _, stored = self.raf.read(entry.ptr)
             if self.raf.serializer.serialize(stored) == target:
                 return entry
@@ -299,7 +298,12 @@ class SPBTree:
         self.object_count += 1
 
     def _apply_delete(self, entry: LeafEntry) -> None:
-        """The in-memory half of a delete (live path and WAL replay)."""
+        """The in-memory half of a delete (live path and WAL replay).
+
+        The entry leaves the B+-tree as its record becomes a tombstone, so
+        a leaf entry always names a live record: the read path relies on
+        that, and :func:`repro.core.verify.verify_tree` audits it.
+        """
         assert self.raf is not None
         self.btree.delete(entry.key, entry.ptr)
         self.raf.mark_deleted(entry.ptr)
@@ -452,15 +456,15 @@ class SPBTree:
         """Verify one leaf's surviving entries as arrays — the one RAF read
         of the query path, a leaf at a time.  ``ptrs`` are the entries' RAF
         pointers in entry order and ``accepted`` marks those Lemma 2 proved
-        results.  Tombstones are masked out; the live records are read with
-        one ``raf.read_many`` — with ``read_accepts`` false (the count) only
-        those not accepted — and the others' distances come from one
-        ``distance.batch`` under ``bound``, the caller's cut-off: a distance
-        past it is only a lower bound greater than it, which the caller
-        rejects anyway.  Then ``take(objs, dists, free)`` gets the records
-        read, in entry order, a float64 array of their distances (-inf for
-        an accepted record: within any radius, no distance spent) and the
-        number of accepted entries counted without a read.
+        results.  The records are read with one ``raf.read_many`` — with
+        ``read_accepts`` false (the count) only those not accepted — and the
+        others' distances come from one ``distance.batch`` under ``bound``,
+        the caller's cut-off: a distance past it is only a lower bound
+        greater than it, which the caller rejects anyway.  Then
+        ``take(objs, dists, free)`` gets the records read, in entry order, a
+        float64 array of their distances (-inf for an accepted record: within
+        any radius, no distance spent) and the number of accepted entries
+        counted without a read.
 
         Compdist and page-access budgets trip at the record they would trip
         at if every read were preceded by a checkpoint: ``take`` gets the
@@ -470,9 +474,6 @@ class SPBTree:
         """
         raf = self.raf
         assert raf is not None
-        dead = raf.tombstoned(ptrs)
-        if dead is not None:
-            ptrs, accepted = ptrs[~dead], accepted[~dead]
         if read_accepts:
             reads, verify = ptrs, ~accepted
         else:
@@ -783,11 +784,10 @@ class SPBTree:
                     # all but k - 1 of its entries are verified, so nearly
                     # every batch would hold one pop.  The loop's
                     # checkpoint just ran.
-                    if not raf.is_deleted(payload):  # type: ignore[arg-type]
-                        if tr is not None:
-                            tr.bump("entries_verified")
-                        obj = raf.read_object(payload)  # type: ignore[arg-type]
-                        collector.offer(distance(obj, bound), obj)
+                    if tr is not None:
+                        tr.bump("entries_verified")
+                    obj = raf.read_object(payload)  # type: ignore[arg-type]
+                    collector.offer(distance(obj, bound), obj)
                     continue
                 node = self.btree.read_node(payload)  # type: ignore[arg-type]
                 if tr is not None:
@@ -965,8 +965,6 @@ class SPBTree:
         if self.raf is None:
             return
         for entry in self.btree.leaf_entries():
-            if self.raf.is_deleted(entry.ptr):
-                continue
             yield entry.key, self.raf.read_object(entry.ptr)
 
     def mbb(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

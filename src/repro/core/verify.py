@@ -367,6 +367,8 @@ def _verify_raf(
                 f"which is not a record boundary",
             )
             continue
+        # The read path trusts this one: it reads a leaf entry's record
+        # without asking the tombstone set.
         if entry.ptr in raf._deleted:
             _note(
                 report.errors,

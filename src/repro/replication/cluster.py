@@ -11,8 +11,10 @@ replica rows, which turns each shard's read/write questions into:
   primary outright (``after_write``).
 * **Replica read-routing** — each scatter sub-read is resolved through a
   deterministic :class:`ReplicaSelector` policy (``primary-only`` /
-  ``round-robin`` / ``fastest-mind``), so a replication factor of N
-  multiplies read capacity (``reader``).
+  ``round-robin`` / ``fastest-mind``; ``reader``).  In-process members
+  share one interpreter lock, so a replication factor of N adds no
+  measured read capacity; no benchmark workload runs a policy other
+  than ``primary-only`` (ROADMAP item 8 measures them on processes).
 * **Honest degradation** — when a shard's primary is down or its
   replica-set majority is lost, context-carrying queries still answer
   from the surviving members but report ``complete=False`` with a

@@ -44,8 +44,6 @@ import itertools
 import struct
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.storage.buffer import BufferPool
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageCorruptionError, PageFile
 from repro.storage.serializers import Serializer
@@ -136,16 +134,6 @@ class RandomAccessFile:
 
     def is_deleted(self, offset: int) -> bool:
         return offset in self._deleted
-
-    def tombstoned(self, offsets: np.ndarray) -> Optional[np.ndarray]:
-        """Which of ``offsets`` are tombstones, as one boolean mask; None
-        when the file holds none."""
-        deleted = self._deleted
-        if not deleted:
-            return None
-        return np.fromiter(
-            map(deleted.__contains__, offsets.tolist()), dtype=bool, count=len(offsets)
-        )
 
     # ----------------------------------------------------------------- read
 

@@ -1,16 +1,15 @@
 """A leaf verified as arrays against VerifyRQ written entry by entry.
 
 ``SPBTree._verify_leaf`` takes a leaf's Lemma 1 survivors and Lemma 2
-accepts as arrays: one tombstone mask, one ``raf.read_many``, one
-``distance.batch``.  The reference below is the same step an entry at a
-time — ``is_deleted``, a budget checkpoint before each read,
-``read_object``, one distance — swapped in for it on the same tree.  For
-range, count and greedy kNN queries, run in the same order from the same
-cold pool, both must agree on the answer and its order, completeness and
-reason, compdists, page accesses, the RAF pool's hits, misses and LRU
-order, and the trace's tallies (``entries_verified``, ``lemma2_accepts``,
-``entries_pruned_lemma1`` among them).  Every answer is also checked
-against the linear scan.
+accepts as arrays: one ``raf.read_many``, one ``distance.batch``.  The
+reference below is the same step an entry at a time — a budget
+checkpoint before each read, ``read_object``, one distance — swapped in
+for it on the same tree.  For range, count and greedy kNN queries, run
+in the same order from the same cold pool, both must agree on the answer
+and its order, completeness and reason, compdists, page accesses, the RAF
+pool's hits, misses and LRU order, and the trace's tallies
+(``entries_verified``, ``lemma2_accepts``, ``entries_pruned_lemma1``
+among them).  Every answer is also checked against the linear scan.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ def verify_by_entry(
     objs, dists, free, verified, accepts = [], [], 0, 0, 0
     try:
         for ptr, accept in zip(ptrs.tolist(), accepted.tolist()):
-            if raf.is_deleted(ptr):
-                continue
             if accept and not read_accepts:
                 free += 1
                 continue
@@ -146,10 +143,8 @@ def check_against_scan(scan: LinearScan, queries: list, runs: list[dict]) -> Non
             assert not run["complete"] or got == truth
 
 
-def thinned_tree(objects, metric, cache_pages, use_lemma2, deletes, tombstones):
-    """A small tree with ``deletes`` objects deleted and ``tombstones``
-    records tombstoned in the RAF while their leaf entries stay — the
-    state the leaf step's tombstone mask is there for.  Returns the tree
+def thinned_tree(objects, metric, cache_pages, use_lemma2, deletes):
+    """A small tree with ``deletes`` objects deleted.  Returns the tree
     and its live objects."""
     tree = SPBTree.build(
         objects, metric, num_pivots=3, page_size=PAGE, cache_pages=cache_pages, seed=3
@@ -159,11 +154,6 @@ def thinned_tree(objects, metric, cache_pages, use_lemma2, deletes, tombstones):
     for obj in objects[:deletes]:
         assert tree.delete(obj)
         live.remove(obj)
-    entries = list(tree.btree.leaf_entries())
-    for entry in entries[:: max(1, len(entries) // max(1, tombstones))][:tombstones]:
-        gone = canon(tree.raf.read(entry.ptr)[1])
-        tree.raf.mark_deleted(entry.ptr)
-        del live[[canon(o) for o in live].index(gone)]
     return tree, live
 
 
@@ -192,7 +182,6 @@ def cases(draw):
         draw(st.sampled_from(CACHE_PAGES)),
         draw(st.booleans()),
         draw(st.integers(0, n // 4)),
-        draw(st.integers(0, n // 8)),
     )
     budget = draw(st.sampled_from([None, "max_compdists", "max_page_accesses"]))
     limits = {} if budget is None else {budget: draw(st.integers(0, n))}
@@ -226,7 +215,7 @@ def test_every_budget_trips_where_the_reference_trips(
     """Each compdist and page-access budget from zero to past a full
     query's cost, so budgets trip mid-leaf, between leaves and not at all."""
     objects, metric = fixture_objects
-    tree, live = thinned_tree(objects, metric, cache_pages, use_lemma2, 20, 9)
+    tree, live = thinned_tree(objects, metric, cache_pages, use_lemma2, 20)
     scan = LinearScan(live, metric)
     query = objects[40]
     queries = [

@@ -143,6 +143,22 @@ class TestVerify:
         assert not report.ok
         assert any("entry_count" in e for e in report.errors)
 
+    def test_detects_leaf_entry_on_a_tombstone(self, words):
+        """No delete leaves a leaf entry on a tombstoned record, and the
+        read path trusts that; verify is where a planted one shows."""
+        tree = _checked_tree(words)
+        for w in words[:10]:
+            assert tree.delete(w)
+        assert tree.verify().ok
+        entry = list(tree.btree.leaf_entries())[17]
+        tree.raf.mark_deleted(entry.ptr)
+        report = tree.verify()
+        assert not report.ok
+        assert any(
+            "references tombstoned record" in e and f"offset {entry.ptr}" in e
+            for e in report.errors
+        )
+
     def test_summary_format(self, words):
         text = _checked_tree(words).verify().summary()
         assert text.startswith("verify: OK")
