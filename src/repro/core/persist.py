@@ -232,7 +232,8 @@ def load_tree(
 
 def _restore_raf(raf: RandomAccessFile, state: dict) -> None:
     """Put a RAF whose pages are loaded back into the state the catalog's
-    ``raf`` section records: end of data, the tail, tombstones."""
+    ``raf`` section records: end of data, the tail, tombstones; the frame
+    width is measured off the records themselves."""
     raf._end_offset = state["end_offset"]
     raf._tail_page_id = state["tail_page_id"]
     raf._tail = bytearray(base64.b64decode(state["tail"]))
@@ -244,6 +245,7 @@ def _restore_raf(raf: RandomAccessFile, state: dict) -> None:
     )
     raf.object_count = state["object_count"]
     raf._deleted = set(state["deleted"])
+    raf.record_width = raf.measure_width()
 
 
 def _wal_extends(header: Any, generation: Optional[int]) -> bool:

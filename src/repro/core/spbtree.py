@@ -218,9 +218,7 @@ class SPBTree:
     def _bulk_load(self, objects: Sequence[Any]) -> None:
         raf = self._ensure_raf(objects[0])
         # One key per object from array passes, then one (stable) sort.
-        phis = self.space.phi_many(objects)  # |O| × |P| distance computations
-        cells = self.space.grid_from_phi_many(phis)
-        keys = self.curve.encode_many(cells)
+        keys = self.keys_of(objects)
         items = []
         for i in sorted(range(len(keys)), key=keys.__getitem__):
             offset = raf.append(self._next_id, objects[i], flush=False)
@@ -229,6 +227,14 @@ class SPBTree:
         raf.finalize()
         self.btree.bulk_load(items)
         self.object_count = len(objects)
+
+    def keys_of(self, objects: Sequence[Any]) -> list[int]:
+        """The SFC key of every object, from array passes: ``phi_many`` (|O| ×
+        |P| distance computations), ``grid_from_phi_many``, ``encode_many``
+        — equal to ``curve.encode(space.grid(o))`` for each."""
+        return self.curve.encode_many(
+            self.space.grid_from_phi_many(self.space.phi_many(objects))
+        )
 
     # --------------------------------------------------------------- update
 
@@ -489,7 +495,7 @@ class SPBTree:
                 allowed = int(np.searchsorted(spent, left, side="right"))
             if ctx.max_page_accesses is not None:
                 stop = lambda: ctx.page_accesses > ctx.max_page_accesses  # noqa: E731
-        objs = raf.read_many(reads[:allowed].tolist(), stop)
+        objs = raf.read_many(reads[:allowed], stop)
         n = len(objs)
         verify = verify[:n]
         rows = np.flatnonzero(verify)

@@ -43,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Reports stop accumulating detail past this many errors/warnings.
 _MAX_FINDINGS = 100
 
+#: Objects whose SFC keys are recomputed by one array pass.
+_KEY_CHUNK = 8192
+
 
 @dataclass
 class VerifyReport:
@@ -356,6 +359,12 @@ def _verify_raf(
     live = all_offsets - raf._deleted
 
     # Leaf entry ↔ record bijection, plus per-object key consistency.
+    keys: dict[int, int] = {}
+    if check_objects:
+        ptrs = list(dict.fromkeys(e.ptr for e in leaf_entries if e.ptr in objects))
+        for at in range(0, len(ptrs), _KEY_CHUNK):
+            chunk = ptrs[at : at + _KEY_CHUNK]
+            keys.update(zip(chunk, tree.keys_of([objects[p] for p in chunk])))
     referenced: set[int] = set()
     ordered_ptrs: list[int] = []
     for entry in leaf_entries:
@@ -381,8 +390,8 @@ def _verify_raf(
                 f"record at offset {entry.ptr} referenced by multiple leaf entries",
             )
         referenced.add(entry.ptr)
-        if check_objects and entry.ptr in objects:
-            expected = tree.curve.encode(tree.space.grid(objects[entry.ptr]))
+        if entry.ptr in keys:
+            expected = keys[entry.ptr]
             if expected != entry.key:
                 _note(
                     report.errors,

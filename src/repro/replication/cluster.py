@@ -69,16 +69,18 @@ def replicate(
     replicas: int = 2,
     read_policy: str = "primary-only",
 ) -> "list[int]":
-    """Convert a saved (unreplicated) cluster into a replicated one.
+    """Give a saved cluster's unreplicated shards followers.
 
-    For every shard, ``replicas`` follower directories
-    ``<shard-dir>.r<k>`` are seeded as byte copies of the primary's
-    directory (tree generations, page files, and WAL — so each follower
-    starts at the primary's exact position) and the catalog is rewritten
-    with the replica membership and ``read_policy``.  Returns the shard
-    ids that were replicated.  Idempotence: a shard that already has
-    replica rows is refused — membership changes are a failover/resync
-    concern, not a re-run of this bootstrap.
+    For every shard without replica rows, ``replicas`` follower
+    directories ``<shard-dir>.r<k>`` are seeded as byte copies of the
+    primary's directory (tree generations, page files, and WAL — so each
+    follower starts at the primary's exact position) and the catalog is
+    rewritten with the replica membership and ``read_policy``.  Returns the
+    shard ids that were replicated.  A shard that already has replica rows
+    is left as it is — membership changes are a failover/resync concern —
+    so this fills the shards a rebalance made; it is refused when every
+    shard already has them, or when ``replicas`` is not the follower count
+    the replicated shards have.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -93,13 +95,23 @@ def replicate(
             f"cluster was built with metric {cat.metric_name!r}, "
             f"got {metric.name!r}"
         )
+    replicated = [meta for meta in cat.shards if meta.replicas]
+    if replicated and len(replicated) == len(cat.shards):
+        meta = replicated[0]
+        raise ReplicationError(
+            f"shard {meta.shard_id} already has "
+            f"{len(meta.replicas)} replicas"
+        )
+    for meta in replicated:
+        if len(meta.replicas) - 1 != replicas:
+            raise ReplicationError(
+                f"shard {meta.shard_id} is replicated with "
+                f"replicas={len(meta.replicas) - 1}, not {replicas}"
+            )
     done = []
     for meta in cat.shards:
         if meta.replicas:
-            raise ReplicationError(
-                f"shard {meta.shard_id} already has "
-                f"{len(meta.replicas)} replicas"
-            )
+            continue
         pdir = os.path.join(directory, meta.directory)
         os.makedirs(pdir, exist_ok=True)
         rows = [ReplicaMeta(0, meta.directory, "primary")]

@@ -36,6 +36,13 @@ instead of silently deserializing garbage.
 The record frame is parsed here and nowhere else: queries read by offset
 (:meth:`~RandomAccessFile.read_many`); ``scan``, ``SPBTree.verify`` and
 salvage read front to back with :meth:`~RandomAccessFile.walk`.
+
+``len`` is there for variable-length objects, but a vector file's records
+all have one width (12 + dim × itemsize bytes).  The file keeps that width
+(``record_width``, kept by ``append`` and measured again on load), and
+``read_many`` reads such records as the rows of one strided array over
+their pages, with the record loop's pool touches and no record parsed on
+its own; ragged records keep the loop.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from __future__ import annotations
 import itertools
 import struct
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.storage.buffer import BufferPool
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageCorruptionError, PageFile
@@ -83,6 +92,9 @@ class RandomAccessFile:
         self._end_offset = 0  # logical end of data (bytes)
         self.object_count = 0
         self._deleted: set[int] = set()
+        #: The frame length every record shares (header plus payload): None
+        #: while the file is empty, 0 once two differ.
+        self.record_width: Optional[int] = None
 
     # ---------------------------------------------------------------- write
 
@@ -96,6 +108,8 @@ class RandomAccessFile:
         payload = self.serializer.serialize(obj)
         record = _HEADER.pack(obj_id, len(payload)) + payload
         offset = self._end_offset
+        if self.record_width != len(record):
+            self.record_width = len(record) if offset == 0 else 0
         self._tail.extend(record)
         self._end_offset += len(record)
         page_size = self.pagefile.page_size
@@ -126,6 +140,32 @@ class RandomAccessFile:
         self.buffer_pool.write_page(page_id, bytes(self._tail))
         self._tail_page_id = page_id
         self._tail_flushed = len(self._tail)
+
+    def measure_width(self) -> Optional[int]:
+        """The :attr:`record_width` the appends of this file's records left,
+        read off the bytes with no page access counted (for a file whose
+        pages were loaded): the records share width w when the first header
+        claims w and so does every header at a multiple of w up to the end,
+        which is then n × w bytes."""
+        end = self._end_offset
+        if not end:
+            return None
+        page_size = self.pagefile.page_size
+        data = b"".join(
+            self.pagefile.raw_slot(page_id)[:page_size]
+            for page_id in range(self.pagefile.num_pages)
+        )
+        mem_start = self._mem_start()
+        if len(data) < mem_start or end < _HEADER.size:
+            return 0
+        if mem_start < end:
+            data = data[:mem_start] + self._tail[mem_start - (end - len(self._tail)) :]
+        width = _HEADER.size + _HEADER.unpack_from(data)[1]
+        if end % width:
+            return 0
+        frames = np.frombuffer(data, dtype=np.uint8, count=end).reshape(-1, width)
+        lengths = frames[:, 8 : _HEADER.size].view("<u4")
+        return width if (lengths == width - _HEADER.size).all() else 0
 
     def mark_deleted(self, offset: int) -> None:
         """Tombstone a record; space is reclaimed on the next rebuild."""
@@ -182,23 +222,138 @@ class RandomAccessFile:
     def read_many(
         self, offsets: Sequence[int], stop: Optional[Callable[[], bool]] = None
     ) -> Sequence[Any]:
-        """The objects at ``offsets``, in the order given — what a loop of
-        :meth:`read_object` returns, for the counters too (page-file reads,
-        pool hits and misses, LRU order), at a fraction of the work.
+        """The objects at ``offsets`` (a sequence or an int64 array), in the
+        order given — what a loop of :meth:`read_object` returns, for the
+        counters too (page-file reads, pool hits and misses, LRU order), at
+        a fraction of the work.
 
-        ``stop`` is asked before each record; a true answer ends the read
-        there, so the result may be shorter than ``offsets`` (how a
-        page-access budget trips at the record it always tripped at).  The
-        result is whatever the serializer's ``deserialize_many`` builds: a
-        list, or for vector records the rows of one ``(m, dim)`` array.
+        ``stop`` is asked before the first record and again before each
+        record whose answer can have changed (the record loop asks before
+        every record; the strided read before each record that follows a
+        page-file read); a true answer ends the read there, so the result
+        may be shorter than ``offsets`` (how a page-access budget trips at
+        the record it always tripped at).  The result is whatever the
+        serializer's ``deserialize_many`` builds: a list, or for vector
+        records the rows of one ``(m, dim)`` array.
+
+        Records of one frame width whose serializer has an array dtype are
+        read by :meth:`_read_rows` when the pool caches and every record
+        asked for lies on pages; all others by :meth:`_read_frames`.
         """
+        width, dtype = self.record_width, self.serializer.dtype
+        if (
+            width
+            and width > _HEADER.size
+            and dtype is not None
+            and self.buffer_pool.capacity
+            and len(offsets)
+        ):
+            at = np.asarray(offsets, dtype=np.int64)
+            if at.max() + width <= self._mem_start():
+                return self._read_rows(at, width, dtype, stop)
+        if isinstance(offsets, np.ndarray):
+            offsets = offsets.tolist()
         return self.serializer.deserialize_many(self._read_frames(offsets, stop)[1])
+
+    def _read_rows(
+        self,
+        offsets: np.ndarray,
+        width: int,
+        dtype: type,
+        stop: Optional[Callable[[], bool]],
+    ) -> Sequence[Any]:
+        """The payloads of the ``width``-byte records at ``offsets`` (all on
+        pages, the pool caching) as the rows of one ``(m, dim)`` array of
+        ``dtype``, with :meth:`_read_frames`' pool moves and no record parsed
+        on its own.
+
+        A record touches its header pages, then its payload pages.  A touch
+        of the page touched just before is a hit (the page is the most
+        recently used), so each page of a record is looked up once, and its
+        first page not at all when the record before ended on it; the other
+        touches are tallied.  The pages looked up, joined, hold every record
+        contiguously: the records are the rows of one strided view, and
+        their length fields are checked against ``width`` at once."""
+        page_size = self.pagefile.page_size
+        pool = self.buffer_pool
+        m = len(offsets)
+        head, within = np.divmod(offsets, page_size)  # a record's first page
+        last = (offsets + (width - 1)) // page_size
+        shared = np.zeros(m, dtype=np.int64)  # 1: starts where the one before ended
+        shared[1:] = head[1:] == last[:-1]
+        looks = last - head + 1 - shared  # pages looked up per record
+        ends = np.cumsum(looks)
+        first = ends - looks - shared  # the look-up holding a record's first page
+        pages = np.repeat(head - first, looks) + np.arange(ends[-1])
+
+        def before(record: int) -> int:
+            """Touches of the records ahead of ``record``: each touches its
+            pages, and its header's last page a second time unless the
+            header ends on a page edge."""
+            if not record:
+                return 0
+            edges = (within[:record] + _HEADER.size) % page_size == 0
+            return int(
+                ends[record - 1] + shared[:record].sum() + record
+                - np.count_nonzero(edges)
+            )
+
+        read_page = pool.read_page
+        got: list[bytes] = []
+        cut = m  # records read
+        reached: Optional[int] = None  # touches made, when not a failed look-up
+        try:
+            if stop is None:
+                for page_id in pages.tolist():
+                    got.append(read_page(page_id))
+            else:
+                # stop's answer only moves with a page-file read: a miss.
+                owner = np.searchsorted(ends, np.arange(len(pages)), side="right")
+                ask = 0  # stop is asked before this record
+                for page_id, record in zip(pages.tolist(), owner.tolist()):
+                    if ask <= record:
+                        reached = before(ask)
+                        if stop():
+                            cut = ask
+                            break
+                        ask, reached = m, None
+                    misses = pool.misses
+                    got.append(read_page(page_id))
+                    if pool.misses != misses:
+                        ask = record + 1
+                else:
+                    if ask < m:
+                        reached = before(ask)
+                        if stop():
+                            cut = ask
+            reached = before(cut)
+        finally:
+            if reached is None:  # the look-up of pages[len(got)] raised
+                record = int(np.searchsorted(ends, len(got), side="right"))
+                page_id, offset = int(pages[len(got)]), int(offsets[record])
+                header_last = (offset + _HEADER.size - 1) // page_size
+                reached = before(record) + page_id - offset // page_size
+                if page_id > header_last:  # after the header's last page, twice
+                    reached += header_last + 1 - (offset + _HEADER.size) // page_size
+            if reached > len(got):
+                pool.tally_hits(reached - len(got))
+        if not cut:
+            return self.serializer.deserialize_many([])
+        buf = b"".join(got)
+        view = np.ndarray((len(buf) - width + 1, width), np.uint8, buf, strides=(1, 1))
+        rows = view[first[:cut] * page_size + within[:cut]]
+        lengths = rows[:, 8 : _HEADER.size].view("<u4").ravel()
+        if (lengths != width - _HEADER.size).any():
+            bad = int(np.flatnonzero(lengths != width - _HEADER.size)[0])
+            raise FramingError(int(offsets[bad]), claimed=int(lengths[bad]))
+        return np.ascontiguousarray(rows[:, _HEADER.size :]).view(dtype)
 
     def _read_frames(
         self, offsets: Iterable[int], stop: Optional[Callable[[], bool]] = None
     ) -> tuple[list[int], list[bytes]]:
-        """``(object ids, payloads)`` of the records at ``offsets`` — the one
-        place a record is sliced out of its pages.
+        """``(object ids, payloads)`` of the records at ``offsets``, a record
+        at a time — the read of ragged records (:meth:`_read_rows` reads a
+        fixed-width batch whole).
 
         A record touches the pool once for its header and once for its
         payload.  When both lie inside one wholly flushed page, the header

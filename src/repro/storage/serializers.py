@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pickle
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +20,9 @@ class Serializer(ABC):
     """Converts objects of one data type to/from bytes."""
 
     name: str = "serializer"
+    #: The numpy dtype of a record whose payload is an array of it; None
+    #: when the objects are not arrays.
+    dtype: Optional[type] = None
 
     @abstractmethod
     def serialize(self, obj: Any) -> bytes:
@@ -50,7 +53,7 @@ class VectorSerializer(Serializer):
     """Fixed-precision float64 vectors (color histograms, synthetic data)."""
 
     name = "vector-f64"
-    dtype: type = np.float64
+    dtype = np.float64
 
     def serialize(self, obj: Any) -> bytes:
         return np.asarray(obj, dtype=self.dtype).tobytes()

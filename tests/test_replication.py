@@ -96,6 +96,49 @@ class TestReplicate:
         with pytest.raises(ValueError, match="read policy"):
             replicate(repl_dir, edit, read_policy="nearest-dartboard")
 
+    def test_fills_the_shards_a_rebalance_made(self, tmp_path, edit, small_words):
+        """A split retires a replicated shard and makes two without
+        followers; ``replicate`` again gives exactly those theirs, and a
+        write then reaches every new follower's log byte for byte."""
+        directory = str(tmp_path / "cluster")
+        cluster = ShardedIndex.build(
+            small_words[:240], edit, shards=2, num_pivots=3, seed=3
+        )
+        cluster.save(directory)
+        cluster.close()
+        assert replicate(directory, edit, replicas=1) == [0, 1]
+        idx = ShardedIndex.open(directory, edit)
+        try:
+            idx.rebalance(split=0)
+            made = sorted(s.shard_id for s in idx.shards if s.shard_id != 1)
+        finally:
+            idx.close()
+        assert len(made) == 2
+        with pytest.raises(ReplicationError, match="replicas=1, not 2"):
+            replicate(directory, edit, replicas=2)
+        assert replicate(directory, edit, replicas=1) == made
+        idx = ShardedIndex.open(directory, edit)
+        try:
+            assert sorted(idx._sets) == sorted(s.shard_id for s in idx.shards)
+            before = {i: idx._sets[i].primary.tree.object_count for i in made}
+            for word in small_words[240:300]:
+                idx.insert(word)
+            for shard_id in made:
+                rset = idx._sets[shard_id]
+                assert [r.replica_id for r in rset.followers] == [1]
+                primary, follower = rset.primary, rset.followers[0]
+                assert primary.tree.object_count > before[shard_id]
+                assert rset.lag(1) == 0
+                assert follower.wal.position == primary.wal.position
+                with open(primary.wal.path, "rb") as fh:
+                    primary_log = fh.read()
+                with open(follower.wal.path, "rb") as fh:
+                    follower_log = fh.read()
+                assert primary_log[: len(follower_log)] == follower_log
+                assert follower.tree.object_count == primary.tree.object_count
+        finally:
+            idx.close()
+
 
 # ----------------------------------------------------------------- shipping
 
