@@ -663,8 +663,8 @@ class SPBTree:
         ascending by distance.
 
         Algorithm 2 (NNA).  ``traversal`` selects the §4.3 strategy:
-        ``"incremental"`` pushes individual leaf entries back onto the heap
-        (optimal in distance computations, Lemma 4); ``"greedy"`` verifies
+        ``"incremental"`` verifies leaf entries one pop at a time in MIND
+        order (optimal in distance computations, Lemma 4); ``"greedy"`` verifies
         an entire leaf as soon as it is reached (optimal in RAF page
         accesses — the default choice for low-precision data like DNA).
 
@@ -716,7 +716,7 @@ class SPBTree:
             raise ValueError("k must be >= 1")
         if traversal not in ("incremental", "greedy"):
             raise ValueError("traversal must be 'incremental' or 'greedy'")
-        heap: list[tuple[float, int, int, object, int]] = []
+        heap: list[tuple[float, int, Optional[Iterator], int, int]] = []
         complete, reason, elapsed = self.read_frame(
             context,
             lambda: self._knn_search(
@@ -738,7 +738,7 @@ class SPBTree:
         query: Any,
         traversal: str,
         collector: KnnCollector,
-        heap: list[tuple[float, int, int, object, int]],
+        heap: list[tuple[float, int, Optional[Iterator], int, int]],
         ctx: Optional[QueryContext],
         phi_q: Optional[tuple[float, ...]] = None,
     ) -> None:
@@ -746,63 +746,82 @@ class SPBTree:
         and leaving unexplored lower bounds in ``heap`` when a context
         checkpoint aborts the search.
 
-        Heap items are ``(mind, tiebreak, kind, payload, depth)``; the
-        depth is the B+-tree level the payload came from, so traced costs
-        land on the right per-level span.  The unique tiebreak guarantees
-        comparisons never reach payload or depth.
+        Heap items are ``(mind, tiebreak, run, payload, depth)``.  A node's
+        item has ``run`` None and its page as payload.  The entries of an
+        expanded leaf that pass Lemma 3 form one *run*, sorted by MIND (a
+        stable sort, so equal MINDs stay in entry order): the heap holds only
+        the run's head, ``run`` is the iterator over the rest and the payload
+        the head's RAF pointer.  Verifying a head replaces it by the next
+        one.  Tiebreaks are allocated one per entry or child, in entry order,
+        so the pops come in the order one heap item per entry gives, which
+        Lemma 4 makes optimal in compdists.  The depth is the B+-tree level
+        the payload came from, so traced costs land on the right per-level
+        span.  The unique tiebreak guarantees comparisons never reach the
+        rest.
+
+        The k-th distance is kept in ``bound`` and read again only after an
+        offer, a node or a greedy leaf, the moves that can change it; a
+        shared collector's bound is read as the loop starts.  A verified
+        entry is offered only when the collector can take it: below the
+        bound, or while the collector is not full (the bound is then inf).
         """
-        counter = itertools.count()
+        tiebreak = 1  # the next one: the root takes 0
         # Algorithm 2 starts from the root node, whose lower bound is zero —
         # pushed before anything can trip, so ``heap`` always bounds the unseen.
-        heap.append((0.0, next(counter), 1, self.btree.root_page, 0))
+        heap.append((0.0, 0, None, self.btree.root_page, 0))
         tr, phi_q = self._map_query(query, ctx, phi_q)
         # Bound here, inside the read frame: it counts on this context.
         distance = self.distance.against(query)
-        raf = self.raf
-        assert raf is not None
+        assert self.raf is not None
+        read_object = self.raf.read_object
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
+        inf = math.inf
 
         def offer(objs: Sequence[Any], dists: np.ndarray, _: int) -> None:
             # A greedy leaf's candidates.  ``bound`` is the k-th distance as
             # the leaf started: a full collector turns away what does not
             # beat it, and one that is not full yet takes everything.
-            if bound < math.inf:
+            if bound < inf:
                 keep = dists < bound
                 objs, dists = itertools.compress(objs, keep.tolist()), dists[keep]
             for d, obj in zip(dists.tolist(), objs):
                 collector.offer(d, obj)
 
+        bound = collector.bound()
         while heap:
             if ctx is not None:
                 ctx.checkpoint()
-            mind, tb, kind, payload, depth = heapq.heappop(heap)
-            # The k-th distance, read once: nothing is offered before the
-            # push below, so the cut-off and the push mask see this value.
-            bound = collector.bound()
+            mind, tb, run, payload, depth = heap[0]
             if mind >= bound:  # Lemma 3: early termination
                 break
             record = tr.enter(tr.level(depth), ctx) if tr is not None else None
             try:
-                if kind == 0:
-                    # One popped leaf entry, verified alone, cut off at the
-                    # k-th distance.  Pops are not gathered into a batch: on
-                    # a discrete metric MINDs tie, and no sound lower bound
-                    # on the final k-th distance passes a MIND level until
-                    # all but k - 1 of its entries are verified, so nearly
-                    # every batch would hold one pop.  The loop's
-                    # checkpoint just ran.
+                if run is not None:
+                    # A run's head, verified alone, cut off at the k-th
+                    # distance.  Pops are not gathered into a batch: on a
+                    # discrete metric MINDs tie, and no sound lower bound on
+                    # the final k-th distance passes a MIND level until all
+                    # but k - 1 of its entries are verified, so nearly every
+                    # batch would hold one pop.  The loop's checkpoint just
+                    # ran.
                     if tr is not None:
                         tr.bump("entries_verified")
-                    obj = raf.read_object(payload)  # type: ignore[arg-type]
-                    collector.offer(distance(obj, bound), obj)
+                    obj = read_object(payload)
+                    d = distance(obj, bound)
+                    if d < bound or bound == inf:
+                        collector.offer(d, obj)
+                        bound = collector.bound()
+                    head = next(run, None)
+                    if head is None:
+                        heappop(heap)
+                    else:
+                        heapreplace(heap, head)
                     continue
-                node = self.btree.read_node(payload)  # type: ignore[arg-type]
+                heappop(heap)
+                node = self.btree.read_node(payload)
                 if tr is not None:
                     tr.bump("nodes_visited")
-                if not node.is_leaf:
-                    minds = self.space.mind_to_boxes(
-                        phi_q, *self.btree.child_boxes(node)
-                    )
-                elif traversal == "greedy":
+                if node.is_leaf and traversal == "greedy":
                     # Greedy paradigm: evaluate the whole leaf immediately,
                     # cut off at the k-th distance as the leaf starts — the
                     # bound only shrinks while its candidates are offered.
@@ -810,31 +829,56 @@ class SPBTree:
                         self.btree.leaf_ptrs(node), np.zeros(node.count, dtype=bool),
                         query, ctx, tr, bound, offer,
                     )
-                    continue
-                else:
-                    minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
-                # Lemma 3 over the whole node: push the entries whose MIND
-                # beats the current k-th distance, in entry order.
-                keep = np.flatnonzero(minds < bound)
-                entries = node.entries
-                for i, mind in zip(keep.tolist(), minds[keep].tolist()):
-                    if node.is_leaf:
-                        item = (mind, next(counter), 0, entries[i].ptr, depth)
-                    else:
-                        item = (mind, next(counter), 1, entries[i].child, depth + 1)
-                    heapq.heappush(heap, item)
-                if tr is not None and len(keep) < node.count:
-                    tr.bump(
-                        "entries_pruned_lemma3"
-                        if node.is_leaf
-                        else "children_pruned_lemma3",
-                        node.count - len(keep),
+                elif node.is_leaf:
+                    # Lemma 3 over the leaf: the entries whose MIND beats
+                    # the k-th distance become one run, in MIND order, each
+                    # keeping the tiebreak of its place in entry order.
+                    minds = self.space.mind_to_cells(
+                        phi_q, self.btree.leaf_cells(node)
                     )
+                    keep = np.flatnonzero(minds < bound)
+                    if len(keep):
+                        order = np.argsort(minds[keep], kind="stable")
+                        chosen = keep[order]
+                        # Each item carries the iterator over the items
+                        # after it: made before the list fills, it reads on.
+                        items: list = []
+                        rest = iter(items)
+                        items.extend(zip(
+                            minds[chosen].tolist(),
+                            (order + tiebreak).tolist(),
+                            itertools.repeat(rest),
+                            self.btree.leaf_ptrs(node)[chosen].tolist(),
+                            itertools.repeat(depth),
+                        ))
+                        tiebreak += len(keep)
+                        heapq.heappush(heap, next(rest))
+                    if tr is not None and len(keep) < node.count:
+                        tr.bump("entries_pruned_lemma3", node.count - len(keep))
+                else:
+                    # Lemma 3 over the node: push the children whose MIND
+                    # beats the k-th distance, in entry order.
+                    minds = self.space.mind_to_boxes(
+                        phi_q, *self.btree.child_boxes(node)
+                    )
+                    keep = np.flatnonzero(minds < bound)
+                    entries = node.entries
+                    for i, child_mind in zip(keep.tolist(), minds[keep].tolist()):
+                        heapq.heappush(
+                            heap,
+                            (child_mind, tiebreak, None, entries[i].child, depth + 1),
+                        )
+                        tiebreak += 1
+                    if tr is not None and len(keep) < node.count:
+                        tr.bump("children_pruned_lemma3", node.count - len(keep))
+                bound = collector.bound()
             except _Exhausted:
-                # The popped item was not fully processed (entries of a node
-                # may be lost mid-push): restore its lower bound — zero for
-                # the root — so the partial-result frontier stays sound.
-                heapq.heappush(heap, (mind, tb, kind, payload, depth))
+                # Only a node trips (a greedy leaf's budgeted read; a run's
+                # head is verified with no checkpoint).  It was not fully
+                # processed — entries may be lost mid-push — so restore its
+                # lower bound, zero for the root, and the partial-result
+                # frontier stays sound.
+                heapq.heappush(heap, (mind, tb, None, payload, depth))
                 raise
             finally:
                 if record is not None:

@@ -18,6 +18,14 @@ from repro.distance.base import Metric
 #: takes 3.9 µs at 96, 2.4 at 300, 1.2 at 6 000.
 BATCH_MIN_ROWS = 72
 
+#: Live rows below which :func:`_myers_columns` stops stepping numpy columns
+#: and finishes each row with the scalar recurrence: a numpy step costs some
+#: 20 µs whatever the row count, a scalar column under 1 µs a row.  Measured
+#: on the 127 unbounded kernel calls of a words-range build (74 179 rows;
+#: each call's fastest of 7 timings, summed): never finishing 138.9 ms, 16
+#: rows 132.0, 24 rows 130.0, 32 rows 134.9, :data:`BATCH_MIN_ROWS` 144.6.
+_FINISH_ROWS = 24
+
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
 
@@ -150,6 +158,33 @@ def _myers(peq: dict[str, int], m: int, text: str, bound: float) -> float:
     return float(t - n)
 
 
+def _myers_finish(
+    peq: dict[str, int], m: int, text: str, j: int, pv: int, mv: int, score: int
+) -> int:
+    """d(pattern, text), Myers' recurrence resumed at column ``j`` from the
+    state ``(pv, mv, score)`` :func:`_myers_columns` reached there (the bits
+    of ``pv`` and ``mv`` above the pattern's are dropped), with no cut-off."""
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv &= mask
+    mv &= mask
+    for c in text[j:]:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
+
+
 def _myers_columns(q: str, objs: Sequence[str], lengths: np.ndarray) -> np.ndarray:
     """Exact d(q, o) for every ``str`` row, with Myers' recurrence run
     across the rows: the query (1 to 64 characters) is the pattern, one
@@ -175,6 +210,19 @@ def _myers_columns(q: str, objs: Sequence[str], lengths: np.ndarray) -> np.ndarr
     score = np.full(n, m, dtype=np.uint64)
     for j in range(int(lengths.max())):
         k = live[j]
+        if k < _FINISH_ROWS:
+            # Too few rows left to share a numpy step: the scalar recurrence
+            # finishes each from its state after column j.  Equal texts
+            # reach column j in equal states, so each is finished once.
+            finished: dict[str, int] = {}
+            for r in range(k):
+                text = objs[order[r]]
+                if text not in finished:
+                    finished[text] = _myers_finish(
+                        peq, m, text, j, int(pv[r]), int(mv[r]), int(score[r])
+                    )
+                score[r] = finished[text]
+            break
         eq, p, v = eqs[j, :k], pv[:k], mv[:k]
         xv = eq | v
         xh = (((eq & p) + p) ^ p) | eq

@@ -65,9 +65,9 @@ class MinkowskiDistance(Metric):
         """One pass over an ``(m, dim)`` matrix, bit-identical to the scalar
         form: the same element-wise operations, numpy's same pairwise sum
         along each contiguous row, and the final root of a general ``p``
-        taken per element as the scalar form takes it (an array ``**``
-        rounds differently).  Every distance is exact: ``bound`` is
-        ignored."""
+        taken per element with the C ``pow`` the scalar form calls, on
+        Python floats (an array ``**`` rounds differently).  Every distance
+        is exact: ``bound`` is ignored."""
         matrix = _rows(q, objs, np.float64)
         if matrix is None:
             return super().batch(q, objs)
@@ -80,7 +80,7 @@ class MinkowskiDistance(Metric):
         if self.p == 2.0:
             return np.sqrt((diff * diff).sum(axis=1)).tolist()
         root = 1.0 / self.p
-        return [float(total**root) for total in (diff**self.p).sum(axis=1)]
+        return [total**root for total in (diff**self.p).sum(axis=1).tolist()]
 
 
 class ManhattanDistance(MinkowskiDistance):

@@ -190,14 +190,20 @@ class RandomAccessFile:
         """The object of the record at ``offset``, with :meth:`read`'s pool
         moves — the incremental kNN's one record per pop, as a straight line.
 
-        A record whose header lies on a flushed page of a caching pool is
-        read off that page, its payload through the pool's frame memo when
-        the record lies wholly inside the page; any other record takes
-        :meth:`read`'s path.  The object is a fresh ``deserialize``.
+        The pool's frame memo is asked first: it holds a payload only for a
+        record lying wholly inside a cached, flushed page, so a hit needs
+        none of the checks below.  Otherwise a record whose header lies on a
+        flushed page of a caching pool is read off that page, its payload
+        memoised when the record lies wholly inside the page; any other
+        record takes :meth:`read`'s path.  The object is a fresh
+        ``deserialize``.
         """
         pool = self.buffer_pool
         page_size = self.pagefile.page_size
         page_id, start = divmod(offset, page_size)
+        payload = pool.memo_get(page_id, start)
+        if payload is not None:
+            return self.serializer.deserialize(payload)
         body = start + _HEADER.size
         if (
             not pool.capacity
@@ -205,18 +211,16 @@ class RandomAccessFile:
             or page_id >= self._mem_start() // page_size
         ):
             return self.read(offset)[1]
-        payload = pool.memo_get(page_id, start)
-        if payload is None:
-            page = pool.read_page(page_id)
-            _, length = _HEADER.unpack_from(page, start)
-            end = body + length
-            if end > page_size:
-                payload = self._read_bytes(offset + _HEADER.size, length)
-            elif length:
-                payload = page[body:end]
-                pool.memo_put(page_id, page, start, payload)
-            else:
-                payload = b""
+        page = pool.read_page(page_id)
+        _, length = _HEADER.unpack_from(page, start)
+        end = body + length
+        if end > page_size:
+            payload = self._read_bytes(offset + _HEADER.size, length)
+        elif length:
+            payload = page[body:end]
+            pool.memo_put(page_id, page, start, payload)
+        else:
+            payload = b""
         return self.serializer.deserialize(payload)
 
     def read_many(

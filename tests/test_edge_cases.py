@@ -50,6 +50,18 @@ class TestLongStrings:
         tree = SPBTree.build(words, EditDistance(), num_pivots=2, seed=1)
         assert "x" * 5001 in tree.range_query("x" * 5000, 1)
 
+    def test_batch_finishes_the_long_rows_exactly(self):
+        """The array kernel hands its last few live rows to the scalar
+        recurrence, each distinct text once: repeated and distinct long
+        rows, past one machine word and sharing prefixes with the query."""
+        rng = random.Random(4)
+        long_rows = ["x" * 700, "ab" * 301, "abc" * 90 + "z", "w1" + "y" * 400]
+        rows = [f"w{i}" for i in range(80)] + [rng.choice(long_rows) for _ in range(40)]
+        rng.shuffle(rows)
+        metric = EditDistance()
+        for q in ("w1", "abcabcabz", "x" * 64):
+            assert metric.batch(q, rows) == [metric(q, o) for o in rows]
+
 
 class TestDegenerateDatasets:
     def test_two_objects(self):
