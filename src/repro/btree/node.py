@@ -63,6 +63,9 @@ class Node:
     #: A leaf's RAF pointers as one int64 array, cached by the tree on
     #: read-only leaves.
     ptrs: Any = field(default=None, compare=False, repr=False)
+    #: A leaf's grid cells packed into uint64 words (``BPlusTree.leaf_codes``),
+    #: cached by the tree on read-only leaves only.
+    codes: Any = field(default=None, compare=False, repr=False)
 
     @property
     def read_only(self) -> bool:

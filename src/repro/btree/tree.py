@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.btree.node import LeafEntry, Node, NodeCodec, NodeEntry
 from repro.sfc.base import SpaceFillingCurve
+from repro.sfc.region import PackedGrid
 from repro.storage.pagefile import DEFAULT_PAGE_SIZE, PageFile
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
@@ -39,7 +40,9 @@ Box = tuple[tuple[int, ...], tuple[int, ...]]
 #: Decoded nodes kept per tree, least recently read evicted first.  A 4 KB
 #: page decodes to a few hundred entry tuples plus their grid arrays — about
 #: 50 KB — so the memo is bounded near 50 MB per tree at the default page
-#: size, and covers every node of an index of ~300 000 objects.
+#: size, and covers every node of an index of ~300 000 objects.  A leaf a
+#: range query reached also holds its packed cells, ``words`` × 8 bytes an
+#: entry (one word on the bench trees: 2.7 KB for a 340-entry leaf).
 NODE_MEMO_CAPACITY = 1 << 10
 
 
@@ -89,6 +92,7 @@ class BPlusTree:
                 "integer arrays nodes hold their cells in"
             )
         self.curve = curve
+        self.packing = PackedGrid(curve.ndims, curve.bits)
         key_bytes = max(1, (curve.ndims * curve.bits + 7) // 8)
         self.codec = NodeCodec(key_bytes, page_size)
         self.memo = NodeMemo()
@@ -161,6 +165,17 @@ class BPlusTree:
         if node.read_only:
             node.ptrs = ptrs
         return ptrs
+
+    def leaf_codes(self, node: Node) -> np.ndarray:
+        """A leaf's grid cells packed by :attr:`packing`: ``(words, n)``
+        uint64, kept on a read-only node like :meth:`leaf_cells`."""
+        if node.codes is not None:
+            return node.codes
+        codes = self.packing.pack_many(self.leaf_cells(node))
+        codes.setflags(write=False)
+        if node.read_only:
+            node.codes = codes
+        return codes
 
     def child_boxes(self, node: Node) -> tuple[np.ndarray, np.ndarray]:
         """A non-leaf node's child MBB corners as two ``(n, |P|)`` arrays."""

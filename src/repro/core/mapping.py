@@ -16,20 +16,26 @@ The three pruning tests exist twice.  The scalar forms (``mind_to_cell``,
 ``mind_to_box``, ``upper_bound_to_pivot`` and ``sfc.region.point_in_box``)
 are the tested reference and serve the joins, the cluster router and the
 benchmark probes; the array forms below them evaluate a whole B+-tree node
-in one call and are what the query algorithms run.  Each array form does the
-scalar form's IEEE-754 operations in the scalar form's order per element
-(an integer cell converts to the same double either way; ``max`` is exact),
-so the two agree bit for bit, not just to a tolerance.
+in one call and are what the query algorithms run.  Each float array form
+does the scalar form's IEEE-754 operations in the scalar form's order per
+element (an integer cell converts to the same double either way; ``max`` is
+exact), so the two agree bit for bit, not just to a tolerance.  Lemma 1 and
+Lemma 2 over a leaf are integer tests on packed cells
+(:class:`~repro.sfc.region.PackedGrid`): RR is a box of cells already, and
+Lemma 2 becomes one cell limit per pivot, found by stepping the scalar
+``upper_bound_to_pivot`` itself, once per query.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.distance.base import CountingDistance, Metric
+from repro.sfc.region import PackedGrid
 
 GridPoint = tuple[int, ...]
 GridBox = tuple[GridPoint, GridPoint]
@@ -168,6 +174,33 @@ class PivotSpace:
         """Upper bound of d(o, pᵢ) from a grid coordinate (Lemma 2)."""
         return self.cell_interval(coord)[1]
 
+    def lemma2_limits(self, phi_q: Sequence[float], radius: float) -> list[int]:
+        """Lemma 2 as one cell per pivot: the largest c with
+        ``upper_bound_to_pivot(c) <= radius - d(q, pᵢ)``, or -1 where no
+        cell passes (a negative or NaN slack).  The bound grows with c, so
+        the cells that pass are a prefix of the grid; its end is found by
+        stepping from ``slack // δ`` over that very expression, so a slack
+        on a cell edge, ±inf or NaN gets the scalar test's answer."""
+        upper = self.upper_bound_to_pivot
+        top = self.cells - 1
+        first, last = upper(0), upper(top)
+        limits = []
+        for dq in phi_q:
+            slack = radius - dq
+            if not first <= slack:
+                c = -1
+            elif last <= slack:
+                c = top
+            else:
+                # upper(0) <= slack < upper(top): the end lies in [0, top).
+                c = min(max(int(slack // self.delta), 0), top)
+                while not upper(c) <= slack:
+                    c -= 1
+                while upper(c + 1) <= slack:
+                    c += 1
+            limits.append(c)
+        return limits
+
     # -------------------------------------------------- whole-node forms
 
     def _interval_arrays(
@@ -178,10 +211,15 @@ class PivotSpace:
             return lo_cells.astype(np.float64), hi_cells.astype(np.float64)
         return lo_cells * self.delta, (hi_cells + 1) * self.delta
 
+    @functools.cached_property
+    def packing(self) -> PackedGrid:
+        """The packed form of this space's cells (the B+-tree's, too)."""
+        return PackedGrid(self.num_pivots, self.bits)
+
     def cells_in_region(self, cells: np.ndarray, region: GridBox) -> np.ndarray:
         """Lemma 1 over a leaf: which rows of ``cells`` lie inside RR."""
-        lo, hi = region
-        return ((cells >= lo) & (cells <= hi)).all(axis=1)
+        packing = self.packing
+        return packing.in_box(packing.pack_many(cells), packing.box_words(*region))
 
     def boxes_meet_region(
         self, lo_cells: np.ndarray, hi_cells: np.ndarray, region: GridBox
@@ -195,9 +233,9 @@ class PivotSpace:
     ) -> np.ndarray:
         """Lemma 2 over a leaf: rows some pivot proves to be within
         ``radius`` of q, ``upper_bound_to_pivot(c) <= radius - d(q, pᵢ)``."""
-        _, upper = self._interval_arrays(cells, cells)
-        slack = np.array([radius - dq for dq in phi_q], dtype=np.float64)
-        return (upper <= slack).any(axis=1)
+        packing = self.packing
+        limits = packing.limit_words(self.lemma2_limits(phi_q, radius))
+        return packing.at_most(packing.pack_many(cells), limits)
 
     def mind_to_cells(self, phi_q: Sequence[float], cells: np.ndarray) -> np.ndarray:
         """``mind_to_cell`` for every row of ``cells`` (kNN ordering)."""

@@ -584,6 +584,13 @@ class SPBTree:
         assert self.raf is not None
         tr, phi_q = self._map_query(query, ctx, phi_q)
         rr = self.space.range_region(phi_q, radius)
+        # Lemma 1's box and Lemma 2's cell limits as packed words, built once
+        # for every leaf of the descent; with Lemma 2 off, no limit holds.
+        packing = self.btree.packing
+        box = packing.box_words(*rr)
+        limits = packing.limit_words(
+            self.space.lemma2_limits(phi_q, radius) if self.use_lemma2 else ()
+        )
         stack: list[tuple[int, int]] = [(self.btree.root_page, 0)]  # (page, level)
         while stack:
             if ctx is not None:
@@ -609,7 +616,7 @@ class SPBTree:
                     continue
                 # VerifyRQ of Algorithm 1 (lines 25–29) for the entries in RR,
                 # the leaf at a time.
-                inside, accepted = self._range_leaf(node, phi_q, radius, rr, tr)
+                inside, accepted = self._range_leaf(node, box, limits, tr)
                 self._verify_leaf(
                     self.btree.leaf_ptrs(node)[inside], accepted,
                     query, ctx, tr, radius, take, read_accepts,
@@ -621,15 +628,15 @@ class SPBTree:
     def _range_leaf(
         self,
         node: Node,
-        phi_q: tuple[float, ...],
-        radius: float,
-        rr: tuple,
+        box: list,
+        limits: list,
         tr: Optional[Any] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Leaf handling of Algorithm 1, lines 11–23, as two masks over the
-        leaf's decoded cells: ``(inside, accepted)`` — the indices of the
-        entries inside RR (Lemma 1), in entry order, and which of those
-        Lemma 2 accepts.
+        leaf's packed cells: ``(inside, accepted)`` — the indices of the
+        entries inside RR (Lemma 1, ``box``), in entry order, and which of
+        those Lemma 2 accepts (``limits``).  Both are
+        :class:`~repro.sfc.region.PackedGrid` constants of the query.
 
         One path stands for the paper's three (MBB ⊆ RR, computeSFC
         enumeration, per-entry check): for a leaf entry,
@@ -637,16 +644,14 @@ class SPBTree:
         SFC values only ever served to avoid decoding the keys — which the
         node now holds decoded.
         """
-        cells = self.btree.leaf_cells(node)
-        inside = np.flatnonzero(self.space.cells_in_region(cells, rr))  # Lemma 1
+        packing = self.btree.packing
+        codes = self.btree.leaf_codes(node)
+        inside = packing.in_box(codes, box).nonzero()[0]  # Lemma 1
         if tr is not None and len(inside) < node.count:
             tr.bump("entries_pruned_lemma1", node.count - len(inside))
         # Lemma 2: if some pivot places o within r - d(q, pᵢ) of pᵢ, the
         # object is certainly a result, without computing d(q, o).
-        if self.use_lemma2:
-            accepted = self.space.lemma2_accepts(cells[inside], phi_q, radius)
-        else:
-            accepted = np.zeros(len(inside), dtype=bool)
+        accepted = packing.at_most(codes, limits, inside)
         return inside, accepted
 
     # ------------------------------------------------------------ kNN query

@@ -244,9 +244,10 @@ class EditDistance(Metric):
     The classic integer-valued string metric; the paper uses it for the
     Words dataset.  Implementation is Myers' bit-parallel algorithm (Myers,
     JACM 1999) — one big-integer update per text character instead of a DP
-    row — with the first argument (the query, in a search) as the pattern.
-    Python's arbitrary-precision integers make it exact for any string
-    length.
+    row.  An unbounded call takes the longer argument as the pattern, so it
+    steps the shorter one; :meth:`batch` and :meth:`against` take the query
+    as the pattern.  Python's arbitrary-precision integers make it exact for
+    any string length.
 
     :meth:`batch` and :meth:`against` take a bound and settle a pair in
     three stages, each a lower bound of d, cheapest first, stopping once
@@ -261,7 +262,11 @@ class EditDistance(Metric):
     is_discrete = True
 
     def __call__(self, a: str, b: str) -> float:
-        # No bound, so the bag is never read.
+        # d is symmetric, so the longer string is the pattern and the
+        # recurrence steps the shorter one's characters.  No bound, so the
+        # bag is never read.
+        if len(a) < len(b):
+            a, b = b, a
         return _bounded(_pattern_bits(a), len(a), 0, b, math.inf)
 
     def batch(

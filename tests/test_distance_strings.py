@@ -21,6 +21,35 @@ texts = st.text(alphabet=ALPHABET, max_size=24)
 BOUNDS = (0, 0.5, 1, 2, 7, math.inf, math.nan)
 
 
+def _levenshtein(a, b) -> int:
+    """The edit distance by the textbook DP: the reference."""
+    dp = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        dp[i][0] = i
+    for j in range(len(b) + 1):
+        dp[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            dp[i][j] = min(
+                dp[i - 1][j] + 1,
+                dp[i][j - 1] + 1,
+                dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return dp[-1][-1]
+
+
+#: Strings on both sides of the 64-character word, and tuple sequences.
+_long = st.text(alphabet="abc", min_size=60, max_size=140)
+_pairs = st.one_of(
+    st.tuples(texts, texts),
+    st.tuples(st.one_of(texts, _long), st.one_of(texts, _long)),
+    st.tuples(
+        st.lists(st.integers(0, 3), max_size=90).map(tuple),
+        st.lists(st.integers(0, 3), max_size=90).map(tuple),
+    ),
+)
+
+
 def _bag_distance(a: str, b: str) -> int:
     """The bag distance the kernel reads from its two cached ints, both
     ways round."""
@@ -70,25 +99,21 @@ class TestEditDistance:
 
     def test_exhaustive_small(self, ed):
         # Compare with a reference DP on short strings.
-        def reference(a, b):
-            dp = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-            for i in range(len(a) + 1):
-                dp[i][0] = i
-            for j in range(len(b) + 1):
-                dp[0][j] = j
-            for i in range(1, len(a) + 1):
-                for j in range(1, len(b) + 1):
-                    dp[i][j] = min(
-                        dp[i - 1][j] + 1,
-                        dp[i][j - 1] + 1,
-                        dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-                    )
-            return dp[-1][-1]
-
         words = ["", "a", "ab", "ba", "abc", "cab", "abcd", "acbd", "aabb"]
         for a in words:
             for b in words:
-                assert ed(a, b) == reference(a, b), (a, b)
+                assert ed(a, b) == _levenshtein(a, b), (a, b)
+
+    @given(pair=_pairs)
+    @example(pair=("ab", "a" * 70 + "b" * 70))
+    @example(pair=("x" * 65, "y"))
+    @example(pair=((1, 2, 3), tuple(range(80))))
+    @settings(max_examples=150, deadline=None)
+    def test_unbounded_call_is_symmetric_and_exact(self, ed, pair):
+        """The unbounded call steps the shorter argument, whichever side
+        it is on: both orders equal the DP."""
+        a, b = pair
+        assert ed(a, b) == ed(b, a) == _levenshtein(a, b)
 
     @pytest.mark.parametrize("bound", [math.inf, 2.0])
     def test_batch_asks_an_overriding_call_for_every_row(self, bound):
