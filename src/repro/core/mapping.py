@@ -117,16 +117,21 @@ class PivotSpace:
         """RR(q, r) of Lemma 1, as an inclusive grid box.
 
         Rounded outward: any object within distance ``radius`` of q maps to
-        a grid cell inside this box.
+        a grid cell inside this box.  A corner past the grid, infinite or
+        NaN (an infinite or NaN radius, a NaN distance) is the grid's edge
+        on its side, so such a box holds every cell it could need.
         """
         top = self.cells - 1
-        lo = tuple(
-            min(top, max(0, int((d - radius) // self.delta))) for d in phi_q
-        )
-        hi = tuple(
-            min(top, max(0, int((d + radius) // self.delta))) for d in phi_q
-        )
-        return lo, hi
+        delta = self.delta
+        lo: list[int] = []
+        hi: list[int] = []
+        for d in phi_q:
+            # A NaN fails every compare, so lo takes 0 and hi the top cell.
+            c = (d - radius) // delta
+            lo.append(int(c) if 0 < c < top else top if c >= top else 0)
+            c = (d + radius) // delta
+            hi.append(int(c) if 0 < c < top else 0 if c <= 0 else top)
+        return tuple(lo), tuple(hi)
 
     # ------------------------------------------------------- lower bounds
 

@@ -459,8 +459,9 @@ class SPBTree:
         take: Callable[[Sequence[Any], np.ndarray, int], None],
         read_accepts: bool = True,
     ) -> None:
-        """Verify one leaf's surviving entries as arrays — the one RAF read
-        of the query path, a leaf at a time.  ``ptrs`` are the entries' RAF
+        """Verify leaf entries as arrays — the one RAF read of the query
+        path: a greedy kNN leaf, or the range descent's pending survivors
+        (see :meth:`_range_search`).  ``ptrs`` are the entries' RAF
         pointers in entry order and ``accepted`` marks those Lemma 2 proved
         results.  The records are read with one ``raf.read_many`` — with
         ``read_accepts`` false (the count) only those not accepted — and the
@@ -578,9 +579,17 @@ class SPBTree:
         read_accepts: bool,
     ) -> None:
         """Algorithm 1's descent, for the range query and the count alike:
-        each leaf's verification goes to ``take`` (see :meth:`_verify_leaf`).
+        the verification goes to ``take`` (see :meth:`_verify_leaf`).
         Without ``read_accepts`` (the count) an entry Lemma 2 accepts is
-        counted with no I/O at all instead of a RAF read."""
+        counted with no I/O at all instead of a RAF read.
+
+        A leaf's Lemma 1 survivors and Lemma 2 accepts are kept pending,
+        and everything pending is verified as one batch before each
+        checkpoint — inside the leaf's level span, so a query with a
+        context still verifies a leaf at a time — and once more when the
+        descent ends: a query with no context makes one RAF read and one
+        distance batch.  The records are the same, in the same order,
+        either way.  A leaf with no survivor is never pending."""
         assert self.raf is not None
         tr, phi_q = self._map_query(query, ctx, phi_q)
         rr = self.space.range_region(phi_q, radius)
@@ -591,6 +600,18 @@ class SPBTree:
         limits = packing.limit_words(
             self.space.lemma2_limits(phi_q, radius) if self.use_lemma2 else ()
         )
+        ptrs: list[np.ndarray] = []
+        accepts: list[np.ndarray] = []
+
+        def verify_pending() -> None:
+            if ptrs:
+                pending = np.concatenate(ptrs), np.concatenate(accepts)
+                ptrs.clear()
+                accepts.clear()
+                self._verify_leaf(
+                    *pending, query, ctx, tr, radius, take, read_accepts
+                )
+
         stack: list[tuple[int, int]] = [(self.btree.root_page, 0)]  # (page, level)
         while stack:
             if ctx is not None:
@@ -615,15 +636,17 @@ class SPBTree:
                         tr.bump("children_pruned_lemma1", node.count - len(meets))
                     continue
                 # VerifyRQ of Algorithm 1 (lines 25–29) for the entries in RR,
-                # the leaf at a time.
+                # pending; the loop's next checkpoint must see their costs.
                 inside, accepted = self._range_leaf(node, box, limits, tr)
-                self._verify_leaf(
-                    self.btree.leaf_ptrs(node)[inside], accepted,
-                    query, ctx, tr, radius, take, read_accepts,
-                )
+                if len(inside):
+                    ptrs.append(self.btree.leaf_ptrs(node)[inside])
+                    accepts.append(accepted)
+                if ctx is not None:
+                    verify_pending()
             finally:
                 if record is not None:
                     tr.exit(record)
+        verify_pending()
 
     def _range_leaf(
         self,
@@ -911,7 +934,7 @@ class SPBTree:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        counts: list[int] = []  # one per leaf
+        counts: list[int] = []  # one per verification
 
         def take(_: Sequence[Any], dists: np.ndarray, free: int) -> None:
             counts.append(free + int(np.count_nonzero(dists <= radius)))

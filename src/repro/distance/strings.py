@@ -11,11 +11,12 @@ import numpy as np
 
 from repro.distance.base import Metric
 
-#: Rows below which :meth:`EditDistance.batch` runs the loop.  The array
-#: kernel costs about twenty numpy calls per text column whatever the row
-#: count, so it needs rows to share them: on the words dataset (13
-#: characters on average) it ties the loop at 64 rows, 5.5 µs a pair, and
-#: takes 3.9 µs at 96, 2.4 at 300, 1.2 at 6 000.
+#: Rows below which :meth:`EditDistance.batch` runs the scalar recurrence;
+#: under a bound these are the rows that passed the gap and bag stages,
+#: counted once.  The array kernel costs about twenty numpy calls per text
+#: column whatever the row count, so it needs rows to share them: on the
+#: words dataset (13 characters on average) it ties the loop at 64 rows,
+#: 5.5 µs a pair, and takes 3.9 µs at 96, 2.4 at 300, 1.2 at 6 000.
 BATCH_MIN_ROWS = 72
 
 #: Live rows below which :func:`_myers_columns` stops stepping numpy columns
@@ -277,48 +278,67 @@ class EditDistance(Metric):
 
         A query that is not a ``str``, or a subclass that overrides
         ``__call__``, gets :meth:`Metric.batch`'s loop, which asks
-        ``__call__`` for every row.  Otherwise, with :data:`BATCH_MIN_ROWS`
-        rows or more, 0 < |q| <= 64 and only ``str`` rows, the rows whose
-        length gap or (under a finite non-negative bound) bag distance
-        passes the bound are answered as the scalar loop answers them; if
-        that many rows remain, Myers' recurrence runs across them, exactly.
-        Every other row takes the scalar loop with the query as pattern and
-        all three stages.  Distances are integers, so every path agrees exactly
-        within the bound."""
+        ``__call__`` for every row.  Otherwise, under a bound below inf,
+        one inline loop runs :func:`_bounded`'s cheap stages on every row
+        (the length gap, then the bag distance wherever ``_bounded`` would
+        read it) and keeps the rows that pass both; only those reach
+        Myers' recurrence — across them at once (:func:`_myers_columns`,
+        exact) when :data:`BATCH_MIN_ROWS` or more are ``str`` and
+        0 < |q| <= 64, else each with the scalar recurrence and its
+        cut-off.  With no cut-off (inf or NaN) every row needs its exact
+        distance: :data:`BATCH_MIN_ROWS` or more ``str`` rows under such a
+        query go across at once, any others through the scalar loop.
+        Distances are integers, so every path agrees exactly within the
+        bound."""
         if not isinstance(q, str) or type(self).__call__ is not EditDistance.__call__:
             return super().batch(q, objs)
-        n = len(objs)
         m = len(q)
-        if n >= BATCH_MIN_ROWS and 0 < m <= 64 and all(type(o) is str for o in objs):
-            # numpy's str dtype drops trailing NULs, so lengths come from
-            # len(): a dropped NUL reads back as the zero padding.
-            lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
-            gaps = np.abs(lengths - m)
-            out = gaps.astype(np.float64)
-            past = gaps > bound
-            if 0 <= bound < math.inf:
-                # The scalar loop's bag stage, a row at a time; the query
-                # (at most 64 characters here) always fits a bag.
-                bag = _bag(q)
-                excess = np.fromiter(
-                    (
-                        _excess(bag, _bag(o)) if len(o) <= BAG_MAX_LEN else 0
-                        for o in objs
-                    ),
-                    dtype=np.int64,
-                    count=n,
-                )
-                over = excess + np.maximum(m - lengths, 0) > bound
-                out[over & ~past] = math.floor(bound) + 1.0
-                past |= over
-            keep = np.flatnonzero(~past)
-            if len(keep) >= BATCH_MIN_ROWS:
-                rows = objs if len(keep) == n else [objs[k] for k in keep.tolist()]
-                out[keep] = _myers_columns(q, rows, lengths[keep])
-                return out.tolist()
         peq = _pattern_bits(q)
-        bag = _bag(q)
-        return [_bounded(peq, m, bag, o, bound) for o in objs]
+        if not bound < math.inf:
+            n = len(objs)
+            if n >= BATCH_MIN_ROWS and 0 < m <= 64 and all(type(o) is str for o in objs):
+                # numpy's str dtype drops trailing NULs, so lengths come
+                # from len(): a dropped NUL reads back as the zero padding.
+                lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
+                return _myers_columns(q, objs, lengths).tolist()
+            # No bound below inf, so _bounded never reads the bag.
+            return [_bounded(peq, m, 0, o, bound) for o in objs]
+        # _bounded's gap and bag stages, inlined: this is the hot path of a
+        # words range query.  A row that passes both is kept for Myers.
+        bag, bag_of = _bag(q), _bag
+        rejected = math.floor(bound) + 1.0
+        bags = m <= BAG_MAX_LEN
+        short = bound < m
+        out: list[float] = []
+        put = out.append
+        keep: list[int] = []
+        texts: list = []
+        for i, o in enumerate(objs):
+            n = len(o)
+            if m > n:
+                gap = m - n
+            else:
+                gap = n - m
+            if gap > bound or not n or not m:
+                put(float(gap))
+                continue
+            if bags and (short or bound < n) and n <= BAG_MAX_LEN and type(o) is str:
+                t = (bag_of(o) | _TOPS) - bag
+                kept = t & _TOPS
+                if (t & (kept - (kept >> 7))) % 255 + (gap if m > n else 0) > bound:
+                    put(rejected)
+                    continue
+            put(0.0)
+            keep.append(i)
+            texts.append(o)
+        if len(texts) >= BATCH_MIN_ROWS and m <= 64 and all(type(o) is str for o in texts):
+            lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            dists = _myers_columns(q, texts, lengths).tolist()
+        else:
+            dists = [_myers(peq, m, o, bound) for o in texts]
+        for i, d in zip(keep, dists):
+            out[i] = d
+        return out
 
     def against(self, q: str) -> Callable[[str, float], float]:
         """:meth:`Metric.against`: the scalar loop's three stages with the
