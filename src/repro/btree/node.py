@@ -89,7 +89,16 @@ class Node:
 
 
 class NodeCodec:
-    """Serializes nodes to pages for a given key width and page size."""
+    """Serializes nodes to pages for a given key width and page size.
+
+    :meth:`encode` is the layout: a header, the entries' bytes and zero
+    padding, built from a node alone — for nodes built fresh (a bulk load,
+    a new root).  A node an insert or delete read from a page and changed
+    is written by :meth:`splice`, which copies the bytes of the entries
+    that did not change from that page image and encodes only the entries
+    that did; :meth:`page` frames either body.  Both give exactly the
+    bytes of ``encode(node)``.
+    """
 
     def __init__(self, key_bytes: int, page_size: int) -> None:
         self.key_bytes = key_bytes
@@ -108,26 +117,60 @@ class NodeCodec:
 
     def encode(self, node: Node) -> bytes:
         """The node's page image, zero-padded to exactly one page."""
+        return self.page(node, self.entry_bytes(node.is_leaf, node.entries))
+
+    def page(self, node: Node, body: bytes) -> bytes:
+        """The page image of ``node`` whose entries' bytes are ``body``: the
+        header from the node's own fields, then ``body``, then zeros."""
         capacity = self.leaf_capacity if node.is_leaf else self.node_capacity
         if node.count > capacity:
             raise ValueError(
                 f"node with {node.count} entries exceeds capacity {capacity}"
             )
-        parts = [_HEADER.pack(0 if node.is_leaf else 1, node.count, node.next_leaf)]
+        header = _HEADER.pack(0 if node.is_leaf else 1, node.count, node.next_leaf)
+        return b"".join(
+            (header, body, bytes(self.page_size - _HEADER.size - len(body)))
+        )
+
+    def entry_bytes(self, is_leaf: bool, entries: Sequence) -> bytes:
+        """The bytes of ``entries``, back to back."""
+        parts = []
         kb = self.key_bytes
-        if node.is_leaf:
-            for key, ptr in node.entries:
+        if is_leaf:
+            for key, ptr in entries:
                 parts.append(key.to_bytes(kb, "big"))
                 parts.append(ptr.to_bytes(8, "little"))
         else:
-            for key, child, min_sfc, max_sfc in node.entries:
+            for key, child, min_sfc, max_sfc in entries:
                 parts.append(key.to_bytes(kb, "big"))
                 parts.append(child.to_bytes(8, "little"))
                 parts.append(min_sfc.to_bytes(kb, "big"))
                 parts.append(max_sfc.to_bytes(kb, "big"))
-        entry_size = self.leaf_entry_size if node.is_leaf else self.node_entry_size
-        parts.append(bytes(self.page_size - _HEADER.size - node.count * entry_size))
         return b"".join(parts)
+
+    def splice(self, image: bytes, node: Node, at: int, drop: int) -> bytes:
+        """The entries' bytes of ``node``, the node decoded from ``image``
+        once its entries ``at:at + drop`` gave way to the ones now at
+        ``node.entries[at:]``: the bytes around them are copied from
+        ``image`` and only the new entries are encoded.
+
+        A decoded entry re-encodes to the very bytes it was read from,
+        unless it was read from past the page's end — a damaged header that
+        claims more entries than a page holds — so such a node's entries
+        are all encoded."""
+        size = self.leaf_entry_size if node.is_leaf else self.node_entry_size
+        start = _HEADER.size
+        end = start + _HEADER.unpack_from(image)[1] * size
+        if end > self.page_size:
+            return self.entry_bytes(node.is_leaf, node.entries)
+        added = node.count - (end - start) // size + drop
+        return b"".join(
+            (
+                image[start : start + at * size],
+                self.entry_bytes(node.is_leaf, node.entries[at : at + added]),
+                image[start + (at + drop) * size : end],
+            )
+        )
 
     # -------------------------------------------------------------- decode
 

@@ -45,6 +45,9 @@ Box = tuple[tuple[int, ...], tuple[int, ...]]
 #: entry (one word on the bench trees: 2.7 KB for a 340-entry leaf).
 NODE_MEMO_CAPACITY = 1 << 10
 
+#: An entry's key, for ``bisect`` over a node's entries.
+_KEY = itemgetter(0)
+
 
 class NodeMemo:
     """LRU map from page id to ``(page image, node decoded from it)``."""
@@ -106,17 +109,28 @@ class BPlusTree:
 
     def read_node(self, page_id: int) -> Node:
         """Fetch a node; one page access.  The node is read-only."""
+        return self._read(page_id)[1]
+
+    def _read(self, page_id: int) -> tuple[bytes, Node]:
+        """The page image one page access returns and the read-only node
+        decoded from it (memoised): a mutator splices its write from it."""
         image = self.pagefile.read_page(page_id)
         node = self.memo.get(page_id, image)
         if node is None:
             node = self.codec.decode(image, page_id)
             self.memo.put(page_id, image, node)
-        return node
+        return image, node
 
-    def _write_node(self, node: Node) -> None:
+    def _write_node(self, node: Node, body: Optional[bytes] = None) -> None:
+        """Write ``node``'s page: framed around ``body``, its entries' bytes
+        spliced from the image it was read from (``NodeCodec.splice``), or
+        encoded whole when it is a fresh node (no ``body``)."""
         if node.page_id < 0:
             node.page_id = self.pagefile.allocate()
-        image = self.codec.encode(node)
+        if body is None:
+            image = self.codec.encode(node)
+        else:
+            image = self.codec.page(node, body)
         self.pagefile.write_page(node.page_id, image)
         # The page file stores a full-page image as the object it is given,
         # so the next read of this page finds the node without decoding.
@@ -327,17 +341,17 @@ class BPlusTree:
     ) -> Optional[tuple[NodeEntry, Box]]:
         """Insert below ``page_id``; returns a new sibling's entry and MBB
         on split."""
-        held = self.read_node(page_id)
+        image, held = self._read(page_id)
         node = held.mutable_copy()
         if node.is_leaf:
-            keys = [entry.key for entry in node.entries]
-            idx = bisect.bisect_right(keys, key)
+            idx = bisect.bisect_right(node.entries, key, key=_KEY)
             node.entries.insert(idx, LeafEntry(key, ptr))
             node.arrays = _spliced(held.arrays, idx, 0, [self.curve.decode(key)])
+            body = self.codec.splice(image, node, idx, 0)
             if node.count <= self.codec.leaf_capacity:
-                self._write_node(node)
+                self._write_node(node, body)
                 return None
-            return self._split_leaf(node)
+            return self._split_leaf(node, body)
         idx = self._child_index(node, key)
         child_entry = node.entries[idx]
         split = self._insert_into(child_entry.child, key, ptr)
@@ -353,40 +367,44 @@ class BPlusTree:
             node.entries[idx] = entry
             node.entries.insert(idx + 1, split[0])
             node.arrays = _spliced(held.arrays, idx, 1, [box, split[1]])
+        body = self.codec.splice(image, node, idx, 1)
         if node.count <= self.codec.node_capacity:
-            self._write_node(node)
+            self._write_node(node, body)
             return None
-        return self._split_internal(node)
+        return self._split_internal(node, body)
 
-    def _split_leaf(self, node: Node) -> tuple[NodeEntry, Box]:
+    def _split_leaf(self, node: Node, body: bytes) -> tuple[NodeEntry, Box]:
+        """Split an overfull leaf whose entries' bytes are ``body``; each
+        half is written from its slice of them."""
         mid = node.count // 2
+        cut = mid * self.codec.leaf_entry_size
         sibling = Node(
             True, node.entries[mid:], node.next_leaf,
             arrays=_sliced(node.arrays, slice(mid, None)),
         )
         node.entries = node.entries[:mid]
         node.arrays = _sliced(node.arrays, slice(mid))
-        self._write_node(sibling)
+        self._write_node(sibling, body[cut:])
         node.next_leaf = sibling.page_id
-        self._write_node(node)
+        self._write_node(node, body[:cut])
         self.leaf_page_count += 1
         return self._entry_for_child(sibling)
 
-    def _split_internal(self, node: Node) -> tuple[NodeEntry, Box]:
+    def _split_internal(self, node: Node, body: bytes) -> tuple[NodeEntry, Box]:
+        """:meth:`_split_leaf` for a non-leaf node."""
         mid = node.count // 2
+        cut = mid * self.codec.node_entry_size
         sibling = Node(
             False, node.entries[mid:], arrays=_sliced(node.arrays, slice(mid, None))
         )
         node.entries = node.entries[:mid]
         node.arrays = _sliced(node.arrays, slice(mid))
-        self._write_node(sibling)
-        self._write_node(node)
+        self._write_node(sibling, body[cut:])
+        self._write_node(node, body[:cut])
         return self._entry_for_child(sibling)
 
     def _child_index(self, node: Node, key: int) -> int:
-        keys = [entry.key for entry in node.entries]
-        idx = bisect.bisect_right(keys, key) - 1
-        return max(idx, 0)
+        return max(bisect.bisect_right(node.entries, key, key=_KEY) - 1, 0)
 
     # -------------------------------------------------------------- delete
 
@@ -411,22 +429,23 @@ class BPlusTree:
         return found
 
     def _delete_from(self, page_id: int, key: int, ptr: int) -> bool:
-        held = self.read_node(page_id)
-        node = held.mutable_copy()
-        if node.is_leaf:
-            for i, entry in enumerate(node.entries):
-                if entry.key == key and entry.ptr == ptr:
+        image, held = self._read(page_id)
+        if held.is_leaf:
+            entries = held.entries
+            i = bisect.bisect_left(entries, key, key=_KEY)
+            while i < held.count and entries[i].key == key:
+                if entries[i].ptr == ptr:
+                    node = held.mutable_copy()
                     del node.entries[i]
                     node.arrays = _spliced(held.arrays, i, 1, [])
-                    self._write_node(node)
+                    self._write_node(node, self.codec.splice(image, node, i, 1))
                     return True
-                if entry.key > key:
-                    break
+                i += 1
             return False
+        node = held.mutable_copy()
         # Duplicates may straddle children; try each child whose key range
         # can contain ``key``, starting from the leftmost candidate.
-        keys = [entry.key for entry in node.entries]
-        start = max(0, bisect.bisect_left(keys, key) - 1)
+        start = max(0, bisect.bisect_left(node.entries, key, key=_KEY) - 1)
         for idx in range(start, node.count):
             if node.entries[idx].key > key:
                 break
@@ -443,7 +462,7 @@ class BPlusTree:
                         child_entry, child, key, False
                     )
                     node.arrays = _spliced(held.arrays, idx, 1, [box])
-                self._write_node(node)
+                self._write_node(node, self.codec.splice(image, node, idx, 1))
                 return True
         return False
 
@@ -455,8 +474,7 @@ class BPlusTree:
             return []
         node = self.read_node(self.root_page)
         while not node.is_leaf:
-            keys = [entry.key for entry in node.entries]
-            idx = max(0, bisect.bisect_left(keys, key) - 1)
+            idx = max(0, bisect.bisect_left(node.entries, key, key=_KEY) - 1)
             node = self.read_node(node.entries[idx].child)
         matches: list[LeafEntry] = []
         while True:

@@ -48,6 +48,12 @@ class StringSerializer(Serializer):
     def deserialize(self, data: bytes) -> str:
         return data.decode("utf-8")
 
+    def deserialize_many(self, payloads: Sequence[bytes]) -> Sequence[str]:
+        """One C-level ``bytes.decode`` (UTF-8, strict) over the batch, no
+        method call per record; the RAF hands over its payloads as
+        ``bytes``."""
+        return list(map(bytes.decode, payloads))
+
 
 class VectorSerializer(Serializer):
     """Fixed-precision float64 vectors (color histograms, synthetic data)."""

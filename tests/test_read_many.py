@@ -274,3 +274,13 @@ class TestDeserializeMany:
 
     def test_default_is_the_loop(self):
         assert StringSerializer().deserialize_many([b"ab", b"", b"c"]) == ["ab", "", "c"]
+
+    def test_strings_decode_as_single_deserialize(self):
+        serializer = StringSerializer()
+        words = ["", "abc", "Grüße", "日本", "\U0001f600", "a\x00b"]
+        payloads = [serializer.serialize(w) for w in words]
+        assert serializer.deserialize_many(payloads) == [
+            serializer.deserialize(p) for p in payloads
+        ] == words
+        with pytest.raises(UnicodeDecodeError):
+            serializer.deserialize_many([b"ok", b"\xff\xfe"])
