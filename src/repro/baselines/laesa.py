@@ -99,10 +99,5 @@ class LAESA:
     def page_accesses(self) -> int:
         return 0  # in-memory structure
 
-    @property
-    def matrix_bytes(self) -> int:
-        """Storage the pivot-distance matrix would need on disk."""
-        return len(self.objects) * len(self.pivots) * 8
-
     def reset_counters(self) -> None:
         self.distance.reset()

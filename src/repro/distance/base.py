@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.stats import current_stat_shard, record_compdist
 
@@ -145,10 +145,3 @@ class CountingDistance:
         # d+ estimation happens once, offline; it is not part of compdists.
         return self.metric.max_distance(sample, pairs)
 
-
-def pairwise_distances(metric: Metric, objects: Sequence[Any]) -> Iterable[float]:
-    """Yield d(o_i, o_j) for all i < j (used by intrinsic-dimensionality code)."""
-    n = len(objects)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield metric(objects[i], objects[j])

@@ -273,6 +273,12 @@ class FaultyTransport:
 
     def close(self) -> None:
         self._closing = True
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

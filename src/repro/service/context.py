@@ -308,13 +308,6 @@ class QueryContext:
             request_id=request_id,
         )
 
-    @property
-    def deadline_seconds(self) -> Optional[float]:
-        """The deadline as a relative allowance (for reporting)."""
-        if self.deadline is None:
-            return None
-        return self.deadline - self.started
-
     def reset_counters(self) -> None:
         """Zero the per-query tallies (the engine does this before a retry,
         so a successful attempt reports only its own costs).  An attached

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -76,3 +77,15 @@ def replicated_cluster(directory: str, *replicate_flags: str, size: int = 200) -
         flag = "--out" if argv[0] == "build" else "--dir"
         out = run_cli(*argv, flag, directory)
         assert out.returncode == 0, out.stderr
+
+
+def digests(directory: str) -> dict[str, str]:
+    """sha256 of every file under ``directory``, by relative path."""
+    out = {}
+    for root, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out[os.path.relpath(path, directory).replace(os.sep, "/")] = digest
+    return dict(sorted(out.items()))

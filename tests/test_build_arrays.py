@@ -25,21 +25,11 @@ from repro.distance import strings
 from repro.distance.strings import BATCH_MIN_ROWS
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.zorder import ZCurve
-
-from tests.test_build_golden import digests
+from tests.conftest import digests
+from tests.reference import CountedEdit, levenshtein, spied
 
 #: ASCII, NUL, non-ASCII and an astral code point.
 ALPHABET = "abz\x00é中\U0001F600"
-
-
-class CountedEdit(EditDistance):
-    """Edit distance that counts its scalar calls."""
-
-    calls = 0
-
-    def __call__(self, a, b):
-        self.calls += 1
-        return super().__call__(a, b)
 
 
 def _text(rng: random.Random, length: int) -> str:
@@ -48,7 +38,7 @@ def _text(rng: random.Random, length: int) -> str:
 
 @pytest.mark.parametrize("m", [0, 1, 13, 64, 65])
 @pytest.mark.parametrize("rows", [1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 400])
-def test_edit_batch_equals_the_loop(m, rows, monkeypatch):
+def test_edit_batch_equals_the_loop(m, rows):
     """Both sides of the crossover, |q| at and past the one-word limit,
     empty texts, texts ending in NUL (numpy's str dtype strips those)."""
     rng = random.Random(1000 * m + rows)
@@ -56,17 +46,10 @@ def test_edit_batch_equals_the_loop(m, rows, monkeypatch):
     edge = ["", q, q + "\x00", "\x00" * 3, q[::-1] + "\x00\x00", "é" * 70]
     objs = (edge + [_text(rng, rng.randrange(90)) for _ in range(rows)])[:rows]
     metric = EditDistance()
-    kernel_runs = []
-    myers_columns = strings._myers_columns
-
-    def counted(*args):
-        kernel_runs.append(len(args[1]))
-        return myers_columns(*args)
-
-    monkeypatch.setattr(strings, "_myers_columns", counted)
-    got = metric.batch(q, objs)
+    with spied(strings, "_myers_columns", lambda q, objs, lengths: len(objs)) as runs:
+        got = metric.batch(q, objs)
     kernel = rows >= BATCH_MIN_ROWS and 0 < m <= 64
-    assert kernel_runs == ([rows] if kernel else [])
+    assert runs == ([rows] if kernel else [])
     assert got == [metric(q, o) for o in objs]
     assert all(type(d) is float for d in got)
 
@@ -80,16 +63,6 @@ def test_edit_batch_equals_the_loop_on_drawn_strings(q, texts):
     objs = [texts[i % len(texts)] for i in range(BATCH_MIN_ROWS)]
     metric = EditDistance()
     assert metric.batch(q, objs) == [metric(q, o) for o in objs]
-
-
-def _levenshtein(a: str, b: str) -> float:
-    """The textbook dynamic programme, one row at a time."""
-    row = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        prev, row[0] = row[0], i
-        for j, cb in enumerate(b, 1):
-            prev, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1, prev + (ca != cb))
-    return float(row[-1])
 
 
 @given(
@@ -107,7 +80,7 @@ def test_edit_batch_under_a_bound_on_drawn_strings(q, texts, rows, pick):
     d + 1 of a drawn row, and at 0, 1.5, inf and NaN."""
     metric = EditDistance()
     for text in texts:
-        assert metric(q, text) == _levenshtein(q, text)
+        assert metric(q, text) == levenshtein(q, text)
     objs = [texts[i % len(texts)] for i in range(rows)]
     exact = [metric(q, o) for o in objs]
     d = exact[pick % rows]

@@ -14,18 +14,22 @@ move a build re-records with ``PYTHONPATH=src python tests/test_build_golden.py`
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 
+if __name__ == "__main__":  # run as a script: the ``tests`` package is importable
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 from repro.cluster import ShardedIndex
 from repro.core.persist import save_tree
 from repro.core.spbtree import SPBTree
 from repro.datasets import load_dataset
+from tests.conftest import digests
 
 SIZE = 1500
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "build_golden.json")
@@ -44,18 +48,6 @@ CASES = {
 
 def _pivot(p) -> object:
     return p if isinstance(p, str) else np.asarray(p).tolist()
-
-
-def digests(directory: str) -> dict[str, str]:
-    """sha256 of every file under ``directory``, by relative path."""
-    out = {}
-    for root, _, files in os.walk(directory):
-        for name in files:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            out[os.path.relpath(path, directory).replace(os.sep, "/")] = digest
-    return dict(sorted(out.items()))
 
 
 def measure_case(name: str) -> dict:

@@ -11,7 +11,7 @@ from repro.core.spbtree import SPBTree
 from repro.distance import EditDistance, TriGramAngularDistance
 from repro.distance import strings
 from repro.distance.strings import BATCH_MIN_ROWS, trigram_counts
-from tests.test_metric_batch import _within
+from tests.reference import CountedEdit, bag_distance, levenshtein, within
 
 #: Characters that stress the bag's one-int form: NUL, and code points 64
 #: apart that share a lane ("\x00" / "@" / "\x80", "!" / "a" / "\xa1"),
@@ -19,23 +19,6 @@ from tests.test_metric_batch import _within
 ALPHABET = "ab!@\x00\x80\xa1é中\U0001F600\U0001F640"
 texts = st.text(alphabet=ALPHABET, max_size=24)
 BOUNDS = (0, 0.5, 1, 2, 7, math.inf, math.nan)
-
-
-def _levenshtein(a, b) -> int:
-    """The edit distance by the textbook DP: the reference."""
-    dp = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(len(a) + 1):
-        dp[i][0] = i
-    for j in range(len(b) + 1):
-        dp[0][j] = j
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            dp[i][j] = min(
-                dp[i - 1][j] + 1,
-                dp[i][j - 1] + 1,
-                dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-            )
-    return dp[-1][-1]
 
 
 #: Strings on both sides of the 64-character word, and tuple sequences.
@@ -48,15 +31,6 @@ _pairs = st.one_of(
         st.lists(st.integers(0, 3), max_size=90).map(tuple),
     ),
 )
-
-
-def _bag_distance(a: str, b: str) -> int:
-    """The bag distance the kernel reads from its two cached ints, both
-    ways round."""
-    x, y = strings._bag(a), strings._bag(b)
-    forth = strings._excess(x, y) + max(0, len(a) - len(b))
-    assert forth == strings._excess(y, x) + max(0, len(b) - len(a))
-    return forth
 
 
 class TestEditDistance:
@@ -102,7 +76,7 @@ class TestEditDistance:
         words = ["", "a", "ab", "ba", "abc", "cab", "abcd", "acbd", "aabb"]
         for a in words:
             for b in words:
-                assert ed(a, b) == _levenshtein(a, b), (a, b)
+                assert ed(a, b) == levenshtein(a, b), (a, b)
 
     @given(pair=_pairs)
     @example(pair=("ab", "a" * 70 + "b" * 70))
@@ -113,24 +87,16 @@ class TestEditDistance:
         """The unbounded call steps the shorter argument, whichever side
         it is on: both orders equal the DP."""
         a, b = pair
-        assert ed(a, b) == ed(b, a) == _levenshtein(a, b)
+        assert ed(a, b) == ed(b, a) == levenshtein(a, b)
 
     @pytest.mark.parametrize("bound", [math.inf, 2.0])
     def test_batch_asks_an_overriding_call_for_every_row(self, bound):
         """A subclass that overrides ``__call__`` is asked for each row of
         a batch, however many rows it has — also past the array path's
         ``BATCH_MIN_ROWS``."""
-
-        class Counted(EditDistance):
-            calls = 0
-
-            def __call__(self, a, b):
-                self.calls += 1
-                return super().__call__(a, b)
-
         words = [f"w{i:03d}" + "ab" * (i % 5) for i in range(100)]
         assert len(words) >= BATCH_MIN_ROWS
-        metric = Counted()
+        metric = CountedEdit()
         got = metric.batch("w042ab", words, bound)
         assert metric.calls == len(words)
         assert got == [EditDistance()("w042ab", w) for w in words]
@@ -145,7 +111,7 @@ class TestBagBound:
     @example(a="\U0001F600" * 5, b="\U0001F640\x00")
     @settings(max_examples=300, deadline=None)
     def test_is_a_lower_bound_of_the_edit_distance(self, a, b):
-        bag = _bag_distance(a, b)
+        bag = bag_distance(a, b)
         ca, cb = Counter(a), Counter(b)
         exact_bag = max(sum((ca - cb).values()), sum((cb - ca).values()))
         assert abs(len(a) - len(b)) <= bag <= exact_bag <= EditDistance()(a, b)
@@ -153,10 +119,10 @@ class TestBagBound:
     def test_characters_apart_by_64_share_a_lane(self):
         assert strings._bag("!") == strings._bag("a") == 1 << (8 * 33)
         assert strings._bag("aa!") == 3 << (8 * 33)
-        assert _bag_distance("!!!!!", "aaaaa") == 0
-        assert _bag_distance("abc", "xyz") == 3
+        assert bag_distance("!!!!!", "aaaaa") == 0
+        assert bag_distance("abc", "xyz") == 3
         full = "a" * strings.BAG_MAX_LEN
-        assert _bag_distance(full, "") == _bag_distance("", full) == len(full)
+        assert bag_distance(full, "") == bag_distance("", full) == len(full)
 
     def test_strings_past_the_lane_width_skip_the_bag(self):
         """A lane counts at most 127 characters, so longer strings go from
@@ -166,8 +132,8 @@ class TestBagBound:
         for o in ("a" * 150 + "b" * 150, "b" * 300, "a" * 299 + "!"):
             d = metric(q, o)
             for bound in (0, 1, d - 1, d, math.inf):
-                assert _within(metric.against(q)(o, bound), d, bound)
-                assert _within(metric.batch(q, [o], bound)[0], d, bound)
+                assert within(metric.against(q)(o, bound), d, bound)
+                assert within(metric.batch(q, [o], bound)[0], d, bound)
 
     @given(q=texts, objs=st.lists(texts, min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
@@ -176,13 +142,13 @@ class TestBagBound:
         exact = [metric(q, o) for o in objs]
         for bound in BOUNDS:
             got = metric.batch(q, objs, bound)
-            assert all(map(_within, got, exact, [bound] * len(objs))), bound
+            assert all(map(within, got, exact, [bound] * len(objs))), bound
             f = metric.against(q)
             assert [f(o, bound) for o in objs] == [
                 metric.batch(q, [o], bound)[0] for o in objs
             ]
             bounds = [bound] * len(objs)
-            assert all(map(_within, map(f, objs, bounds), exact, bounds))
+            assert all(map(within, map(f, objs, bounds), exact, bounds))
 
     @given(
         q=st.text(alphabet=ALPHABET, min_size=1, max_size=64),
@@ -200,7 +166,7 @@ class TestBagBound:
         for bound in BOUNDS:
             got = metric.batch(q, objs, bound)
             assert all(type(d) is float for d in got)
-            assert all(map(_within, got, exact, [bound] * len(objs))), bound
+            assert all(map(within, got, exact, [bound] * len(objs))), bound
 
 
 class TestBagFilterFires:

@@ -9,34 +9,19 @@ from repro import EditDistance, EuclideanDistance, SPBTree
 from repro.core.spbtree import SPBTree as SPB
 from repro.datasets import generate_words
 from repro.storage import PageFile, RandomAccessFile, StringSerializer
+from tests.reference import levenshtein
 
 
 class TestLongStrings:
     def test_myers_beyond_64_chars(self):
         """The bit-parallel edit distance must stay exact past one machine
         word (Python big ints carry the bitmasks)."""
-
-        def reference(a, b):
-            prev = list(range(len(b) + 1))
-            for i, ca in enumerate(a, 1):
-                cur = [i]
-                for j, cb in enumerate(b, 1):
-                    cur.append(
-                        min(
-                            prev[j - 1] + (ca != cb),
-                            prev[j] + 1,
-                            cur[j - 1] + 1,
-                        )
-                    )
-                prev = cur
-            return prev[-1]
-
         ed = EditDistance()
         rng = random.Random(1)
         for _ in range(25):
             a = "".join(rng.choice("abc") for _ in range(rng.randrange(60, 140)))
             b = "".join(rng.choice("abc") for _ in range(rng.randrange(60, 140)))
-            assert ed(a, b) == reference(a, b)
+            assert ed(a, b) == levenshtein(a, b)
 
     def test_unicode(self):
         ed = EditDistance()

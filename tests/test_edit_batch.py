@@ -22,28 +22,11 @@ from hypothesis import strategies as st
 from repro.distance import EditDistance
 from repro.distance import strings
 from repro.distance.strings import BATCH_MIN_ROWS
+from tests.reference import levenshtein, spied, within
 
 BOUNDS = (-1.0, 0.0, 0.5, 1.0, 2.0, 7.0, math.inf, math.nan)
 #: NUL, a Latin-1 letter and two astral characters beside plain letters.
 ALPHABET = "abcde\x00é\U0001f600\U00010348"
-
-
-def levenshtein(a, b) -> float:
-    """The textbook dynamic programme over two sequences."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j - 1] + (ca != cb), prev[j] + 1, cur[j - 1] + 1))
-        prev = cur
-    return float(prev[-1])
-
-
-def within(got: float, exact: float, bound: float) -> bool:
-    """``Metric.batch``'s contract for one row (as ``test_metric_batch``)."""
-    if not exact > bound:
-        return got == exact
-    return bound < got <= exact
 
 
 def scalar(q: str, o, bound: float) -> float:
@@ -87,37 +70,20 @@ def rows_for(rng: random.Random, q: str, n: int, near: float, extras: bool) -> l
     return rows
 
 
-class Spy:
-    """Counts ``_bag`` calls and records the rows ``_myers_columns`` got."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.bags = 0
-        self.columns: set[int] = set()
-        bag, columns = strings._bag, strings._myers_columns
-
-        def counted_bag(s):
-            self.bags += 1
-            return bag(s)
-
-        def recorded_columns(q, objs, lengths):
-            self.columns.update(map(id, objs))
-            return columns(q, objs, lengths)
-
-        monkeypatch.setattr(strings, "_bag", counted_bag)
-        monkeypatch.setattr(strings, "_myers_columns", recorded_columns)
-
-
-def check(monkeypatch, q: str, rows: list, bound: float) -> Spy:
-    with monkeypatch.context() as patched:
-        spy = Spy(patched)
+def check(q: str, rows: list, bound: float) -> tuple[int, set]:
+    """``batch(q, rows, bound)`` keeps the contract; returns how many bags
+    it built and the ids of the rows ``_myers_columns`` got."""
+    ids = lambda q, objs, lengths: [id(o) for o in objs]  # noqa: E731
+    with spied(strings, "_bag") as bags, spied(strings, "_myers_columns", ids) as cols:
         got = EditDistance().batch(q, rows, bound)
-    assert spy.bags <= len(rows) + 1  # each row's bag, and the query's
+    columns = {i for call in cols for i in call}
+    assert len(bags) <= len(rows) + 1  # each row's bag, and the query's
     assert len(got) == len(rows) and all(type(d) is float for d in got)
     for o, d in zip(rows, got):
         assert within(d, levenshtein(q, o), bound), (q, o, bound, d)
-        if id(o) not in spy.columns:
+        if id(o) not in columns:
             assert d == scalar(q, o, bound), (q, o, bound, d)
-    return spy
+    return len(bags), columns
 
 
 @st.composite
@@ -139,37 +105,35 @@ def batches(draw):
 @given(batches())
 @settings(max_examples=150, deadline=None)
 def test_fused_batch_keeps_the_contract(batch):
-    q, rows, bound = batch
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        check(monkeypatch, q, rows, bound)
+    check(*batch)
 
 
 @pytest.mark.parametrize("bound", (1.0, 2.0))
-def test_many_survivors_go_across_at_once(monkeypatch, bound):
+def test_many_survivors_go_across_at_once(bound):
     rng = random.Random(3)
     q = "abcdeabcde"
     rows = rows_for(rng, q, 300, 1.0, False)
-    spy = check(monkeypatch, q, rows, bound)
-    assert len(spy.columns) >= BATCH_MIN_ROWS
+    _, columns = check(q, rows, bound)
+    assert len(columns) >= BATCH_MIN_ROWS
 
 
-def test_few_survivors_stay_scalar(monkeypatch):
+def test_few_survivors_stay_scalar():
     """Many rows, few of them past the cheap stages: the column kernel is
     never run and no row's bag is built twice."""
     rng = random.Random(4)
     q = "abcdeabcde"
     rows = rows_for(rng, q, 300, 0.1, False)
-    spy = check(monkeypatch, q, rows, 1.0)
-    assert not spy.columns
-    assert spy.bags <= len(rows) + 1
+    bags, columns = check(q, rows, 1.0)
+    assert not columns
+    assert bags <= len(rows) + 1
 
 
 @pytest.mark.parametrize("bound", (math.inf, math.nan))
-def test_unbounded_batch_goes_across_by_row_count(monkeypatch, bound):
+def test_unbounded_batch_goes_across_by_row_count(bound):
     rng = random.Random(5)
     q = "abcdeabcde"
     rows = rows_for(rng, q, BATCH_MIN_ROWS, 0.0, False)
-    spy = check(monkeypatch, q, rows, bound)
-    assert spy.columns and not spy.bags
-    spy = check(monkeypatch, q, rows[:-1], bound)
-    assert not spy.columns and not spy.bags
+    bags, columns = check(q, rows, bound)
+    assert columns and not bags
+    bags, columns = check(q, rows[:-1], bound)
+    assert not columns and not bags

@@ -3,14 +3,14 @@
 Each pop reads one record with ``RandomAccessFile.read_object``, which
 slices a record that lies wholly inside a flushed page straight off the
 pooled page, or takes its payload from the pool's frame memo.  A twin tree
-reads every record as ``read_object`` did before either existed (header
-and payload each fetched by ``_read_bytes``, as in ``test_read_many``).
-Both answer the same queries on ``test_scan_golden``'s words tree —
+reads every record as ``read_object`` did before either existed
+(``reference.read_object_before``).  Both answer the same queries on
+``reference.words_tree``, the words tree ``test_scan_golden`` pins —
 tombstones, records crossing a page, a write-through tail — and must agree
-on the answers, compdists, page accesses, pool hits and misses and the
-final LRU order, at every cache size, through the moves that drop memo
-entries (a tail page filled and rewritten, a flush, evictions), and with
-two threads sharing one pool.
+on the answers and on ``reference.snapshot`` (compdists, page accesses,
+page-file reads, pool hits, misses and LRU order) at every cache size,
+through the moves that drop memo entries (a tail page filled and
+rewritten, a flush, evictions), and with two threads sharing one pool.
 """
 
 from __future__ import annotations
@@ -23,32 +23,18 @@ from repro.datasets import generate_words
 from repro.service.context import QueryContext
 from repro.storage import RandomAccessFile, StringSerializer
 from repro.storage.raf import _HEADER
-from tests.test_read_many import _read_object_before
-from tests.test_scan_golden import PAGE, _tree
+from tests.reference import assert_twins, read_object_before, twin_trees, words_tree
 
+PAGE = 256
 CACHES = (0, 1, 4, 32, 64)
 QUERIES = generate_words(10, seed=77) + generate_words(300, seed=5)[::60]
 
 
 def _twins(cache_pages: int):
     """The tree under test and its twin that reads records the old way."""
-    tree, twin = _tree(cache_pages), _tree(cache_pages)
-    twin.raf.read_object = lambda offset: _read_object_before(twin.raf, offset)
-    for t in (tree, twin):
-        t.flush_cache(reset_stats=True)
-        t.reset_counters()
-    return tree, twin
-
-
-def _observed(tree) -> dict:
-    pool = tree.raf.buffer_pool
-    return {
-        "compdists": tree.distance_computations,
-        "pa": tree.page_accesses,
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "lru": list(pool._cache),
-    }
+    return twin_trees(
+        lambda: words_tree(cache_pages), "raf.read_object", read_object_before
+    )[:2]
 
 
 def _memo_is_sound(raf: RandomAccessFile) -> None:
@@ -64,13 +50,8 @@ def _memo_is_sound(raf: RandomAccessFile) -> None:
             assert payload == page[body : body + length]
 
 
-def _run(tree) -> list:
-    return [tree.knn_query(q, k) for q in QUERIES for k in (1, 4, 9)]
-
-
 def _check(tree, twin) -> None:
-    assert _run(tree) == _run(twin)
-    assert _observed(tree) == _observed(twin)
+    assert_twins(tree, twin, [("knn", q, k) for q in QUERIES for k in (1, 4, 9)])
     _memo_is_sound(tree.raf)
 
 

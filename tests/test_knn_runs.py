@@ -4,113 +4,40 @@
 Lemma 3 as one run, sorted by MIND, with only the run's head on the heap;
 it keeps the k-th distance in a local and offers a verified entry only
 when the collector can take it.  A twin tree runs the loop as it was before
-(copied below: one heap item per leaf entry, the bound read at every pop,
-every verified entry offered).  Both answer the same queries on words and
-vector trees with inserts and deletes, at every cache size, under every
-compdist and page-access budget from 0 to past a full query's cost, and as
-two trees sharing one collector, and must agree on:
-
-* the answers and their order, completeness, reason and frontier;
-* compdists and page accesses (the context's and the tree's);
-* the sequence of RAF offsets read;
-* pool hits, misses and the final LRU order;
-* every trace tally, span by span.
+(``reference.knn_search_per_entry``: one heap item per leaf entry, the
+bound read at every pop, every verified entry offered).  Both answer the
+same queries on words and vector trees with inserts and deletes, at every
+cache size, under every compdist and page-access budget from 0 to past a
+full query's cost, and as two trees sharing one collector, and must agree
+on everything ``reference.assert_twins`` compares and on the sequence of
+RAF offsets read.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-import types
-from typing import Any, Optional, Sequence
+from typing import Any
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words
 from repro.distance import EditDistance, MinkowskiDistance
 from repro.obs.trace import QueryTrace
-from repro.service.context import KnnCollector, QueryContext, _Exhausted
+from repro.service.context import KnnCollector, QueryContext
+from tests.reference import (
+    canon,
+    knn_search_per_entry,
+    mutated_tree,
+    observe,
+    snapshot,
+    spans,
+    twin_trees,
+)
 
 CACHES = (0, 1, 4, 32, 64)
-
-
-def _knn_search_per_entry(
-    self: SPBTree,
-    query: Any,
-    traversal: str,
-    collector: KnnCollector,
-    heap: list,
-    ctx: Optional[QueryContext],
-    phi_q: Optional[tuple[float, ...]] = None,
-) -> None:
-    """The loop as it was: one heap item ``(mind, tiebreak, kind, payload,
-    depth)`` per pushed leaf entry (kind 0) or child (kind 1)."""
-    counter = itertools.count()
-    heap.append((0.0, next(counter), 1, self.btree.root_page, 0))
-    tr, phi_q = self._map_query(query, ctx, phi_q)
-    distance = self.distance.against(query)
-    raf = self.raf
-    assert raf is not None
-
-    def offer(objs: Sequence[Any], dists: np.ndarray, _: int) -> None:
-        if bound < math.inf:
-            keep = dists < bound
-            objs, dists = itertools.compress(objs, keep.tolist()), dists[keep]
-        for d, obj in zip(dists.tolist(), objs):
-            collector.offer(d, obj)
-
-    while heap:
-        if ctx is not None:
-            ctx.checkpoint()
-        mind, tb, kind, payload, depth = heapq.heappop(heap)
-        bound = collector.bound()
-        if mind >= bound:
-            break
-        record = tr.enter(tr.level(depth), ctx) if tr is not None else None
-        try:
-            if kind == 0:
-                if tr is not None:
-                    tr.bump("entries_verified")
-                obj = raf.read_object(payload)
-                collector.offer(distance(obj, bound), obj)
-                continue
-            node = self.btree.read_node(payload)
-            if tr is not None:
-                tr.bump("nodes_visited")
-            if not node.is_leaf:
-                minds = self.space.mind_to_boxes(phi_q, *self.btree.child_boxes(node))
-            elif traversal == "greedy":
-                self._verify_leaf(
-                    self.btree.leaf_ptrs(node), np.zeros(node.count, dtype=bool),
-                    query, ctx, tr, bound, offer,
-                )
-                continue
-            else:
-                minds = self.space.mind_to_cells(phi_q, self.btree.leaf_cells(node))
-            keep = np.flatnonzero(minds < bound)
-            entries = node.entries
-            for i, mind in zip(keep.tolist(), minds[keep].tolist()):
-                if node.is_leaf:
-                    item = (mind, next(counter), 0, entries[i].ptr, depth)
-                else:
-                    item = (mind, next(counter), 1, entries[i].child, depth + 1)
-                heapq.heappush(heap, item)
-            if tr is not None and len(keep) < node.count:
-                tr.bump(
-                    "entries_pruned_lemma3" if node.is_leaf else "children_pruned_lemma3",
-                    node.count - len(keep),
-                )
-        except _Exhausted:
-            heapq.heappush(heap, (mind, tb, kind, payload, depth))
-            raise
-        finally:
-            if record is not None:
-                tr.exit(record)
 
 
 # ------------------------------------------------------------------ trees
@@ -128,20 +55,7 @@ def _corpus(kind: str, n: int, seed: int) -> tuple[list, list, Any]:
     return list(rows[:n]), list(rows[n:]), MinkowskiDistance(2)
 
 
-def _build(spec: dict) -> SPBTree:
-    objects, extra, metric = _corpus(spec["kind"], spec["n"], spec["seed"])
-    tree = SPBTree.build(
-        objects, metric, num_pivots=3, seed=1,
-        page_size=spec["page"], cache_pages=spec["cache"],
-    )
-    for obj in extra[: spec["inserts"]]:
-        tree.insert(obj)
-    for obj in objects[:: max(1, spec["n"] // max(1, spec["deletes"]))][: spec["deletes"]]:
-        assert tree.delete(obj)
-    return tree
-
-
-def _instrument(tree: SPBTree) -> list:
+def _instrument(tree) -> list:
     """Record every RAF offset the tree's queries read, in order."""
     raf = tree.raf
     reads: list = []
@@ -159,13 +73,22 @@ def _instrument(tree: SPBTree) -> list:
     return reads
 
 
-def _twins(spec: dict, reference=_knn_search_per_entry):
-    """The tree under test and its twin running ``reference``."""
-    tree, twin = _build(spec), _build(spec)
-    twin._knn_search = types.MethodType(reference, twin)
+def _twins(spec: dict):
+    """The tree under test and its twin running the per-entry heap."""
+    objects, extra, metric = _corpus(spec["kind"], spec["n"], spec["seed"])
+    steps = [("insert", o) for o in extra[: spec["inserts"]]] + [
+        ("delete", o)
+        for o in objects[:: max(1, spec["n"] // max(1, spec["deletes"]))][: spec["deletes"]]
+    ]
+    tree, twin, _ = twin_trees(
+        lambda: mutated_tree(
+            objects, metric, steps, num_pivots=3, seed=1,
+            page_size=spec["page"], cache_pages=spec["cache"],
+        ),
+        "_knn_search",
+        knn_search_per_entry,
+    )
     for t in (tree, twin):
-        t.flush_cache(reset_stats=True)
-        t.reset_counters()
         t.reads = _instrument(t)
     return tree, twin
 
@@ -179,52 +102,26 @@ def _queries(spec: dict) -> list:
 
 
 def _plain(items) -> list:
-    return [(d, o if isinstance(o, str) else tuple(np.asarray(o).tolist())) for d, o in items]
+    return [(d, canon(o)) for d, o in items]
 
 
-def _spans(span) -> tuple:
-    """A span tree's costs and tallies, without its wall time."""
-    return (
-        span.name, span.compdists, span.page_accesses, dict(span.counts),
-        tuple(_spans(child) for child in span.children),
-    )
+def _state(tree) -> dict:
+    return {**snapshot(tree), "offsets": list(tree.reads)}
 
 
-def _state(tree: SPBTree) -> dict:
-    pool = tree.raf.buffer_pool
-    return {
-        "compdists": tree.distance_computations,
-        "pa": tree.page_accesses,
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "lru": list(pool._cache),
-        "reads": list(tree.reads),
-    }
-
-
-def _ask(tree: SPBTree, q, k: int, traversal: str, **limits) -> dict:
+def _ask(tree, q, k: int, traversal: str, **limits) -> dict:
     """One traced query under ``limits``, and everything it moved."""
     tree.reads.clear()
-    ctx = QueryContext(**limits, trace=QueryTrace("knn"))
-    out = tree.knn_query(q, k, traversal=traversal, context=ctx)
-    return {
-        "items": _plain(out.items),
-        "complete": out.complete,
-        "reason": str(out.reason),
-        "frontier": out.frontier,
-        "ctx": (ctx.compdists, ctx.page_accesses),
-        "trace": _spans(ctx.trace.root),
-        **_state(tree),
-    }
+    return {**observe(tree, "knn", q, k, limits, traversal), "offsets": list(tree.reads)}
 
 
-def _agree(tree: SPBTree, twin: SPBTree, q, k: int, traversal: str, **limits) -> dict:
+def _agree(tree, twin, q, k: int, traversal: str, **limits) -> dict:
     got = _ask(tree, q, k, traversal, **limits)
     assert got == _ask(twin, q, k, traversal, **limits)
     return got
 
 
-def _sweep(tree: SPBTree, twin: SPBTree, q, k: int, traversal: str) -> None:
+def _sweep(tree, twin, q, k: int, traversal: str) -> None:
     """Every compdist and page-access budget from 0 to past the cost of the
     full query, from the pool state the full query left."""
     full = _agree(tree, twin, q, k, traversal)
@@ -311,13 +208,13 @@ def test_a_collector_shared_by_two_trees(first, second, k, budget):
                 ctx = QueryContext(max_compdists=limit, trace=QueryTrace("knn"))
                 out = tree.knn_into(q, k, collector, ctx)
                 outs.append((out.complete, str(out.reason), out.frontier,
-                             ctx.compdists, ctx.page_accesses, _spans(ctx.trace.root),
+                             ctx.compdists, ctx.page_accesses, spans(ctx.trace.root),
                              _state(tree)))
             seen.append((_plain(collector.items()), outs))
         assert seen[0] == seen[1]
 
 
-def _far(tree: SPBTree, far) -> None:
+def _far(tree, far) -> None:
     """Bind the tree's per-object distance so that ``far`` objects lie at
     infinity — what an extended metric, or one past any cut-off, answers."""
     against = tree.distance.against
@@ -340,4 +237,4 @@ def test_an_infinite_distance_is_offered_to_a_collector_not_yet_full(cache):
         for k in (4, 60, len(tree) + 3):
             got = _agree(tree, twin, q, k, "incremental")
             if k > len(tree):
-                assert math.inf in [d for d, _ in got["items"]]
+                assert math.inf in [d for d, _ in got["answer"]]

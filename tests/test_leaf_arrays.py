@@ -27,6 +27,7 @@ from repro.sfc.region import (
     sfc_values_in_box,
 )
 from repro.sfc.zorder import ZCurve
+from tests.reference import cell_array, lemma2_by_cell
 
 
 @st.composite
@@ -71,16 +72,12 @@ def node_cases(draw):
     return space, phi_q, radius, cells
 
 
-def as_array(space, cells):
-    return np.array(cells, dtype=np.int64).reshape(len(cells), space.num_pivots)
-
-
 @given(node_cases())
 @settings(max_examples=300, deadline=None)
 def test_cells_in_region_equals_point_in_box(case):
     space, phi_q, radius, cells = case
     region = space.range_region(phi_q, radius)
-    mask = space.cells_in_region(as_array(space, cells), region)
+    mask = space.cells_in_region(cell_array(space, cells), region)
     assert mask.tolist() == [point_in_box(c, *region) for c in cells]
 
 
@@ -88,21 +85,15 @@ def test_cells_in_region_equals_point_in_box(case):
 @settings(max_examples=300, deadline=None)
 def test_lemma2_accepts_equals_upper_bound_to_pivot(case):
     space, phi_q, radius, cells = case
-    mask = space.lemma2_accepts(as_array(space, cells), phi_q, radius)
-    assert mask.tolist() == [
-        any(
-            space.upper_bound_to_pivot(c) <= radius - dq
-            for c, dq in zip(cell, phi_q)
-        )
-        for cell in cells
-    ]
+    mask = space.lemma2_accepts(cell_array(space, cells), phi_q, radius)
+    assert mask.tolist() == lemma2_by_cell(space, phi_q, radius, cells)
 
 
 @given(node_cases())
 @settings(max_examples=300, deadline=None)
 def test_mind_to_cells_equals_mind_to_cell(case):
     space, phi_q, _, cells = case
-    minds = space.mind_to_cells(phi_q, as_array(space, cells))
+    minds = space.mind_to_cells(phi_q, cell_array(space, cells))
     assert minds.tolist() == [space.mind_to_cell(phi_q, c) for c in cells]
 
 
@@ -116,7 +107,7 @@ def test_box_forms_equal_mind_to_box_and_boxes_intersect(case, data):
     ]
     los = [tuple(map(min, a, b)) for a, b in zip(corners, others)]
     his = [tuple(map(max, a, b)) for a, b in zip(corners, others)]
-    lo_cells, hi_cells = as_array(space, los), as_array(space, his)
+    lo_cells, hi_cells = cell_array(space, los), cell_array(space, his)
     minds = space.mind_to_boxes(phi_q, lo_cells, hi_cells)
     assert minds.tolist() == [
         space.mind_to_box(phi_q, lo, hi) for lo, hi in zip(los, his)
@@ -131,7 +122,7 @@ def test_box_forms_equal_mind_to_box_and_boxes_intersect(case, data):
 def test_negative_slack_accepts_nothing():
     """r < d(q, pᵢ) for every pivot: Lemma 2 cannot fire, even at cell 0."""
     space = PivotSpace([None] * 3, EditDistance(), d_plus=20)
-    cells = as_array(space, [(0, 0, 0), (5, 0, 9)])
+    cells = cell_array(space, [(0, 0, 0), (5, 0, 9)])
     assert space.lemma2_accepts(cells, (4, 6, 8), 3).tolist() == [False, False]
     assert space.lemma2_accepts(cells, (4, 6, 8), 6).tolist() == [True, True]
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +29,12 @@ from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words
 from repro.distance import EditDistance, EuclideanDistance
 from repro.replication import replicate
+from tests.reference import canon, same_key, vectors
 
 BASE = 30
 PAGE = 256
 WORDS = generate_words(2 * BASE, seed=17)
-VECTORS = list(np.random.default_rng(17).random((2 * BASE, 4)).round(2))
+VECTORS = vectors(2 * BASE, 4, 17)
 # (pool, metric, query radius) per dataset; every check asks k = 4.
 DATASETS = {
     "words": (WORDS, EditDistance(), 2),
@@ -62,20 +62,6 @@ CLUSTER_OPS = st.one_of(
 )
 
 
-def canon(obj):
-    return obj if isinstance(obj, str) else tuple(np.asarray(obj).tolist())
-
-
-def twin_of(obj):
-    """An object on the same SFC key as ``obj``: the same word again, or
-    the vector nudged far below the grid's cell width (other bytes)."""
-    if isinstance(obj, str):
-        return obj
-    twin = np.array(obj, dtype=np.float64)
-    twin[-1] += 1e-9
-    return twin
-
-
 class Model:
     """The live objects a stream of mutations leaves, as a list."""
 
@@ -90,7 +76,7 @@ class Model:
         if op[0] == "insert":
             return self.pool[op[1] % len(self.pool)]
         if op[0] == "twin":
-            return twin_of(self.live[op[1] % len(self.live)]) if self.live else None
+            return same_key(self.live[op[1] % len(self.live)]) if self.live else None
         held, i = op[1], op[2]
         if held and self.live:
             return self.live[i % len(self.live)]

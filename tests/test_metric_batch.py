@@ -36,6 +36,7 @@ from repro.distance import (
 from repro.distance.strings import BATCH_MIN_ROWS
 from repro.net.protocol import obj_from_json, obj_to_json
 from repro.service.context import QueryContext
+from tests.reference import CountedEdit, within
 
 DIMS = (1, 3, 16, 64, 129)
 MINKOWSKI = (1, 2, 5, math.inf)
@@ -187,14 +188,6 @@ class TestResultObjectsKeepTheirContract:
 # ------------------------------------------------------------ the bound
 
 
-def _within(got: float, exact: float, bound: float) -> bool:
-    """``Metric.batch``'s contract for one row: d itself when d <= bound
-    (or the bound is NaN), else a lower bound of d greater than ``bound``."""
-    if not exact > bound:
-        return got == exact
-    return bound < got <= exact
-
-
 def _bounds(metric, q, objs) -> list[float]:
     """d - 1, d and d + 1 around a few rows' distances, and the fixed ones."""
     around = [metric(q, objs[k]) for k in range(0, len(objs), max(1, len(objs) // 3))]
@@ -243,7 +236,7 @@ class TestBoundContract:
             for bound in _bounds(metric, q, objs):
                 got = metric.batch(q, objs, bound)
                 assert all(type(d) is float for d in got)
-                assert all(map(_within, got, exact, [bound] * n)), (metric.name, bound)
+                assert all(map(within, got, exact, [bound] * n)), (metric.name, bound)
                 assert _against_is_one_row_batch(metric, q, objs[:9], bound)
                 if not isinstance(metric, EditDistance):
                     # Kernels without a cut-off ignore the bound: bit-identical.
@@ -265,7 +258,7 @@ class TestBoundContract:
         for bound in _bounds(metric, q, objs) + [m / 2]:
             got = metric.batch(q, objs, bound)
             assert all(type(d) is float for d in got)
-            assert all(map(_within, got, exact, [bound] * n)), bound
+            assert all(map(within, got, exact, [bound] * n)), bound
             assert _against_is_one_row_batch(metric, q, objs, bound), bound
 
     def test_the_cut_off_answers_with_a_lower_bound(self):
@@ -296,7 +289,7 @@ class TestBoundContract:
                 assert exact[:4] == [1.0, 1.0, 2.0, 4.0]
                 for bound in (0, 1, 2.5, math.inf, math.nan):
                     got = metric.batch(q, rows[:n], bound)
-                    assert all(map(_within, got, exact, [bound] * n))
+                    assert all(map(within, got, exact, [bound] * n))
                     assert _against_is_one_row_batch(metric, q, rows[:4], bound)
 
     @pytest.mark.parametrize("bound", (0.0, 1, 1.5, math.inf, math.nan))
@@ -313,13 +306,6 @@ class TestBoundContract:
             assert metric.calls == 2 * n and counting.count == 2 * n
 
     def test_an_edit_subclass_with_its_own_call_is_asked_every_row(self):
-        class Counted(EditDistance):
-            calls = 0
-
-            def __call__(self, a, b):
-                self.calls += 1
-                return super().__call__(a, b)
-
         class Batched(EditDistance):
             rows = 0
 
@@ -327,7 +313,7 @@ class TestBoundContract:
                 self.rows += len(objs)
                 return super().batch(q, objs, bound)
 
-        metric = Counted()
+        metric = CountedEdit()
         words = generate_words(10, seed=6)
         assert metric.batch(words[0], words, 1) == [metric(words[0], o) for o in words]
         assert metric.calls == 2 * len(words)

@@ -46,6 +46,17 @@ def served(small_words):
         engine.stop()
 
 
+def test_close_wakes_the_blocked_accept_thread():
+    """No connection ever arrives, so the accept thread is blocked in
+    ``accept()`` when ``close()`` runs: it must wake and end promptly."""
+    proxy = FaultyTransport("127.0.0.1", 9)
+    time.sleep(0.05)  # let the accept thread block
+    started = time.monotonic()
+    proxy.close()
+    assert time.monotonic() - started < 1.0
+    assert not proxy._accept_thread.is_alive()
+
+
 def _client_via(proxy, **kwargs):
     kwargs.setdefault("retry", RetryPolicy(attempts=5, base_delay=0.02, seed=11))
     kwargs.setdefault("op_timeout", 2.0)

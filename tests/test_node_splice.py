@@ -10,8 +10,9 @@ duplicate keys, deletes of held and missing objects, deletes that empty a
 leaf and shrinks that collapse the root — over words and vectors, over
 18-byte keys (9 pivots x 16 bits) and with checksums on and off, on 256-byte
 pages so that splits and new roots happen — and that a twin tree that
-encodes every write whole ends each step the same: the same page bytes,
-page writes, page accesses, memo and ``verify()``.
+encodes every write whole (``reference.write_node_whole``) ends each step
+the same: the same page bytes, page writes, page accesses, memo and
+``verify()``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,20 @@ from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words
 from repro.distance import EditDistance, EuclideanDistance
 from repro.sfc.zorder import ZCurve
+from tests.reference import (
+    mutated_tree,
+    same_key,
+    snapshot,
+    twin_trees,
+    vectors,
+    write_node_whole,
+)
 
 PAGE = 256
 BASE = 30
 WORDS = generate_words(2 * BASE, seed=23)
-VECTORS = list(np.random.default_rng(23).random((2 * BASE, 4)).round(2))
-WIDE = list(np.random.default_rng(29).random((2 * BASE, 9)).round(3))
+VECTORS = vectors(2 * BASE, 4, 23)
+WIDE = vectors(2 * BASE, 9, 29, 3)
 
 #: name -> (pool, build arguments)
 TREES = {
@@ -59,19 +68,17 @@ OPS = st.one_of(
 )
 
 
-def build(name: str, checksums: bool, encode_always: bool = False) -> SPBTree:
+def build(name: str, checksums: bool) -> tuple[SPBTree, SPBTree]:
+    """The tree under test and its twin, whose every write encodes the
+    node whole."""
     pool, kwargs = TREES[name]
-    tree = SPBTree.build(
-        pool[:BASE], page_size=PAGE, checksums=checksums, seed=3, **kwargs
-    )
-    if encode_always:
-        # The twin: every write encodes the node whole.
-        tree.btree._write_node = (
-            lambda node, body=None, btree=tree.btree: BPlusTree._write_node(
-                btree, node
-            )
-        )
-    return tree
+    return twin_trees(
+        lambda: mutated_tree(
+            pool[:BASE], page_size=PAGE, checksums=checksums, seed=3, **kwargs
+        ),
+        "btree._write_node",
+        write_node_whole,
+    )[:2]
 
 
 def watch_writes(btree: BPlusTree) -> list:
@@ -88,16 +95,6 @@ def watch_writes(btree: BPlusTree) -> list:
 
     btree._write_node = checked
     return written
-
-
-def same_key(obj):
-    """An object on the same SFC key: the word again, or the vector nudged
-    far below the grid's cell width."""
-    if isinstance(obj, str):
-        return obj
-    twin = np.array(obj, dtype=np.float64)
-    twin[-1] += 1e-9
-    return twin
 
 
 def missing(obj):
@@ -182,13 +179,13 @@ def assert_pages_canonical(btree: BPlusTree) -> None:
         assert image == codec.encode(codec.decode(image, page_id)), page_id
 
 
-def assert_twins(tree: SPBTree, twin: SPBTree) -> None:
+def assert_written_alike(tree: SPBTree, twin: SPBTree) -> None:
     """The spliced tree and the encoding twin end a step alike."""
     a, b = tree.btree, twin.btree
     assert a.pagefile._pages == b.pagefile._pages
     assert a.pagefile.counter.writes == b.pagefile.counter.writes
     assert a.page_accesses == b.page_accesses
-    assert tree.raf.page_accesses == twin.raf.page_accesses
+    assert snapshot(tree) == snapshot(twin)
     assert (a.root_page, a.height, a.entry_count) == (
         b.root_page, b.height, b.entry_count
     )
@@ -209,8 +206,7 @@ class TestSpliceEqualsEncode:
     @settings(max_examples=12, deadline=None)
     def test_drawn_stream(self, name, checksums, ops):
         pool = TREES[name][0]
-        tree = build(name, checksums)
-        twin = build(name, checksums, encode_always=True)
+        tree, twin = build(name, checksums)
         written = watch_writes(tree.btree)
         live = list(pool[:BASE])
         twin_live = list(live)
@@ -219,7 +215,7 @@ class TestSpliceEqualsEncode:
             live = apply(tree, live, pool, op)
             twin_live = apply(twin, twin_live, pool, op)
             assert_pages_canonical(tree.btree)
-            assert_twins(tree, twin)
+            assert_written_alike(tree, twin)
         assert tree.verify().ok and twin.verify().ok
 
     @pytest.mark.parametrize("name", sorted(TREES))
@@ -227,8 +223,7 @@ class TestSpliceEqualsEncode:
         """The drawn streams' every path, taken for certain: leaf and
         inner splits and a new root, an emptied leaf, root collapse."""
         pool = TREES[name][0]
-        tree = build(name, checksums=True)
-        twin = build(name, checksums=True, encode_always=True)
+        tree, twin = build(name, checksums=True)
         watch_writes(tree.btree)
         live = list(pool[:BASE])
         height = tree.btree.height
@@ -244,13 +239,13 @@ class TestSpliceEqualsEncode:
         apply(twin, twin_live, pool, ("shrink",))
         assert tree.btree.height == 1
         assert_pages_canonical(tree.btree)
-        assert_twins(tree, twin)
+        assert_written_alike(tree, twin)
         assert tree.verify().ok
 
 
 class TestEncodeLeavesTheWritePath:
     def test_no_encode_in_a_non_splitting_insert_or_delete(self, monkeypatch):
-        tree = build("words", checksums=False)
+        tree, _ = build("words", checksums=False)
         calls = []
         encode = NodeCodec.encode
 
@@ -266,7 +261,7 @@ class TestEncodeLeavesTheWritePath:
         assert calls == []
 
     def test_a_split_is_sliced_and_only_a_new_root_is_encoded(self, monkeypatch):
-        tree = build("wide", checksums=False)
+        tree, _ = build("wide", checksums=False)
         new_roots = []
         inner_node = BPlusTree._inner_node
         calls = []

@@ -8,8 +8,9 @@ out of ``upper_bound_to_pivot`` itself.  The masks must equal
 ``point_in_box`` and ``upper_bound_to_pivot(c) <= r - d(q, pᵢ)`` exactly,
 for every layout from 32 one-bit fields a word to one 62-bit field a word,
 with the slack on a cell edge, one ulp either side of it, NaN, ±inf or
-negative; and at tree level ``SPBTree._range_leaf`` must equal a per-entry
-reference on every leaf after inserts, deletes and splits.
+negative; and at tree level ``SPBTree._range_leaf`` must equal its
+per-entry form (``reference.range_leaf_by_entry``) on every leaf after
+inserts, deletes and splits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words
 from repro.distance import EditDistance, EuclideanDistance
 from repro.sfc.region import point_in_box
+from tests.reference import cell_array, lemma2_by_cell, range_leaf_by_entry, vectors
 
 
 @st.composite
@@ -110,17 +112,6 @@ def box_cases(draw):
     return space, tuple(lo), tuple(hi), cells
 
 
-def as_array(space, cells):
-    return np.array(cells, dtype=np.int64).reshape(len(cells), space.num_pivots)
-
-
-def lemma2_reference(space, phi_q, radius, cells):
-    return [
-        any(space.upper_bound_to_pivot(c) <= radius - dq for c, dq in zip(cell, phi_q))
-        for cell in cells
-    ]
-
-
 @given(spaces(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_layout_holds_every_coordinate_below_its_guard(space, data):
@@ -130,7 +121,7 @@ def test_layout_holds_every_coordinate_below_its_guard(space, data):
     per_word = 64 // (space.bits + 1)
     assert packing.words == -(-space.num_pivots // per_word)
     cells = data.draw(cells_near(space, [], data.draw(st.integers(0, 8))))
-    codes = packing.pack_many(as_array(space, cells))
+    codes = packing.pack_many(cell_array(space, cells))
     assert codes.dtype == np.uint64 and codes.shape == (packing.words, len(cells))
     field = (1 << (space.bits + 1)) - 1
     for row, cell in zip(codes.T.tolist(), cells):
@@ -145,7 +136,7 @@ def test_layout_holds_every_coordinate_below_its_guard(space, data):
 def test_lemma1_mask_equals_point_in_box(case):
     space, lo, hi, cells = case
     packing = space.packing
-    array = as_array(space, cells)
+    array = cell_array(space, cells)
     mask = packing.in_box(packing.pack_many(array), packing.box_words(lo, hi))
     assert mask.tolist() == [point_in_box(c, lo, hi) for c in cells]
     assert space.cells_in_region(array, (lo, hi)).tolist() == mask.tolist()
@@ -170,8 +161,8 @@ def test_lemma2_limits_are_the_last_cell_upper_bound_to_pivot_admits(case):
         assert -1 <= t <= top
         assert t == -1 or upper(t) <= slack
         assert t == top or not upper(t + 1) <= slack
-    mask = space.lemma2_accepts(as_array(space, cells), phi_q, radius)
-    assert mask.tolist() == lemma2_reference(space, phi_q, radius, cells)
+    mask = space.lemma2_accepts(cell_array(space, cells), phi_q, radius)
+    assert mask.tolist() == lemma2_by_cell(space, phi_q, radius, cells)
 
 
 @given(spaces(), st.data())
@@ -184,7 +175,7 @@ def test_at_most_equals_some_coordinate_under_its_limit(space, data):
         cells_near(space, [t for t in limits if t >= 0], data.draw(st.integers(0, 10)))
     )
     packing = space.packing
-    codes = packing.pack_many(as_array(space, cells))
+    codes = packing.pack_many(cell_array(space, cells))
     mask = packing.at_most(codes, packing.limit_words(limits))
     assert mask.tolist() == [
         any(c <= t for c, t in zip(cell, limits)) for cell in cells
@@ -222,11 +213,6 @@ def test_codes_are_cached_on_read_only_leaves_only():
     assert leaf.frozen_copy().codes is None
 
 
-def vectors(n, seed):
-    rng = np.random.default_rng(seed)
-    return list(rng.random((n, 3)).round(3))
-
-
 @st.composite
 def mutated_trees(draw):
     """A words or vector tree on small pages, then inserts (which split
@@ -234,7 +220,7 @@ def mutated_trees(draw):
     holds read-only nodes with codes that a later write must not reuse."""
     words = draw(st.booleans())
     seed = draw(st.integers(0, 1 << 16))
-    objects = generate_words(160, seed=seed) if words else vectors(160, seed)
+    objects = generate_words(160, seed=seed) if words else vectors(160, 3, seed, 3)
     metric = EditDistance() if words else EuclideanDistance()
     n = draw(st.integers(10, 80))
     tree = SPBTree.build(objects[:n], metric, num_pivots=draw(st.integers(1, 5)),
@@ -275,11 +261,6 @@ def range_leaves(tree: SPBTree, query, radius):
 def test_range_leaf_equals_the_entry_reference_after_mutation(case):
     tree, query, radius = case
     phi_q, rr, leaves = range_leaves(tree, query, radius)
-    decode = tree.curve.decode
     for leaf, (inside, accepted) in leaves:
-        cells = [decode(e.key) for e in leaf.entries]
-        want = [i for i, c in enumerate(cells) if point_in_box(c, *rr)]
-        assert inside.tolist() == want
-        assert accepted.tolist() == lemma2_reference(
-            tree.space, phi_q, radius, [cells[i] for i in want]
-        )
+        want = range_leaf_by_entry(tree, leaf, phi_q, rr, radius)
+        assert (inside.tolist(), accepted.tolist()) == want

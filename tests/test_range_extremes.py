@@ -22,22 +22,18 @@ from repro.core.costmodel import CostModel
 from repro.core.spbtree import SPBTree
 from repro.datasets import generate_words
 from repro.distance import EditDistance, EuclideanDistance
+from tests.reference import canon, vectors
 
 RADII = (0, 1, 1e300, math.inf, math.nan)
 N = 300
-
-
-def canon(obj):
-    return obj if isinstance(obj, str) else tuple(np.asarray(obj).tolist())
 
 
 def words():
     return generate_words(N, seed=11), EditDistance()
 
 
-def vectors():
-    rng = np.random.default_rng(11)
-    return list(rng.random((N, 4)).round(3)), EuclideanDistance()
+def vector_case():
+    return vectors(N, 4, 11, 3), EuclideanDistance()
 
 
 def indexes(objects, metric):
@@ -52,7 +48,7 @@ def indexes(objects, metric):
 
 @pytest.fixture(scope="module", params=["words", "vectors"])
 def setup(request):
-    objects, metric = words() if request.param == "words" else vectors()
+    objects, metric = words() if request.param == "words" else vector_case()
     return objects, LinearScan(objects, metric), indexes(objects, metric)
 
 

@@ -6,9 +6,9 @@ a reader can observe of the storage stack afterwards: page-file reads, the
 pool's hits and misses, its LRU key order, and the page accesses credited to
 the active stat shard — at every cache size, Fig. 10's ``cache_pages=0``
 included.  The twin is read twice over: by ``read_object`` as it is now, and
-by ``read_object`` as it was before ``read_many`` existed (header and payload
-each fetched by ``_read_bytes``), since the first sits on the primitive under
-test and would share its mistakes.
+by ``read_object`` as it was before ``read_many`` existed
+(``reference.read_object_before``), since the first sits on the primitive
+under test and would share its mistakes.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.stats import pop_stat_shard, push_stat_shard
-from repro.storage.raf import _HEADER
 from repro.storage import (
     PageCorruptionError,
     RandomAccessFile,
@@ -27,15 +25,16 @@ from repro.storage import (
     UInt8VectorSerializer,
     VectorSerializer,
 )
+from tests.reference import (
+    StatShard,
+    read_object_before,
+    snapshot,
+    twin_rafs,
+    under_shard,
+)
 
 CACHE_PAGES = (0, 1, 4, 32)
 PAGE = 64
-
-
-class _Shard:
-    def __init__(self) -> None:
-        self.page_accesses = 0
-        self.compdists = 0
 
 
 def _words(n: int, seed: int = 3) -> list[str]:
@@ -43,32 +42,11 @@ def _words(n: int, seed: int = 3) -> list[str]:
     return ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(1, 14))) for _ in range(n)]
 
 
-def _twins(fill, cache_pages: int, serializer=None, page_size=PAGE, checksums=False):
+def _twins(fill, cache_pages: int, serializer=StringSerializer, page_size=PAGE, checksums=False):
     """Two identically filled RAFs with cold caches, and their offsets."""
-    rafs, offsets = [], []
-    for _ in range(2):
-        raf = RandomAccessFile(
-            serializer or StringSerializer(),
-            page_size=page_size,
-            cache_pages=cache_pages,
-            checksums=checksums,
-        )
-        offsets = fill(raf)
-        raf.flush_cache(reset_stats=True)
-        raf.pagefile.counter.reset()
-        rafs.append(raf)
-    return rafs[0], rafs[1], offsets
-
-
-def _observed(raf: RandomAccessFile, shard: _Shard) -> dict:
-    pool = raf.buffer_pool
-    return {
-        "reads": raf.pagefile.counter.reads,
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "lru": list(pool._cache),
-        "shard": shard.page_accesses,
-    }
+    return twin_rafs(
+        fill, serializer, page_size=page_size, cache_pages=cache_pages, checksums=checksums
+    )
 
 
 def _same(a, b) -> bool:
@@ -77,36 +55,23 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _read_object_before(raf: RandomAccessFile, offset: int):
-    """``read_object`` as it was: two ``_read_bytes``, one deserialize."""
-    _, length = _HEADER.unpack(raf._read_bytes(offset, _HEADER.size))
-    return raf.serializer.deserialize(raf._read_bytes(offset + _HEADER.size, length))
-
-
-def _under_shard(read) -> tuple[list, _Shard]:
-    shard = _Shard()
-    push_stat_shard(shard)
-    try:
-        return read(), shard
-    finally:
-        pop_stat_shard()
-
-
 def _check(batch: RandomAccessFile, loop: RandomAccessFile, offsets) -> None:
     """``read_many`` on ``batch`` against both single-read loops on ``loop``
     (the second from ``batch``'s starting state, restored in between)."""
     pool = loop.buffer_pool
     start = (dict(pool._cache), pool.hits, pool.misses, loop.pagefile.counter.reads)
-    got, shard = _under_shard(lambda: batch.read_many(offsets))
-    after_batch = _observed(batch, shard)
-    for read_object in (loop.read_object, lambda o: _read_object_before(loop, o)):
+    with under_shard() as (shard, _):
+        got = batch.read_many(offsets)
+    after_batch = snapshot(batch, shard)
+    for read_object in (loop.read_object, lambda o: read_object_before(loop, o)):
         pool._cache.clear()
         pool._cache.update(start[0])
         pool.hits, pool.misses, loop.pagefile.counter.reads = start[1:]
-        expected, shard = _under_shard(lambda: [read_object(o) for o in offsets])
+        with under_shard() as (shard, _):
+            expected = [read_object(o) for o in offsets]
         assert len(got) == len(expected)
         assert all(_same(a, b) for a, b in zip(got, expected))
-        assert after_batch == _observed(loop, shard)
+        assert after_batch == snapshot(loop, shard)
 
 
 def _bulk(objects, tail_unflushed: bool = False):
@@ -181,7 +146,7 @@ class TestDifferential:
         dtype = serializer.dtype
         vectors = [(rng.random(5) * 200).astype(dtype) for _ in range(50)]
         batch, loop, offsets = _twins(
-            _bulk(vectors), cache_pages, serializer=serializer(), page_size=128
+            _bulk(vectors), cache_pages, serializer=serializer, page_size=128
         )
         _check(batch, loop, offsets)
         got = batch.read_many(offsets[3:9])
@@ -199,13 +164,9 @@ class TestDifferential:
             return len(asked) > 9
 
         got = batch.read_many(offsets, stop)
-        assert list(got) == [_read_object_before(loop, o) for o in offsets[:9]]
+        assert list(got) == [read_object_before(loop, o) for o in offsets[:9]]
         assert len(asked) == 10  # once before each record, the refused one included
-        assert batch.pagefile.counter.reads == loop.pagefile.counter.reads
-        assert (batch.buffer_pool.hits, batch.buffer_pool.misses) == (
-            loop.buffer_pool.hits,
-            loop.buffer_pool.misses,
-        )
+        assert snapshot(batch) == snapshot(loop)
 
     def test_corrupt_page_raises_the_same_error_and_is_not_cached(self, cache_pages):
         batch, loop, offsets = _twins(_bulk(_words(80)), cache_pages, checksums=True)
@@ -217,11 +178,11 @@ class TestDifferential:
             batch.read_many(offsets)
         with pytest.raises(PageCorruptionError) as from_loop:
             for offset in offsets:
-                _read_object_before(loop, offset)
+                read_object_before(loop, offset)
         assert from_batch.value.page_id == from_loop.value.page_id == 2
         assert 2 not in batch.buffer_pool._cache
-        shard = _Shard()
-        assert _observed(batch, shard) == _observed(loop, shard)
+        shard = StatShard()
+        assert snapshot(batch, shard) == snapshot(loop, shard)
 
 
 class TestReadAndScanSitOnThePrimitive:

@@ -15,10 +15,6 @@ tree is saved, reopened, rebuilt, salvaged or copied.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +26,6 @@ from repro.core.spbtree import SPBTree
 from repro.distance import EuclideanDistance
 from repro.recovery import salvage_tree
 from repro.replication import replicate
-from repro.stats import pop_stat_shard, push_stat_shard
 from repro.storage import (
     PageCorruptionError,
     RandomAccessFile,
@@ -38,32 +33,17 @@ from repro.storage import (
     VectorSerializer,
 )
 from repro.storage.raf import _HEADER, FramingError
+from tests.reference import (
+    cold,
+    read_frames,
+    snapshot,
+    spied,
+    twin_rafs,
+    under_shard,
+)
 
 CACHE_PAGES = (0, 1, 4, 32, 64)
 SERIALIZERS = (VectorSerializer, UInt8VectorSerializer)
-
-
-class _Shard:
-    def __init__(self) -> None:
-        self.page_accesses = 0
-        self.compdists = 0
-
-
-@contextmanager
-def _spied(raf: RandomAccessFile, name: str) -> Iterator[list]:
-    """Count the calls of one method of one RAF, passing them through."""
-    calls: list = []
-    method = getattr(raf, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return method(*args, **kwargs)
-
-    setattr(raf, name, counted)
-    try:
-        yield calls
-    finally:
-        delattr(raf, name)
 
 
 def _vectors(n: int, dim: int, serializer, seed: int = 0) -> list[np.ndarray]:
@@ -77,55 +57,27 @@ def _twins(
     """Two identically filled RAFs with cold caches, and their offsets:
     ``objects`` bulk-loaded, ``appended`` written through one at a time
     after it, ``tail`` appended last and left unflushed."""
-    rafs, offsets = [], []
-    for _ in range(2):
-        raf = RandomAccessFile(
-            serializer(), page_size=page_size, cache_pages=cache_pages,
-            checksums=checksums,
-        )
+
+    def fill(raf):
         offsets = [raf.append(i, obj, flush=False) for i, obj in enumerate(objects)]
         raf.finalize()
         offsets += [raf.append(len(offsets), obj) for obj in appended]
         offsets += [raf.append(len(offsets), obj, flush=False) for obj in tail]
-        raf.flush_cache(reset_stats=True)
-        raf.pagefile.counter.reset()
-        rafs.append(raf)
-    return rafs[0], rafs[1], offsets
+        return offsets
 
-
-def _observed(raf: RandomAccessFile, shard: _Shard) -> dict:
-    pool = raf.buffer_pool
-    return {
-        "reads": raf.pagefile.counter.reads,
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "lru": list(pool._cache),
-        "shard": shard.page_accesses,
-    }
-
-
-def _run(read, budget=None):
-    """``read(stop)`` under a fresh stat shard; ``stop`` trips once the
-    shard's page accesses pass ``budget`` (never, for None)."""
-    shard = _Shard()
-    stop = None if budget is None else (lambda: shard.page_accesses > budget)
-    push_stat_shard(shard)
-    try:
-        return read(stop), shard
-    finally:
-        pop_stat_shard()
-
-
-def _loop(raf: RandomAccessFile, offsets, stop):
-    return raf.serializer.deserialize_many(raf._read_frames(list(offsets), stop)[1])
+    return twin_rafs(
+        fill, serializer, page_size=page_size, cache_pages=cache_pages, checksums=checksums
+    )
 
 
 def _check(batch, loop, offsets, budget=None, strided=True) -> None:
     """``read_many`` on ``batch`` against the loop on ``loop``; ``strided``
     says which of the two reads ``read_many`` must take."""
-    with _spied(batch, "_read_rows") as rows, _spied(batch, "_read_frames") as frames:
-        got, got_shard = _run(lambda stop: batch.read_many(offsets, stop), budget)
-    want, want_shard = _run(lambda stop: _loop(loop, offsets, stop), budget)
+    with spied(batch, "_read_rows") as rows, spied(batch, "_read_frames") as frames:
+        with under_shard(budget) as (got_shard, stop):
+            got = batch.read_many(offsets, stop)
+    with under_shard(budget) as (want_shard, stop):
+        want = read_frames(loop, offsets, stop)
     assert (len(rows), len(frames)) == ((1, 0) if strided else (0, 1))
     assert len(got) == len(want)
     if len(want):
@@ -134,7 +86,7 @@ def _check(batch, loop, offsets, budget=None, strided=True) -> None:
         assert got.flags.writeable and want.flags.writeable
         assert (got == want).all()
         assert got.dtype == batch.serializer.dtype
-    assert _observed(batch, got_shard) == _observed(loop, want_shard)
+    assert snapshot(batch, got_shard) == snapshot(loop, want_shard)
 
 
 # ----------------------------------------------------------- page geometry
@@ -222,13 +174,12 @@ def test_budget_trips_where_the_loop_trips(cache_pages, page_size):
     batch, loop, offsets = _twins(objects, VectorSerializer, page_size, cache_pages)
     order = [offsets[i] for i in rng.permutation(len(offsets))]
     for picks in (offsets, order, offsets[10:30] * 2):
-        full = _run(lambda stop: _loop(loop, picks, stop))[1].page_accesses
-        loop.flush_cache(reset_stats=True)
-        loop.pagefile.counter.reset()
+        with under_shard() as (shard, _):
+            read_frames(loop, picks)
+        full = shard.page_accesses
+        cold(loop)
         for budget in range(-1, full + 2):
-            for raf in (batch, loop):
-                raf.flush_cache(reset_stats=True)
-                raf.pagefile.counter.reset()
+            cold(batch, loop)
             _check(batch, loop, picks, budget=budget, strided=cache_pages > 0)
 
 
@@ -265,20 +216,15 @@ def test_corrupt_page_raises_from_the_same_touch(cache_pages, page_size):
         picks = offsets[::2] + offsets[1::2]
 
         def failed(read, raf):
-            shard = _Shard()
-            push_stat_shard(shard)
-            try:
-                with pytest.raises(PageCorruptionError) as err:
-                    read(picks)
-            finally:
-                pop_stat_shard()
+            with under_shard() as (shard, _), pytest.raises(PageCorruptionError) as err:
+                read(picks)
             assert bad not in raf.buffer_pool._cache
-            return err.value.page_id, _observed(raf, shard)
+            return err.value.page_id, snapshot(raf, shard)
 
-        with _spied(batch, "_read_rows") as rows:
+        with spied(batch, "_read_rows") as rows:
             raised = failed(batch.read_many, batch)
         assert len(rows) == (cache_pages > 0)
-        assert raised == failed(lambda picks: _loop(loop, picks, None), loop)
+        assert raised == failed(lambda picks: read_frames(loop, picks), loop)
         assert raised[0] == bad
 
 
@@ -322,7 +268,7 @@ def test_a_mixed_width_raf_takes_the_loop(cache_pages):
     )
     assert batch.record_width == 0
     _check(batch, loop, offsets[:20], strided=False)
-    with _spied(batch, "_read_rows") as rows:
+    with spied(batch, "_read_rows") as rows:
         got = batch.read_many(offsets)
     assert not rows
     assert [len(v) for v in got] == [5] * 20 + [6] * 5
@@ -340,7 +286,7 @@ RADIUS = 1.0
 
 def _query_uses_rows(tree: SPBTree) -> bool:
     query = next(tree.objects())
-    with _spied(tree.raf, "_read_rows") as rows:
+    with spied(tree.raf, "_read_rows") as rows:
         assert tree.range_query(query, RADIUS)
     return bool(rows)
 

@@ -4,9 +4,9 @@
 ``knn_join`` and the cost model's probe pick.  It reads only the header of
 a tombstone and every byte of a live record, through the buffer pool, so
 its page accesses, pool hits / misses and final LRU order are a property of
-the record layout — pinned here on a words tree with tombstones, records
-crossing page boundaries and a write-through tail, at the pool sizes of
-Fig. 10, and compared with ``tests/golden/scan_golden.json``.  A change
+the record layout — pinned here on ``reference.words_tree`` (tombstones,
+records crossing page boundaries, a write-through tail), at the pool sizes
+of Fig. 10, and compared with ``tests/golden/scan_golden.json``.  A change
 that *means* to move them re-records with
 ``PYTHONPATH=src python tests/test_scan_golden.py``.
 """
@@ -15,31 +15,24 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
+if __name__ == "__main__":  # run as a script: the ``tests`` package is importable
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 from repro.core.join import knn_join
 from repro.core.spbtree import SPBTree
-from repro.datasets import generate_words
-from repro.distance import EditDistance
+from tests.reference import words_tree
 
-SIZE = 300
 PAGE = 256
 CACHES = (0, 1, 4, 32)
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "scan_golden.json")
 
 
 def _tree(cache_pages: int) -> SPBTree:
-    words = generate_words(SIZE + 40, seed=5)
-    tree = SPBTree.build(
-        words[:SIZE], EditDistance(), num_pivots=3, seed=1,
-        page_size=PAGE, cache_pages=cache_pages,
-    )
-    for word in words[SIZE:]:  # write-through appends after the bulk load
-        tree.insert(word)
-    for word in words[40:70] + words[SIZE + 5 : SIZE + 10]:
-        assert tree.delete(word)
-    return tree
+    return words_tree(cache_pages)[0]
 
 
 def _tally(tree: SPBTree) -> list:
