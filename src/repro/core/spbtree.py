@@ -448,6 +448,16 @@ class SPBTree:
             ctx.checkpoint()
         return tr, phi_q
 
+    @staticmethod
+    def _select(objs: Sequence[Any], mask: np.ndarray) -> Sequence[Any]:
+        """The records of a batch ``objs`` that ``mask`` marks, in order: an
+        array batch's rows by the mask — one copy of the marked rows, no
+        view made per record, and a kept row pins that copy, not the batch —
+        a list's by ``itertools.compress``."""
+        if isinstance(objs, np.ndarray):
+            return objs[mask]
+        return list(itertools.compress(objs, mask.tolist()))
+
     def _verify_leaf(
         self,
         ptrs: np.ndarray,
@@ -465,9 +475,9 @@ class SPBTree:
         pointers in entry order and ``accepted`` marks those Lemma 2 proved
         results.  The records are read with one ``raf.read_many`` — with
         ``read_accepts`` false (the count) only those not accepted — and the
-        others' distances come from one ``distance.batch`` under ``bound``,
-        the caller's cut-off: a distance past it is only a lower bound
-        greater than it, which the caller rejects anyway.  Then
+        others' distances come from one ``distance.batch_array`` under
+        ``bound``, the caller's cut-off: a distance past it is only a lower
+        bound greater than it, which the caller rejects anyway.  Then
         ``take(objs, dists, free)`` gets the records read, in entry order, a
         float64 array of their distances (-inf for an accepted record: within
         any radius, no distance spent) and the number of accepted entries
@@ -502,13 +512,8 @@ class SPBTree:
         rows = np.flatnonzero(verify)
         dists = np.full(n, -math.inf)
         if len(rows):
-            if len(rows) == n:
-                chosen = objs
-            elif isinstance(objs, np.ndarray):
-                chosen = objs[rows]
-            else:
-                chosen = list(itertools.compress(objs, verify.tolist()))
-            dists[rows] = self.distance.batch(query, chosen, bound)
+            chosen = objs if len(rows) == n else self._select(objs, verify)
+            dists[rows] = self.distance.batch_array(query, chosen, bound)
         free = 0
         if not read_accepts:
             # Lemma 2's accepts up to the read a budget refused, if one did.
@@ -552,7 +557,7 @@ class SPBTree:
         results: list[Any] = []
 
         def take(objs: Sequence[Any], dists: np.ndarray, _: int) -> None:
-            results.extend(itertools.compress(objs, (dists <= radius).tolist()))
+            results.extend(self._select(objs, dists <= radius))
 
         complete, reason, elapsed = self.read_frame(
             context,
@@ -830,7 +835,7 @@ class SPBTree:
             # beat it, and one that is not full yet takes everything.
             if bound < inf:
                 keep = dists < bound
-                objs, dists = itertools.compress(objs, keep.tolist()), dists[keep]
+                objs, dists = self._select(objs, keep), dists[keep]
             for d, obj in zip(dists.tolist(), objs):
                 collector.offer(d, obj)
 

@@ -6,6 +6,8 @@ import math
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.stats import current_stat_shard, record_compdist
 
 
@@ -47,6 +49,15 @@ class Metric(ABC):
         ignores the bound; a subclass's kernel answers within it
         bit-identically to the loop."""
         return [self(q, o) for o in objs]
+
+    def batch_array(
+        self, q: Any, objs: Sequence[Any], bound: float = math.inf
+    ) -> np.ndarray:
+        """:meth:`batch` as a float64 array, for a caller that goes on in
+        arrays (a leaf's verification).  This default converts the list; a
+        subclass with an array kernel answers with the kernel's array, whose
+        ``tolist()`` is its ``batch``."""
+        return np.asarray(self.batch(q, objs, bound), dtype=np.float64)
 
     def against(self, q: Any) -> Callable[[Any, float], float]:
         """``f(o, bound)``: ``batch(q, [o], bound)[0]``, bit for bit, with
@@ -122,6 +133,14 @@ class CountingDistance:
         self.count += len(objs)
         record_compdist(len(objs))
         return self.metric.batch(q, objs, bound)
+
+    def batch_array(
+        self, q: Any, objs: Sequence[Any], bound: float = math.inf
+    ) -> np.ndarray:
+        """:meth:`Metric.batch_array`, counted as :meth:`batch` counts."""
+        self.count += len(objs)
+        record_compdist(len(objs))
+        return self.metric.batch_array(q, objs, bound)
 
     def against(self, q: Any) -> Callable[[Any, float], float]:
         """:meth:`Metric.against`, counted one per call on ``count`` and on

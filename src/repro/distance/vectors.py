@@ -62,25 +62,42 @@ class MinkowskiDistance(Metric):
         objs: Sequence[Sequence[float]],
         bound: float = math.inf,
     ) -> list[float]:
+        """:meth:`batch_array` as a list."""
+        return self.batch_array(q, objs, bound).tolist()
+
+    def batch_array(
+        self,
+        q: Sequence[float],
+        objs: Sequence[Sequence[float]],
+        bound: float = math.inf,
+    ) -> np.ndarray:
         """One pass over an ``(m, dim)`` matrix, bit-identical to the scalar
-        form: the same element-wise operations, numpy's same pairwise sum
-        along each contiguous row, and the final root of a general ``p``
-        taken per element with the C ``pow`` the scalar form calls, on
-        Python floats (an array ``**`` rounds differently).  Every distance
-        is exact: ``bound`` is ignored."""
+        form: its element-wise operations in one ``(m, dim)`` temporary —
+        ``rows``, which may be the caller's own array, is only read — then
+        numpy's same pairwise sum along each contiguous row.  The root of a
+        general ``p`` is taken per element with the C ``pow`` the scalar
+        form calls, on Python floats (an array ``**`` rounds differently).
+        Every distance is exact: ``bound`` is ignored.  Input that is no
+        matrix takes the scalar loop."""
         matrix = _rows(q, objs, np.float64)
         if matrix is None:
-            return super().batch(q, objs)
+            return np.array(Metric.batch(self, q, objs), dtype=np.float64)
         qv, rows = matrix
-        diff = np.abs(qv - rows)
+        diff = np.subtract(qv, rows)
+        np.abs(diff, out=diff)
         if math.isinf(self.p):
-            return diff.max(axis=1, initial=0.0).tolist()
+            return diff.max(axis=1, initial=0.0)
         if self.p == 1.0:
-            return diff.sum(axis=1).tolist()
+            return diff.sum(axis=1)
         if self.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=1)).tolist()
+            np.multiply(diff, diff, out=diff)
+            sums = diff.sum(axis=1)
+            return np.sqrt(sums, out=sums)
+        np.power(diff, self.p, out=diff)
         root = 1.0 / self.p
-        return [total**root for total in (diff**self.p).sum(axis=1).tolist()]
+        return np.array(
+            [total**root for total in diff.sum(axis=1).tolist()], dtype=np.float64
+        )
 
 
 class ManhattanDistance(MinkowskiDistance):
@@ -124,10 +141,17 @@ class HammingDistance(Metric):
     def batch(
         self, q: Sequence[int], objs: Sequence[Sequence[int]], bound: float = math.inf
     ) -> list[float]:
+        """:meth:`batch_array` as a list."""
+        return self.batch_array(q, objs, bound).tolist()
+
+    def batch_array(
+        self, q: Sequence[int], objs: Sequence[Sequence[int]], bound: float = math.inf
+    ) -> np.ndarray:
         """One ``!=`` over an ``(m, dim)`` matrix and a count per row;
-        exact, ``bound`` ignored."""
+        exact, ``bound`` ignored.  Input that is no matrix takes the scalar
+        loop."""
         matrix = _rows(q, objs)
         if matrix is None:
-            return super().batch(q, objs)
+            return np.array(Metric.batch(self, q, objs), dtype=np.float64)
         qv, rows = matrix
-        return np.count_nonzero(rows != qv, axis=1).astype(np.float64).tolist()
+        return np.count_nonzero(rows != qv, axis=1).astype(np.float64)

@@ -292,8 +292,9 @@ class RandomAccessFile:
         recently used), so each page of a record is looked up once, and its
         first page not at all when the record before ended on it; the other
         touches are tallied.  The pages looked up, joined, hold every record
-        contiguously: the records are the rows of one strided view, and
-        their length fields are checked against ``width`` at once."""
+        contiguously: one strided view gives the length fields, checked
+        against ``width`` at once, and another the payloads, gathered by one
+        copy."""
         page_size = self.pagefile.page_size
         pool = self.buffer_pool
         m = len(offsets)
@@ -360,13 +361,19 @@ class RandomAccessFile:
         if not cut:
             return self.serializer.deserialize_many([])
         buf = b"".join(got)
-        view = np.ndarray((len(buf) - width + 1, width), np.uint8, buf, strides=(1, 1))
-        rows = view[first[:cut] * page_size + within[:cut]]
-        lengths = rows[:, 8 : _HEADER.size].view("<u4").ravel()
-        if (lengths != width - _HEADER.size).any():
-            bad = int(np.flatnonzero(lengths != width - _HEADER.size)[0])
+        starts = first[:cut] * page_size + within[:cut]
+        size = width - _HEADER.size
+        # Element i of either view belongs to a frame starting at byte i:
+        # its length field (byte 8), its payload (byte 12 on).
+        fields = np.ndarray(len(buf) - width + 1, "<u4", buf, 8, strides=(1,))
+        lengths = fields[starts]
+        if (lengths != size).any():
+            bad = int(np.flatnonzero(lengths != size)[0])
             raise FramingError(int(offsets[bad]), claimed=int(lengths[bad]))
-        return np.ascontiguousarray(rows[:, _HEADER.size :]).view(dtype)
+        frames = np.ndarray(
+            (len(buf) - width + 1, size), np.uint8, buf, _HEADER.size, strides=(1, 1)
+        )
+        return frames[starts].view(dtype)
 
     def _read_frames(
         self, offsets: Iterable[int], stop: Optional[Callable[[], bool]] = None

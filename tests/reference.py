@@ -57,6 +57,14 @@ def read_frames(raf: RandomAccessFile, offsets, stop=None):
     return raf.serializer.deserialize_many(raf._read_frames(list(offsets), stop)[1])
 
 
+def select_by_compress(self: SPBTree, objs, mask) -> list:
+    """``SPBTree._select`` before an array batch's rows were taken by the
+    mask: the range take's and the greedy kNN offer's ``itertools.compress``
+    over every record of the batch — a row view made per record, each kept
+    one pinning the whole batch's array."""
+    return list(itertools.compress(objs, mask.tolist()))
+
+
 def verify_by_entry(
     self: SPBTree, ptrs, accepted, query, ctx, tr, bound, take, read_accepts=True
 ) -> None:
@@ -455,6 +463,14 @@ def canon(obj):
     return obj if isinstance(obj, str) else tuple(np.asarray(obj).tolist())
 
 
+def kind(obj):
+    """What ``canon`` drops of an answer object: its type, and an array's
+    dtype, shape and writability."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.flags.writeable
+    return type(obj).__name__
+
+
 def same_key(obj):
     """An object on the same SFC key as ``obj``: the word again, or the
     vector nudged far below the grid's cell width (other bytes)."""
@@ -574,8 +590,10 @@ def observe(
         )
         res = res.count if op == "count" else res.items
     if op == "knn":
+        out["kinds"] = [kind(o) for _, o in res]
         res = [(d, canon(o)) for d, o in res]
     elif op == "range":
+        out["kinds"] = [kind(o) for o in res]
         res = [canon(o) for o in res]
     out["answer"] = res
     return out
@@ -584,10 +602,11 @@ def observe(
 def assert_twins(tree, twin, queries, limits=None, traversal="incremental") -> list:
     """Run ``queries`` — ``(op, query, arg)`` triples — in order on the
     tree and on its twin.  Query by query both must agree on the answer and
-    its order, completeness, reason and frontier, compdists and page
-    accesses, page-file reads, pool hits, misses and LRU order, and every
-    span of the trace.  ``limits`` is one budget dict for every query, or a
-    function of the query's index.  Returns the tree's observations."""
+    its order, each answer object's ``kind``, completeness, reason and
+    frontier, compdists and page accesses, page-file reads, pool hits,
+    misses and LRU order, and every span of the trace.  ``limits`` is one
+    budget dict for every query, or a function of the query's index.
+    Returns the tree's observations."""
     got = []
     for i, (op, query, arg) in enumerate(queries):
         budget = limits(i) if callable(limits) else limits
